@@ -101,7 +101,7 @@ def _parse_positivity_block(block: dict) -> PositivityData:
     _reject_unknown(block, allowed, "positivity block")
 
     def get(key):
-        return parse_rational(str(block[key])) if key in block else None
+        return _input_rational(block[key]) if key in block else None
 
     return PositivityData(
         alpha_L=get("alpha_L"),
@@ -123,7 +123,7 @@ def _parse_hilbert_block(block: dict, pair: PolarisedPair) -> HilbertModel:
     if kind == weightoracle.KIND_EXPLICIT:
         if "coefficients" not in block:
             raise InputError("explicit hilbert block needs 'coefficients'")
-        coeffs = [parse_rational(str(c)) for c in block["coefficients"]]
+        coeffs = [_input_rational(c) for c in block["coefficients"]]
         floor = int(block.get("floor", 0))
         return HilbertModel.explicit(Polynomial(coeffs), floor)
     raise InputError(
@@ -156,10 +156,10 @@ def load_pair_file(path: str) -> PairFile:
     pair = PolarisedPair(
         name=str(doc["name"]),
         dimension=doc["dimension"],
-        L_top=parse_rational(str(doc["L_top"])),
-        cX_L=parse_rational(str(doc["cX_L"])),
+        L_top=_input_rational(doc["L_top"]),
+        cX_L=_input_rational(doc["cX_L"]),
         proportional_x=(
-            parse_rational(str(doc["proportional_x"])) if "proportional_x" in doc else None
+            _input_rational(doc["proportional_x"]) if "proportional_x" in doc else None
         ),
     )
     div_block = doc["divisor"]
@@ -442,9 +442,10 @@ def _cmd_destabilize(ns) -> int:
         raise InputError("destabilize needs a pair with divisor multiplicity m = 1")
     c, df = normalcone.find_destabilizer(pf.pair, ns.beta, ns.tol)
     threshold = normalcone.instability_threshold(pf.pair)
-    print(f"instability threshold: {threshold}")
-    print(f"witness c: {c}")
-    print(f"DF(c, beta={ns.beta}) = {df} < 0: pair is log K-unstable at this angle")
+    print(f"instability threshold: {format_rational(threshold)}")
+    print(f"witness c: {format_rational(c)}")
+    print(f"DF(c, beta={format_rational(ns.beta)}) = {format_rational(df)} < 0: "
+          "pair is log K-unstable at this angle")
     return EXIT_OK
 
 
@@ -456,14 +457,23 @@ def _cmd_critical_c(ns) -> int:
     if bracket.all_destabilizing:
         print("every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)")
         return EXIT_OK
-    print(f"isolating interval: [{bracket.lo}, {bracket.hi}]")
-    print(f"width: {bracket.hi - bracket.lo} (<= tol {ns.tol})")
-    lo_sign = normalcone.df_closed(pf.pair, bracket.lo, ns.beta).inner_factor if bracket.lo > 0 else None
-    hi_sign = normalcone.df_closed(pf.pair, bracket.hi, ns.beta).inner_factor if bracket.hi < 1 else None
-    if lo_sign is not None:
-        print(f"inner factor at lo: {lo_sign}")
-    if hi_sign is not None:
-        print(f"inner factor at hi: {hi_sign}")
+    # The bracket's signs were decided by the integer sign kernel; the closed
+    # form at both endpoints is the independent second path.
+    lo_inner = normalcone.df_closed(pf.pair, bracket.lo, ns.beta).inner_factor
+    hi_inner = normalcone.df_closed(pf.pair, bracket.hi, ns.beta).inner_factor
+    if bracket.lo == bracket.hi:
+        agree = lo_inner == 0
+    else:
+        agree = lo_inner > 0 > hi_inner
+    if not agree:
+        raise InternalCheckError(
+            f"closed-form inner factor does not change sign across the bracket "
+            f"[{format_rational(bracket.lo)}, {format_rational(bracket.hi)}]"
+        )
+    print(f"isolating interval: [{format_rational(bracket.lo)}, {format_rational(bracket.hi)}]")
+    print(f"width: {format_rational(bracket.hi - bracket.lo)} (<= tol {format_rational(ns.tol)})")
+    print(f"inner factor at lo: {format_rational(lo_inner)}")
+    print(f"inner factor at hi: {format_rational(hi_inner)}")
     return EXIT_OK
 
 
@@ -506,12 +516,12 @@ def _parse_criteria_file(path: str) -> SingularCriteriaInput:
         if key not in doc:
             raise InputError(f"criteria file is missing required key {key!r}")
     kwargs = {
-        "Sbeta": parse_rational(str(doc["Sbeta"])),
-        "alpha_beta": parse_rational(str(doc["alpha_beta"])),
+        "Sbeta": _input_rational(doc["Sbeta"]),
+        "alpha_beta": _input_rational(doc["alpha_beta"]),
         "n": int(doc["n"]),
     }
     if doc.get("bullet1_eta") is not None:
-        kwargs["bullet1_eta"] = parse_rational(str(doc["bullet1_eta"]))
+        kwargs["bullet1_eta"] = _input_rational(doc["bullet1_eta"])
     for flag in ("is_lc", "is_klt", "is_logCY", "eta_class_ample", "third_class_ample",
                  "bullet2_nef", "corollary_neg", "corollary_nef",
                  "klt_inv_semistable", "klt_inv_ample", "klt_inv_nef"):
@@ -559,9 +569,23 @@ def _cmd_catalog(ns) -> int:
 # ----------------------------- parser wiring -----------------------------
 
 
+def _input_rational(value) -> Fraction:
+    """parse_rational for a value from the command line or an input file.
+
+    Each integer is held to the interpreter's int->str digit limit (4300 by
+    default): reports render inputs with str(), and the limit also bounds
+    the parsing work.
+    """
+    text = str(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if limit and any(len(part.strip().lstrip("+-")) > limit for part in text.split("/")):
+        raise InputError(f"rational input has an integer of more than {limit} digits")
+    return parse_rational(text)
+
+
 def _rational_arg(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return _input_rational(text)
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

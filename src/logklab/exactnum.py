@@ -20,20 +20,62 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
+def _int_to_str(value: int) -> str:
+    """str(value), also past the interpreter's int->str digit limit.
+
+    A value str() refuses is split at a power of ten about half its length
+    and the halves are converted recursively; the limit itself is never
+    changed.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if value < 0:
+            return "-" + _int_to_str(-value)
+        half = value.bit_length() * 3 // 20  # log10(2) > 0.3, so high is nonzero
+        high, low = divmod(value, 10**half)
+        return _int_to_str(high) + _int_to_str(low).zfill(half)
+
+
+def _str_to_int(digits: str) -> int:
+    """int(digits) for an optionally signed digit string, also past the limit."""
+    try:
+        return int(digits)
+    except ValueError:  # the digit limit: parse_rational admits only digits
+        if digits[0] in "+-":
+            magnitude = _str_to_int(digits[1:])
+            return -magnitude if digits[0] == "-" else magnitude
+        half = len(digits) // 2
+        return _str_to_int(digits[:-half]) * 10**half + _str_to_int(digits[-half:])
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format "p/q" or a bare integer string, exactly."""
+    """Parse the wire format "p/q" or a bare integer string, exactly.
+
+    Also parses integers past the interpreter's int<->str digit limit, so
+    every format_rational output parses back; the work grows with the
+    length of text.
+    """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise InputError(f"not a rational: {text!r} (expected 'p/q' or an integer string)")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _str_to_int(m.group(1))
+    den = _str_to_int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render as "p/q", or a bare integer string when the denominator is 1."""
-    return str(Fraction(value))
+    """Render as "p/q", or a bare integer string when the denominator is 1.
+
+    Equal to str() of the Fraction, also past the interpreter's int<->str
+    digit limit.
+    """
+    q = Fraction(value)
+    try:
+        return str(q)
+    except ValueError:
+        num = _int_to_str(q.numerator)
+        return num if q.denominator == 1 else f"{num}/{_int_to_str(q.denominator)}"
 
 
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
+from typing import Callable
 
 from .errors import (
     DimensionTooSmallError,
+    InternalCheckError,
     MultiplicityUnsupportedError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
     SearchExhaustedError,
 )
+from .exactnum import format_rational
 from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
 
 _UNIT_DIVISOR = DivisorSpec(1)
@@ -121,7 +125,7 @@ def coefficients(pair: PolarisedPair, c: Fraction, m: int = 1) -> NormalConeCoef
     if n < 2:
         raise DimensionTooSmallError(f"normal-cone family needs n >= 2, got n={n}")
     sD = avg_scalar_sD(pair, _UNIT_DIVISOR)
-    a0 = pair.L_top / _factorial(n)
+    a0 = pair.L_top / factorial(n)
     a1 = Fraction(n, 2) * a0 * (sD / (n - 1) + 1)
     u = 1 - c
     b0 = ((1 - u ** (n + 1)) / (n + 1) - c) * a0
@@ -136,13 +140,6 @@ def coefficients(pair: PolarisedPair, c: Fraction, m: int = 1) -> NormalConeCoef
         c=c,
         n=n,
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
@@ -167,7 +164,7 @@ def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction, m: int = 1) -> D
     if n < 2:
         raise DimensionTooSmallError(f"normal-cone family needs n >= 2, got n={n}")
     sD = avg_scalar_sD(pair, _UNIT_DIVISOR)
-    a0 = pair.L_top / _factorial(n)
+    a0 = pair.L_top / factorial(n)
     u = 1 - c
     prefactor = n * a0 * (1 - u ** (n + 1)) / (n + 1)
     inner = beta + (sD / (n - 1)) * g_factor(n, c)
@@ -202,6 +199,38 @@ def instability_threshold(pair: PolarisedPair, m: int = 1) -> Fraction:
     return avg_scalar_sD(pair, _UNIT_DIVISOR) / (n * (n - 1))
 
 
+def _inner_sign_kernel(pair: PolarisedPair, beta: Fraction) -> Callable[[int, int], int]:
+    """Sign of the inner factor at c = a/d (0 < a < d), decided on integers.
+
+    With u = 1 - c and s = S^D/(n-1), multiply the inner factor
+    beta + s g(c) by n(1 - u^(n+1))/(1 - u) = n(1 + u + ... + u^n):
+
+        Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)).
+
+    The multiplier is positive for u in (0, 1), so Q(u) and the inner factor
+    have the same sign there. Clearing the denominators of n(beta+s) and
+    n beta - s gives integers A and B with the same signs. For c = a/d put
+    b = d - a, so u = b/d and d^n (1 + ... + u^(n-1)) = d(d^n - b^n)/a, where
+    the division is exact. A b^n + B d (d^n - b^n)/a is therefore Q(u) d^n
+    times a positive constant. Its product with a > 0,
+    (a A - B d) b^n + B d^(n+1), has the same sign and needs no division;
+    the returned function gives that sign as -1, 0 or 1.
+    """
+    n = pair.dimension
+    s = avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1)
+    lead = n * (beta + s)
+    tail = n * beta - s
+    den = lcm(lead.denominator, tail.denominator)
+    A = lead.numerator * (den // lead.denominator)
+    B = tail.numerator * (den // tail.denominator)
+
+    def sign(a: int, d: int) -> int:
+        v = (a * A - B * d) * (d - a) ** n + B * d ** (n + 1)
+        return (v > 0) - (v < 0)
+
+    return sign
+
+
 def find_destabilizer(
     pair: PolarisedPair,
     beta: Fraction,
@@ -210,9 +239,18 @@ def find_destabilizer(
 ) -> tuple[Fraction, Fraction]:
     """Witness c in (0, 1) with DF(c, beta) < 0, for beta below the threshold.
 
-    Walks the dyadic schedule c = 1 - 2^-j, j = 1, 2, ...; the inner factor
-    tends to beta - threshold < 0 as c -> 1, so the walk terminates. tol > 0
-    floors the schedule: only steps with 2^-j >= tol are examined.
+    Walks the dyadic schedule c = 1 - 2^-j, j = 1, 2, ...; tol > 0 floors
+    the schedule: only steps with 2^-j >= tol are examined. DF is the
+    prefactor, which has the sign of L^n, times the inner factor, and the
+    inner factor has the sign of the integer polynomial
+    Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)) at u = 1 - c,
+    s = S^D/(n-1) (see _inner_sign_kernel). Each step is decided on that
+    integer sign. As c -> 1, Q(u) -> n beta - s, which is negative exactly
+    when beta is below the threshold s/n, so the walk terminates. For
+    0 < beta < threshold the coefficients of Q have exactly one sign change,
+    so by Descartes' rule Q has exactly one positive root; for L^n > 0 the
+    witnesses are exactly the c beyond the critical c*. The witness's DF comes from
+    df_closed and must be negative, or InternalCheckError is raised.
     """
     _require_unit_multiplicity(m)
     beta = Fraction(beta)
@@ -225,13 +263,21 @@ def find_destabilizer(
             f"beta = {beta} is not below the instability threshold {threshold}; "
             "DF > 0 for every c in (0, 1)"
         )
-    step = Fraction(1, 2)
-    while step >= tol:
-        c = 1 - step
-        report = df_closed(pair, c, beta)
-        if report.df < 0:
-            return c, report.df
-        step /= 2
+    sign = _inner_sign_kernel(pair, beta)
+    prefactor_sign = 1 if pair.L_top > 0 else -1
+    j = 1
+    while tol.numerator << j <= tol.denominator:  # 2^-j >= tol
+        d = 1 << j
+        if sign(d - 1, d) * prefactor_sign < 0:
+            c = Fraction(d - 1, d)
+            df = df_closed(pair, c, beta).df
+            if not df < 0:
+                raise InternalCheckError(
+                    f"sign kernel picked c = {format_rational(c)} but the closed form "
+                    f"gives DF = {format_rational(df)}, not < 0"
+                )
+            return c, df
+        j += 1
     raise SearchExhaustedError(
         f"no destabilising c found before the dyadic step fell below tol = {tol}; "
         "decrease tol"
@@ -246,11 +292,17 @@ def critical_c(
 ) -> CriticalBracket:
     """Isolate the unique root c* of the inner factor to width <= tol.
 
-    Needs 0 < beta < threshold, which forces S^D > 0 and makes the inner
-    factor strictly decreasing from beta (> 0) to beta - threshold (< 0);
-    bisection keeps a strict sign change at the endpoints. beta <= 0 means
-    every c destabilises: the (0, 0) sentinel with all_destabilizing is
-    returned instead of a bracket.
+    Needs 0 < beta < threshold = s/n, s = S^D/(n-1). On (0, 1) the inner
+    factor has the sign of the integer polynomial
+    Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)) at u = 1 - c
+    (see _inner_sign_kernel), and every sign below is decided on integers.
+    Here n beta - s < 0 < n(beta+s), so the coefficients of Q have exactly
+    one sign change and Descartes' rule gives exactly one positive root;
+    Q(0) = n beta - s < 0 < n(n+1) beta = Q(1) puts it in (0, 1). Bisection
+    keeps inner > 0 at lo and inner < 0 at hi; a midpoint where the sign is
+    exactly zero is returned as a width-zero bracket. beta <= 0 means every
+    c destabilises: the (0, 0) sentinel with all_destabilizing is returned
+    instead of a bracket.
     """
     _require_unit_multiplicity(m)
     beta = Fraction(beta)
@@ -265,31 +317,35 @@ def critical_c(
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
 
-    def inner(c: Fraction) -> Fraction:
-        return df_closed(pair, c, beta).inner_factor
-
-    # Dyadic probes to seed the bracket: inner -> beta > 0 near 0 and
-    # beta - threshold < 0 near 1.
-    lo = Fraction(1, 2)
-    while inner(lo) <= 0:
-        lo /= 2
-    step = Fraction(1, 2)
-    while inner(1 - step) >= 0:
-        step /= 2
-    hi = 1 - step
-    # inner is strictly decreasing here (S^D > 0), so lo < hi is automatic.
-
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        v = inner(mid)
+    sign = _inner_sign_kernel(pair, beta)
+    # Dyadic probes to seed the bracket: lo = 2^-j where inner > 0 (it tends
+    # to beta > 0 near 0) and hi = 1 - 2^-i where inner < 0 (it tends to
+    # beta - threshold < 0 near 1).
+    j = 1
+    while sign(1, 1 << j) <= 0:
+        j += 1
+    i = 1
+    while sign((1 << i) - 1, 1 << i) >= 0:
+        i += 1
+    # The bracket is lo/2^k, hi/2^k. Each halving doubles the denominator
+    # and keeps the numerator width hi - lo fixed.
+    k = max(i, j)
+    lo = 1 << (k - j)
+    hi = (1 << k) - (1 << (k - i))
+    width, p, q = hi - lo, tol.numerator, tol.denominator
+    while width * q > p << k:  # hi - lo > tol
+        mid = lo + hi
+        lo, hi, k = lo << 1, hi << 1, k + 1
+        v = sign(mid, 1 << k)
         if v > 0:
             lo = mid
         elif v < 0:
             hi = mid
         else:
             # Rational root hit exactly: a width-zero bracket is valid.
-            return CriticalBracket(mid, mid)
-    return CriticalBracket(lo, hi)
+            root = Fraction(mid, 1 << k)
+            return CriticalBracket(root, root)
+    return CriticalBracket(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
 
 
 def curve(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from logklab.cli import (
     run,
 )
 from logklab.errors import InputError
+from logklab.exactnum import parse_rational
 
 
 def invoke(capsys, argv):
@@ -299,6 +304,82 @@ def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"])
     assert code == 4
     assert "cross-check" in err
+
+
+def _kernel_at_half_beta(real, pair, beta):
+    # The bisection converges to the root for beta/2, where the closed form
+    # at the true beta is still positive at hi.
+    return real(pair, beta / 2)
+
+
+def _kernel_claiming_root(real, pair, beta):
+    # Zero at the first midpoint (denominator 8 for P2 at beta 1/2): a
+    # width-zero bracket on a point that is not a root.
+    sign = real(pair, beta)
+    return lambda a, d: sign(a, d) if d < 8 else 0
+
+
+@pytest.mark.parametrize("corrupt", [_kernel_at_half_beta, _kernel_claiming_root])
+def test_critical_c_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch, corrupt):
+    import logklab.normalcone as normalcone
+
+    real = normalcone._inner_sign_kernel
+    monkeypatch.setattr(normalcone, "_inner_sign_kernel",
+                        lambda pair, beta: corrupt(real, pair, beta))
+    code, out, err = invoke(capsys, [
+        "critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"])
+    assert code == 4
+    assert "isolating interval" not in out
+    assert "cross-check" in err and "Traceback" not in err
+
+
+def test_destabilize_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch):
+    import logklab.normalcone as normalcone
+
+    real = normalcone._inner_sign_kernel
+
+    def flipped(pair, beta):
+        sign = real(pair, beta)
+        return lambda a, d: -sign(a, d)
+
+    monkeypatch.setattr(normalcone, "_inner_sign_kernel", flipped)
+    code, out, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", "15/16"])
+    assert code == 4
+    assert out == ""
+    assert "cross-check" in err and "Traceback" not in err
+
+
+def test_critical_c_prints_values_past_int_digit_limit():
+    # The inner factor at lo has a 16385-bit denominator, past the default
+    # 4300-digit int->str limit; run in a fresh interpreter with that limit.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "logklab.cli", "critical-c", "catalog:P4-hyperplane",
+         "--beta", "1/2", "--tol", f"1/{2**4096}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    lo_inner = lines["inner factor at lo"]
+    assert len(lo_inner) > 4300
+    assert parse_rational(lo_inner) > 0 > parse_rational(lines["inner factor at hi"])
+
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int->str digit limit")
+def test_rational_inputs_past_int_digit_limit_exit_3(capsys, tmp_path):
+    big = "1" * (INT_DIGIT_LIMIT + 1)
+    code, _, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", f"1/{big}"])
+    assert code == EXIT_INPUT
+    assert "digits" in err and big not in err
+    code, _, err = invoke(capsys, ["info", write_pair(tmp_path, dict(PAIR_DOC, L_top=big))])
+    assert code == EXIT_INPUT
+    assert "digits" in err
 
 
 def test_threads_env_does_not_change_output(capsys, monkeypatch):

@@ -50,6 +50,27 @@ def test_format_bare_integer_when_denominator_one():
     assert format_rational(Fraction(5, 24)) == "5/24"
 
 
+@given(st.fractions(max_denominator=2**200))
+def test_format_rational_equals_str_below_digit_limit(q):
+    assert format_rational(q) == str(q)
+
+
+# Past the interpreter's int<->str digit limit (4300 by default): str() raises.
+@pytest.mark.parametrize("q", [
+    Fraction(1, 2**16385),
+    Fraction(-(3**9000) + 1, 7**6000),
+    Fraction(10**6000),
+    Fraction(-(10**6000) + 1),
+    Fraction(3**9001 - 1, 10**5000 + 1),
+])
+def test_format_rational_past_digit_limit_round_trips(q):
+    text = format_rational(q)
+    assert len(text) > 4300
+    assert parse_rational(text) == q
+    num, _, den = text.partition("/")
+    assert num.lstrip("-")[0] != "0" and (not den or den[0] != "0")
+
+
 def test_decimal_string_rounding():
     assert decimal_string(Fraction(5, 24)) == "0.208333333333"
     assert decimal_string(Fraction(-1, 48)) == "-0.0208333333333"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logklab.errors import (
@@ -9,8 +9,11 @@ from logklab.errors import (
     MultiplicityUnsupportedError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
+    SearchExhaustedError,
 )
 from logklab.normalcone import (
+    CriticalBracket,
+    _inner_sign_kernel,
     coefficients,
     critical_c,
     curve,
@@ -258,6 +261,107 @@ def test_critical_c_sentinel_for_nonpositive_beta(p2):
 def test_critical_c_refuses_at_threshold(p2):
     with pytest.raises(NotBelowThresholdError):
         critical_c(p2, Fraction(1), Fraction(1, 8))
+
+
+# ----------------------------- integer sign kernel -----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    c=open_unit_fractions.filter(lambda q: q.denominator & (q.denominator - 1)),
+)
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(3), beta=Fraction(7, 19), c=Fraction(1, 3))
+def test_sign_kernel_matches_closed_form_inner_factor(n, L_top, cX_L, beta, c):
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    inner = df_closed(pair, c, beta).inner_factor
+    sign = _inner_sign_kernel(pair, beta)
+    assert sign(c.numerator, c.denominator) == (inner > 0) - (inner < 0)
+
+
+# The Fraction bisection that critical_c and find_destabilizer ran before the
+# integer sign kernel, kept as the reference their results must reproduce.
+
+
+def _reference_critical_c(pair, beta, tol):
+    def inner(c):
+        return df_closed(pair, c, beta).inner_factor
+
+    lo = Fraction(1, 2)
+    while inner(lo) <= 0:
+        lo /= 2
+    step = Fraction(1, 2)
+    while inner(1 - step) >= 0:
+        step /= 2
+    hi = 1 - step
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        v = inner(mid)
+        if v > 0:
+            lo = mid
+        elif v < 0:
+            hi = mid
+        else:
+            return CriticalBracket(mid, mid)
+    return CriticalBracket(lo, hi)
+
+
+def _reference_find_destabilizer(pair, beta, tol):
+    step = Fraction(1, 2)
+    while step >= tol:
+        c = 1 - step
+        report = df_closed(pair, c, beta)
+        if report.df < 0:
+            return c, report.df
+        step /= 2
+    return SearchExhaustedError
+
+
+def _witness_or_exhausted(pair, beta, tol):
+    try:
+        return find_destabilizer(pair, beta, tol)
+    except SearchExhaustedError:
+        return SearchExhaustedError
+
+
+CATALOG_PAIRS = ["P2-line", "P3-hyperplane", "P4-hyperplane", "P1xP1-diag"]
+REGRESSION_TOLS = [Fraction(1, 2**64), Fraction(1, 2**512)]
+
+
+@pytest.mark.parametrize("tol", REGRESSION_TOLS)
+@pytest.mark.parametrize("name", CATALOG_PAIRS)
+def test_critical_c_matches_fraction_bisection(name, tol):
+    pair = CATALOG[name].pair
+    threshold = instability_threshold(pair)
+    # 18/43 of the threshold is an exact rational root on P2 and P1xP1;
+    # 15/16 puts the root above 1/2, so the lo seed stays at 1/2.
+    for share in (Fraction(8, 23), Fraction(18, 43), Fraction(15, 16)):
+        beta = share * threshold
+        assert critical_c(pair, beta, tol) == _reference_critical_c(pair, beta, tol)
+
+
+@pytest.mark.parametrize("tol", REGRESSION_TOLS)
+@pytest.mark.parametrize("name", CATALOG_PAIRS)
+def test_find_destabilizer_matches_fraction_walk(name, tol):
+    pair = CATALOG[name].pair
+    threshold = instability_threshold(pair)
+    for beta in (Fraction(-1), threshold / 2, threshold - Fraction(1, 2**20),
+                 threshold - Fraction(1, 2**100)):
+        assert _witness_or_exhausted(pair, beta, tol) == _reference_find_destabilizer(
+            pair, beta, tol)
+
+
+def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
+    # L^n < 0 makes the DF prefactor negative, so DF < 0 where the inner
+    # factor is positive.
+    pair = PolarisedPair("negative-volume", 2, -1, -3)
+    for beta in (Fraction(9, 10), Fraction(1, 2)):
+        expected = _reference_find_destabilizer(pair, beta, Fraction(1, 2**64))
+        assert _witness_or_exhausted(pair, beta, Fraction(1, 2**64)) == expected
+    assert find_destabilizer(pair, Fraction(9, 10))[0] == Fraction(1, 2)
 
 
 # ----------------------------- curve -----------------------------
