@@ -2,11 +2,9 @@
 
 from .exactnum import (
     Polynomial,
-    Rational,
     decimal_string,
     format_rational,
     parse_rational,
-    poly_eval,
     poly_interpolate,
     power_sum,
 )

@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 from . import normalcone, pairmodel, thresholds, weightoracle
 from .errors import (
+    InconsistentDataError,
     InputError,
     InternalCheckError,
     LogKLabError,
@@ -90,6 +90,8 @@ class PairFile:
 
 
 def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(block, dict):
+        raise InputError(f"{where} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise InputError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -113,49 +115,69 @@ def _parse_positivity_block(block: dict) -> PositivityData:
     )
 
 
-def _parse_hilbert_block(block: dict, pair: PolarisedPair) -> HilbertModel:
+def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
+    """The dimension model a hilbert block describes, checked against the pair.
+
+    Riemann-Roch gives h(k) = (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1)
+    + ..., so a model fixes (n, L^n, c1(X).L^(n-1)); a model that fixes other
+    numbers than the pair's is an InconsistentDataError.
+    """
     _reject_unknown(block, {"kind", "coefficients", "floor"}, "hilbert block")
     kind = block.get("kind")
+    n = pair.dimension
     if kind == weightoracle.KIND_PROJECTIVE_SPACE:
-        return HilbertModel.projective_space(pair.dimension)
-    if kind == weightoracle.KIND_PRODUCT_P1P1:
-        return HilbertModel.product_p1p1()
-    if kind == weightoracle.KIND_EXPLICIT:
-        if "coefficients" not in block:
-            raise InputError("explicit hilbert block needs 'coefficients'")
-        coeffs = [_input_rational(c) for c in block["coefficients"]]
-        floor = int(block.get("floor", 0))
-        return HilbertModel.explicit(Polynomial(coeffs), floor)
-    raise InputError(
-        f"unknown hilbert kind {kind!r}; expected one of "
-        f"{weightoracle.KIND_PROJECTIVE_SPACE}, {weightoracle.KIND_PRODUCT_P1P1}, "
-        f"{weightoracle.KIND_EXPLICIT}"
-    )
+        model, numbers = HilbertModel.projective_space(n), (n, 1, n + 1)  # comb(n + k, n)
+    elif kind == weightoracle.KIND_PRODUCT_P1P1:
+        model, numbers = HilbertModel.product_p1p1(), (2, 2, 4)  # (k + 1)^2
+    elif kind == weightoracle.KIND_EXPLICIT:
+        if not isinstance(block.get("coefficients"), list):
+            raise InputError("explicit hilbert block needs a 'coefficients' list")
+        poly = Polynomial(_input_rational(c) for c in block["coefficients"])
+        model = HilbertModel.explicit(poly, _input_int(block.get("floor", 0), "hilbert 'floor'"))
+        d = max(poly.degree, 1)  # a constant polynomial already fails on its degree
+        numbers = (poly.degree, factorial(d) * poly.coefficient(d),
+                   2 * factorial(d - 1) * poly.coefficient(d - 1))
+    else:
+        raise InputError(
+            f"unknown hilbert kind {kind!r}; expected one of "
+            f"{weightoracle.KIND_PROJECTIVE_SPACE}, {weightoracle.KIND_PRODUCT_P1P1}, "
+            f"{weightoracle.KIND_EXPLICIT}"
+        )
+    expected = (n, pair.L_top, pair.cX_L)
+    if numbers != expected:
+        got, want = (", ".join(format_rational(x) for x in t) for t in (numbers, expected))
+        raise InconsistentDataError(
+            f"hilbert kind {kind!r} gives (n, L^n, c1(X).L^(n-1)) = ({got}) by "
+            f"Riemann-Roch, but the pair has ({want})"
+        )
+    return model
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object held by a UTF-8 file; any failure is an InputError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
+        raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} {path!r} must hold a JSON object")
+    return doc
 
 
 def load_pair_file(path: str) -> PairFile:
     """Parse a pair JSON file with a strict schema (unknown keys rejected)."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read pair file {path!r}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"pair file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"pair file {path!r} must hold a JSON object")
+    doc = _read_json_object(path, "pair file")
     allowed = {"name", "dimension", "L_top", "cX_L", "proportional_x",
                "divisor", "positivity", "hilbert"}
     _reject_unknown(doc, allowed, "pair file")
     for key in ("name", "dimension", "L_top", "cX_L", "divisor"):
         if key not in doc:
             raise InputError(f"pair file {path!r} is missing required key {key!r}")
-    if not isinstance(doc["dimension"], int):
-        raise InputError("'dimension' must be an integer")
     pair = PolarisedPair(
         name=str(doc["name"]),
-        dimension=doc["dimension"],
+        dimension=_input_int(doc["dimension"], "'dimension'"),
         L_top=_input_rational(doc["L_top"]),
         cX_L=_input_rational(doc["cX_L"]),
         proportional_x=(
@@ -163,25 +185,13 @@ def load_pair_file(path: str) -> PairFile:
         ),
     )
     div_block = doc["divisor"]
-    if not isinstance(div_block, dict):
-        raise InputError("'divisor' must be an object like {\"m\": 1}")
-    _reject_unknown(div_block, {"m", "smooth"}, "divisor block")
-    if "m" not in div_block or not isinstance(div_block["m"], int):
-        raise InputError("divisor block needs an integer 'm'")
-    divisor = DivisorSpec(m=div_block["m"], smooth=bool(div_block.get("smooth", True)))
+    _reject_unknown(div_block, {"m"}, "divisor block")
+    divisor = DivisorSpec(m=_input_int(div_block.get("m"), "divisor block 'm'"))
     positivity = (
         _parse_positivity_block(doc["positivity"]) if "positivity" in doc else None
     )
-    model = _parse_hilbert_block(doc["hilbert"], pair) if "hilbert" in doc else None
+    model = _hilbert_model(doc["hilbert"], pair) if "hilbert" in doc else None
     return PairFile(source=path, pair=pair, divisor=divisor, positivity=positivity, model=model)
-
-
-def builtin_model(entry: pairmodel.CatalogEntry) -> HilbertModel | None:
-    if entry.hilbert_kind == weightoracle.KIND_PROJECTIVE_SPACE:
-        return HilbertModel.projective_space(entry.pair.dimension)
-    if entry.hilbert_kind == weightoracle.KIND_PRODUCT_P1P1:
-        return HilbertModel.product_p1p1()
-    return None
 
 
 def resolve_pair(source: str) -> PairFile:
@@ -194,22 +204,18 @@ def resolve_pair(source: str) -> PairFile:
             pair=entry.pair,
             divisor=entry.divisor,
             positivity=None,
-            model=builtin_model(entry),
+            model=(_hilbert_model({"kind": entry.hilbert_kind}, entry.pair)
+                   if entry.hilbert_kind else None),
         )
     return load_pair_file(source)
 
 
-def _grid_map(fn, items):
-    """Sequential or thread-pooled map; order-preserving either way."""
-    threads_raw = os.environ.get("LOGKLAB_THREADS", "1")
-    try:
-        threads = int(threads_raw)
-    except ValueError:
-        raise InputError(f"LOGKLAB_THREADS must be an integer, got {threads_raw!r}")
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _resolve_unit_pair(ns: argparse.Namespace) -> PairFile:
+    """resolve_pair for the normal-cone subcommands, which need D in |L|."""
+    pf = resolve_pair(ns.pair)
+    if pf.divisor.m != 1:
+        raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
+    return pf
 
 
 def _merged_positivity(pf: PairFile, ns: argparse.Namespace) -> PositivityData:
@@ -369,12 +375,9 @@ def _cmd_entropy(ns) -> int:
 
 
 def _cmd_df(ns) -> int:
-    pf = resolve_pair(ns.pair)
-    if pf.divisor.m != 1:
-        raise InputError("df needs a pair with divisor multiplicity m = 1")
-    pair = pf.pair
-    coeffs = normalcone.coefficients(pair, ns.c)
-    report = normalcone.df_closed(pair, ns.c, ns.beta)
+    family = normalcone._family_of(_resolve_unit_pair(ns).pair)(ns.c)
+    coeffs = family.coefficients()
+    report = family.df(ns.beta)
     df_coeff_path = normalcone.df_from_coefficients(coeffs, ns.beta)
     if df_coeff_path != report.df or report.df != report.positive_prefactor * report.inner_factor:
         raise InternalCheckError(
@@ -400,15 +403,8 @@ def _cmd_df(ns) -> int:
     return EXIT_OK
 
 
-def _curve_payload(pf: PairFile, beta: Fraction, steps: int):
-    if pf.divisor.m != 1:
-        raise InputError("df-curve needs a pair with divisor multiplicity m = 1")
-    return normalcone.curve(pf.pair, beta, steps, map_fn=lambda f, xs: _grid_map(f, xs))
-
-
 def _cmd_df_curve(ns) -> int:
-    pf = resolve_pair(ns.pair)
-    rows = _curve_payload(pf, ns.beta, ns.steps)
+    rows = normalcone.curve(_resolve_unit_pair(ns).pair, ns.beta, ns.steps)
     if ns.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([
@@ -437,9 +433,7 @@ def _cmd_df_curve(ns) -> int:
 
 
 def _cmd_destabilize(ns) -> int:
-    pf = resolve_pair(ns.pair)
-    if pf.divisor.m != 1:
-        raise InputError("destabilize needs a pair with divisor multiplicity m = 1")
+    pf = _resolve_unit_pair(ns)
     c, df = normalcone.find_destabilizer(pf.pair, ns.beta, ns.tol)
     threshold = normalcone.instability_threshold(pf.pair)
     print(f"instability threshold: {format_rational(threshold)}")
@@ -450,9 +444,7 @@ def _cmd_destabilize(ns) -> int:
 
 
 def _cmd_critical_c(ns) -> int:
-    pf = resolve_pair(ns.pair)
-    if pf.divisor.m != 1:
-        raise InputError("critical-c needs a pair with divisor multiplicity m = 1")
+    pf = _resolve_unit_pair(ns)
     bracket = normalcone.critical_c(pf.pair, ns.beta, ns.tol)
     if bracket.all_destabilizing:
         print("every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)")
@@ -478,16 +470,12 @@ def _cmd_critical_c(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
-    pf = resolve_pair(ns.pair)
+    pf = _resolve_unit_pair(ns)
     if pf.model is None:
         raise InputError(
             f"pair {pf.pair.name!r} has no dimension model; supply a 'hilbert' block"
         )
-    if pf.divisor.m != 1:
-        raise InputError("oracle needs a pair with divisor multiplicity m = 1")
-    report = weightoracle.oracle_report(
-        pf.pair, pf.model, ns.c, map_fn=lambda f, xs: _grid_map(f, xs)
-    )
+    report = weightoracle.oracle_report(pf.pair, pf.model, ns.c)
     sample_ks = weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
     report["samples"] = [
         weightoracle.dims_and_weights(pf.model, ns.c, k).as_dict() for k in sample_ks
@@ -497,14 +485,7 @@ def _cmd_oracle(ns) -> int:
 
 
 def _parse_criteria_file(path: str) -> SingularCriteriaInput:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read criteria file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"criteria file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("criteria file must hold a JSON object")
+    doc = _read_json_object(path, "criteria file")
     allowed = {
         "Sbeta", "alpha_beta", "n", "is_lc", "is_klt", "is_logCY",
         "bullet1_eta", "eta_class_ample", "third_class_ample", "bullet2_nef",
@@ -518,7 +499,7 @@ def _parse_criteria_file(path: str) -> SingularCriteriaInput:
     kwargs = {
         "Sbeta": _input_rational(doc["Sbeta"]),
         "alpha_beta": _input_rational(doc["alpha_beta"]),
-        "n": int(doc["n"]),
+        "n": _input_int(doc["n"], "criteria key 'n'"),
     }
     if doc.get("bullet1_eta") is not None:
         kwargs["bullet1_eta"] = _input_rational(doc["bullet1_eta"])
@@ -581,6 +562,13 @@ def _input_rational(value) -> Fraction:
     if limit and any(len(part.strip().lstrip("+-")) > limit for part in text.split("/")):
         raise InputError(f"rational input has an integer of more than {limit} digits")
     return parse_rational(text)
+
+
+def _input_int(value, what: str) -> int:
+    """An integer from an input file: a JSON integer, not a bool or a float."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _rational_arg(text: str) -> Fraction:

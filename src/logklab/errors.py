@@ -27,10 +27,6 @@ class ParameterOutOfRangeError(InputError):
     """Blow-up parameter c outside the open interval (0, 1), or similar."""
 
 
-class MultiplicityUnsupportedError(InputError):
-    """Deformation-to-normal-cone results are only asserted for divisors in |L| (m = 1)."""
-
-
 class MissingAlphaDataError(InputError):
     """alpha(L) and alpha(L_D|_D) (or a direct alpha_beta override) are required."""
 

@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 
 from .errors import DuplicateAbscissaError, InputError
 
-# Canonical exact scalar: stdlib Fraction already maintains gcd-reduced
-# numerator/denominator with denominator > 0, which is the invariant we need.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 def _int_to_str(value: int) -> str:
@@ -176,11 +172,6 @@ class Polynomial:
             else:
                 terms.append(f"{c}*x^{i}")
         return "Polynomial(" + " + ".join(terms) + ")"
-
-
-def poly_eval(p: Polynomial, x: Fraction | int) -> Fraction:
-    """Exact value of p at x."""
-    return p(x)
 
 
 def poly_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Polynomial:

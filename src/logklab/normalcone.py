@@ -3,8 +3,8 @@ the closed-form log Donaldson-Futaki invariant, destabiliser search, and
 critical-angle root isolation.
 
 The family blows up X x C along D x {0} and polarises by L - cP for a
-rational blow-up parameter c in (0, 1). Everything here is for divisor
-multiplicity m = 1 only; m > 1 is refused rather than extrapolated.
+rational blow-up parameter c in (0, 1). Everything here is for a divisor
+D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
-    DimensionTooSmallError,
     InternalCheckError,
-    MultiplicityUnsupportedError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
     SearchExhaustedError,
@@ -44,12 +42,6 @@ class NormalConeCoefficients:
     b0_tilde: Fraction
     c: Fraction
     n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DimensionTooSmallError(f"normal-cone family needs n >= 2, got n={self.n}")
-        if not (0 < self.c < 1):
-            raise ParameterOutOfRangeError(f"blow-up parameter must satisfy 0 < c < 1, got {self.c}")
 
     def as_dict(self) -> dict[str, str | int]:
         return {
@@ -92,18 +84,15 @@ class CriticalBracket:
     all_destabilizing: bool = False
 
 
-def _require_unit_multiplicity(m: int) -> None:
-    if m != 1:
-        raise MultiplicityUnsupportedError(
-            f"normal-cone results are only asserted for D in |L| (m = 1), got m={m}"
-        )
-
-
 def _require_c(c: Fraction) -> Fraction:
     c = Fraction(c)
     if not (0 < c < 1):
         raise ParameterOutOfRangeError(f"blow-up parameter must satisfy 0 < c < 1, got {c}")
     return c
+
+
+def _g(n: int, un: Fraction, un1: Fraction) -> Fraction:
+    return 1 - Fraction(n + 1, n) * (1 - un) / (1 - un1)
 
 
 def g_factor(n: int, c: Fraction) -> Fraction:
@@ -112,34 +101,71 @@ def g_factor(n: int, c: Fraction) -> Fraction:
     Strictly decreasing on (0, 1) with range (-1/n, 0); multiplies S^D/(n-1)
     inside the closed-form DF.
     """
-    c = _require_c(c)
-    u = 1 - c
-    return 1 - Fraction(n + 1, n) * (1 - u**n) / (1 - u ** (n + 1))
+    u = 1 - _require_c(c)
+    return _g(n, u**n, u ** (n + 1))
 
 
-def coefficients(pair: PolarisedPair, c: Fraction, m: int = 1) -> NormalConeCoefficients:
-    """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
-    _require_unit_multiplicity(m)
-    c = _require_c(c)
+class _Family(NamedTuple):
+    """The family of one pair at one c, validated: n >= 2 and 0 < c < 1.
+
+    a0 = L^n/n!, s = S^D/(n-1), un = (1-c)^n and un1 = (1-c)^(n+1).
+    """
+
+    n: int
+    a0: Fraction
+    s: Fraction
+    c: Fraction
+    un: Fraction
+    un1: Fraction
+
+    def coefficients(self) -> NormalConeCoefficients:
+        n, a0, s, c = self.n, self.a0, self.s, self.c
+        return NormalConeCoefficients(
+            a0=a0,
+            a1=Fraction(n, 2) * a0 * (s + 1),
+            b0=((1 - self.un1) / (n + 1) - c) * a0,
+            b1=Fraction(n, 2) * a0 * (-c + s * ((1 - self.un) / n - c)),
+            a0_tilde=n * a0,
+            b0_tilde=-c * n * a0,
+            c=c,
+            n=n,
+        )
+
+    def df(self, beta: Fraction) -> DFReport:
+        n = self.n
+        prefactor = n * self.a0 * (1 - self.un1) / (n + 1)
+        inner = Fraction(beta) + self.s * _g(n, self.un, self.un1)
+        return DFReport(
+            df=prefactor * inner,
+            inner_factor=inner,
+            positive_prefactor=prefactor,
+            jna=self.jna(),
+        )
+
+    def jna(self) -> Fraction:
+        return self.c - (1 - self.un1) / (self.n + 1)
+
+
+def _family_of(pair: PolarisedPair) -> Callable[[Fraction], _Family]:
+    """The pair's family as a function of c; the pair's constants are computed once.
+
+    avg_scalar_sD refuses n < 2, where D is zero-dimensional.
+    """
     n = pair.dimension
-    if n < 2:
-        raise DimensionTooSmallError(f"normal-cone family needs n >= 2, got n={n}")
-    sD = avg_scalar_sD(pair, _UNIT_DIVISOR)
+    s = avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1)
     a0 = pair.L_top / factorial(n)
-    a1 = Fraction(n, 2) * a0 * (sD / (n - 1) + 1)
-    u = 1 - c
-    b0 = ((1 - u ** (n + 1)) / (n + 1) - c) * a0
-    b1 = Fraction(n, 2) * a0 * (-c + (sD / (n - 1)) * ((1 - u**n) / n - c))
-    return NormalConeCoefficients(
-        a0=a0,
-        a1=a1,
-        b0=b0,
-        b1=b1,
-        a0_tilde=n * a0,
-        b0_tilde=-c * n * a0,
-        c=c,
-        n=n,
-    )
+
+    def at(c: Fraction) -> _Family:
+        c = _require_c(c)
+        u = 1 - c
+        return _Family(n, a0, s, c, u**n, u ** (n + 1))
+
+    return at
+
+
+def coefficients(pair: PolarisedPair, c: Fraction) -> NormalConeCoefficients:
+    """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
+    return _family_of(pair)(c).coefficients()
 
 
 def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
@@ -150,52 +176,29 @@ def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Frac
     return main + (1 - beta) * log_term
 
 
-def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction, m: int = 1) -> DFReport:
+def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction) -> DFReport:
     """Closed-form DF of the family: prefactor(c) * (beta + (S^D/(n-1)) g(c)).
 
     beta may be any rational here; angle-range semantics live in the
     thresholds module. Computed without going through the coefficient
     formula so the two paths cross-check each other.
     """
-    _require_unit_multiplicity(m)
-    c = _require_c(c)
-    beta = Fraction(beta)
-    n = pair.dimension
-    if n < 2:
-        raise DimensionTooSmallError(f"normal-cone family needs n >= 2, got n={n}")
-    sD = avg_scalar_sD(pair, _UNIT_DIVISOR)
-    a0 = pair.L_top / factorial(n)
-    u = 1 - c
-    prefactor = n * a0 * (1 - u ** (n + 1)) / (n + 1)
-    inner = beta + (sD / (n - 1)) * g_factor(n, c)
-    return DFReport(
-        df=prefactor * inner,
-        inner_factor=inner,
-        positive_prefactor=prefactor,
-        jna=jna_normal_cone(pair, c),
-    )
+    return _family_of(pair)(c).df(beta)
 
 
-def jna_normal_cone(pair: PolarisedPair, c: Fraction, m: int = 1) -> Fraction:
+def jna_normal_cone(pair: PolarisedPair, c: Fraction) -> Fraction:
     """J^NA of the family: c - (1-(1-c)^(n+1))/(n+1), i.e. -b0/a0.
 
     Strictly positive on (0, 1); gated on exact agreement with the finite-k
     oracle limit before any release (see weightoracle and the acceptance
     suite).
     """
-    _require_unit_multiplicity(m)
-    c = _require_c(c)
-    n = pair.dimension
-    u = 1 - c
-    return c - (1 - u ** (n + 1)) / (n + 1)
+    return _family_of(pair)(c).jna()
 
 
-def instability_threshold(pair: PolarisedPair, m: int = 1) -> Fraction:
+def instability_threshold(pair: PolarisedPair) -> Fraction:
     """Angles strictly below S^D / (n(n-1)) are destabilised by this family."""
-    _require_unit_multiplicity(m)
     n = pair.dimension
-    if n < 2:
-        raise DimensionTooSmallError(f"instability threshold needs n >= 2, got n={n}")
     return avg_scalar_sD(pair, _UNIT_DIVISOR) / (n * (n - 1))
 
 
@@ -235,7 +238,6 @@ def find_destabilizer(
     pair: PolarisedPair,
     beta: Fraction,
     tol: Fraction = Fraction(1, 2**60),
-    m: int = 1,
 ) -> tuple[Fraction, Fraction]:
     """Witness c in (0, 1) with DF(c, beta) < 0, for beta below the threshold.
 
@@ -252,7 +254,6 @@ def find_destabilizer(
     witnesses are exactly the c beyond the critical c*. The witness's DF comes from
     df_closed and must be negative, or InternalCheckError is raised.
     """
-    _require_unit_multiplicity(m)
     beta = Fraction(beta)
     tol = Fraction(tol)
     if tol <= 0:
@@ -288,7 +289,6 @@ def critical_c(
     pair: PolarisedPair,
     beta: Fraction,
     tol: Fraction,
-    m: int = 1,
 ) -> CriticalBracket:
     """Isolate the unique root c* of the inner factor to width <= tol.
 
@@ -304,7 +304,6 @@ def critical_c(
     c destabilises: the (0, 0) sentinel with all_destabilizing is returned
     instead of a bracket.
     """
-    _require_unit_multiplicity(m)
     beta = Fraction(beta)
     tol = Fraction(tol)
     if tol <= 0:
@@ -348,20 +347,11 @@ def critical_c(
     return CriticalBracket(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
 
 
-def curve(
-    pair: PolarisedPair,
-    beta: Fraction,
-    steps: int,
-    m: int = 1,
-    map_fn=map,
-) -> list[tuple[Fraction, DFReport]]:
-    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps.
-
-    map_fn may be a parallel map; rows come back in grid order either way.
-    """
-    _require_unit_multiplicity(m)
+def curve(pair: PolarisedPair, beta: Fraction, steps: int) -> list[tuple[Fraction, DFReport]]:
+    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps."""
     if steps < 1:
         raise ParameterOutOfRangeError(f"steps must be >= 1, got {steps}")
     beta = Fraction(beta)
+    at = _family_of(pair)
     cs = [Fraction(i, steps + 1) for i in range(1, steps + 1)]
-    return list(zip(cs, map_fn(lambda c: df_closed(pair, c, beta), cs)))
+    return [(c, at(c).df(beta)) for c in cs]

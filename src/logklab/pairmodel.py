@@ -54,7 +54,6 @@ class DivisorSpec:
     """D in the linear system |mL|; assumed smooth."""
 
     m: int = 1
-    smooth: bool = True
 
     def __post_init__(self):
         if self.m < 1:
@@ -130,7 +129,7 @@ def sD_provenance(divisor: DivisorSpec) -> str:
 class CatalogEntry:
     pair: PolarisedPair
     divisor: DivisorSpec
-    hilbert_kind: str | None  # key understood by weightoracle.builtin_model
+    hilbert_kind: str | None  # a weightoracle KIND_* name, or None for no dimension model
 
 
 CATALOG: dict[str, CatalogEntry] = {

@@ -215,33 +215,23 @@ def _interpolate_checked(
     return poly
 
 
-def recover_coefficients(
-    model: HilbertModel, c: Fraction, pair: PolarisedPair, map_fn=map
-) -> NormalConeCoefficients:
-    """Recover a0, a1, b0, b1, a0_tilde, b0_tilde from finite-k samples.
-
-    n+3 consecutive admissible multiples of denominator(c) are sampled plus
-    one held-out; the held-out value must match each interpolant exactly,
-    which certifies the sums are already polynomial over the sampled range.
-    """
-    c = Fraction(c)
-    n = pair.dimension
-    ks_all = _sampling_ks(model, c, n + 4)
-    ks, held_out = ks_all[:-1], ks_all[-1]
-    samples = list(map_fn(lambda k: dims_and_weights(model, c, k), ks))
-    held_sample = dims_and_weights(model, c, held_out)
-
+def _sample_and_recover(
+    model: HilbertModel, c: Fraction, n: int
+) -> tuple[list[WeightSample], NormalConeCoefficients]:
+    """The n+4 samples and the coefficients interpolated from them."""
+    samples = [dims_and_weights(model, c, k) for k in _sampling_ks(model, c, n + 4)]
+    *fit, held = samples
+    ks = [s.k for s in fit]
     w_poly = _interpolate_checked(
-        ks, [s.w_k for s in samples], held_out, held_sample.w_k, n + 1, "weight")
+        ks, [s.w_k for s in fit], held.k, held.w_k, n + 1, "weight")
     d_poly = _interpolate_checked(
-        ks, [Fraction(s.d_k) for s in samples], held_out, Fraction(held_sample.d_k), n, "dimension")
+        ks, [Fraction(s.d_k) for s in fit], held.k, Fraction(held.d_k), n, "dimension")
     dt_poly = _interpolate_checked(
-        ks, [Fraction(s.d_tilde_k) for s in samples], held_out,
-        Fraction(held_sample.d_tilde_k), n - 1, "divisor dimension")
+        ks, [Fraction(s.d_tilde_k) for s in fit], held.k,
+        Fraction(held.d_tilde_k), n - 1, "divisor dimension")
     wt_poly = _interpolate_checked(
-        ks, [s.w_tilde_k for s in samples], held_out, held_sample.w_tilde_k, n, "divisor weight")
-
-    return NormalConeCoefficients(
+        ks, [s.w_tilde_k for s in fit], held.k, held.w_tilde_k, n, "divisor weight")
+    return samples, NormalConeCoefficients(
         a0=d_poly.coefficient(n),
         a1=d_poly.coefficient(n - 1),
         b0=w_poly.coefficient(n + 1),
@@ -251,6 +241,18 @@ def recover_coefficients(
         c=c,
         n=n,
     )
+
+
+def recover_coefficients(
+    model: HilbertModel, c: Fraction, pair: PolarisedPair
+) -> NormalConeCoefficients:
+    """Recover a0, a1, b0, b1, a0_tilde, b0_tilde from finite-k samples.
+
+    n+3 consecutive admissible multiples of denominator(c) are sampled plus
+    one held-out; the held-out value must match each interpolant exactly,
+    which certifies the sums are already polynomial over the sampled range.
+    """
+    return _sample_and_recover(model, Fraction(c), pair.dimension)[1]
 
 
 def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
@@ -263,20 +265,16 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
     return -sample.w_k / (k * sample.d_k)
 
 
-def oracle_report(
-    pair: PolarisedPair, model: HilbertModel, c: Fraction, map_fn=map
-) -> dict:
+def oracle_report(pair: PolarisedPair, model: HilbertModel, c: Fraction) -> dict:
     """Cross-check record: recovered coefficients vs closed forms.
 
     match is field-by-field exact equality; a correct build can never
-    produce match = False.
+    produce match = False. The closed form comes first, so a bad (pair, c)
+    is refused before any sum runs.
     """
     c = Fraction(c)
-    n = pair.dimension
-    ks = _sampling_ks(model, c, n + 4)
-    samples = [dims_and_weights(model, c, k) for k in ks]
-    recovered = recover_coefficients(model, c, pair, map_fn=map_fn)
     closed = closed_form_coefficients(pair, c)
+    samples, recovered = _sample_and_recover(model, c, pair.dimension)
     return {
         "pair": pair.name,
         "c": str(c),

@@ -252,6 +252,33 @@ def test_criteria_nothing_applicable(capsys, tmp_path):
     assert code == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("command, doc", [
+    (["info"], dict(PAIR_DOC, dimension=True)),
+    (["info"], dict(PAIR_DOC, divisor={"m": True})),
+    (["info"], dict(PAIR_DOC, hilbert={"kind": "explicit", "coefficients": ["1", "2", "1"],
+                                       "floor": "2"})),
+    (["info"], dict(PAIR_DOC, divisor={"m": 1, "smooth": True})),
+    (["criteria", "--file"], {"Sbeta": "-3", "alpha_beta": "0", "n": 2.7, "is_lc": True,
+                              "bullet2_nef": True}),
+], ids=["dimension-bool", "m-bool", "floor-string", "smooth-key", "criteria-n-float"])
+def test_input_file_integers_are_strict(capsys, tmp_path, command, doc):
+    code, _, _ = invoke(capsys, [*command, write_pair(tmp_path, doc)])
+    assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("hilbert", [
+    {"kind": "product_p1p1"},
+    {"kind": "explicit", "coefficients": ["1", "3/2", "1"]},
+], ids=["builtin-kind", "explicit-leading-coefficient"])
+def test_hilbert_block_contradicting_pair_exits_3(capsys, tmp_path, hilbert):
+    doc = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1},
+           "hilbert": hilbert}
+    code, out, err = invoke(capsys, ["oracle", write_pair(tmp_path, doc), "--c", "1/2"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Riemann-Roch" in err
+
+
 def test_criteria_rejects_unknown_keys(capsys, tmp_path):
     path = tmp_path / "criteria.json"
     path.write_text(json.dumps({"Sbeta": "0", "alpha_beta": "0", "n": 2, "oops": True}))
@@ -382,11 +409,15 @@ def test_rational_inputs_past_int_digit_limit_exit_3(capsys, tmp_path):
     assert "digits" in err
 
 
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["df-curve", "catalog:P3-hyperplane", "--beta", "1/4", "--steps", "9"]
-    code, baseline, _ = invoke(capsys, argv)
-    assert code == EXIT_OK
-    monkeypatch.setenv("LOGKLAB_THREADS", "4")
-    code, threaded, _ = invoke(capsys, argv)
-    assert code == EXIT_OK
-    assert threaded == baseline
+@pytest.mark.parametrize("content", [
+    b'{"name": "\xff"}',
+    pytest.param(b'{"n": 1' + b"0" * INT_DIGIT_LIMIT + b"}",
+                 marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int->str digit limit")),
+], ids=["not-utf8", "int-past-digit-limit"])
+@pytest.mark.parametrize("command", [["info"], ["criteria", "--file"]], ids=["pair", "criteria"])
+def test_unreadable_json_exits_3(capsys, tmp_path, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, _, err = invoke(capsys, [*command, str(path)])
+    assert code == EXIT_INPUT
+    assert "not valid JSON" in err

@@ -11,7 +11,6 @@ from logklab.exactnum import (
     faulhaber_polynomial,
     format_rational,
     parse_rational,
-    poly_eval,
     poly_interpolate,
     power_sum,
 )
@@ -113,11 +112,11 @@ def test_polynomial_arithmetic():
     assert 3 * p == Polynomial([3, 3])
 
 
-def test_poly_eval_known_values():
-    assert poly_eval(Polynomial(), Fraction(7)) == 0
+def test_polynomial_call_known_values():
+    assert Polynomial()(Fraction(7)) == 0
     binom = Polynomial([1, Fraction(3, 2), Fraction(1, 2)])  # (k+1)(k+2)/2
-    assert poly_eval(binom, Fraction(3)) == 10
-    assert poly_eval(Polynomial([1, 0, 1]), Fraction(2)) == 5
+    assert binom(Fraction(3)) == 10
+    assert Polynomial([1, 0, 1])(Fraction(2)) == 5
 
 
 def test_poly_interpolate_known_values():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from logklab.errors import (
     DimensionTooSmallError,
-    MultiplicityUnsupportedError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
     SearchExhaustedError,
@@ -71,8 +70,6 @@ def test_coefficients_guards(p2):
         coefficients(p2, Fraction(1))
     with pytest.raises(ParameterOutOfRangeError):
         coefficients(p2, Fraction(3, 2))
-    with pytest.raises(MultiplicityUnsupportedError):
-        coefficients(p2, Fraction(1, 2), m=2)
     curve_pair = PolarisedPair("curve", 1, Fraction(2), Fraction(2))
     with pytest.raises(DimensionTooSmallError):
         coefficients(curve_pair, Fraction(1, 2))
@@ -373,9 +370,3 @@ def test_curve_grid(p2):
     for c, rep in rows:
         assert rep.df == df_closed(p2, c, Fraction(1, 2)).df
 
-
-def test_curve_order_independent_of_map(p2):
-    sequential = curve(p2, Fraction(1, 4), 5)
-    shuffled = curve(p2, Fraction(1, 4), 5,
-                     map_fn=lambda f, xs: list(reversed(list(map(f, reversed(list(xs)))))))
-    assert sequential == shuffled

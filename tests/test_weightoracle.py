@@ -6,12 +6,13 @@ import pytest
 from logklab.errors import (
     BelowValidityFloorError,
     DegreeMismatchError,
+    DimensionTooSmallError,
     NonIntegralCKError,
     ParameterOutOfRangeError,
 )
 from logklab.exactnum import Polynomial, power_sum
 from logklab.normalcone import coefficients, df_closed, df_from_coefficients, jna_normal_cone
-from logklab.pairmodel import CATALOG
+from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
     HilbertModel,
     admissible_ks,
@@ -231,6 +232,28 @@ def test_oracle_report_matches(p2, p2_model):
     assert report["recovered"] == report["closed_form"]
     assert report["samples"], "samples must be present"
     assert set(report) == {"pair", "c", "samples", "recovered", "closed_form", "match"}
+
+
+def test_oracle_report_sums_each_sample_once(p2, p2_model, monkeypatch):
+    import logklab.weightoracle as weightoracle
+
+    calls = []
+    real = weightoracle.dims_and_weights
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weightoracle, "dims_and_weights", counted)
+    report = oracle_report(p2, p2_model, Fraction(1, 2))
+    assert len(calls) == p2.dimension + 4
+    assert [s["k"] for s in report["samples"]] == [k for _, _, k in calls]
+    # The closed form refuses an n = 1 pair before any sum runs.
+    calls.clear()
+    line = PolarisedPair("line", 1, Fraction(1), Fraction(2))
+    with pytest.raises(DimensionTooSmallError):
+        oracle_report(line, HilbertModel.projective_space(1), Fraction(1, 2))
+    assert calls == []
 
 
 def test_admissible_ks(p2_model):
