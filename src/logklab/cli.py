@@ -175,8 +175,10 @@ def load_pair_file(path: str) -> PairFile:
     for key in ("name", "dimension", "L_top", "cX_L", "divisor"):
         if key not in doc:
             raise InputError(f"pair file {path!r} is missing required key {key!r}")
+    if not isinstance(doc["name"], str):
+        raise InputError(f"pair file 'name' must be a JSON string, got {doc['name']!r}")
     pair = PolarisedPair(
-        name=str(doc["name"]),
+        name=doc["name"],
         dimension=_input_int(doc["dimension"], "'dimension'"),
         L_top=_input_rational(doc["L_top"]),
         cX_L=_input_rational(doc["cX_L"]),
@@ -375,7 +377,7 @@ def _cmd_entropy(ns) -> int:
 
 
 def _cmd_df(ns) -> int:
-    family = normalcone._family_of(_resolve_unit_pair(ns).pair)(ns.c)
+    family = normalcone._pair_of(_resolve_unit_pair(ns).pair).at(ns.c)
     coeffs = family.coefficients()
     report = family.df(ns.beta)
     df_coeff_path = normalcone.df_from_coefficients(coeffs, ns.beta)
@@ -476,9 +478,11 @@ def _cmd_oracle(ns) -> int:
             f"pair {pf.pair.name!r} has no dimension model; supply a 'hilbert' block"
         )
     report = weightoracle.oracle_report(pf.pair, pf.model, ns.c)
-    sample_ks = weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
+    # The listing replaces the report's own samples; those already summed are reused.
+    summed = {sample["k"]: sample for sample in report["samples"]}
     report["samples"] = [
-        weightoracle.dims_and_weights(pf.model, ns.c, k).as_dict() for k in sample_ks
+        summed[k] if k in summed else weightoracle.dims_and_weights(pf.model, ns.c, k).as_dict()
+        for k in weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
     ]
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["match"] else EXIT_INTERNAL

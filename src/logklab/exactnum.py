@@ -7,8 +7,9 @@ banned from the computation path (decimals are derived for display only).
 from __future__ import annotations
 
 import re
-from decimal import Decimal, localcontext
+from decimal import Context
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -66,7 +67,7 @@ def format_rational(value: Fraction | int) -> str:
     Equal to str() of the Fraction, also past the interpreter's int<->str
     digit limit.
     """
-    q = Fraction(value)
+    q = value if isinstance(value, Fraction) else Fraction(value)
     try:
         return str(q)
     except ValueError:
@@ -79,11 +80,14 @@ def decimal_string(value: Fraction | int, digits: int = 12) -> str:
 
     For plotting/report columns only; never re-ingested.
     """
-    q = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(d)
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    return str(_decimal_context(digits).divide(q.numerator, q.denominator))
+
+
+@lru_cache(maxsize=None)
+def _decimal_context(digits: int) -> Context:
+    """Precision `digits`, every other setting (rounding included) the default."""
+    return Context(prec=digits)
 
 
 class Polynomial:

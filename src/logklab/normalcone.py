@@ -146,26 +146,113 @@ class _Family(NamedTuple):
         return self.c - (1 - self.un1) / (self.n + 1)
 
 
-def _family_of(pair: PolarisedPair) -> Callable[[Fraction], _Family]:
-    """The pair's family as a function of c; the pair's constants are computed once.
+class _Pair(NamedTuple):
+    """One pair's normal-cone constants: n, a0 = L^n/n! and s = S^D/(n-1).
 
-    avg_scalar_sD refuses n < 2, where D is zero-dimensional.
+    Each entry point builds it once (_pair_of), so S^D is computed, and
+    n >= 2 checked, once per call.
     """
-    n = pair.dimension
-    s = avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1)
-    a0 = pair.L_top / factorial(n)
 
-    def at(c: Fraction) -> _Family:
+    n: int
+    a0: Fraction
+    s: Fraction
+
+    def threshold(self) -> Fraction:
+        return self.s / self.n
+
+    def at(self, c: Fraction) -> _Family:
         c = _require_c(c)
         u = 1 - c
-        return _Family(n, a0, s, c, u**n, u ** (n + 1))
+        return _Family(self.n, self.a0, self.s, c, u**self.n, u ** (self.n + 1))
 
-    return at
+    def kernel(self, beta: Fraction) -> _Kernel:
+        n, s = self.n, self.s
+        lead = n * (beta + s)
+        tail = n * beta - s
+        den = lcm(lead.denominator, tail.denominator)
+        A = lead.numerator * (den // lead.denominator)
+        B = tail.numerator * (den // tail.denominator)
+        return _Kernel(n, self.a0, den, A, B)
+
+
+def _pair_of(pair: PolarisedPair) -> _Pair:
+    """The pair's constants; avg_scalar_sD refuses n < 2, where D is zero-dimensional."""
+    n = pair.dimension
+    return _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1))
+
+
+class _Kernel(NamedTuple):
+    """The inner factor's integer numerator for one pair at one beta.
+
+    With u = 1 - c and s = S^D/(n-1), multiply the inner factor
+    beta + s g(c) by n(1 - u^(n+1))/(1 - u) = n(1 + u + ... + u^n):
+
+        Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)).
+
+    The multiplier is positive for u in (0, 1), so Q(u) and the inner factor
+    have the same sign there. den clears the denominators of n(beta+s) and
+    n beta - s, leaving the integers A and B. For c = a/d put b = d - a, so
+    u = b/d and d^n (1 + ... + u^(n-1)) = d(d^n - b^n)/a. Then
+
+        V(a, d) = (a A - B d) b^n + B d^(n+1) = a den d^n Q(b/d),
+
+    an integer with the sign of the inner factor, and the whole closed form
+    is V over integers (a0 = L^n/n!):
+
+        inner factor = V / (den n (d^(n+1) - b^(n+1)))
+        prefactor    = n a0 (d^(n+1) - b^(n+1)) / ((n+1) d^(n+1))
+        DF           = a0 V / (den (n+1) d^(n+1))
+        J^NA         = ((n+1) a d^n - (d^(n+1) - b^(n+1))) / ((n+1) d^(n+1)).
+    """
+
+    n: int
+    a0: Fraction
+    den: int
+    A: int
+    B: int
+
+    def value(self, a: int, d: int, b_n: int, d_n1: int) -> int:
+        """V(a, d), given b^n = (d - a)^n and d^(n+1)."""
+        return (a * self.A - self.B * d) * b_n + self.B * d_n1
+
+    def sign(self, a: int, d: int) -> int:
+        """Sign of the inner factor at c = a/d (0 < a < d): -1, 0 or 1."""
+        v = self.value(a, d, (d - a) ** self.n, d ** (self.n + 1))
+        return (v > 0) - (v < 0)
+
+    def grid(self, d: int) -> list[tuple[Fraction, DFReport]]:
+        """DF reports at c = a/d, a = 1..d-1, each field one Fraction of V.
+
+        The powers of d and the constants of the four denominators are
+        computed once; each point needs b^n, b^(n+1) and V.
+        """
+        n, a0 = self.n, self.a0
+        d_n = d**n
+        d_n1 = d_n * d
+        df_den = a0.denominator * self.den * (n + 1) * d_n1
+        inner_den = self.den * n
+        prefactor_num = n * a0.numerator
+        prefactor_den = a0.denominator * (n + 1) * d_n1
+        jna_lead = (n + 1) * d_n
+        jna_den = (n + 1) * d_n1
+        rows = []
+        for a in range(1, d):
+            b = d - a
+            b_n = b**n
+            v = self.value(a, d, b_n, d_n1)
+            gap = d_n1 - b_n * b  # d^(n+1) - b^(n+1) > 0
+            rows.append((Fraction(a, d), DFReport(
+                df=Fraction(a0.numerator * v, df_den),
+                inner_factor=Fraction(v, inner_den * gap),
+                positive_prefactor=Fraction(prefactor_num * gap, prefactor_den),
+                jna=Fraction(jna_lead * a - gap, jna_den),
+            )))
+        return rows
 
 
 def coefficients(pair: PolarisedPair, c: Fraction) -> NormalConeCoefficients:
     """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
-    return _family_of(pair)(c).coefficients()
+    return _pair_of(pair).at(c).coefficients()
 
 
 def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
@@ -183,7 +270,7 @@ def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction) -> DFReport:
     thresholds module. Computed without going through the coefficient
     formula so the two paths cross-check each other.
     """
-    return _family_of(pair)(c).df(beta)
+    return _pair_of(pair).at(c).df(beta)
 
 
 def jna_normal_cone(pair: PolarisedPair, c: Fraction) -> Fraction:
@@ -193,45 +280,23 @@ def jna_normal_cone(pair: PolarisedPair, c: Fraction) -> Fraction:
     oracle limit before any release (see weightoracle and the acceptance
     suite).
     """
-    return _family_of(pair)(c).jna()
+    return _pair_of(pair).at(c).jna()
 
 
 def instability_threshold(pair: PolarisedPair) -> Fraction:
     """Angles strictly below S^D / (n(n-1)) are destabilised by this family."""
-    n = pair.dimension
-    return avg_scalar_sD(pair, _UNIT_DIVISOR) / (n * (n - 1))
+    return _pair_of(pair).threshold()
 
 
-def _inner_sign_kernel(pair: PolarisedPair, beta: Fraction) -> Callable[[int, int], int]:
+def _inner_sign_kernel(pair: PolarisedPair | _Pair, beta: Fraction) -> Callable[[int, int], int]:
     """Sign of the inner factor at c = a/d (0 < a < d), decided on integers.
 
-    With u = 1 - c and s = S^D/(n-1), multiply the inner factor
-    beta + s g(c) by n(1 - u^(n+1))/(1 - u) = n(1 + u + ... + u^n):
-
-        Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)).
-
-    The multiplier is positive for u in (0, 1), so Q(u) and the inner factor
-    have the same sign there. Clearing the denominators of n(beta+s) and
-    n beta - s gives integers A and B with the same signs. For c = a/d put
-    b = d - a, so u = b/d and d^n (1 + ... + u^(n-1)) = d(d^n - b^n)/a, where
-    the division is exact. A b^n + B d (d^n - b^n)/a is therefore Q(u) d^n
-    times a positive constant. Its product with a > 0,
-    (a A - B d) b^n + B d^(n+1), has the same sign and needs no division;
-    the returned function gives that sign as -1, 0 or 1.
+    The sign of V(a, d) (see _Kernel). The entry points pass the _Pair they
+    have already built, so the kernel costs no second S^D.
     """
-    n = pair.dimension
-    s = avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1)
-    lead = n * (beta + s)
-    tail = n * beta - s
-    den = lcm(lead.denominator, tail.denominator)
-    A = lead.numerator * (den // lead.denominator)
-    B = tail.numerator * (den // tail.denominator)
-
-    def sign(a: int, d: int) -> int:
-        v = (a * A - B * d) * (d - a) ** n + B * d ** (n + 1)
-        return (v > 0) - (v < 0)
-
-    return sign
+    if not isinstance(pair, _Pair):
+        pair = _pair_of(pair)
+    return pair.kernel(Fraction(beta)).sign
 
 
 def find_destabilizer(
@@ -258,13 +323,14 @@ def find_destabilizer(
     tol = Fraction(tol)
     if tol <= 0:
         raise ParameterOutOfRangeError(f"tol must be positive, got {tol}")
-    threshold = instability_threshold(pair)
+    constants = _pair_of(pair)
+    threshold = constants.threshold()
     if beta >= threshold:
         raise NotBelowThresholdError(
             f"beta = {beta} is not below the instability threshold {threshold}; "
             "DF > 0 for every c in (0, 1)"
         )
-    sign = _inner_sign_kernel(pair, beta)
+    sign = _inner_sign_kernel(constants, beta)
     prefactor_sign = 1 if pair.L_top > 0 else -1
     j = 1
     while tol.numerator << j <= tol.denominator:  # 2^-j >= tol
@@ -308,7 +374,8 @@ def critical_c(
     tol = Fraction(tol)
     if tol <= 0:
         raise ParameterOutOfRangeError(f"tol must be positive, got {tol}")
-    threshold = instability_threshold(pair)
+    constants = _pair_of(pair)
+    threshold = constants.threshold()
     if beta >= threshold:
         raise NotBelowThresholdError(
             f"beta = {beta} is not below the instability threshold {threshold}"
@@ -316,7 +383,7 @@ def critical_c(
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
 
-    sign = _inner_sign_kernel(pair, beta)
+    sign = _inner_sign_kernel(constants, beta)
     # Dyadic probes to seed the bracket: lo = 2^-j where inner > 0 (it tends
     # to beta > 0 near 0) and hi = 1 - 2^-i where inner < 0 (it tends to
     # beta - threshold < 0 near 1).
@@ -348,10 +415,22 @@ def critical_c(
 
 
 def curve(pair: PolarisedPair, beta: Fraction, steps: int) -> list[tuple[Fraction, DFReport]]:
-    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps."""
+    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps.
+
+    The grid is evaluated on the integer numerator V (_Kernel.grid); the
+    Fraction closed form at the first and last points is the independent
+    second path, and any difference raises InternalCheckError.
+    """
     if steps < 1:
         raise ParameterOutOfRangeError(f"steps must be >= 1, got {steps}")
     beta = Fraction(beta)
-    at = _family_of(pair)
-    cs = [Fraction(i, steps + 1) for i in range(1, steps + 1)]
-    return [(c, at(c).df(beta)) for c in cs]
+    constants = _pair_of(pair)
+    rows = constants.kernel(beta).grid(steps + 1)
+    for c, report in (rows[0], rows[-1]):
+        closed = constants.at(c).df(beta)
+        if report != closed:
+            raise InternalCheckError(
+                f"df-curve grid and closed form disagree at c = {format_rational(c)}: "
+                f"DF {format_rational(report.df)} against {format_rational(closed.df)}"
+            )
+    return rows

@@ -56,6 +56,13 @@ def test_load_pair_file_round_trip(tmp_path):
     assert pf.model.kind == "product_p1p1"
 
 
+def test_pair_name_must_be_a_json_string(capsys, tmp_path):
+    code, out, err = invoke(capsys, ["info", write_pair(tmp_path, dict(PAIR_DOC, name={"a": 1}))])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "'name' must be a JSON string" in err
+
+
 def test_load_pair_file_rejects_unknown_keys(tmp_path):
     doc = dict(PAIR_DOC)
     doc["surprise"] = 1
@@ -124,6 +131,23 @@ def test_oracle_match(capsys):
     payload = json.loads(out)
     assert payload["match"] is True
     assert [s["k"] for s in payload["samples"]] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+
+
+def test_oracle_sums_each_k_once(capsys, monkeypatch):
+    import logklab.weightoracle as weightoracle
+
+    real = weightoracle.dims_and_weights
+    calls = []
+
+    def counted(model, c, k):
+        calls.append(k)
+        return real(model, c, k)
+
+    monkeypatch.setattr(weightoracle, "dims_and_weights", counted)
+    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "20"])
+    assert code == EXIT_OK
+    assert sorted(calls) == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+    assert [s["k"] for s in json.loads(out)["samples"]] == sorted(calls)
 
 
 def test_oracle_without_model(capsys):
@@ -211,6 +235,17 @@ def test_critical_c_command(capsys):
 def test_critical_c_sentinel(capsys):
     code, out, _ = invoke(capsys, [
         "critical-c", "catalog:P2-line", "--beta", "0", "--tol", "1/8"])
+    assert code == EXIT_OK
+    assert "every c in (0, 1)" in out
+
+
+def test_negative_rationals_in_equals_form(capsys):
+    # argparse reads a bare "-1/3" as an option; "--beta=-1/3" passes it as a value.
+    code, out, _ = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta=-1/3"])
+    assert code == EXIT_OK
+    assert "both DF paths agree" in out
+    code, out, _ = invoke(capsys, [
+        "critical-c", "catalog:P2-line", "--beta=-1/3", "--tol", "1/8"])
     assert code == EXIT_OK
     assert "every c in (0, 1)" in out
 
@@ -371,6 +406,19 @@ def test_destabilize_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch):
 
     monkeypatch.setattr(normalcone, "_inner_sign_kernel", flipped)
     code, out, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", "15/16"])
+    assert code == 4
+    assert out == ""
+    assert "cross-check" in err and "Traceback" not in err
+
+
+def test_df_curve_exits_4_when_grid_kernel_disagrees(capsys, monkeypatch):
+    import logklab.normalcone as normalcone
+
+    real = normalcone._Kernel.value
+    monkeypatch.setattr(normalcone._Kernel, "value",
+                        lambda self, a, d, b_n, d_n1: real(self, a, d, b_n, d_n1) + 1)
+    code, out, err = invoke(capsys, [
+        "df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "5"])
     assert code == 4
     assert out == ""
     assert "cross-check" in err and "Traceback" not in err

@@ -76,6 +76,22 @@ def test_decimal_string_rounding():
     assert decimal_string(Fraction(6)) == "6"
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.fractions(max_denominator=10**30).map(lambda x: x * 10 ** 40)
+    | st.fractions(max_denominator=10**30),
+    digits=st.integers(min_value=1, max_value=40),
+)
+def test_decimal_string_matches_a_local_context_division(q, digits):
+    # Reference: the same division in the current context at prec = digits.
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        expected = str(Decimal(q.numerator) / Decimal(q.denominator))
+    assert decimal_string(q, digits) == expected
+
+
 # ----------------------------- field laws / canonical form -----------------------------
 
 

@@ -370,3 +370,21 @@ def test_curve_grid(p2):
     for c, rep in rows:
         assert rep.df == df_closed(p2, c, Fraction(1, 2)).df
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    steps=st.integers(min_value=1, max_value=40),
+)
+def test_curve_rows_equal_closed_form(n, L_top, cX_L, beta, steps):
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    rows = curve(pair, beta, steps)
+    assert [c for c, _ in rows] == [Fraction(i, steps + 1) for i in range(1, steps + 1)]
+    for c, rep in rows:
+        closed = df_closed(pair, c, beta)
+        assert (rep.df, rep.inner_factor, rep.positive_prefactor, rep.jna) == (
+            closed.df, closed.inner_factor, closed.positive_prefactor, closed.jna)
