@@ -42,6 +42,8 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 CATALOG_PREFIX = "catalog:"
+# Largest --kmax of the oracle listing; see the README for its cost.
+ORACLE_KMAX_LIMIT = 10000
 
 
 class _UsageError(Exception):
@@ -477,13 +479,16 @@ def _cmd_oracle(ns) -> int:
         raise InputError(
             f"pair {pf.pair.name!r} has no dimension model; supply a 'hilbert' block"
         )
+    if ns.kmax > ORACLE_KMAX_LIMIT:
+        raise InputError(f"--kmax must be at most {ORACLE_KMAX_LIMIT}, got {ns.kmax}")
     report = weightoracle.oracle_report(pf.pair, pf.model, ns.c)
-    # The listing replaces the report's own samples; those already summed are reused.
+    # The listing replaces the report's own samples; those already summed are
+    # reused and the rest come from one more walk.
     summed = {sample["k"]: sample for sample in report["samples"]}
-    report["samples"] = [
-        summed[k] if k in summed else weightoracle.dims_and_weights(pf.model, ns.c, k).as_dict()
-        for k in weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
-    ]
+    ks = weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
+    summed.update((s.k, s.as_dict()) for s in weightoracle.sum_samples(
+        pf.model, ns.c, [k for k in ks if k not in summed]))
+    report["samples"] = [summed[k] for k in ks]
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["match"] else EXIT_INTERNAL
 

@@ -5,6 +5,15 @@ of the central-fibre decomposition, never through the closed forms they are
 meant to check. Interpolation over finite-k samples then recovers the
 expansion coefficients, which must agree with normalcone.coefficients
 field-by-field.
+
+The sample at level k sums the divisor counts h_D(j) over the block range
+(k - ck, k]. sum_samples serves every sample of one (model, c) from a single
+ascending walk over the union of those ranges: it calls h_divisor once per j
+and keeps the running sums S0 = sum h_D(j) and S1 = sum j h_D(j), so each
+sample is a difference of two running sums. dims_and_weights is the literal
+per-sample sum, kept as the reference the walk is checked against: every
+report recomputes its first sample that way (InternalCheckError on any
+difference).
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from .errors import (
     BelowValidityFloorError,
     DegreeMismatchError,
     InputError,
+    InternalCheckError,
     NonIntegralCKError,
     ParameterOutOfRangeError,
 )
@@ -136,6 +146,9 @@ def dims_and_weights(model: HilbertModel, c: Fraction, k: int) -> WeightSample:
     d_k counts h_X((1-c)k) plus the divisor blocks; each block t^(ck-i)
     carries weight -(ck-i), so w_k = -sum (ck-i) h_D(k-i). The divisor part
     contributes d~_k = h_D(k) in the single weight -ck.
+
+    This is the reference path: sum_samples computes the same samples from
+    one shared walk, and is checked against this function.
     """
     c = Fraction(c)
     ck = _check_admissible(model, c, k)
@@ -156,17 +169,83 @@ def dims_and_weights(model: HilbertModel, c: Fraction, k: int) -> WeightSample:
     )
 
 
-def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
-    """All k <= k_max satisfying the decomposition's preconditions."""
+def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
+    """[dims_and_weights(model, c, k) for k in ks], from one shared walk.
+
+    The walk visits j ascending over the union of the block ranges
+    (k - ck, k], calls model.h_divisor(j) once for each, and records the
+    running sums S0 = sum h_D(j) and S1 = sum j h_D(j) at every range end.
+    Each range lies inside the union, so differences of the records are
+    exact even where the ranges leave gaps. With base = k - ck and the
+    differences dS0, dS1 across (base, k]:
+
+        d_k = h_X(base) + dS0,   w_k = -(dS1 - base dS0),   d~_k = h_D(k).
+
+    Only the records are kept: no table of counts. A model fault is
+    reported by the literal path, so its error is the one dims_and_weights
+    meets first.
+    """
     c = Fraction(c)
-    out = []
-    for k in range(1, k_max + 1):
-        try:
-            _check_admissible(model, c, k)
-        except (NonIntegralCKError, BelowValidityFloorError):
-            continue
-        out.append(k)
-    return out
+    try:
+        return _walk(model, c, ks)
+    except InputError:
+        return [dims_and_weights(model, c, k) for k in ks]
+
+
+def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
+    bases = [k - _check_admissible(model, c, k) for k in ks]
+    # Ranges opening minus ranges closing at each end point.
+    depth_change: dict[int, int] = {}
+    for k, base in zip(ks, bases):
+        depth_change[base] = depth_change.get(base, 0) + 1
+        depth_change[k] = depth_change.get(k, 0) - 1
+    h_divisor = model.h_divisor
+    records: dict[int, tuple[int, int, int]] = {}  # end point -> (S0, S1, last h_D)
+    s0 = s1 = block = 0
+    depth = last = 0
+    for x in sorted(depth_change):
+        if depth:  # (last, x] lies in the union
+            for j in range(last + 1, x + 1):
+                block = h_divisor(j)
+                s0 += block
+                s1 += j * block
+        records[x] = (s0, s1, block)
+        depth += depth_change[x]
+        last = x
+    samples = []
+    for k, base in zip(ks, bases):
+        s0_base, s1_base, _ = records[base]
+        s0_k, s1_k, d_tilde = records[k]
+        count = s0_k - s0_base
+        samples.append(WeightSample(
+            k=k,
+            d_k=model.h_total(base) + count,
+            w_k=Fraction(base * count - (s1_k - s1_base)),
+            d_tilde_k=d_tilde,
+            w_tilde_k=Fraction((base - k) * d_tilde),
+            c=c,
+        ))
+    return samples
+
+
+def _clears_floor(model: HilbertModel, c: Fraction, k: int) -> bool:
+    """Whether the multiple k of denominator(c) is admissible."""
+    try:
+        _check_admissible(model, c, k)
+    except BelowValidityFloorError:
+        return False
+    return True
+
+
+def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
+    """All k <= k_max satisfying the decomposition's preconditions.
+
+    c k is an integer exactly on the multiples of denominator(c), so only
+    those are tried.
+    """
+    c = Fraction(c)
+    q = c.denominator
+    return [k for k in range(q, k_max + 1, q) if _clears_floor(model, c, k)]
 
 
 def flatness_check(model: HilbertModel, c: Fraction, k_max: int) -> bool:
@@ -175,25 +254,19 @@ def flatness_check(model: HilbertModel, c: Fraction, k_max: int) -> bool:
     The restriction sequence telescopes the divisor blocks back onto
     h_X(k); any corruption of the divisor model breaks the equality.
     """
-    for k in admissible_ks(model, c, k_max):
-        if dims_and_weights(model, c, k).d_k != model.h_total(k):
-            return False
-    return True
+    samples = sum_samples(model, c, admissible_ks(model, c, k_max))
+    return all(s.d_k == model.h_total(s.k) for s in samples)
 
 
 def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
     """First `count` admissible multiples of denominator(c)."""
     q = Fraction(c).denominator
     ks: list[int] = []
-    j = 1
+    k = 0
     while len(ks) < count:
-        k = j * q
-        j += 1
-        try:
-            _check_admissible(model, c, k)
-        except (NonIntegralCKError, BelowValidityFloorError):
-            continue
-        ks.append(k)
+        k += q
+        if _clears_floor(model, c, k):
+            ks.append(k)
     return ks
 
 
@@ -218,8 +291,17 @@ def _interpolate_checked(
 def _sample_and_recover(
     model: HilbertModel, c: Fraction, n: int
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
-    """The n+4 samples and the coefficients interpolated from them."""
-    samples = [dims_and_weights(model, c, k) for k in _sampling_ks(model, c, n + 4)]
+    """The n+4 samples and the coefficients interpolated from them.
+
+    The first sample, the cheapest, is summed again on the literal path.
+    """
+    samples = sum_samples(model, c, _sampling_ks(model, c, n + 4))
+    reference = dims_and_weights(model, c, samples[0].k)
+    if samples[0] != reference:
+        raise InternalCheckError(
+            f"shared walk and literal sum disagree at k = {reference.k}: "
+            f"{samples[0].as_dict()} != {reference.as_dict()}"
+        )
     *fit, held = samples
     ks = [s.k for s in fit]
     w_poly = _interpolate_checked(

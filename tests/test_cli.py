@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,20 +136,62 @@ def test_oracle_match(capsys):
 
 
 def test_oracle_sums_each_k_once(capsys, monkeypatch):
-    import logklab.weightoracle as weightoracle
+    from logklab.weightoracle import HilbertModel
 
-    real = weightoracle.dims_and_weights
-    calls = []
+    real = HilbertModel.h_divisor
+    divisor_args = []
 
-    def counted(model, c, k):
-        calls.append(k)
-        return real(model, c, k)
+    def recorded(self, j):
+        divisor_args.append(j)
+        return real(self, j)
 
-    monkeypatch.setattr(weightoracle, "dims_and_weights", counted)
+    monkeypatch.setattr(HilbertModel, "h_divisor", recorded)
     code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "20"])
     assert code == EXIT_OK
-    assert sorted(calls) == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
-    assert [s["k"] for s in json.loads(out)["samples"]] == sorted(calls)
+    assert [s["k"] for s in json.loads(out)["samples"]] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+    # One walk over the report's block ranges (k/2, k] for k = 2..12, the
+    # literal cross-check of its first sample (k = 2: block j = 2, then
+    # d~ at j = 2), and one walk over the ranges of the listing's k = 14..20.
+    assert Counter(divisor_args) == Counter([*range(2, 13), 2, 2, *range(8, 21)])
+
+
+def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
+    import logklab.weightoracle as weightoracle
+
+    real = weightoracle.sum_samples
+
+    def s1_off_by_one(model, c, ks):
+        return [replace(s, w_k=s.w_k - 1) for s in real(model, c, ks)]
+
+    monkeypatch.setattr(weightoracle, "sum_samples", s1_off_by_one)
+    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2"])
+    assert code == 4
+    assert out == ""
+    assert "cross-check" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, coefficients, c, message", [
+    (2, ["1/2", "3/2", "1/2"], "1/2", "explicit model gives a non-dimension value 5/2 at k = 1"),
+    (2, ["-20", "3/2", "1/2"], "1/3", "explicit model gives a non-dimension value -15 at k = 2"),
+    (3, ["20", "-61/6", "1", "1/6"], "2/3", "divisor dimension negative at j = 3; model invalid"),
+], ids=["non-integer", "negative", "negative-divisor-count"])
+def test_oracle_bad_explicit_model_exits_3(capsys, tmp_path, n, coefficients, c, message):
+    # Each model is wrong at several arguments; the message names the one
+    # the literal per-sample sums meet first.
+    doc = {"name": "bad", "dimension": n, "L_top": "1", "cX_L": str(n + 1), "divisor": {"m": 1},
+           "hilbert": {"kind": "explicit", "coefficients": coefficients}}
+    code, out, err = invoke(capsys, ["oracle", write_pair(tmp_path, doc), "--c", c])
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
+def test_oracle_kmax_limit(capsys):
+    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "99/100", "--kmax", "10000"])
+    assert code == EXIT_OK
+    assert [s["k"] for s in json.loads(out)["samples"]] == list(range(100, 10001, 100))
+    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "10001"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--kmax must be at most 10000" in err
 
 
 def test_oracle_without_model(capsys):

@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logklab.errors import (
     BelowValidityFloorError,
@@ -21,6 +24,7 @@ from logklab.weightoracle import (
     jna_finite_k,
     oracle_report,
     recover_coefficients,
+    sum_samples,
 )
 
 from conftest import (
@@ -234,28 +238,116 @@ def test_oracle_report_matches(p2, p2_model):
     assert set(report) == {"pair", "c", "samples", "recovered", "closed_form", "match"}
 
 
-def test_oracle_report_sums_each_sample_once(p2, p2_model, monkeypatch):
-    import logklab.weightoracle as weightoracle
+def _recording(model):
+    """A copy of model that records every argument its counts are evaluated at."""
+    divisor_args, total_args = [], []
 
-    calls = []
-    real = weightoracle.dims_and_weights
+    class Recording(HilbertModel):
+        def h_divisor(self, j):
+            divisor_args.append(j)
+            return super().h_divisor(j)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+        def h_total(self, k):
+            total_args.append(k)
+            return super().h_total(k)
 
-    monkeypatch.setattr(weightoracle, "dims_and_weights", counted)
-    report = oracle_report(p2, p2_model, Fraction(1, 2))
-    assert len(calls) == p2.dimension + 4
-    assert [s["k"] for s in report["samples"]] == [k for _, _, k in calls]
+    copy = Recording(model.kind, model.description, model.n, model.polynomial, model.floor)
+    return copy, divisor_args, total_args
+
+
+def _block_range(c, k):
+    """The divisor arguments of the sample at level k: (k - ck, k]."""
+    return range(k - int(c * k) + 1, k + 1)
+
+
+def _literal_divisor_args(c, k):
+    """h_divisor arguments of dims_and_weights at level k: the blocks, then d~."""
+    return [*_block_range(c, k), k]
+
+
+def test_oracle_report_sums_each_sample_once(p2):
+    # Overlapping block ranges at 1/2 and 5/6, gaps between them at 1/7.
+    for c in (Fraction(1, 2), Fraction(1, 7), Fraction(5, 6)):
+        model, divisor_args, _ = _recording(HilbertModel.projective_space(2))
+        report = oracle_report(p2, model, c)
+        ks = [s["k"] for s in report["samples"]]
+        assert ks == [j * c.denominator for j in range(1, p2.dimension + 5)]
+        # The walk evaluates each j of the union of the block ranges once; the
+        # literal cross-check of the first sample evaluates its own j's again.
+        union = set().union(*(_block_range(c, k) for k in ks))
+        assert Counter(divisor_args) == Counter(union) + Counter(_literal_divisor_args(c, ks[0]))
     # The closed form refuses an n = 1 pair before any sum runs.
-    calls.clear()
+    model, divisor_args, total_args = _recording(HilbertModel.projective_space(1))
     line = PolarisedPair("line", 1, Fraction(1), Fraction(2))
     with pytest.raises(DimensionTooSmallError):
-        oracle_report(line, HilbertModel.projective_space(1), Fraction(1, 2))
-    assert calls == []
+        oracle_report(line, model, Fraction(1, 2))
+    assert divisor_args == total_args == []
+
+
+P2_COUNTS = Polynomial([1, Fraction(3, 2), Fraction(1, 2)])
+SUM_MODELS = [
+    *(HilbertModel.projective_space(n) for n in range(1, 6)),
+    HilbertModel.product_p1p1(),
+    *(HilbertModel.explicit(P2_COUNTS, floor=floor) for floor in range(4)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(SUM_MODELS),
+    q=st.integers(min_value=2, max_value=60),
+    data=st.data(),
+)
+def test_sum_samples_equals_literal_sums(model, q, data):
+    # Small p leaves gaps between the block ranges, p near q overlaps them.
+    c = Fraction(data.draw(st.integers(min_value=1, max_value=q - 1)), q)
+    multiples = data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8))
+    admissible = set(admissible_ks(model, c, 12 * c.denominator))
+    ks = [m * c.denominator for m in multiples if m * c.denominator in admissible]
+    assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 7), Fraction(2, 9), Fraction(3, 11),
+                               Fraction(1, 2), Fraction(5, 6), Fraction(59, 60)])
+@pytest.mark.parametrize("floor", [0, 3])
+def test_sum_samples_evaluates_only_where_the_literal_sums_do(c, floor):
+    explicit = HilbertModel.explicit(P2_COUNTS, floor=floor)
+    ks = admissible_ks(explicit, c, 9 * c.denominator)
+    model, divisor_args, total_args = _recording(explicit)
+    samples = sum_samples(model, c, ks)
+    walk_divisor, walk_total = list(divisor_args), set(total_args)
+    divisor_args.clear()
+    total_args.clear()
+    assert samples == [dims_and_weights(model, c, k) for k in ks]
+    # Each j once, at exactly the literal sums' arguments; h_total at no new k.
+    assert sorted(walk_divisor) == sorted(set(divisor_args))
+    assert walk_total <= set(total_args)
+
+
+def test_flatness_check_calls_each_divisor_count_once(p2_model):
+    model, divisor_args, _ = _recording(p2_model)
+    assert flatness_check(model, Fraction(1, 2), 60)
+    assert sorted(divisor_args) == list(range(2, 61))
 
 
 def test_admissible_ks(p2_model):
     assert admissible_ks(p2_model, Fraction(1, 2), 10) == [2, 4, 6, 8, 10]
     assert admissible_ks(p2_model, Fraction(2, 3), 10) == [3, 6, 9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.fractions(min_value=0, max_value=1, max_denominator=30).filter(lambda c: 0 < c < 1),
+    floor=st.integers(min_value=0, max_value=6),
+    k_max=st.integers(min_value=-3, max_value=80),
+)
+def test_admissible_ks_keeps_every_k_the_checks_accept(c, floor, k_max):
+    model = HilbertModel.explicit(P2_COUNTS, floor=floor)
+    accepted = []
+    for k in range(1, k_max + 1):
+        try:
+            dims_and_weights(model, c, k)
+        except (NonIntegralCKError, BelowValidityFloorError):
+            continue
+        accepted.append(k)
+    assert admissible_ks(model, c, k_max) == accepted
