@@ -9,7 +9,7 @@ the DF changes sign. Exact values printed as p/q with decimal companions.
 import argparse
 from fractions import Fraction
 
-from logklab.exactnum import decimal_string
+from logklab.exactnum import decimal_string, format_rational
 from logklab.normalcone import critical_c, df_closed, find_destabilizer, instability_threshold
 from logklab.pairmodel import CATALOG
 
@@ -18,20 +18,21 @@ def sweep(pair_name: str, rungs: int, tol: Fraction) -> None:
     pair = CATALOG[pair_name].pair
     threshold = instability_threshold(pair)
     print(f"== {pair_name} (n={pair.dimension})")
-    print(f"   instability threshold: {threshold} = {decimal_string(threshold)}")
+    print(f"   instability threshold: {format_rational(threshold)} = {decimal_string(threshold)}")
     for i in range(1, rungs + 1):
         beta = threshold * Fraction(i, rungs + 1)
         c, df = find_destabilizer(pair, beta)
         bracket = critical_c(pair, beta, tol) if beta > 0 else None
-        line = (f"   beta = {str(beta):>8}  witness c = {str(c):>8}  "
-                f"DF = {str(df):>12} ({decimal_string(df)})")
+        line = (f"   beta = {format_rational(beta):>8}  witness c = {format_rational(c):>8}  "
+                f"DF = {format_rational(df):>12} ({decimal_string(df)})")
         if bracket is not None and not bracket.all_destabilizing:
-            line += f"  root in [{bracket.lo}, {bracket.hi}]"
+            line += (f"  root in [{format_rational(bracket.lo)}, "
+                     f"{format_rational(bracket.hi)}]")
         print(line)
     mid = threshold / 2
     grid = [Fraction(i, 8) for i in range(1, 8)]
-    values = ", ".join(str(df_closed(pair, c, mid).df) for c in grid)
-    print(f"   DF at beta = {mid} over c = i/8: {values}")
+    values = ", ".join(format_rational(df_closed(pair, c, mid).df) for c in grid)
+    print(f"   DF at beta = {format_rational(mid)} over c = i/8: {values}")
 
 
 def main() -> None:

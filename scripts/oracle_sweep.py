@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from logklab.exactnum import decimal_string
+from logklab.exactnum import decimal_string, format_rational
 from logklab.normalcone import jna_normal_cone
 from logklab.pairmodel import CATALOG
 from logklab.weightoracle import HilbertModel, jna_finite_k, oracle_report
@@ -37,7 +37,7 @@ def main() -> None:
         for c in args.cs:
             report = oracle_report(pair, model, c)
             status = "ok" if report["match"] else "MISMATCH"
-            print(f"{name:<16} c = {str(c):>5}  recovery {status}")
+            print(f"{name:<16} c = {format_rational(c):>5}  recovery {status}")
             failures += 0 if report["match"] else 1
 
     print()
@@ -45,11 +45,12 @@ def main() -> None:
     model = MODELS["P2-line"]
     c = Fraction(1, 2)
     limit = jna_normal_cone(pair, c)
-    print(f"J^NA(P2-line, c=1/2) = {limit} = {decimal_string(limit)}")
+    print(f"J^NA(P2-line, c=1/2) = {format_rational(limit)} = {decimal_string(limit)}")
     for k in range(2, args.convergence_k + 1, 2):
         jk = jna_finite_k(model, c, k)
         gap = jk - limit
-        print(f"  k = {k:>3}: J_k = {str(jk):>10} ({decimal_string(jk)}), gap = {decimal_string(gap)}")
+        print(f"  k = {k:>3}: J_k = {format_rational(jk):>10} ({decimal_string(jk)}), "
+              f"gap = {decimal_string(gap)}")
 
     sys.exit(1 if failures else 0)
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from typing import get_type_hints
 
 from . import normalcone, pairmodel, thresholds, weightoracle
 from .errors import (
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe ended
 
 CATALOG_PREFIX = "catalog:"
 # Largest --kmax of the oracle listing; see the README for its cost.
@@ -155,13 +158,23 @@ def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
     return model
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: a repeated key is an error, not last-one-wins."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _read_json_object(path: str, what: str) -> dict:
     """The JSON object held by a UTF-8 file; any failure is an InputError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
+    except ValueError as exc:  # bad UTF-8 or JSON, a repeated key, an integer past the digit limit
         raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{what} {path!r} must hold a JSON object")
@@ -244,25 +257,31 @@ def _divisor_for(pf: PairFile, ns: argparse.Namespace) -> DivisorSpec:
     return DivisorSpec(m=m) if m is not None else pf.divisor
 
 
-def _verdict_lines(v: Verdict) -> list[str]:
-    lines = [f"status: {v.status.value}", f"claim: {v.claim}"]
-    if v.model is not None:
-        lines.append(f"positivity model: {v.model}")
-    if v.eta_interval is not None:
-        lines.append(f"eta interval: ({v.eta_interval[0]}, {v.eta_interval[1]})")
-    if v.certificate is not None:
-        lines.append(f"certificate: {v.certificate}")
-    if v.certificate_note is not None:
-        lines.append(f"certificate note: {v.certificate_note}")
-    if v.violated is not None:
-        lines.append(f"violated: {v.violated}")
-    for fact in v.facts:
-        lines.append(f"fact: {fact}")
-    return lines
+def _field_text(value) -> str:
+    """A field value as text: every rational exact through format_rational,
+    a tuple as (a, b) and a list as [a, b]."""
+    if isinstance(value, Fraction) or type(value) is int:
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(map(_field_text, value))
+        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    return str(value)
 
 
-def _verdict_exit(v: Verdict) -> int:
-    return EXIT_OK if v.status is VerdictStatus.CRITERION_SATISFIED else EXIT_INCONCLUSIVE
+def _print_fields(fields) -> None:
+    """Print one `label: value` line per (label, value) field, skipping None values."""
+    for label, value in fields:
+        if value is not None:
+            print(f"{label}: {_field_text(value)}")
+
+
+def _verdict_fields(v: Verdict) -> list:
+    return [
+        ("status", v.status.value), ("claim", v.claim), ("positivity model", v.model),
+        ("eta interval", v.eta_interval), ("certificate", v.certificate),
+        ("certificate note", v.certificate_note), ("violated", v.violated),
+        *(("fact", fact) for fact in v.facts),
+    ]
 
 
 # ----------------------------- subcommands -----------------------------
@@ -271,10 +290,11 @@ def _verdict_exit(v: Verdict) -> int:
 def _cmd_info(ns) -> int:
     pf = resolve_pair(ns.pair)
     pair, divisor = pf.pair, pf.divisor
-    print(f"pair: {pair.name} (n={pair.dimension}, L^n={pair.L_top}, "
-          f"c1(X).L^(n-1)={pair.cX_L}, D in |{divisor.m}L|)")
-    findings = pairmodel.validate_pair(pair)
-    print(f"findings: {', '.join(findings) if findings else 'none'}")
+    _print_fields([
+        ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
+                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
+        ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
+    ])
     rows = [ReportRow("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
     if pair.dimension >= 2:
         rows.append(ReportRow("S_D", pairmodel.avg_scalar_sD(pair, divisor),
@@ -319,12 +339,12 @@ def _cmd_thresholds(ns) -> int:
                       "critical cone angle from alpha data")]
     for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         rows.append(ReportRow(
-            f"alpha_beta_lower(beta={beta})",
+            f"alpha_beta_lower(beta={format_rational(beta)})",
             thresholds.alpha_beta_lower_bound(pos, m, beta),
             "min{m*beta, alpha_L, m*alpha_LD}",
         ))
     rows.append(ReportRow(
-        f"min_multiplicity_eta0(beta={ns.beta})",
+        f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
         Fraction(thresholds.min_multiplicity_eta0(pf.pair, pos, ns.beta)),
         "least m with both eta=0 conditions strict",
     ))
@@ -342,40 +362,25 @@ def _cmd_window(ns) -> int:
     pf = resolve_pair(ns.pair)
     pos = _merged_positivity(pf, ns)
     m = _divisor_for(pf, ns).m
-    try:
-        if ns.case == "uniform":
-            window = thresholds.uniform_stability_window(pf.pair, pos, m)
-        else:
-            window = thresholds.existence_window(pf.pair, pos, m, _CASES[ns.case])
-    except PreconditionFailedError as exc:
-        print(f"PreconditionFailed: {exc.violated}")
-        return EXIT_INCONCLUSIVE
-    print(f"claim: {window.claim.value}")
-    print(f"window: {window.render()}")
-    if window.empty:
-        print("note: hypotheses hold but the window is empty; nothing is certified")
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    if ns.case == "uniform":
+        window = thresholds.uniform_stability_window(pf.pair, pos, m)
+    else:
+        window = thresholds.existence_window(pf.pair, pos, m, _CASES[ns.case])
+    _print_fields([
+        ("claim", window.claim.value),
+        ("window", window.render()),
+        ("note", "hypotheses hold but the window is empty; nothing is certified"
+         if window.empty else None),
+    ])
+    return EXIT_INCONCLUSIVE if window.empty else EXIT_OK
 
 
-def _cmd_eta(ns) -> int:
+def _cmd_verdict(ns) -> int:
+    """eta and entropy: the subcommand's verdict function at (pair, positivity, m, beta)."""
     pf = resolve_pair(ns.pair)
-    pos = _merged_positivity(pf, ns)
-    m = _divisor_for(pf, ns).m
-    verdict = thresholds.eta_feasibility(pf.pair, pos, m, ns.beta)
-    for line in _verdict_lines(verdict):
-        print(line)
-    return _verdict_exit(verdict)
-
-
-def _cmd_entropy(ns) -> int:
-    pf = resolve_pair(ns.pair)
-    pos = _merged_positivity(pf, ns)
-    m = _divisor_for(pf, ns).m
-    verdict = thresholds.entropy_threshold_check(pf.pair, pos, m, ns.beta)
-    for line in _verdict_lines(verdict):
-        print(line)
-    return _verdict_exit(verdict)
+    verdict = ns.verdict(pf.pair, _merged_positivity(pf, ns), _divisor_for(pf, ns).m, ns.beta)
+    _print_fields(_verdict_fields(verdict))
+    return EXIT_OK if verdict.status is VerdictStatus.CRITERION_SATISFIED else EXIT_INCONCLUSIVE
 
 
 def _cmd_df(ns) -> int:
@@ -385,7 +390,8 @@ def _cmd_df(ns) -> int:
     df_coeff_path = normalcone.df_from_coefficients(coeffs, ns.beta)
     if df_coeff_path != report.df or report.df != report.positive_prefactor * report.inner_factor:
         raise InternalCheckError(
-            f"DF paths disagree: closed form {report.df}, coefficient formula {df_coeff_path}"
+            f"DF paths disagree: closed form {format_rational(report.df)}, "
+            f"coefficient formula {format_rational(df_coeff_path)}"
         )
     rows = [
         ReportRow("a0", coeffs.a0, "leading dimension coefficient"),
@@ -440,10 +446,12 @@ def _cmd_destabilize(ns) -> int:
     pf = _resolve_unit_pair(ns)
     c, df = normalcone.find_destabilizer(pf.pair, ns.beta, ns.tol)
     threshold = normalcone.instability_threshold(pf.pair)
-    print(f"instability threshold: {format_rational(threshold)}")
-    print(f"witness c: {format_rational(c)}")
-    print(f"DF(c, beta={format_rational(ns.beta)}) = {format_rational(df)} < 0: "
-          "pair is log K-unstable at this angle")
+    _print_fields([
+        ("instability threshold", threshold),
+        ("witness c", c),
+        (f"DF(c, beta={format_rational(ns.beta)}) = {format_rational(df)} < 0",
+         "pair is log K-unstable at this angle"),
+    ])
     return EXIT_OK
 
 
@@ -466,10 +474,12 @@ def _cmd_critical_c(ns) -> int:
             f"closed-form inner factor does not change sign across the bracket "
             f"[{format_rational(bracket.lo)}, {format_rational(bracket.hi)}]"
         )
-    print(f"isolating interval: [{format_rational(bracket.lo)}, {format_rational(bracket.hi)}]")
-    print(f"width: {format_rational(bracket.hi - bracket.lo)} (<= tol {format_rational(ns.tol)})")
-    print(f"inner factor at lo: {format_rational(lo_inner)}")
-    print(f"inner factor at hi: {format_rational(hi_inner)}")
+    _print_fields([
+        ("isolating interval", [bracket.lo, bracket.hi]),
+        ("width", f"{format_rational(bracket.hi - bracket.lo)} (<= tol {format_rational(ns.tol)})"),
+        ("inner factor at lo", lo_inner),
+        ("inner factor at hi", hi_inner),
+    ])
     return EXIT_OK
 
 
@@ -481,27 +491,17 @@ def _cmd_oracle(ns) -> int:
         )
     if ns.kmax > ORACLE_KMAX_LIMIT:
         raise InputError(f"--kmax must be at most {ORACLE_KMAX_LIMIT}, got {ns.kmax}")
-    report = weightoracle.oracle_report(pf.pair, pf.model, ns.c)
-    # The listing replaces the report's own samples; those already summed are
-    # reused and the rest come from one more walk.
-    summed = {sample["k"]: sample for sample in report["samples"]}
     ks = weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
-    summed.update((s.k, s.as_dict()) for s in weightoracle.sum_samples(
-        pf.model, ns.c, [k for k in ks if k not in summed]))
-    report["samples"] = [summed[k] for k in ks]
+    report = weightoracle.oracle_report(pf.pair, pf.model, ns.c, ks)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["match"] else EXIT_INTERNAL
 
 
 def _parse_criteria_file(path: str) -> SingularCriteriaInput:
+    """The criteria document: the fields of SingularCriteriaInput, by name."""
     doc = _read_json_object(path, "criteria file")
-    allowed = {
-        "Sbeta", "alpha_beta", "n", "is_lc", "is_klt", "is_logCY",
-        "bullet1_eta", "eta_class_ample", "third_class_ample", "bullet2_nef",
-        "corollary_neg", "corollary_nef",
-        "klt_inv_semistable", "klt_inv_ample", "klt_inv_nef",
-    }
-    _reject_unknown(doc, allowed, "criteria file")
+    types = get_type_hints(SingularCriteriaInput)
+    _reject_unknown(doc, set(types), "criteria file")
     for key in ("Sbeta", "alpha_beta", "n"):
         if key not in doc:
             raise InputError(f"criteria file is missing required key {key!r}")
@@ -512,10 +512,8 @@ def _parse_criteria_file(path: str) -> SingularCriteriaInput:
     }
     if doc.get("bullet1_eta") is not None:
         kwargs["bullet1_eta"] = _input_rational(doc["bullet1_eta"])
-    for flag in ("is_lc", "is_klt", "is_logCY", "eta_class_ample", "third_class_ample",
-                 "bullet2_nef", "corollary_neg", "corollary_nef",
-                 "klt_inv_semistable", "klt_inv_ample", "klt_inv_nef"):
-        if flag in doc:
+    for flag, kind in types.items():
+        if kind is bool and flag in doc:
             if not isinstance(doc[flag], bool):
                 raise InputError(f"criteria key {flag!r} must be a boolean")
             kwargs[flag] = doc[flag]
@@ -531,8 +529,7 @@ def _cmd_criteria(ns) -> int:
     for i, verdict in enumerate(verdicts):
         if i:
             print()
-        for line in _verdict_lines(verdict):
-            print(line)
+        _print_fields(_verdict_fields(verdict))
     satisfied = any(v.status is VerdictStatus.CRITERION_SATISFIED for v in verdicts)
     return EXIT_OK if satisfied else EXIT_INCONCLUSIVE
 
@@ -546,13 +543,13 @@ def _cmd_catalog(ns) -> int:
         raise InputError("catalog show needs a pair name")
     entry = pairmodel.catalog_entry(ns.name)
     pair = entry.pair
-    print(f"name: {pair.name}")
-    print(f"dimension: {pair.dimension}")
-    print(f"L_top: {pair.L_top}")
-    print(f"cX_L: {pair.cX_L}")
-    print(f"proportional_x: {pair.proportional_x if pair.proportional_x is not None else 'none'}")
-    print(f"divisor multiplicity: {entry.divisor.m}")
-    print(f"dimension model: {entry.hilbert_kind or 'none (supply alphas and bounds by hand)'}")
+    _print_fields([
+        ("name", pair.name), ("dimension", pair.dimension), ("L_top", pair.L_top),
+        ("cX_L", pair.cX_L),
+        ("proportional_x", "none" if pair.proportional_x is None else pair.proportional_x),
+        ("divisor multiplicity", entry.divisor.m),
+        ("dimension model", entry.hilbert_kind or "none (supply alphas and bounds by hand)"),
+    ])
     return EXIT_OK
 
 
@@ -563,8 +560,8 @@ def _input_rational(value) -> Fraction:
     """parse_rational for a value from the command line or an input file.
 
     Each integer is held to the interpreter's int->str digit limit (4300 by
-    default): reports render inputs with str(), and the limit also bounds
-    the parsing work.
+    default). The limit only bounds the parsing work: every report renders
+    rationals through format_rational, which is exact past it.
     """
     text = str(value)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
@@ -638,19 +635,16 @@ def build_parser() -> _Parser:
     _add_positivity_args(p)
     p.set_defaults(handler=_cmd_window)
 
-    p = sub.add_parser("eta", help="eta-feasibility verdict with certificate")
-    _add_pair_arg(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    _add_positivity_args(p)
-    p.set_defaults(handler=_cmd_eta)
-
-    p = sub.add_parser("entropy", help="entropy-threshold comparison verdict")
-    _add_pair_arg(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    _add_positivity_args(p)
-    p.set_defaults(handler=_cmd_entropy)
+    for name, help_text, verdict in (
+        ("eta", "eta-feasibility verdict with certificate", thresholds.eta_feasibility),
+        ("entropy", "entropy-threshold comparison verdict", thresholds.entropy_threshold_check),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_pair_arg(p)
+        p.add_argument("--m", type=int, default=None)
+        p.add_argument("--beta", type=_rational_arg, required=True)
+        _add_positivity_args(p)
+        p.set_defaults(handler=_cmd_verdict, verdict=verdict)
 
     p = sub.add_parser("df", help="log Donaldson-Futaki invariant via both paths")
     _add_pair_arg(p)
@@ -725,7 +719,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull so that the
+        # interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

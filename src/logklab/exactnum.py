@@ -190,7 +190,8 @@ def poly_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) ->
     seen: dict[Fraction, int] = {}
     for idx, x in enumerate(xs):
         if x in seen:
-            raise DuplicateAbscissaError(f"duplicate abscissa {x} at positions {seen[x]} and {idx}")
+            raise DuplicateAbscissaError(
+                f"duplicate abscissa {format_rational(x)} at positions {seen[x]} and {idx}")
         seen[x] = idx
 
     # Divided-difference table, kept as the top row only.

@@ -45,13 +45,13 @@ class NormalConeCoefficients:
 
     def as_dict(self) -> dict[str, str | int]:
         return {
-            "a0": str(self.a0),
-            "a1": str(self.a1),
-            "b0": str(self.b0),
-            "b1": str(self.b1),
-            "a0_tilde": str(self.a0_tilde),
-            "b0_tilde": str(self.b0_tilde),
-            "c": str(self.c),
+            "a0": format_rational(self.a0),
+            "a1": format_rational(self.a1),
+            "b0": format_rational(self.b0),
+            "b1": format_rational(self.b1),
+            "a0_tilde": format_rational(self.a0_tilde),
+            "b0_tilde": format_rational(self.b0_tilde),
+            "c": format_rational(self.c),
             "n": self.n,
         }
 
@@ -87,7 +87,8 @@ class CriticalBracket:
 def _require_c(c: Fraction) -> Fraction:
     c = Fraction(c)
     if not (0 < c < 1):
-        raise ParameterOutOfRangeError(f"blow-up parameter must satisfy 0 < c < 1, got {c}")
+        raise ParameterOutOfRangeError(
+            f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
     return c
 
 
@@ -299,6 +300,11 @@ def _inner_sign_kernel(pair: PolarisedPair | _Pair, beta: Fraction) -> Callable[
     return pair.kernel(Fraction(beta)).sign
 
 
+def _not_below(beta: Fraction, threshold: Fraction) -> str:
+    return (f"beta = {format_rational(beta)} is not below the instability threshold "
+            f"{format_rational(threshold)}")
+
+
 def find_destabilizer(
     pair: PolarisedPair,
     beta: Fraction,
@@ -322,13 +328,12 @@ def find_destabilizer(
     beta = Fraction(beta)
     tol = Fraction(tol)
     if tol <= 0:
-        raise ParameterOutOfRangeError(f"tol must be positive, got {tol}")
+        raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
     constants = _pair_of(pair)
     threshold = constants.threshold()
     if beta >= threshold:
         raise NotBelowThresholdError(
-            f"beta = {beta} is not below the instability threshold {threshold}; "
-            "DF > 0 for every c in (0, 1)"
+            f"{_not_below(beta, threshold)}; DF > 0 for every c in (0, 1)"
         )
     sign = _inner_sign_kernel(constants, beta)
     prefactor_sign = 1 if pair.L_top > 0 else -1
@@ -346,8 +351,8 @@ def find_destabilizer(
             return c, df
         j += 1
     raise SearchExhaustedError(
-        f"no destabilising c found before the dyadic step fell below tol = {tol}; "
-        "decrease tol"
+        f"no destabilising c found before the dyadic step fell below "
+        f"tol = {format_rational(tol)}; decrease tol"
     )
 
 
@@ -373,13 +378,11 @@ def critical_c(
     beta = Fraction(beta)
     tol = Fraction(tol)
     if tol <= 0:
-        raise ParameterOutOfRangeError(f"tol must be positive, got {tol}")
+        raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
     constants = _pair_of(pair)
     threshold = constants.threshold()
     if beta >= threshold:
-        raise NotBelowThresholdError(
-            f"beta = {beta} is not below the instability threshold {threshold}"
-        )
+        raise NotBelowThresholdError(_not_below(beta, threshold))
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
 

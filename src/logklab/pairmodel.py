@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
+from .exactnum import format_rational
 
 FINDING_NOT_AMPLE = "NotAmple"
 FINDING_BOUND_VIOLATED = "ScalarBoundViolated"
@@ -44,8 +45,9 @@ class PolarisedPair:
             object.__setattr__(self, "proportional_x", Fraction(self.proportional_x))
             if self.cX_L != self.proportional_x * self.L_top:
                 raise InconsistentDataError(
-                    f"proportional_x={self.proportional_x} requires "
-                    f"cX_L = x*L_top = {self.proportional_x * self.L_top}, got {self.cX_L}"
+                    f"proportional_x={format_rational(self.proportional_x)} requires "
+                    f"cX_L = x*L_top = {format_rational(self.proportional_x * self.L_top)}, "
+                    f"got {format_rational(self.cX_L)}"
                 )
 
 

@@ -10,8 +10,9 @@ nef thresholds, klt/lc flags) are supplied by the caller, never computed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     InconsistentAssertionsError,
@@ -21,6 +22,7 @@ from .errors import (
     MissingPositivityDataError,
     PreconditionFailedError,
 )
+from .exactnum import format_rational
 from .pairmodel import PolarisedPair, avg_scalar_s1
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
@@ -54,11 +56,10 @@ class PositivityData:
         for name in ("alpha_L", "alpha_LD_restricted", "alpha_beta_override"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise InputError(f"{name} must be >= 0, got {value}")
+                raise InputError(f"{name} must be >= 0, got {format_rational(value)}")
         if self.lam is not None and self.Lambda_up is not None and self.lam > self.Lambda_up:
-            raise InconsistentDataError(
-                f"lambda = {self.lam} exceeds Lambda = {self.Lambda_up}"
-            )
+            raise InconsistentDataError(f"lambda = {format_rational(self.lam)} exceeds "
+                                        f"Lambda = {format_rational(self.Lambda_up)}")
 
 
 class VerdictStatus(enum.Enum):
@@ -87,6 +88,17 @@ class Verdict:
     eta_interval: tuple[Fraction, Fraction] | None = None
 
 
+def _verdict(claim: str, facts: tuple[str, ...], checks: tuple[tuple[bool, str], ...],
+             model: str | None = None, **certified) -> Verdict:
+    """Inconclusive at the first (holds, violated-text) check that fails, in order;
+    CriterionSatisfied with the certified fields when every check holds."""
+    for holds, violated in checks:
+        if not holds:
+            return Verdict(VerdictStatus.INCONCLUSIVE, claim, violated=violated, facts=facts,
+                           model=model)
+    return Verdict(VerdictStatus.CRITERION_SATISFIED, claim, facts=facts, model=model, **certified)
+
+
 class WindowClaim(enum.Enum):
     EXISTENCE_CSCK_CONE = "ExistenceCscKCone"
     UNIFORM_LOG_K_STABLE = "UniformLogKStable"
@@ -107,9 +119,7 @@ class AngleWindow:
     def __post_init__(self):
         if not self.empty:
             if not (0 <= self.lower and self.upper <= 1):
-                raise InconsistentDataError(
-                    f"window [{self.lower}, {self.upper}] escapes [0, 1]"
-                )
+                raise InconsistentDataError(f"window [{self._bounds()}] escapes [0, 1]")
             degenerate_ok = self.lower == self.upper and self.lower_inclusive and self.upper_inclusive
             if not (self.lower < self.upper or degenerate_ok):
                 raise InconsistentDataError("nonempty window needs lower < upper")
@@ -127,7 +137,10 @@ class AngleWindow:
             return "(empty)"
         left = "[" if self.lower_inclusive else "("
         right = "]" if self.upper_inclusive else ")"
-        return f"{left}{self.lower}, {self.upper}{right}"
+        return f"{left}{self._bounds()}{right}"
+
+    def _bounds(self) -> str:
+        return f"{format_rational(self.lower)}, {format_rational(self.upper)}"
 
 
 def _make_window(lower, lower_inc, upper, upper_inc, claim) -> AngleWindow:
@@ -152,7 +165,8 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
         for name, value in (("lambda", pos.lam), ("Lambda", pos.Lambda_up)):
             if value is not None and value != x:
                 raise InconsistentDataError(
-                    f"pair is exactly proportional with x = {x} but {name} = {value} was supplied"
+                    f"pair is exactly proportional with x = {format_rational(x)} but "
+                    f"{name} = {format_rational(value)} was supplied"
                 )
         return x, x, MODEL_PROPORTIONAL
     if pos.lam is None or pos.Lambda_up is None:
@@ -167,7 +181,8 @@ def _require_angle(beta: Fraction, allow_one: bool = True, allow_zero: bool = Fa
     low_ok = beta >= 0 if allow_zero else beta > 0
     high_ok = beta <= 1 if allow_one else beta < 1
     if not (low_ok and high_ok):
-        raise InputError(f"cone angle parameter beta = {beta} outside the admissible range")
+        raise InputError(
+            f"cone angle parameter beta = {format_rational(beta)} outside the admissible range")
     return beta
 
 
@@ -206,15 +221,19 @@ def uniform_stability_window(pair: PolarisedPair, pos: PositivityData, m: int) -
     n = pair.dimension
     s1 = avg_scalar_s1(pair)
     lam, _, _ = effective_nef_bounds(pair, pos)
-    if s1 > m * n:
-        raise PreconditionFailedError(f"S_1 = {s1} > m*n = {m * n}")
+    _require_s1_at_most_mn(s1, m, n)
     if (n + 1) * lam > s1 + m:
-        raise PreconditionFailedError(
-            f"(n+1)*lambda = {(n + 1) * lam} > S_1 + m = {s1 + m}"
-        )
+        raise PreconditionFailedError(f"(n+1)*lambda = {format_rational((n + 1) * lam)} "
+                                      f"> S_1 + m = {format_rational(s1 + m)}")
     lower = 1 - ((n + 1) * lam - s1) / m
     upper = beta_u(pair, pos, m)
     return _make_window(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
+
+
+def _require_s1_at_most_mn(s1: Fraction, m: int, n: int) -> None:
+    if s1 > m * n:
+        raise PreconditionFailedError(
+            f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}")
 
 
 def existence_window(
@@ -233,21 +252,24 @@ def existence_window(
     if case is ExistenceCase.LARGE_M:
         if not s1 < m * n + (n - 1) * lam:
             raise PreconditionFailedError(
-                f"S_1 = {s1} not < m*n + (n-1)*lambda = {m * n + (n - 1) * lam}"
+                f"S_1 = {format_rational(s1)} not < m*n + (n-1)*lambda = "
+                f"{format_rational(m * n + (n - 1) * lam)}"
             )
         if not Lam < m:
-            raise PreconditionFailedError(f"Lambda = {Lam} not < m = {m}")
+            raise PreconditionFailedError(
+                f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}")
         upper = min(Fraction(1), 1 - Lam / m, 1 - (s1 - (n - 1) * lam) / (m * n))
     elif case is ExistenceCase.GIVEN_M:
-        if s1 > m * n:
-            raise PreconditionFailedError(f"S_1 = {s1} > m*n = {m * n}")
+        _require_s1_at_most_mn(s1, m, n)
         bu = beta_u(pair, pos, m)
         mu_bar = s1 / Fraction(n)
         if not Lam <= mu_bar:
-            raise PreconditionFailedError(f"Lambda = {Lam} not <= S_1/n = {mu_bar}")
+            raise PreconditionFailedError(f"Lambda = {format_rational(Lam)} not <= "
+                                          f"S_1/n = {format_rational(mu_bar)}")
         if not mu_bar <= lam + m * (1 - bu):
             raise PreconditionFailedError(
-                f"S_1/n = {mu_bar} not <= lambda + m(1 - beta_u) = {lam + m * (1 - bu)}"
+                f"S_1/n = {format_rational(mu_bar)} not <= lambda + m(1 - beta_u) = "
+                f"{format_rational(lam + m * (1 - bu))}"
             )
         upper = bu
     else:  # pragma: no cover - enum is exhaustive
@@ -279,40 +301,23 @@ def eta_feasibility(
     upper = Fraction(n + 1, n) * alpha_beta
     strict_lower = max(bound_ii, bound_iii)
     facts = (
-        f"alpha_beta >= {alpha_beta}",
-        f"c1 bounds: [{lo_c1}, {up_c1}] ({model})",
-        f"S_beta = {s_beta}",
+        f"alpha_beta >= {format_rational(alpha_beta)}",
+        f"c1 bounds: [{format_rational(lo_c1)}, {format_rational(up_c1)}] ({model})",
+        f"S_beta = {format_rational(s_beta)}",
     )
-    claim = "log K-energy coercive: cscK cone metric exists and pair is uniformly log K-stable"
-    if upper <= 0:
-        return Verdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            claim=claim,
-            violated=f"eta upper bound (n+1)*alpha_beta/n = {upper} admits no eta >= 0",
-            facts=facts,
-            model=model,
-        )
-    if strict_lower >= upper:
-        source = "c1(X,D) bound" if bound_ii >= bound_iii else "third condition bound"
-        return Verdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            claim=claim,
-            violated=(
-                f"required eta > {strict_lower} (from {source}) meets the cap "
-                f"eta < {upper}: empty interval"
-            ),
-            facts=facts,
-            model=model,
-        )
+    source = "c1(X,D) bound" if bound_ii >= bound_iii else "third condition bound"
     interval_lo = max(Fraction(0), strict_lower)
-    certificate = (interval_lo + upper) / 2
-    return Verdict(
-        status=VerdictStatus.CRITERION_SATISFIED,
-        claim=claim,
-        certificate=certificate,
-        certificate_note=f"midpoint of feasible eta interval ({interval_lo}, {upper})",
-        facts=facts,
+    return _verdict(
+        "log K-energy coercive: cscK cone metric exists and pair is uniformly log K-stable",
+        facts,
+        ((upper > 0, f"eta upper bound (n+1)*alpha_beta/n = {format_rational(upper)} "
+                     "admits no eta >= 0"),
+         (strict_lower < upper, f"required eta > {format_rational(strict_lower)} (from {source}) "
+                                f"meets the cap eta < {format_rational(upper)}: empty interval")),
         model=model,
+        certificate=(interval_lo + upper) / 2,
+        certificate_note=(f"midpoint of feasible eta interval "
+                          f"({format_rational(interval_lo)}, {format_rational(upper)})"),
         eta_interval=(interval_lo, upper),
     )
 
@@ -356,23 +361,16 @@ def entropy_threshold_check(
         e_lower = Fraction(n + 1, n) * alpha_beta_lower_bound(pos, m, beta)
         e_source = "(n+1)*alpha_beta/n"
     rhs = max(Lam, s_beta - (n - 1) * lam)
-    facts = (f"e >= {e_lower} ({e_source})", f"max{{Lambda, S_beta - (n-1)*lambda}} = {rhs}")
-    claim = "log K-energy coercive via entropy threshold; cscK cone metric exists"
-    if e_lower > rhs:
-        return Verdict(
-            status=VerdictStatus.CRITERION_SATISFIED,
-            claim=claim,
-            certificate=e_lower,
-            certificate_note="entropy lower bound exceeding the J-threshold bound",
-            facts=facts,
-            model=model,
-        )
-    return Verdict(
-        status=VerdictStatus.INCONCLUSIVE,
-        claim=claim,
-        violated=f"entropy lower bound {e_lower} not > {rhs}",
-        facts=facts,
+    facts = (f"e >= {format_rational(e_lower)} ({e_source})",
+             f"max{{Lambda, S_beta - (n-1)*lambda}} = {format_rational(rhs)}")
+    return _verdict(
+        "log K-energy coercive via entropy threshold; cscK cone metric exists",
+        facts,
+        ((e_lower > rhs,
+          f"entropy lower bound {format_rational(e_lower)} not > {format_rational(rhs)}"),),
         model=model,
+        certificate=e_lower,
+        certificate_note="entropy lower bound exceeding the J-threshold bound",
     )
 
 
@@ -405,7 +403,7 @@ class SingularCriteriaInput:
         object.__setattr__(self, "Sbeta", Fraction(self.Sbeta))
         object.__setattr__(self, "alpha_beta", Fraction(self.alpha_beta))
         if self.alpha_beta < 0:
-            raise InputError(f"alpha_beta must be >= 0, got {self.alpha_beta}")
+            raise InputError(f"alpha_beta must be >= 0, got {format_rational(self.alpha_beta)}")
         if self.n < 1:
             raise InputError(f"dimension must be >= 1, got {self.n}")
         if self.bullet1_eta is not None:
@@ -418,26 +416,21 @@ UNIFORM_STABLE = "(X, L; Delta) is uniformly log K-stable with angle 2*pi*beta"
 KLT_CONCLUSION = "(X, (1-beta)*Delta) is Kawamata log terminal"
 
 
-def _satisfied(claim: str, via: str, facts: tuple[str, ...],
-               certificate: Fraction | None = None,
-               certificate_note: str | None = None) -> Verdict:
-    return Verdict(
-        status=VerdictStatus.CRITERION_SATISFIED,
-        claim=f"{claim} [via {via}]",
-        certificate=certificate,
-        certificate_note=certificate_note if certificate_note else (
-            None if certificate is not None else NO_CERTIFICATE_NEEDED),
-        facts=facts,
-    )
+class _Criterion(NamedTuple):
+    """One row of the singular-criteria table.
 
+    applies is the criterion's distinguishing assertion. checks are its
+    (holds, violated-text) pairs in order: the first that fails makes the
+    verdict Inconclusive, and when all hold the certificate is issued.
+    """
 
-def _inconclusive(claim: str, via: str, violated: str, facts: tuple[str, ...]) -> Verdict:
-    return Verdict(
-        status=VerdictStatus.INCONCLUSIVE,
-        claim=f"{claim} [via {via}]",
-        violated=violated,
-        facts=facts,
-    )
+    applies: bool
+    conclusion: str
+    via: str
+    facts: tuple[str, ...]
+    checks: tuple[tuple[bool, str], ...]
+    certificate: Fraction | None = None
+    certificate_note: str = NO_CERTIFICATE_NEEDED
 
 
 def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
@@ -447,94 +440,69 @@ def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
     each CriterionSatisfied names the criterion and echoes the asserted
     facts it consumed. Never asserts instability.
     """
-    verdicts: list[Verdict] = []
     n = data.n
-
-    if data.is_logCY:
-        via = "log Calabi-Yau criterion"
-        facts = ("asserted: K_X + (1-beta)*Delta numerically trivial",
-                 f"asserted: klt = {data.is_klt}")
-        if data.is_klt:
-            verdicts.append(_satisfied(UNIFORM_STABLE, via, facts))
-        else:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "klt not asserted", facts))
-
-    if data.bullet1_eta is not None:
-        via = "negative-S_beta eta criterion"
-        eta = data.bullet1_eta
-        cap = Fraction(n + 1, n) * data.alpha_beta
-        facts = (
-            f"asserted: lc = {data.is_lc}",
-            f"eta = {eta}",
-            f"asserted: eta*L + K_X + (1-beta)*Delta ample = {data.eta_class_ample}",
-            f"asserted: -(n-1)(K_X + (1-beta)*Delta) - (S_beta - eta)*L ample = {data.third_class_ample}",
-        )
-        if not data.is_lc:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "lc not asserted", facts))
-        elif not data.Sbeta < 0:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, f"S_beta = {data.Sbeta} not < 0", facts))
-        elif not (0 <= eta < cap):
-            verdicts.append(_inconclusive(
-                UNIFORM_STABLE, via, f"eta = {eta} not in [0, (n+1)*alpha_beta/n = {cap})", facts))
-        elif not data.eta_class_ample:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "eta-class ampleness not asserted", facts))
-        elif not data.third_class_ample:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "third-class ampleness not asserted", facts))
-        else:
-            verdicts.append(_satisfied(UNIFORM_STABLE, via, facts, certificate=eta,
-                                       certificate_note="feasible eta supplied by caller"))
-
-    if data.bullet2_nef:
-        via = "nef comparison criterion"
-        cap = (n + 1) * data.alpha_beta
-        facts = (
-            f"asserted: lc = {data.is_lc}",
-            "asserted: -S_beta*L - (n+1)(K_X + (1-beta)*Delta) nef",
-            f"S_beta = {data.Sbeta}, (n+1)*alpha_beta = {cap}",
-        )
-        if not data.is_lc:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "lc not asserted", facts))
-        elif not data.Sbeta < cap:
-            verdicts.append(_inconclusive(
-                UNIFORM_STABLE, via, f"S_beta = {data.Sbeta} not < (n+1)*alpha_beta = {cap}", facts))
-        else:
-            verdicts.append(_satisfied(UNIFORM_STABLE, via, facts))
-
-    if data.corollary_neg or data.corollary_nef:
-        via = "negative first-Chern-class corollary"
-        facts = (
-            f"asserted: lc = {data.is_lc}",
-            f"asserted: c1(X, Delta) < 0 = {data.corollary_neg}",
-            f"asserted: -S_beta*L + n*c1(X, Delta) nef = {data.corollary_nef}",
-        )
-        if not data.corollary_neg:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "c1(X, Delta) < 0 not asserted", facts))
-        elif not data.corollary_nef:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "nef combination not asserted", facts))
-        elif not data.is_lc:
-            verdicts.append(_inconclusive(UNIFORM_STABLE, via, "lc not asserted", facts))
-        else:
-            verdicts.append(_satisfied(UNIFORM_STABLE, via, facts))
-
-    if data.klt_inv_semistable or data.klt_inv_ample or data.klt_inv_nef:
-        via = "klt from semistability criterion"
-        facts = (
-            f"asserted: log K-semistable with angle 2*pi*beta = {data.klt_inv_semistable}",
-            f"asserted: c1(X, Delta) > 0 = {data.klt_inv_ample}",
-            f"asserted: stated nef combination of S_beta*L and c1(X, Delta) = {data.klt_inv_nef}",
-        )
-        missing = [
-            label
-            for label, ok in (
-                ("log K-semistability", data.klt_inv_semistable),
-                ("c1(X, Delta) > 0", data.klt_inv_ample),
-                ("nef combination", data.klt_inv_nef),
-            )
-            if not ok
-        ]
-        if missing:
-            verdicts.append(_inconclusive(KLT_CONCLUSION, via, f"{missing[0]} not asserted", facts))
-        else:
-            verdicts.append(_satisfied(KLT_CONCLUSION, via, facts))
-
-    return verdicts
+    s_beta = format_rational(data.Sbeta)
+    # The eta row applies only when an eta is given; 0 keeps its checks defined.
+    eta = Fraction(0) if data.bullet1_eta is None else data.bullet1_eta
+    eta_cap = Fraction(n + 1, n) * data.alpha_beta
+    nef_cap = format_rational((n + 1) * data.alpha_beta)
+    lc_fact = f"asserted: lc = {data.is_lc}"
+    lc = (data.is_lc, "lc not asserted")
+    table = [
+        _Criterion(
+            data.is_logCY, UNIFORM_STABLE, "log Calabi-Yau criterion",
+            ("asserted: K_X + (1-beta)*Delta numerically trivial",
+             f"asserted: klt = {data.is_klt}"),
+            ((data.is_klt, "klt not asserted"),),
+        ),
+        _Criterion(
+            data.bullet1_eta is not None, UNIFORM_STABLE, "negative-S_beta eta criterion",
+            (lc_fact,
+             f"eta = {format_rational(eta)}",
+             f"asserted: eta*L + K_X + (1-beta)*Delta ample = {data.eta_class_ample}",
+             "asserted: -(n-1)(K_X + (1-beta)*Delta) - (S_beta - eta)*L ample = "
+             f"{data.third_class_ample}"),
+            (lc,
+             (data.Sbeta < 0, f"S_beta = {s_beta} not < 0"),
+             (0 <= eta < eta_cap, f"eta = {format_rational(eta)} not in "
+                                  f"[0, (n+1)*alpha_beta/n = {format_rational(eta_cap)})"),
+             (data.eta_class_ample, "eta-class ampleness not asserted"),
+             (data.third_class_ample, "third-class ampleness not asserted")),
+            certificate=eta, certificate_note="feasible eta supplied by caller",
+        ),
+        _Criterion(
+            data.bullet2_nef, UNIFORM_STABLE, "nef comparison criterion",
+            (lc_fact,
+             "asserted: -S_beta*L - (n+1)(K_X + (1-beta)*Delta) nef",
+             f"S_beta = {s_beta}, (n+1)*alpha_beta = {nef_cap}"),
+            (lc,
+             (data.Sbeta < (n + 1) * data.alpha_beta,
+              f"S_beta = {s_beta} not < (n+1)*alpha_beta = {nef_cap}")),
+        ),
+        _Criterion(
+            data.corollary_neg or data.corollary_nef, UNIFORM_STABLE,
+            "negative first-Chern-class corollary",
+            (lc_fact,
+             f"asserted: c1(X, Delta) < 0 = {data.corollary_neg}",
+             f"asserted: -S_beta*L + n*c1(X, Delta) nef = {data.corollary_nef}"),
+            ((data.corollary_neg, "c1(X, Delta) < 0 not asserted"),
+             (data.corollary_nef, "nef combination not asserted"),
+             lc),
+        ),
+        _Criterion(
+            data.klt_inv_semistable or data.klt_inv_ample or data.klt_inv_nef, KLT_CONCLUSION,
+            "klt from semistability criterion",
+            (f"asserted: log K-semistable with angle 2*pi*beta = {data.klt_inv_semistable}",
+             f"asserted: c1(X, Delta) > 0 = {data.klt_inv_ample}",
+             "asserted: stated nef combination of S_beta*L and c1(X, Delta) = "
+             f"{data.klt_inv_nef}"),
+            ((data.klt_inv_semistable, "log K-semistability not asserted"),
+             (data.klt_inv_ample, "c1(X, Delta) > 0 not asserted"),
+             (data.klt_inv_nef, "nef combination not asserted")),
+        ),
+    ]
+    return [
+        _verdict(f"{row.conclusion} [via {row.via}]", row.facts, row.checks,
+                 certificate=row.certificate, certificate_note=row.certificate_note)
+        for row in table if row.applies
+    ]

@@ -30,7 +30,7 @@ from .errors import (
     NonIntegralCKError,
     ParameterOutOfRangeError,
 )
-from .exactnum import Polynomial, poly_interpolate
+from .exactnum import Polynomial, format_rational, poly_interpolate
 from .normalcone import NormalConeCoefficients, coefficients as closed_form_coefficients
 from .pairmodel import PolarisedPair
 
@@ -88,7 +88,7 @@ class HilbertModel:
         value = self.polynomial(k)
         if value.denominator != 1 or value < 0:
             raise InputError(
-                f"explicit model gives a non-dimension value {value} at k = {k}"
+                f"explicit model gives a non-dimension value {format_rational(value)} at k = {k}"
             )
         return int(value)
 
@@ -115,10 +115,10 @@ class WeightSample:
         return {
             "k": self.k,
             "d_k": self.d_k,
-            "w_k": str(self.w_k),
+            "w_k": format_rational(self.w_k),
             "d_tilde_k": self.d_tilde_k,
-            "w_tilde_k": str(self.w_tilde_k),
-            "c": str(self.c),
+            "w_tilde_k": format_rational(self.w_tilde_k),
+            "c": format_rational(self.c),
         }
 
 
@@ -126,10 +126,12 @@ def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
     """Return the integer ck after validating all preconditions."""
     c = Fraction(c)
     if not (0 < c < 1):
-        raise ParameterOutOfRangeError(f"c must satisfy 0 < c < 1, got {c}")
+        raise ParameterOutOfRangeError(
+            f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
     ck = c * k
     if ck.denominator != 1:
-        raise NonIntegralCKError(f"c*k = {ck} is not an integer (c = {c}, k = {k})")
+        raise NonIntegralCKError(f"c*k = {format_rational(ck)} is not an integer "
+                                 f"(c = {format_rational(c)}, k = {k})")
     ck = int(ck)
     if ck < 1:
         raise NonIntegralCKError(f"need c*k >= 1, got c*k = {ck}")
@@ -289,13 +291,18 @@ def _interpolate_checked(
 
 
 def _sample_and_recover(
-    model: HilbertModel, c: Fraction, n: int
+    model: HilbertModel, c: Fraction, n: int, listing: list[int] | None = None
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
-    """The n+4 samples and the coefficients interpolated from them.
+    """The samples at the listing's k and the coefficients interpolated from
+    the n+4 fitted samples, all from one walk; the listing defaults to the
+    fitted samples.
 
-    The first sample, the cheapest, is summed again on the literal path.
+    The first fitted sample, the cheapest, is summed again on the literal path.
     """
-    samples = sum_samples(model, c, _sampling_ks(model, c, n + 4))
+    fit_ks = _sampling_ks(model, c, n + 4)
+    summed = sum_samples(model, c, fit_ks + list(listing or ()))
+    samples = summed[:len(fit_ks)]
+    listed = samples if listing is None else summed[len(fit_ks):]
     reference = dims_and_weights(model, c, samples[0].k)
     if samples[0] != reference:
         raise InternalCheckError(
@@ -313,7 +320,7 @@ def _sample_and_recover(
         Fraction(held.d_tilde_k), n - 1, "divisor dimension")
     wt_poly = _interpolate_checked(
         ks, [s.w_tilde_k for s in fit], held.k, held.w_tilde_k, n, "divisor weight")
-    return samples, NormalConeCoefficients(
+    return listed, NormalConeCoefficients(
         a0=d_poly.coefficient(n),
         a1=d_poly.coefficient(n - 1),
         b0=w_poly.coefficient(n + 1),
@@ -347,19 +354,23 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
     return -sample.w_k / (k * sample.d_k)
 
 
-def oracle_report(pair: PolarisedPair, model: HilbertModel, c: Fraction) -> dict:
+def oracle_report(
+    pair: PolarisedPair, model: HilbertModel, c: Fraction, ks: list[int] | None = None
+) -> dict:
     """Cross-check record: recovered coefficients vs closed forms.
 
     match is field-by-field exact equality; a correct build can never
     produce match = False. The closed form comes first, so a bad (pair, c)
-    is refused before any sum runs.
+    is refused before any sum runs. samples lists the samples at ks, by
+    default the n+4 the coefficients are fitted to; the listing and the fit
+    are summed in one walk.
     """
     c = Fraction(c)
     closed = closed_form_coefficients(pair, c)
-    samples, recovered = _sample_and_recover(model, c, pair.dimension)
+    samples, recovered = _sample_and_recover(model, c, pair.dimension, ks)
     return {
         "pair": pair.name,
-        "c": str(c),
+        "c": format_rational(c),
         "samples": [s.as_dict() for s in samples],
         "recovered": recovered.as_dict(),
         "closed_form": closed.as_dict(),

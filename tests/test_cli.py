@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from logklab.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_OK,
@@ -18,7 +20,9 @@ from logklab.cli import (
     run,
 )
 from logklab.errors import InputError
-from logklab.exactnum import parse_rational
+from logklab.exactnum import format_rational, parse_rational
+from logklab.normalcone import instability_threshold
+from logklab.thresholds import PositivityData, eta_feasibility
 
 
 def invoke(capsys, argv):
@@ -149,10 +153,10 @@ def test_oracle_sums_each_k_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "20"])
     assert code == EXIT_OK
     assert [s["k"] for s in json.loads(out)["samples"]] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
-    # One walk over the report's block ranges (k/2, k] for k = 2..12, the
-    # literal cross-check of its first sample (k = 2: block j = 2, then
-    # d~ at j = 2), and one walk over the ranges of the listing's k = 14..20.
-    assert Counter(divisor_args) == Counter([*range(2, 13), 2, 2, *range(8, 21)])
+    # One walk over the block ranges (k/2, k] of the report's k = 2..12 and
+    # the listing's k = 2..20 together, and the literal cross-check of the
+    # first sample (k = 2: block j = 2, then d~ at j = 2).
+    assert Counter(divisor_args) == Counter([*range(2, 21), 2, 2])
 
 
 def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
@@ -513,3 +517,107 @@ def test_unreadable_json_exits_3(capsys, tmp_path, command, content):
     code, _, err = invoke(capsys, [*command, str(path)])
     assert code == EXIT_INPUT
     assert "not valid JSON" in err
+
+
+# Coprime 4000-digit integers: each input integer stays under the default
+# 4300-digit int->str limit, while rationals computed from both pass it.
+BIG_X = 10**3999 + 1
+BIG_Y = 10**3999 + 3
+
+
+def run_fresh(argv):
+    """logklab in a fresh interpreter with the default int->str digit limit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run([sys.executable, "-m", "logklab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def big_pair(tmp_path, **numbers):
+    return write_pair(tmp_path, {"name": "big", "dimension": 2, "divisor": {"m": 1}, **numbers})
+
+
+def eta_certificate_case(tmp_path):
+    path = big_pair(tmp_path, L_top="1", cX_L="3")
+    alpha_L = Fraction(1, 2) + Fraction(1, BIG_Y)
+    lam = 3 + Fraction(1, BIG_X)
+    verdict = eta_feasibility(load_pair_file(path).pair, PositivityData(alpha_L, 1, lam, lam),
+                              5, Fraction(1, 2))
+    argv = ["eta", path, "--m", "5", "--beta", "1/2", f"--alpha-L={format_rational(alpha_L)}",
+            "--alpha-LD", "1", f"--lambda={format_rational(lam)}",
+            f"--Lambda={format_rational(lam)}"]
+    return argv, EXIT_OK, [verdict.certificate, *verdict.eta_interval]
+
+
+def criteria_violated_case(tmp_path):
+    n, alpha_beta = int("1" * 4000), Fraction(1, int("7" * 4000))
+    path = tmp_path / "criteria.json"
+    path.write_text(json.dumps({"Sbeta": "-1", "alpha_beta": format_rational(alpha_beta),
+                                "n": n, "is_lc": True, "bullet1_eta": "-1"}))
+    return ["criteria", "--file", str(path)], EXIT_INCONCLUSIVE, [Fraction(n + 1, n) * alpha_beta]
+
+
+def window_precondition_case(tmp_path):
+    path = big_pair(tmp_path, L_top=f"1/{BIG_X}", cX_L=str(BIG_Y))
+    argv = ["window", path, "--case", "uniform", "--lambda", "0", "--Lambda", "1"]
+    return argv, EXIT_INCONCLUSIVE, [2 * BIG_X * BIG_Y]  # S_1 = n cX_L / L_top
+
+
+def info_inconsistent_case(tmp_path):
+    path = big_pair(tmp_path, L_top=f"1/{BIG_X}", cX_L="1", proportional_x=f"1/{BIG_Y}")
+    return ["info", path], EXIT_INPUT, [Fraction(1, BIG_X * BIG_Y)]  # x * L_top
+
+
+def destabilize_threshold_case(tmp_path):
+    path = big_pair(tmp_path, L_top=f"1/{BIG_X}", cX_L=str(-BIG_Y))
+    threshold = instability_threshold(load_pair_file(path).pair)
+    return ["destabilize", path, "--beta", "1/2"], EXIT_INCONCLUSIVE, [threshold]
+
+
+@pytest.mark.parametrize("case", [
+    eta_certificate_case, criteria_violated_case, window_precondition_case,
+    info_inconsistent_case, destabilize_threshold_case,
+], ids=["eta", "criteria", "window", "info", "destabilize"])
+def test_rationals_past_int_digit_limit_print_exactly(tmp_path, case):
+    argv, code, expected = case(tmp_path)
+    proc = run_fresh(argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    printed = {parse_rational(token)
+               for token in re.findall(r"-?\d+(?:/\d+)?", proc.stdout + proc.stderr)}
+    for value in expected:
+        assert len(format_rational(value)) > 4300
+        assert value in printed
+
+
+def test_closed_stdout_exits_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logklab.cli", "df-curve", "catalog:P2-line", "--beta", "1/2",
+         "--steps", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline().startswith(b"c,df,")
+    proc.stdout.close()  # far more than a pipe buffer of rows is still to come
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "Error" not in err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    (["info"], '{"name": "a", "name": "b", "dimension": 2, "L_top": "1", "cX_L": "3",'
+               ' "divisor": {"m": 1}}', "name"),
+    (["info"], '{"name": "a", "dimension": 2, "L_top": "1", "cX_L": "3",'
+               ' "divisor": {"m": 1, "m": 2}}', "m"),
+    (["criteria", "--file"], '{"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": true,'
+                             ' "bullet2_nef": true, "is_lc": false}', "is_lc"),
+], ids=["pair", "pair-nested", "criteria"])
+def test_duplicate_json_keys_exit_3(capsys, tmp_path, command, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, [*command, str(path)])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"duplicate key {key!r}" in err
