@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Compare logklab's exit code, stdout and stderr between two source trees.
+
+    python3 scripts/compare_outputs.py TREE_A TREE_B [--quick]
+
+Each TREE is a checkout root, the directory that holds src/logklab. The
+invocations are the benchmark's whole universe (bench/workloads.py, all
+four workloads), `logklab --help`, every `<cmd> --help` and the usage errors
+that tests/test_cli_usage.py pins. Each runs as a fresh
+`python -m logklab.cli` process under both trees, in one scratch directory
+that holds the workloads' input files, with COLUMNS=80 so that argparse wraps
+the same way. The script prints every argv whose exit code, stdout or stderr
+differ, and exits 1 on any difference. --quick runs only the first
+invocation of each workload, the top-level --help and one usage error.
+"""
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402  (bench/ is not a package)
+
+USAGE_ERRORS = (
+    ("info", "catalog:P2-line", "--nope"),
+    ("df", "catalog:P2-line", "--c", "1/2"),
+    ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3", "--format", "xml"),
+    ("scalar", "catalog:P2-line", "--beta", "1/2", "--m", "x"),
+)
+
+
+def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
+    env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
+    proc = subprocess.run([sys.executable, "-m", "logklab.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation]:
+    """The invocations to compare; writes the workloads' input files into cwd."""
+    found = []
+    for name in workloads.WORKLOADS:
+        universe = workloads.universe(name)
+        found += universe[:1] if quick else universe
+    for inv in found:
+        for file_name, content in inv.files:
+            (cwd / file_name).write_bytes(content)
+    help_text = run(tree, ("--help",), cwd)[1].decode()
+    commands = re.search(r"\{([^}]*)\}", help_text).group(1).split(",")
+    argvs = [("--help",), USAGE_ERRORS[0]] if quick else [
+        ("--help",), *((cmd, "--help") for cmd in commands), *USAGE_ERRORS]
+    return found + [workloads.Invocation(argv) for argv in argvs]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--quick", action="store_true",
+                        help="a few invocations instead of the whole universe")
+    args = parser.parse_args()
+    tree_a, tree_b = args.tree_a.resolve(), args.tree_b.resolve()
+    for tree in (tree_a, tree_b):
+        if not (tree / "src" / "logklab").is_dir():
+            parser.error(f"{tree} holds no src/logklab")
+    with tempfile.TemporaryDirectory() as scratch:
+        cwd = Path(scratch)
+        invs = invocations(tree_a, cwd, args.quick)
+        differing = 0
+        for inv in invs:
+            a, b = run(tree_a, inv.argv, cwd), run(tree_b, inv.argv, cwd)
+            parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+            if parts:
+                differing += 1
+                print(f"DIFFERS ({', '.join(parts)}; exit {a[0]} vs {b[0]}): {inv.key}")
+    print(f"{len(invs)} invocations, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,16 +19,16 @@ def sweep(pair_name: str, rungs: int, tol: Fraction) -> None:
     threshold = instability_threshold(pair)
     print(f"== {pair_name} (n={pair.dimension})")
     print(f"   instability threshold: {format_rational(threshold)} = {decimal_string(threshold)}")
+    if threshold <= 0:
+        print("   no angle beta > 0 is below the threshold: the family destabilises none")
+        return
     for i in range(1, rungs + 1):
         beta = threshold * Fraction(i, rungs + 1)
         c, df = find_destabilizer(pair, beta)
-        bracket = critical_c(pair, beta, tol) if beta > 0 else None
-        line = (f"   beta = {format_rational(beta):>8}  witness c = {format_rational(c):>8}  "
-                f"DF = {format_rational(df):>12} ({decimal_string(df)})")
-        if bracket is not None and not bracket.all_destabilizing:
-            line += (f"  root in [{format_rational(bracket.lo)}, "
-                     f"{format_rational(bracket.hi)}]")
-        print(line)
+        bracket = critical_c(pair, beta, tol)
+        print(f"   beta = {format_rational(beta):>8}  witness c = {format_rational(c):>8}  "
+              f"DF = {format_rational(df):>12} ({decimal_string(df)})"
+              f"  root in [{format_rational(bracket.lo)}, {format_rational(bracket.hi)}]")
     mid = threshold / 2
     grid = [Fraction(i, 8) for i in range(1, 8)]
     values = ", ".join(format_rational(df_closed(pair, c, mid).df) for c in grid)

@@ -10,17 +10,11 @@ import argparse
 import sys
 from fractions import Fraction
 
+from logklab.cli import resolve_pair
 from logklab.exactnum import decimal_string, format_rational
 from logklab.normalcone import jna_normal_cone
 from logklab.pairmodel import CATALOG
-from logklab.weightoracle import HilbertModel, jna_finite_k, oracle_report
-
-MODELS = {
-    "P2-line": HilbertModel.projective_space(2),
-    "P3-hyperplane": HilbertModel.projective_space(3),
-    "P4-hyperplane": HilbertModel.projective_space(4),
-    "P1xP1-diag": HilbertModel.product_p1p1(),
-}
+from logklab.weightoracle import jna_finite_k, oracle_report
 
 
 def main() -> None:
@@ -32,17 +26,19 @@ def main() -> None:
     args = parser.parse_args()
 
     failures = 0
-    for name, model in MODELS.items():
-        pair = CATALOG[name].pair
+    for name in CATALOG:
+        pf = resolve_pair(f"catalog:{name}")
+        if pf.model is None:
+            continue
         for c in args.cs:
-            report = oracle_report(pair, model, c)
+            report = oracle_report(pf.pair, pf.model, c)
             status = "ok" if report["match"] else "MISMATCH"
             print(f"{name:<16} c = {format_rational(c):>5}  recovery {status}")
             failures += 0 if report["match"] else 1
 
     print()
-    pair = CATALOG["P2-line"].pair
-    model = MODELS["P2-line"]
+    pf = resolve_pair("catalog:P2-line")
+    pair, model = pf.pair, pf.model
     c = Fraction(1, 2)
     limit = jna_normal_cone(pair, c)
     print(f"J^NA(P2-line, c=1/2) = {format_rational(limit)} = {decimal_string(limit)}")

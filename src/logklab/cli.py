@@ -9,7 +9,6 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -60,34 +59,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    exact: Fraction | str
-    provenance: str
-
-    def render(self) -> str:
-        if isinstance(self.exact, str):
-            exact_s, dec_s = self.exact, ""
-        else:
-            exact_s = format_rational(self.exact)
-            dec_s = decimal_string(self.exact)
-        return f"{self.label:<34} {exact_s:>20}  {dec_s:<18} {self.provenance}"
-
-
-def _print_rows(rows: list[ReportRow]) -> None:
-    header = f"{'quantity':<34} {'exact':>20}  {'decimal':<18} {'provenance'}"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(row.render())
+# One row per PositivityData field, in --help order: (pair-file key, field,
+# flag, metavar, help). The flag's dest is the field.
+_POSITIVITY = (
+    ("alpha_L", "alpha_L", "--alpha-L", "ALPHA_L",
+     "alpha invariant of L (overrides the pair file)"),
+    ("alpha_LD_restricted", "alpha_LD_restricted", "--alpha-LD", "ALPHA_LD",
+     "alpha invariant of L_D restricted to D"),
+    ("alpha_beta_override", "alpha_beta_override", "--alpha-beta", "ALPHA_BETA",
+     "direct alpha_beta override"),
+    ("lambda", "lam", "--lambda", "LAM", "nef threshold lambda"),
+    ("Lambda", "Lambda_up", "--Lambda", "LAMBDA_UP", "nef threshold Lambda"),
+    ("entropy_lower", "entropy_lower", "--entropy-lower", "ENTROPY_LOWER",
+     "user lower bound for the entropy threshold"),
+)
 
 
 @dataclass(frozen=True)
 class PairFile:
     """A resolved pair source: catalog entry or strict JSON file."""
 
-    source: str
     pair: PolarisedPair
     divisor: DivisorSpec
     positivity: PositivityData | None
@@ -103,21 +94,9 @@ def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_positivity_block(block: dict) -> PositivityData:
-    allowed = {"alpha_L", "alpha_LD_restricted", "lambda", "Lambda",
-               "alpha_beta_override", "entropy_lower"}
-    _reject_unknown(block, allowed, "positivity block")
-
-    def get(key):
-        return _input_rational(block[key]) if key in block else None
-
-    return PositivityData(
-        alpha_L=get("alpha_L"),
-        alpha_LD_restricted=get("alpha_LD_restricted"),
-        lam=get("lambda"),
-        Lambda_up=get("Lambda"),
-        alpha_beta_override=get("alpha_beta_override"),
-        entropy_lower=get("entropy_lower"),
-    )
+    _reject_unknown(block, {key for key, *_ in _POSITIVITY}, "positivity block")
+    return PositivityData(**{field: _input_rational(block[key])
+                             for key, field, *_ in _POSITIVITY if key in block})
 
 
 def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
@@ -208,7 +187,7 @@ def load_pair_file(path: str) -> PairFile:
         _parse_positivity_block(doc["positivity"]) if "positivity" in doc else None
     )
     model = _hilbert_model(doc["hilbert"], pair) if "hilbert" in doc else None
-    return PairFile(source=path, pair=pair, divisor=divisor, positivity=positivity, model=model)
+    return PairFile(pair=pair, divisor=divisor, positivity=positivity, model=model)
 
 
 def resolve_pair(source: str) -> PairFile:
@@ -217,7 +196,6 @@ def resolve_pair(source: str) -> PairFile:
         name = source[len(CATALOG_PREFIX):]
         entry = pairmodel.catalog_entry(name)
         return PairFile(
-            source=source,
             pair=entry.pair,
             divisor=entry.divisor,
             positivity=None,
@@ -236,20 +214,10 @@ def _resolve_unit_pair(ns: argparse.Namespace) -> PairFile:
 
 
 def _merged_positivity(pf: PairFile, ns: argparse.Namespace) -> PositivityData:
+    """The pair file's positivity data, with each field a flag sets taken from the flag."""
     base = pf.positivity if pf.positivity is not None else PositivityData()
-    overrides = {}
-    for attr, field in (
-        ("alpha_L", "alpha_L"),
-        ("alpha_LD", "alpha_LD_restricted"),
-        ("lam", "lam"),
-        ("Lambda_up", "Lambda_up"),
-        ("alpha_beta", "alpha_beta_override"),
-        ("entropy_lower", "entropy_lower"),
-    ):
-        value = getattr(ns, attr, None)
-        if value is not None:
-            overrides[field] = value
-    return replace(base, **overrides) if overrides else base
+    flags = {field: getattr(ns, field) for _, field, *_ in _POSITIVITY}
+    return replace(base, **{field: v for field, v in flags.items() if v is not None})
 
 
 def _divisor_for(pf: PairFile, ns: argparse.Namespace) -> DivisorSpec:
@@ -266,6 +234,17 @@ def _field_text(value) -> str:
         inner = ", ".join(map(_field_text, value))
         return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
     return str(value)
+
+
+def _print_rows(rows) -> None:
+    """Print (label, value, provenance) rows as a table with a decimal column;
+    a str value, such as "n/a", has no decimal."""
+    header = f"{'quantity':<34} {'exact':>20}  {'decimal':<18} {'provenance'}"
+    print(header)
+    print("-" * len(header))
+    for label, value, provenance in rows:
+        dec = "" if isinstance(value, str) else decimal_string(value)
+        print(f"{label:<34} {_field_text(value):>20}  {dec:<18} {provenance}")
 
 
 def _print_fields(fields) -> None:
@@ -295,21 +274,18 @@ def _cmd_info(ns) -> int:
                  f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
         ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
     ])
-    rows = [ReportRow("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
+    rows = [("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
     if pair.dimension >= 2:
-        rows.append(ReportRow("S_D", pairmodel.avg_scalar_sD(pair, divisor),
-                              pairmodel.sD_provenance(divisor)))
+        rows.append(("S_D", pairmodel.avg_scalar_sD(pair, divisor),
+                     pairmodel.sD_provenance(divisor)))
         if divisor.m == 1:
-            rows.append(ReportRow(
-                "instability_threshold",
-                normalcone.instability_threshold(pair),
-                "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family",
-            ))
+            rows.append(("instability_threshold", normalcone.instability_threshold(pair),
+                         "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family"))
         else:
-            rows.append(ReportRow("instability_threshold", "n/a",
-                                  "normal-cone family only asserted for m = 1"))
+            rows.append(("instability_threshold", "n/a",
+                         "normal-cone family only asserted for m = 1"))
     else:
-        rows.append(ReportRow("S_D", "n/a", "undefined for n = 1"))
+        rows.append(("S_D", "n/a", "undefined for n = 1"))
     _print_rows(rows)
     return EXIT_OK
 
@@ -319,12 +295,12 @@ def _cmd_scalar(ns) -> int:
     divisor = _divisor_for(pf, ns)
     report = pairmodel.avg_scalar_sbeta(pf.pair, divisor, ns.beta)
     rows = [
-        ReportRow("beta", report.beta, "evaluation angle"),
-        ReportRow("S_1", report.S1, "n*cX_L/L_top"),
-        ReportRow("S_D", report.SD if report.SD is not None else "n/a",
-                  pairmodel.sD_provenance(divisor) if report.SD is not None else "undefined for n = 1"),
-        ReportRow("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
-        ReportRow("mu", report.mu, "S_beta/n"),
+        ("beta", report.beta, "evaluation angle"),
+        ("S_1", report.S1, "n*cX_L/L_top"),
+        ("S_D", report.SD if report.SD is not None else "n/a",
+         pairmodel.sD_provenance(divisor) if report.SD is not None else "undefined for n = 1"),
+        ("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
+        ("mu", report.mu, "S_beta/n"),
     ]
     _print_rows(rows)
     return EXIT_OK
@@ -335,27 +311,16 @@ def _cmd_thresholds(ns) -> int:
     divisor = _divisor_for(pf, ns)
     pos = _merged_positivity(pf, ns)
     m = divisor.m
-    rows = [ReportRow("beta_u", thresholds.beta_u(pf.pair, pos, m),
-                      "critical cone angle from alpha data")]
+    rows = [("beta_u", thresholds.beta_u(pf.pair, pos, m), "critical cone angle from alpha data")]
     for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        rows.append(ReportRow(
-            f"alpha_beta_lower(beta={format_rational(beta)})",
-            thresholds.alpha_beta_lower_bound(pos, m, beta),
-            "min{m*beta, alpha_L, m*alpha_LD}",
-        ))
-    rows.append(ReportRow(
-        f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
-        Fraction(thresholds.min_multiplicity_eta0(pf.pair, pos, ns.beta)),
-        "least m with both eta=0 conditions strict",
-    ))
+        rows.append((f"alpha_beta_lower(beta={format_rational(beta)})",
+                     thresholds.alpha_beta_lower_bound(pos, m, beta),
+                     "min{m*beta, alpha_L, m*alpha_LD}"))
+    rows.append((f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
+                 thresholds.min_multiplicity_eta0(pf.pair, pos, ns.beta),
+                 "least m with both eta=0 conditions strict"))
     _print_rows(rows)
     return EXIT_OK
-
-
-_CASES = {
-    "large": ExistenceCase.LARGE_M,
-    "given": ExistenceCase.GIVEN_M,
-}
 
 
 def _cmd_window(ns) -> int:
@@ -365,7 +330,7 @@ def _cmd_window(ns) -> int:
     if ns.case == "uniform":
         window = thresholds.uniform_stability_window(pf.pair, pos, m)
     else:
-        window = thresholds.existence_window(pf.pair, pos, m, _CASES[ns.case])
+        window = thresholds.existence_window(pf.pair, pos, m, ExistenceCase(ns.case))
     _print_fields([
         ("claim", window.claim.value),
         ("window", window.render()),
@@ -384,7 +349,7 @@ def _cmd_verdict(ns) -> int:
 
 
 def _cmd_df(ns) -> int:
-    family = normalcone._pair_of(_resolve_unit_pair(ns).pair).at(ns.c)
+    family = normalcone.family(_resolve_unit_pair(ns).pair, ns.c)
     coeffs = family.coefficients()
     report = family.df(ns.beta)
     df_coeff_path = normalcone.df_from_coefficients(coeffs, ns.beta)
@@ -394,19 +359,18 @@ def _cmd_df(ns) -> int:
             f"coefficient formula {format_rational(df_coeff_path)}"
         )
     rows = [
-        ReportRow("a0", coeffs.a0, "leading dimension coefficient"),
-        ReportRow("a1", coeffs.a1, "subleading dimension coefficient"),
-        ReportRow("b0", coeffs.b0, "leading weight coefficient"),
-        ReportRow("b1", coeffs.b1, "subleading weight coefficient"),
-        ReportRow("a0_tilde", coeffs.a0_tilde, "divisor dimension leading coefficient"),
-        ReportRow("b0_tilde", coeffs.b0_tilde, "divisor weight leading coefficient"),
-        ReportRow("DF(closed form)", report.df, "prefactor * inner factor"),
-        ReportRow("DF(coefficient formula)", df_coeff_path,
-                  "2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0~ - a0~ b0)/a0"),
-        ReportRow("inner_factor", report.inner_factor, "beta + (S_D/(n-1)) g(c)"),
-        ReportRow("positive_prefactor", report.positive_prefactor,
-                  "n a0 (1-(1-c)^(n+1))/(n+1)"),
-        ReportRow("J^NA", report.jna, "c - (1-(1-c)^(n+1))/(n+1) = -b0/a0"),
+        ("a0", coeffs.a0, "leading dimension coefficient"),
+        ("a1", coeffs.a1, "subleading dimension coefficient"),
+        ("b0", coeffs.b0, "leading weight coefficient"),
+        ("b1", coeffs.b1, "subleading weight coefficient"),
+        ("a0_tilde", coeffs.a0_tilde, "divisor dimension leading coefficient"),
+        ("b0_tilde", coeffs.b0_tilde, "divisor weight leading coefficient"),
+        ("DF(closed form)", report.df, "prefactor * inner factor"),
+        ("DF(coefficient formula)", df_coeff_path,
+         "2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0~ - a0~ b0)/a0"),
+        ("inner_factor", report.inner_factor, "beta + (S_D/(n-1)) g(c)"),
+        ("positive_prefactor", report.positive_prefactor, "n a0 (1-(1-c)^(n+1))/(n+1)"),
+        ("J^NA", report.jna, "c - (1-(1-c)^(n+1))/(n+1) = -b0/a0"),
     ]
     _print_rows(rows)
     print("cross-check: both DF paths agree exactly")
@@ -416,18 +380,12 @@ def _cmd_df(ns) -> int:
 def _cmd_df_curve(ns) -> int:
     rows = normalcone.curve(_resolve_unit_pair(ns).pair, ns.beta, ns.steps)
     if ns.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([
-            "c", "df", "inner_factor", "jna",
-            "c_decimal", "df_decimal", "inner_factor_decimal", "jna_decimal",
-        ])
+        # No field needs CSV quoting: rationals and decimals hold no comma,
+        # quote or newline.
+        print("c,df,inner_factor,jna,c_decimal,df_decimal,inner_factor_decimal,jna_decimal")
         for c, rep in rows:
-            writer.writerow([
-                format_rational(c), format_rational(rep.df),
-                format_rational(rep.inner_factor), format_rational(rep.jna),
-                decimal_string(c), decimal_string(rep.df),
-                decimal_string(rep.inner_factor), decimal_string(rep.jna),
-            ])
+            values = (c, rep.df, rep.inner_factor, rep.jna)
+            print(",".join([*map(format_rational, values), *map(decimal_string, values)]))
     else:
         payload = [
             {
@@ -584,23 +542,24 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag by parse_rational's rule: ASCII digits with an optional
+    sign, so int()'s underscores and non-ASCII digits are refused."""
+    try:
+        if "/" not in text:
+            return int(_input_rational(text))
+    except InputError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_pair_arg(sub) -> None:
     sub.add_argument("pair", help="pair source: 'catalog:NAME' or a JSON file path")
 
 
 def _add_positivity_args(sub) -> None:
-    sub.add_argument("--alpha-L", dest="alpha_L", type=_rational_arg, default=None,
-                     help="alpha invariant of L (overrides the pair file)")
-    sub.add_argument("--alpha-LD", dest="alpha_LD", type=_rational_arg, default=None,
-                     help="alpha invariant of L_D restricted to D")
-    sub.add_argument("--alpha-beta", dest="alpha_beta", type=_rational_arg, default=None,
-                     help="direct alpha_beta override")
-    sub.add_argument("--lambda", dest="lam", type=_rational_arg, default=None,
-                     help="nef threshold lambda")
-    sub.add_argument("--Lambda", dest="Lambda_up", type=_rational_arg, default=None,
-                     help="nef threshold Lambda")
-    sub.add_argument("--entropy-lower", dest="entropy_lower", type=_rational_arg,
-                     default=None, help="user lower bound for the entropy threshold")
+    for _, field, flag, metavar, help_text in _POSITIVITY:
+        sub.add_argument(flag, dest=field, metavar=metavar, type=_rational_arg, help=help_text)
 
 
 def build_parser() -> _Parser:
@@ -617,12 +576,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scalar", help="scalar averages at a cone angle")
     _add_pair_arg(p)
     p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--m", type=int, default=None, help="override divisor multiplicity")
+    p.add_argument("--m", type=_int_arg, default=None, help="override divisor multiplicity")
     p.set_defaults(handler=_cmd_scalar)
 
     p = sub.add_parser("thresholds", help="beta_u, alpha_beta lower bounds, minimal multiplicity")
     _add_pair_arg(p)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=_int_arg, default=None)
     p.add_argument("--beta", type=_rational_arg, default=Fraction(1, 2),
                    help="angle for the minimal-multiplicity row (default 1/2)")
     _add_positivity_args(p)
@@ -630,7 +589,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("window", help="certified cone-angle window")
     _add_pair_arg(p)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=_int_arg, default=None)
     p.add_argument("--case", choices=["large", "given", "uniform"], required=True)
     _add_positivity_args(p)
     p.set_defaults(handler=_cmd_window)
@@ -641,7 +600,7 @@ def build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_pair_arg(p)
-        p.add_argument("--m", type=int, default=None)
+        p.add_argument("--m", type=_int_arg, default=None)
         p.add_argument("--beta", type=_rational_arg, required=True)
         _add_positivity_args(p)
         p.set_defaults(handler=_cmd_verdict, verdict=verdict)
@@ -655,7 +614,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("df-curve", help="DF grid over c for fixed beta")
     _add_pair_arg(p)
     p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_arg, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(handler=_cmd_df_curve)
 
@@ -675,7 +634,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="brute-force coefficient cross-check report")
     _add_pair_arg(p)
     p.add_argument("--c", type=_rational_arg, required=True)
-    p.add_argument("--kmax", type=int, default=60,
+    p.add_argument("--kmax", type=_int_arg, default=60,
                    help="sample listing bound for the report (default 60)")
     p.set_defaults(handler=_cmd_oracle)
 

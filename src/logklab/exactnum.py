@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 from .errors import DuplicateAbscissaError, InputError
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+# [0-9], not \d, which also matches the digits of other scripts.
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 def _int_to_str(value: int) -> str:
     """str(value), also past the interpreter's int->str digit limit.

@@ -106,7 +106,7 @@ def g_factor(n: int, c: Fraction) -> Fraction:
     return _g(n, u**n, u ** (n + 1))
 
 
-class _Family(NamedTuple):
+class Family(NamedTuple):
     """The family of one pair at one c, validated: n >= 2 and 0 < c < 1.
 
     a0 = L^n/n!, s = S^D/(n-1), un = (1-c)^n and un1 = (1-c)^(n+1).
@@ -161,10 +161,10 @@ class _Pair(NamedTuple):
     def threshold(self) -> Fraction:
         return self.s / self.n
 
-    def at(self, c: Fraction) -> _Family:
+    def at(self, c: Fraction) -> Family:
         c = _require_c(c)
         u = 1 - c
-        return _Family(self.n, self.a0, self.s, c, u**self.n, u ** (self.n + 1))
+        return Family(self.n, self.a0, self.s, c, u**self.n, u ** (self.n + 1))
 
     def kernel(self, beta: Fraction) -> _Kernel:
         n, s = self.n, self.s
@@ -251,9 +251,14 @@ class _Kernel(NamedTuple):
         return rows
 
 
+def family(pair: PolarisedPair, c: Fraction) -> Family:
+    """The pair's family at c, validated once; coefficients(), df(beta) and jna() read it."""
+    return _pair_of(pair).at(c)
+
+
 def coefficients(pair: PolarisedPair, c: Fraction) -> NormalConeCoefficients:
     """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
-    return _pair_of(pair).at(c).coefficients()
+    return family(pair, c).coefficients()
 
 
 def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
@@ -271,7 +276,7 @@ def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction) -> DFReport:
     thresholds module. Computed without going through the coefficient
     formula so the two paths cross-check each other.
     """
-    return _pair_of(pair).at(c).df(beta)
+    return family(pair, c).df(beta)
 
 
 def jna_normal_cone(pair: PolarisedPair, c: Fraction) -> Fraction:
@@ -281,7 +286,7 @@ def jna_normal_cone(pair: PolarisedPair, c: Fraction) -> Fraction:
     oracle limit before any release (see weightoracle and the acceptance
     suite).
     """
-    return _pair_of(pair).at(c).jna()
+    return family(pair, c).jna()
 
 
 def instability_threshold(pair: PolarisedPair) -> Fraction:

@@ -10,7 +10,7 @@ nef thresholds, klt/lc flags) are supplied by the caller, never computed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -48,11 +48,10 @@ class PositivityData:
     entropy_lower: Fraction | None = None
 
     def __post_init__(self):
-        for name in ("alpha_L", "alpha_LD_restricted", "lam", "Lambda_up",
-                     "alpha_beta_override", "entropy_lower"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if value is not None:
-                object.__setattr__(self, name, Fraction(value))
+                object.__setattr__(self, field.name, Fraction(value))
         for name in ("alpha_L", "alpha_LD_restricted", "alpha_beta_override"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -176,11 +175,10 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
     return pos.lam, pos.Lambda_up, MODEL_SANDWICH
 
 
-def _require_angle(beta: Fraction, allow_one: bool = True, allow_zero: bool = False) -> Fraction:
+def _require_angle(beta: Fraction, allow_one: bool = True) -> Fraction:
     beta = Fraction(beta)
-    low_ok = beta >= 0 if allow_zero else beta > 0
     high_ok = beta <= 1 if allow_one else beta < 1
-    if not (low_ok and high_ok):
+    if not (beta > 0 and high_ok):
         raise InputError(
             f"cone angle parameter beta = {format_rational(beta)} outside the admissible range")
     return beta

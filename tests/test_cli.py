@@ -15,6 +15,7 @@ from logklab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_OK,
+    _POSITIVITY,
     load_pair_file,
     resolve_pair,
     run,
@@ -347,6 +348,48 @@ def test_criteria_nothing_applicable(capsys, tmp_path):
 def test_input_file_integers_are_strict(capsys, tmp_path, command, doc):
     code, _, _ = invoke(capsys, [*command, write_pair(tmp_path, doc)])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["scalar", "catalog:P2-line", "--beta", "1/2", "--m", "1_0"], "1_0"),
+    (["scalar", "catalog:P2-line", "--beta", "1/2", "--m", "\u0663"], "\u0663"),
+    (["scalar", "catalog:P2-line", "--beta", "1/2", "--m", "4/2"], "4/2"),
+    (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "\u0663"], "\u0663"),
+    (["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "2_0"], "2_0"),
+], ids=["m-underscore", "m-arabic-indic", "m-fraction", "steps-arabic-indic", "kmax-underscore"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, text):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.endswith(f"invalid int value: {text!r}\n")
+
+
+def test_negative_kmax_lists_no_samples(capsys):
+    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax=-3"])
+    assert code == EXIT_OK
+    assert json.loads(out)["samples"] == []
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["info"], dict(PAIR_DOC, L_top="\u0661")),
+    (["info"], dict(PAIR_DOC, positivity={"alpha_L": "1/\u0663"})),
+    (["criteria", "--file"], {"Sbeta": "\uff11", "alpha_beta": "0", "n": 2}),
+], ids=["L_top", "positivity", "criteria"])
+def test_file_rationals_take_ascii_digits_only(capsys, tmp_path, command, doc):
+    code, out, err = invoke(capsys, [*command, write_pair(tmp_path, doc)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "not a rational" in err
+
+
+def test_rational_flags_take_ascii_digits_only(capsys):
+    code, out, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "\u0663/4"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "not a rational" in err
+
+
+def test_readme_lists_every_positivity_key_and_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = "\n".join(f"| `{key}` | `{flag}` |" for key, _, flag, *_ in _POSITIVITY)
+    assert rows in readme
 
 
 @pytest.mark.parametrize("hilbert", [

@@ -33,7 +33,8 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "0.5", "1e3", "a/b", "1 / 2", "--3"])
+@pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "0.5", "1e3", "a/b", "1 / 2", "--3", "1_0",
+                                 "\u0663/4", "3/1\u0664", "\uff11"])  # Arabic-Indic, fullwidth
 def test_parse_rational_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad)

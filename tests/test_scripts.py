@@ -19,8 +19,23 @@ def test_df_landscape_runs():
     assert "witness c" in proc.stdout
 
 
+def test_df_landscape_default_pairs():
+    # Fano-template has threshold 0, so no angle is below it.
+    proc = _run("df_landscape.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "== Fano-template" in proc.stdout
+    assert proc.stdout.endswith("the family destabilises none\n")
+
+
 def test_oracle_sweep_runs():
     proc = _run("oracle_sweep.py", "--convergence-k", "8")
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert "J^NA(P2-line, c=1/2) = 5/24" in proc.stdout
+
+
+def test_compare_outputs_quick_against_itself():
+    root = SCRIPTS.parent
+    proc = _run("compare_outputs.py", str(root), str(root), "--quick")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(" invocations, 0 differ\n")
