@@ -1,60 +1,51 @@
-"""logklab: exact-arithmetic log K-stability calculator for polarised pairs."""
+"""logklab: exact-arithmetic log K-stability calculator for polarised pairs.
 
-from .exactnum import (
-    Polynomial,
-    decimal_string,
-    format_rational,
-    parse_rational,
-    poly_interpolate,
-    power_sum,
-)
-from .pairmodel import (
-    CATALOG,
-    DivisorSpec,
-    PolarisedPair,
-    ScalarReport,
-    avg_scalar_s1,
-    avg_scalar_sD,
-    avg_scalar_sbeta,
-    validate_pair,
-)
-from .normalcone import (
-    CriticalBracket,
-    DFReport,
-    NormalConeCoefficients,
-    coefficients,
-    critical_c,
-    df_closed,
-    df_from_coefficients,
-    find_destabilizer,
-    g_factor,
-    instability_threshold,
-    jna_normal_cone,
-)
-from .thresholds import (
-    AngleWindow,
-    ExistenceCase,
-    PositivityData,
-    SingularCriteriaInput,
-    Verdict,
-    VerdictStatus,
-    alpha_beta_lower_bound,
-    beta_u,
-    entropy_threshold_check,
-    eta_feasibility,
-    existence_window,
-    min_multiplicity_eta0,
-    singular_criteria,
-    uniform_stability_window,
-)
-from .weightoracle import (
-    HilbertModel,
-    WeightSample,
-    dims_and_weights,
-    flatness_check,
-    jna_finite_k,
-    oracle_report,
-    recover_coefficients,
-)
+The names below are exported lazily (PEP 562): `from logklab import X`
+imports X's module on first use, so `import logklab` alone loads no module
+and a CLI process loads only the modules its subcommand runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Each exported name, under the module that defines it.
+_EXPORTS = {
+    "exactnum": (
+        "Polynomial", "decimal_string", "format_rational", "parse_rational",
+        "poly_interpolate", "power_sum",
+    ),
+    "pairmodel": (
+        "CATALOG", "DivisorSpec", "PolarisedPair", "ScalarReport", "avg_scalar_s1",
+        "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair",
+    ),
+    "normalcone": (
+        "CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients", "critical_c",
+        "df_closed", "df_from_coefficients", "find_destabilizer", "g_factor",
+        "instability_threshold", "jna_normal_cone",
+    ),
+    "thresholds": (
+        "AngleWindow", "ExistenceCase", "PositivityData", "SingularCriteriaInput", "Verdict",
+        "VerdictStatus", "alpha_beta_lower_bound", "beta_u", "entropy_threshold_check",
+        "eta_feasibility", "existence_window", "min_multiplicity_eta0", "singular_criteria",
+        "uniform_stability_window",
+    ),
+    "weightoracle": (
+        "HilbertModel", "WeightSample", "dims_and_weights", "flatness_check", "jna_finite_k",
+        "oracle_report", "recover_coefficients",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -4,21 +4,22 @@ Exit codes: 0 success / criterion satisfied, 2 inconclusive / precondition
 failed, 3 input error, 4 internal cross-check failure (never on a correct
 build). Output never contains timestamps, so identical invocations produce
 byte-identical bytes.
+
+The normalcone, thresholds and weightoracle modules, and json, are imported
+inside the functions that use them, so that a process loads only what its
+subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
-from typing import get_type_hints
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import normalcone, pairmodel, thresholds, weightoracle
+from . import pairmodel
 from .errors import (
     InconsistentDataError,
     InputError,
@@ -28,14 +29,10 @@ from .errors import (
 )
 from .exactnum import Polynomial, decimal_string, format_rational, parse_rational
 from .pairmodel import DivisorSpec, PolarisedPair
-from .thresholds import (
-    ExistenceCase,
-    PositivityData,
-    SingularCriteriaInput,
-    Verdict,
-    VerdictStatus,
-)
-from .weightoracle import HilbertModel
+
+if TYPE_CHECKING:
+    from .thresholds import PositivityData, SingularCriteriaInput, Verdict
+    from .weightoracle import HilbertModel
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -44,8 +41,10 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe ended
 
 CATALOG_PREFIX = "catalog:"
-# Largest --kmax of the oracle listing; see the README for its cost.
+# Largest --kmax of the oracle listing, and largest 'floor' of an explicit
+# hilbert block; see the README for their cost.
 ORACLE_KMAX_LIMIT = 10000
+HILBERT_FLOOR_LIMIT = ORACLE_KMAX_LIMIT
 
 
 class _UsageError(Exception):
@@ -75,14 +74,26 @@ _POSITIVITY = (
 )
 
 
-@dataclass(frozen=True)
-class PairFile:
-    """A resolved pair source: catalog entry or strict JSON file."""
+class PairFile(NamedTuple):
+    """A resolved pair source: catalog entry or strict JSON file.
+
+    hilbert is the pair's dimension model: the model a pair file's hilbert
+    block gave, already checked against the pair when the file was loaded; a
+    catalog entry's hilbert kind; or None. The model property builds a
+    catalog kind's model on use, so only the subcommands that sum sections
+    import weightoracle.
+    """
 
     pair: PolarisedPair
     divisor: DivisorSpec
     positivity: PositivityData | None
-    model: HilbertModel | None
+    hilbert: HilbertModel | str | None
+
+    @property
+    def model(self) -> HilbertModel | None:
+        if isinstance(self.hilbert, str):
+            return _hilbert_model({"kind": self.hilbert}, self.pair)
+        return self.hilbert
 
 
 def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
@@ -94,6 +105,8 @@ def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_positivity_block(block: dict) -> PositivityData:
+    from .thresholds import PositivityData
+
     _reject_unknown(block, {key for key, *_ in _POSITIVITY}, "positivity block")
     return PositivityData(**{field: _input_rational(block[key])
                              for key, field, *_ in _POSITIVITY if key in block})
@@ -106,26 +119,30 @@ def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
     + ..., so a model fixes (n, L^n, c1(X).L^(n-1)); a model that fixes other
     numbers than the pair's is an InconsistentDataError.
     """
+    from .weightoracle import KIND_EXPLICIT, KIND_PRODUCT_P1P1, KIND_PROJECTIVE_SPACE, HilbertModel
+
     _reject_unknown(block, {"kind", "coefficients", "floor"}, "hilbert block")
     kind = block.get("kind")
     n = pair.dimension
-    if kind == weightoracle.KIND_PROJECTIVE_SPACE:
+    if kind == KIND_PROJECTIVE_SPACE:
         model, numbers = HilbertModel.projective_space(n), (n, 1, n + 1)  # comb(n + k, n)
-    elif kind == weightoracle.KIND_PRODUCT_P1P1:
+    elif kind == KIND_PRODUCT_P1P1:
         model, numbers = HilbertModel.product_p1p1(), (2, 2, 4)  # (k + 1)^2
-    elif kind == weightoracle.KIND_EXPLICIT:
+    elif kind == KIND_EXPLICIT:
         if not isinstance(block.get("coefficients"), list):
             raise InputError("explicit hilbert block needs a 'coefficients' list")
         poly = Polynomial(_input_rational(c) for c in block["coefficients"])
-        model = HilbertModel.explicit(poly, _input_int(block.get("floor", 0), "hilbert 'floor'"))
+        floor = _input_int(block.get("floor", 0), "hilbert 'floor'")
+        if floor > HILBERT_FLOOR_LIMIT:
+            raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
+        model = HilbertModel.explicit(poly, floor)
         d = max(poly.degree, 1)  # a constant polynomial already fails on its degree
         numbers = (poly.degree, factorial(d) * poly.coefficient(d),
                    2 * factorial(d - 1) * poly.coefficient(d - 1))
     else:
         raise InputError(
             f"unknown hilbert kind {kind!r}; expected one of "
-            f"{weightoracle.KIND_PROJECTIVE_SPACE}, {weightoracle.KIND_PRODUCT_P1P1}, "
-            f"{weightoracle.KIND_EXPLICIT}"
+            f"{KIND_PROJECTIVE_SPACE}, {KIND_PRODUCT_P1P1}, {KIND_EXPLICIT}"
         )
     expected = (n, pair.L_top, pair.cX_L)
     if numbers != expected:
@@ -149,6 +166,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _read_json_object(path: str, what: str) -> dict:
     """The JSON object held by a UTF-8 file; any failure is an InputError."""
+    import json
+    from pathlib import Path
+
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
@@ -187,7 +207,7 @@ def load_pair_file(path: str) -> PairFile:
         _parse_positivity_block(doc["positivity"]) if "positivity" in doc else None
     )
     model = _hilbert_model(doc["hilbert"], pair) if "hilbert" in doc else None
-    return PairFile(pair=pair, divisor=divisor, positivity=positivity, model=model)
+    return PairFile(pair=pair, divisor=divisor, positivity=positivity, hilbert=model)
 
 
 def resolve_pair(source: str) -> PairFile:
@@ -195,13 +215,8 @@ def resolve_pair(source: str) -> PairFile:
     if source.startswith(CATALOG_PREFIX):
         name = source[len(CATALOG_PREFIX):]
         entry = pairmodel.catalog_entry(name)
-        return PairFile(
-            pair=entry.pair,
-            divisor=entry.divisor,
-            positivity=None,
-            model=(_hilbert_model({"kind": entry.hilbert_kind}, entry.pair)
-                   if entry.hilbert_kind else None),
-        )
+        return PairFile(pair=entry.pair, divisor=entry.divisor, positivity=None,
+                        hilbert=entry.hilbert_kind)
     return load_pair_file(source)
 
 
@@ -214,10 +229,13 @@ def _resolve_unit_pair(ns: argparse.Namespace) -> PairFile:
 
 
 def _merged_positivity(pf: PairFile, ns: argparse.Namespace) -> PositivityData:
-    """The pair file's positivity data, with each field a flag sets taken from the flag."""
-    base = pf.positivity if pf.positivity is not None else PositivityData()
+    """The pair file's positivity data, with each field a flag sets taken from
+    the flag, built through the constructor so that its checks run again."""
+    from .thresholds import PositivityData
+
+    base = pf.positivity._asdict() if pf.positivity is not None else {}
     flags = {field: getattr(ns, field) for _, field, *_ in _POSITIVITY}
-    return replace(base, **{field: v for field, v in flags.items() if v is not None})
+    return PositivityData(**base | {field: v for field, v in flags.items() if v is not None})
 
 
 def _divisor_for(pf: PairFile, ns: argparse.Namespace) -> DivisorSpec:
@@ -267,6 +285,8 @@ def _verdict_fields(v: Verdict) -> list:
 
 
 def _cmd_info(ns) -> int:
+    from . import normalcone
+
     pf = resolve_pair(ns.pair)
     pair, divisor = pf.pair, pf.divisor
     _print_fields([
@@ -307,6 +327,8 @@ def _cmd_scalar(ns) -> int:
 
 
 def _cmd_thresholds(ns) -> int:
+    from . import thresholds
+
     pf = resolve_pair(ns.pair)
     divisor = _divisor_for(pf, ns)
     pos = _merged_positivity(pf, ns)
@@ -324,13 +346,15 @@ def _cmd_thresholds(ns) -> int:
 
 
 def _cmd_window(ns) -> int:
+    from . import thresholds
+
     pf = resolve_pair(ns.pair)
     pos = _merged_positivity(pf, ns)
     m = _divisor_for(pf, ns).m
     if ns.case == "uniform":
         window = thresholds.uniform_stability_window(pf.pair, pos, m)
     else:
-        window = thresholds.existence_window(pf.pair, pos, m, ExistenceCase(ns.case))
+        window = thresholds.existence_window(pf.pair, pos, m, thresholds.ExistenceCase(ns.case))
     _print_fields([
         ("claim", window.claim.value),
         ("window", window.render()),
@@ -341,14 +365,21 @@ def _cmd_window(ns) -> int:
 
 
 def _cmd_verdict(ns) -> int:
-    """eta and entropy: the subcommand's verdict function at (pair, positivity, m, beta)."""
+    """eta and entropy: the subcommand's verdict function, named by ns.verdict,
+    at (pair, positivity, m, beta)."""
+    from . import thresholds
+
     pf = resolve_pair(ns.pair)
-    verdict = ns.verdict(pf.pair, _merged_positivity(pf, ns), _divisor_for(pf, ns).m, ns.beta)
+    verdict = getattr(thresholds, ns.verdict)(
+        pf.pair, _merged_positivity(pf, ns), _divisor_for(pf, ns).m, ns.beta)
     _print_fields(_verdict_fields(verdict))
-    return EXIT_OK if verdict.status is VerdictStatus.CRITERION_SATISFIED else EXIT_INCONCLUSIVE
+    satisfied = verdict.status is thresholds.VerdictStatus.CRITERION_SATISFIED
+    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE
 
 
 def _cmd_df(ns) -> int:
+    from . import normalcone
+
     family = normalcone.family(_resolve_unit_pair(ns).pair, ns.c)
     coeffs = family.coefficients()
     report = family.df(ns.beta)
@@ -378,6 +409,8 @@ def _cmd_df(ns) -> int:
 
 
 def _cmd_df_curve(ns) -> int:
+    from . import normalcone
+
     rows = normalcone.curve(_resolve_unit_pair(ns).pair, ns.beta, ns.steps)
     if ns.format == "csv":
         # No field needs CSV quoting: rationals and decimals hold no comma,
@@ -387,6 +420,8 @@ def _cmd_df_curve(ns) -> int:
             values = (c, rep.df, rep.inner_factor, rep.jna)
             print(",".join([*map(format_rational, values), *map(decimal_string, values)]))
     else:
+        import json
+
         payload = [
             {
                 "c": format_rational(c),
@@ -401,6 +436,8 @@ def _cmd_df_curve(ns) -> int:
 
 
 def _cmd_destabilize(ns) -> int:
+    from . import normalcone
+
     pf = _resolve_unit_pair(ns)
     c, df = normalcone.find_destabilizer(pf.pair, ns.beta, ns.tol)
     threshold = normalcone.instability_threshold(pf.pair)
@@ -414,6 +451,8 @@ def _cmd_destabilize(ns) -> int:
 
 
 def _cmd_critical_c(ns) -> int:
+    from . import normalcone
+
     pf = _resolve_unit_pair(ns)
     bracket = normalcone.critical_c(pf.pair, ns.beta, ns.tol)
     if bracket.all_destabilizing:
@@ -442,24 +481,30 @@ def _cmd_critical_c(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
+    import json
+
+    from . import weightoracle
+
     pf = _resolve_unit_pair(ns)
-    if pf.model is None:
+    model = pf.model
+    if model is None:
         raise InputError(
             f"pair {pf.pair.name!r} has no dimension model; supply a 'hilbert' block"
         )
     if ns.kmax > ORACLE_KMAX_LIMIT:
         raise InputError(f"--kmax must be at most {ORACLE_KMAX_LIMIT}, got {ns.kmax}")
-    ks = weightoracle.admissible_ks(pf.model, ns.c, ns.kmax)
-    report = weightoracle.oracle_report(pf.pair, pf.model, ns.c, ks)
+    ks = weightoracle.admissible_ks(model, ns.c, ns.kmax)
+    report = weightoracle.oracle_report(pf.pair, model, ns.c, ks)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["match"] else EXIT_INTERNAL
 
 
 def _parse_criteria_file(path: str) -> SingularCriteriaInput:
     """The criteria document: the fields of SingularCriteriaInput, by name."""
+    from .thresholds import SingularCriteriaInput
+
     doc = _read_json_object(path, "criteria file")
-    types = get_type_hints(SingularCriteriaInput)
-    _reject_unknown(doc, set(types), "criteria file")
+    _reject_unknown(doc, set(SingularCriteriaInput._fields), "criteria file")
     for key in ("Sbeta", "alpha_beta", "n"):
         if key not in doc:
             raise InputError(f"criteria file is missing required key {key!r}")
@@ -470,8 +515,9 @@ def _parse_criteria_file(path: str) -> SingularCriteriaInput:
     }
     if doc.get("bullet1_eta") is not None:
         kwargs["bullet1_eta"] = _input_rational(doc["bullet1_eta"])
-    for flag, kind in types.items():
-        if kind is bool and flag in doc:
+    # The asserted facts: the boolean fields, each False unless asserted.
+    for flag, default in SingularCriteriaInput._field_defaults.items():
+        if default is False and flag in doc:
             if not isinstance(doc[flag], bool):
                 raise InputError(f"criteria key {flag!r} must be a boolean")
             kwargs[flag] = doc[flag]
@@ -479,6 +525,8 @@ def _parse_criteria_file(path: str) -> SingularCriteriaInput:
 
 
 def _cmd_criteria(ns) -> int:
+    from . import thresholds
+
     data = _parse_criteria_file(ns.file)
     verdicts = thresholds.singular_criteria(data)
     if not verdicts:
@@ -488,7 +536,7 @@ def _cmd_criteria(ns) -> int:
         if i:
             print()
         _print_fields(_verdict_fields(verdict))
-    satisfied = any(v.status is VerdictStatus.CRITERION_SATISFIED for v in verdicts)
+    satisfied = any(v.status is thresholds.VerdictStatus.CRITERION_SATISFIED for v in verdicts)
     return EXIT_OK if satisfied else EXIT_INCONCLUSIVE
 
 
@@ -595,8 +643,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_window)
 
     for name, help_text, verdict in (
-        ("eta", "eta-feasibility verdict with certificate", thresholds.eta_feasibility),
-        ("entropy", "entropy-threshold comparison verdict", thresholds.entropy_threshold_check),
+        ("eta", "eta-feasibility verdict with certificate", "eta_feasibility"),
+        ("entropy", "entropy-threshold comparison verdict", "entropy_threshold_check"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_pair_arg(p)

@@ -9,7 +9,6 @@ D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable, NamedTuple
@@ -26,8 +25,7 @@ from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
 _UNIT_DIVISOR = DivisorSpec(1)
 
 
-@dataclass(frozen=True)
-class NormalConeCoefficients:
+class NormalConeCoefficients(NamedTuple):
     """Leading expansion coefficients of dim/weight sums for the family at c.
 
     d_k ~ a0 k^n + a1 k^(n-1), w_k ~ b0 k^(n+1) + b1 k^n, and the same for
@@ -56,8 +54,7 @@ class NormalConeCoefficients:
         }
 
 
-@dataclass(frozen=True)
-class DFReport:
+class DFReport(NamedTuple):
     """Closed-form DF evaluation split into its certified-sign pieces.
 
     df = positive_prefactor * inner_factor exactly, with
@@ -71,8 +68,7 @@ class DFReport:
     jna: Fraction
 
 
-@dataclass(frozen=True)
-class CriticalBracket:
+class CriticalBracket(NamedTuple):
     """Isolating interval for the root of the inner factor.
 
     all_destabilizing marks the beta <= 0 degenerate case where every

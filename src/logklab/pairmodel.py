@@ -7,8 +7,8 @@ S_1, S^D and S_beta, which every stability criterion consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
 from .exactnum import format_rational
@@ -18,52 +18,61 @@ FINDING_BOUND_VIOLATED = "ScalarBoundViolated"
 FINDING_BOUND_SATURATED = "ScalarBoundSaturated"
 
 
-@dataclass(frozen=True)
-class PolarisedPair:
-    """Intersection data of ((X, L); D).
-
-    L_top is L^n and cX_L is c1(X).L^(n-1) = (-K_X).L^(n-1). When c1(X) is an
-    exact rational multiple x of c1(L) (e.g. projective spaces, Fano pairs
-    with L = -K_X), proportional_x records that coefficient; it then doubles
-    as both nef thresholds lambda and Lambda.
-    """
-
+class _PairFields(NamedTuple):
     name: str
     dimension: int
     L_top: Fraction
     cX_L: Fraction
     proportional_x: Fraction | None = None
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise InputError(f"dimension must be >= 1, got {self.dimension}")
-        object.__setattr__(self, "L_top", Fraction(self.L_top))
-        object.__setattr__(self, "cX_L", Fraction(self.cX_L))
-        if self.L_top == 0:
+
+class PolarisedPair(_PairFields):
+    """Intersection data of ((X, L); D).
+
+    L_top is L^n and cX_L is c1(X).L^(n-1) = (-K_X).L^(n-1). When c1(X) is an
+    exact rational multiple x of c1(L) (e.g. projective spaces, Fano pairs
+    with L = -K_X), proportional_x records that coefficient; it then doubles
+    as both nef thresholds lambda and Lambda. Every construction coerces the
+    rationals to Fraction and checks them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        pair = super().__new__(cls, *args, **kwargs)
+        if pair.dimension < 1:
+            raise InputError(f"dimension must be >= 1, got {pair.dimension}")
+        L_top, cX_L, x = Fraction(pair.L_top), Fraction(pair.cX_L), pair.proportional_x
+        if L_top == 0:
             raise InputError("L_top must be nonzero")
-        if self.proportional_x is not None:
-            object.__setattr__(self, "proportional_x", Fraction(self.proportional_x))
-            if self.cX_L != self.proportional_x * self.L_top:
+        if x is not None:
+            x = Fraction(x)
+            if cX_L != x * L_top:
                 raise InconsistentDataError(
-                    f"proportional_x={format_rational(self.proportional_x)} requires "
-                    f"cX_L = x*L_top = {format_rational(self.proportional_x * self.L_top)}, "
-                    f"got {format_rational(self.cX_L)}"
+                    f"proportional_x={format_rational(x)} requires "
+                    f"cX_L = x*L_top = {format_rational(x * L_top)}, "
+                    f"got {format_rational(cX_L)}"
                 )
+        return pair._replace(L_top=L_top, cX_L=cX_L, proportional_x=x)
 
 
-@dataclass(frozen=True)
-class DivisorSpec:
-    """D in the linear system |mL|; assumed smooth."""
-
+class _DivisorFields(NamedTuple):
     m: int = 1
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise InputError(f"divisor multiplicity must be >= 1, got {self.m}")
+
+class DivisorSpec(_DivisorFields):
+    """D in the linear system |mL|; assumed smooth."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        divisor = super().__new__(cls, *args, **kwargs)
+        if divisor.m < 1:
+            raise InputError(f"divisor multiplicity must be >= 1, got {divisor.m}")
+        return divisor
 
 
-@dataclass(frozen=True)
-class ScalarReport:
+class ScalarReport(NamedTuple):
     """All scalar-curvature averages at one cone angle beta.
 
     SD is None when n = 1 (the divisor is zero-dimensional). Always satisfies
@@ -127,8 +136,7 @@ def sD_provenance(divisor: DivisorSpec) -> str:
     return f"derived extension (m={divisor.m})"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     pair: PolarisedPair
     divisor: DivisorSpec
     hilbert_kind: str | None  # a weightoracle KIND_* name, or None for no dimension model

@@ -10,7 +10,6 @@ nef thresholds, klt/lc flags) are supplied by the caller, never computed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,15 +30,7 @@ MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
 NO_CERTIFICATE_NEEDED = "no certificate needed"
 
 
-@dataclass(frozen=True)
-class PositivityData:
-    """User-supplied positivity constants; the criteria treat them as known.
-
-    lam/Lambda_up are the nef thresholds pinching c1(X) between multiples of
-    c1(L). alpha_beta_override, when set, wins over the min-based lower bound.
-    entropy_lower feeds the entropy-threshold comparison.
-    """
-
+class _PositivityFields(NamedTuple):
     alpha_L: Fraction | None = None
     alpha_LD_restricted: Fraction | None = None
     lam: Fraction | None = None
@@ -47,18 +38,29 @@ class PositivityData:
     alpha_beta_override: Fraction | None = None
     entropy_lower: Fraction | None = None
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None:
-                object.__setattr__(self, field.name, Fraction(value))
+
+class PositivityData(_PositivityFields):
+    """User-supplied positivity constants; the criteria treat them as known.
+
+    lam/Lambda_up are the nef thresholds pinching c1(X) between multiples of
+    c1(L). alpha_beta_override, when set, wins over the min-based lower bound.
+    entropy_lower feeds the entropy-threshold comparison. Every construction
+    coerces the given values to Fraction and checks them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        pos = super().__new__(cls, *args, **kwargs)
+        pos = pos._make(None if value is None else Fraction(value) for value in pos)
         for name in ("alpha_L", "alpha_LD_restricted", "alpha_beta_override"):
-            value = getattr(self, name)
+            value = getattr(pos, name)
             if value is not None and value < 0:
                 raise InputError(f"{name} must be >= 0, got {format_rational(value)}")
-        if self.lam is not None and self.Lambda_up is not None and self.lam > self.Lambda_up:
-            raise InconsistentDataError(f"lambda = {format_rational(self.lam)} exceeds "
-                                        f"Lambda = {format_rational(self.Lambda_up)}")
+        if pos.lam is not None and pos.Lambda_up is not None and pos.lam > pos.Lambda_up:
+            raise InconsistentDataError(f"lambda = {format_rational(pos.lam)} exceeds "
+                                        f"Lambda = {format_rational(pos.Lambda_up)}")
+        return pos
 
 
 class VerdictStatus(enum.Enum):
@@ -67,8 +69,7 @@ class VerdictStatus(enum.Enum):
     PRECONDITION_FAILED = "PreconditionFailed"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one sufficient criterion, with its certificate.
 
     CriterionSatisfied always carries either a numeric certificate or the
@@ -103,11 +104,7 @@ class WindowClaim(enum.Enum):
     UNIFORM_LOG_K_STABLE = "UniformLogKStable"
 
 
-@dataclass(frozen=True)
-class AngleWindow:
-    """Certified cone-angle interval; endpoint strictness follows the
-    theorem statements exactly."""
-
+class _WindowFields(NamedTuple):
     lower: Fraction
     lower_inclusive: bool
     upper: Fraction
@@ -115,13 +112,24 @@ class AngleWindow:
     empty: bool
     claim: WindowClaim
 
-    def __post_init__(self):
-        if not self.empty:
-            if not (0 <= self.lower and self.upper <= 1):
-                raise InconsistentDataError(f"window [{self._bounds()}] escapes [0, 1]")
-            degenerate_ok = self.lower == self.upper and self.lower_inclusive and self.upper_inclusive
-            if not (self.lower < self.upper or degenerate_ok):
+
+class AngleWindow(_WindowFields):
+    """Certified cone-angle interval; endpoint strictness follows the
+    theorem statements exactly. Every construction checks that a nonempty
+    window is a nonempty part of [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        window = super().__new__(cls, *args, **kwargs)
+        if not window.empty:
+            if not (0 <= window.lower and window.upper <= 1):
+                raise InconsistentDataError(f"window [{window._bounds()}] escapes [0, 1]")
+            degenerate_ok = (window.lower == window.upper and window.lower_inclusive
+                             and window.upper_inclusive)
+            if not (window.lower < window.upper or degenerate_ok):
                 raise InconsistentDataError("nonempty window needs lower < upper")
+        return window
 
     def contains(self, beta: Fraction) -> bool:
         if self.empty:
@@ -372,15 +380,7 @@ def entropy_threshold_check(
     )
 
 
-@dataclass(frozen=True)
-class SingularCriteriaInput:
-    """Caller-asserted facts about a (possibly singular) pair (X, (1-beta)*Delta).
-
-    Boolean fields are assertions the caller takes responsibility for; they
-    are echoed verbatim into the verdict's facts. A criterion is evaluated
-    only when its distinguishing assertion is present.
-    """
-
+class _CriteriaFields(NamedTuple):
     Sbeta: Fraction
     alpha_beta: Fraction
     n: int
@@ -397,17 +397,30 @@ class SingularCriteriaInput:
     klt_inv_ample: bool = False
     klt_inv_nef: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "Sbeta", Fraction(self.Sbeta))
-        object.__setattr__(self, "alpha_beta", Fraction(self.alpha_beta))
-        if self.alpha_beta < 0:
-            raise InputError(f"alpha_beta must be >= 0, got {format_rational(self.alpha_beta)}")
-        if self.n < 1:
-            raise InputError(f"dimension must be >= 1, got {self.n}")
-        if self.bullet1_eta is not None:
-            object.__setattr__(self, "bullet1_eta", Fraction(self.bullet1_eta))
-        if self.is_klt and not self.is_lc:
+
+class SingularCriteriaInput(_CriteriaFields):
+    """Caller-asserted facts about a (possibly singular) pair (X, (1-beta)*Delta).
+
+    Boolean fields are assertions the caller takes responsibility for; they
+    are echoed verbatim into the verdict's facts. A criterion is evaluated
+    only when its distinguishing assertion is present. Every construction
+    coerces the rationals to Fraction and checks the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        data = super().__new__(cls, *args, **kwargs)
+        data = data._replace(Sbeta=Fraction(data.Sbeta), alpha_beta=Fraction(data.alpha_beta))
+        if data.alpha_beta < 0:
+            raise InputError(f"alpha_beta must be >= 0, got {format_rational(data.alpha_beta)}")
+        if data.n < 1:
+            raise InputError(f"dimension must be >= 1, got {data.n}")
+        if data.bullet1_eta is not None:
+            data = data._replace(bullet1_eta=Fraction(data.bullet1_eta))
+        if data.is_klt and not data.is_lc:
             raise InconsistentAssertionsError("is_klt asserted without is_lc (klt implies lc)")
+        return data
 
 
 UNIFORM_STABLE = "(X, L; Delta) is uniformly log K-stable with angle 2*pi*beta"

@@ -199,6 +199,40 @@ def test_oracle_kmax_limit(capsys):
     assert "--kmax must be at most 10000" in err
 
 
+def explicit_p2_pair(tmp_path, floor):
+    """P2 with the dimension polynomial (k+1)(k+2)/2 given as an explicit model."""
+    return write_pair(tmp_path, {
+        "name": "P2-explicit", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1},
+        "hilbert": {"kind": "explicit", "coefficients": ["1", "3/2", "1/2"], "floor": floor}})
+
+
+@pytest.mark.parametrize("command", [["oracle", "--c", "1/2", "--kmax", "0"], ["info"]],
+                         ids=["oracle", "info"])
+def test_hilbert_floor_limit(capsys, tmp_path, command):
+    # The oracle walks about `floor` divisor counts before its first sample,
+    # so the floor is limited when the pair file is loaded, for every subcommand.
+    argv = [command[0], explicit_p2_pair(tmp_path, 10**8), *command[1:]]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: hilbert 'floor' must be at most 10000, got 100000000\n"
+    code, _, err = invoke(capsys, ["info", explicit_p2_pair(tmp_path, 10000)])
+    assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--lambda", "3"], "lambda = 3 exceeds Lambda = 2"),
+    (["--alpha-L=-1"], "alpha_L must be >= 0, got -1"),
+], ids=["lambda", "alpha-L"])
+def test_positivity_flag_override_is_checked(capsys, tmp_path, flag, message):
+    # A flag replaces one field of the pair file's positivity block; the
+    # merged data must pass the same checks as the block itself.
+    path = write_pair(tmp_path, {
+        "name": "sandwich", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1},
+        "positivity": {"lambda": "2", "Lambda": "2"}})
+    code, out, err = invoke(capsys, ["window", path, "--case", "uniform", *flag])
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
 def test_oracle_without_model(capsys):
     code, _, err = invoke(capsys, ["oracle", "catalog:Fano-template", "--c", "1/2"])
     assert code == EXIT_INPUT
@@ -450,9 +484,9 @@ def test_scalar_curve_pair_reports_sD_unavailable(capsys, tmp_path):
 
 
 def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
-    import logklab.cli as cli_module
+    import logklab.normalcone as normalcone
 
-    monkeypatch.setattr(cli_module.normalcone, "df_from_coefficients",
+    monkeypatch.setattr(normalcone, "df_from_coefficients",
                         lambda coeffs, beta: Fraction(1))
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"])
     assert code == 4

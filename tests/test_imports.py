@@ -1,0 +1,77 @@
+"""Which modules a `logklab` process loads for one subcommand.
+
+Start-up is most of a short invocation's cost, so each subcommand imports
+only the modules it runs: the thresholds route, the normal-cone route and
+the oracle are imported by the handlers that use them, and no class on the
+start-up path is a dataclass. Each case runs a fresh
+`python -X importtime -m logklab.cli` process and reads the modules it
+imported from the -X importtime report, less those a bare interpreter
+imports on its own.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
+
+ORACLE = "logklab.weightoracle"
+NORMALCONE = "logklab.normalcone"
+THRESHOLDS = "logklab.thresholds"
+
+
+def imported(*args, cwd=None):
+    """(exit code, stdout, modules imported) of a fresh `python -X importtime ARGS`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, set(IMPORT_LINE.findall(proc.stderr))
+
+
+@pytest.fixture(scope="module")
+def bare():
+    return imported("-c", "pass")[2]
+
+
+def cli_imports(bare, *argv, cwd=None):
+    code, out, modules = imported("-m", "logklab.cli", *argv, cwd=cwd)
+    assert code == 0, out
+    return out, modules - bare
+
+
+def test_catalog_list(bare):
+    out, modules = cli_imports(bare, "catalog", "list")
+    assert "P2-line" in out
+    assert "logklab.pairmodel" in modules  # the report reads this process's imports
+    assert not modules & {"dataclasses", NORMALCONE, THRESHOLDS, ORACLE}
+
+
+@pytest.mark.parametrize("argv", [
+    ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"],
+    ["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"],
+], ids=["df", "critical-c"])
+def test_normal_cone_route(bare, argv):
+    _, modules = cli_imports(bare, *argv)
+    assert NORMALCONE in modules
+    assert not modules & {"dataclasses", THRESHOLDS, ORACLE}
+
+
+def test_criteria(bare, tmp_path):
+    (tmp_path / "criteria.json").write_text(json.dumps(
+        {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
+    out, modules = cli_imports(bare, "criteria", "--file", "criteria.json", cwd=tmp_path)
+    assert "CriterionSatisfied" in out
+    assert THRESHOLDS in modules
+    assert not modules & {NORMALCONE, ORACLE}
+
+
+def test_oracle(bare):
+    out, modules = cli_imports(bare, "oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4")
+    assert json.loads(out)["match"] is True
+    assert ORACLE in modules

@@ -107,6 +107,13 @@ def test_pair_construction_guards():
         DivisorSpec(0)
 
 
+def test_pair_construction_coerces_rationals():
+    pair = PolarisedPair("P2", 2, 1, "3", proportional_x=3)
+    rationals = (pair.L_top, pair.cX_L, pair.proportional_x)
+    assert rationals == (1, 3, 3)
+    assert all(type(x) is Fraction for x in rationals)
+
+
 def test_catalog_lookup():
     assert catalog_entry("P2-line").pair.dimension == 2
     with pytest.raises(InputError):

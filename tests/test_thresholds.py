@@ -45,6 +45,15 @@ def test_positivity_validation():
         PositivityData(lam=Fraction(3), Lambda_up=Fraction(2))
 
 
+def test_checked_values_coerce_rationals():
+    pos = PositivityData(alpha_L=1, lam="1/2", Lambda_up=2)
+    rationals = (pos.alpha_L, pos.lam, pos.Lambda_up)
+    assert rationals == (1, Fraction(1, 2), 2) and pos.entropy_lower is None
+    data = SingularCriteriaInput(Sbeta=-3, alpha_beta="1/2", n=2, bullet1_eta=0)
+    rationals += (data.Sbeta, data.alpha_beta, data.bullet1_eta)
+    assert all(type(x) is Fraction for x in rationals)
+
+
 def test_effective_bounds_proportional(p2):
     lam, Lam, model = effective_nef_bounds(p2, PositivityData())
     assert (lam, Lam, model) == (3, 3, MODEL_PROPORTIONAL)
