@@ -5,8 +5,10 @@
 
 Each TREE is a checkout root, the directory that holds src/logklab. The
 invocations are the benchmark's whole universe (bench/workloads.py, all
-four workloads), `logklab --help`, every `<cmd> --help` and the usage errors
-that tests/test_cli_usage.py pins. Each runs as a fresh
+four workloads), `logklab --help`, every `<cmd> --help`, the usage errors
+that tests/test_cli_usage.py pins, and oracle runs the workloads leave out:
+a c outside (0, 1), an n = 1 pair, an explicit model at floor 50 with
+--kmax 0, -3 and 400, and the largest --kmax on P4. Each runs as a fresh
 `python -m logklab.cli` process under both trees, in one scratch directory
 that holds the workloads' input files, with COLUMNS=80 so that argparse wraps
 the same way. The script prints every argv whose exit code, stdout or stderr
@@ -34,6 +36,23 @@ USAGE_ERRORS = (
 )
 
 
+def oracle_edges() -> list[workloads.Invocation]:
+    """Oracle invocations outside the benchmark universe, each with both input files."""
+    point = workloads._file("pair", {
+        "name": "P1-point", "dimension": 1, "L_top": "1", "cX_L": "2", "divisor": {"m": 1},
+        "hilbert": {"kind": "projective_space"}})
+    floor50 = workloads._explicit_pair_file(50)
+    p2, p1, explicit = "catalog:P2-line", point[0], floor50[0]
+    argvs = [
+        (p2, "--c", "3/2"), (p2, "--c", "3/2", "--kmax", "0"), (p2, "--c=-1/2"), (p2, "--c", "0"),
+        (p1, "--c", "3/2"), (p1, "--c", "3/2", "--kmax", "1"), (p1, "--c", "1/2"),
+        (explicit, "--c", "1/2", "--kmax", "0"), (explicit, "--c", "1/2", "--kmax=-3"),
+        (explicit, "--c", "1/2", "--kmax", "400"), (explicit, "--c", "3/7", "--kmax", "400"),
+        ("catalog:P4-hyperplane", "--c", "1/2", "--kmax", "10000"),
+    ]
+    return [workloads.Invocation(("oracle", *argv), (point, floor50)) for argv in argvs]
+
+
 def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
@@ -48,6 +67,8 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
     for name in workloads.WORKLOADS:
         universe = workloads.universe(name)
         found += universe[:1] if quick else universe
+    if not quick:
+        found += oracle_edges()
     for inv in found:
         for file_name, content in inv.files:
             (cwd / file_name).write_bytes(content)

@@ -105,13 +105,18 @@ def avg_scalar_sD(pair: PolarisedPair, divisor: DivisorSpec) -> Fraction:
     return (n - 1) * (avg_scalar_s1(pair) / n - divisor.m)
 
 
+def scalar_sbeta(pair: PolarisedPair, m: int, beta: Fraction) -> Fraction:
+    """S_beta = S_1 - m*n*(1-beta), for D in |mL| and the cone angle 2*pi*beta."""
+    return avg_scalar_s1(pair) - m * pair.dimension * (1 - beta)
+
+
 def avg_scalar_sbeta(pair: PolarisedPair, divisor: DivisorSpec, beta: Fraction) -> ScalarReport:
-    """Scalar averages for the cone angle 2*pi*beta: S_beta = S_1 - m*n*(1-beta)."""
+    """Scalar averages for the cone angle 2*pi*beta; Sbeta is scalar_sbeta."""
     beta = Fraction(beta)
     n = pair.dimension
     s1 = avg_scalar_s1(pair)
     sD = avg_scalar_sD(pair, divisor) if n >= 2 else None
-    sbeta = s1 - divisor.m * n * (1 - beta)
+    sbeta = scalar_sbeta(pair, divisor.m, beta)
     return ScalarReport(S1=s1, SD=sD, Sbeta=sbeta, mu=sbeta / n, beta=beta, m=divisor.m)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .exactnum import format_rational
-from .pairmodel import PolarisedPair, avg_scalar_s1
+from .pairmodel import PolarisedPair, avg_scalar_s1, scalar_sbeta
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
 MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
@@ -300,7 +300,7 @@ def eta_feasibility(
     lo_c1, up_c1, model = effective_nef_bounds(pair, pos)
     alpha_beta = alpha_beta_lower_bound(pos, m, beta)
     n = pair.dimension
-    s_beta = avg_scalar_s1(pair) - m * n * (1 - beta)
+    s_beta = scalar_sbeta(pair, m, beta)
 
     bound_ii = up_c1 - m * (1 - beta)
     bound_iii = s_beta - (n - 1) * (lo_c1 - m * (1 - beta))
@@ -359,7 +359,7 @@ def entropy_threshold_check(
     beta = _require_angle(beta)
     lam, Lam, model = effective_nef_bounds(pair, pos)
     n = pair.dimension
-    s_beta = avg_scalar_s1(pair) - m * n * (1 - beta)
+    s_beta = scalar_sbeta(pair, m, beta)
     if pos.entropy_lower is not None:
         e_lower = pos.entropy_lower
         e_source = "user entropy_lower"

@@ -28,10 +28,10 @@ from .errors import (
     InputError,
     InternalCheckError,
     NonIntegralCKError,
-    ParameterOutOfRangeError,
 )
 from .exactnum import Polynomial, format_rational, poly_interpolate
-from .normalcone import NormalConeCoefficients, coefficients as closed_form_coefficients
+from .normalcone import (
+    NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
 from .pairmodel import PolarisedPair
 
 KIND_PROJECTIVE_SPACE = "projective_space"
@@ -124,10 +124,7 @@ class WeightSample:
 
 def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
     """Return the integer ck after validating all preconditions."""
-    c = Fraction(c)
-    if not (0 < c < 1):
-        raise ParameterOutOfRangeError(
-            f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
+    c = _require_c(c)
     ck = c * k
     if ck.denominator != 1:
         raise NonIntegralCKError(f"c*k = {format_rational(ck)} is not an integer "
@@ -230,24 +227,27 @@ def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]
     return samples
 
 
-def _clears_floor(model: HilbertModel, c: Fraction, k: int) -> bool:
-    """Whether the multiple k of denominator(c) is admissible."""
-    try:
-        _check_admissible(model, c, k)
-    except BelowValidityFloorError:
-        return False
-    return True
+def _first_level(model: HilbertModel, c: Fraction) -> int:
+    """The least admissible k; the admissible k are it and every q-th after.
+
+    With c = p/q in lowest terms, c k is an integer exactly at k = t q. There
+    c k = t p is >= 1 iff t >= 1, and k - c k = t (q - p) <= k, so the floor
+    binds on t (q - p) alone: t >= max(1, ceil(floor / (q - p))).
+    """
+    c = _require_c(c)
+    q = c.denominator
+    return q * max(1, -(-model.floor // (q - c.numerator)))
 
 
 def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
     """All k <= k_max satisfying the decomposition's preconditions.
 
-    c k is an integer exactly on the multiples of denominator(c), so only
-    those are tried.
+    When k_max < denominator(c) there is none, and c is not checked.
     """
     c = Fraction(c)
-    q = c.denominator
-    return [k for k in range(q, k_max + 1, q) if _clears_floor(model, c, k)]
+    if k_max < c.denominator:
+        return []
+    return list(range(_first_level(model, c), k_max + 1, c.denominator))
 
 
 def flatness_check(model: HilbertModel, c: Fraction, k_max: int) -> bool:
@@ -261,15 +261,9 @@ def flatness_check(model: HilbertModel, c: Fraction, k_max: int) -> bool:
 
 
 def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
-    """First `count` admissible multiples of denominator(c)."""
-    q = Fraction(c).denominator
-    ks: list[int] = []
-    k = 0
-    while len(ks) < count:
-        k += q
-        if _clears_floor(model, c, k):
-            ks.append(k)
-    return ks
+    """The first `count` admissible k."""
+    first = _first_level(model, c)
+    return list(range(first, first + count * c.denominator, c.denominator))
 
 
 def _interpolate_checked(
@@ -291,18 +285,16 @@ def _interpolate_checked(
 
 
 def _sample_and_recover(
-    model: HilbertModel, c: Fraction, n: int, listing: list[int] | None = None
+    model: HilbertModel, c: Fraction, n: int, listed: int = 0
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
-    """The samples at the listing's k and the coefficients interpolated from
-    the n+4 fitted samples, all from one walk; the listing defaults to the
-    fitted samples.
+    """The first `listed` admissible samples and the coefficients interpolated
+    from the first n+4, all from one walk.
 
-    The first fitted sample, the cheapest, is summed again on the literal path.
+    The first sample, the cheapest, is summed again on the literal path.
     """
-    fit_ks = _sampling_ks(model, c, n + 4)
-    summed = sum_samples(model, c, fit_ks + list(listing or ()))
-    samples = summed[:len(fit_ks)]
-    listed = samples if listing is None else summed[len(fit_ks):]
+    fitted = n + 4
+    summed = sum_samples(model, c, _sampling_ks(model, c, max(fitted, listed)))
+    samples = summed[:fitted]
     reference = dims_and_weights(model, c, samples[0].k)
     if samples[0] != reference:
         raise InternalCheckError(
@@ -320,7 +312,7 @@ def _sample_and_recover(
         Fraction(held.d_tilde_k), n - 1, "divisor dimension")
     wt_poly = _interpolate_checked(
         ks, [s.w_tilde_k for s in fit], held.k, held.w_tilde_k, n, "divisor weight")
-    return listed, NormalConeCoefficients(
+    return summed[:listed], NormalConeCoefficients(
         a0=d_poly.coefficient(n),
         a1=d_poly.coefficient(n - 1),
         b0=w_poly.coefficient(n + 1),
@@ -355,19 +347,22 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
 
 
 def oracle_report(
-    pair: PolarisedPair, model: HilbertModel, c: Fraction, ks: list[int] | None = None
+    pair: PolarisedPair, model: HilbertModel, c: Fraction, k_max: int | None = None
 ) -> dict:
     """Cross-check record: recovered coefficients vs closed forms.
 
     match is field-by-field exact equality; a correct build can never
-    produce match = False. The closed form comes first, so a bad (pair, c)
-    is refused before any sum runs. samples lists the samples at ks, by
-    default the n+4 the coefficients are fitted to; the listing and the fit
-    are summed in one walk.
+    produce match = False. samples lists the samples at admissible_ks(model,
+    c, k_max), by default at the n+4 the coefficients are fitted to; both
+    are leading runs of the admissible k, summed in one walk. The listing's
+    k are found first, then the closed form, so a bad (pair, c) is refused
+    before any sum runs.
     """
     c = Fraction(c)
+    n = pair.dimension
+    listed = n + 4 if k_max is None else len(admissible_ks(model, c, k_max))
     closed = closed_form_coefficients(pair, c)
-    samples, recovered = _sample_and_recover(model, c, pair.dimension, ks)
+    samples, recovered = _sample_and_recover(model, c, n, listed)
     return {
         "pair": pair.name,
         "c": format_rational(c),

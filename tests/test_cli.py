@@ -189,6 +189,31 @@ def test_oracle_bad_explicit_model_exits_3(capsys, tmp_path, n, coefficients, c,
     assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
 
 
+C_RANGE = "blow-up parameter must satisfy 0 < c < 1, got {}"
+N_TOO_SMALL = "S^D needs n >= 2; the divisor is zero-dimensional for n = 1"
+P1_DOC = {"name": "P1-point", "dimension": 1, "L_top": "1", "cX_L": "2", "divisor": {"m": 1},
+          "hilbert": {"kind": "projective_space"}}
+
+
+@pytest.mark.parametrize("pair, flags, message", [
+    ("catalog:P2-line", ["--c", "3/2"], C_RANGE.format("3/2")),
+    ("catalog:P2-line", ["--c", "3/2", "--kmax", "0"], C_RANGE.format("3/2")),
+    ("catalog:P2-line", ["--c=-1/2"], C_RANGE.format("-1/2")),
+    ("catalog:P2-line", ["--c", "0"], C_RANGE.format("0")),
+    # An n = 1 pair: c is checked first when the listing reaches k = q = 2,
+    # and the closed form's dimension check first when it does not.
+    (P1_DOC, ["--c", "3/2"], C_RANGE.format("3/2")),
+    (P1_DOC, ["--c", "3/2", "--kmax", "1"], N_TOO_SMALL),
+    (P1_DOC, ["--c", "1/2"], N_TOO_SMALL),
+], ids=["c-above-1", "c-above-1-kmax-0", "c-negative", "c-zero",
+        "n1-c-above-1", "n1-c-above-1-kmax-1", "n1-good-c"])
+def test_oracle_error_precedence(capsys, tmp_path, pair, flags, message):
+    if isinstance(pair, dict):
+        pair = write_pair(tmp_path, pair)
+    code, out, err = invoke(capsys, ["oracle", pair, *flags])
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
 def test_oracle_kmax_limit(capsys):
     code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "99/100", "--kmax", "10000"])
     assert code == EXIT_OK

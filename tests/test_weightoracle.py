@@ -1,6 +1,11 @@
+import io
+import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,8 @@ from logklab.errors import (
     NonIntegralCKError,
     ParameterOutOfRangeError,
 )
-from logklab.exactnum import Polynomial, power_sum
+from logklab.cli import run
+from logklab.exactnum import Polynomial, format_rational, power_sum
 from logklab.normalcone import coefficients, df_closed, df_from_coefficients, jna_normal_cone
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
@@ -351,3 +357,32 @@ def test_admissible_ks_keeps_every_k_the_checks_accept(c, floor, k_max):
             continue
         accepted.append(k)
     assert admissible_ks(model, c, k_max) == accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda c: 0 < c < 1),
+    floor=st.integers(min_value=0, max_value=6),
+    k_max=st.integers(min_value=-3, max_value=120),
+)
+def test_oracle_levels_are_the_admissible_ks(c, floor, k_max):
+    # The fit and the --kmax listing are both leading runs of the admissible
+    # levels. At most `floor` multiples of q fall below the floor, so
+    # (floor + n + 4) q reaches past the fitted n + 4.
+    pair = CATALOG["P2-line"].pair
+    n = pair.dimension
+    model = HilbertModel.explicit(P2_COUNTS, floor=floor)
+    report = oracle_report(pair, model, c)
+    fitted = admissible_ks(model, c, (floor + n + 4) * c.denominator)[:n + 4]
+    assert [s["k"] for s in report["samples"]] == fitted
+    doc = {"name": "P2-explicit", "dimension": n, "L_top": "1", "cX_L": "3", "divisor": {"m": 1},
+           "hilbert": {"kind": "explicit", "coefficients": ["1", "3/2", "1/2"], "floor": floor}}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "pair.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run(["oracle", str(path), "--c", format_rational(c), "--kmax", str(k_max)])
+    assert code == 0
+    listed = [s["k"] for s in json.loads(out.getvalue())["samples"]]
+    assert listed == admissible_ks(model, c, k_max)
