@@ -8,7 +8,10 @@ invocations are the benchmark's whole universe (bench/workloads.py, all
 four workloads), `logklab --help`, every `<cmd> --help`, the usage errors
 that tests/test_cli_usage.py pins, and oracle runs the workloads leave out:
 a c outside (0, 1), an n = 1 pair, an explicit model at floor 50 with
---kmax 0, -3 and 400, and the largest --kmax on P4. Each runs as a fresh
+--kmax 0, -3 and 400, and the largest --kmax on P4; and `info` and `oracle`
+on pair files whose hilbert block is refused: an unknown kind, a
+projective_space block that contradicts its pair, and an explicit floor of
+-1 and of 10001. Each runs as a fresh
 `python -m logklab.cli` process under both trees, in one scratch directory
 that holds the workloads' input files, with COLUMNS=80 so that argparse wraps
 the same way. The script prints every argv whose exit code, stdout or stderr
@@ -53,6 +56,20 @@ def oracle_edges() -> list[workloads.Invocation]:
     return [workloads.Invocation(("oracle", *argv), (point, floor50)) for argv in argvs]
 
 
+def hilbert_errors() -> list[workloads.Invocation]:
+    """info and oracle on each pair file whose hilbert block the loader refuses."""
+    p2 = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1}}
+    explicit = {"kind": "explicit", "coefficients": ["1", "3/2", "1/2"]}
+    files = [
+        workloads._file("pair", dict(p2, hilbert={"kind": "grassmannian"})),
+        workloads._file("pair", dict(p2, cX_L="4", hilbert={"kind": "projective_space"})),
+        workloads._file("pair", dict(p2, hilbert=dict(explicit, floor=-1))),
+        workloads._file("pair", dict(p2, hilbert=dict(explicit, floor=10001))),
+    ]
+    return [workloads.Invocation(argv, (f,)) for f in files
+            for argv in (("info", f[0]), ("oracle", f[0], "--c", "1/2"))]
+
+
 def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
@@ -68,7 +85,7 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
         universe = workloads.universe(name)
         found += universe[:1] if quick else universe
     if not quick:
-        found += oracle_edges()
+        found += oracle_edges() + hilbert_errors()
     for inv in found:
         for file_name, content in inv.files:
             (cwd / file_name).write_bytes(content)

@@ -10,7 +10,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from logklab.cli import resolve_pair
 from logklab.exactnum import decimal_string, format_rational
 from logklab.normalcone import jna_normal_cone
 from logklab.pairmodel import CATALOG
@@ -27,18 +26,17 @@ def main() -> None:
 
     failures = 0
     for name in CATALOG:
-        pf = resolve_pair(f"catalog:{name}")
-        if pf.model is None:
+        entry = CATALOG[name]
+        if entry.model is None:
             continue
         for c in args.cs:
-            report = oracle_report(pf.pair, pf.model, c)
+            report = oracle_report(entry.pair, entry.model, c)
             status = "ok" if report["match"] else "MISMATCH"
             print(f"{name:<16} c = {format_rational(c):>5}  recovery {status}")
             failures += 0 if report["match"] else 1
 
     print()
-    pf = resolve_pair("catalog:P2-line")
-    pair, model = pf.pair, pf.model
+    pair, model = CATALOG["P2-line"].pair, CATALOG["P2-line"].model
     c = Fraction(1, 2)
     limit = jna_normal_cone(pair, c)
     print(f"J^NA(P2-line, c=1/2) = {format_rational(limit)} = {decimal_string(limit)}")

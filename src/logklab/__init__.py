@@ -16,8 +16,8 @@ _EXPORTS = {
         "poly_interpolate", "power_sum",
     ),
     "pairmodel": (
-        "CATALOG", "DivisorSpec", "PolarisedPair", "ScalarReport", "avg_scalar_s1",
-        "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair",
+        "CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
+        "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair",
     ),
     "normalcone": (
         "CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients", "critical_c",
@@ -31,8 +31,8 @@ _EXPORTS = {
         "uniform_stability_window",
     ),
     "weightoracle": (
-        "HilbertModel", "WeightSample", "dims_and_weights", "flatness_check", "jna_finite_k",
-        "oracle_report", "recover_coefficients",
+        "WeightSample", "dims_and_weights", "flatness_check", "jna_finite_k", "oracle_report",
+        "recover_coefficients",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import pairmodel
 from .errors import (
@@ -28,23 +28,29 @@ from .errors import (
     PreconditionFailedError,
 )
 from .exactnum import Polynomial, decimal_string, format_rational, parse_rational
-from .pairmodel import DivisorSpec, PolarisedPair
+from .pairmodel import (
+    KIND_EXPLICIT,
+    KIND_PRODUCT_P1P1,
+    KIND_PROJECTIVE_SPACE,
+    DivisorSpec,
+    HilbertModel,
+    PairSource,
+    PolarisedPair,
+)
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData, SingularCriteriaInput, Verdict
-    from .weightoracle import HilbertModel
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXIT_IOERR = 74  # EX_IOERR of sysexits.h: stdout could not be written
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe ended
 
 CATALOG_PREFIX = "catalog:"
-# Largest --kmax of the oracle listing, and largest 'floor' of an explicit
-# hilbert block; see the README for their cost.
+# Largest --kmax of the oracle listing; see the README for its cost.
 ORACLE_KMAX_LIMIT = 10000
-HILBERT_FLOOR_LIMIT = ORACLE_KMAX_LIMIT
 
 
 class _UsageError(Exception):
@@ -74,28 +80,6 @@ _POSITIVITY = (
 )
 
 
-class PairFile(NamedTuple):
-    """A resolved pair source: catalog entry or strict JSON file.
-
-    hilbert is the pair's dimension model: the model a pair file's hilbert
-    block gave, already checked against the pair when the file was loaded; a
-    catalog entry's hilbert kind; or None. The model property builds a
-    catalog kind's model on use, so only the subcommands that sum sections
-    import weightoracle.
-    """
-
-    pair: PolarisedPair
-    divisor: DivisorSpec
-    positivity: PositivityData | None
-    hilbert: HilbertModel | str | None
-
-    @property
-    def model(self) -> HilbertModel | None:
-        if isinstance(self.hilbert, str):
-            return _hilbert_model({"kind": self.hilbert}, self.pair)
-        return self.hilbert
-
-
 def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
     if not isinstance(block, dict):
         raise InputError(f"{where} must be a JSON object")
@@ -119,8 +103,6 @@ def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
     + ..., so a model fixes (n, L^n, c1(X).L^(n-1)); a model that fixes other
     numbers than the pair's is an InconsistentDataError.
     """
-    from .weightoracle import KIND_EXPLICIT, KIND_PRODUCT_P1P1, KIND_PROJECTIVE_SPACE, HilbertModel
-
     _reject_unknown(block, {"kind", "coefficients", "floor"}, "hilbert block")
     kind = block.get("kind")
     n = pair.dimension
@@ -132,10 +114,7 @@ def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
         if not isinstance(block.get("coefficients"), list):
             raise InputError("explicit hilbert block needs a 'coefficients' list")
         poly = Polynomial(_input_rational(c) for c in block["coefficients"])
-        floor = _input_int(block.get("floor", 0), "hilbert 'floor'")
-        if floor > HILBERT_FLOOR_LIMIT:
-            raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
-        model = HilbertModel.explicit(poly, floor)
+        model = HilbertModel.explicit(poly, _input_int(block.get("floor", 0), "hilbert 'floor'"))
         d = max(poly.degree, 1)  # a constant polynomial already fails on its degree
         numbers = (poly.degree, factorial(d) * poly.coefficient(d),
                    2 * factorial(d - 1) * poly.coefficient(d - 1))
@@ -180,7 +159,7 @@ def _read_json_object(path: str, what: str) -> dict:
     return doc
 
 
-def load_pair_file(path: str) -> PairFile:
+def load_pair_file(path: str) -> PairSource:
     """Parse a pair JSON file with a strict schema (unknown keys rejected)."""
     doc = _read_json_object(path, "pair file")
     allowed = {"name", "dimension", "L_top", "cX_L", "proportional_x",
@@ -207,20 +186,17 @@ def load_pair_file(path: str) -> PairFile:
         _parse_positivity_block(doc["positivity"]) if "positivity" in doc else None
     )
     model = _hilbert_model(doc["hilbert"], pair) if "hilbert" in doc else None
-    return PairFile(pair=pair, divisor=divisor, positivity=positivity, hilbert=model)
+    return PairSource(pair, divisor, positivity, model)
 
 
-def resolve_pair(source: str) -> PairFile:
-    """Resolve "catalog:NAME" to a builtin, anything else to a JSON file."""
+def resolve_pair(source: str) -> PairSource:
+    """Resolve "catalog:NAME" to its catalog entry, anything else to a JSON file."""
     if source.startswith(CATALOG_PREFIX):
-        name = source[len(CATALOG_PREFIX):]
-        entry = pairmodel.catalog_entry(name)
-        return PairFile(pair=entry.pair, divisor=entry.divisor, positivity=None,
-                        hilbert=entry.hilbert_kind)
+        return pairmodel.catalog_entry(source[len(CATALOG_PREFIX):])
     return load_pair_file(source)
 
 
-def _resolve_unit_pair(ns: argparse.Namespace) -> PairFile:
+def _resolve_unit_pair(ns: argparse.Namespace) -> PairSource:
     """resolve_pair for the normal-cone subcommands, which need D in |L|."""
     pf = resolve_pair(ns.pair)
     if pf.divisor.m != 1:
@@ -228,7 +204,7 @@ def _resolve_unit_pair(ns: argparse.Namespace) -> PairFile:
     return pf
 
 
-def _merged_positivity(pf: PairFile, ns: argparse.Namespace) -> PositivityData:
+def _merged_positivity(pf: PairSource, ns: argparse.Namespace) -> PositivityData:
     """The pair file's positivity data, with each field a flag sets taken from
     the flag, built through the constructor so that its checks run again."""
     from .thresholds import PositivityData
@@ -238,7 +214,7 @@ def _merged_positivity(pf: PairFile, ns: argparse.Namespace) -> PositivityData:
     return PositivityData(**base | {field: v for field, v in flags.items() if v is not None})
 
 
-def _divisor_for(pf: PairFile, ns: argparse.Namespace) -> DivisorSpec:
+def _divisor_for(pf: PairSource, ns: argparse.Namespace) -> DivisorSpec:
     m = getattr(ns, "m", None)
     return DivisorSpec(m=m) if m is not None else pf.divisor
 
@@ -486,14 +462,13 @@ def _cmd_oracle(ns) -> int:
     from . import weightoracle
 
     pf = _resolve_unit_pair(ns)
-    model = pf.model
-    if model is None:
+    if pf.model is None:
         raise InputError(
             f"pair {pf.pair.name!r} has no dimension model; supply a 'hilbert' block"
         )
     if ns.kmax > ORACLE_KMAX_LIMIT:
         raise InputError(f"--kmax must be at most {ORACLE_KMAX_LIMIT}, got {ns.kmax}")
-    report = weightoracle.oracle_report(pf.pair, model, ns.c, ns.kmax)
+    report = weightoracle.oracle_report(pf.pair, pf.model, ns.c, ns.kmax)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["match"] else EXIT_INTERNAL
 
@@ -547,13 +522,14 @@ def _cmd_catalog(ns) -> int:
     if ns.name is None:
         raise InputError("catalog show needs a pair name")
     entry = pairmodel.catalog_entry(ns.name)
-    pair = entry.pair
+    pair, model = entry.pair, entry.model
     _print_fields([
         ("name", pair.name), ("dimension", pair.dimension), ("L_top", pair.L_top),
         ("cX_L", pair.cX_L),
         ("proportional_x", "none" if pair.proportional_x is None else pair.proportional_x),
         ("divisor multiplicity", entry.divisor.m),
-        ("dimension model", entry.hilbert_kind or "none (supply alphas and bounds by hand)"),
+        ("dimension model",
+         "none (supply alphas and bounds by hand)" if model is None else model.kind),
     ])
     return EXIT_OK
 
@@ -728,11 +704,16 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early. Point stdout at devnull so that the
-        # interpreter's final flush does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early
         code = EXIT_BROKEN_PIPE
+    except OSError as exc:  # stdout cannot take the output, on a full disk say
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_IOERR
+    else:
+        sys.exit(code)
+    # Point stdout at devnull so that the interpreter's final flush does not
+    # raise again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

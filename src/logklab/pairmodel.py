@@ -2,16 +2,21 @@
 
 A pair is reduced to its intersection-number shadow: the dimension n, the
 top self-intersection L^n, and c1(X).L^(n-1). Those three numbers determine
-S_1, S^D and S_beta, which every stability criterion consumes.
+S_1, S^D and S_beta, which every stability criterion consumes. A pair may
+also carry a dimension model h_X(k), the section counts the oracle sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import format_rational
+from .exactnum import Polynomial, format_rational
+
+if TYPE_CHECKING:
+    from .thresholds import PositivityData
 
 FINDING_NOT_AMPLE = "NotAmple"
 FINDING_BOUND_VIOLATED = "ScalarBoundViolated"
@@ -141,39 +146,106 @@ def sD_provenance(divisor: DivisorSpec) -> str:
     return f"derived extension (m={divisor.m})"
 
 
-class CatalogEntry(NamedTuple):
+KIND_PROJECTIVE_SPACE = "projective_space"
+KIND_PRODUCT_P1P1 = "product_p1p1"
+KIND_EXPLICIT = "explicit"
+# Largest validity floor of an explicit model: the oracle's walk covers about
+# floor/(1 - c) divisor counts. See the README for its cost.
+HILBERT_FLOOR_LIMIT = 10000
+
+
+class HilbertModel(NamedTuple):
+    """Exact section-count model h_X(k) for (X, L), with the divisor counts
+    h_D(j) = h_X(j) - h_X(j-1) induced by the restriction sequence (m = 1).
+
+    The explicit-polynomial kind carries a validity floor below which the
+    polynomial is not trusted to equal the true dimension.
+    """
+
+    kind: str
+    n: int | None = None
+    polynomial: Polynomial | None = None
+    floor: int = 0
+
+    @classmethod
+    def projective_space(cls, n: int) -> HilbertModel:
+        if n < 1:
+            raise InputError(f"projective space model needs n >= 1, got {n}")
+        return cls(kind=KIND_PROJECTIVE_SPACE, n=n)
+
+    @classmethod
+    def product_p1p1(cls) -> HilbertModel:
+        return cls(kind=KIND_PRODUCT_P1P1, n=2)
+
+    @classmethod
+    def explicit(cls, polynomial: Polynomial, floor: int) -> HilbertModel:
+        if floor < 0:
+            raise InputError(f"validity floor must be >= 0, got {floor}")
+        if floor > HILBERT_FLOOR_LIMIT:
+            raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
+        return cls(kind=KIND_EXPLICIT, polynomial=polynomial, floor=floor)
+
+    def h_total(self, k: int) -> int:
+        """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""
+        if k == -1:
+            return 0
+        if k < 0:
+            raise InputError(f"dimension function not defined for k = {k}")
+        if self.kind == KIND_PROJECTIVE_SPACE:
+            return comb(self.n + k, self.n)
+        if self.kind == KIND_PRODUCT_P1P1:
+            return (k + 1) ** 2
+        value = self.polynomial(k)
+        if value.denominator != 1 or value < 0:
+            raise InputError(
+                f"explicit model gives a non-dimension value {format_rational(value)} at k = {k}"
+            )
+        return int(value)
+
+    def h_divisor(self, j: int) -> int:
+        """dim H^0(D, L~^j) via the restriction sequence; must be >= 0."""
+        value = self.h_total(j) - self.h_total(j - 1)
+        if value < 0:
+            raise InputError(f"divisor dimension negative at j = {j}; model invalid")
+        return value
+
+
+class PairSource(NamedTuple):
+    """A resolved pair: a catalog entry, or a pair file with its positivity
+    data and dimension model, each None where the source gives none."""
+
     pair: PolarisedPair
     divisor: DivisorSpec
-    hilbert_kind: str | None  # a weightoracle KIND_* name, or None for no dimension model
+    positivity: PositivityData | None = None
+    model: HilbertModel | None = None
 
 
-CATALOG: dict[str, CatalogEntry] = {
-    "P2-line": CatalogEntry(
+CATALOG: dict[str, PairSource] = {
+    "P2-line": PairSource(
         pair=PolarisedPair("P2-line", 2, Fraction(1), Fraction(3), Fraction(3)),
         divisor=DivisorSpec(1),
-        hilbert_kind="projective_space",
+        model=HilbertModel.projective_space(2),
     ),
-    "P3-hyperplane": CatalogEntry(
+    "P3-hyperplane": PairSource(
         pair=PolarisedPair("P3-hyperplane", 3, Fraction(1), Fraction(4), Fraction(4)),
         divisor=DivisorSpec(1),
-        hilbert_kind="projective_space",
+        model=HilbertModel.projective_space(3),
     ),
-    "P4-hyperplane": CatalogEntry(
+    "P4-hyperplane": PairSource(
         pair=PolarisedPair("P4-hyperplane", 4, Fraction(1), Fraction(5), Fraction(5)),
         divisor=DivisorSpec(1),
-        hilbert_kind="projective_space",
+        model=HilbertModel.projective_space(4),
     ),
-    "P1xP1-diag": CatalogEntry(
+    "P1xP1-diag": PairSource(
         pair=PolarisedPair("P1xP1-diag", 2, Fraction(2), Fraction(4), Fraction(2)),
         divisor=DivisorSpec(1),
-        hilbert_kind="product_p1p1",
+        model=HilbertModel.product_p1p1(),
     ),
     # Normalised shape of any Fano pair with L = -K_X: lambda = Lambda = 1 and
     # S_1 = n. Alpha invariants must be supplied by the user.
-    "Fano-template": CatalogEntry(
+    "Fano-template": PairSource(
         pair=PolarisedPair("Fano-template", 2, Fraction(1), Fraction(1), Fraction(1)),
         divisor=DivisorSpec(1),
-        hilbert_kind=None,
     ),
 }
 
@@ -182,7 +254,7 @@ def catalog_names() -> list[str]:
     return list(CATALOG)
 
 
-def catalog_entry(name: str) -> CatalogEntry:
+def catalog_entry(name: str) -> PairSource:
     try:
         return CATALOG[name]
     except KeyError:

@@ -18,9 +18,8 @@ difference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from typing import NamedTuple
 
 from .errors import (
     BelowValidityFloorError,
@@ -32,76 +31,10 @@ from .errors import (
 from .exactnum import Polynomial, format_rational, poly_interpolate
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
-from .pairmodel import PolarisedPair
-
-KIND_PROJECTIVE_SPACE = "projective_space"
-KIND_PRODUCT_P1P1 = "product_p1p1"
-KIND_EXPLICIT = "explicit"
+from .pairmodel import HilbertModel, PolarisedPair
 
 
-@dataclass(frozen=True)
-class HilbertModel:
-    """Exact section-count model h_X(k) for (X, L), with the divisor counts
-    h_D(j) = h_X(j) - h_X(j-1) induced by the restriction sequence (m = 1).
-
-    The explicit-polynomial kind carries a validity floor below which the
-    polynomial is not trusted to equal the true dimension.
-    """
-
-    kind: str
-    description: str
-    n: int | None = None
-    polynomial: Polynomial | None = None
-    floor: int = 0
-
-    @classmethod
-    def projective_space(cls, n: int) -> "HilbertModel":
-        if n < 1:
-            raise InputError(f"projective space model needs n >= 1, got {n}")
-        return cls(kind=KIND_PROJECTIVE_SPACE, description=f"P^{n} with O(1)", n=n)
-
-    @classmethod
-    def product_p1p1(cls) -> "HilbertModel":
-        return cls(kind=KIND_PRODUCT_P1P1, description="P1 x P1 with O(1,1)", n=2)
-
-    @classmethod
-    def explicit(cls, polynomial: Polynomial, floor: int, description: str = "") -> "HilbertModel":
-        if floor < 0:
-            raise InputError(f"validity floor must be >= 0, got {floor}")
-        return cls(
-            kind=KIND_EXPLICIT,
-            description=description or "explicit dimension polynomial",
-            polynomial=polynomial,
-            floor=floor,
-        )
-
-    def h_total(self, k: int) -> int:
-        """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""
-        if k == -1:
-            return 0
-        if k < 0:
-            raise InputError(f"dimension function not defined for k = {k}")
-        if self.kind == KIND_PROJECTIVE_SPACE:
-            return comb(self.n + k, self.n)
-        if self.kind == KIND_PRODUCT_P1P1:
-            return (k + 1) ** 2
-        value = self.polynomial(k)
-        if value.denominator != 1 or value < 0:
-            raise InputError(
-                f"explicit model gives a non-dimension value {format_rational(value)} at k = {k}"
-            )
-        return int(value)
-
-    def h_divisor(self, j: int) -> int:
-        """dim H^0(D, L~^j) via the restriction sequence; must be >= 0."""
-        value = self.h_total(j) - self.h_total(j - 1)
-        if value < 0:
-            raise InputError(f"divisor dimension negative at j = {j}; model invalid")
-        return value
-
-
-@dataclass(frozen=True)
-class WeightSample:
+class WeightSample(NamedTuple):
     """Exact per-k dimension and total-weight data for the family at c."""
 
     k: int

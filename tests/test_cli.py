@@ -1,10 +1,10 @@
+import errno
 import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +14,7 @@ from logklab.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_IOERR,
     EXIT_OK,
     _POSITIVITY,
     load_pair_file,
@@ -23,6 +24,7 @@ from logklab.cli import (
 from logklab.errors import InputError
 from logklab.exactnum import format_rational, parse_rational
 from logklab.normalcone import instability_threshold
+from logklab.pairmodel import CATALOG
 from logklab.thresholds import PositivityData, eta_feasibility
 
 
@@ -105,6 +107,21 @@ def test_resolve_catalog_pair():
         resolve_pair("catalog:does-not-exist")
 
 
+@pytest.mark.parametrize("name", [name for name, entry in CATALOG.items()
+                                  if entry.model is not None])
+def test_catalog_models_pass_the_pair_file_check(tmp_path, name):
+    # A pair file's hilbert block is checked against its pair by Riemann-Roch;
+    # each catalog model, written as a block of its kind, must pass that check.
+    entry = resolve_pair(f"catalog:{name}")
+    assert entry is CATALOG[name]
+    pair = entry.pair
+    doc = {"name": pair.name, "dimension": pair.dimension, "L_top": format_rational(pair.L_top),
+           "cX_L": format_rational(pair.cX_L),
+           "proportional_x": format_rational(pair.proportional_x),
+           "divisor": {"m": entry.divisor.m}, "hilbert": {"kind": entry.model.kind}}
+    assert load_pair_file(write_pair(tmp_path, doc)) == entry
+
+
 def test_resolve_missing_file():
     with pytest.raises(InputError):
         resolve_pair("/no/such/file.json")
@@ -166,7 +183,7 @@ def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
     real = weightoracle.sum_samples
 
     def s1_off_by_one(model, c, ks):
-        return [replace(s, w_k=s.w_k - 1) for s in real(model, c, ks)]
+        return [s._replace(w_k=s.w_k - 1) for s in real(model, c, ks)]
 
     monkeypatch.setattr(weightoracle, "sum_samples", s1_off_by_one)
     code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2"])
@@ -706,6 +723,24 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert "Traceback" not in err and "Error" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"],
+    ["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "5000"],
+], ids=["catalog-list", "df-curve"])
+def test_unwritable_stdout_exits_74(argv):
+    # Every write to /dev/full fails with ENOSPC: at the final flush for a
+    # short output, inside a print for a long one.
+    src = Path(__file__).resolve().parent.parent / "src"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "logklab.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+    assert proc.returncode == EXIT_IOERR
+    assert proc.stderr.decode() == (
+        f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 @pytest.mark.parametrize("command, text, key", [

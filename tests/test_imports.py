@@ -2,8 +2,9 @@
 
 Start-up is most of a short invocation's cost, so each subcommand imports
 only the modules it runs: the thresholds route, the normal-cone route and
-the oracle are imported by the handlers that use them, and no class on the
-start-up path is a dataclass. Each case runs a fresh
+the oracle are imported by the handlers that use them, a pair file's
+dimension model is built without the oracle, and no logklab module imports
+dataclasses. Each case runs a fresh
 `python -X importtime -m logklab.cli` process and reads the modules it
 imported from the -X importtime report, less those a bare interpreter
 imports on its own.
@@ -75,3 +76,19 @@ def test_oracle(bare):
     out, modules = cli_imports(bare, "oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4")
     assert json.loads(out)["match"] is True
     assert ORACLE in modules
+    assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "pair.json", "--m", "4", "--beta", "5/16"],
+    ["window", "pair.json", "--m", "4", "--case", "uniform"],
+], ids=["eta", "window"])
+def test_hilbert_block_needs_no_oracle(bare, tmp_path, argv):
+    (tmp_path / "pair.json").write_text(json.dumps({
+        "name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "proportional_x": "3",
+        "divisor": {"m": 1},
+        "positivity": {"alpha_L": "1/3", "alpha_LD_restricted": "1/2"},
+        "hilbert": {"kind": "projective_space"}}))
+    _, modules = cli_imports(bare, *argv, cwd=tmp_path)
+    assert THRESHOLDS in modules
+    assert not modules & {"dataclasses", NORMALCONE, ORACLE}

@@ -17,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = {
     "exactnum": ["Polynomial", "decimal_string", "format_rational", "parse_rational",
                  "poly_interpolate", "power_sum"],
-    "pairmodel": ["CATALOG", "DivisorSpec", "PolarisedPair", "ScalarReport", "avg_scalar_s1",
-                  "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
+    "pairmodel": ["CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
+                  "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
     "normalcone": ["CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients",
                    "critical_c", "df_closed", "df_from_coefficients", "find_destabilizer",
                    "g_factor", "instability_threshold", "jna_normal_cone"],
@@ -26,8 +26,8 @@ EXPORTS = {
                    "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "beta_u",
                    "entropy_threshold_check", "eta_feasibility", "existence_window",
                    "min_multiplicity_eta0", "singular_criteria", "uniform_stability_window"],
-    "weightoracle": ["HilbertModel", "WeightSample", "dims_and_weights", "flatness_check",
-                     "jna_finite_k", "oracle_report", "recover_coefficients"],
+    "weightoracle": ["WeightSample", "dims_and_weights", "flatness_check", "jna_finite_k",
+                     "oracle_report", "recover_coefficients"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 

@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logklab.errors import DimensionTooSmallError, InconsistentDataError, InputError
+from logklab.exactnum import Polynomial
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
     FINDING_BOUND_VIOLATED,
     FINDING_NOT_AMPLE,
     DivisorSpec,
+    HilbertModel,
     PolarisedPair,
     avg_scalar_s1,
     avg_scalar_sD,
@@ -123,3 +125,16 @@ def test_catalog_lookup():
 def test_fano_template_shape(fano):
     assert avg_scalar_s1(fano) == fano.dimension
     assert fano.proportional_x == 1
+
+
+@pytest.mark.parametrize("floor, message", [
+    (-1, "validity floor must be >= 0, got -1"),
+    (10001, "hilbert 'floor' must be at most 10000, got 10001"),
+])
+def test_explicit_model_floor_bounds(floor, message):
+    # Both bounds hold for library callers as for pair files.
+    counts = Polynomial([1, Fraction(3, 2), Fraction(1, 2)])
+    with pytest.raises(InputError) as exc:
+        HilbertModel.explicit(counts, floor)
+    assert str(exc.value) == message
+    assert [HilbertModel.explicit(counts, f).floor for f in (0, 10000)] == [0, 10000]

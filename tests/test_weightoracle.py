@@ -132,7 +132,7 @@ class _CorruptedModel(HilbertModel):
 
 
 def test_flatness_fails_for_corrupted_divisor_model():
-    corrupted = _CorruptedModel(kind="projective_space", description="corrupted", n=2)
+    corrupted = _CorruptedModel(kind="projective_space", n=2)
     assert not flatness_check(corrupted, Fraction(1, 2), 60)
 
 
@@ -186,13 +186,13 @@ class _KinkedModel(HilbertModel):
 
 
 def test_recovery_detects_pre_asymptotic_samples(p2):
-    kinked = _KinkedModel(kind="projective_space", description="kinked", n=2, floor=0)
+    kinked = _KinkedModel(kind="projective_space", n=2, floor=0)
     with pytest.raises(DegreeMismatchError):
         recover_coefficients(kinked, Fraction(1, 2), p2)
 
 
 def test_recovery_succeeds_above_raised_floor(p2):
-    kinked = _KinkedModel(kind="projective_space", description="kinked", n=2, floor=5)
+    kinked = _KinkedModel(kind="projective_space", n=2, floor=5)
     rec = recover_coefficients(kinked, Fraction(1, 2), p2)
     assert rec == coefficients(p2, Fraction(1, 2))
 
@@ -257,7 +257,7 @@ def _recording(model):
             total_args.append(k)
             return super().h_total(k)
 
-    copy = Recording(model.kind, model.description, model.n, model.polynomial, model.floor)
+    copy = Recording(model.kind, model.n, model.polynomial, model.floor)
     return copy, divisor_args, total_args
 
 
