@@ -11,7 +11,10 @@ a c outside (0, 1), an n = 1 pair, an explicit model at floor 50 with
 --kmax 0, -3 and 400, and the largest --kmax on P4; and `info` and `oracle`
 on pair files whose hilbert block is refused: an unknown kind, a
 projective_space block that contradicts its pair, and an explicit floor of
--1 and of 10001. Each runs as a fresh
+-1 and of 10001; and the input resolution every pair subcommand shares: an
+m = 2 pair file on the five commands that need D in |L|, a bad --m with a
+lambda above Lambda on the four positivity commands, and a pair file whose
+nef bounds miss S_1/n on those four and destabilize. Each runs as a fresh
 `python -m logklab.cli` process under both trees, in one scratch directory
 that holds the workloads' input files, with COLUMNS=80 so that argparse wraps
 the same way. The script prints every argv whose exit code, stdout or stderr
@@ -70,6 +73,32 @@ def hilbert_errors() -> list[workloads.Invocation]:
             for argv in (("info", f[0]), ("oracle", f[0], "--c", "1/2"))]
 
 
+def resolution_edges() -> list[workloads.Invocation]:
+    """The shared input resolution: an m = 2 pair on every command that needs
+    D in |L|, a bad --m and a bad lambda/Lambda pair together on every
+    positivity command, and nef bounds that contradict their pair."""
+    quadric = {"name": "quadric-m2", "dimension": 2, "L_top": "2", "cX_L": "4",
+               "proportional_x": "2", "divisor": {"m": 2}, "hilbert": {"kind": "product_p1p1"}}
+    m2 = workloads._file("pair", quadric)
+    contra = workloads._file("pair", {
+        "name": "contra", "dimension": 2, "L_top": "1", "cX_L": "5/4", "divisor": {"m": 1},
+        "positivity": {"lambda": "9/10", "Lambda": "19/20", "alpha_L": "1",
+                       "alpha_LD_restricted": "1"}})
+    unit = [("df", "--c", "1/2", "--beta", "1/2"), ("df-curve", "--beta", "1/2", "--steps", "3"),
+            ("destabilize", "--beta", "1/4"), ("critical-c", "--beta", "1/2", "--tol", "1/1024"),
+            ("oracle", "--c", "1/2")]
+    positivity = [("thresholds",), ("window", "--case", "large"), ("eta", "--beta", "1/20"),
+                  ("entropy", "--beta", "1/20")]
+    bad = ("--m", "0", "--lambda", "3", "--Lambda", "2")
+    return [
+        *(workloads.Invocation((cmd, m2[0], *rest), (m2,)) for cmd, *rest in unit),
+        *(workloads.Invocation((cmd, "catalog:P2-line", *rest, *bad))
+          for cmd, *rest in positivity),
+        *(workloads.Invocation((cmd, contra[0], *rest), (contra,))
+          for cmd, *rest in [*positivity, ("destabilize", "--beta", "1/20")]),
+    ]
+
+
 def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
@@ -85,7 +114,7 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
         universe = workloads.universe(name)
         found += universe[:1] if quick else universe
     if not quick:
-        found += oracle_edges() + hilbert_errors()
+        found += oracle_edges() + hilbert_errors() + resolution_edges()
     for inv in found:
         for file_name, content in inv.files:
             (cwd / file_name).write_bytes(content)

@@ -196,14 +196,6 @@ def resolve_pair(source: str) -> PairSource:
     return load_pair_file(source)
 
 
-def _resolve_unit_pair(ns: argparse.Namespace) -> PairSource:
-    """resolve_pair for the normal-cone subcommands, which need D in |L|."""
-    pf = resolve_pair(ns.pair)
-    if pf.divisor.m != 1:
-        raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
-    return pf
-
-
 def _merged_positivity(pf: PairSource, ns: argparse.Namespace) -> PositivityData:
     """The pair file's positivity data, with each field a flag sets taken from
     the flag, built through the constructor so that its checks run again."""
@@ -212,11 +204,6 @@ def _merged_positivity(pf: PairSource, ns: argparse.Namespace) -> PositivityData
     base = pf.positivity._asdict() if pf.positivity is not None else {}
     flags = {field: getattr(ns, field) for _, field, *_ in _POSITIVITY}
     return PositivityData(**base | {field: v for field, v in flags.items() if v is not None})
-
-
-def _divisor_for(pf: PairSource, ns: argparse.Namespace) -> DivisorSpec:
-    m = getattr(ns, "m", None)
-    return DivisorSpec(m=m) if m is not None else pf.divisor
 
 
 def _field_text(value) -> str:
@@ -263,8 +250,7 @@ def _verdict_fields(v: Verdict) -> list:
 def _cmd_info(ns) -> int:
     from . import normalcone
 
-    pf = resolve_pair(ns.pair)
-    pair, divisor = pf.pair, pf.divisor
+    pair, divisor = ns.source.pair, ns.divisor
     _print_fields([
         ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
                  f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
@@ -287,14 +273,12 @@ def _cmd_info(ns) -> int:
 
 
 def _cmd_scalar(ns) -> int:
-    pf = resolve_pair(ns.pair)
-    divisor = _divisor_for(pf, ns)
-    report = pairmodel.avg_scalar_sbeta(pf.pair, divisor, ns.beta)
+    report = pairmodel.avg_scalar_sbeta(ns.source.pair, ns.divisor, ns.beta)
     rows = [
         ("beta", report.beta, "evaluation angle"),
         ("S_1", report.S1, "n*cX_L/L_top"),
         ("S_D", report.SD if report.SD is not None else "n/a",
-         pairmodel.sD_provenance(divisor) if report.SD is not None else "undefined for n = 1"),
+         pairmodel.sD_provenance(ns.divisor) if report.SD is not None else "undefined for n = 1"),
         ("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
         ("mu", report.mu, "S_beta/n"),
     ]
@@ -305,17 +289,14 @@ def _cmd_scalar(ns) -> int:
 def _cmd_thresholds(ns) -> int:
     from . import thresholds
 
-    pf = resolve_pair(ns.pair)
-    divisor = _divisor_for(pf, ns)
-    pos = _merged_positivity(pf, ns)
-    m = divisor.m
-    rows = [("beta_u", thresholds.beta_u(pf.pair, pos, m), "critical cone angle from alpha data")]
+    pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
+    rows = [("beta_u", thresholds.beta_u(pair, pos, m), "critical cone angle from alpha data")]
     for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         rows.append((f"alpha_beta_lower(beta={format_rational(beta)})",
                      thresholds.alpha_beta_lower_bound(pos, m, beta),
                      "min{m*beta, alpha_L, m*alpha_LD}"))
     rows.append((f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
-                 thresholds.min_multiplicity_eta0(pf.pair, pos, ns.beta),
+                 thresholds.min_multiplicity_eta0(pair, pos, ns.beta),
                  "least m with both eta=0 conditions strict"))
     _print_rows(rows)
     return EXIT_OK
@@ -324,13 +305,11 @@ def _cmd_thresholds(ns) -> int:
 def _cmd_window(ns) -> int:
     from . import thresholds
 
-    pf = resolve_pair(ns.pair)
-    pos = _merged_positivity(pf, ns)
-    m = _divisor_for(pf, ns).m
+    pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
     if ns.case == "uniform":
-        window = thresholds.uniform_stability_window(pf.pair, pos, m)
+        window = thresholds.uniform_stability_window(pair, pos, m)
     else:
-        window = thresholds.existence_window(pf.pair, pos, m, thresholds.ExistenceCase(ns.case))
+        window = thresholds.existence_window(pair, pos, m, thresholds.ExistenceCase(ns.case))
     _print_fields([
         ("claim", window.claim.value),
         ("window", window.render()),
@@ -341,13 +320,12 @@ def _cmd_window(ns) -> int:
 
 
 def _cmd_verdict(ns) -> int:
-    """eta and entropy: the subcommand's verdict function, named by ns.verdict,
-    at (pair, positivity, m, beta)."""
+    """eta and entropy: the subcommand's verdict at (pair, positivity, m, beta)."""
     from . import thresholds
 
-    pf = resolve_pair(ns.pair)
-    verdict = getattr(thresholds, ns.verdict)(
-        pf.pair, _merged_positivity(pf, ns), _divisor_for(pf, ns).m, ns.beta)
+    verdict_of = {"eta": thresholds.eta_feasibility,
+                  "entropy": thresholds.entropy_threshold_check}[ns.cmd]
+    verdict = verdict_of(ns.source.pair, ns.positivity, ns.divisor.m, ns.beta)
     _print_fields(_verdict_fields(verdict))
     satisfied = verdict.status is thresholds.VerdictStatus.CRITERION_SATISFIED
     return EXIT_OK if satisfied else EXIT_INCONCLUSIVE
@@ -356,7 +334,7 @@ def _cmd_verdict(ns) -> int:
 def _cmd_df(ns) -> int:
     from . import normalcone
 
-    family = normalcone.family(_resolve_unit_pair(ns).pair, ns.c)
+    family = normalcone.family(ns.source.pair, ns.c)
     coeffs = family.coefficients()
     report = family.df(ns.beta)
     df_coeff_path = normalcone.df_from_coefficients(coeffs, ns.beta)
@@ -387,36 +365,29 @@ def _cmd_df(ns) -> int:
 def _cmd_df_curve(ns) -> int:
     from . import normalcone
 
-    rows = normalcone.curve(_resolve_unit_pair(ns).pair, ns.beta, ns.steps)
+    columns = ("c", "df", "inner_factor", "jna")
+    rows = ((c, rep.df, rep.inner_factor, rep.jna)
+            for c, rep in normalcone.curve(ns.source.pair, ns.beta, ns.steps))
     if ns.format == "csv":
         # No field needs CSV quoting: rationals and decimals hold no comma,
         # quote or newline.
-        print("c,df,inner_factor,jna,c_decimal,df_decimal,inner_factor_decimal,jna_decimal")
-        for c, rep in rows:
-            values = (c, rep.df, rep.inner_factor, rep.jna)
-            print(",".join([*map(format_rational, values), *map(decimal_string, values)]))
+        print(",".join([*columns, *(f"{name}_decimal" for name in columns)]))
+        for row in rows:
+            print(",".join([*map(format_rational, row), *map(decimal_string, row)]))
     else:
         import json
 
-        payload = [
-            {
-                "c": format_rational(c),
-                "df": format_rational(rep.df),
-                "inner_factor": format_rational(rep.inner_factor),
-                "jna": format_rational(rep.jna),
-            }
-            for c, rep in rows
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([dict(zip(columns, map(format_rational, row))) for row in rows],
+                         indent=2))
     return EXIT_OK
 
 
 def _cmd_destabilize(ns) -> int:
     from . import normalcone
 
-    pf = _resolve_unit_pair(ns)
-    c, df = normalcone.find_destabilizer(pf.pair, ns.beta, ns.tol)
-    threshold = normalcone.instability_threshold(pf.pair)
+    pair = ns.source.pair
+    c, df = normalcone.find_destabilizer(pair, ns.beta, ns.tol)
+    threshold = normalcone.instability_threshold(pair)
     _print_fields([
         ("instability threshold", threshold),
         ("witness c", c),
@@ -429,15 +400,15 @@ def _cmd_destabilize(ns) -> int:
 def _cmd_critical_c(ns) -> int:
     from . import normalcone
 
-    pf = _resolve_unit_pair(ns)
-    bracket = normalcone.critical_c(pf.pair, ns.beta, ns.tol)
+    pair = ns.source.pair
+    bracket = normalcone.critical_c(pair, ns.beta, ns.tol)
     if bracket.all_destabilizing:
         print("every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)")
         return EXIT_OK
     # The bracket's signs were decided by the integer sign kernel; the closed
     # form at both endpoints is the independent second path.
-    lo_inner = normalcone.df_closed(pf.pair, bracket.lo, ns.beta).inner_factor
-    hi_inner = normalcone.df_closed(pf.pair, bracket.hi, ns.beta).inner_factor
+    lo_inner = normalcone.df_closed(pair, bracket.lo, ns.beta).inner_factor
+    hi_inner = normalcone.df_closed(pair, bracket.hi, ns.beta).inner_factor
     if bracket.lo == bracket.hi:
         agree = lo_inner == 0
     else:
@@ -461,7 +432,7 @@ def _cmd_oracle(ns) -> int:
 
     from . import weightoracle
 
-    pf = _resolve_unit_pair(ns)
+    pf = ns.source
     if pf.model is None:
         raise InputError(
             f"pair {pf.pair.name!r} has no dimension model; supply a 'hilbert' block"
@@ -576,13 +547,53 @@ def _int_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _add_pair_arg(sub) -> None:
-    sub.add_argument("pair", help="pair source: 'catalog:NAME' or a JSON file path")
+# Arguments as (name or flag, add_argument options). Those shared by several
+# subcommands are declared once here.
+_BETA = ("--beta", {"type": _rational_arg, "required": True})
+_C = ("--c", {"type": _rational_arg, "required": True})
+_M = ("--m", {"type": _int_arg})
+_POSITIVITY_FLAGS = tuple(
+    (flag, {"dest": field, "metavar": metavar, "type": _rational_arg, "help": help_text})
+    for _, field, flag, metavar, help_text in _POSITIVITY)
 
+# The pair input of a subcommand: any pair, or only one with D in |L|.
+_ANY_PAIR, _UNIT_PAIR = "any", "m = 1"
 
-def _add_positivity_args(sub) -> None:
-    for _, field, flag, metavar, help_text in _POSITIVITY:
-        sub.add_argument(flag, dest=field, metavar=metavar, type=_rational_arg, help=help_text)
+# One row per subcommand, in --help order: (name, help, handler, pair input
+# or None, arguments after the pair positional).
+_COMMANDS = (
+    ("info", "pair findings, scalar averages, instability threshold", _cmd_info, _ANY_PAIR, ()),
+    ("scalar", "scalar averages at a cone angle", _cmd_scalar, _ANY_PAIR, (
+        _BETA, ("--m", {"type": _int_arg, "help": "override divisor multiplicity"}))),
+    ("thresholds", "beta_u, alpha_beta lower bounds, minimal multiplicity", _cmd_thresholds,
+     _ANY_PAIR, (
+        _M, ("--beta", {"type": _rational_arg, "default": Fraction(1, 2),
+                        "help": "angle for the minimal-multiplicity row (default 1/2)"}),
+        *_POSITIVITY_FLAGS)),
+    ("window", "certified cone-angle window", _cmd_window, _ANY_PAIR, (
+        _M, ("--case", {"choices": ["large", "given", "uniform"], "required": True}),
+        *_POSITIVITY_FLAGS)),
+    ("eta", "eta-feasibility verdict with certificate", _cmd_verdict, _ANY_PAIR,
+     (_M, _BETA, *_POSITIVITY_FLAGS)),
+    ("entropy", "entropy-threshold comparison verdict", _cmd_verdict, _ANY_PAIR,
+     (_M, _BETA, *_POSITIVITY_FLAGS)),
+    ("df", "log Donaldson-Futaki invariant via both paths", _cmd_df, _UNIT_PAIR, (_C, _BETA)),
+    ("df-curve", "DF grid over c for fixed beta", _cmd_df_curve, _UNIT_PAIR, (
+        _BETA, ("--steps", {"type": _int_arg, "required": True}),
+        ("--format", {"choices": ["csv", "json"], "default": "csv"}))),
+    ("destabilize", "find c with DF < 0 below the threshold", _cmd_destabilize, _UNIT_PAIR, (
+        _BETA, ("--tol", {"type": _rational_arg, "default": Fraction(1, 2**60),
+                          "help": "dyadic search floor (default 2^-60)"}))),
+    ("critical-c", "isolate the root of the inner factor", _cmd_critical_c, _UNIT_PAIR, (
+        _BETA, ("--tol", {"type": _rational_arg, "required": True}))),
+    ("oracle", "brute-force coefficient cross-check report", _cmd_oracle, _UNIT_PAIR, (
+        _C, ("--kmax", {"type": _int_arg, "default": 60,
+                        "help": "sample listing bound for the report (default 60)"}))),
+    ("criteria", "singular-pair criteria from asserted facts", _cmd_criteria, None, (
+        ("--file", {"required": True, "help": "JSON document mirroring the criteria input"}),)),
+    ("catalog", "builtin pairs", _cmd_catalog, None, (
+        ("action", {"choices": ["list", "show"]}), ("name", {"nargs": "?", "default": None}))),
+)
 
 
 def build_parser() -> _Parser:
@@ -591,112 +602,68 @@ def build_parser() -> _Parser:
         description="Exact-arithmetic log K-stability calculator for polarised pairs.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("info", help="pair findings, scalar averages, instability threshold")
-    _add_pair_arg(p)
-    p.set_defaults(handler=_cmd_info)
-
-    p = sub.add_parser("scalar", help="scalar averages at a cone angle")
-    _add_pair_arg(p)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--m", type=_int_arg, default=None, help="override divisor multiplicity")
-    p.set_defaults(handler=_cmd_scalar)
-
-    p = sub.add_parser("thresholds", help="beta_u, alpha_beta lower bounds, minimal multiplicity")
-    _add_pair_arg(p)
-    p.add_argument("--m", type=_int_arg, default=None)
-    p.add_argument("--beta", type=_rational_arg, default=Fraction(1, 2),
-                   help="angle for the minimal-multiplicity row (default 1/2)")
-    _add_positivity_args(p)
-    p.set_defaults(handler=_cmd_thresholds)
-
-    p = sub.add_parser("window", help="certified cone-angle window")
-    _add_pair_arg(p)
-    p.add_argument("--m", type=_int_arg, default=None)
-    p.add_argument("--case", choices=["large", "given", "uniform"], required=True)
-    _add_positivity_args(p)
-    p.set_defaults(handler=_cmd_window)
-
-    for name, help_text, verdict in (
-        ("eta", "eta-feasibility verdict with certificate", "eta_feasibility"),
-        ("entropy", "entropy-threshold comparison verdict", "entropy_threshold_check"),
-    ):
+    for name, help_text, handler, pair_input, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_pair_arg(p)
-        p.add_argument("--m", type=_int_arg, default=None)
-        p.add_argument("--beta", type=_rational_arg, required=True)
-        _add_positivity_args(p)
-        p.set_defaults(handler=_cmd_verdict, verdict=verdict)
-
-    p = sub.add_parser("df", help="log Donaldson-Futaki invariant via both paths")
-    _add_pair_arg(p)
-    p.add_argument("--c", type=_rational_arg, required=True)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.set_defaults(handler=_cmd_df)
-
-    p = sub.add_parser("df-curve", help="DF grid over c for fixed beta")
-    _add_pair_arg(p)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--steps", type=_int_arg, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(handler=_cmd_df_curve)
-
-    p = sub.add_parser("destabilize", help="find c with DF < 0 below the threshold")
-    _add_pair_arg(p)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--tol", type=_rational_arg, default=Fraction(1, 2**60),
-                   help="dyadic search floor (default 2^-60)")
-    p.set_defaults(handler=_cmd_destabilize)
-
-    p = sub.add_parser("critical-c", help="isolate the root of the inner factor")
-    _add_pair_arg(p)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--tol", type=_rational_arg, required=True)
-    p.set_defaults(handler=_cmd_critical_c)
-
-    p = sub.add_parser("oracle", help="brute-force coefficient cross-check report")
-    _add_pair_arg(p)
-    p.add_argument("--c", type=_rational_arg, required=True)
-    p.add_argument("--kmax", type=_int_arg, default=60,
-                   help="sample listing bound for the report (default 60)")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("criteria", help="singular-pair criteria from asserted facts")
-    p.add_argument("--file", required=True, help="JSON document mirroring the criteria input")
-    p.set_defaults(handler=_cmd_criteria)
-
-    p = sub.add_parser("catalog", help="builtin pairs")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(handler=_cmd_catalog)
-
+        if pair_input is not None:
+            p.add_argument("pair", help="pair source: 'catalog:NAME' or a JSON file path")
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(handler=handler, pair_input=pair_input)
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point a standard stream's descriptor at devnull, so that the
+    interpreter's final flush of what it could not write does not raise again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _print_error(text: str) -> None:
+    """Print text to stderr. An unwritable stderr loses the text but does not
+    change the exit code."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def run(argv: list[str]) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
+    """Execute one CLI invocation; returns the process exit code.
+
+    Before a handler runs, its inputs are resolved once, in one order: the
+    pair source (ns.source), the refusal of m != 1 where D in |L| is needed,
+    the positivity data merged from the file and the flags (ns.positivity),
+    then the divisor with --m applied (ns.divisor).
+    """
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
     except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"{exc.parser.format_usage()}error: {exc}")
         return EXIT_INPUT
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
+        if ns.pair_input is not None:
+            ns.source = resolve_pair(ns.pair)
+            if ns.pair_input == _UNIT_PAIR and ns.source.divisor.m != 1:
+                raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
+            if "lam" in ns:  # the subcommands that take the positivity flags
+                ns.positivity = _merged_positivity(ns.source, ns)
+            m = getattr(ns, "m", None)
+            ns.divisor = ns.source.divisor if m is None else DivisorSpec(m=m)
         return ns.handler(ns)
     except PreconditionFailedError as exc:
         print(f"PreconditionFailed: {exc.violated}")
         return EXIT_INCONCLUSIVE
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _print_error(f"input error: {exc}")
         return EXIT_INPUT
     except InternalCheckError as exc:
-        print(f"internal cross-check failure: {exc}", file=sys.stderr)
+        _print_error(f"internal cross-check failure: {exc}")
         return EXIT_INTERNAL
     except LogKLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_INPUT
 
 
@@ -707,13 +674,11 @@ def main() -> None:
     except BrokenPipeError:  # the reader closed stdout early
         code = EXIT_BROKEN_PIPE
     except OSError as exc:  # stdout cannot take the output, on a full disk say
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _print_error(f"error: cannot write output: {exc}")
         code = EXIT_IOERR
     else:
         sys.exit(code)
-    # Point stdout at devnull so that the interpreter's final flush does not
-    # raise again.
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _to_devnull(sys.stdout)
     sys.exit(code)
 
 

@@ -165,7 +165,9 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
     """(lambda, Lambda, model) actually in force for this pair.
 
     An exact proportionality coefficient x gives lambda = Lambda = x; a
-    supplied lambda/Lambda pair must then agree with it.
+    supplied lambda/Lambda pair must then agree with it. Otherwise, with L
+    ample (L^n > 0), intersecting lambda c1(L) <= c1(X) <= Lambda c1(L) with
+    L^(n-1) gives lambda <= S_1/n <= Lambda, and data outside it is refused.
     """
     if pair.proportional_x is not None:
         x = pair.proportional_x
@@ -179,6 +181,13 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
     if pos.lam is None or pos.Lambda_up is None:
         raise MissingPositivityDataError(
             "need nef thresholds lambda and Lambda (or an exact proportional_x on the pair)"
+        )
+    mean = avg_scalar_s1(pair) / pair.dimension
+    if pair.L_top > 0 and not pos.lam <= mean <= pos.Lambda_up:
+        raise InconsistentDataError(
+            f"nef thresholds need lambda <= S_1/n <= Lambda, but S_1/n = "
+            f"{format_rational(mean)} lies outside [{format_rational(pos.lam)}, "
+            f"{format_rational(pos.Lambda_up)}]"
         )
     return pos.lam, pos.Lambda_up, MODEL_SANDWICH
 

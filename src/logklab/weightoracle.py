@@ -243,15 +243,16 @@ def _sample_and_recover(
     dt_poly = _interpolate_checked(
         ks, [Fraction(s.d_tilde_k) for s in fit], held.k,
         Fraction(held.d_tilde_k), n - 1, "divisor dimension")
-    wt_poly = _interpolate_checked(
-        ks, [s.w_tilde_k for s in fit], held.k, held.w_tilde_k, n, "divisor weight")
+    # Every sample has w~_k = -c k d~_k, so the w~ interpolant is -c k times
+    # the d~ one and its k^n coefficient is -c a0~.
+    a0_tilde = dt_poly.coefficient(n - 1)
     return summed[:listed], NormalConeCoefficients(
         a0=d_poly.coefficient(n),
         a1=d_poly.coefficient(n - 1),
         b0=w_poly.coefficient(n + 1),
         b1=w_poly.coefficient(n),
-        a0_tilde=dt_poly.coefficient(n - 1),
-        b0_tilde=wt_poly.coefficient(n),
+        a0_tilde=a0_tilde,
+        b0_tilde=-c * a0_tilde,
         c=c,
         n=n,
     )

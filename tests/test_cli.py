@@ -515,6 +515,56 @@ def test_multiplicity_guard_on_df(capsys, tmp_path):
     assert "m = 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["df", "--c", "1/2", "--beta", "1/2"],
+    ["df-curve", "--beta", "1/2", "--steps", "3"],
+    ["destabilize", "--beta", "1/4"],
+    ["critical-c", "--beta", "1/2", "--tol", "1/1024"],
+    ["oracle", "--c", "1/2"],
+], ids=lambda argv: argv[0])
+def test_multiplicity_guard_on_every_normal_cone_command(capsys, tmp_path, argv):
+    path = write_pair(tmp_path, dict(PAIR_DOC, divisor={"m": 2}))
+    code, out, err = invoke(capsys, [argv[0], path, *argv[1:]])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"input error: {argv[0]} needs a pair with divisor multiplicity m = 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds"], ["window", "--case", "uniform"], ["eta", "--beta", "1/2"],
+    ["entropy", "--beta", "1/2"],
+], ids=lambda argv: argv[0])
+def test_positivity_is_resolved_before_the_divisor(capsys, argv):
+    # Two bad inputs: every positivity subcommand reports the same one.
+    code, out, err = invoke(capsys, [argv[0], "catalog:P2-line", *argv[1:],
+                                     "--m", "0", "--lambda", "3", "--Lambda", "2"])
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: lambda = 3 exceeds Lambda = 2\n")
+
+
+# S_1/n = 5/4 lies above Lambda = 19/20. Taken at its word, the sandwich would
+# certify `window --case large` on (0, 1/20], where destabilize finds DF < 0.
+CONTRA_DOC = {"name": "contra", "dimension": 2, "L_top": 1, "cX_L": "5/4", "divisor": {"m": 1},
+              "positivity": {"lambda": "9/10", "Lambda": "19/20", "alpha_L": 1,
+                             "alpha_LD_restricted": 1}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["window", "--case", "large"], ["eta", "--beta", "1/20"], ["entropy", "--beta", "1/20"],
+    ["thresholds"],
+], ids=lambda argv: argv[0])
+def test_nef_bounds_contradicting_the_pair_exit_3(capsys, tmp_path, argv):
+    code, out, err = invoke(capsys, [argv[0], write_pair(tmp_path, CONTRA_DOC), *argv[1:]])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("input error: nef thresholds need lambda <= S_1/n <= Lambda, "
+                   "but S_1/n = 5/4 lies outside [9/10, 19/20]\n")
+
+
+def test_destabilize_ignores_the_nef_bounds(capsys, tmp_path):
+    code, out, _ = invoke(capsys, ["destabilize", write_pair(tmp_path, CONTRA_DOC),
+                                   "--beta", "1/20"])
+    assert code == EXIT_OK
+    assert "DF(c, beta=1/20) = -1/160 < 0" in out
+
+
 def test_scalar_curve_pair_reports_sD_unavailable(capsys, tmp_path):
     doc = {"name": "genus-two-like", "dimension": 1, "L_top": "2", "cX_L": "-2",
            "divisor": {"m": 1}}
@@ -660,12 +710,12 @@ def big_pair(tmp_path, **numbers):
 def eta_certificate_case(tmp_path):
     path = big_pair(tmp_path, L_top="1", cX_L="3")
     alpha_L = Fraction(1, 2) + Fraction(1, BIG_Y)
-    lam = 3 + Fraction(1, BIG_X)
-    verdict = eta_feasibility(load_pair_file(path).pair, PositivityData(alpha_L, 1, lam, lam),
+    lam, Lam = 3 - Fraction(1, BIG_X), 3 + Fraction(1, BIG_X)  # around S_1/n = 3
+    verdict = eta_feasibility(load_pair_file(path).pair, PositivityData(alpha_L, 1, lam, Lam),
                               5, Fraction(1, 2))
     argv = ["eta", path, "--m", "5", "--beta", "1/2", f"--alpha-L={format_rational(alpha_L)}",
             "--alpha-LD", "1", f"--lambda={format_rational(lam)}",
-            f"--Lambda={format_rational(lam)}"]
+            f"--Lambda={format_rational(Lam)}"]
     return argv, EXIT_OK, [verdict.certificate, *verdict.eta_interval]
 
 
@@ -678,9 +728,10 @@ def criteria_violated_case(tmp_path):
 
 
 def window_precondition_case(tmp_path):
-    path = big_pair(tmp_path, L_top=f"1/{BIG_X}", cX_L=str(BIG_Y))
-    argv = ["window", path, "--case", "uniform", "--lambda", "0", "--Lambda", "1"]
-    return argv, EXIT_INCONCLUSIVE, [2 * BIG_X * BIG_Y]  # S_1 = n cX_L / L_top
+    # lambda <= S_1/n <= Lambda holds, while S_1 < m n + (n-1) lambda = 0 fails.
+    path = big_pair(tmp_path, L_top=str(BIG_X), cX_L=f"1/{BIG_Y}")
+    argv = ["window", path, "--case", "large", "--lambda=-2", "--Lambda", "1"]
+    return argv, EXIT_INCONCLUSIVE, [Fraction(2, BIG_X * BIG_Y)]  # S_1 = n cX_L / L_top
 
 
 def info_inconsistent_case(tmp_path):
@@ -741,6 +792,25 @@ def test_unwritable_stdout_exits_74(argv):
     assert proc.returncode == EXIT_IOERR
     assert proc.stderr.decode() == (
         f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv, stdout_full, code", [
+    (["info", "/no/such.json"], False, EXIT_INPUT),
+    (["catalog", "list"], True, EXIT_IOERR),
+    (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], False, EXIT_OK),
+], ids=["input-error", "stdout-too", "success"])
+def test_unwritable_stderr_keeps_exit_code(argv, stdout_full, code):
+    # The message is lost, but neither its write nor the interpreter's final
+    # flush turns the code into 1 or 120.
+    src = Path(__file__).resolve().parent.parent / "src"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "logklab.cli", *argv],
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == code
+    if code == EXIT_OK:
+        assert proc.stdout.endswith(b"cross-check: both DF paths agree exactly\n")
 
 
 @pytest.mark.parametrize("command, text, key", [
