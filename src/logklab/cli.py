@@ -27,7 +27,7 @@ from .errors import (
     LogKLabError,
     PreconditionFailedError,
 )
-from .exactnum import Polynomial, decimal_string, format_rational, parse_rational
+from .exactnum import Polynomial, decimal_string, format_rational, parse_rational, ratio_texts
 from .pairmodel import (
     KIND_EXPLICIT,
     KIND_PRODUCT_P1P1,
@@ -366,19 +366,21 @@ def _cmd_df_curve(ns) -> int:
     from . import normalcone
 
     columns = ("c", "df", "inner_factor", "jna")
-    rows = ((c, rep.df, rep.inner_factor, rep.jna)
-            for c, rep in normalcone.curve(ns.source.pair, ns.beta, ns.steps))
     if ns.format == "csv":
         # No field needs CSV quoting: rationals and decimals hold no comma,
         # quote or newline.
-        print(",".join([*columns, *(f"{name}_decimal" for name in columns)]))
-        for row in rows:
-            print(",".join([*map(format_rational, row), *map(decimal_string, row)]))
+        head = ",".join([*columns, *(f"{name}_decimal" for name in columns)]) + "\n"
+        row, between, tail, digits = ",".join(["%s"] * 8) + "\n", "", "", 12
     else:
-        import json
-
-        print(json.dumps([dict(zip(columns, map(format_rational, row))) for row in rows],
-                         indent=2))
+        # The bytes of json.dumps(rows, indent=2): the keys are fixed and every
+        # value is [-0-9/] text, so nothing needs escaping.
+        head, between, tail, digits = "[\n  ", ",\n  ", "\n]\n", 0
+        row = "{\n%s\n  }" % ",\n".join(f'    "{name}": "%s"' for name in columns)
+    rows = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
+    write = sys.stdout.write
+    for i, (c, df, inner, _, jna) in enumerate(rows):
+        write((between if i else head) + row % tuple(ratio_texts((c, df, inner, jna), digits)))
+    write(tail)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ import re
 from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from .errors import DuplicateAbscissaError, InputError
@@ -68,12 +68,26 @@ def format_rational(value: Fraction | int) -> str:
     Equal to str() of the Fraction, also past the interpreter's int<->str
     digit limit.
     """
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    try:
-        return str(q)
-    except ValueError:
-        num = _int_to_str(q.numerator)
-        return num if q.denominator == 1 else f"{num}/{_int_to_str(q.denominator)}"
+    return ratio_texts([(value.numerator, value.denominator)])[0]
+
+
+def ratio_texts(pairs: Iterable[tuple[int, int]], digits: int = 0) -> list[str]:
+    """The exact text of each num/den of pairs (den > 0) reduced by gcd, then,
+    if digits > 0, the decimal of each: format_rational and decimal_string of
+    Fraction(num, den), also past the int->str digit limit, without the Fraction.
+    """
+    divide = _decimal_context(digits).divide if digits > 0 else None
+    texts, decimals = [], []
+    for num, den in pairs:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        try:
+            texts.append(str(num) if den == 1 else f"{num}/{den}")
+        except ValueError:
+            texts.append(_int_to_str(num) + ("" if den == 1 else f"/{_int_to_str(den)}"))
+        if divide is not None:
+            decimals.append(str(divide(num, den)))
+    return texts + decimals
 
 
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:
@@ -81,8 +95,7 @@ def decimal_string(value: Fraction | int, digits: int = 12) -> str:
 
     For plotting/report columns only; never re-ingested.
     """
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    return str(_decimal_context(digits).divide(q.numerator, q.denominator))
+    return str(_decimal_context(digits).divide(value.numerator, value.denominator))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     InternalCheckError,
@@ -200,6 +200,8 @@ class _Kernel(NamedTuple):
         prefactor    = n a0 (d^(n+1) - b^(n+1)) / ((n+1) d^(n+1))
         DF           = a0 V / (den (n+1) d^(n+1))
         J^NA         = ((n+1) a d^n - (d^(n+1) - b^(n+1))) / ((n+1) d^(n+1)).
+
+    grid yields these as unreduced integer pairs; df-curve prints no Fraction.
     """
 
     n: int
@@ -217,8 +219,9 @@ class _Kernel(NamedTuple):
         v = self.value(a, d, (d - a) ** self.n, d ** (self.n + 1))
         return (v > 0) - (v < 0)
 
-    def grid(self, d: int) -> list[tuple[Fraction, DFReport]]:
-        """DF reports at c = a/d, a = 1..d-1, each field one Fraction of V.
+    def grid(self, d: int, a_values: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+        """At c = a/d for each a of a_values (0 < a < d), lazily: the unreduced
+        (num, den) integer pairs of c, DF, the inner factor, the prefactor and J^NA.
 
         The powers of d and the constants of the four denominators are
         computed once; each point needs b^n, b^(n+1) and V.
@@ -232,19 +235,13 @@ class _Kernel(NamedTuple):
         prefactor_den = a0.denominator * (n + 1) * d_n1
         jna_lead = (n + 1) * d_n
         jna_den = (n + 1) * d_n1
-        rows = []
-        for a in range(1, d):
+        for a in a_values:
             b = d - a
             b_n = b**n
             v = self.value(a, d, b_n, d_n1)
             gap = d_n1 - b_n * b  # d^(n+1) - b^(n+1) > 0
-            rows.append((Fraction(a, d), DFReport(
-                df=Fraction(a0.numerator * v, df_den),
-                inner_factor=Fraction(v, inner_den * gap),
-                positive_prefactor=Fraction(prefactor_num * gap, prefactor_den),
-                jna=Fraction(jna_lead * a - gap, jna_den),
-            )))
-        return rows
+            yield ((a, d), (a0.numerator * v, df_den), (v, inner_den * gap),
+                   (prefactor_num * gap, prefactor_den), (jna_lead * a - gap, jna_den))
 
 
 def family(pair: PolarisedPair, c: Fraction) -> Family:
@@ -418,23 +415,35 @@ def critical_c(
     return CriticalBracket(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
 
 
-def curve(pair: PolarisedPair, beta: Fraction, steps: int) -> list[tuple[Fraction, DFReport]]:
-    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps.
+def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[tuple]:
+    """The rows of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
 
-    The grid is evaluated on the integer numerator V (_Kernel.grid); the
-    Fraction closed form at the first and last points is the independent
-    second path, and any difference raises InternalCheckError.
+    The Fraction closed form at the first and last points is the independent
+    second path: any field that differs from it raises InternalCheckError
+    before the rows are returned.
     """
     if steps < 1:
         raise ParameterOutOfRangeError(f"steps must be >= 1, got {steps}")
     beta = Fraction(beta)
     constants = _pair_of(pair)
-    rows = constants.kernel(beta).grid(steps + 1)
-    for c, report in (rows[0], rows[-1]):
+    kernel, d = constants.kernel(beta), steps + 1
+    for c, report in _reports(kernel.grid(d, (1, d - 1))):
         closed = constants.at(c).df(beta)
         if report != closed:
             raise InternalCheckError(
                 f"df-curve grid and closed form disagree at c = {format_rational(c)}: "
                 f"DF {format_rational(report.df)} against {format_rational(closed.df)}"
             )
-    return rows
+    return kernel.grid(d, range(1, d))
+
+
+def _reports(rows: Iterable[tuple]) -> Iterator[tuple[Fraction, DFReport]]:
+    """Rows of _Kernel.grid as c and its DFReport, in Fractions."""
+    return ((Fraction(*c), DFReport(*(Fraction(*field) for field in fields)))
+            for c, *fields in rows)
+
+
+def curve(pair: PolarisedPair, beta: Fraction, steps: int) -> list[tuple[Fraction, DFReport]]:
+    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps: the
+    checked rows of curve_rows, as Fractions."""
+    return list(_reports(curve_rows(pair, beta, steps)))

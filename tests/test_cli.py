@@ -1,14 +1,19 @@
 import errno
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logklab.cli import (
     EXIT_BROKEN_PIPE,
@@ -22,9 +27,9 @@ from logklab.cli import (
     run,
 )
 from logklab.errors import InputError
-from logklab.exactnum import format_rational, parse_rational
-from logklab.normalcone import instability_threshold
-from logklab.pairmodel import CATALOG
+from logklab.exactnum import decimal_string, format_rational, parse_rational
+from logklab.normalcone import curve, instability_threshold
+from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
 
@@ -396,6 +401,42 @@ def test_df_curve_json(capsys):
     assert payload[1]["df"] == "-1/48"
 
 
+CURVE_COLUMNS = ("c", "df", "inner_factor", "jna")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    steps=st.integers(min_value=1, max_value=40),
+)
+def test_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
+    # The streamed rows against format_rational, decimal_string and
+    # json.dumps over the Fractions of curve().
+    rows = [(c, rep.df, rep.inner_factor, rep.jna)
+            for c, rep in curve(PolarisedPair("random", n, L_top, cX_L), beta, steps)]
+    doc = {"name": "random", "dimension": n, "L_top": format_rational(L_top),
+           "cX_L": format_rational(cX_L), "divisor": {"m": 1}}
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["df-curve", write_pair(Path(tmp), doc), f"--beta={format_rational(beta)}",
+                "--steps", str(steps)]
+        for fmt in ("csv", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run([*argv, "--format", fmt])
+            assert (code, err.getvalue()) == (EXIT_OK, "")
+            outputs[fmt] = out.getvalue()
+    assert outputs["json"] == json.dumps(
+        [dict(zip(CURVE_COLUMNS, map(format_rational, row))) for row in rows], indent=2) + "\n"
+    header = ",".join([*CURVE_COLUMNS, *(f"{name}_decimal" for name in CURVE_COLUMNS)])
+    assert outputs["csv"].splitlines() == [header, *(
+        ",".join([*map(format_rational, row), *map(decimal_string, row)]) for row in rows)]
+    assert outputs["csv"].endswith("\n")
+
+
 def test_criteria_command(capsys, tmp_path):
     doc = {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}
     path = tmp_path / "criteria.json"
@@ -641,6 +682,20 @@ def test_df_curve_exits_4_when_grid_kernel_disagrees(capsys, monkeypatch):
     assert "cross-check" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_df_curve_checks_its_last_point_before_the_first_byte(capsys, monkeypatch, fmt):
+    import logklab.normalcone as normalcone
+
+    real = normalcone._Kernel.value
+    monkeypatch.setattr(normalcone._Kernel, "value", lambda self, a, d, b_n, d_n1:
+                        real(self, a, d, b_n, d_n1) + (a == d - 1))
+    code, out, err = invoke(capsys, [
+        "df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "5", "--format", fmt])
+    assert code == 4
+    assert out == ""
+    assert "cross-check" in err and "c = 5/6" in err and "Traceback" not in err
+
+
 def test_critical_c_prints_values_past_int_digit_limit():
     # The inner factor at lo has a 16385-bit denominator, past the default
     # 4300-digit int->str limit; run in a fresh interpreter with that limit.
@@ -745,10 +800,25 @@ def destabilize_threshold_case(tmp_path):
     return ["destabilize", path, "--beta", "1/2"], EXIT_INCONCLUSIVE, [threshold]
 
 
+def df_curve_case(tmp_path, fmt):
+    path = big_pair(tmp_path, L_top=f"1/{BIG_X}", cX_L=str(-BIG_Y))
+    rows = curve(load_pair_file(path).pair, Fraction(1, 2), 3)
+    argv = ["df-curve", path, "--beta", "1/2", "--steps", "3", "--format", fmt]
+    return argv, EXIT_OK, [value for _, rep in rows for value in (rep.df, rep.inner_factor)]
+
+
+def df_curve_csv_case(tmp_path):
+    return df_curve_case(tmp_path, "csv")
+
+
+def df_curve_json_case(tmp_path):
+    return df_curve_case(tmp_path, "json")
+
+
 @pytest.mark.parametrize("case", [
     eta_certificate_case, criteria_violated_case, window_precondition_case,
-    info_inconsistent_case, destabilize_threshold_case,
-], ids=["eta", "criteria", "window", "info", "destabilize"])
+    info_inconsistent_case, destabilize_threshold_case, df_curve_csv_case, df_curve_json_case,
+], ids=["eta", "criteria", "window", "info", "destabilize", "df-curve-csv", "df-curve-json"])
 def test_rationals_past_int_digit_limit_print_exactly(tmp_path, case):
     argv, code, expected = case(tmp_path)
     proc = run_fresh(argv)

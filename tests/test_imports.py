@@ -63,6 +63,14 @@ def test_normal_cone_route(bare, argv):
     assert not modules & {"dataclasses", THRESHOLDS, ORACLE}
 
 
+def test_df_curve_json_needs_no_json_module(bare):
+    out, modules = cli_imports(bare, "df-curve", "catalog:P2-line", "--beta", "1/2",
+                               "--steps", "3", "--format", "json")
+    assert out.startswith("[")
+    assert NORMALCONE in modules
+    assert not modules & {"json", "dataclasses", THRESHOLDS, ORACLE}
+
+
 def test_criteria(bare, tmp_path):
     (tmp_path / "criteria.json").write_text(json.dumps(
         {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
