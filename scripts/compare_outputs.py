@@ -8,7 +8,9 @@ invocations are the benchmark's whole universe (bench/workloads.py, all
 four workloads), `logklab --help`, every `<cmd> --help`, the usage errors
 that tests/test_cli_usage.py pins, and oracle runs the workloads leave out:
 a c outside (0, 1), an n = 1 pair, an explicit model at floor 50 with
---kmax 0, -3 and 400, and the largest --kmax on P4; and `info` and `oracle`
+--kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4 models
+at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000, and explicit
+models whose divisor counts go negative inside the walk; and `info` and `oracle`
 on pair files whose hilbert block is refused: an unknown kind, a
 projective_space block that contradicts its pair, and an explicit floor of
 -1 and of 10001; and the input resolution every pair subcommand shares: an
@@ -42,12 +44,29 @@ USAGE_ERRORS = (
 )
 
 
+def _explicit(n: int, cX_L: str, coefficients: list[str]) -> tuple[str, bytes]:
+    """A pair file of dimension n, L^n = 1, with an explicit hilbert block."""
+    return workloads._file("pair", {
+        "name": f"P{n}-explicit", "dimension": n, "L_top": "1", "cX_L": cX_L,
+        "divisor": {"m": 1}, "hilbert": {"kind": "explicit", "coefficients": coefficients}})
+
+
 def oracle_edges() -> list[workloads.Invocation]:
-    """Oracle invocations outside the benchmark universe, each with both input files."""
+    """Oracle invocations outside the benchmark universe, each with every input file."""
     point = workloads._file("pair", {
         "name": "P1-point", "dimension": 1, "L_top": "1", "cX_L": "2", "divisor": {"m": 1},
         "hilbert": {"kind": "projective_space"}})
     floor50 = workloads._explicit_pair_file(50)
+    floor10000 = workloads._explicit_pair_file(10000)
+    # binom(k+3, 3) and binom(k+4, 4) given explicitly.
+    p3 = _explicit(3, "4", ["1", "11/6", "1", "1/6"])
+    p4 = _explicit(4, "5", ["1", "25/12", "35/24", "5/12", "1/24"])
+    # binom(k,3) + 3 binom(k,2) - 1000 k + 100000: h_D(j) < 0 for j <= 43.
+    p3_negative = _explicit(3, "4", ["100000", "-6007/6", "1", "1/6"])
+    # binom(k,4) + 4 binom(k,3) - 200 binom(k,2) + 2000 k: h_D(j) < 0 for
+    # j = 14..22 only, past the seeds of a run that starts at j = 2.
+    p4_dip = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
+    files = (point, floor50, floor10000, p3, p4, p3_negative, p4_dip)
     p2, p1, explicit = "catalog:P2-line", point[0], floor50[0]
     argvs = [
         (p2, "--c", "3/2"), (p2, "--c", "3/2", "--kmax", "0"), (p2, "--c=-1/2"), (p2, "--c", "0"),
@@ -55,8 +74,12 @@ def oracle_edges() -> list[workloads.Invocation]:
         (explicit, "--c", "1/2", "--kmax", "0"), (explicit, "--c", "1/2", "--kmax=-3"),
         (explicit, "--c", "1/2", "--kmax", "400"), (explicit, "--c", "3/7", "--kmax", "400"),
         ("catalog:P4-hyperplane", "--c", "1/2", "--kmax", "10000"),
+        *((f[0], "--c", c) for f in (p3, p4) for c in ("9999/10000", "1/7", "1/60")),
+        (floor10000[0], "--c", "1/2"),
+        (p3_negative[0], "--c", "9999/10000"),
+        *((p4_dip[0], "--c", c) for c in ("9999/10000", "1/2")),
     ]
-    return [workloads.Invocation(("oracle", *argv), (point, floor50)) for argv in argvs]
+    return [workloads.Invocation(("oracle", *argv), files) for argv in argvs]
 
 
 def hilbert_errors() -> list[workloads.Invocation]:

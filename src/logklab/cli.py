@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -49,6 +50,8 @@ EXIT_IOERR = 74  # EX_IOERR of sysexits.h: stdout could not be written
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe ended
 
 CATALOG_PREFIX = "catalog:"
+# Rows of df-curve per write call.
+_CURVE_BATCH = 256
 # Largest --kmax of the oracle listing; see the README for its cost.
 ORACLE_KMAX_LIMIT = 10000
 
@@ -377,9 +380,14 @@ def _cmd_df_curve(ns) -> int:
         head, between, tail, digits = "[\n  ", ",\n  ", "\n]\n", 0
         row = "{\n%s\n  }" % ",\n".join(f'    "{name}": "%s"' for name in columns)
     rows = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
-    write = sys.stdout.write
-    for i, (c, df, inner, _, jna) in enumerate(rows):
-        write((between if i else head) + row % tuple(ratio_texts((c, df, inner, jna), digits)))
+    texts = (row % tuple(ratio_texts((c, df, inner, jna), digits))
+             for c, df, inner, _, jna in rows)
+    # One write per batch of rows, not per row: with PYTHONUNBUFFERED set,
+    # each write is a system call. Memory stays bounded by the batch.
+    write, lead = sys.stdout.write, head
+    while batch := list(islice(texts, _CURVE_BATCH)):
+        write(lead + between.join(batch))
+        lead = between
     write(tail)
     return EXIT_OK
 

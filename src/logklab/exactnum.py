@@ -10,7 +10,7 @@ import re
 from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DuplicateAbscissaError, InputError
@@ -111,13 +111,14 @@ class Polynomial:
     coefficient tuples; the zero polynomial has an empty tuple.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_integer_form")
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
         coeffs = [Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
+        object.__setattr__(self, "_integer_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -132,6 +133,22 @@ class Polynomial:
         if 0 <= i < len(self.coefficients):
             return self.coefficients[i]
         return Fraction(0)
+
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(d, (d a_m, ..., d a_1, d a_0)): the least common denominator d of
+        the coefficients and the integers d a_i, highest power first, so that
+        integer Horner evaluation over them gives d p(x) at an integer x.
+
+        Built on first use and kept: a polynomial that is only interpolated
+        or evaluated at Fractions never builds it.
+        """
+        form = self._integer_form
+        if form is None:
+            d = lcm(*(c.denominator for c in self.coefficients))
+            form = (d, tuple(c.numerator * (d // c.denominator)
+                             for c in reversed(self.coefficients)))
+            object.__setattr__(self, "_integer_form", form)
+        return form
 
     def __call__(self, x: Fraction | int) -> Fraction:
         x = Fraction(x)

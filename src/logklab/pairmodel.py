@@ -149,8 +149,10 @@ def sD_provenance(divisor: DivisorSpec) -> str:
 KIND_PROJECTIVE_SPACE = "projective_space"
 KIND_PRODUCT_P1P1 = "product_p1p1"
 KIND_EXPLICIT = "explicit"
-# Largest validity floor of an explicit model: the oracle's walk covers about
-# floor/(1 - c) divisor counts. See the README for its cost.
+# Largest validity floor of an explicit model. The oracle's walk covers about
+# floor/(1 - c) divisor counts, most of them by integer forward differences,
+# but its literal cross-check of the first sample still evaluates h_X at about
+# 2 c floor/(1 - c) arguments. See the README for its cost.
 HILBERT_FLOOR_LIMIT = 10000
 
 
@@ -158,8 +160,12 @@ class HilbertModel(NamedTuple):
     """Exact section-count model h_X(k) for (X, L), with the divisor counts
     h_D(j) = h_X(j) - h_X(j-1) induced by the restriction sequence (m = 1).
 
-    The explicit-polynomial kind carries a validity floor below which the
-    polynomial is not trusted to equal the true dimension.
+    Every kind is a polynomial of the given degree in k for k >= 0, so h_D
+    is one of degree one less for j >= 1; the oracle's walk relies on that.
+    The explicit-polynomial kind is evaluated on integers: Horner over the
+    polynomial's integer_form, then one division by its common denominator.
+    It carries a validity floor below which the polynomial is not trusted to
+    equal the true dimension.
     """
 
     kind: str
@@ -185,6 +191,15 @@ class HilbertModel(NamedTuple):
             raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
         return cls(kind=KIND_EXPLICIT, polynomial=polynomial, floor=floor)
 
+    @property
+    def degree(self) -> int:
+        """Degree of h_X as a polynomial in k; -1 for the zero explicit model."""
+        if self.kind == KIND_PROJECTIVE_SPACE:
+            return self.n
+        if self.kind == KIND_PRODUCT_P1P1:
+            return 2
+        return self.polynomial.degree
+
     def h_total(self, k: int) -> int:
         """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""
         if k == -1:
@@ -195,12 +210,17 @@ class HilbertModel(NamedTuple):
             return comb(self.n + k, self.n)
         if self.kind == KIND_PRODUCT_P1P1:
             return (k + 1) ** 2
-        value = self.polynomial(k)
-        if value.denominator != 1 or value < 0:
+        denominator, scaled = self.polynomial.integer_form()
+        value = 0
+        for a in scaled:
+            value = value * k + a
+        count, rest = divmod(value, denominator)
+        if rest or count < 0:
             raise InputError(
-                f"explicit model gives a non-dimension value {format_rational(value)} at k = {k}"
+                "explicit model gives a non-dimension value "
+                f"{format_rational(Fraction(value, denominator))} at k = {k}"
             )
-        return int(value)
+        return count
 
     def h_divisor(self, j: int) -> int:
         """dim H^0(D, L~^j) via the restriction sequence; must be >= 0."""

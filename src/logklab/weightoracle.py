@@ -8,9 +8,13 @@ field-by-field.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
 (k - ck, k]. sum_samples serves every sample of one (model, c) from a single
-ascending walk over the union of those ranges: it calls h_divisor once per j
+ascending walk over the union of those ranges: it takes each h_D(j) once
 and keeps the running sums S0 = sum h_D(j) and S1 = sum j h_D(j), so each
-sample is a difference of two running sums. dims_and_weights is the literal
+sample is a difference of two running sums. On a plain HilbertModel, whose
+h_D is a polynomial in j, the counts of each contiguous run of the union
+come from integer forward differences seeded by a few literal h_divisor
+calls, and the run's last count is checked against a literal call; other
+models are asked for every count. dims_and_weights is the literal
 per-sample sum, kept as the reference the walk is checked against: every
 report recomputes its first sample that way (InternalCheckError on any
 difference).
@@ -19,7 +23,9 @@ difference).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import accumulate
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from .errors import (
     BelowValidityFloorError,
@@ -105,13 +111,20 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
     """[dims_and_weights(model, c, k) for k in ks], from one shared walk.
 
     The walk visits j ascending over the union of the block ranges
-    (k - ck, k], calls model.h_divisor(j) once for each, and records the
-    running sums S0 = sum h_D(j) and S1 = sum j h_D(j) at every range end.
-    Each range lies inside the union, so differences of the records are
-    exact even where the ranges leave gaps. With base = k - ck and the
-    differences dS0, dS1 across (base, k]:
+    (k - ck, k], takes each h_D(j) once, and records the running sums
+    S0 = sum h_D(j) and S1 = sum j h_D(j) at every range end. Each range
+    lies inside the union, so differences of the records are exact even
+    where the ranges leave gaps. With base = k - ck and the differences
+    dS0, dS1 across (base, k]:
 
         d_k = h_X(base) + dS0,   w_k = -(dS1 - base dS0),   d~_k = h_D(k).
+
+    For a plain HilbertModel the counts of each maximal contiguous run of
+    the union come from integer forward differences, seeded by degree(h_X)
+    literal h_divisor calls at the start of the run; each count is checked
+    for sign, and the last one of the run against a literal h_divisor call
+    (InternalCheckError on any difference). Any other model, such as a
+    subclass that overrides its counts, is asked for every h_divisor(j).
 
     Only the records are kept: no table of counts. A model fault is
     reported by the literal path, so its error is the one dims_and_weights
@@ -124,6 +137,11 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
         return [dims_and_weights(model, c, k) for k in ks]
 
 
+# Counts per chunk of the walk: the sums run at C speed over lists this long,
+# so memory stays bounded whatever the length of the walk.
+_CHUNK = 4096
+
+
 def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
     bases = [k - _check_admissible(model, c, k) for k in ks]
     # Ranges opening minus ranges closing at each end point.
@@ -131,19 +149,15 @@ def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]
     for k, base in zip(ks, bases):
         depth_change[base] = depth_change.get(base, 0) + 1
         depth_change[k] = depth_change.get(k, 0) - 1
-    h_divisor = model.h_divisor
     records: dict[int, tuple[int, int, int]] = {}  # end point -> (S0, S1, last h_D)
-    s0 = s1 = block = 0
-    depth = last = 0
+    points: list[int] = []
+    depth = 0
     for x in sorted(depth_change):
-        if depth:  # (last, x] lies in the union
-            for j in range(last + 1, x + 1):
-                block = h_divisor(j)
-                s0 += block
-                s1 += j * block
-        records[x] = (s0, s1, block)
+        points.append(x)
         depth += depth_change[x]
-        last = x
+        if not depth:  # a maximal run of the union ends at x
+            _record_run(model, points, records)
+            points = []
     samples = []
     for k, base in zip(ks, bases):
         s0_base, s1_base, _ = records[base]
@@ -158,6 +172,74 @@ def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]
             c=c,
         ))
     return samples
+
+
+def _record_run(
+    model: HilbertModel, points: list[int], records: dict[int, tuple[int, int, int]]
+) -> None:
+    """Record (S0, S1, h_D(x)) at each end point x of the run (points[0], points[-1]].
+
+    The sums start at 0 on each run: every block range lies inside one run.
+    """
+    lo = points[0] + 1
+    s0 = s1 = 0
+    records[points[0]] = (0, 0, 0)  # a run starts at a base, never at a k: no h_D read
+    ends, stop = iter(points[1:]), points[-1] + 1
+    x = next(ends)
+    for counts in _run_counts(model, lo, points[-1]):
+        hi = lo + len(counts)
+        sums0 = list(accumulate(counts, initial=s0))
+        sums1 = list(accumulate(map(mul, range(lo, hi), counts), initial=s1))
+        while x < hi:
+            i = x - lo
+            records[x] = (sums0[i + 1], sums1[i + 1], counts[i])
+            x = next(ends, stop)
+        s0, s1, lo = sums0[-1], sums1[-1], hi
+
+
+def _run_counts(model: HilbertModel, first: int, last: int) -> Iterator[list[int]]:
+    """h_D(j) for j = first..last, a maximal run of the walk, in chunks.
+
+    On a plain HilbertModel, h_D(j) for j >= 1 is a polynomial of degree
+    below max(degree(h_X), 1), so that many literal counts at the start of
+    the run fix the rest. They fill a table of backward differences, and each
+    later chunk is read off it by itertools.accumulate, one pass per
+    difference order. Integer seeds make every count an integer; each is
+    checked for sign (an InputError sends sum_samples to the literal path),
+    and the last one against a literal h_divisor(last). Any other model is
+    asked for every count.
+    """
+    h_divisor = model.h_divisor
+    stop = last + 1
+    if type(model) is not HilbertModel:
+        for start in range(first, stop, _CHUNK):
+            yield [h_divisor(j) for j in range(start, min(start + _CHUNK, stop))]
+        return
+    seeds = [h_divisor(j) for j in range(first, min(first + max(model.degree, 1), stop))]
+    yield seeds
+    if first + len(seeds) == stop:  # every count of the run is literal
+        return
+    table: list[int] = []  # backward differences at the last count
+    for count in seeds:
+        for order, below in enumerate(table):
+            table[order], count = count, count - below
+        table.append(count)
+    for start in range(first + len(seeds), stop, _CHUNK):
+        counts = [table[-1]] * min(_CHUNK, stop - start)
+        for order in range(len(table) - 2, -1, -1):
+            running = accumulate(counts, initial=table[order])
+            next(running)
+            counts = list(running)
+            table[order] = counts[-1]
+        if min(counts) < 0:
+            raise InputError(f"negative divisor count at some j = {start}..{start + len(counts) - 1}")
+        yield counts
+    literal = h_divisor(last)
+    if literal != counts[-1]:
+        raise InternalCheckError(
+            f"forward differences and the literal divisor count disagree at j = {last}: "
+            f"{counts[-1]} != {literal}"
+        )
 
 
 def _first_level(model: HilbertModel, c: Fraction) -> int:

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -177,9 +176,11 @@ def test_oracle_sums_each_k_once(capsys, monkeypatch):
     assert code == EXIT_OK
     assert [s["k"] for s in json.loads(out)["samples"]] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
     # One walk over the block ranges (k/2, k] of the report's k = 2..12 and
-    # the listing's k = 2..20 together, and the literal cross-check of the
+    # the listing's k = 2..20 together: they form the one run j = 2..20, so
+    # its n = 2 seeds at j = 2, 3 and its end check at j = 20 (the counts in
+    # between are forward differences). Then the literal cross-check of the
     # first sample (k = 2: block j = 2, then d~ at j = 2).
-    assert Counter(divisor_args) == Counter([*range(2, 21), 2, 2])
+    assert divisor_args == [2, 3, 20, 2, 2]
 
 
 def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
@@ -197,11 +198,31 @@ def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
     assert "cross-check" in err and "Traceback" not in err
 
 
+def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
+    from logklab.weightoracle import HilbertModel
+
+    real = HilbertModel.h_divisor
+
+    def off_at_run_end(self, j):
+        # The walk's one run at c = 1/2, --kmax 60 is j = 2..60.
+        return real(self, j) + (j == 60)
+
+    monkeypatch.setattr(HilbertModel, "h_divisor", off_at_run_end)
+    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2"])
+    assert code == 4
+    assert out == ""
+    assert "disagree at j = 60" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("n, coefficients, c, message", [
     (2, ["1/2", "3/2", "1/2"], "1/2", "explicit model gives a non-dimension value 5/2 at k = 1"),
     (2, ["-20", "3/2", "1/2"], "1/3", "explicit model gives a non-dimension value -15 at k = 2"),
     (3, ["20", "-61/6", "1", "1/6"], "2/3", "divisor dimension negative at j = 3; model invalid"),
-], ids=["non-integer", "negative", "negative-divisor-count"])
+    # h_D(j) < 0 for j = 14..22 only: the walk's seeds at j = 2..5 are valid,
+    # and the first sample (k = 2) never reaches a negative count.
+    (4, ["0", "25213/12", "-2437/24", "5/12", "1/24"], "1/2",
+     "divisor dimension negative at j = 14; model invalid"),
+], ids=["non-integer", "negative", "negative-divisor-count", "negative-past-the-seeds"])
 def test_oracle_bad_explicit_model_exits_3(capsys, tmp_path, n, coefficients, c, message):
     # Each model is wrong at several arguments; the message names the one
     # the literal per-sample sums meet first.
@@ -399,6 +420,36 @@ def test_df_curve_json(capsys):
     payload = json.loads(out)
     assert [row["c"] for row in payload] == ["1/4", "1/2", "3/4"]
     assert payload[1]["df"] == "-1/48"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_df_curve_bytes_do_not_depend_on_stdout_buffering(fmt):
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "logklab.cli", "df-curve", "catalog:P3-hyperplane",
+            "--beta", "1/3", "--steps", "700", "--format", fmt]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    buffered, unbuffered = (subprocess.run(argv, capture_output=True, env=e, timeout=120)
+                            for e in (env, dict(env, PYTHONUNBUFFERED="1")))
+    assert buffered.returncode == unbuffered.returncode == EXIT_OK
+    assert buffered.stdout == unbuffered.stdout
+    assert buffered.stdout.count(b"\n") > 700
+
+
+def test_df_curve_writes_rows_in_batches(monkeypatch):
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recording()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "700"]) == EXIT_OK
+    # The header and rows 1-256, rows 257-512, rows 513-700, then the empty tail.
+    assert [text.count("\n") for text in writes] == [257, 256, 188, 0]
+    assert out.getvalue() == "".join(writes)
 
 
 CURVE_COLUMNS = ("c", "df", "inner_factor", "jna")

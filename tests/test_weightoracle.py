@@ -4,7 +4,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ from logklab.errors import (
     BelowValidityFloorError,
     DegreeMismatchError,
     DimensionTooSmallError,
+    InputError,
     NonIntegralCKError,
     ParameterOutOfRangeError,
 )
@@ -311,6 +312,47 @@ def test_sum_samples_equals_literal_sums(model, q, data):
     admissible = set(admissible_ks(model, c, 12 * c.denominator))
     ks = [m * c.denominator for m in multiples if m * c.denominator in admissible]
     assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
+
+
+def _binomial_basis(degree):
+    """binom(k, i) as polynomials in k, for i = 0..degree."""
+    basis, falling = [], Polynomial([1])
+    for i in range(degree + 1):
+        basis.append(falling * Fraction(1, factorial(i)))
+        falling = falling * Polynomial([-i, 1])
+    return basis
+
+
+def _outcome(compute):
+    """The samples compute() returns, or the type and message of its InputError."""
+    try:
+        return compute()
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coefficients=st.lists(st.integers(min_value=-3, max_value=12), min_size=1, max_size=6),
+    leading=st.integers(min_value=1, max_value=4),
+    floor=st.integers(min_value=0, max_value=5),
+    q=st.integers(min_value=2, max_value=200),
+    data=st.data(),
+)
+def test_forward_differences_equal_literal_sums(coefficients, leading, floor, q, data):
+    # An integer-valued explicit model of degree 1..6: integer coefficients
+    # in the binomial basis. Negative ones can make it invalid, and then both
+    # paths must raise the same error.
+    terms = [*coefficients, leading]
+    h = sum((a * b for a, b in zip(terms, _binomial_basis(len(coefficients)))), Polynomial())
+    model = HilbertModel.explicit(h, floor=floor)
+    # Small p leaves gaps between the block ranges, p near q overlaps them.
+    p = data.draw(st.one_of(st.integers(min_value=1, max_value=min(3, q - 1)),
+                            st.integers(min_value=max(1, q - 3), max_value=q - 1)))
+    c = Fraction(p, q)
+    ks = admissible_ks(model, c, 6 * c.denominator)
+    assert _outcome(lambda: sum_samples(model, c, ks)) == _outcome(
+        lambda: [dims_and_weights(model, c, k) for k in ks])
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 7), Fraction(2, 9), Fraction(3, 11),
