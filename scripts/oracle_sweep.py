@@ -2,12 +2,11 @@
 """Exercise the brute-force oracle against the closed forms on a c-grid.
 
 Prints coefficient-recovery matches for every catalog model and a finite-k
-convergence table for J_k -> J^NA. Exits nonzero if any configuration
-mismatches (which a correct build never does).
+convergence table for J_k -> J^NA. A mismatch (which a correct build never
+produces) ends the run with oracle_report's InternalCheckError.
 """
 
 import argparse
-import sys
 from fractions import Fraction
 
 from logklab.exactnum import decimal_string, format_rational
@@ -24,16 +23,12 @@ def main() -> None:
                         help="largest k in the J_k convergence table")
     args = parser.parse_args()
 
-    failures = 0
-    for name in CATALOG:
-        entry = CATALOG[name]
+    for name, entry in CATALOG.items():
         if entry.model is None:
             continue
         for c in args.cs:
-            report = oracle_report(entry.pair, entry.model, c)
-            status = "ok" if report["match"] else "MISMATCH"
-            print(f"{name:<16} c = {format_rational(c):>5}  recovery {status}")
-            failures += 0 if report["match"] else 1
+            oracle_report(entry.pair, entry.model, c)
+            print(f"{name:<16} c = {format_rational(c):>5}  recovery ok")
 
     print()
     pair, model = CATALOG["P2-line"].pair, CATALOG["P2-line"].model
@@ -45,8 +40,6 @@ def main() -> None:
         gap = jk - limit
         print(f"  k = {k:>3}: J_k = {format_rational(jk):>10} ({decimal_string(jk)}), "
               f"gap = {decimal_string(gap)}")
-
-    sys.exit(1 if failures else 0)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "normalcone": (
         "CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients", "critical_c",
-        "df_closed", "df_from_coefficients", "find_destabilizer", "g_factor",
+        "df_checked", "df_closed", "df_from_coefficients", "find_destabilizer", "g_factor",
         "instability_threshold", "jna_normal_cone",
     ),
     "thresholds": (

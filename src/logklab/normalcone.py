@@ -69,15 +69,17 @@ class DFReport(NamedTuple):
 
 
 class CriticalBracket(NamedTuple):
-    """Isolating interval for the root of the inner factor.
-
-    all_destabilizing marks the beta <= 0 degenerate case where every
-    c in (0, 1) destabilises and no root exists; lo = hi = 0 then.
+    """Isolating interval for the root of the inner factor, confirmed by the
+    closed-form inner factors lo_inner > 0 > hi_inner (both 0 on a width-zero
+    bracket). all_destabilizing marks the beta <= 0 case where every c in
+    (0, 1) destabilises and no root exists; lo = hi = 0, inner factors None.
     """
 
     lo: Fraction
     hi: Fraction
     all_destabilizing: bool = False
+    lo_inner: Fraction | None = None
+    hi_inner: Fraction | None = None
 
 
 def _require_c(c: Fraction) -> Fraction:
@@ -262,6 +264,20 @@ def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Frac
     return main + (1 - beta) * log_term
 
 
+def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
+               ) -> tuple[NormalConeCoefficients, DFReport]:
+    """The family's coefficients and closed-form DF report at (c, beta), once
+    df_from_coefficients gives the same DF (InternalCheckError otherwise)."""
+    at_c = family(pair, c)
+    coeffs, report = at_c.coefficients(), at_c.df(beta)
+    df_coeff_path = df_from_coefficients(coeffs, beta)
+    if df_coeff_path != report.df:
+        raise InternalCheckError(
+            f"DF paths disagree: closed form {format_rational(report.df)}, "
+            f"coefficient formula {format_rational(df_coeff_path)}")
+    return coeffs, report
+
+
 def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction) -> DFReport:
     """Closed-form DF of the family: prefactor(c) * (beta + (S^D/(n-1)) g(c)).
 
@@ -298,9 +314,23 @@ def _inner_sign_kernel(pair: PolarisedPair | _Pair, beta: Fraction) -> Callable[
     return pair.kernel(Fraction(beta)).sign
 
 
-def _not_below(beta: Fraction, threshold: Fraction) -> str:
-    return (f"beta = {format_rational(beta)} is not below the instability threshold "
-            f"{format_rational(threshold)}")
+def _below_threshold(
+    pair: PolarisedPair, beta: Fraction, tol: Fraction, refusal: str = ""
+) -> tuple[_Pair, Fraction, Fraction, Callable[[int, int], int]]:
+    """The checked preamble of find_destabilizer and critical_c: tol > 0, and
+    beta below the threshold (NotBelowThresholdError, ending in refusal).
+    Returns the pair's constants, beta and tol as Fractions, and the sign kernel."""
+    beta, tol = Fraction(beta), Fraction(tol)
+    if tol <= 0:
+        raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
+    constants = _pair_of(pair)
+    threshold = constants.threshold()
+    if beta >= threshold:
+        raise NotBelowThresholdError(
+            f"beta = {format_rational(beta)} is not below the instability threshold "
+            f"{format_rational(threshold)}{refusal}"
+        )
+    return constants, beta, tol, _inner_sign_kernel(constants, beta)
 
 
 def find_destabilizer(
@@ -323,17 +353,8 @@ def find_destabilizer(
     witnesses are exactly the c beyond the critical c*. The witness's DF comes from
     df_closed and must be negative, or InternalCheckError is raised.
     """
-    beta = Fraction(beta)
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
-    constants = _pair_of(pair)
-    threshold = constants.threshold()
-    if beta >= threshold:
-        raise NotBelowThresholdError(
-            f"{_not_below(beta, threshold)}; DF > 0 for every c in (0, 1)"
-        )
-    sign = _inner_sign_kernel(constants, beta)
+    constants, beta, tol, sign = _below_threshold(
+        pair, beta, tol, "; DF > 0 for every c in (0, 1)")
     prefactor_sign = 1 if pair.L_top > 0 else -1
     j = 1
     while tol.numerator << j <= tol.denominator:  # 2^-j >= tol
@@ -369,22 +390,15 @@ def critical_c(
     one sign change and Descartes' rule gives exactly one positive root;
     Q(0) = n beta - s < 0 < n(n+1) beta = Q(1) puts it in (0, 1). Bisection
     keeps inner > 0 at lo and inner < 0 at hi; a midpoint where the sign is
-    exactly zero is returned as a width-zero bracket. beta <= 0 means every
-    c destabilises: the (0, 0) sentinel with all_destabilizing is returned
-    instead of a bracket.
+    exactly zero is returned as a width-zero bracket. df_closed at both ends
+    is the second path: it must be > 0 at lo and < 0 at hi, or 0 on a
+    width-zero bracket (InternalCheckError otherwise). beta <= 0 means every
+    c destabilises: the (0, 0) sentinel with all_destabilizing is returned.
     """
-    beta = Fraction(beta)
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
-    constants = _pair_of(pair)
-    threshold = constants.threshold()
-    if beta >= threshold:
-        raise NotBelowThresholdError(_not_below(beta, threshold))
+    _, beta, tol, sign = _below_threshold(pair, beta, tol)
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
 
-    sign = _inner_sign_kernel(constants, beta)
     # Dyadic probes to seed the bracket: lo = 2^-j where inner > 0 (it tends
     # to beta > 0 near 0) and hi = 1 - 2^-i where inner < 0 (it tends to
     # beta - threshold < 0 near 1).
@@ -410,9 +424,16 @@ def critical_c(
             hi = mid
         else:
             # Rational root hit exactly: a width-zero bracket is valid.
-            root = Fraction(mid, 1 << k)
-            return CriticalBracket(root, root)
-    return CriticalBracket(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
+            lo = hi = mid
+            break
+    lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+    lo_inner = df_closed(pair, lo, beta).inner_factor
+    hi_inner = df_closed(pair, hi, beta).inner_factor
+    if not (lo_inner > 0 > hi_inner or lo == hi and lo_inner == 0):
+        raise InternalCheckError(
+            f"closed-form inner factor does not change sign across the bracket "
+            f"[{format_rational(lo)}, {format_rational(hi)}]")
+    return CriticalBracket(lo, hi, lo_inner=lo_inner, hi_inner=hi_inner)
 
 
 def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[tuple]:

@@ -9,7 +9,7 @@ also carry a dimension model h_X(k), the section counts the oracle sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
@@ -191,14 +191,33 @@ class HilbertModel(NamedTuple):
             raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
         return cls(kind=KIND_EXPLICIT, polynomial=polynomial, floor=floor)
 
+    def invariants(self) -> tuple[int, Fraction | int, Fraction | int]:
+        """(n, L^n, c1(X).L^(n-1)) that the model fixes by Riemann-Roch,
+        h(k) = (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1) + ..., with n
+        the degree of h in k (-1 for the zero explicit model)."""
+        if self.kind == KIND_PROJECTIVE_SPACE:
+            return self.n, 1, self.n + 1  # comb(n + k, n)
+        if self.kind == KIND_PRODUCT_P1P1:
+            return 2, 2, 4  # (k + 1)^2
+        poly = self.polynomial
+        d = max(poly.degree, 1)  # a constant polynomial already fails on its degree
+        return (poly.degree, factorial(d) * poly.coefficient(d),
+                2 * factorial(d - 1) * poly.coefficient(d - 1))
+
+    def check_against(self, pair: PolarisedPair) -> HilbertModel:
+        """The model itself, if its invariants are the pair's; InconsistentDataError if not."""
+        numbers, expected = self.invariants(), (pair.dimension, pair.L_top, pair.cX_L)
+        if numbers != expected:
+            got, want = (", ".join(format_rational(x) for x in t) for t in (numbers, expected))
+            raise InconsistentDataError(
+                f"hilbert kind {self.kind!r} gives (n, L^n, c1(X).L^(n-1)) = ({got}) by "
+                f"Riemann-Roch, but the pair has ({want})")
+        return self
+
     @property
     def degree(self) -> int:
         """Degree of h_X as a polynomial in k; -1 for the zero explicit model."""
-        if self.kind == KIND_PROJECTIVE_SPACE:
-            return self.n
-        if self.kind == KIND_PRODUCT_P1P1:
-            return 2
-        return self.polynomial.degree
+        return self.invariants()[0]
 
     def h_total(self, k: int) -> int:
         """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""

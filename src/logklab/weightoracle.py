@@ -362,28 +362,39 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
     return -sample.w_k / (k * sample.d_k)
 
 
+# Largest k_max of the oracle listing (the CLI's --kmax); see the README for its cost.
+ORACLE_KMAX_LIMIT = 10000
+
+
 def oracle_report(
-    pair: PolarisedPair, model: HilbertModel, c: Fraction, k_max: int | None = None
+    pair: PolarisedPair, model: HilbertModel | None, c: Fraction, k_max: int | None = None
 ) -> dict:
     """Cross-check record: recovered coefficients vs closed forms.
 
-    match is field-by-field exact equality; a correct build can never
-    produce match = False. samples lists the samples at admissible_ks(model,
-    c, k_max), by default at the n+4 the coefficients are fitted to; both
-    are leading runs of the admissible k, summed in one walk. The listing's
-    k are found first, then the closed form, so a bad (pair, c) is refused
-    before any sum runs.
+    A missing model, then k_max > ORACLE_KMAX_LIMIT, is an InputError. The
+    recovered coefficients must equal the closed form field by field
+    (InternalCheckError otherwise), so match is always true. samples lists the samples at admissible_ks(model, c, k_max), by default
+    at the n+4 the coefficients are fitted to; both are leading runs of the
+    admissible k, summed in one walk. The listing's k are found first, then
+    the closed form, so a bad (pair, c) is refused before any sum runs.
     """
+    if model is None:
+        raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")
+    if k_max is not None and k_max > ORACLE_KMAX_LIMIT:
+        raise InputError(f"--kmax must be at most {ORACLE_KMAX_LIMIT}, got {k_max}")
     c = Fraction(c)
     n = pair.dimension
     listed = n + 4 if k_max is None else len(admissible_ks(model, c, k_max))
     closed = closed_form_coefficients(pair, c)
     samples, recovered = _sample_and_recover(model, c, n, listed)
+    if recovered != closed:
+        raise InternalCheckError(f"recovered coefficients {recovered.as_dict()} differ "
+                                 f"from the closed form {closed.as_dict()}")
     return {
         "pair": pair.name,
         "c": format_rational(c),
         "samples": [s.as_dict() for s in samples],
         "recovered": recovered.as_dict(),
         "closed_form": closed.as_dict(),
-        "match": recovered == closed,
+        "match": True,
     }

@@ -31,6 +31,8 @@ from logklab.normalcone import curve, instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
+from conftest import _kernel_at_half_beta, _kernel_claiming_root
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -675,19 +677,6 @@ def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"])
     assert code == 4
     assert "cross-check" in err
-
-
-def _kernel_at_half_beta(real, pair, beta):
-    # The bisection converges to the root for beta/2, where the closed form
-    # at the true beta is still positive at hi.
-    return real(pair, beta / 2)
-
-
-def _kernel_claiming_root(real, pair, beta):
-    # Zero at the first midpoint (denominator 8 for P2 at beta 1/2): a
-    # width-zero bracket on a point that is not a root.
-    sign = real(pair, beta)
-    return lambda a, d: sign(a, d) if d < 8 else 0
 
 
 @pytest.mark.parametrize("corrupt", [_kernel_at_half_beta, _kernel_claiming_root])

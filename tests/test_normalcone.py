@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from logklab.errors import (
     DimensionTooSmallError,
+    InternalCheckError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
     SearchExhaustedError,
@@ -16,6 +17,7 @@ from logklab.normalcone import (
     coefficients,
     critical_c,
     curve,
+    df_checked,
     df_closed,
     df_from_coefficients,
     find_destabilizer,
@@ -24,6 +26,8 @@ from logklab.normalcone import (
     jna_normal_cone,
 )
 from logklab.pairmodel import CATALOG, PolarisedPair
+
+from conftest import _kernel_at_half_beta, _kernel_claiming_root
 
 C_GRID = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
 BETA_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -260,6 +264,46 @@ def test_critical_c_refuses_at_threshold(p2):
         critical_c(p2, Fraction(1), Fraction(1, 8))
 
 
+def test_critical_c_returns_the_closed_form_inner_factors(p2):
+    beta = Fraction(1, 2)
+    bracket = critical_c(p2, beta, Fraction(1, 1024))
+    assert bracket.lo_inner == df_closed(p2, bracket.lo, beta).inner_factor
+    assert bracket.hi_inner == df_closed(p2, bracket.hi, beta).inner_factor
+    assert bracket.lo_inner > 0 > bracket.hi_inner
+    root = critical_c(p2, Fraction(4, 7), Fraction(1, 1024))
+    assert root == (Fraction(1, 2), Fraction(1, 2), False, 0, 0)
+    sentinel = critical_c(p2, Fraction(0), Fraction(1, 8))
+    assert (sentinel.lo_inner, sentinel.hi_inner) == (None, None)
+
+
+@pytest.mark.parametrize("corrupt", [_kernel_at_half_beta, _kernel_claiming_root])
+def test_critical_c_raises_when_sign_kernel_disagrees(monkeypatch, p2, corrupt):
+    import logklab.normalcone as normalcone
+
+    real = normalcone._inner_sign_kernel
+    monkeypatch.setattr(normalcone, "_inner_sign_kernel",
+                        lambda pair, beta: corrupt(real, pair, beta))
+    with pytest.raises(InternalCheckError, match="does not change sign across the bracket"):
+        critical_c(p2, Fraction(1, 2), Fraction(1, 1024))
+
+
+def test_df_checked_returns_both_agreeing_paths(p2):
+    c, beta = Fraction(1, 2), Fraction(1, 2)
+    coeffs, report = df_checked(p2, c, beta)
+    assert coeffs == coefficients(p2, c)
+    assert report == df_closed(p2, c, beta)
+    assert df_from_coefficients(coeffs, beta) == report.df == Fraction(-1, 48)
+
+
+def test_df_checked_raises_when_the_coefficient_formula_disagrees(monkeypatch, p2):
+    import logklab.normalcone as normalcone
+
+    monkeypatch.setattr(normalcone, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
+    with pytest.raises(InternalCheckError, match="DF paths disagree: closed form -1/48, "
+                                                 "coefficient formula 1"):
+        df_checked(p2, Fraction(1, 2), Fraction(1, 2))
+
+
 # ----------------------------- integer sign kernel -----------------------------
 
 
@@ -302,8 +346,8 @@ def _reference_critical_c(pair, beta, tol):
         elif v < 0:
             hi = mid
         else:
-            return CriticalBracket(mid, mid)
-    return CriticalBracket(lo, hi)
+            return CriticalBracket(mid, mid, lo_inner=v, hi_inner=v)
+    return CriticalBracket(lo, hi, lo_inner=inner(lo), hi_inner=inner(hi))
 
 
 def _reference_find_destabilizer(pair, beta, tol):

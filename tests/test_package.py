@@ -20,8 +20,8 @@ EXPORTS = {
     "pairmodel": ["CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
                   "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
     "normalcone": ["CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients",
-                   "critical_c", "df_closed", "df_from_coefficients", "find_destabilizer",
-                   "g_factor", "instability_threshold", "jna_normal_cone"],
+                   "critical_c", "df_checked", "df_closed", "df_from_coefficients",
+                   "find_destabilizer", "g_factor", "instability_threshold", "jna_normal_cone"],
     "thresholds": ["AngleWindow", "ExistenceCase", "PositivityData", "SingularCriteriaInput",
                    "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "beta_u",
                    "entropy_threshold_check", "eta_feasibility", "existence_window",

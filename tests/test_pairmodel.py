@@ -138,3 +138,17 @@ def test_explicit_model_floor_bounds(floor, message):
         HilbertModel.explicit(counts, floor)
     assert str(exc.value) == message
     assert [HilbertModel.explicit(counts, f).floor for f in (0, 10000)] == [0, 10000]
+
+
+def test_hilbert_model_invariants_are_checked_against_the_pair(p2, p3):
+    # Riemann-Roch: (n, L^n, c1(X).L^(n-1)) from the top two coefficients.
+    p3_counts = Polynomial([1, Fraction(11, 6), 1, Fraction(1, 6)])  # binom(k+3, 3)
+    assert HilbertModel.explicit(p3_counts, 0).invariants() == (3, 1, 4)
+    assert HilbertModel.product_p1p1().invariants() == (2, 2, 4)
+    model = HilbertModel.projective_space(2)
+    assert model.invariants() == (2, 1, 3) and model.degree == 2
+    assert model.check_against(p2) is model
+    with pytest.raises(InconsistentDataError) as exc:
+        model.check_against(p3)
+    assert str(exc.value) == ("hilbert kind 'projective_space' gives (n, L^n, c1(X).L^(n-1)) "
+                              "= (2, 1, 3) by Riemann-Roch, but the pair has (3, 1, 4)")

@@ -16,6 +16,7 @@ from logklab.errors import (
     DegreeMismatchError,
     DimensionTooSmallError,
     InputError,
+    InternalCheckError,
     NonIntegralCKError,
     ParameterOutOfRangeError,
 )
@@ -24,6 +25,7 @@ from logklab.exactnum import Polynomial, format_rational, power_sum
 from logklab.normalcone import coefficients, df_closed, df_from_coefficients, jna_normal_cone
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
+    ORACLE_KMAX_LIMIT,
     HilbertModel,
     admissible_ks,
     dims_and_weights,
@@ -243,6 +245,29 @@ def test_oracle_report_matches(p2, p2_model):
     assert report["recovered"] == report["closed_form"]
     assert report["samples"], "samples must be present"
     assert set(report) == {"pair", "c", "samples", "recovered", "closed_form", "match"}
+
+
+def test_oracle_report_raises_when_the_closed_form_differs(monkeypatch, p2, p2_model):
+    import logklab.weightoracle as weightoracle
+
+    real = weightoracle.closed_form_coefficients
+    monkeypatch.setattr(weightoracle, "closed_form_coefficients",
+                        lambda pair, c: real(pair, c)._replace(b1=real(pair, c).b1 + 1))
+    with pytest.raises(InternalCheckError, match="differ from the closed form"):
+        oracle_report(p2, p2_model, Fraction(1, 2))
+
+
+def test_oracle_report_refuses_a_missing_model_then_a_large_k_max(p2, p2_model):
+    missing = "pair 'P2-line' has no dimension model; supply a 'hilbert' block"
+    for k_max in (None, 60, ORACLE_KMAX_LIMIT + 1):
+        with pytest.raises(InputError) as exc:
+            oracle_report(p2, None, Fraction(1, 2), k_max)
+        assert str(exc.value) == missing
+    with pytest.raises(InputError) as exc:
+        oracle_report(p2, p2_model, Fraction(1, 2), ORACLE_KMAX_LIMIT + 1)
+    assert str(exc.value) == "--kmax must be at most 10000, got 10001"
+    report = oracle_report(p2, p2_model, Fraction(99, 100), ORACLE_KMAX_LIMIT)
+    assert [s["k"] for s in report["samples"]] == list(range(100, 10001, 100))
 
 
 def _recording(model):
