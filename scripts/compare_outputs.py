@@ -16,7 +16,13 @@ projective_space block that contradicts its pair, and an explicit floor of
 -1 and of 10001; and the input resolution every pair subcommand shares: an
 m = 2 pair file on the five commands that need D in |L|, a bad --m with a
 lambda above Lambda on the four positivity commands, and a pair file whose
-nef bounds miss S_1/n on those four and destabilize. Each runs as a fresh
+nef bounds miss S_1/n on those four and destabilize; and the library
+cross-checks and limits the benchmark never reaches: critical-c on P2 at
+beta 4/7 (a width-zero bracket on the exact root 1/2), at beta 0 and -1/2
+(the sentinel) and at tol 1 (the seed bracket), oracle --kmax 10001 on P2
+and on Fano-template (whose missing model is reported first), and entropy
+and destabilize on a pair whose entropy_lower certifies an angle the
+normal-cone family destabilises and on a pair with L^n < 0. Each runs as a fresh
 `python -m logklab.cli` process under both trees, in one scratch directory
 that holds the workloads' input files, with COLUMNS=80 so that argparse wraps
 the same way. The script prints every argv whose exit code, stdout or stderr
@@ -122,6 +128,29 @@ def resolution_edges() -> list[workloads.Invocation]:
     ]
 
 
+def moved_checks() -> list[workloads.Invocation]:
+    """The library's cross-checks and limits on inputs the benchmark leaves out."""
+    p2 = "catalog:P2-line"
+    ent = workloads._file("pair", {
+        "name": "ent", "dimension": 2, "L_top": "1", "cX_L": "7/3", "divisor": {"m": 1},
+        "positivity": {"lambda": "7/3", "Lambda": "7/3", "alpha_L": "0",
+                       "alpha_LD_restricted": "0", "entropy_lower": "3"}})
+    neg = workloads._file("pair", {
+        "name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6", "divisor": {"m": 1}})
+    argvs = [
+        *(("critical-c", p2, *beta, "--tol", "1/1024")
+          for beta in (("--beta", "4/7"), ("--beta", "0"), ("--beta=-1/2",))),
+        ("critical-c", p2, "--beta", "1/2", "--tol", "1"),
+        *(("oracle", pair, "--c", "1/2", "--kmax", "10001")
+          for pair in (p2, "catalog:Fano-template")),
+    ]
+    return [
+        *(workloads.Invocation(argv) for argv in argvs),
+        *(workloads.Invocation((cmd, f[0], "--beta", beta), (f,))
+          for f, beta in ((ent, "1/2"), (neg, "1")) for cmd in ("entropy", "destabilize")),
+    ]
+
+
 def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
@@ -137,7 +166,7 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
         universe = workloads.universe(name)
         found += universe[:1] if quick else universe
     if not quick:
-        found += oracle_edges() + hilbert_errors() + resolution_edges()
+        found += oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
     for inv in found:
         for file_name, content in inv.files:
             (cwd / file_name).write_bytes(content)

@@ -316,10 +316,10 @@ def _inner_sign_kernel(pair: PolarisedPair | _Pair, beta: Fraction) -> Callable[
 
 def _below_threshold(
     pair: PolarisedPair, beta: Fraction, tol: Fraction, refusal: str = ""
-) -> tuple[_Pair, Fraction, Fraction, Callable[[int, int], int]]:
+) -> tuple[Fraction, Fraction, Callable[[int, int], int]]:
     """The checked preamble of find_destabilizer and critical_c: tol > 0, and
     beta below the threshold (NotBelowThresholdError, ending in refusal).
-    Returns the pair's constants, beta and tol as Fractions, and the sign kernel."""
+    Returns beta and tol as Fractions, and the integer sign kernel at beta."""
     beta, tol = Fraction(beta), Fraction(tol)
     if tol <= 0:
         raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
@@ -330,7 +330,7 @@ def _below_threshold(
             f"beta = {format_rational(beta)} is not below the instability threshold "
             f"{format_rational(threshold)}{refusal}"
         )
-    return constants, beta, tol, _inner_sign_kernel(constants, beta)
+    return beta, tol, _inner_sign_kernel(constants, beta)
 
 
 def find_destabilizer(
@@ -350,11 +350,14 @@ def find_destabilizer(
     when beta is below the threshold s/n, so the walk terminates. For
     0 < beta < threshold the coefficients of Q have exactly one sign change,
     so by Descartes' rule Q has exactly one positive root; for L^n > 0 the
-    witnesses are exactly the c beyond the critical c*. The witness's DF comes from
+    witnesses are exactly the c beyond the critical c*. For L^n < 0 a witness
+    needs inner > 0, and once inner <= 0 no larger c has inner > 0: g(c)
+    decreases, so for s > 0 the inner factor beta + s g(c) decreases, and for
+    s <= 0 it stays below beta - s/n < 0. So the walk stops at the first such
+    step (SearchExhaustedError). The witness's DF comes from
     df_closed and must be negative, or InternalCheckError is raised.
     """
-    constants, beta, tol, sign = _below_threshold(
-        pair, beta, tol, "; DF > 0 for every c in (0, 1)")
+    beta, tol, sign = _below_threshold(pair, beta, tol, "; DF > 0 for every c in (0, 1)")
     prefactor_sign = 1 if pair.L_top > 0 else -1
     j = 1
     while tol.numerator << j <= tol.denominator:  # 2^-j >= tol
@@ -368,6 +371,11 @@ def find_destabilizer(
                     f"gives DF = {format_rational(df)}, not < 0"
                 )
             return c, df
+        if prefactor_sign < 0:
+            raise SearchExhaustedError(
+                f"no c = 1 - 2^-j destabilises: L^n < 0, so DF < 0 needs a positive inner "
+                f"factor, and the inner factor is not positive at "
+                f"c = {format_rational(Fraction(d - 1, d))}, nor at any larger c")
         j += 1
     raise SearchExhaustedError(
         f"no destabilising c found before the dyadic step fell below "
@@ -395,7 +403,7 @@ def critical_c(
     width-zero bracket (InternalCheckError otherwise). beta <= 0 means every
     c destabilises: the (0, 0) sentinel with all_destabilizing is returned.
     """
-    _, beta, tol, sign = _below_threshold(pair, beta, tol)
+    beta, tol, sign = _below_threshold(pair, beta, tol)
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
 

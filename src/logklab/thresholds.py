@@ -64,9 +64,10 @@ class PositivityData(_PositivityFields):
 
 
 class VerdictStatus(enum.Enum):
+    """A failed theorem hypothesis is no status: it is raised as PreconditionFailedError."""
+
     CRITERION_SATISFIED = "CriterionSatisfied"
     INCONCLUSIVE = "Inconclusive"
-    PRECONDITION_FAILED = "PreconditionFailed"
 
 
 class Verdict(NamedTuple):
@@ -363,7 +364,10 @@ def entropy_threshold_check(
     """Entropy/J-threshold comparison: coercive if e > max{Lambda, S_beta - (n-1)lambda}.
 
     The default lower bound for the entropy threshold is (n+1) alpha_beta / n;
-    pos.entropy_lower overrides it when supplied.
+    pos.entropy_lower overrides it when supplied. A cscK cone metric forces
+    DF >= 0, so for D in |L| (m = 1), n >= 2 and L^n > 0, a satisfied verdict
+    at a beta below normalcone.instability_threshold, where the normal-cone
+    family destabilises, is an InconsistentDataError.
     """
     beta = _require_angle(beta)
     lam, Lam, model = effective_nef_bounds(pair, pos)
@@ -378,7 +382,7 @@ def entropy_threshold_check(
     rhs = max(Lam, s_beta - (n - 1) * lam)
     facts = (f"e >= {format_rational(e_lower)} ({e_source})",
              f"max{{Lambda, S_beta - (n-1)*lambda}} = {format_rational(rhs)}")
-    return _verdict(
+    verdict = _verdict(
         "log K-energy coercive via entropy threshold; cscK cone metric exists",
         facts,
         ((e_lower > rhs,
@@ -387,6 +391,17 @@ def entropy_threshold_check(
         certificate=e_lower,
         certificate_note="entropy lower bound exceeding the J-threshold bound",
     )
+    if (verdict.status is VerdictStatus.CRITERION_SATISFIED and m == 1 and n >= 2
+            and pair.L_top > 0):
+        from .normalcone import instability_threshold  # only here: --m 2 loads no normalcone
+
+        threshold = instability_threshold(pair)
+        if beta < threshold:
+            raise InconsistentDataError(
+                f"entropy certificate at beta = {format_rational(beta)} contradicts the pair: "
+                f"angles below the instability threshold {format_rational(threshold)} are "
+                "destabilised by the normal-cone family (see destabilize)")
+    return verdict
 
 
 class _CriteriaFields(NamedTuple):

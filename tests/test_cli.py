@@ -659,6 +659,38 @@ def test_destabilize_ignores_the_nef_bounds(capsys, tmp_path):
     assert "DF(c, beta=1/20) = -1/160 < 0" in out
 
 
+ENT_DOC = {"name": "ent", "dimension": 2, "L_top": "1", "cX_L": "7/3", "divisor": {"m": 1},
+           "positivity": {"lambda": "7/3", "Lambda": "7/3", "alpha_L": "0",
+                          "alpha_LD_restricted": "0", "entropy_lower": "3"}}
+
+
+def test_entropy_refuses_a_certificate_below_the_instability_threshold(capsys, tmp_path):
+    # The nef data fit the pair, but entropy_lower certifies beta = 1/2 while
+    # the normal-cone family destabilises every angle below 2/3.
+    path = write_pair(tmp_path, ENT_DOC)
+    code, out, _ = invoke(capsys, ["info", path])
+    assert code == EXIT_OK and "findings: none" in out
+    code, out, _ = invoke(capsys, ["destabilize", path, "--beta", "1/2"])
+    assert code == EXIT_OK and "DF(c, beta=1/2) = -3/128 < 0" in out
+    code, out, err = invoke(capsys, ["entropy", path, "--beta", "1/2"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("input error: entropy certificate at beta = 1/2 contradicts the pair: "
+                   "angles below the instability threshold 2/3 are destabilised by the "
+                   "normal-cone family (see destabilize)\n")
+    code, out, _ = invoke(capsys, ["entropy", path, "--beta", "2/3"])
+    assert code == EXIT_OK and "status: CriterionSatisfied" in out
+
+
+def test_destabilize_negative_volume_stops_after_one_step(capsys, tmp_path):
+    path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
+                                 "divisor": {"m": 1}})
+    code, out, err = invoke(capsys, ["destabilize", path, "--beta", "1"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "decrease tol" not in err and "c = 1/2" in err
+    code, out, _ = invoke(capsys, ["df", path, "--c", "1/8", "--beta", "1"])
+    assert code == EXIT_OK and "-19/256" in out
+
+
 def test_scalar_curve_pair_reports_sD_unavailable(capsys, tmp_path):
     doc = {"name": "genus-two-like", "dimension": 1, "L_top": "2", "cX_L": "-2",
            "divisor": {"m": 1}}

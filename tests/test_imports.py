@@ -87,6 +87,17 @@ def test_oracle(bare):
     assert "dataclasses" not in modules
 
 
+@pytest.mark.parametrize("m, loaded", [("1", True), ("2", False)], ids=["m1", "m2"])
+def test_entropy_reads_the_threshold_only_at_m_1(bare, m, loaded):
+    # A satisfied entropy verdict is compared with the instability threshold
+    # only for D in |L|; at m = 2 the thresholds route alone runs.
+    out, modules = cli_imports(bare, "entropy", "catalog:P2-line", "--m", m, "--beta", "1",
+                               "--entropy-lower", "100", "--alpha-L", "0", "--alpha-LD", "0")
+    assert "CriterionSatisfied" in out
+    assert (NORMALCONE in modules) is loaded
+    assert not modules & {"dataclasses", ORACLE}
+
+
 @pytest.mark.parametrize("argv", [
     ["eta", "pair.json", "--m", "4", "--beta", "5/16"],
     ["window", "pair.json", "--m", "4", "--case", "uniform"],

@@ -405,6 +405,30 @@ def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
     assert find_destabilizer(pair, Fraction(9, 10))[0] == Fraction(1, 2)
 
 
+def test_find_destabilizer_stops_once_no_later_c_can_work_for_negative_volume(monkeypatch):
+    # L^n < 0: DF < 0 needs a positive inner factor, which is -3/7 at c = 1/2
+    # and decreases in c, so the walk stops after its first step; a smaller
+    # c, off the schedule, still destabilises.
+    import logklab.normalcone as normalcone
+
+    pair = PolarisedPair("neg", 2, -1, -6)
+    real, steps = normalcone._inner_sign_kernel, []
+
+    def counted(pair, beta):
+        sign = real(pair, beta)
+        return lambda a, d: steps.append((a, d)) or sign(a, d)
+
+    monkeypatch.setattr(normalcone, "_inner_sign_kernel", counted)
+    with pytest.raises(SearchExhaustedError) as exc:
+        find_destabilizer(pair, Fraction(1))
+    assert steps == [(1, 2)]
+    assert str(exc.value) == (
+        "no c = 1 - 2^-j destabilises: L^n < 0, so DF < 0 needs a positive inner factor, "
+        "and the inner factor is not positive at c = 1/2, nor at any larger c")
+    assert df_closed(pair, Fraction(1, 2), Fraction(1)).inner_factor == Fraction(-3, 7)
+    assert df_closed(pair, Fraction(1, 8), Fraction(1)).df == Fraction(-19, 256)
+
+
 # ----------------------------- curve -----------------------------
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logklab.errors import (
     InconsistentAssertionsError,
@@ -10,6 +12,7 @@ from logklab.errors import (
     MissingPositivityDataError,
     PreconditionFailedError,
 )
+from logklab.normalcone import instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import (
     MODEL_PROPORTIONAL,
@@ -271,6 +274,54 @@ def test_entropy_threshold_examples(p2, fano):
     zero = PositivityData(entropy_lower=Fraction(0), alpha_beta_override=Fraction(1))
     verdict = entropy_threshold_check(p2, zero, 4, Fraction(1, 2))
     assert verdict.status is VerdictStatus.INCONCLUSIVE
+
+
+def _fractions(low, high):
+    return st.fractions(min_value=low, max_value=high, max_denominator=12)
+
+
+# The paper's main theorem: a cscK cone metric at beta forces DF >= 0 on every
+# test configuration, so no certificate may cover an angle the normal-cone
+# family destabilises. Pairs have L ample (L^n > 0) and D in |L|; the nef
+# bounds fit the pair (lambda <= S_1/n <= Lambda, or an exact proportional_x),
+# as the loader requires; alpha_L and alpha_LD are any, and entropy_lower is
+# absent or any.
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    L_top=_fractions(0, 10).filter(lambda q: q > 0),
+    mean=_fractions(-2, 6),
+    nef=st.none() | st.tuples(_fractions(0, 3), _fractions(0, 3)),
+    alphas=st.tuples(_fractions(0, 4), _fractions(0, 4)),
+    entropy_lower=st.none() | _fractions(0, 10),
+    beta=_fractions(0, 1).filter(lambda b: b > 0),
+)
+@example(n=2, L_top=Fraction(1), mean=Fraction(7, 3), nef=(Fraction(0), Fraction(0)),
+         alphas=(Fraction(0), Fraction(0)), entropy_lower=Fraction(3), beta=Fraction(1, 2))
+def test_no_certificate_below_the_instability_threshold(
+        n, L_top, mean, nef, alphas, entropy_lower, beta):
+    # mean is S_1/n = c1(X).L^(n-1)/L^n; nef None means proportional_x = mean.
+    pair = PolarisedPair("random", n, L_top, mean * L_top, None if nef else mean)
+    lam, Lam = (None, None) if nef is None else (mean - nef[0], mean + nef[1])
+    pos = PositivityData(alpha_L=alphas[0], alpha_LD_restricted=alphas[1], lam=lam,
+                         Lambda_up=Lam, entropy_lower=entropy_lower)
+    threshold = instability_threshold(pair)
+    windows = (lambda: uniform_stability_window(pair, pos, 1),
+               *(lambda case=case: existence_window(pair, pos, 1, case) for case in ExistenceCase))
+    for window_of in windows:
+        try:
+            window = window_of()
+        except (PreconditionFailedError, InputError):
+            continue
+        assert window.empty or window.lower >= threshold, window.render()
+    verdict = eta_feasibility(pair, pos, 1, beta)
+    assert verdict.status is VerdictStatus.INCONCLUSIVE or beta >= threshold
+    try:
+        verdict = entropy_threshold_check(pair, pos, 1, beta)
+    except InconsistentDataError:
+        assert beta < threshold
+    else:
+        assert verdict.status is VerdictStatus.INCONCLUSIVE or beta >= threshold
 
 
 # ----------------------------- singular criteria -----------------------------
