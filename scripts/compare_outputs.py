@@ -22,10 +22,12 @@ beta 4/7 (a width-zero bracket on the exact root 1/2), at beta 0 and -1/2
 (the sentinel) and at tol 1 (the seed bracket), oracle --kmax 10001 on P2
 and on Fano-template (whose missing model is reported first), and entropy
 and destabilize on a pair whose entropy_lower certifies an angle the
-normal-cone family destabilises and on a pair with L^n < 0. Each runs as a fresh
-`python -m logklab.cli` process under both trees, in one scratch directory
-that holds the workloads' input files, with COLUMNS=80 so that argparse wraps
-the same way. The script prints every argv whose exit code, stdout or stderr
+normal-cone family destabilises and on a pair with L^n < 0 (also at and above
+its threshold, where every c destabilises); and critical-c at a tol of 3/1000
+and of 5/2^200, on the exact root of P2 at 2^-512, and on an n = 6 pair
+file. Each runs as a fresh `python -m logklab.cli` process under both trees,
+in one scratch directory that holds the workloads' input files, with
+COLUMNS=80 so that argparse wraps the same way. The script prints every argv whose exit code, stdout or stderr
 differ, and exits 1 on any difference. --quick runs only the first
 invocation of each workload, the top-level --help and one usage error.
 """
@@ -137,17 +139,26 @@ def moved_checks() -> list[workloads.Invocation]:
                        "alpha_LD_restricted": "0", "entropy_lower": "3"}})
     neg = workloads._file("pair", {
         "name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6", "divisor": {"m": 1}})
+    p6 = workloads._file("pair", {
+        "name": "P6-hyperplane", "dimension": 6, "L_top": "1", "cX_L": "7", "divisor": {"m": 1}})
     argvs = [
         *(("critical-c", p2, *beta, "--tol", "1/1024")
           for beta in (("--beta", "4/7"), ("--beta", "0"), ("--beta=-1/2",))),
         ("critical-c", p2, "--beta", "1/2", "--tol", "1"),
+        *(("critical-c", p2, "--beta", "1/2", "--tol", tol)
+          for tol in ("3/1000", f"5/{2**200}")),
+        ("critical-c", p2, "--beta", "4/7", "--tol", workloads._tol(512)),
         *(("oracle", pair, "--c", "1/2", "--kmax", "10001")
           for pair in (p2, "catalog:Fano-template")),
     ]
     return [
         *(workloads.Invocation(argv) for argv in argvs),
+        *(workloads.Invocation(("critical-c", p6[0], "--beta", beta, "--tol", tol), (p6,))
+          for beta, tol in (("1/2", "1/1024"), ("5/6", workloads._tol(512)))),
         *(workloads.Invocation((cmd, f[0], "--beta", beta), (f,))
           for f, beta in ((ent, "1/2"), (neg, "1")) for cmd in ("entropy", "destabilize")),
+        *(workloads.Invocation(("destabilize", neg[0], "--beta", beta), (neg,))
+          for beta in ("3", "5/2")),
     ]
 
 

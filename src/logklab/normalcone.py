@@ -314,23 +314,21 @@ def _inner_sign_kernel(pair: PolarisedPair | _Pair, beta: Fraction) -> Callable[
     return pair.kernel(Fraction(beta)).sign
 
 
-def _below_threshold(
-    pair: PolarisedPair, beta: Fraction, tol: Fraction, refusal: str = ""
-) -> tuple[Fraction, Fraction, Callable[[int, int], int]]:
-    """The checked preamble of find_destabilizer and critical_c: tol > 0, and
-    beta below the threshold (NotBelowThresholdError, ending in refusal).
-    Returns beta and tol as Fractions, and the integer sign kernel at beta."""
+def _checked(pair: PolarisedPair, beta: Fraction, tol: Fraction
+             ) -> tuple[Fraction, Fraction, _Pair, Fraction]:
+    """The checked preamble of find_destabilizer and critical_c: tol > 0.
+    Returns beta and tol as Fractions, the pair's constants and its threshold."""
     beta, tol = Fraction(beta), Fraction(tol)
     if tol <= 0:
         raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
     constants = _pair_of(pair)
-    threshold = constants.threshold()
-    if beta >= threshold:
-        raise NotBelowThresholdError(
-            f"beta = {format_rational(beta)} is not below the instability threshold "
-            f"{format_rational(threshold)}{refusal}"
-        )
-    return beta, tol, _inner_sign_kernel(constants, beta)
+    return beta, tol, constants, constants.threshold()
+
+
+def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> NotBelowThresholdError:
+    return NotBelowThresholdError(
+        f"beta = {format_rational(beta)} is not below the instability threshold "
+        f"{format_rational(threshold)}{clause}")
 
 
 def find_destabilizer(
@@ -354,11 +352,23 @@ def find_destabilizer(
     needs inner > 0, and once inner <= 0 no larger c has inner > 0: g(c)
     decreases, so for s > 0 the inner factor beta + s g(c) decreases, and for
     s <= 0 it stays below beta - s/n < 0. So the walk stops at the first such
-    step (SearchExhaustedError). The witness's DF comes from
+    step (SearchExhaustedError).
+
+    At or above the threshold beta is refused (NotBelowThresholdError), with
+    one exception: for L^n < 0 < s the inner factor exceeds beta - s/n >= 0
+    at every c, so every c destabilises, and the walk's first step c = 1/2 is
+    the witness. The refusal says "DF > 0 for every c" only where that holds,
+    for L^n > 0 < beta: the inner factor then exceeds beta - s/n >= 0
+    (s > 0) or is at least beta (s <= 0). The witness's DF comes from
     df_closed and must be negative, or InternalCheckError is raised.
     """
-    beta, tol, sign = _below_threshold(pair, beta, tol, "; DF > 0 for every c in (0, 1)")
-    prefactor_sign = 1 if pair.L_top > 0 else -1
+    beta, tol, constants, threshold = _checked(pair, beta, tol)
+    negative = pair.L_top < 0
+    if beta >= threshold and not (negative and threshold > 0):
+        clause = "" if negative or beta <= 0 else "; DF > 0 for every c in (0, 1)"
+        raise _not_below(beta, threshold, clause)
+    prefactor_sign = -1 if negative else 1
+    sign = _inner_sign_kernel(constants, beta)
     j = 1
     while tol.numerator << j <= tol.denominator:  # 2^-j >= tol
         d = 1 << j
@@ -383,12 +393,67 @@ def find_destabilizer(
     )
 
 
+# Bits of the root estimate past the bracket's level K: its error, a few
+# units in the last place, stays far below the half grid step that rounding
+# to the nearest grid point needs.
+_GUARD_BITS = 16
+# Newton steps the estimate may take in all. Each level of the doubling
+# precision ends in a step of 0, so it is exhausted only on a start that
+# lies far from the root; the estimate is then merely poorer.
+_NEWTON_STEPS = 400
+# Probes aimed at the estimate before the search halves: its nearest grid
+# point and that point's neighbour on the root's side.
+_AIMED_PROBES = 2
+
+
+def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int | None:
+    """U with U/2^bits just below the root u* of Q in (0, 1), or None.
+
+    Integer Newton steps on f(u) = Q(u)/u^(n-1) = A u + B(1 + 1/u + ... +
+    1/u^(n-1)), from the dyadic start u0 <= u*. With A > 0 > B, f is
+    increasing and concave on u > 0, so each step from the left lands left
+    of u* again and rounding the step down keeps it there. The precision
+    doubles up to bits; at each level the steps run until one rounds to 0.
+    None if f(u0) > 0, a start right of the root: the seeds then came from
+    signs this kernel does not share.
+    """
+    n, A, B = kernel.n, kernel.A, kernel.B
+    levels = [bits]
+    while levels[-1] > u0.denominator.bit_length() + 64:
+        levels.append((levels[-1] + 1) // 2)
+    p = levels[-1]
+    U = (u0.numerator << p) // u0.denominator
+    steps = _NEWTON_STEPS
+    for level in reversed(levels):
+        U <<= level - p
+        p = level
+        while steps:
+            steps -= 1
+            # With S = 2^p: v = S^n Q(U/S), dv = S^(n-1) Q'(U/S), by
+            # homogeneous Horner.
+            S, Sk, v, dv = 1 << p, 1, A, 0
+            for _ in range(n):
+                Sk *= S
+                dv = dv * U + v
+                v = v * U + B * Sk
+            if v > 0:
+                return None
+            # f/f' = Q u/(Q' u - (n-1) Q); the denominator is S^n u^n f'(u) > 0.
+            step = -v * U // (dv * U - (n - 1) * v)
+            if not step:
+                break
+            U += step
+    return U
+
+
 def critical_c(
     pair: PolarisedPair,
     beta: Fraction,
     tol: Fraction,
 ) -> CriticalBracket:
-    """Isolate the unique root c* of the inner factor to width <= tol.
+    """Isolate the unique root c* of the inner factor to width <= tol: the
+    bracket a bisection of the seed bracket would return, reached from an
+    estimate of c* instead.
 
     Needs 0 < beta < threshold = s/n, s = S^D/(n-1). On (0, 1) the inner
     factor has the sign of the integer polynomial
@@ -396,45 +461,79 @@ def critical_c(
     (see _inner_sign_kernel), and every sign below is decided on integers.
     Here n beta - s < 0 < n(beta+s), so the coefficients of Q have exactly
     one sign change and Descartes' rule gives exactly one positive root;
-    Q(0) = n beta - s < 0 < n(n+1) beta = Q(1) puts it in (0, 1). Bisection
-    keeps inner > 0 at lo and inner < 0 at hi; a midpoint where the sign is
-    exactly zero is returned as a width-zero bracket. df_closed at both ends
-    is the second path: it must be > 0 at lo and < 0 at hi, or 0 on a
-    width-zero bracket (InternalCheckError otherwise). beta <= 0 means every
-    c destabilises: the (0, 0) sentinel with all_destabilizing is returned.
+    Q(0) = n beta - s < 0 < n(n+1) beta = Q(1) puts it in (0, 1).
+
+    Dyadic probes seed the bracket [lo0, hi0]/2^k0: inner > 0 at 2^-j and
+    < 0 at 1 - 2^-i. Halving keeps the numerator width w = hi0 - lo0, so at
+    the first level K with w/2^K <= tol the bisection's bracket is a cell
+    [x0 + t w, x0 + (t+1) w]/2^K, x0 = lo0 2^(K-k0), 0 <= t < 2^(K-k0), and
+    only t is unknown. _root_estimate gives c* 2^K to _GUARD_BITS more bits.
+    The grid point nearest it is probed, then its neighbour on the root's
+    side: inner > 0 at the cell's lo and < 0 at its hi certify the cell
+    (seed ends are not probed again). Both probes are ends of the
+    bisection's last cell, hence among its probes: the sign count is the
+    seeds plus at most 2, not plus K - k0, and the work grows with about
+    log K Newton steps. If the aimed probes do not certify, the search
+    halves the rest of the grid, so a wrong estimate still ends on the same
+    cell, after at most K - k0 + _AIMED_PROBES signs past the seeds. A sign
+    of exactly 0 marks the root, returned as a width-zero bracket; every
+    interior grid point is a midpoint the bisection reaches first, so this
+    too is the bisection's bracket, as the same reduced Fractions.
+
+    df_closed at both ends is the second path: it must be > 0 at lo and < 0
+    at hi, or 0 on a width-zero bracket (InternalCheckError otherwise).
+    beta <= 0 means every c destabilises: the (0, 0) sentinel with
+    all_destabilizing is returned.
     """
-    beta, tol, sign = _below_threshold(pair, beta, tol)
+    beta, tol, constants, threshold = _checked(pair, beta, tol)
+    if beta >= threshold:
+        raise _not_below(beta, threshold)
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
+    sign = _inner_sign_kernel(constants, beta)
 
-    # Dyadic probes to seed the bracket: lo = 2^-j where inner > 0 (it tends
-    # to beta > 0 near 0) and hi = 1 - 2^-i where inner < 0 (it tends to
-    # beta - threshold < 0 near 1).
+    # inner > 0 near 0 (it tends to beta > 0) and < 0 near 1 (it tends to
+    # beta - threshold < 0).
     j = 1
     while sign(1, 1 << j) <= 0:
         j += 1
     i = 1
     while sign((1 << i) - 1, 1 << i) >= 0:
         i += 1
-    # The bracket is lo/2^k, hi/2^k. Each halving doubles the denominator
-    # and keeps the numerator width hi - lo fixed.
-    k = max(i, j)
-    lo = 1 << (k - j)
-    hi = (1 << k) - (1 << (k - i))
-    width, p, q = hi - lo, tol.numerator, tol.denominator
-    while width * q > p << k:  # hi - lo > tol
-        mid = lo + hi
-        lo, hi, k = lo << 1, hi << 1, k + 1
-        v = sign(mid, 1 << k)
+    k0 = max(i, j)
+    lo0 = 1 << (k0 - j)
+    width = (1 << k0) - (1 << (k0 - i)) - lo0
+    # The first K >= k0 with width * tol.denominator <= tol.numerator * 2^K.
+    K = max(k0, (-(-width * tol.denominator // tol.numerator) - 1).bit_length())
+    x0, d = lo0 << (K - k0), 1 << K
+    lo_t, hi_t = 0, 1 << (K - k0)  # signs known: > 0 at lo_t, < 0 at hi_t
+    aimed = nearest = 0
+    if hi_t > 1:
+        # u* > 2^-i, and u* >= 1 - 2^-(j-1) once j > 1.
+        u0 = max(Fraction(1, 1 << i), 1 - Fraction(2, 1 << j))
+        bits = K + _GUARD_BITS
+        U = _root_estimate(constants.kernel(beta), u0, bits)
+        if U is not None:
+            # The grid index nearest c* 2^K = (2^bits - U)/2^_GUARD_BITS.
+            num = (1 << bits) - U - (x0 << _GUARD_BITS)
+            den = width << _GUARD_BITS
+            nearest = (2 * num + den) // (2 * den)
+            aimed = _AIMED_PROBES
+    while hi_t - lo_t > 1:
+        if aimed:
+            aimed -= 1
+            t = min(max(nearest, lo_t + 1), hi_t - 1)
+        else:
+            t = (lo_t + hi_t) // 2
+        v = sign(x0 + t * width, d)
         if v > 0:
-            lo = mid
+            lo_t = t
         elif v < 0:
-            hi = mid
+            hi_t = t
         else:
             # Rational root hit exactly: a width-zero bracket is valid.
-            lo = hi = mid
-            break
-    lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+            lo_t = hi_t = t
+    lo, hi = Fraction(x0 + lo_t * width, d), Fraction(x0 + hi_t * width, d)
     lo_inner = df_closed(pair, lo, beta).inner_factor
     hi_inner = df_closed(pair, hi, beta).inner_factor
     if not (lo_inner > 0 > hi_inner or lo == hi and lo_inner == 0):

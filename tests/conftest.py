@@ -62,13 +62,13 @@ def model_for(name: str) -> HilbertModel:
 
 
 def _kernel_at_half_beta(real, pair, beta):
-    # The bisection converges to the root for beta/2, where the closed form
-    # at the true beta is still positive at hi.
+    # The bracket lands on the root for beta/2, where the closed form at the
+    # true beta is still positive at hi.
     return real(pair, beta / 2)
 
 
 def _kernel_claiming_root(real, pair, beta):
-    # Zero at the first midpoint (denominator 8 for P2 at beta 1/2): a
-    # width-zero bracket on a point that is not a root.
+    # Zero from denominator 8 on, so at the first probe past the seeds (2 and
+    # 4 for P2 at beta 1/2): a width-zero bracket on a point that is not a root.
     sign = real(pair, beta)
     return lambda a, d: sign(a, d) if d < 8 else 0

@@ -691,6 +691,21 @@ def test_destabilize_negative_volume_stops_after_one_step(capsys, tmp_path):
     assert code == EXIT_OK and "-19/256" in out
 
 
+@pytest.mark.parametrize("beta, df", [("3", "-11/24"), ("5/2", "-5/16")])
+def test_destabilize_negative_volume_at_or_above_threshold_every_c_destabilises(
+        capsys, tmp_path, beta, df):
+    # L^n < 0 < s: the inner factor exceeds beta - 5/2 >= 0 at every c, and
+    # the prefactor is negative, so the first schedule point is a witness.
+    path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
+                                 "divisor": {"m": 1}})
+    code, out, err = invoke(capsys, ["destabilize", path, "--beta", beta])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (f"instability threshold: 5/2\nwitness c: 1/2\n"
+                   f"DF(c, beta={beta}) = {df} < 0: pair is log K-unstable at this angle\n")
+    code, out, _ = invoke(capsys, ["df", path, "--c", "1/2", "--beta", beta])
+    assert code == EXIT_OK and re.search(r"DF\(closed form\) +(\S+)", out).group(1) == df
+
+
 def test_scalar_curve_pair_reports_sD_unavailable(capsys, tmp_path):
     doc = {"name": "genus-two-like", "dimension": 1, "L_top": "2", "cX_L": "-2",
            "divisor": {"m": 1}}

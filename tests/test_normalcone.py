@@ -287,6 +287,104 @@ def test_critical_c_raises_when_sign_kernel_disagrees(monkeypatch, p2, corrupt):
         critical_c(p2, Fraction(1, 2), Fraction(1, 1024))
 
 
+def _counted_signs(monkeypatch, limit=None, corrupt=None):
+    """Substitute a sign kernel, corrupted by corrupt if given, that records
+    each (a, d) it is asked about and fails the test past limit calls rather
+    than run on."""
+    import logklab.normalcone as normalcone
+
+    calls = []
+
+    def counted(pair, beta):
+        if corrupt is None:
+            sign = _inner_sign_kernel(pair, beta)
+        else:
+            sign = corrupt(_inner_sign_kernel, pair, beta)
+
+        def count(a, d):
+            calls.append((a, d))
+            assert limit is None or len(calls) <= limit, f"more than {limit} signs"
+            return sign(a, d)
+        return count
+
+    monkeypatch.setattr(normalcone, "_inner_sign_kernel", counted)
+    return calls
+
+
+def test_critical_c_p4_at_4096_bits_takes_a_few_signs(monkeypatch):
+    # The bisection makes 4097 sign calls here, one per bit; the estimate
+    # leaves the seeds and at most two probes.
+    import logklab.normalcone as normalcone
+
+    pair, beta, tol = CATALOG["P4-hyperplane"].pair, Fraction(1, 2), Fraction(1, 2**4096)
+    calls = _counted_signs(monkeypatch)
+    bracket = critical_c(pair, beta, tol)
+    assert len(calls) <= 64
+    assert bracket.hi - bracket.lo <= tol and bracket.lo_inner > 0 > bracket.hi_inner
+    calls.clear()
+    monkeypatch.setattr(normalcone, "_root_estimate", lambda kernel, u0, bits: None)
+    assert critical_c(pair, beta, tol) == bracket
+    assert len(calls) == 4097
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda kernel, u0, bits: None,
+    lambda kernel, u0, bits: 0,
+    lambda kernel, u0, bits: 1 << bits,
+    lambda kernel, u0, bits: (1 << bits) // 3,
+    lambda kernel, u0, bits: -(1 << (2 * bits)),
+])
+@pytest.mark.parametrize("name, share", [
+    ("P2-line", Fraction(4, 7)),  # c* = 1/2, an exact root
+    ("P2-line", Fraction(1, 2)),
+    ("P4-hyperplane", Fraction(1, 2)),
+    ("P1xP1-diag", Fraction(15, 16)),
+])
+def test_critical_c_certifies_a_wrong_root_estimate(monkeypatch, estimate, name, share):
+    # The probes are only aimed by the estimate: a wrong one still ends in
+    # the bisection's bracket, after at most two signs past the halving.
+    import logklab.normalcone as normalcone
+
+    pair, tol = CATALOG[name].pair, Fraction(3, 2**300)
+    beta = share * instability_threshold(pair)
+    calls = _counted_signs(monkeypatch)
+    expected = critical_c(pair, beta, tol)
+    assert expected == _reference_critical_c(pair, beta, tol)
+    estimated = len(calls)
+    calls.clear()
+    monkeypatch.setattr(normalcone, "_root_estimate", lambda kernel, u0, bits: None)
+    assert critical_c(pair, beta, tol) == expected
+    assert estimated <= len(calls)
+    # The probes are at d = 2^K, the seeds at d = 2^j and 2^i; halving all
+    # 2^(K - k0) cells takes K - k0 probes.
+    d = max(d for _, d in calls)
+    seeds = [seed_d for _, seed_d in calls if seed_d < d]
+    bound = len(seeds) + d.bit_length() - max(seeds).bit_length() + normalcone._AIMED_PROBES
+    _counted_signs(monkeypatch, limit=bound)
+    monkeypatch.setattr(normalcone, "_root_estimate", estimate)
+    assert critical_c(pair, beta, tol) == expected
+
+
+def _kernel_at_three_halves_beta(real, pair, beta):
+    # Its root lies right of the true one, so the seeds still start the
+    # estimate left of the true root, and the estimate aims the probes.
+    return real(pair, beta * 3 / 2)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _kernel_at_half_beta, _kernel_claiming_root, _kernel_at_three_halves_beta])
+def test_critical_c_search_stays_bounded_when_sign_kernel_disagrees(monkeypatch, p2, corrupt):
+    # The estimate follows beta, the signs another kernel: the aimed probes
+    # fail to certify, and the search halves the grid of 2^4094 cells.
+    from logklab.normalcone import _AIMED_PROBES
+
+    # A few seed signs, then at most one halving per bit of tol past the
+    # seed bracket's level, and the aimed probes.
+    _counted_signs(monkeypatch, limit=16 + 4096 + _AIMED_PROBES, corrupt=corrupt)
+    with pytest.raises(InternalCheckError, match="does not change sign across the bracket"):
+        critical_c(p2, Fraction(1, 2), Fraction(1, 2**4096))
+
+
 def test_df_checked_returns_both_agreeing_paths(p2):
     c, beta = Fraction(1, 2), Fraction(1, 2)
     coeffs, report = df_checked(p2, c, beta)
@@ -384,6 +482,37 @@ def test_critical_c_matches_fraction_bisection(name, tol):
         assert critical_c(pair, beta, tol) == _reference_critical_c(pair, beta, tol)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    excess=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    share=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda q: 0 < q < 1),
+    root=st.one_of(st.none(), st.tuples(st.integers(1, 2**12 - 1), st.integers(1, 12))),
+    bits=st.integers(min_value=0, max_value=2048),
+    num=st.integers(min_value=1, max_value=10**6),
+    den=st.integers(min_value=1, max_value=1000),
+)
+@example(n=2, L_top=Fraction(1), excess=Fraction(2), share=Fraction(1, 2), root=(1, 1),
+         bits=0, num=1, den=10**9)
+@example(n=4, L_top=Fraction(1), excess=Fraction(4), share=Fraction(1, 2), root=None,
+         bits=2048, num=3, den=1)
+def test_critical_c_equals_fraction_bisection(n, L_top, excess, share, root, bits, num, den):
+    # cX_L = L_top (1 + excess) makes s = excess > 0. With root = (a, e) the
+    # angle beta = -s g(a/2^e) puts c* at the dyadic a/2^e, an exact root
+    # the bisection hits when its tol reaches that level; P2 at beta 4/7,
+    # c* = 1/2, is the first example.
+    pair = PolarisedPair("random", n, L_top, L_top * (1 + excess))
+    if root is None:
+        beta = share * instability_threshold(pair)
+    else:
+        a, e = root
+        c = Fraction(a % (1 << e) or 1, 1 << e)
+        beta = -excess * g_factor(n, c)
+    tol = Fraction(num, den << bits)
+    assert critical_c(pair, beta, tol) == _reference_critical_c(pair, beta, tol)
+
+
 @pytest.mark.parametrize("tol", REGRESSION_TOLS)
 @pytest.mark.parametrize("name", CATALOG_PAIRS)
 def test_find_destabilizer_matches_fraction_walk(name, tol):
@@ -403,6 +532,31 @@ def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
         expected = _reference_find_destabilizer(pair, beta, Fraction(1, 2**64))
         assert _witness_or_exhausted(pair, beta, Fraction(1, 2**64)) == expected
     assert find_destabilizer(pair, Fraction(9, 10))[0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("beta", [Fraction(5, 2), Fraction(3)])
+def test_find_destabilizer_every_c_destabilises_for_negative_volume(beta):
+    # L^n < 0 < s and beta >= s/n = 5/2: the inner factor exceeds
+    # beta - s/n >= 0, so DF < 0 at every c and the first schedule point is
+    # the witness.
+    pair = PolarisedPair("neg", 2, -1, -6)
+    c, df = find_destabilizer(pair, beta)
+    assert c == Fraction(1, 2) and df == df_closed(pair, c, beta).df < 0
+    assert all(df_closed(pair, Fraction(i, 16), beta).df < 0 for i in range(1, 16))
+
+
+@pytest.mark.parametrize("L_top, cX_L, beta", [
+    (-1, 1, Fraction(0)),  # L^n < 0, s = -2: DF < 0 at every c, yet s <= 0
+    (1, -2, Fraction(-1)),  # L^n > 0, s = -3: DF < 0 at small c
+])
+def test_find_destabilizer_refusal_claims_no_positive_df_it_cannot_show(L_top, cX_L, beta):
+    pair = PolarisedPair("s-negative", 2, L_top, cX_L)
+    threshold = instability_threshold(pair)
+    with pytest.raises(NotBelowThresholdError) as exc:
+        find_destabilizer(pair, beta)
+    assert str(exc.value) == (f"beta = {beta} is not below the instability threshold "
+                              f"{threshold}")
+    assert df_closed(pair, Fraction(1, 64), beta).df < 0
 
 
 def test_find_destabilizer_stops_once_no_later_c_can_work_for_negative_volume(monkeypatch):
