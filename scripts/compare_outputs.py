@@ -25,10 +25,14 @@ and destabilize on a pair whose entropy_lower certifies an angle the
 normal-cone family destabilises and on a pair with L^n < 0 (also at and above
 its threshold, where every c destabilises); and critical-c at a tol of 3/1000
 and of 5/2^200, on the exact root of P2 at 2^-512, and on an n = 6 pair
-file. Each runs as a fresh `python -m logklab.cli` process under both trees,
-in one scratch directory that holds the workloads' input files, with
-COLUMNS=80 so that argparse wraps the same way. The script prints every argv whose exit code, stdout or stderr
-differ, and exits 1 on any difference. --quick runs only the first
+file; and df, whose coefficients are checked against Riemann-Roch sums, at
+c = 1/2 and 1/7 on pair files outside the catalog: P5 and P6 with a
+hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and L^n = 1 with
+c1(X).L^(n-1) = -2. Each runs as a fresh `python -m logklab.cli` process
+under both trees, in one scratch directory that holds the workloads' input
+files, with COLUMNS=80 so that argparse wraps the same way. The script
+prints every argv whose exit code, stdout or stderr differ, and exits 1 on
+any difference. --quick runs only the first
 invocation of each workload, the top-level --help and one usage error.
 """
 
@@ -162,6 +166,18 @@ def moved_checks() -> list[workloads.Invocation]:
     ]
 
 
+def df_pairs() -> list[workloads.Invocation]:
+    """df on pair files outside the catalog, in higher dimension and with L^n < 0 or s <= 0."""
+    files = [workloads._file("pair", {"name": name, "dimension": n, "L_top": L_top,
+                                      "cX_L": cX_L, "divisor": {"m": 1}})
+             for name, n, L_top, cX_L in (("P5-hyperplane", 5, "1", "6"),
+                                          ("P6-hyperplane", 6, "1", "7"),
+                                          ("negative-top", 2, "-1", "1"),
+                                          ("negative-s", 2, "1", "-2"))]
+    return [workloads.Invocation(("df", f[0], "--c", c, "--beta", "1/2"), (f,))
+            for f in files for c in ("1/2", "1/7")]
+
+
 def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
@@ -177,7 +193,8 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
         universe = workloads.universe(name)
         found += universe[:1] if quick else universe
     if not quick:
-        found += oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
+        found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
+                  + df_pairs())
     for inv in found:
         for file_name, content in inv.files:
             (cwd / file_name).write_bytes(content)

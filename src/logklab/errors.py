@@ -15,10 +15,6 @@ class InputError(LogKLabError):
     """Malformed or inconsistent user-supplied data."""
 
 
-class DuplicateAbscissaError(InputError):
-    """Two interpolation points share the same x-value."""
-
-
 class DimensionTooSmallError(InputError):
     """Operation needs dimension n >= 2 (divisor quantities undefined for n = 1)."""
 
@@ -49,11 +45,6 @@ class NonIntegralCKError(InputError):
 
 class BelowValidityFloorError(InputError):
     """Requested k is below the dimension model's validity floor."""
-
-
-class DegreeMismatchError(InputError):
-    """Held-out sample disagrees with the interpolant: the sums are not yet
-    polynomial at the sampled k; raise the model's validity floor."""
 
 
 class PreconditionFailedError(LogKLabError):

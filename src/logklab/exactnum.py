@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, univariate polynomials, interpolation, power sums.
+"""Exact rational arithmetic, univariate polynomials, power sums.
 
 Every quantity in the package is a fractions.Fraction; floating point is
 banned from the computation path (decimals are derived for display only).
@@ -11,9 +11,9 @@ from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DuplicateAbscissaError, InputError
+from .errors import InputError
 
 # [0-9], not \d, which also matches the digits of other scripts.
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
@@ -139,8 +139,8 @@ class Polynomial:
         the coefficients and the integers d a_i, highest power first, so that
         integer Horner evaluation over them gives d p(x) at an integer x.
 
-        Built on first use and kept: a polynomial that is only interpolated
-        or evaluated at Fractions never builds it.
+        Built on first use and kept: a polynomial that is only evaluated at
+        Fractions never builds it.
         """
         form = self._integer_form
         if form is None:
@@ -193,6 +193,14 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def substitute(self, scale: Fraction | int, shift: Fraction | int = 0) -> "Polynomial":
+        """p(scale*x + shift) as a polynomial in x, by Horner's rule."""
+        acc: list[Fraction] = []
+        for c in reversed(self.coefficients):  # acc = acc * (scale x + shift) + c
+            acc = [shift * a + scale * b for a, b in zip([*acc, 0], [0, *acc])]
+            acc[0] += c
+        return Polynomial(acc)
+
     def __repr__(self) -> str:
         if not self.coefficients:
             return "Polynomial(0)"
@@ -209,38 +217,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def poly_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Polynomial:
-    """Unique polynomial of degree < len(points) through all points, exactly.
-
-    Newton divided differences; abscissae must be pairwise distinct.
-    """
-    if not points:
-        raise InputError("interpolation needs at least one point")
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    seen: dict[Fraction, int] = {}
-    for idx, x in enumerate(xs):
-        if x in seen:
-            raise DuplicateAbscissaError(
-                f"duplicate abscissa {format_rational(x)} at positions {seen[x]} and {idx}")
-        seen[x] = idx
-
-    # Divided-difference table, kept as the top row only.
-    table = list(ys)
-    newton = [table[0]]
-    for level in range(1, len(points)):
-        for i in range(len(points) - level):
-            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-        newton.append(table[0])
-
-    result = Polynomial()
-    basis = Polynomial([1])
-    for i, coeff in enumerate(newton):
-        result = result + basis * coeff
-        basis = basis * Polynomial([-xs[i], 1])
-    return result
-
-
 def _bernoulli_plus(count: int) -> list[Fraction]:
     """First `count` Bernoulli numbers in the B(1) = +1/2 convention."""
     bernoulli = [Fraction(1)]
@@ -254,8 +230,10 @@ def _bernoulli_plus(count: int) -> list[Fraction]:
     return bernoulli
 
 
+@lru_cache(maxsize=None)
 def faulhaber_polynomial(p: int) -> Polynomial:
-    """Closed-form polynomial S with S(N) = sum_{i=1..N} i**p."""
+    """Closed-form polynomial S with S(N) = sum_{i=1..N} i**p; one per power,
+    kept, as Polynomial is immutable."""
     if p < 0:
         raise InputError("power must be nonnegative")
     bern = _bernoulli_plus(p + 1)

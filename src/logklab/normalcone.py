@@ -19,8 +19,8 @@ from .errors import (
     ParameterOutOfRangeError,
     SearchExhaustedError,
 )
-from .exactnum import format_rational
-from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
+from .exactnum import Polynomial, format_rational
+from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec, sum_polynomials
 
 _UNIT_DIVISOR = DivisorSpec(1)
 
@@ -40,6 +40,16 @@ class NormalConeCoefficients(NamedTuple):
     b0_tilde: Fraction
     c: Fraction
     n: int
+
+    @classmethod
+    def from_sums(cls, sums: tuple[Polynomial, Polynomial, Polynomial], c: Fraction, n: int
+                  ) -> NormalConeCoefficients:
+        """The coefficients in dimension n read off the sum polynomials (d, w, d~)
+        at c of pairmodel.sum_polynomials; as w~_k = -c k d~_k, b0~ = -c a0~."""
+        d, w, d_tilde = sums
+        a0_tilde = d_tilde.coefficient(n - 1)
+        return cls(a0=d.coefficient(n), a1=d.coefficient(n - 1), b0=w.coefficient(n + 1),
+                   b1=w.coefficient(n), a0_tilde=a0_tilde, b0_tilde=-c * a0_tilde, c=c, n=n)
 
     def as_dict(self) -> dict[str, str | int]:
         return {
@@ -267,9 +277,17 @@ def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Frac
 def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
                ) -> tuple[NormalConeCoefficients, DFReport]:
     """The family's coefficients and closed-form DF report at (c, beta), once
-    df_from_coefficients gives the same DF (InternalCheckError otherwise)."""
+    they equal field by field those of the sum polynomials of
+    pair.riemann_roch() and df_from_coefficients gives the same DF
+    (InternalCheckError otherwise)."""
     at_c = family(pair, c)
     coeffs, report = at_c.coefficients(), at_c.df(beta)
+    summed = NormalConeCoefficients.from_sums(
+        sum_polynomials(pair.riemann_roch(), at_c.c), at_c.c, at_c.n)
+    if summed != coeffs:
+        raise InternalCheckError(
+            f"coefficient paths disagree: closed form {coeffs.as_dict()}, "
+            f"Riemann-Roch sums {summed.as_dict()}")
     df_coeff_path = df_from_coefficients(coeffs, beta)
     if df_coeff_path != report.df:
         raise InternalCheckError(

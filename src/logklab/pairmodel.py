@@ -13,7 +13,7 @@ from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import Polynomial, format_rational
+from .exactnum import Polynomial, faulhaber_polynomial, format_rational
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData
@@ -59,6 +59,13 @@ class PolarisedPair(_PairFields):
                     f"got {format_rational(cX_L)}"
                 )
         return pair._replace(L_top=L_top, cX_L=cX_L, proportional_x=x)
+
+    def riemann_roch(self) -> Polynomial:
+        """The two leading Riemann-Roch terms of h_X(k), as HilbertModel.invariants
+        reads them: (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1)."""
+        n = self.dimension
+        return Polynomial([*[0] * (n - 1), self.cX_L / (2 * factorial(n - 1)),
+                           self.L_top / factorial(n)])
 
 
 class _DivisorFields(NamedTuple):
@@ -191,15 +198,22 @@ class HilbertModel(NamedTuple):
             raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
         return cls(kind=KIND_EXPLICIT, polynomial=polynomial, floor=floor)
 
-    def invariants(self) -> tuple[int, Fraction | int, Fraction | int]:
+    def count_polynomial(self) -> Polynomial:
+        """h_X as a polynomial in k: h_total(k) is its value at every k >= 0."""
+        if self.kind == KIND_PROJECTIVE_SPACE:  # comb(n + k, n) = (k + 1)...(k + n)/n!
+            counts = Polynomial([Fraction(1, factorial(self.n))])
+            for i in range(1, self.n + 1):
+                counts = counts * Polynomial([i, 1])
+            return counts
+        if self.kind == KIND_PRODUCT_P1P1:
+            return Polynomial([1, 2, 1])  # (k + 1)^2
+        return self.polynomial
+
+    def invariants(self) -> tuple[int, Fraction, Fraction]:
         """(n, L^n, c1(X).L^(n-1)) that the model fixes by Riemann-Roch,
         h(k) = (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1) + ..., with n
         the degree of h in k (-1 for the zero explicit model)."""
-        if self.kind == KIND_PROJECTIVE_SPACE:
-            return self.n, 1, self.n + 1  # comb(n + k, n)
-        if self.kind == KIND_PRODUCT_P1P1:
-            return 2, 2, 4  # (k + 1)^2
-        poly = self.polynomial
+        poly = self.count_polynomial()
         d = max(poly.degree, 1)  # a constant polynomial already fails on its degree
         return (poly.degree, factorial(d) * poly.coefficient(d),
                 2 * factorial(d - 1) * poly.coefficient(d - 1))
@@ -217,7 +231,7 @@ class HilbertModel(NamedTuple):
     @property
     def degree(self) -> int:
         """Degree of h_X as a polynomial in k; -1 for the zero explicit model."""
-        return self.invariants()[0]
+        return self.n if self.polynomial is None else self.polynomial.degree
 
     def h_total(self, k: int) -> int:
         """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""
@@ -247,6 +261,24 @@ class HilbertModel(NamedTuple):
         if value < 0:
             raise InputError(f"divisor dimension negative at j = {j}; model invalid")
         return value
+
+
+def sum_polynomials(counts: Polynomial, c: Fraction) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(d, w, d~): polynomials in k equal at every admissible level k to the
+    sums d_k, w_k, d~_k of weightoracle.dims_and_weights for the section counts
+    H = counts, h_D(j) = H(j) - H(j-1). With b = (1-c)k, d_k telescopes to
+    H(k), d~_k = H(k) - H(k-1), and by parts
+
+        w_k = -sum_{b<j<=k} (j - b) h_D(j) = G(k) - G(b) - c k H(k),
+
+    G(x) = sum_{0<=j<x} H(j) = sum_i a_i S_i(x) - H(x) + a_0 for H = sum_i a_i x^i,
+    S_i the Faulhaber polynomial of power i.
+    """
+    c = Fraction(c)
+    g = sum((a * faulhaber_polynomial(i) for i, a in enumerate(counts.coefficients)),
+            Polynomial([counts.coefficient(0)])) - counts
+    weights = g - g.substitute(1 - c) - Polynomial([0, c]) * counts
+    return counts, weights, counts - counts.substitute(1, -1)
 
 
 class PairSource(NamedTuple):

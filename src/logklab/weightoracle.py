@@ -2,9 +2,9 @@
 
 Dimensions and weights are obtained by literally summing the section counts
 of the central-fibre decomposition, never through the closed forms they are
-meant to check. Interpolation over finite-k samples then recovers the
-expansion coefficients, which must agree with normalcone.coefficients
-field-by-field.
+meant to check. Every sample must equal the model's sum polynomials
+(pairmodel.sum_polynomials) at its level, and the coefficients read off
+them must agree with normalcone.coefficients field by field.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
 (k - ck, k]. sum_samples serves every sample of one (model, c) from a single
@@ -29,15 +29,14 @@ from typing import Iterator, NamedTuple
 
 from .errors import (
     BelowValidityFloorError,
-    DegreeMismatchError,
     InputError,
     InternalCheckError,
     NonIntegralCKError,
 )
-from .exactnum import Polynomial, format_rational, poly_interpolate
+from .exactnum import Polynomial, format_rational
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
-from .pairmodel import HilbertModel, PolarisedPair
+from .pairmodel import HilbertModel, PolarisedPair, sum_polynomials
 
 
 class WeightSample(NamedTuple):
@@ -281,63 +280,40 @@ def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
     return list(range(first, first + count * c.denominator, c.denominator))
 
 
-def _interpolate_checked(
-    ks: list[int], values: list[Fraction], held_out_k: int, held_out_value: Fraction,
-    max_degree: int, label: str,
-) -> Polynomial:
-    poly = poly_interpolate(list(zip(ks, values)))
-    if poly.degree > max_degree:
-        raise DegreeMismatchError(
-            f"{label} samples need degree {poly.degree} > expected {max_degree}; "
-            "raise the validity floor"
-        )
-    if poly(held_out_k) != held_out_value:
-        raise DegreeMismatchError(
-            f"{label} interpolant disagrees with the held-out sample at k = {held_out_k}; "
-            "the sums are not yet polynomial, raise the validity floor"
-        )
-    return poly
+def _check_against_sums(sums: tuple[Polynomial, ...], samples: list[WeightSample]) -> None:
+    """InternalCheckError unless each sample's d_k, w_k, d~_k is the value at k
+    of sums = (d, w, d~), by integer Horner over each polynomial's integer_form."""
+    forms = [poly.integer_form() for poly in sums]
+    for sample in samples:
+        k = sample.k
+        for name, value, (den, scaled) in zip(
+                ("d_k", "w_k", "d_tilde_k"), (sample.d_k, sample.w_k, sample.d_tilde_k), forms):
+            acc = 0
+            for a in scaled:
+                acc = acc * k + a
+            if acc * value.denominator != den * value.numerator:
+                raise InternalCheckError(
+                    f"walked sample and sum polynomial disagree at k = {k}: {name} = "
+                    f"{format_rational(value)}, polynomial {format_rational(Fraction(acc, den))}")
 
 
 def _sample_and_recover(
     model: HilbertModel, c: Fraction, n: int, listed: int = 0
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
-    """The first `listed` admissible samples and the coefficients interpolated
-    from the first n+4, all from one walk.
-
-    The first sample, the cheapest, is summed again on the literal path.
-    """
-    fitted = n + 4
-    summed = sum_samples(model, c, _sampling_ks(model, c, max(fitted, listed)))
-    samples = summed[:fitted]
-    reference = dims_and_weights(model, c, samples[0].k)
-    if samples[0] != reference:
+    """The first `listed` admissible samples and the coefficients read off the
+    model's sum polynomials, once every sample of one walk over the first
+    max(n + 4, listed) levels equals them; the first sample, the cheapest, is
+    summed again on the literal path."""
+    summed = sum_samples(model, c, _sampling_ks(model, c, max(n + 4, listed)))
+    reference = dims_and_weights(model, c, summed[0].k)
+    if summed[0] != reference:
         raise InternalCheckError(
             f"shared walk and literal sum disagree at k = {reference.k}: "
-            f"{samples[0].as_dict()} != {reference.as_dict()}"
+            f"{summed[0].as_dict()} != {reference.as_dict()}"
         )
-    *fit, held = samples
-    ks = [s.k for s in fit]
-    w_poly = _interpolate_checked(
-        ks, [s.w_k for s in fit], held.k, held.w_k, n + 1, "weight")
-    d_poly = _interpolate_checked(
-        ks, [Fraction(s.d_k) for s in fit], held.k, Fraction(held.d_k), n, "dimension")
-    dt_poly = _interpolate_checked(
-        ks, [Fraction(s.d_tilde_k) for s in fit], held.k,
-        Fraction(held.d_tilde_k), n - 1, "divisor dimension")
-    # Every sample has w~_k = -c k d~_k, so the w~ interpolant is -c k times
-    # the d~ one and its k^n coefficient is -c a0~.
-    a0_tilde = dt_poly.coefficient(n - 1)
-    return summed[:listed], NormalConeCoefficients(
-        a0=d_poly.coefficient(n),
-        a1=d_poly.coefficient(n - 1),
-        b0=w_poly.coefficient(n + 1),
-        b1=w_poly.coefficient(n),
-        a0_tilde=a0_tilde,
-        b0_tilde=-c * a0_tilde,
-        c=c,
-        n=n,
-    )
+    sums = sum_polynomials(model.count_polynomial(), c)
+    _check_against_sums(sums, summed)
+    return summed[:listed], NormalConeCoefficients.from_sums(sums, c, n)
 
 
 def recover_coefficients(
@@ -345,9 +321,9 @@ def recover_coefficients(
 ) -> NormalConeCoefficients:
     """Recover a0, a1, b0, b1, a0_tilde, b0_tilde from finite-k samples.
 
-    n+3 consecutive admissible multiples of denominator(c) are sampled plus
-    one held-out; the held-out value must match each interpolant exactly,
-    which certifies the sums are already polynomial over the sampled range.
+    The first n+4 admissible levels are summed, and each sample must equal
+    the model's sum polynomials at its level (InternalCheckError otherwise);
+    the coefficients are then read off those polynomials.
     """
     return _sample_and_recover(model, Fraction(c), pair.dimension)[1]
 
@@ -356,7 +332,8 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
     """Finite-k normalised average weight J_k = -w_k / (k d_k).
 
     The maximal normalised weight of the decomposition is 0, so J_k is the
-    gap between maximum and average; its interpolated limit is -b0/a0.
+    gap between maximum and average; as k grows it tends to -b0/a0, the
+    ratio of the leading coefficients of the sum polynomials w and d.
     """
     sample = dims_and_weights(model, c, k)
     return -sample.w_k / (k * sample.d_k)
@@ -373,10 +350,12 @@ def oracle_report(
 
     A missing model, then k_max > ORACLE_KMAX_LIMIT, is an InputError. The
     recovered coefficients must equal the closed form field by field
-    (InternalCheckError otherwise), so match is always true. samples lists the samples at admissible_ks(model, c, k_max), by default
-    at the n+4 the coefficients are fitted to; both are leading runs of the
-    admissible k, summed in one walk. The listing's k are found first, then
-    the closed form, so a bad (pair, c) is refused before any sum runs.
+    (InternalCheckError otherwise), so match is always true. samples lists the
+    samples at admissible_ks(model, c, k_max), by default at the first n+4;
+    both are leading runs of the admissible k, summed in one walk, and every
+    walked sample is checked against the sum polynomials. The listing's k are
+    found first, then the closed form, so a bad (pair, c) is refused before
+    any sum runs.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logklab.errors import DuplicateAbscissaError, InputError
+from logklab.errors import InputError
 from logklab.exactnum import (
     Polynomial,
     decimal_string,
     faulhaber_polynomial,
     format_rational,
     parse_rational,
-    poly_interpolate,
     power_sum,
 )
 
@@ -127,6 +126,8 @@ def test_polynomial_arithmetic():
     assert p + q == Polynomial([0, 2])
     assert p - p == Polynomial()
     assert 3 * p == Polynomial([3, 3])
+    assert Polynomial([1, 0, 1]).substitute(2, -1) == Polynomial([2, -4, 4])  # 1 + (2x-1)^2
+    assert Polynomial([1, 2, 3]).substitute(Fraction(1, 2)) == Polynomial([1, 1, Fraction(3, 4)])
 
 
 def test_polynomial_call_known_values():
@@ -134,33 +135,6 @@ def test_polynomial_call_known_values():
     binom = Polynomial([1, Fraction(3, 2), Fraction(1, 2)])  # (k+1)(k+2)/2
     assert binom(Fraction(3)) == 10
     assert Polynomial([1, 0, 1])(Fraction(2)) == 5
-
-
-def test_poly_interpolate_known_values():
-    assert poly_interpolate([(0, 1)]) == Polynomial([1])
-    assert poly_interpolate([(0, 1), (1, 2), (2, 5)]) == Polynomial([1, 0, 1])
-    triangular = poly_interpolate([(1, 1), (2, 3), (3, 6), (4, 10)])
-    assert triangular == Polynomial([0, Fraction(1, 2), Fraction(1, 2)])  # x(x+1)/2
-
-
-def test_poly_interpolate_duplicate_abscissa():
-    with pytest.raises(DuplicateAbscissaError):
-        poly_interpolate([(1, 1), (1, 2)])
-
-
-def test_poly_interpolate_empty():
-    with pytest.raises(InputError):
-        poly_interpolate([])
-
-
-@settings(deadline=None)
-@given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6,
-                unique_by=lambda p: p[0]))
-def test_interpolation_hits_every_point(points):
-    poly = poly_interpolate(points)
-    assert poly.degree < len(points)
-    for x, y in points:
-        assert poly(x) == y
 
 
 # ----------------------------- power sums -----------------------------

@@ -11,8 +11,10 @@ from logklab.errors import (
     ParameterOutOfRangeError,
     SearchExhaustedError,
 )
+from logklab.cli import run
 from logklab.normalcone import (
     CriticalBracket,
+    NormalConeCoefficients,
     _inner_sign_kernel,
     coefficients,
     critical_c,
@@ -25,7 +27,7 @@ from logklab.normalcone import (
     instability_threshold,
     jna_normal_cone,
 )
-from logklab.pairmodel import CATALOG, PolarisedPair
+from logklab.pairmodel import CATALOG, PolarisedPair, sum_polynomials
 
 from conftest import _kernel_at_half_beta, _kernel_claiming_root
 
@@ -400,6 +402,36 @@ def test_df_checked_raises_when_the_coefficient_formula_disagrees(monkeypatch, p
     with pytest.raises(InternalCheckError, match="DF paths disagree: closed form -1/48, "
                                                  "coefficient formula 1"):
         df_checked(p2, Fraction(1, 2), Fraction(1, 2))
+
+
+def test_df_checked_raises_when_s_is_wrong(monkeypatch, capsys, p2):
+    # A wrong s moves the closed form and the coefficient formula together;
+    # the Riemann-Roch sums read L^n and c1(X).L^(n-1) alone.
+    import logklab.normalcone as normalcone
+
+    real = normalcone._pair_of
+    monkeypatch.setattr(normalcone, "_pair_of",
+                        lambda pair: real(pair)._replace(s=real(pair).s + Fraction(1, 7)))
+    with pytest.raises(InternalCheckError, match="coefficient paths disagree"):
+        df_checked(p2, Fraction(1, 2), Fraction(1, 2))
+    assert run(["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    L_top=st.fractions(min_value=-100, max_value=100, max_denominator=1000).filter(bool),
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    c=open_unit_fractions,
+)
+@example(n=2, L_top=Fraction(-1), cX_L=Fraction(1), c=Fraction(1, 2))
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), c=Fraction(1, 2))
+def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
+    # Any sign of L^n and of s = c1(X).L^(n-1)/L^n - 1.
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    sums = sum_polynomials(pair.riemann_roch(), c)
+    assert NormalConeCoefficients.from_sums(sums, c, n) == coefficients(pair, c)
 
 
 # ----------------------------- integer sign kernel -----------------------------

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from logklab.errors import (
     BelowValidityFloorError,
-    DegreeMismatchError,
     DimensionTooSmallError,
     InputError,
     InternalCheckError,
@@ -23,7 +22,7 @@ from logklab.errors import (
 from logklab.cli import run
 from logklab.exactnum import Polynomial, format_rational, power_sum
 from logklab.normalcone import coefficients, df_closed, df_from_coefficients, jna_normal_cone
-from logklab.pairmodel import CATALOG, PolarisedPair
+from logklab.pairmodel import CATALOG, PolarisedPair, sum_polynomials
 from logklab.weightoracle import (
     ORACLE_KMAX_LIMIT,
     HilbertModel,
@@ -190,8 +189,22 @@ class _KinkedModel(HilbertModel):
 
 def test_recovery_detects_pre_asymptotic_samples(p2):
     kinked = _KinkedModel(kind="projective_space", n=2, floor=0)
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(InternalCheckError, match="k = 2: d_k = 7, polynomial 6"):
         recover_coefficients(kinked, Fraction(1, 2), p2)
+
+
+class _OffByOneModel(HilbertModel):
+    """One wrong divisor count, at j = 40, past the n + 4 levels a fit would read."""
+
+    def h_divisor(self, j: int) -> int:
+        return super().h_divisor(j) + (j == 40)
+
+
+def test_oracle_report_checks_every_listed_sample(p2):
+    model = _OffByOneModel(kind="projective_space", n=2)
+    with pytest.raises(InternalCheckError,
+                       match="disagree at k = 40: d_k = 862, polynomial 861"):
+        oracle_report(p2, model, Fraction(1, 2), 60)
 
 
 def test_recovery_succeeds_above_raised_floor(p2):
@@ -336,7 +349,10 @@ def test_sum_samples_equals_literal_sums(model, q, data):
     multiples = data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8))
     admissible = set(admissible_ks(model, c, 12 * c.denominator))
     ks = [m * c.denominator for m in multiples if m * c.denominator in admissible]
-    assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
+    samples = sum_samples(model, c, ks)
+    assert samples == [dims_and_weights(model, c, k) for k in ks]
+    d, w, d_tilde = sum_polynomials(model.count_polynomial(), c)
+    assert [(s.d_k, s.w_k, s.d_tilde_k) for s in samples] == [(d(k), w(k), d_tilde(k)) for k in ks]
 
 
 def _binomial_basis(degree):
