@@ -22,8 +22,10 @@ beta 4/7 (a width-zero bracket on the exact root 1/2), at beta 0 and -1/2
 (the sentinel) and at tol 1 (the seed bracket), oracle --kmax 10001 on P2
 and on Fano-template (whose missing model is reported first), and entropy
 and destabilize on a pair whose entropy_lower certifies an angle the
-normal-cone family destabilises and on a pair with L^n < 0 (also at and above
-its threshold, where every c destabilises); and critical-c at a tol of 3/1000
+normal-cone family destabilises, and entropy on a pair with L^n < 0; and
+destabilize on every sign case of its table, at beta = -2, -1, -1/2, 0,
+1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0) and on pair files with
+(L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1), (-1, -3) and (-1, -6); and critical-c at a tol of 3/1000
 and of 5/2^200, on the exact root of P2 at 2^-512, and on an n = 6 pair
 file; and df, whose coefficients are checked against Riemann-Roch sums, at
 c = 1/2 and 1/7 on pair files outside the catalog: P5 and P6 with a
@@ -159,11 +161,26 @@ def moved_checks() -> list[workloads.Invocation]:
         *(workloads.Invocation(argv) for argv in argvs),
         *(workloads.Invocation(("critical-c", p6[0], "--beta", beta, "--tol", tol), (p6,))
           for beta, tol in (("1/2", "1/1024"), ("5/6", workloads._tol(512)))),
-        *(workloads.Invocation((cmd, f[0], "--beta", beta), (f,))
-          for f, beta in ((ent, "1/2"), (neg, "1")) for cmd in ("entropy", "destabilize")),
-        *(workloads.Invocation(("destabilize", neg[0], "--beta", beta), (neg,))
-          for beta in ("3", "5/2")),
+        *(workloads.Invocation((cmd, ent[0], "--beta", "1/2"), (ent,))
+          for cmd in ("entropy", "destabilize")),
+        workloads.Invocation(("entropy", neg[0], "--beta", "1"), (neg,)),
     ]
+
+
+DESTABILIZE_BETAS = ("-2", "-1", "-1/2", "0", "1/4", "1/2", "1", "5/2", "3")
+
+
+def destabilize_signs() -> list[workloads.Invocation]:
+    """destabilize across the signs of L^n, of s and of beta: Fano-template
+    (s = 0) and pair files with (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1),
+    (-1, -3) and (-1, -6), at every beta of DESTABILIZE_BETAS."""
+    files = [workloads._file("pair", {"name": name, "dimension": 2, "L_top": L_top,
+                                      "cX_L": cX_L, "divisor": {"m": 1}})
+             for name, L_top, cX_L in (("negative-s", "1", "-2"), ("negative-top", "-1", "1"),
+                                       ("neg", "-1", "-3"), ("neg", "-1", "-6"))]
+    pairs = [("catalog:Fano-template", ()), *((f[0], (f,)) for f in files)]
+    return [workloads.Invocation(("destabilize", pair, f"--beta={beta}"), needs)
+            for pair, needs in pairs for beta in DESTABILIZE_BETAS]
 
 
 def df_pairs() -> list[workloads.Invocation]:
@@ -194,7 +211,7 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
         found += universe[:1] if quick else universe
     if not quick:
         found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
-                  + df_pairs())
+                  + df_pairs() + destabilize_signs())
     for inv in found:
         for file_name, content in inv.files:
             (cwd / file_name).write_bytes(content)

@@ -17,6 +17,7 @@ from .errors import (
     InternalCheckError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
+    PreconditionFailedError,
     SearchExhaustedError,
 )
 from .exactnum import Polynomial, format_rational
@@ -349,66 +350,72 @@ def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> NotBelo
         f"{format_rational(threshold)}{clause}")
 
 
-def find_destabilizer(
-    pair: PolarisedPair,
-    beta: Fraction,
-    tol: Fraction = Fraction(1, 2**60),
-) -> tuple[Fraction, Fraction]:
-    """Witness c in (0, 1) with DF(c, beta) < 0, for beta below the threshold.
+def _first_dyadic(sign: Callable[[int, int], int], want: int, near_one: bool,
+                  last: int | None = None) -> int | None:
+    """The least j >= 1 (<= last, if given) with sign = want at c = 2^-j, or at
+    1 - 2^-j if near_one, or None; once sign = want it must stay so for larger
+    j, as the monotone inner factor does. Gallops j = 1, 2, 4, ... (last caps
+    the last probe), then halves the gap: about 2 log2 j signs, not j."""
+    def holds(j: int) -> bool:
+        d = 1 << j
+        return sign(d - 1 if near_one else 1, d) == want
 
-    Walks the dyadic schedule c = 1 - 2^-j, j = 1, 2, ...; tol > 0 floors
-    the schedule: only steps with 2^-j >= tol are examined. DF is the
-    prefactor, which has the sign of L^n, times the inner factor, and the
-    inner factor has the sign of the integer polynomial
-    Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)) at u = 1 - c,
-    s = S^D/(n-1) (see _inner_sign_kernel). Each step is decided on that
-    integer sign. As c -> 1, Q(u) -> n beta - s, which is negative exactly
-    when beta is below the threshold s/n, so the walk terminates. For
-    0 < beta < threshold the coefficients of Q have exactly one sign change,
-    so by Descartes' rule Q has exactly one positive root; for L^n > 0 the
-    witnesses are exactly the c beyond the critical c*. For L^n < 0 a witness
-    needs inner > 0, and once inner <= 0 no larger c has inner > 0: g(c)
-    decreases, so for s > 0 the inner factor beta + s g(c) decreases, and for
-    s <= 0 it stays below beta - s/n < 0. So the walk stops at the first such
-    step (SearchExhaustedError).
+    lo, hi = 0, 1  # no j <= lo holds
+    while (last is None or hi < last) and not holds(hi):
+        lo, hi = hi, 2 * hi
+    if last is not None and hi >= last:
+        if last < 1 or not holds(last):
+            return None
+        hi = last
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
-    At or above the threshold beta is refused (NotBelowThresholdError), with
-    one exception: for L^n < 0 < s the inner factor exceeds beta - s/n >= 0
-    at every c, so every c destabilises, and the walk's first step c = 1/2 is
-    the witness. The refusal says "DF > 0 for every c" only where that holds,
-    for L^n > 0 < beta: the inner factor then exceeds beta - s/n >= 0
-    (s > 0) or is at least beta (s <= 0). The witness's DF comes from
+
+def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fraction(1, 2**60)
+                      ) -> tuple[Fraction, Fraction]:
+    """Witness c in (0, 1) with DF(c, beta) < 0, refused where DF >= 0 on all of (0, 1).
+
+    DF is the prefactor, of the sign sigma of L^n, times the inner factor
+    beta + s g(c), s = S^D/(n-1), which moves strictly and monotonically
+    from beta (c -> 0) to beta - threshold (c -> 1), or stays at beta for
+    s = 0. So e0 = sigma beta and e1 = sigma (beta - threshold) decide the
+    set where DF < 0:
+
+        e0 <= 0, e1 <= 0, not both 0   (0, 1)    c = 1/2, the first 1 - 2^-j
+        e0 < 0 < e1                    (0, c*)   the first 2^-j in it
+        e0 > 0 > e1                    (c*, 1)   the first 1 - 2^-j in it
+        e0 >= 0, e1 >= 0               empty     refused
+
+    _first_dyadic finds j on the integer signs of _inner_sign_kernel among
+    the j with 2^-j >= tol (SearchExhaustedError if none). The empty set is
+    refused with NotBelowThresholdError for beta >= threshold, which adds
+    "DF > 0 for every c" for L^n > 0 < beta, and otherwise (L^n < 0,
+    beta <= 0) with PreconditionFailedError. The witness's DF comes from
     df_closed and must be negative, or InternalCheckError is raised.
     """
     beta, tol, constants, threshold = _checked(pair, beta, tol)
-    negative = pair.L_top < 0
-    if beta >= threshold and not (negative and threshold > 0):
-        clause = "" if negative or beta <= 0 else "; DF > 0 for every c in (0, 1)"
-        raise _not_below(beta, threshold, clause)
-    prefactor_sign = -1 if negative else 1
-    sign = _inner_sign_kernel(constants, beta)
-    j = 1
-    while tol.numerator << j <= tol.denominator:  # 2^-j >= tol
-        d = 1 << j
-        if sign(d - 1, d) * prefactor_sign < 0:
-            c = Fraction(d - 1, d)
-            df = df_closed(pair, c, beta).df
-            if not df < 0:
-                raise InternalCheckError(
-                    f"sign kernel picked c = {format_rational(c)} but the closed form "
-                    f"gives DF = {format_rational(df)}, not < 0"
-                )
-            return c, df
-        if prefactor_sign < 0:
-            raise SearchExhaustedError(
-                f"no c = 1 - 2^-j destabilises: L^n < 0, so DF < 0 needs a positive inner "
-                f"factor, and the inner factor is not positive at "
-                f"c = {format_rational(Fraction(d - 1, d))}, nor at any larger c")
-        j += 1
-    raise SearchExhaustedError(
-        f"no destabilising c found before the dyadic step fell below "
-        f"tol = {format_rational(tol)}; decrease tol"
-    )
+    sigma = 1 if pair.L_top > 0 else -1
+    e0, e1 = sigma * beta, sigma * (beta - threshold)
+    if e0 >= 0 and e1 >= 0:
+        if beta >= threshold:
+            clause = "" if sigma < 0 or beta <= 0 else "; DF > 0 for every c in (0, 1)"
+            raise _not_below(beta, threshold, clause)
+        raise PreconditionFailedError(f"L^n < 0 and beta = {format_rational(beta)} is not "
+                                      f"positive: DF > 0 for every c in (0, 1)")
+    near_one = not e0 < 0 < e1
+    last = (tol.denominator // tol.numerator).bit_length() - 1  # the last j with 2^-j >= tol
+    j = _first_dyadic(_inner_sign_kernel(constants, beta), -sigma, near_one, last)
+    if j is None:
+        raise SearchExhaustedError(f"no destabilising c found before the dyadic step fell "
+                                   f"below tol = {format_rational(tol)}; decrease tol")
+    c = Fraction((1 << j) - 1 if near_one else 1, 1 << j)
+    df = df_closed(pair, c, beta).df
+    if not df < 0:
+        raise InternalCheckError(f"sign kernel picked c = {format_rational(c)} but the closed "
+                                 f"form gives DF = {format_rational(df)}, not < 0")
+    return c, df
 
 
 # Bits of the root estimate past the bracket's level K: its error, a few
@@ -464,11 +471,7 @@ def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int | None:
     return U
 
 
-def critical_c(
-    pair: PolarisedPair,
-    beta: Fraction,
-    tol: Fraction,
-) -> CriticalBracket:
+def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBracket:
     """Isolate the unique root c* of the inner factor to width <= tol: the
     bracket a bisection of the seed bracket would return, reached from an
     estimate of c* instead.
@@ -477,21 +480,21 @@ def critical_c(
     factor has the sign of the integer polynomial
     Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)) at u = 1 - c
     (see _inner_sign_kernel), and every sign below is decided on integers.
-    Here n beta - s < 0 < n(beta+s), so the coefficients of Q have exactly
-    one sign change and Descartes' rule gives exactly one positive root;
-    Q(0) = n beta - s < 0 < n(n+1) beta = Q(1) puts it in (0, 1).
+    Here n beta - s < 0 < n(beta+s), so Descartes' rule gives Q exactly one
+    positive root, and Q(0) < 0 < n(n+1) beta = Q(1) puts it in (0, 1).
 
-    Dyadic probes seed the bracket [lo0, hi0]/2^k0: inner > 0 at 2^-j and
-    < 0 at 1 - 2^-i. Halving keeps the numerator width w = hi0 - lo0, so at
-    the first level K with w/2^K <= tol the bisection's bracket is a cell
+    The least j and i with inner > 0 at 2^-j and < 0 at 1 - 2^-i, found by
+    _first_dyadic's galloping, seed the bracket [lo0, hi0]/2^k0. Halving
+    keeps the numerator width w = hi0 - lo0, so at the first level K with
+    w/2^K <= tol the bisection's bracket is the cell
     [x0 + t w, x0 + (t+1) w]/2^K, x0 = lo0 2^(K-k0), 0 <= t < 2^(K-k0), and
     only t is unknown. _root_estimate gives c* 2^K to _GUARD_BITS more bits.
     The grid point nearest it is probed, then its neighbour on the root's
     side: inner > 0 at the cell's lo and < 0 at its hi certify the cell
     (seed ends are not probed again). Both probes are ends of the
     bisection's last cell, hence among its probes: the sign count is the
-    seeds plus at most 2, not plus K - k0, and the work grows with about
-    log K Newton steps. If the aimed probes do not certify, the search
+    seed probes plus at most 2, not plus K - k0, and the work grows with
+    about log K Newton steps. If the aimed probes do not certify, the search
     halves the rest of the grid, so a wrong estimate still ends on the same
     cell, after at most K - k0 + _AIMED_PROBES signs past the seeds. A sign
     of exactly 0 marks the root, returned as a width-zero bracket; every
@@ -510,14 +513,9 @@ def critical_c(
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
     sign = _inner_sign_kernel(constants, beta)
 
-    # inner > 0 near 0 (it tends to beta > 0) and < 0 near 1 (it tends to
-    # beta - threshold < 0).
-    j = 1
-    while sign(1, 1 << j) <= 0:
-        j += 1
-    i = 1
-    while sign((1 << i) - 1, 1 << i) >= 0:
-        i += 1
+    # inner tends to beta > 0 as c -> 0 and to beta - threshold < 0 as c -> 1.
+    j = _first_dyadic(sign, 1, near_one=False)
+    i = _first_dyadic(sign, -1, near_one=True)
     k0 = max(i, j)
     lo0 = 1 << (k0 - j)
     width = (1 << k0) - (1 << (k0 - i)) - lo0

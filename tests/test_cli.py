@@ -681,14 +681,21 @@ def test_entropy_refuses_a_certificate_below_the_instability_threshold(capsys, t
     assert code == EXIT_OK and "status: CriterionSatisfied" in out
 
 
-def test_destabilize_negative_volume_stops_after_one_step(capsys, tmp_path):
+def test_destabilize_negative_volume_finds_the_witness_near_0(capsys, tmp_path):
+    # L^n < 0 and beta = 1 < 5/2: DF < 0 on (0, c*), c* < 1/2, so the
+    # witness is the first c = 2^-j there; at beta <= 0 DF > 0 everywhere.
     path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
                                  "divisor": {"m": 1}})
     code, out, err = invoke(capsys, ["destabilize", path, "--beta", "1"])
-    assert (code, out) == (EXIT_INPUT, "")
-    assert "decrease tol" not in err and "c = 1/2" in err
-    code, out, _ = invoke(capsys, ["df", path, "--c", "1/8", "--beta", "1"])
-    assert code == EXIT_OK and "-19/256" in out
+    assert (code, err) == (EXIT_OK, "")
+    assert out == ("instability threshold: 5/2\nwitness c: 1/4\n"
+                   "DF(c, beta=1) = -1/16 < 0: pair is log K-unstable at this angle\n")
+    code, out, _ = invoke(capsys, ["df", path, "--c", "1/4", "--beta", "1"])
+    assert code == EXIT_OK and re.search(r"DF\(closed form\) +(\S+)", out).group(1) == "-1/16"
+    code, out, err = invoke(capsys, ["destabilize", path, "--beta", "0"])
+    assert (code, err) == (EXIT_INCONCLUSIVE, "")
+    assert out == ("PreconditionFailed: L^n < 0 and beta = 0 is not positive: "
+                   "DF > 0 for every c in (0, 1)\n")
 
 
 @pytest.mark.parametrize("beta, df", [("3", "-11/24"), ("5/2", "-5/16")])

@@ -9,6 +9,7 @@ from logklab.errors import (
     InternalCheckError,
     NotBelowThresholdError,
     ParameterOutOfRangeError,
+    PreconditionFailedError,
     SearchExhaustedError,
 )
 from logklab.cli import run
@@ -313,20 +314,48 @@ def _counted_signs(monkeypatch, limit=None, corrupt=None):
     return calls
 
 
+def _seed_probes(monkeypatch, pair, beta):
+    """The signs the galloping seeds take: critical_c at tol 1 stops at the seed bracket."""
+    calls = _counted_signs(monkeypatch)
+    critical_c(pair, beta, Fraction(1))
+    return len(calls)
+
+
+def _halvings(pair, beta, tol):
+    """K - k0: the halvings that take the seed bracket to width <= tol."""
+    lo, hi = _reference_seeds(pair, beta)
+    m = 0
+    while hi - lo > tol * 2**m:
+        m += 1
+    return m
+
+
 def test_critical_c_p4_at_4096_bits_takes_a_few_signs(monkeypatch):
-    # The bisection makes 4097 sign calls here, one per bit; the estimate
-    # leaves the seeds and at most two probes.
+    # The bisection makes one sign call per bit past the seeds here; the
+    # estimate leaves the seeds and at most two probes.
     import logklab.normalcone as normalcone
 
     pair, beta, tol = CATALOG["P4-hyperplane"].pair, Fraction(1, 2), Fraction(1, 2**4096)
+    seeds = _seed_probes(monkeypatch, pair, beta)
     calls = _counted_signs(monkeypatch)
     bracket = critical_c(pair, beta, tol)
-    assert len(calls) <= 64
+    assert len(calls) <= seeds + normalcone._AIMED_PROBES and seeds <= 8
     assert bracket.hi - bracket.lo <= tol and bracket.lo_inner > 0 > bracket.hi_inner
+    # K - k0, read off the bracket: the seed bracket's width over 2^(K - k0).
+    lo0, hi0 = _reference_seeds(pair, beta)
+    halvings = _halvings(pair, beta, tol)
+    assert (hi0 - lo0) / (bracket.hi - bracket.lo) == 2**halvings > 2**4000
     calls.clear()
     monkeypatch.setattr(normalcone, "_root_estimate", lambda kernel, u0, bits: None)
     assert critical_c(pair, beta, tol) == bracket
-    assert len(calls) == 4097
+    assert len(calls) == seeds + halvings
+
+
+def test_critical_c_seeds_gallop(monkeypatch):
+    # c* lies within about 2^-1000 of 0: one sign per seed bit would take 1003.
+    pair, beta, tol = CATALOG["P3-hyperplane"].pair, Fraction(1, 2**1000), Fraction(1, 2**10)
+    _counted_signs(monkeypatch, limit=32)
+    assert critical_c(pair, beta, tol) == _reference_critical_c(pair, beta, tol)
 
 
 @pytest.mark.parametrize("estimate", [
@@ -357,11 +386,9 @@ def test_critical_c_certifies_a_wrong_root_estimate(monkeypatch, estimate, name,
     monkeypatch.setattr(normalcone, "_root_estimate", lambda kernel, u0, bits: None)
     assert critical_c(pair, beta, tol) == expected
     assert estimated <= len(calls)
-    # The probes are at d = 2^K, the seeds at d = 2^j and 2^i; halving all
-    # 2^(K - k0) cells takes K - k0 probes.
-    d = max(d for _, d in calls)
-    seeds = [seed_d for _, seed_d in calls if seed_d < d]
-    bound = len(seeds) + d.bit_length() - max(seeds).bit_length() + normalcone._AIMED_PROBES
+    # Halving all 2^(K - k0) cells takes K - k0 probes past the seeds.
+    bound = (_seed_probes(monkeypatch, pair, beta) + _halvings(pair, beta, tol)
+             + normalcone._AIMED_PROBES)
     _counted_signs(monkeypatch, limit=bound)
     monkeypatch.setattr(normalcone, "_root_estimate", estimate)
     assert critical_c(pair, beta, tol) == expected
@@ -457,17 +484,22 @@ def test_sign_kernel_matches_closed_form_inner_factor(n, L_top, cX_L, beta, c):
 # integer sign kernel, kept as the reference their results must reproduce.
 
 
+def _reference_seeds(pair, beta):
+    """The seed bracket [2^-j, 1 - 2^-i], each end found one bit at a time."""
+    lo = Fraction(1, 2)
+    while df_closed(pair, lo, beta).inner_factor <= 0:
+        lo /= 2
+    step = Fraction(1, 2)
+    while df_closed(pair, 1 - step, beta).inner_factor >= 0:
+        step /= 2
+    return lo, 1 - step
+
+
 def _reference_critical_c(pair, beta, tol):
     def inner(c):
         return df_closed(pair, c, beta).inner_factor
 
-    lo = Fraction(1, 2)
-    while inner(lo) <= 0:
-        lo /= 2
-    step = Fraction(1, 2)
-    while inner(1 - step) >= 0:
-        step /= 2
-    hi = 1 - step
+    lo, hi = _reference_seeds(pair, beta)
     while hi - lo > tol:
         mid = (lo + hi) / 2
         v = inner(mid)
@@ -558,12 +590,16 @@ def test_find_destabilizer_matches_fraction_walk(name, tol):
 
 def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
     # L^n < 0 makes the DF prefactor negative, so DF < 0 where the inner
-    # factor is positive.
-    pair = PolarisedPair("negative-volume", 2, -1, -3)
-    for beta in (Fraction(9, 10), Fraction(1, 2)):
-        expected = _reference_find_destabilizer(pair, beta, Fraction(1, 2**64))
-        assert _witness_or_exhausted(pair, beta, Fraction(1, 2**64)) == expected
-    assert find_destabilizer(pair, Fraction(9, 10))[0] == Fraction(1, 2)
+    # factor is positive. At beta = 1/2 it is positive only on (0, c*),
+    # c* < 1/2, which no c = 1 - 2^-j reaches.
+    pair, tol = PolarisedPair("negative-volume", 2, -1, -3), Fraction(1, 2**64)
+    beta = Fraction(9, 10)
+    assert find_destabilizer(pair, beta, tol) == _reference_find_destabilizer(pair, beta, tol)
+    assert find_destabilizer(pair, beta)[0] == Fraction(1, 2)
+    beta = Fraction(1, 2)
+    assert _reference_find_destabilizer(pair, beta, tol) is SearchExhaustedError
+    assert find_destabilizer(pair, beta, tol) == _reference_scan(pair, beta, tol) == (
+        Fraction(1, 4), Fraction(-17, 384))
 
 
 @pytest.mark.parametrize("beta", [Fraction(5, 2), Fraction(3)])
@@ -578,23 +614,21 @@ def test_find_destabilizer_every_c_destabilises_for_negative_volume(beta):
 
 
 @pytest.mark.parametrize("L_top, cX_L, beta", [
-    (-1, 1, Fraction(0)),  # L^n < 0, s = -2: DF < 0 at every c, yet s <= 0
-    (1, -2, Fraction(-1)),  # L^n > 0, s = -3: DF < 0 at small c
+    (-1, 1, Fraction(0)),  # L^n < 0, s = -2: DF < 0 at every c
+    (1, -2, Fraction(-1)),  # L^n > 0, s = -3: DF < 0 on (0, c*), c* > 1/2
 ])
-def test_find_destabilizer_refusal_claims_no_positive_df_it_cannot_show(L_top, cX_L, beta):
+def test_find_destabilizer_witness_where_s_is_negative(L_top, cX_L, beta):
+    # beta is at or above the threshold s/n < 0, yet DF < 0 at c = 1/2.
     pair = PolarisedPair("s-negative", 2, L_top, cX_L)
-    threshold = instability_threshold(pair)
-    with pytest.raises(NotBelowThresholdError) as exc:
-        find_destabilizer(pair, beta)
-    assert str(exc.value) == (f"beta = {beta} is not below the instability threshold "
-                              f"{threshold}")
+    assert beta >= instability_threshold(pair)
+    c, df = find_destabilizer(pair, beta)
+    assert c == Fraction(1, 2) and df == df_closed(pair, c, beta).df < 0
     assert df_closed(pair, Fraction(1, 64), beta).df < 0
 
 
-def test_find_destabilizer_stops_once_no_later_c_can_work_for_negative_volume(monkeypatch):
+def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
     # L^n < 0: DF < 0 needs a positive inner factor, which is -3/7 at c = 1/2
-    # and decreases in c, so the walk stops after its first step; a smaller
-    # c, off the schedule, still destabilises.
+    # and decreases in c, so the set is (0, c*) and the search walks c = 2^-j.
     import logklab.normalcone as normalcone
 
     pair = PolarisedPair("neg", 2, -1, -6)
@@ -605,14 +639,58 @@ def test_find_destabilizer_stops_once_no_later_c_can_work_for_negative_volume(mo
         return lambda a, d: steps.append((a, d)) or sign(a, d)
 
     monkeypatch.setattr(normalcone, "_inner_sign_kernel", counted)
-    with pytest.raises(SearchExhaustedError) as exc:
-        find_destabilizer(pair, Fraction(1))
-    assert steps == [(1, 2)]
-    assert str(exc.value) == (
-        "no c = 1 - 2^-j destabilises: L^n < 0, so DF < 0 needs a positive inner factor, "
-        "and the inner factor is not positive at c = 1/2, nor at any larger c")
+    assert find_destabilizer(pair, Fraction(1)) == (Fraction(1, 4), Fraction(-1, 16))
+    assert steps == [(1, 2), (1, 4)]
     assert df_closed(pair, Fraction(1, 2), Fraction(1)).inner_factor == Fraction(-3, 7)
     assert df_closed(pair, Fraction(1, 8), Fraction(1)).df == Fraction(-19, 256)
+    with pytest.raises(PreconditionFailedError) as exc:  # beta <= 0: DF > 0 for every c
+        find_destabilizer(pair, Fraction(0))
+    assert str(exc.value) == ("L^n < 0 and beta = 0 is not positive: "
+                              "DF > 0 for every c in (0, 1)")
+    assert not isinstance(exc.value, NotBelowThresholdError)
+
+
+def _reference_scan(pair, beta, tol):
+    """The first c with DF < 0 among 1 - 2^-j, then 2^-j, for j = 1, 2, ... with
+    2^-j >= tol, and its DF; None if there is none."""
+    step = Fraction(1, 2)
+    while step >= tol:
+        for c in (1 - step, step):
+            df = df_closed(pair, c, beta).df
+            if df < 0:
+                return c, df
+        step /= 2
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    L_top=st.fractions(min_value=-100, max_value=100, max_denominator=1000).filter(bool),
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    beta=st.one_of(st.none(), st.fractions(min_value=-10, max_value=10, max_denominator=1000)),
+    num=st.integers(min_value=1, max_value=3),
+    bits=st.integers(min_value=0, max_value=64),
+)
+@example(n=2, L_top=Fraction(-1), cX_L=Fraction(1), beta=Fraction(0), num=1, bits=60)
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1), num=1, bits=60)
+@example(n=2, L_top=Fraction(-1), cX_L=Fraction(-6), beta=Fraction(1), num=1, bits=60)
+def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, num, bits):
+    # Any sign of L^n and of s; beta = None stands for the threshold itself.
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    beta = instability_threshold(pair) if beta is None else beta
+    tol = Fraction(num, 2**bits)
+    expected = _reference_scan(pair, beta, tol)
+    try:
+        found = find_destabilizer(pair, beta, tol)
+    except SearchExhaustedError:  # a witness, if any, lies past the tol floor
+        assert expected is None
+    except PreconditionFailedError as exc:
+        assert expected is None
+        dfs = [df_closed(pair, Fraction(i, 97), beta).df for i in range(1, 97)]
+        assert min(dfs) >= 0 and ("DF > 0" not in str(exc) or min(dfs) > 0)
+    else:
+        assert found == expected
 
 
 # ----------------------------- curve -----------------------------
