@@ -26,8 +26,10 @@ normal-cone family destabilises, and entropy on a pair with L^n < 0; and
 destabilize on every sign case of its table, at beta = -2, -1, -1/2, 0,
 1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0) and on pair files with
 (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1), (-1, -3) and (-1, -6); and critical-c at a tol of 3/1000
-and of 5/2^200, on the exact root of P2 at 2^-512, and on an n = 6 pair
-file; and df, whose coefficients are checked against Riemann-Roch sums, at
+and of 5/2^200, on the exact root of P2 at 2^-512, on an n = 6 pair file,
+at 2^-512 on P16 and P64 hyperplane pair files, and at beta 0 and -1/2 on
+the pair file with (L^n, c1(X).L^(n-1)) = (-1, -6), which L^n < 0 refuses;
+and df, whose coefficients are checked against Riemann-Roch sums, at
 c = 1/2 and 1/7 on pair files outside the catalog: P5 and P6 with a
 hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and L^n = 1 with
 c1(X).L^(n-1) = -2. Each runs as a fresh `python -m logklab.cli` process
@@ -145,8 +147,9 @@ def moved_checks() -> list[workloads.Invocation]:
                        "alpha_LD_restricted": "0", "entropy_lower": "3"}})
     neg = workloads._file("pair", {
         "name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6", "divisor": {"m": 1}})
-    p6 = workloads._file("pair", {
-        "name": "P6-hyperplane", "dimension": 6, "L_top": "1", "cX_L": "7", "divisor": {"m": 1}})
+    p6, p16, p64 = (workloads._file("pair", {
+        "name": f"P{n}-hyperplane", "dimension": n, "L_top": "1", "cX_L": str(n + 1),
+        "divisor": {"m": 1}}) for n in (6, 16, 64))
     argvs = [
         *(("critical-c", p2, *beta, "--tol", "1/1024")
           for beta in (("--beta", "4/7"), ("--beta", "0"), ("--beta=-1/2",))),
@@ -161,6 +164,10 @@ def moved_checks() -> list[workloads.Invocation]:
         *(workloads.Invocation(argv) for argv in argvs),
         *(workloads.Invocation(("critical-c", p6[0], "--beta", beta, "--tol", tol), (p6,))
           for beta, tol in (("1/2", "1/1024"), ("5/6", workloads._tol(512)))),
+        *(workloads.Invocation(("critical-c", f[0], "--beta", "1/2", "--tol", workloads._tol(512)),
+                               (f,)) for f in (p16, p64)),
+        *(workloads.Invocation(("critical-c", neg[0], f"--beta={beta}", "--tol", "1/8"), (neg,))
+          for beta in ("0", "-1/2")),
         *(workloads.Invocation((cmd, ent[0], "--beta", "1/2"), (ent,))
           for cmd in ("entropy", "destabilize")),
         workloads.Invocation(("entropy", neg[0], "--beta", "1"), (neg,)),

@@ -229,11 +229,6 @@ def _cmd_info(ns) -> int:
     from . import normalcone
 
     pair, divisor = ns.source.pair, ns.divisor
-    _print_fields([
-        ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
-                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
-        ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
-    ])
     rows = [("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
     if pair.dimension >= 2:
         rows.append(("S_D", pairmodel.avg_scalar_sD(pair, divisor),
@@ -246,6 +241,12 @@ def _cmd_info(ns) -> int:
                          "normal-cone family only asserted for m = 1"))
     else:
         rows.append(("S_D", "n/a", "undefined for n = 1"))
+    # The rows are built first, so that a failed check leaves stdout empty.
+    _print_fields([
+        ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
+                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
+        ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
+    ])
     _print_rows(rows)
     return EXIT_OK
 
@@ -537,7 +538,7 @@ _COMMANDS = (
     ("df-curve", "DF grid over c for fixed beta", _cmd_df_curve, _UNIT_PAIR, (
         _BETA, ("--steps", {"type": _int_arg, "required": True}),
         ("--format", {"choices": ["csv", "json"], "default": "csv"}))),
-    ("destabilize", "find c with DF < 0 below the threshold", _cmd_destabilize, _UNIT_PAIR, (
+    ("destabilize", "find c with DF < 0 at this angle", _cmd_destabilize, _UNIT_PAIR, (
         _BETA, ("--tol", {"type": _rational_arg, "default": Fraction(1, 2**60),
                           "help": "dyadic search floor (default 2^-60)"}))),
     ("critical-c", "isolate the root of the inner factor", _cmd_critical_c, _UNIT_PAIR, (

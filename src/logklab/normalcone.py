@@ -80,10 +80,11 @@ class DFReport(NamedTuple):
 
 
 class CriticalBracket(NamedTuple):
-    """Isolating interval for the root of the inner factor, confirmed by the
-    closed-form inner factors lo_inner > 0 > hi_inner (both 0 on a width-zero
-    bracket). all_destabilizing marks the beta <= 0 case where every c in
-    (0, 1) destabilises and no root exists; lo = hi = 0, inner factors None.
+    """Isolating interval for the root of the inner factor: the cell that two
+    integer signs at the root estimate confirm, then the closed-form inner
+    factors lo_inner > 0 > hi_inner (both 0 on a width-zero bracket).
+    all_destabilizing marks L^n > 0 with beta <= 0, where every c in (0, 1)
+    destabilises and no root exists; lo = hi = 0, inner factors None.
     """
 
     lo: Fraction
@@ -186,9 +187,19 @@ class _Pair(NamedTuple):
 
 
 def _pair_of(pair: PolarisedPair) -> _Pair:
-    """The pair's constants; avg_scalar_sD refuses n < 2, where D is zero-dimensional."""
+    """The pair's constants, once a0 and a1 = (n/2) a0 (s + 1) equal the top
+    two coefficients of pair.riemann_roch() (InternalCheckError otherwise);
+    avg_scalar_sD refuses n < 2, where D is zero-dimensional."""
     n = pair.dimension
-    return _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1))
+    constants = _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1))
+    rr = pair.riemann_roch()
+    ours = (constants.a0, Fraction(n, 2) * constants.a0 * (constants.s + 1))
+    sums = (rr.coefficient(n), rr.coefficient(n - 1))
+    if ours != sums:
+        raise InternalCheckError(f"pair constants disagree with Riemann-Roch: a0, a1 = "
+                                 f"{', '.join(map(format_rational, ours))}, sums give "
+                                 f"{', '.join(map(format_rational, sums))}")
+    return constants
 
 
 class _Kernel(NamedTuple):
@@ -322,17 +333,6 @@ def instability_threshold(pair: PolarisedPair) -> Fraction:
     return _pair_of(pair).threshold()
 
 
-def _inner_sign_kernel(pair: PolarisedPair | _Pair, beta: Fraction) -> Callable[[int, int], int]:
-    """Sign of the inner factor at c = a/d (0 < a < d), decided on integers.
-
-    The sign of V(a, d) (see _Kernel). The entry points pass the _Pair they
-    have already built, so the kernel costs no second S^D.
-    """
-    if not isinstance(pair, _Pair):
-        pair = _pair_of(pair)
-    return pair.kernel(Fraction(beta)).sign
-
-
 def _checked(pair: PolarisedPair, beta: Fraction, tol: Fraction
              ) -> tuple[Fraction, Fraction, _Pair, Fraction]:
     """The checked preamble of find_destabilizer and critical_c: tol > 0.
@@ -348,6 +348,13 @@ def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> NotBelo
     return NotBelowThresholdError(
         f"beta = {format_rational(beta)} is not below the instability threshold "
         f"{format_rational(threshold)}{clause}")
+
+
+def _no_destabilizer(beta: Fraction) -> PreconditionFailedError:
+    """The refusal of L^n < 0 with beta <= 0 below the threshold: the inner
+    factor, between beta and beta - threshold, is negative, and so DF > 0."""
+    return PreconditionFailedError(f"L^n < 0 and beta = {format_rational(beta)} is not "
+                                   f"positive: DF > 0 for every c in (0, 1)")
 
 
 def _first_dyadic(sign: Callable[[int, int], int], want: int, near_one: bool,
@@ -388,7 +395,7 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
         e0 > 0 > e1                    (c*, 1)   the first 1 - 2^-j in it
         e0 >= 0, e1 >= 0               empty     refused
 
-    _first_dyadic finds j on the integer signs of _inner_sign_kernel among
+    _first_dyadic finds j on the integer signs of the pair's _Kernel among
     the j with 2^-j >= tol (SearchExhaustedError if none). The empty set is
     refused with NotBelowThresholdError for beta >= threshold, which adds
     "DF > 0 for every c" for L^n > 0 < beta, and otherwise (L^n < 0,
@@ -402,11 +409,10 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
         if beta >= threshold:
             clause = "" if sigma < 0 or beta <= 0 else "; DF > 0 for every c in (0, 1)"
             raise _not_below(beta, threshold, clause)
-        raise PreconditionFailedError(f"L^n < 0 and beta = {format_rational(beta)} is not "
-                                      f"positive: DF > 0 for every c in (0, 1)")
+        raise _no_destabilizer(beta)
     near_one = not e0 < 0 < e1
     last = (tol.denominator // tol.numerator).bit_length() - 1  # the last j with 2^-j >= tol
-    j = _first_dyadic(_inner_sign_kernel(constants, beta), -sigma, near_one, last)
+    j = _first_dyadic(constants.kernel(beta).sign, -sigma, near_one, last)
     if j is None:
         raise SearchExhaustedError(f"no destabilising c found before the dyadic step fell "
                                    f"below tol = {format_rational(tol)}; decrease tol")
@@ -422,25 +428,19 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
 # units in the last place, stays far below the half grid step that rounding
 # to the nearest grid point needs.
 _GUARD_BITS = 16
-# Newton steps the estimate may take in all. Each level of the doubling
-# precision ends in a step of 0, so it is exhausted only on a start that
-# lies far from the root; the estimate is then merely poorer.
-_NEWTON_STEPS = 400
-# Probes aimed at the estimate before the search halves: its nearest grid
-# point and that point's neighbour on the root's side.
-_AIMED_PROBES = 2
 
 
-def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int | None:
-    """U with U/2^bits just below the root u* of Q in (0, 1), or None.
+def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int:
+    """U with U/2^bits just below the root u* of Q in (0, 1).
 
     Integer Newton steps on f(u) = Q(u)/u^(n-1) = A u + B(1 + 1/u + ... +
     1/u^(n-1)), from the dyadic start u0 <= u*. With A > 0 > B, f is
     increasing and concave on u > 0, so each step from the left lands left
     of u* again and rounding the step down keeps it there. The precision
-    doubles up to bits; at each level the steps run until one rounds to 0.
-    None if f(u0) > 0, a start right of the root: the seeds then came from
-    signs this kernel does not share.
+    doubles up to bits; at each level the steps run until one rounds to 0,
+    which they must: each nonzero step raises U, and U stays below u* 2^p.
+    A point right of the root, f > 0, means the seeds came from signs this
+    kernel does not share: InternalCheckError.
     """
     n, A, B = kernel.n, kernel.A, kernel.B
     levels = [bits]
@@ -448,12 +448,10 @@ def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int | None:
         levels.append((levels[-1] + 1) // 2)
     p = levels[-1]
     U = (u0.numerator << p) // u0.denominator
-    steps = _NEWTON_STEPS
     for level in reversed(levels):
         U <<= level - p
         p = level
-        while steps:
-            steps -= 1
+        while True:
             # With S = 2^p: v = S^n Q(U/S), dv = S^(n-1) Q'(U/S), by
             # homogeneous Horner.
             S, Sk, v, dv = 1 << p, 1, A, 0
@@ -462,7 +460,8 @@ def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int | None:
                 dv = dv * U + v
                 v = v * U + B * Sk
             if v > 0:
-                return None
+                raise InternalCheckError(f"a Newton iterate lies right of the root that the "
+                                         f"seed signs put right of u = {format_rational(u0)}")
             # f/f' = Q u/(Q' u - (n-1) Q); the denominator is S^n u^n f'(u) > 0.
             step = -v * U // (dv * U - (n - 1) * v)
             if not step:
@@ -478,9 +477,9 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
 
     Needs 0 < beta < threshold = s/n, s = S^D/(n-1). On (0, 1) the inner
     factor has the sign of the integer polynomial
-    Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)) at u = 1 - c
-    (see _inner_sign_kernel), and every sign below is decided on integers.
-    Here n beta - s < 0 < n(beta+s), so Descartes' rule gives Q exactly one
+    Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)) at u = 1 - c.
+    One _Kernel gives every sign below, on integers, and the estimate. Here
+    n beta - s < 0 < n(beta+s), so Descartes' rule gives Q exactly one
     positive root, and Q(0) < 0 < n(n+1) beta = Q(1) puts it in (0, 1).
 
     The least j and i with inner > 0 at 2^-j and < 0 at 1 - 2^-i, found by
@@ -491,28 +490,29 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     only t is unknown. _root_estimate gives c* 2^K to _GUARD_BITS more bits.
     The grid point nearest it is probed, then its neighbour on the root's
     side: inner > 0 at the cell's lo and < 0 at its hi certify the cell
-    (seed ends are not probed again). Both probes are ends of the
-    bisection's last cell, hence among its probes: the sign count is the
-    seed probes plus at most 2, not plus K - k0, and the work grows with
-    about log K Newton steps. If the aimed probes do not certify, the search
-    halves the rest of the grid, so a wrong estimate still ends on the same
-    cell, after at most K - k0 + _AIMED_PROBES signs past the seeds. A sign
+    (seed ends are not probed again). So the sign count is the seed probes
+    plus at most 2, and the work grows with about log K Newton steps. A sign
     of exactly 0 marks the root, returned as a width-zero bracket; every
     interior grid point is a midpoint the bisection reaches first, so this
-    too is the bisection's bracket, as the same reduced Fractions.
+    too is the bisection's bracket, as the same reduced Fractions. Two
+    probes that confirm no cell mean that the estimate and the signs
+    disagree: InternalCheckError (a correct estimate rules it out).
 
     df_closed at both ends is the second path: it must be > 0 at lo and < 0
     at hi, or 0 on a width-zero bracket (InternalCheckError otherwise).
-    beta <= 0 means every c destabilises: the (0, 0) sentinel with
-    all_destabilizing is returned.
+    beta <= 0 means every c destabilises when L^n > 0: the (0, 0) sentinel
+    with all_destabilizing is returned. When L^n < 0 no c does, and
+    PreconditionFailedError is raised, as by find_destabilizer.
     """
     beta, tol, constants, threshold = _checked(pair, beta, tol)
     if beta >= threshold:
         raise _not_below(beta, threshold)
     if beta <= 0:
+        if pair.L_top < 0:
+            raise _no_destabilizer(beta)
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
-    sign = _inner_sign_kernel(constants, beta)
-
+    kernel = constants.kernel(beta)
+    sign = kernel.sign
     # inner tends to beta > 0 as c -> 0 and to beta - threshold < 0 as c -> 1.
     j = _first_dyadic(sign, 1, near_one=False)
     i = _first_dyadic(sign, -1, near_one=True)
@@ -523,32 +523,29 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     K = max(k0, (-(-width * tol.denominator // tol.numerator) - 1).bit_length())
     x0, d = lo0 << (K - k0), 1 << K
     lo_t, hi_t = 0, 1 << (K - k0)  # signs known: > 0 at lo_t, < 0 at hi_t
-    aimed = nearest = 0
     if hi_t > 1:
         # u* > 2^-i, and u* >= 1 - 2^-(j-1) once j > 1.
         u0 = max(Fraction(1, 1 << i), 1 - Fraction(2, 1 << j))
         bits = K + _GUARD_BITS
-        U = _root_estimate(constants.kernel(beta), u0, bits)
-        if U is not None:
-            # The grid index nearest c* 2^K = (2^bits - U)/2^_GUARD_BITS.
-            num = (1 << bits) - U - (x0 << _GUARD_BITS)
-            den = width << _GUARD_BITS
-            nearest = (2 * num + den) // (2 * den)
-            aimed = _AIMED_PROBES
-    while hi_t - lo_t > 1:
-        if aimed:
-            aimed -= 1
+        U = _root_estimate(kernel, u0, bits)
+        # The grid index nearest c* 2^K = (2^bits - U)/2^_GUARD_BITS.
+        num = (1 << bits) - U - (x0 << _GUARD_BITS)
+        den = width << _GUARD_BITS
+        nearest = (2 * num + den) // (2 * den)
+        for _ in range(2):  # the nearest grid point, then its neighbour on the root's side
             t = min(max(nearest, lo_t + 1), hi_t - 1)
+            v = sign(x0 + t * width, d)
+            if v > 0:
+                lo_t = t
+            elif v < 0:
+                hi_t = t
+            else:
+                # Rational root hit exactly: a width-zero bracket is valid.
+                lo_t = hi_t = t
+            if hi_t - lo_t <= 1:
+                break
         else:
-            t = (lo_t + hi_t) // 2
-        v = sign(x0 + t * width, d)
-        if v > 0:
-            lo_t = t
-        elif v < 0:
-            hi_t = t
-        else:
-            # Rational root hit exactly: a width-zero bracket is valid.
-            lo_t = hi_t = t
+            raise InternalCheckError("the two signs at the root estimate confirm no cell")
     lo, hi = Fraction(x0 + lo_t * width, d), Fraction(x0 + hi_t * width, d)
     lo_inner = df_closed(pair, lo, beta).inner_factor
     hi_inner = df_closed(pair, hi, beta).inner_factor

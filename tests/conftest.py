@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from logklab.normalcone import _Kernel, _pair_of
 from logklab.pairmodel import CATALOG, DivisorSpec
 from logklab.weightoracle import HilbertModel
 
@@ -57,8 +58,23 @@ def model_for(name: str) -> HilbertModel:
     raise KeyError(name)
 
 
-# Corrupted integer sign kernels, (real kernel, pair, beta) -> kernel, for the
-# critical-c cross-check tests.
+# Corrupted integer signs, (true signs, pair, beta) -> signs, for the
+# critical-c cross-check tests; true_signs is the first argument they get.
+# A (pair, beta) -> signs function gives the signs at c = a/d as (a, d) -> sign.
+
+_SIGN = _Kernel.sign  # before any test patches it
+
+
+def true_signs(pair, beta):
+    kernel = _pair_of(pair).kernel(Fraction(beta))
+    return lambda a, d: _SIGN(kernel, a, d)
+
+
+def corrupt_signs(monkeypatch, corrupt, pair, beta):
+    """Make every _Kernel answer its sign calls with corrupt's signs for
+    (pair, beta), while its coefficients, and so the root estimate, stay true."""
+    wrong = corrupt(true_signs, pair, beta)
+    monkeypatch.setattr(_Kernel, "sign", lambda kernel, a, d: wrong(a, d))
 
 
 def _kernel_at_half_beta(real, pair, beta):

@@ -31,7 +31,7 @@ from logklab.normalcone import curve, instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
-from conftest import _kernel_at_half_beta, _kernel_claiming_root
+from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs
 
 
 def invoke(capsys, argv):
@@ -698,6 +698,19 @@ def test_destabilize_negative_volume_finds_the_witness_near_0(capsys, tmp_path):
                    "DF > 0 for every c in (0, 1)\n")
 
 
+@pytest.mark.parametrize("beta", ["0", "-1/2"])
+def test_critical_c_negative_volume_refuses_nonpositive_beta(capsys, tmp_path, beta):
+    # L^n < 0 and beta <= 0: DF > 0 for every c, so critical-c refuses as
+    # destabilize does, with its text, instead of printing the sentinel.
+    path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
+                                 "divisor": {"m": 1}})
+    refusal = (f"PreconditionFailed: L^n < 0 and beta = {beta} is not positive: "
+               f"DF > 0 for every c in (0, 1)\n")
+    for argv in (["critical-c", path, f"--beta={beta}", "--tol", "1/8"],
+                 ["destabilize", path, f"--beta={beta}"]):
+        assert invoke(capsys, argv) == (EXIT_INCONCLUSIVE, refusal, "")
+
+
 @pytest.mark.parametrize("beta, df", [("3", "-11/24"), ("5/2", "-5/16")])
 def test_destabilize_negative_volume_at_or_above_threshold_every_c_destabilises(
         capsys, tmp_path, beta, df):
@@ -723,6 +736,27 @@ def test_scalar_curve_pair_reports_sD_unavailable(capsys, tmp_path):
     assert "undefined for n = 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["df", "--c", "1/2", "--beta", "1/2"],
+    ["df-curve", "--beta", "1/2", "--steps", "5"],
+    ["destabilize", "--beta", "1/2"],
+    ["critical-c", "--beta", "1/2", "--tol", "1/1024"],
+    ["info"],
+], ids=lambda argv: argv[0])
+def test_normal_cone_commands_exit_4_when_s_disagrees_with_riemann_roch(
+        capsys, monkeypatch, argv):
+    # S_D off by (n-1)/7 moves s, and so the closed form and Family.df,
+    # together; the pair constants' check against Riemann-Roch catches it.
+    import logklab.normalcone as normalcone
+
+    real = normalcone.avg_scalar_sD
+    monkeypatch.setattr(normalcone, "avg_scalar_sD", lambda pair, divisor:
+                        real(pair, divisor) + Fraction(pair.dimension - 1, 7))
+    code, out, err = invoke(capsys, [argv[0], "catalog:P2-line", *argv[1:]])
+    assert (code, out) == (4, "")
+    assert "pair constants disagree with Riemann-Roch" in err and "Traceback" not in err
+
+
 def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
     import logklab.normalcone as normalcone
 
@@ -735,11 +769,7 @@ def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
 
 @pytest.mark.parametrize("corrupt", [_kernel_at_half_beta, _kernel_claiming_root])
 def test_critical_c_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch, corrupt):
-    import logklab.normalcone as normalcone
-
-    real = normalcone._inner_sign_kernel
-    monkeypatch.setattr(normalcone, "_inner_sign_kernel",
-                        lambda pair, beta: corrupt(real, pair, beta))
+    corrupt_signs(monkeypatch, corrupt, CATALOG["P2-line"].pair, Fraction(1, 2))
     code, out, err = invoke(capsys, [
         "critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"])
     assert code == 4
@@ -750,13 +780,8 @@ def test_critical_c_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch, corr
 def test_destabilize_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch):
     import logklab.normalcone as normalcone
 
-    real = normalcone._inner_sign_kernel
-
-    def flipped(pair, beta):
-        sign = real(pair, beta)
-        return lambda a, d: -sign(a, d)
-
-    monkeypatch.setattr(normalcone, "_inner_sign_kernel", flipped)
+    real = normalcone._Kernel.sign
+    monkeypatch.setattr(normalcone._Kernel, "sign", lambda kernel, a, d: -real(kernel, a, d))
     code, out, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", "15/16"])
     assert code == 4
     assert out == ""

@@ -29,7 +29,7 @@ HELP = {
         entropy             entropy-threshold comparison verdict
         df                  log Donaldson-Futaki invariant via both paths
         df-curve            DF grid over c for fixed beta
-        destabilize         find c with DF < 0 below the threshold
+        destabilize         find c with DF < 0 at this angle
         critical-c          isolate the root of the inner factor
         oracle              brute-force coefficient cross-check report
         criteria            singular-pair criteria from asserted facts

@@ -16,7 +16,8 @@ from logklab.cli import run
 from logklab.normalcone import (
     CriticalBracket,
     NormalConeCoefficients,
-    _inner_sign_kernel,
+    _pair_of,
+    _root_estimate,
     coefficients,
     critical_c,
     curve,
@@ -30,7 +31,7 @@ from logklab.normalcone import (
 )
 from logklab.pairmodel import CATALOG, PolarisedPair, sum_polynomials
 
-from conftest import _kernel_at_half_beta, _kernel_claiming_root
+from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, true_signs
 
 C_GRID = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
 BETA_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -281,43 +282,53 @@ def test_critical_c_returns_the_closed_form_inner_factors(p2):
 
 @pytest.mark.parametrize("corrupt", [_kernel_at_half_beta, _kernel_claiming_root])
 def test_critical_c_raises_when_sign_kernel_disagrees(monkeypatch, p2, corrupt):
-    import logklab.normalcone as normalcone
-
-    real = normalcone._inner_sign_kernel
-    monkeypatch.setattr(normalcone, "_inner_sign_kernel",
-                        lambda pair, beta: corrupt(real, pair, beta))
-    with pytest.raises(InternalCheckError, match="does not change sign across the bracket"):
+    # The signs come from another kernel than the estimate: either the
+    # estimate's start lies right of the true root, or the probes confirm no
+    # cell, or they confirm one that the closed form refuses.
+    corrupt_signs(monkeypatch, corrupt, p2, Fraction(1, 2))
+    with pytest.raises(InternalCheckError):
         critical_c(p2, Fraction(1, 2), Fraction(1, 1024))
 
 
-def _counted_signs(monkeypatch, limit=None, corrupt=None):
-    """Substitute a sign kernel, corrupted by corrupt if given, that records
-    each (a, d) it is asked about and fails the test past limit calls rather
-    than run on."""
+def test_critical_c_raises_when_the_kernel_is_wrong(monkeypatch, p2):
+    # One wrong kernel gives both the signs and the estimate: they agree on
+    # the root for beta/2, and the closed form at the true beta refuses it.
     import logklab.normalcone as normalcone
 
-    calls = []
+    real = normalcone._Pair.kernel
+    monkeypatch.setattr(normalcone._Pair, "kernel", lambda pair, beta: real(pair, beta / 2))
+    beta = Fraction(1, 2)
+    seeds = _seed_probes(monkeypatch, p2, beta)
+    _counted_signs(monkeypatch, limit=seeds + 2)
+    with pytest.raises(InternalCheckError, match="does not change sign across the bracket"):
+        critical_c(p2, beta, Fraction(1, 2**512))
 
-    def counted(pair, beta):
-        if corrupt is None:
-            sign = _inner_sign_kernel(pair, beta)
-        else:
-            sign = corrupt(_inner_sign_kernel, pair, beta)
 
-        def count(a, d):
-            calls.append((a, d))
-            assert limit is None or len(calls) <= limit, f"more than {limit} signs"
-            return sign(a, d)
-        return count
+def _counted_signs(monkeypatch, limit=None, wrong=None):
+    """Record each (a, d) that any _Kernel is asked the sign at, failing the
+    test past limit calls rather than run on; answer with wrong's signs
+    ((a, d) -> sign) if given, else with the kernel's own."""
+    import logklab.normalcone as normalcone
 
-    monkeypatch.setattr(normalcone, "_inner_sign_kernel", counted)
+    real, calls = normalcone._Kernel.sign, []
+
+    def counted(kernel, a, d):
+        calls.append((a, d))
+        assert limit is None or len(calls) <= limit, f"more than {limit} signs"
+        return real(kernel, a, d) if wrong is None else wrong(a, d)
+
+    monkeypatch.setattr(normalcone._Kernel, "sign", counted)
     return calls
 
 
-def _seed_probes(monkeypatch, pair, beta):
-    """The signs the galloping seeds take: critical_c at tol 1 stops at the seed bracket."""
-    calls = _counted_signs(monkeypatch)
-    critical_c(pair, beta, Fraction(1))
+def _seed_probes(monkeypatch, pair, beta, wrong=None):
+    """The signs the galloping seeds take: critical_c at tol 1 stops at the
+    seed bracket, whose end check may refuse signs from wrong."""
+    calls = _counted_signs(monkeypatch, wrong=wrong)
+    try:
+        critical_c(pair, beta, Fraction(1))
+    except InternalCheckError:
+        assert wrong is not None
     return len(calls)
 
 
@@ -330,25 +341,42 @@ def _halvings(pair, beta, tol):
     return m
 
 
+def _assert_bisection_cell(pair, beta, tol, bracket):
+    """bracket is a cell of the bisection's last grid, the seed bracket cut
+    into 2^(K - k0) equal cells, across which the closed form changes sign:
+    so it is the bracket the bisection returns, without running it."""
+    lo0, hi0 = _reference_seeds(pair, beta)
+    cells = 2 ** _halvings(pair, beta, tol)
+    assert (hi0 - lo0) / (bracket.hi - bracket.lo) == cells
+    assert ((bracket.lo - lo0) * cells / (hi0 - lo0)).denominator == 1
+    assert bracket.lo_inner > 0 > bracket.hi_inner
+
+
 def test_critical_c_p4_at_4096_bits_takes_a_few_signs(monkeypatch):
     # The bisection makes one sign call per bit past the seeds here; the
     # estimate leaves the seeds and at most two probes.
-    import logklab.normalcone as normalcone
-
     pair, beta, tol = CATALOG["P4-hyperplane"].pair, Fraction(1, 2), Fraction(1, 2**4096)
     seeds = _seed_probes(monkeypatch, pair, beta)
     calls = _counted_signs(monkeypatch)
     bracket = critical_c(pair, beta, tol)
-    assert len(calls) <= seeds + normalcone._AIMED_PROBES and seeds <= 8
-    assert bracket.hi - bracket.lo <= tol and bracket.lo_inner > 0 > bracket.hi_inner
-    # K - k0, read off the bracket: the seed bracket's width over 2^(K - k0).
-    lo0, hi0 = _reference_seeds(pair, beta)
-    halvings = _halvings(pair, beta, tol)
-    assert (hi0 - lo0) / (bracket.hi - bracket.lo) == 2**halvings > 2**4000
-    calls.clear()
-    monkeypatch.setattr(normalcone, "_root_estimate", lambda kernel, u0, bits: None)
-    assert critical_c(pair, beta, tol) == bracket
-    assert len(calls) == seeds + halvings
+    assert len(calls) <= seeds + 2 and seeds <= 8
+    assert bracket.hi - bracket.lo <= tol and _halvings(pair, beta, tol) > 4000
+    _assert_bisection_cell(pair, beta, tol, bracket)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_critical_c_on_projective_space_takes_a_few_signs(monkeypatch, n):
+    # P^n with a hyperplane at 2^-512: the seeds, then at most two probes.
+    pair, tol = PolarisedPair(f"P{n}-hyperplane", n, 1, n + 1), Fraction(1, 2**512)
+    beta = Fraction(1, 2) * instability_threshold(pair)
+    seeds = _seed_probes(monkeypatch, pair, beta)
+    calls = _counted_signs(monkeypatch)
+    bracket = critical_c(pair, beta, tol)
+    assert len(calls) <= seeds + 2
+    if n == 16:
+        assert bracket == _reference_critical_c(pair, beta, tol)
+    else:
+        _assert_bisection_cell(pair, beta, tol, bracket)
 
 
 def test_critical_c_seeds_gallop(monkeypatch):
@@ -359,10 +387,10 @@ def test_critical_c_seeds_gallop(monkeypatch):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda kernel, u0, bits: None,
+    lambda kernel, u0, bits: (u0.numerator << bits) // u0.denominator,  # the start, unrefined
     lambda kernel, u0, bits: 0,
     lambda kernel, u0, bits: 1 << bits,
-    lambda kernel, u0, bits: (1 << bits) // 3,
+    lambda kernel, u0, bits: _root_estimate(kernel, u0, bits) + 3,  # off in the last bits
     lambda kernel, u0, bits: -(1 << (2 * bits)),
 ])
 @pytest.mark.parametrize("name, share", [
@@ -372,26 +400,23 @@ def test_critical_c_seeds_gallop(monkeypatch):
     ("P1xP1-diag", Fraction(15, 16)),
 ])
 def test_critical_c_certifies_a_wrong_root_estimate(monkeypatch, estimate, name, share):
-    # The probes are only aimed by the estimate: a wrong one still ends in
-    # the bisection's bracket, after at most two signs past the halving.
+    # The probes are only aimed by the estimate, and the signs certify: a
+    # wrong one ends in the bisection's bracket, if its two probes confirm
+    # that cell, or in InternalCheckError, never in another bracket.
     import logklab.normalcone as normalcone
 
     pair, tol = CATALOG[name].pair, Fraction(3, 2**300)
     beta = share * instability_threshold(pair)
-    calls = _counted_signs(monkeypatch)
-    expected = critical_c(pair, beta, tol)
-    assert expected == _reference_critical_c(pair, beta, tol)
-    estimated = len(calls)
-    calls.clear()
-    monkeypatch.setattr(normalcone, "_root_estimate", lambda kernel, u0, bits: None)
+    expected = _reference_critical_c(pair, beta, tol)
     assert critical_c(pair, beta, tol) == expected
-    assert estimated <= len(calls)
-    # Halving all 2^(K - k0) cells takes K - k0 probes past the seeds.
-    bound = (_seed_probes(monkeypatch, pair, beta) + _halvings(pair, beta, tol)
-             + normalcone._AIMED_PROBES)
-    _counted_signs(monkeypatch, limit=bound)
+    _counted_signs(monkeypatch, limit=_seed_probes(monkeypatch, pair, beta) + 2)
     monkeypatch.setattr(normalcone, "_root_estimate", estimate)
-    assert critical_c(pair, beta, tol) == expected
+    try:
+        found = critical_c(pair, beta, tol)
+    except InternalCheckError as exc:
+        assert "confirm no cell" in str(exc)
+    else:
+        assert found == expected
 
 
 def _kernel_at_three_halves_beta(real, pair, beta):
@@ -403,15 +428,14 @@ def _kernel_at_three_halves_beta(real, pair, beta):
 @pytest.mark.parametrize("corrupt", [
     _kernel_at_half_beta, _kernel_claiming_root, _kernel_at_three_halves_beta])
 def test_critical_c_search_stays_bounded_when_sign_kernel_disagrees(monkeypatch, p2, corrupt):
-    # The estimate follows beta, the signs another kernel: the aimed probes
-    # fail to certify, and the search halves the grid of 2^4094 cells.
-    from logklab.normalcone import _AIMED_PROBES
-
-    # A few seed signs, then at most one halving per bit of tol past the
-    # seed bracket's level, and the aimed probes.
-    _counted_signs(monkeypatch, limit=16 + 4096 + _AIMED_PROBES, corrupt=corrupt)
-    with pytest.raises(InternalCheckError, match="does not change sign across the bracket"):
-        critical_c(p2, Fraction(1, 2), Fraction(1, 2**4096))
+    # The estimate follows beta, the signs another kernel: the search stops
+    # after the seeds and two probes, on a grid of 2^4094 cells.
+    beta = Fraction(1, 2)
+    wrong = corrupt(true_signs, p2, beta)
+    seeds = _seed_probes(monkeypatch, p2, beta, wrong=wrong)
+    _counted_signs(monkeypatch, limit=seeds + 2, wrong=wrong)
+    with pytest.raises(InternalCheckError):
+        critical_c(p2, beta, Fraction(1, 2**4096))
 
 
 def test_df_checked_returns_both_agreeing_paths(p2):
@@ -476,7 +500,7 @@ def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
 def test_sign_kernel_matches_closed_form_inner_factor(n, L_top, cX_L, beta, c):
     pair = PolarisedPair("random", n, L_top, cX_L)
     inner = df_closed(pair, c, beta).inner_factor
-    sign = _inner_sign_kernel(pair, beta)
+    sign = _pair_of(pair).kernel(beta).sign
     assert sign(c.numerator, c.denominator) == (inner > 0) - (inner < 0)
 
 
@@ -548,7 +572,7 @@ def test_critical_c_matches_fraction_bisection(name, tol):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=6),
+    n=st.integers(min_value=2, max_value=12),
     L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
     excess=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
     share=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda q: 0 < q < 1),
@@ -632,13 +656,9 @@ def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
     import logklab.normalcone as normalcone
 
     pair = PolarisedPair("neg", 2, -1, -6)
-    real, steps = normalcone._inner_sign_kernel, []
-
-    def counted(pair, beta):
-        sign = real(pair, beta)
-        return lambda a, d: steps.append((a, d)) or sign(a, d)
-
-    monkeypatch.setattr(normalcone, "_inner_sign_kernel", counted)
+    real, steps = normalcone._Kernel.sign, []
+    monkeypatch.setattr(normalcone._Kernel, "sign",
+                        lambda kernel, a, d: steps.append((a, d)) or real(kernel, a, d))
     assert find_destabilizer(pair, Fraction(1)) == (Fraction(1, 4), Fraction(-1, 16))
     assert steps == [(1, 2), (1, 4)]
     assert df_closed(pair, Fraction(1, 2), Fraction(1)).inner_factor == Fraction(-3, 7)
