@@ -6,38 +6,42 @@
 Each TREE is a checkout root, the directory that holds src/logklab. The
 invocations are the benchmark's whole universe (bench/workloads.py, all
 four workloads), `logklab --help`, every `<cmd> --help`, the usage errors
-that tests/test_cli_usage.py pins, and oracle runs the workloads leave out:
-a c outside (0, 1), an n = 1 pair, an explicit model at floor 50 with
---kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4 models
-at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000, and explicit
-models whose divisor counts go negative inside the walk; and `info` and `oracle`
-on pair files whose hilbert block is refused: an unknown kind, a
-projective_space block that contradicts its pair, and an explicit floor of
--1 and of 10001; and the input resolution every pair subcommand shares: an
-m = 2 pair file on the five commands that need D in |L|, a bad --m with a
-lambda above Lambda on the four positivity commands, and a pair file whose
-nef bounds miss S_1/n on those four and destabilize; and the library
-cross-checks and limits the benchmark never reaches: critical-c on P2 at
-beta 4/7 (a width-zero bracket on the exact root 1/2), at beta 0 and -1/2
-(the sentinel) and at tol 1 (the seed bracket), oracle --kmax 10001 on P2
-and on Fano-template (whose missing model is reported first), and entropy
-and destabilize on a pair whose entropy_lower certifies an angle the
-normal-cone family destabilises, and entropy on a pair with L^n < 0; and
-destabilize on every sign case of its table, at beta = -2, -1, -1/2, 0,
-1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0) and on pair files with
-(L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1), (-1, -3) and (-1, -6); and critical-c at a tol of 3/1000
-and of 5/2^200, on the exact root of P2 at 2^-512, on an n = 6 pair file,
-at 2^-512 on P16 and P64 hyperplane pair files, and at beta 0 and -1/2 on
-the pair file with (L^n, c1(X).L^(n-1)) = (-1, -6), which L^n < 0 refuses;
-and df, whose coefficients are checked against Riemann-Roch sums, at
-c = 1/2 and 1/7 on pair files outside the catalog: P5 and P6 with a
-hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and L^n = 1 with
-c1(X).L^(n-1) = -2. Each runs as a fresh `python -m logklab.cli` process
-under both trees, in one scratch directory that holds the workloads' input
-files, with COLUMNS=80 so that argparse wraps the same way. The script
-prints every argv whose exit code, stdout or stderr differ, and exits 1 on
-any difference. --quick runs only the first
-invocation of each workload, the top-level --help and one usage error.
+that tests/test_cli_usage.py pins, valid argv in forms the benchmark does
+not use, so that both of the CLI's argv readers are compared (argparse
+alone reads an abbreviated flag, `--beta=-1/3`, a repeated flag, a negative
+integer value and `--`; the table reader also reads the pair positional
+after the flags and `catalog list extra`), and oracle runs the workloads
+leave out: a c outside (0, 1), an n = 1 pair, an explicit model at floor 50
+with --kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4
+models at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000, and
+explicit models whose divisor counts go negative inside the walk; and
+`info` and `oracle` on pair files whose hilbert block is refused: an
+unknown kind, a projective_space block that contradicts its pair, and an
+explicit floor of -1 and of 10001; and the input resolution every pair
+subcommand shares: an m = 2 pair file on the five commands that need D in
+|L|, a bad --m with a lambda above Lambda on the four positivity commands,
+and a pair file whose nef bounds miss S_1/n on those four and destabilize;
+and the library cross-checks and limits the benchmark never reaches:
+critical-c on P2 at beta 4/7 (a width-zero bracket on the exact root 1/2),
+at beta 0 and -1/2 (the sentinel) and at tol 1 (the seed bracket), oracle
+--kmax 10001 on P2 and on Fano-template (whose missing model is reported
+first), and entropy and destabilize on a pair whose entropy_lower certifies
+an angle the normal-cone family destabilises, and entropy on a pair with
+L^n < 0; and destabilize on every sign case of its table, at beta = -2, -1,
+-1/2, 0, 1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0) and on pair files
+with (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1), (-1, -3) and (-1, -6); and
+critical-c at a tol of 3/1000 and of 5/2^200, on the exact root of P2 at
+2^-512, on an n = 6 pair file, at 2^-512 on P16 and P64 hyperplane pair
+files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
+(-1, -6), which L^n < 0 refuses; and df, whose coefficients are checked
+against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
+catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and
+L^n = 1 with c1(X).L^(n-1) = -2. Each runs as a fresh `python -m
+logklab.cli` process under both trees, in one scratch directory that holds
+the workloads' input files, with COLUMNS=80 so that argparse wraps the same
+way. The script prints every argv whose exit code, stdout or stderr differ,
+and exits 1 on any difference. --quick runs only the first invocation of
+each workload, the top-level --help and one usage error.
 """
 
 import argparse
@@ -57,6 +61,15 @@ USAGE_ERRORS = (
     ("df", "catalog:P2-line", "--c", "1/2"),
     ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3", "--format", "xml"),
     ("scalar", "catalog:P2-line", "--beta", "1/2", "--m", "x"),
+)
+PARSE_FORMS = (
+    ("df", "catalog:P2-line", "--c", "1/2", "--bet", "1/2"),
+    ("df", "catalog:P2-line", "--c", "1/2", "--beta=-1/3"),
+    ("df", "catalog:P2-line", "--c", "1/2", "--beta", "1/4", "--beta", "1/2"),
+    ("scalar", "catalog:P2-line", "--beta", "-1"),
+    ("catalog", "--", "show", "P2-line"),
+    ("df", "--c", "1/2", "--beta", "1/2", "catalog:P2-line"),
+    ("catalog", "list", "extra"),
 )
 
 
@@ -225,7 +238,7 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
     help_text = run(tree, ("--help",), cwd)[1].decode()
     commands = re.search(r"\{([^}]*)\}", help_text).group(1).split(",")
     argvs = [("--help",), USAGE_ERRORS[0]] if quick else [
-        ("--help",), *((cmd, "--help") for cmd in commands), *USAGE_ERRORS]
+        ("--help",), *((cmd, "--help") for cmd in commands), *USAGE_ERRORS, *PARSE_FORMS]
     return found + [workloads.Invocation(argv) for argv in argvs]
 
 

@@ -7,16 +7,19 @@ byte-identical bytes.
 
 The normalcone, thresholds and weightoracle modules, and json, are imported
 inside the functions that use them, so that a process loads only what its
-subcommand runs.
+subcommand runs. argparse too: _fast_parse reads a well-formed argv straight
+off the command table, and argparse (build_parser) is loaded only for
+--help, usage errors and the forms only it reads, such as abbreviated flags.
+A hypothesis property checks the fast path against argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import pairmodel
@@ -33,6 +36,8 @@ from .pairmodel import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .thresholds import PositivityData, SingularCriteriaInput, Verdict
 
 EXIT_OK = 0
@@ -51,11 +56,6 @@ class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
         super().__init__(message)
         self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(self, message)
 
 
 # One row per PositivityData field, in --help order: (pair-file key, field,
@@ -174,7 +174,7 @@ def resolve_pair(source: str) -> PairSource:
     return load_pair_file(source)
 
 
-def _merged_positivity(pf: PairSource, ns: argparse.Namespace) -> PositivityData:
+def _merged_positivity(pf: PairSource, ns) -> PositivityData:
     """The pair file's positivity data, with each field a flag sets taken from
     the flag, built through the constructor so that its checks run again."""
     from .thresholds import PositivityData
@@ -490,6 +490,8 @@ def _rational_arg(text: str) -> Fraction:
     try:
         return _input_rational(text)
     except InputError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -501,6 +503,8 @@ def _int_arg(text: str) -> int:
             return int(_input_rational(text))
     except InputError:
         pass
+    import argparse
+
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
@@ -553,7 +557,14 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS, whose errors raise _UsageError."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(self, message)
+
     parser = _Parser(
         prog="logklab",
         description="Exact-arithmetic log K-stability calculator for polarised pairs.",
@@ -567,6 +578,57 @@ def build_parser() -> _Parser:
             p.add_argument(arg, **options)
         p.set_defaults(handler=handler, pair_input=pair_input)
     return parser
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    off _COMMANDS, or None where argparse must decide.
+
+    It reads an exact subcommand name, then exact long flags, each once and
+    followed by a value that does not start with "-", and positionals in
+    any position. Anything else gives None: -h, an abbreviation, --flag=value,
+    a repeated flag, a dash-leading value, a missing required argument, an
+    extra positional, a value outside choices or refused by its type.
+    """
+    row = next((row for row in _COMMANDS if argv[:1] == [row[0]]), None)
+    if row is None:
+        return None
+    name, _, handler, pair_input, arguments = row
+    flags = {arg: options for arg, options in arguments if arg.startswith("-")}
+    positionals = [(arg, options) for arg, options in arguments if arg not in flags]
+    if pair_input is not None:
+        positionals.insert(0, ("pair", {}))
+    given, words = {}, []
+    rest = iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-"):
+            words.append(word)
+        elif word in flags and word not in given:
+            value = next(rest, "-")  # "-" stands for the missing value of a last flag
+            if value.startswith("-"):
+                return None
+            given[word] = value
+        else:
+            return None
+    if len(words) > len(positionals):
+        return None
+    given.update(zip((arg for arg, _ in positionals), words))
+    values = {"cmd": name, "handler": handler, "pair_input": pair_input}
+    for arg, options in (*positionals, *flags.items()):
+        dest = options.get("dest", arg.lstrip("-").replace("-", "_"))
+        if arg not in given:
+            if options.get("required", not arg.startswith("-") and options.get("nargs") != "?"):
+                return None
+            values[dest] = options.get("default")
+            continue
+        try:
+            value = options.get("type", str)(given[arg])
+        except Exception:  # argparse converts it again and reports the error
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
 
 
 def _to_devnull(stream) -> None:
@@ -592,9 +654,8 @@ def run(argv: list[str]) -> int:
     the positivity data merged from the file and the flags (ns.positivity),
     then the divisor with --m applied (ns.divisor).
     """
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _fast_parse(argv) or build_parser().parse_args(argv)
     except _UsageError as exc:
         _print_error(f"{exc.parser.format_usage()}error: {exc}")
         return EXIT_INPUT
@@ -605,7 +666,7 @@ def run(argv: list[str]) -> int:
             ns.source = resolve_pair(ns.pair)
             if ns.pair_input == _UNIT_PAIR and ns.source.divisor.m != 1:
                 raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
-            if "lam" in ns:  # the subcommands that take the positivity flags
+            if hasattr(ns, "lam"):  # the subcommands that take the positivity flags
                 ns.positivity = _merged_positivity(ns.source, ns)
             m = getattr(ns, "m", None)
             ns.divisor = ns.source.divisor if m is None else DivisorSpec(m=m)

@@ -400,7 +400,8 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
     refused with NotBelowThresholdError for beta >= threshold, which adds
     "DF > 0 for every c" for L^n > 0 < beta, and otherwise (L^n < 0,
     beta <= 0) with PreconditionFailedError. The witness's DF comes from
-    df_closed and must be negative, or InternalCheckError is raised.
+    the closed form (Family.df) and must be negative, or InternalCheckError
+    is raised.
     """
     beta, tol, constants, threshold = _checked(pair, beta, tol)
     sigma = 1 if pair.L_top > 0 else -1
@@ -417,7 +418,7 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
         raise SearchExhaustedError(f"no destabilising c found before the dyadic step fell "
                                    f"below tol = {format_rational(tol)}; decrease tol")
     c = Fraction((1 << j) - 1 if near_one else 1, 1 << j)
-    df = df_closed(pair, c, beta).df
+    df = constants.at(c).df(beta).df
     if not df < 0:
         raise InternalCheckError(f"sign kernel picked c = {format_rational(c)} but the closed "
                                  f"form gives DF = {format_rational(df)}, not < 0")
@@ -498,11 +499,12 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     probes that confirm no cell mean that the estimate and the signs
     disagree: InternalCheckError (a correct estimate rules it out).
 
-    df_closed at both ends is the second path: it must be > 0 at lo and < 0
-    at hi, or 0 on a width-zero bracket (InternalCheckError otherwise).
-    beta <= 0 means every c destabilises when L^n > 0: the (0, 0) sentinel
-    with all_destabilizing is returned. When L^n < 0 no c does, and
-    PreconditionFailedError is raised, as by find_destabilizer.
+    The closed form (Family.df) at both ends is the second path: the inner
+    factor must be > 0 at lo and < 0 at hi, or 0 on a width-zero bracket
+    (InternalCheckError otherwise). beta <= 0 means every c destabilises
+    when L^n > 0: the (0, 0) sentinel with all_destabilizing is returned.
+    When L^n < 0 no c does, and PreconditionFailedError is raised, as by
+    find_destabilizer.
     """
     beta, tol, constants, threshold = _checked(pair, beta, tol)
     if beta >= threshold:
@@ -547,8 +549,8 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
         else:
             raise InternalCheckError("the two signs at the root estimate confirm no cell")
     lo, hi = Fraction(x0 + lo_t * width, d), Fraction(x0 + hi_t * width, d)
-    lo_inner = df_closed(pair, lo, beta).inner_factor
-    hi_inner = df_closed(pair, hi, beta).inner_factor
+    lo_inner = constants.at(lo).df(beta).inner_factor
+    hi_inner = constants.at(hi).df(beta).inner_factor
     if not (lo_inner > 0 > hi_inner or lo == hi and lo_inner == 0):
         raise InternalCheckError(
             f"closed-form inner factor does not change sign across the bracket "

@@ -4,10 +4,11 @@ Start-up is most of a short invocation's cost, so each subcommand imports
 only the modules it runs: the thresholds route, the normal-cone route and
 the oracle are imported by the handlers that use them, a pair file's
 dimension model is built without the oracle, and no logklab module imports
-dataclasses. Each case runs a fresh
-`python -X importtime -m logklab.cli` process and reads the modules it
-imported from the -X importtime report, less those a bare interpreter
-imports on its own.
+dataclasses. A well-formed argv is read without argparse, and so without
+gettext and locale, which it pulls in; --help and usage errors load it.
+Each case runs a fresh `python -X importtime -m logklab.cli` process and
+reads the modules it imported from the -X importtime report, less those a
+bare interpreter imports on its own.
 """
 
 import json
@@ -25,6 +26,7 @@ IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
 ORACLE = "logklab.weightoracle"
 NORMALCONE = "logklab.normalcone"
 THRESHOLDS = "logklab.thresholds"
+PARSER = {"argparse", "gettext", "locale"}
 
 
 def imported(*args, cwd=None):
@@ -50,7 +52,7 @@ def test_catalog_list(bare):
     out, modules = cli_imports(bare, "catalog", "list")
     assert "P2-line" in out
     assert "logklab.pairmodel" in modules  # the report reads this process's imports
-    assert not modules & {"dataclasses", NORMALCONE, THRESHOLDS, ORACLE}
+    assert not modules & {"dataclasses", NORMALCONE, THRESHOLDS, ORACLE, *PARSER}
 
 
 @pytest.mark.parametrize("argv", [
@@ -60,7 +62,7 @@ def test_catalog_list(bare):
 def test_normal_cone_route(bare, argv):
     _, modules = cli_imports(bare, *argv)
     assert NORMALCONE in modules
-    assert not modules & {"dataclasses", THRESHOLDS, ORACLE}
+    assert not modules & {"dataclasses", THRESHOLDS, ORACLE, *PARSER}
 
 
 def test_df_curve_json_needs_no_json_module(bare):
@@ -84,7 +86,7 @@ def test_oracle(bare):
     out, modules = cli_imports(bare, "oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4")
     assert json.loads(out)["match"] is True
     assert ORACLE in modules
-    assert "dataclasses" not in modules
+    assert not modules & {"dataclasses", *PARSER}
 
 
 @pytest.mark.parametrize("m, loaded", [("1", True), ("2", False)], ids=["m1", "m2"])
@@ -110,4 +112,15 @@ def test_hilbert_block_needs_no_oracle(bare, tmp_path, argv):
         "hilbert": {"kind": "projective_space"}}))
     _, modules = cli_imports(bare, *argv, cwd=tmp_path)
     assert THRESHOLDS in modules
-    assert not modules & {"dataclasses", NORMALCONE, ORACLE}
+    assert not modules & {"dataclasses", NORMALCONE, ORACLE, *PARSER}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["df", "catalog:P2-line", "--c", "1/0", "--beta", "1/2"], 3),
+], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse(bare, argv, code):
+    # So that the absence of argparse above is not vacuous.
+    got, _, modules = imported("-m", "logklab.cli", *argv)
+    assert got == code
+    assert "argparse" in modules - bare
