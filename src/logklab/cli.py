@@ -444,6 +444,8 @@ def _cmd_criteria(ns) -> int:
 
 def _cmd_catalog(ns) -> int:
     if ns.action == "list":
+        if ns.name is not None:
+            raise InputError(f"catalog list takes no pair name, got {ns.name!r}")
         for name in pairmodel.catalog_names():
             print(name)
         return EXIT_OK

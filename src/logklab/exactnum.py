@@ -1,4 +1,5 @@
-"""Exact rational arithmetic, univariate polynomials, power sums.
+"""Exact rational arithmetic, univariate polynomials, and their sums over
+0 <= j < x from integer forward differences (Newton series).
 
 Every quantity in the package is a fractions.Fraction; floating point is
 banned from the computation path (decimals are derived for display only).
@@ -193,14 +194,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def substitute(self, scale: Fraction | int, shift: Fraction | int = 0) -> "Polynomial":
-        """p(scale*x + shift) as a polynomial in x, by Horner's rule."""
-        acc: list[Fraction] = []
-        for c in reversed(self.coefficients):  # acc = acc * (scale x + shift) + c
-            acc = [shift * a + scale * b for a, b in zip([*acc, 0], [0, *acc])]
-            acc[0] += c
-        return Polynomial(acc)
-
     def __repr__(self) -> str:
         if not self.coefficients:
             return "Polynomial(0)"
@@ -217,34 +210,43 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def _bernoulli_plus(count: int) -> list[Fraction]:
-    """First `count` Bernoulli numbers in the B(1) = +1/2 convention."""
-    bernoulli = [Fraction(1)]
-    for m in range(1, count):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * bernoulli[j]
-        bernoulli.append(-acc / (m + 1))
-    if count > 1:
-        bernoulli[1] = Fraction(1, 2)
-    return bernoulli
+def forward_differences(poly: Polynomial, length: int = 0) -> tuple[int, list[int]]:
+    """(d, [d D_0, d D_1, ...]): the forward differences D_i = Δ^i p(0), zero
+    past the degree and padded to `length` entries, times the d of integer_form,
+    from integer Horner over it at 0..degree. Newton's formula gives
+    p(x) = sum_i D_i C(x, i), and summation on the upper index gives
+    sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1) (newton_sums)."""
+    d, scaled = poly.integer_form()
+    row = []
+    for x in range(len(scaled)):
+        acc = 0
+        for a in scaled:
+            acc = acc * x + a
+        row.append(acc)
+    differences = []
+    while row:
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return d, differences + [0] * (length - len(differences))
 
 
-@lru_cache(maxsize=None)
-def faulhaber_polynomial(p: int) -> Polynomial:
-    """Closed-form polynomial S with S(N) = sum_{i=1..N} i**p; one per power,
-    kept, as Polynomial is immutable."""
-    if p < 0:
-        raise InputError("power must be nonnegative")
-    bern = _bernoulli_plus(p + 1)
-    coeffs = [Fraction(0)] * (p + 2)
-    for j in range(p + 1):
-        coeffs[p + 1 - j] = Fraction(comb(p + 1, j), p + 1) * bern[j]
-    return Polynomial(coeffs)
+def newton_sums(differences: list[int], x: int) -> tuple[int, int]:
+    """(sum_i D_i C(x, i), sum_i D_i C(x, i + 1)) at an integer x >= 0 for
+    differences D: the value at x and the sum over 0 <= j < x."""
+    value = total = 0
+    binomial = 1  # C(x, i)
+    for i, step in enumerate(differences):
+        value += step * binomial
+        binomial = binomial * (x - i) // (i + 1)  # exact: it is C(x, i + 1)
+        total += step * binomial
+    return value, total
 
 
 def power_sum(p: int, n_upper: int) -> Fraction:
-    """sum_{i=1..N} i**p via the Faulhaber closed form."""
+    """sum_{i=1..N} i**p: the sum of (j + 1)**p over 0 <= j < N, by newton_sums."""
     if n_upper < 0:
         raise InputError("upper limit must be nonnegative")
-    return faulhaber_polynomial(p)(n_upper)
+    if p < 0:
+        raise InputError("power must be nonnegative")
+    _, differences = forward_differences(Polynomial([comb(p, i) for i in range(p + 1)]))
+    return Fraction(newton_sums(differences, n_upper)[1])

@@ -10,7 +10,7 @@ D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -20,8 +20,8 @@ from .errors import (
     PreconditionFailedError,
     SearchExhaustedError,
 )
-from .exactnum import Polynomial, format_rational
-from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec, sum_polynomials
+from .exactnum import forward_differences, format_rational
+from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
 
 _UNIT_DIVISOR = DivisorSpec(1)
 
@@ -43,14 +43,21 @@ class NormalConeCoefficients(NamedTuple):
     n: int
 
     @classmethod
-    def from_sums(cls, sums: tuple[Polynomial, Polynomial, Polynomial], c: Fraction, n: int
-                  ) -> NormalConeCoefficients:
-        """The coefficients in dimension n read off the sum polynomials (d, w, d~)
-        at c of pairmodel.sum_polynomials; as w~_k = -c k d~_k, b0~ = -c a0~."""
-        d, w, d_tilde = sums
-        a0_tilde = d_tilde.coefficient(n - 1)
-        return cls(a0=d.coefficient(n), a1=d.coefficient(n - 1), b0=w.coefficient(n + 1),
-                   b1=w.coefficient(n), a0_tilde=a0_tilde, b0_tilde=-c * a0_tilde, c=c, n=n)
+    def from_differences(cls, differences: tuple[int, list[int]], c: Fraction, n: int
+                         ) -> NormalConeCoefficients:
+        """The coefficients in dimension n at c of the sums of a count polynomial H
+        of degree <= n, from exactnum.forward_differences(H, n + 1): as
+        C(x, m) = (x^m - C(m, 2) x^(m-1))/m! + ..., D_n and D_(n-1) give the top
+        two coefficients of d_k = H(k) and of G(x) = sum_i D_i C(x, i + 1), so of
+        w_k = G(k) - G((1-c)k) - c k H(k); d~_k = H(k) - H(k-1) has a0~ = n a0,
+        and w~_k = -c k d~_k has b0~ = -c a0~."""
+        den, steps = differences
+        top, below = Fraction(steps[n], den), Fraction(steps[n - 1], den)
+        a0, u = top / factorial(n), 1 - c
+        a1 = (n * below - comb(n, 2) * top) / factorial(n)
+        g1 = ((n + 1) * below - comb(n + 1, 2) * top) / factorial(n + 1)  # G's top is a0/(n+1)
+        return cls(a0=a0, a1=a1, b0=a0 / (n + 1) * (1 - u ** (n + 1)) - c * a0,
+                   b1=g1 * (1 - u**n) - c * a1, a0_tilde=n * a0, b0_tilde=-c * n * a0, c=c, n=n)
 
     def as_dict(self) -> dict[str, str | int]:
         return {
@@ -289,13 +296,13 @@ def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Frac
 def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
                ) -> tuple[NormalConeCoefficients, DFReport]:
     """The family's coefficients and closed-form DF report at (c, beta), once
-    they equal field by field those of the sum polynomials of
+    they equal field by field those read off the forward differences of
     pair.riemann_roch() and df_from_coefficients gives the same DF
     (InternalCheckError otherwise)."""
     at_c = family(pair, c)
     coeffs, report = at_c.coefficients(), at_c.df(beta)
-    summed = NormalConeCoefficients.from_sums(
-        sum_polynomials(pair.riemann_roch(), at_c.c), at_c.c, at_c.n)
+    summed = NormalConeCoefficients.from_differences(
+        forward_differences(pair.riemann_roch(), at_c.n + 1), at_c.c, at_c.n)
     if summed != coeffs:
         raise InternalCheckError(
             f"coefficient paths disagree: closed form {coeffs.as_dict()}, "

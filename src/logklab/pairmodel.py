@@ -4,6 +4,9 @@ A pair is reduced to its intersection-number shadow: the dimension n, the
 top self-intersection L^n, and c1(X).L^(n-1). Those three numbers determine
 S_1, S^D and S_beta, which every stability criterion consumes. A pair may
 also carry a dimension model h_X(k), the section counts the oracle sums.
+The forward differences of its count polynomial, and of the pair's two-term
+Riemann-Roch polynomial (exactnum.forward_differences), give those sums in
+closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import Polynomial, faulhaber_polynomial, format_rational
+from .exactnum import Polynomial, format_rational
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData
@@ -201,10 +204,10 @@ class HilbertModel(NamedTuple):
     def count_polynomial(self) -> Polynomial:
         """h_X as a polynomial in k: h_total(k) is its value at every k >= 0."""
         if self.kind == KIND_PROJECTIVE_SPACE:  # comb(n + k, n) = (k + 1)...(k + n)/n!
-            counts = Polynomial([Fraction(1, factorial(self.n))])
-            for i in range(1, self.n + 1):
-                counts = counts * Polynomial([i, 1])
-            return counts
+            product = [1]
+            for i in range(1, self.n + 1):  # times (k + i), on integers
+                product = [i * a + b for a, b in zip([*product, 0], [0, *product])]
+            return Polynomial([Fraction(a, factorial(self.n)) for a in product])
         if self.kind == KIND_PRODUCT_P1P1:
             return Polynomial([1, 2, 1])  # (k + 1)^2
         return self.polynomial
@@ -261,24 +264,6 @@ class HilbertModel(NamedTuple):
         if value < 0:
             raise InputError(f"divisor dimension negative at j = {j}; model invalid")
         return value
-
-
-def sum_polynomials(counts: Polynomial, c: Fraction) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(d, w, d~): polynomials in k equal at every admissible level k to the
-    sums d_k, w_k, d~_k of weightoracle.dims_and_weights for the section counts
-    H = counts, h_D(j) = H(j) - H(j-1). With b = (1-c)k, d_k telescopes to
-    H(k), d~_k = H(k) - H(k-1), and by parts
-
-        w_k = -sum_{b<j<=k} (j - b) h_D(j) = G(k) - G(b) - c k H(k),
-
-    G(x) = sum_{0<=j<x} H(j) = sum_i a_i S_i(x) - H(x) + a_0 for H = sum_i a_i x^i,
-    S_i the Faulhaber polynomial of power i.
-    """
-    c = Fraction(c)
-    g = sum((a * faulhaber_polynomial(i) for i, a in enumerate(counts.coefficients)),
-            Polynomial([counts.coefficient(0)])) - counts
-    weights = g - g.substitute(1 - c) - Polynomial([0, c]) * counts
-    return counts, weights, counts - counts.substitute(1, -1)
 
 
 class PairSource(NamedTuple):

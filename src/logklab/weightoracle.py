@@ -2,9 +2,9 @@
 
 Dimensions and weights are obtained by literally summing the section counts
 of the central-fibre decomposition, never through the closed forms they are
-meant to check. Every sample must equal the model's sum polynomials
-(pairmodel.sum_polynomials) at its level, and the coefficients read off
-them must agree with normalcone.coefficients field by field.
+meant to check. Every sample must equal, on integers, the sum polynomials of
+the model's count polynomial at its level (exactnum.newton_sums), and the
+coefficients read off them must agree with normalcone.coefficients exactly.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
 (k - ck, k]. sum_samples serves every sample of one (model, c) from a single
@@ -33,10 +33,10 @@ from .errors import (
     InternalCheckError,
     NonIntegralCKError,
 )
-from .exactnum import Polynomial, format_rational
+from .exactnum import format_rational, forward_differences, newton_sums
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
-from .pairmodel import HilbertModel, PolarisedPair, sum_polynomials
+from .pairmodel import HilbertModel, PolarisedPair
 
 
 class WeightSample(NamedTuple):
@@ -280,30 +280,32 @@ def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
     return list(range(first, first + count * c.denominator, c.denominator))
 
 
-def _check_against_sums(sums: tuple[Polynomial, ...], samples: list[WeightSample]) -> None:
-    """InternalCheckError unless each sample's d_k, w_k, d~_k is the value at k
-    of sums = (d, w, d~), by integer Horner over each polynomial's integer_form."""
-    forms = [poly.integer_form() for poly in sums]
+def _check_samples(differences: tuple[int, list[int]], c: Fraction,
+                   samples: list[WeightSample]) -> None:
+    """InternalCheckError unless each sample's d_k, w_k, d~_k is H(k),
+    G(k) - G((1-c)k) - c k H(k) and H(k) - H(k-1), by newton_sums over the
+    forward differences of H, G(x) the sum of H(j) over 0 <= j < x."""
+    den, steps = differences
     for sample in samples:
-        k = sample.k
-        for name, value, (den, scaled) in zip(
-                ("d_k", "w_k", "d_tilde_k"), (sample.d_k, sample.w_k, sample.d_tilde_k), forms):
-            acc = 0
-            for a in scaled:
-                acc = acc * k + a
-            if acc * value.denominator != den * value.numerator:
+        k, ck = sample.k, int(c * sample.k)
+        h_k, g_k = newton_sums(steps, k)
+        for name, value, scaled in (
+                ("d_k", sample.d_k, h_k),
+                ("w_k", sample.w_k, g_k - newton_sums(steps, k - ck)[1] - ck * h_k),
+                ("d_tilde_k", sample.d_tilde_k, h_k - newton_sums(steps, k - 1)[0])):
+            if den * value != scaled:
                 raise InternalCheckError(
                     f"walked sample and sum polynomial disagree at k = {k}: {name} = "
-                    f"{format_rational(value)}, polynomial {format_rational(Fraction(acc, den))}")
+                    f"{format_rational(value)}, polynomial {format_rational(Fraction(scaled, den))}")
 
 
 def _sample_and_recover(
     model: HilbertModel, c: Fraction, n: int, listed: int = 0
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
     """The first `listed` admissible samples and the coefficients read off the
-    model's sum polynomials, once every sample of one walk over the first
-    max(n + 4, listed) levels equals them; the first sample, the cheapest, is
-    summed again on the literal path."""
+    model's count polynomial, once every sample of one walk over the first
+    max(n + 4, listed) levels equals its sums; the first sample, the
+    cheapest, is summed again on the literal path."""
     summed = sum_samples(model, c, _sampling_ks(model, c, max(n + 4, listed)))
     reference = dims_and_weights(model, c, summed[0].k)
     if summed[0] != reference:
@@ -311,9 +313,9 @@ def _sample_and_recover(
             f"shared walk and literal sum disagree at k = {reference.k}: "
             f"{summed[0].as_dict()} != {reference.as_dict()}"
         )
-    sums = sum_polynomials(model.count_polynomial(), c)
-    _check_against_sums(sums, summed)
-    return summed[:listed], NormalConeCoefficients.from_sums(sums, c, n)
+    differences = forward_differences(model.count_polynomial(), n + 1)
+    _check_samples(differences, c, summed)
+    return summed[:listed], NormalConeCoefficients.from_differences(differences, c, n)
 
 
 def recover_coefficients(
@@ -323,7 +325,8 @@ def recover_coefficients(
 
     The first n+4 admissible levels are summed, and each sample must equal
     the model's sum polynomials at its level (InternalCheckError otherwise);
-    the coefficients are then read off those polynomials.
+    the coefficients are then read off the count polynomial's two leading
+    forward differences.
     """
     return _sample_and_recover(model, Fraction(c), pair.dimension)[1]
 

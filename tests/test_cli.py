@@ -592,6 +592,13 @@ def test_catalog_commands(capsys):
     assert "dimension: 2" in out
 
 
+def test_catalog_list_refuses_a_pair_name(capsys):
+    # argparse and the table reader both read "extra" as the optional name.
+    code, out, err = invoke(capsys, ["catalog", "list", "extra"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: catalog list takes no pair name, got 'extra'\n"
+
+
 def test_usage_error_exit_3(capsys):
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2"])  # --beta missing
     assert code == EXIT_INPUT

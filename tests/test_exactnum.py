@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from logklab.errors import InputError
 from logklab.exactnum import (
     Polynomial,
     decimal_string,
-    faulhaber_polynomial,
     format_rational,
+    forward_differences,
+    newton_sums,
     parse_rational,
     power_sum,
 )
@@ -126,8 +128,6 @@ def test_polynomial_arithmetic():
     assert p + q == Polynomial([0, 2])
     assert p - p == Polynomial()
     assert 3 * p == Polynomial([3, 3])
-    assert Polynomial([1, 0, 1]).substitute(2, -1) == Polynomial([2, -4, 4])  # 1 + (2x-1)^2
-    assert Polynomial([1, 2, 3]).substitute(Fraction(1, 2)) == Polynomial([1, 1, Fraction(3, 4)])
 
 
 def test_polynomial_call_known_values():
@@ -155,9 +155,23 @@ def test_power_sum_matches_literal_loop():
             assert power_sum(p, n) == sum(i**p for i in range(1, n + 1)), (p, n)
 
 
-def test_faulhaber_polynomial_degree():
-    for p in range(7):
-        assert faulhaber_polynomial(p).degree == p + 1
+def _binomial(i):
+    """C(x, i) as a polynomial in x."""
+    falling = Polynomial([1])
+    for j in range(i):
+        falling = falling * Polynomial([-j, 1])
+    return falling * Fraction(1, factorial(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=9),
+       x=st.integers(min_value=0, max_value=60))
+def test_newton_sums_equal_literal_sums(steps, x):
+    # An integer-valued H = sum_i steps[i] C(x, i) of degree <= 8.
+    h = sum((step * _binomial(i) for i, step in enumerate(steps)), Polynomial())
+    den, differences = forward_differences(h, len(steps) + 2)
+    assert [Fraction(d, den) for d in differences] == [*steps, 0, 0]
+    assert newton_sums(differences, x) == (den * h(x), den * sum(h(j) for j in range(x)))
 
 
 def test_power_sum_rejects_negative():

@@ -29,7 +29,8 @@ from logklab.normalcone import (
     instability_threshold,
     jna_normal_cone,
 )
-from logklab.pairmodel import CATALOG, PolarisedPair, sum_polynomials
+from logklab.exactnum import forward_differences
+from logklab.pairmodel import CATALOG, PolarisedPair
 
 from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, true_signs
 
@@ -481,8 +482,8 @@ def test_df_checked_raises_when_s_is_wrong(monkeypatch, capsys, p2):
 def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
     # Any sign of L^n and of s = c1(X).L^(n-1)/L^n - 1.
     pair = PolarisedPair("random", n, L_top, cX_L)
-    sums = sum_polynomials(pair.riemann_roch(), c)
-    assert NormalConeCoefficients.from_sums(sums, c, n) == coefficients(pair, c)
+    differences = forward_differences(pair.riemann_roch(), n + 1)
+    assert NormalConeCoefficients.from_differences(differences, c, n) == coefficients(pair, c)
 
 
 # ----------------------------- integer sign kernel -----------------------------

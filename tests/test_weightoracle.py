@@ -20,9 +20,11 @@ from logklab.errors import (
     ParameterOutOfRangeError,
 )
 from logklab.cli import run
-from logklab.exactnum import Polynomial, format_rational, power_sum
-from logklab.normalcone import coefficients, df_closed, df_from_coefficients, jna_normal_cone
-from logklab.pairmodel import CATALOG, PolarisedPair, sum_polynomials
+from logklab.exactnum import (
+    Polynomial, format_rational, forward_differences, newton_sums, power_sum)
+from logklab.normalcone import (
+    coefficients, df_checked, df_closed, df_from_coefficients, jna_normal_cone)
+from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
     ORACLE_KMAX_LIMIT,
     HilbertModel,
@@ -270,6 +272,35 @@ def test_oracle_report_raises_when_the_closed_form_differs(monkeypatch, p2, p2_m
         oracle_report(p2, p2_model, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_oracle_exits_4_when_one_forward_difference_is_perturbed(monkeypatch, capsys, i):
+    # D_0 never reaches the read-off of a0..b0~, so only the sample check can refuse it.
+    import logklab.weightoracle as weightoracle
+
+    real = weightoracle.forward_differences
+
+    def perturbed(poly, length=0):
+        den, steps = real(poly, length)
+        return den, [step + (j == i) for j, step in enumerate(steps)]
+
+    monkeypatch.setattr(weightoracle, "forward_differences", perturbed)
+    assert run(["oracle", "catalog:P2-line", "--c", "1/2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "walked sample and sum polynomial disagree at k = 2: d_k = " in captured.err
+
+
+def test_df_checked_and_oracle_report_on_p128_equal_the_closed_form():
+    # The dimension knob, where the Riemann-Roch sums once cost O(n^3).
+    n = 128
+    pair = PolarisedPair(f"P{n}-hyperplane", n, 1, n + 1, n + 1)
+    for c in (Fraction(1, 2), Fraction(1, 7)):
+        coeffs, report = df_checked(pair, c, Fraction(1, 2))
+        assert (coeffs, report) == (coefficients(pair, c), df_closed(pair, c, Fraction(1, 2)))
+    report = oracle_report(pair, HilbertModel.projective_space(n), Fraction(1, 2))
+    assert report["recovered"] == coefficients(pair, Fraction(1, 2)).as_dict()
+
+
 def test_oracle_report_refuses_a_missing_model_then_a_large_k_max(p2, p2_model):
     missing = "pair 'P2-line' has no dimension model; supply a 'hilbert' block"
     for k_max in (None, 60, ORACLE_KMAX_LIMIT + 1):
@@ -351,8 +382,14 @@ def test_sum_samples_equals_literal_sums(model, q, data):
     ks = [m * c.denominator for m in multiples if m * c.denominator in admissible]
     samples = sum_samples(model, c, ks)
     assert samples == [dims_and_weights(model, c, k) for k in ks]
-    d, w, d_tilde = sum_polynomials(model.count_polynomial(), c)
-    assert [(s.d_k, s.w_k, s.d_tilde_k) for s in samples] == [(d(k), w(k), d_tilde(k)) for k in ks]
+    den, steps = forward_differences(model.count_polynomial())
+
+    def sums(k):  # d = H(k), w = G(k) - G((1-c)k) - c k H(k), d~ = H(k) - H(k-1)
+        (h, g), ck = newton_sums(steps, k), int(c * k)
+        return tuple(Fraction(x, den) for x in (
+            h, g - newton_sums(steps, k - ck)[1] - ck * h, h - newton_sums(steps, k - 1)[0]))
+
+    assert [(s.d_k, s.w_k, s.d_tilde_k) for s in samples] == [sums(k) for k in ks]
 
 
 def _binomial_basis(degree):
