@@ -13,8 +13,12 @@ integer value and `--`; the table reader also reads the pair positional
 after the flags and `catalog list extra`), and oracle runs the workloads
 leave out: a c outside (0, 1), an n = 1 pair, an explicit model at floor 50
 with --kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4
-models at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000, and
-explicit models whose divisor counts go negative inside the walk; and
+models at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000,
+explicit models whose divisor counts go negative inside the walk, P4 at c =
+95111/100000 (one run of 795111 divisor counts), P1xP1 at c = 1/7 with
+--kmax 400 (runs with gaps between them), and an explicit P3 model whose
+counts are all positive but whose forward differences go negative at small
+j, at c = 1/2, 9/10 and 1/7 and with --kmax 400; and
 `info` and `oracle` on pair files whose hilbert block is refused: an
 unknown kind, a projective_space block that contradicts its pair, and an
 explicit floor of -1 and of 10001; and the input resolution every pair
@@ -106,7 +110,12 @@ def oracle_edges() -> list[workloads.Invocation]:
     # binom(k,4) + 4 binom(k,3) - 200 binom(k,2) + 2000 k: h_D(j) < 0 for
     # j = 14..22 only, past the seeds of a run that starts at j = 2.
     p4_dip = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
-    files = (point, floor50, floor10000, p3, p4, p3_negative, p4_dip)
+    # 1 + the sum of (j - 5)^2 + 1 over 1 <= j <= k: every h_D(j) > 0, but its
+    # forward differences at j < 5 are not all >= 0.
+    p3_valley = workloads._file("pair", {
+        "name": "P3-valley", "dimension": 3, "L_top": "2", "cX_L": "-18", "divisor": {"m": 1},
+        "hilbert": {"kind": "explicit", "coefficients": ["1", "127/6", "-9/2", "1/3"]}})
+    files = (point, floor50, floor10000, p3, p4, p3_negative, p4_dip, p3_valley)
     p2, p1, explicit = "catalog:P2-line", point[0], floor50[0]
     argvs = [
         (p2, "--c", "3/2"), (p2, "--c", "3/2", "--kmax", "0"), (p2, "--c=-1/2"), (p2, "--c", "0"),
@@ -118,6 +127,10 @@ def oracle_edges() -> list[workloads.Invocation]:
         (floor10000[0], "--c", "1/2"),
         (p3_negative[0], "--c", "9999/10000"),
         *((p4_dip[0], "--c", c) for c in ("9999/10000", "1/2")),
+        ("catalog:P4-hyperplane", "--c", "95111/100000"),
+        ("catalog:P1xP1-diag", "--c", "1/7", "--kmax", "400"),
+        *((p3_valley[0], "--c", c) for c in ("1/2", "9/10", "1/7")),
+        (p3_valley[0], "--c", "1/2", "--kmax", "400"),
     ]
     return [workloads.Invocation(("oracle", *argv), files) for argv in argvs]
 

@@ -4,15 +4,66 @@
 Prints coefficient-recovery matches for every catalog model and a finite-k
 convergence table for J_k -> J^NA. A mismatch (which a correct build never
 produces) ends the run with oracle_report's InternalCheckError.
+
+    python3 scripts/oracle_sweep.py --denominators 100 1000 10000
+
+prints instead the cost of the denominator knob: one row per catalog model
+and q, at c = p/q with p the integer nearest 0.95 q prime to q, giving
+oracle_report's in-process seconds (best of 3), the h_divisor calls of its
+walk and those of its literal check of the first sample.
 """
 
 import argparse
+import time
 from fractions import Fraction
+from math import gcd
 
 from logklab.exactnum import decimal_string, format_rational
 from logklab.normalcone import jna_normal_cone
-from logklab.pairmodel import CATALOG
-from logklab.weightoracle import jna_finite_k, oracle_report
+from logklab.pairmodel import CATALOG, HilbertModel
+from logklab.weightoracle import dims_and_weights, jna_finite_k, oracle_report
+
+
+def _near_095(q: int) -> Fraction:
+    """p/q in lowest terms with p the integer nearest 0.95 q that is prime to q."""
+    return Fraction(min((p for p in range(1, q) if gcd(p, q) == 1),
+                        key=lambda p: abs(20 * p - 19 * q)), q)
+
+
+def _divisor_calls(compute) -> int:
+    """The HilbertModel.h_divisor calls compute() makes, counted on the class
+    so that every model keeps its plain type."""
+    real, calls = HilbertModel.h_divisor, [0]
+
+    def counted(self, j):
+        calls[0] += 1
+        return real(self, j)
+
+    HilbertModel.h_divisor = counted
+    try:
+        compute()
+    finally:
+        HilbertModel.h_divisor = real
+    return calls[0]
+
+
+def denominator_table(denominators: list[int]) -> None:
+    print(f"{'pair':<16} {'c':>14} {'seconds':>9} {'walk calls':>10} {'literal calls':>13}")
+    for name, entry in CATALOG.items():
+        if entry.model is None:
+            continue
+        for q in denominators:
+            c = _near_095(q)
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                report = oracle_report(entry.pair, entry.model, c)
+                seconds.append(time.perf_counter() - start)
+            first = report["samples"][0]["k"]
+            literal = _divisor_calls(lambda: dims_and_weights(entry.model, c, first))
+            total = _divisor_calls(lambda: oracle_report(entry.pair, entry.model, c))
+            print(f"{name:<16} {format_rational(c):>14} {min(seconds):>9.4f} "
+                  f"{total - literal:>10} {literal:>13}")
 
 
 def main() -> None:
@@ -21,7 +72,12 @@ def main() -> None:
                         default=[Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
     parser.add_argument("--convergence-k", type=int, default=24,
                         help="largest k in the J_k convergence table")
+    parser.add_argument("--denominators", nargs="+", type=int, metavar="Q",
+                        help="print the cost table at these denominators of c instead")
     args = parser.parse_args()
+    if args.denominators:
+        denominator_table(args.denominators)
+        return
 
     for name, entry in CATALOG.items():
         if entry.model is None:

@@ -103,7 +103,7 @@ class CriticalBracket(NamedTuple):
 
 def _require_c(c: Fraction) -> Fraction:
     c = Fraction(c)
-    if not (0 < c < 1):
+    if not 0 < c.numerator < c.denominator:  # 0 < c < 1, on integers
         raise ParameterOutOfRangeError(
             f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
     return c

@@ -168,7 +168,8 @@ HILBERT_FLOOR_LIMIT = 10000
 
 class HilbertModel(NamedTuple):
     """Exact section-count model h_X(k) for (X, L), with the divisor counts
-    h_D(j) = h_X(j) - h_X(j-1) induced by the restriction sequence (m = 1).
+    h_D(j) = h_X(j) - h_X(j-1) of the restriction sequence (m = 1); the
+    builtin kinds count h_D(j) on D itself (h_divisor).
 
     Every kind is a polynomial of the given degree in k for k >= 0, so h_D
     is one of degree one less for j >= 1; the oracle's walk relies on that.
@@ -259,7 +260,15 @@ class HilbertModel(NamedTuple):
         return count
 
     def h_divisor(self, j: int) -> int:
-        """dim H^0(D, L~^j) via the restriction sequence; must be >= 0."""
+        """dim H^0(D, L~^j), which must be >= 0. For j >= 0 the builtin kinds
+        read the divisor's own count: C(n-1+j, n-1) for D = P^(n-1) in P^n,
+        2j + 1 for the conic of P^1 x P^1 (P^1 with O(2)). An explicit model,
+        and every kind below 0, takes h_X(j) - h_X(j-1) by the restriction
+        sequence."""
+        if self.kind != KIND_EXPLICIT and j >= 0:
+            if self.kind == KIND_PROJECTIVE_SPACE:
+                return comb(self.n - 1 + j, self.n - 1)
+            return 2 * j + 1
         value = self.h_total(j) - self.h_total(j - 1)
         if value < 0:
             raise InputError(f"divisor dimension negative at j = {j}; model invalid")

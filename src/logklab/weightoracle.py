@@ -8,13 +8,15 @@ coefficients read off them must agree with normalcone.coefficients exactly.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
 (k - ck, k]. sum_samples serves every sample of one (model, c) from a single
-ascending walk over the union of those ranges: it takes each h_D(j) once
-and keeps the running sums S0 = sum h_D(j) and S1 = sum j h_D(j), so each
-sample is a difference of two running sums. On a plain HilbertModel, whose
-h_D is a polynomial in j, the counts of each contiguous run of the union
-come from integer forward differences seeded by a few literal h_divisor
-calls, and the run's last count is checked against a literal call; other
-models are asked for every count. dims_and_weights is the literal
+ascending walk over the union of those ranges, which records the running
+sums S0 = sum h_D(j) and S1 = sum j h_D(j) at each range end, so each
+sample is a difference of two records. On a plain HilbertModel, whose h_D
+is a polynomial in j, the walk jumps from range end to range end: a few
+literal h_divisor calls at the start of each contiguous run of the union
+give its integer forward differences, and summation on the upper index
+reads every record off them, so the walk's cost does not grow with the
+denominator of c; the run's last count is checked against a literal call.
+Other models are asked for every count. dims_and_weights is the literal
 per-sample sum, kept as the reference the walk is checked against: every
 report recomputes its first sample that way (InternalCheckError on any
 difference).
@@ -23,9 +25,10 @@ difference).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
-from typing import Iterator, NamedTuple
+from itertools import repeat
+from math import comb
+from operator import add, mul
+from typing import NamedTuple
 
 from .errors import (
     BelowValidityFloorError,
@@ -63,11 +66,10 @@ class WeightSample(NamedTuple):
 def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
     """Return the integer ck after validating all preconditions."""
     c = _require_c(c)
-    ck = c * k
-    if ck.denominator != 1:
-        raise NonIntegralCKError(f"c*k = {format_rational(ck)} is not an integer "
+    ck, rest = divmod(c.numerator * k, c.denominator)  # on integers: once per sample
+    if rest:
+        raise NonIntegralCKError(f"c*k = {format_rational(c * k)} is not an integer "
                                  f"(c = {format_rational(c)}, k = {k})")
-    ck = int(ck)
     if ck < 1:
         raise NonIntegralCKError(f"need c*k >= 1, got c*k = {ck}")
     if k < model.floor or k - ck < model.floor:
@@ -109,36 +111,32 @@ def dims_and_weights(model: HilbertModel, c: Fraction, k: int) -> WeightSample:
 def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
     """[dims_and_weights(model, c, k) for k in ks], from one shared walk.
 
-    The walk visits j ascending over the union of the block ranges
-    (k - ck, k], takes each h_D(j) once, and records the running sums
-    S0 = sum h_D(j) and S1 = sum j h_D(j) at every range end. Each range
-    lies inside the union, so differences of the records are exact even
-    where the ranges leave gaps. With base = k - ck and the differences
-    dS0, dS1 across (base, k]:
+    The walk goes ascending over the union of the block ranges (k - ck, k]
+    and records the running sums S0 = sum h_D(j) and S1 = sum j h_D(j) at
+    every range end. Each range lies inside the union, so differences of
+    the records are exact even where the ranges leave gaps. With
+    base = k - ck and the differences dS0, dS1 across (base, k]:
 
         d_k = h_X(base) + dS0,   w_k = -(dS1 - base dS0),   d~_k = h_D(k).
 
-    For a plain HilbertModel the counts of each maximal contiguous run of
-    the union come from integer forward differences, seeded by degree(h_X)
-    literal h_divisor calls at the start of the run; each count is checked
-    for sign, and the last one of the run against a literal h_divisor call
-    (InternalCheckError on any difference). Any other model, such as a
-    subclass that overrides its counts, is asked for every h_divisor(j).
+    For a plain HilbertModel the records of each maximal contiguous run of
+    the union are read off the forward differences of max(degree(h_X), 1)
+    literal h_divisor calls at the start of the run (_record_run), so a run
+    costs O(records x degree), however long it is. A run that goes past
+    those seeds needs all of the differences >= 0, which certifies every
+    count of the run as >= 0, and its last count must equal a literal
+    h_divisor call (InternalCheckError otherwise). Any other model, such as
+    a subclass that overrides its counts, is asked for every h_divisor(j).
 
-    Only the records are kept: no table of counts. A model fault is
-    reported by the literal path, so its error is the one dims_and_weights
-    meets first.
+    A negative difference or a model fault sends the call to the literal
+    path, which gives the same samples, or the error dims_and_weights meets
+    first.
     """
     c = Fraction(c)
     try:
         return _walk(model, c, ks)
     except InputError:
         return [dims_and_weights(model, c, k) for k in ks]
-
-
-# Counts per chunk of the walk: the sums run at C speed over lists this long,
-# so memory stays bounded whatever the length of the walk.
-_CHUNK = 4096
 
 
 def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
@@ -179,66 +177,62 @@ def _record_run(
     """Record (S0, S1, h_D(x)) at each end point x of the run (points[0], points[-1]].
 
     The sums start at 0 on each run: every block range lies inside one run.
+    A model other than a plain HilbertModel is asked for every count. On a
+    plain one, h_D(j) for j >= 1 is a polynomial of degree below
+    max(degree(h_X), 1), so that many literal counts from lo = points[0] + 1
+    fix its forward differences D_i there, and with t = x - lo + 1
+
+        h_D(x) = sum_i D_i C(t-1, i),   S0(x) = sum_i D_i C(t, i+1),
+        S1(x) = sum_i E_i C(t, i+1),    E_i = lo D_i + i (D_(i-1) + D_i),
+
+    E being the differences of j h_D(j) (the product rule). Each record is
+    read off these sums in the basis C(t-1, i), one column per order, so
+    the run costs O(records x degree) whatever its length. A run past its
+    seeds needs every D_i >= 0, which makes every count >= 0 (an InputError
+    sends sum_samples to the literal path otherwise), and its last count
+    must equal a literal h_divisor call (InternalCheckError otherwise).
     """
-    lo = points[0] + 1
-    s0 = s1 = 0
+    lo, ends = points[0] + 1, points[1:]
     records[points[0]] = (0, 0, 0)  # a run starts at a base, never at a k: no h_D read
-    ends, stop = iter(points[1:]), points[-1] + 1
-    x = next(ends)
-    for counts in _run_counts(model, lo, points[-1]):
-        hi = lo + len(counts)
-        sums0 = list(accumulate(counts, initial=s0))
-        sums1 = list(accumulate(map(mul, range(lo, hi), counts), initial=s1))
-        while x < hi:
-            i = x - lo
-            records[x] = (sums0[i + 1], sums1[i + 1], counts[i])
-            x = next(ends, stop)
-        s0, s1, lo = sums0[-1], sums1[-1], hi
-
-
-def _run_counts(model: HilbertModel, first: int, last: int) -> Iterator[list[int]]:
-    """h_D(j) for j = first..last, a maximal run of the walk, in chunks.
-
-    On a plain HilbertModel, h_D(j) for j >= 1 is a polynomial of degree
-    below max(degree(h_X), 1), so that many literal counts at the start of
-    the run fix the rest. They fill a table of backward differences, and each
-    later chunk is read off it by itertools.accumulate, one pass per
-    difference order. Integer seeds make every count an integer; each is
-    checked for sign (an InputError sends sum_samples to the literal path),
-    and the last one against a literal h_divisor(last). Any other model is
-    asked for every count.
-    """
     h_divisor = model.h_divisor
-    stop = last + 1
     if type(model) is not HilbertModel:
-        for start in range(first, stop, _CHUNK):
-            yield [h_divisor(j) for j in range(start, min(start + _CHUNK, stop))]
+        s0 = s1 = 0
+        for x in ends:
+            counts = [h_divisor(j) for j in range(lo, x + 1)]
+            s0 += sum(counts)
+            s1 += sum(map(mul, range(lo, x + 1), counts))
+            records[x] = (s0, s1, counts[-1])
+            lo = x + 1
         return
-    seeds = [h_divisor(j) for j in range(first, min(first + max(model.degree, 1), stop))]
-    yield seeds
-    if first + len(seeds) == stop:  # every count of the run is literal
-        return
-    table: list[int] = []  # backward differences at the last count
-    for count in seeds:
-        for order, below in enumerate(table):
-            table[order], count = count, count - below
-        table.append(count)
-    for start in range(first + len(seeds), stop, _CHUNK):
-        counts = [table[-1]] * min(_CHUNK, stop - start)
-        for order in range(len(table) - 2, -1, -1):
-            running = accumulate(counts, initial=table[order])
-            next(running)
-            counts = list(running)
-            table[order] = counts[-1]
-        if min(counts) < 0:
-            raise InputError(f"negative divisor count at some j = {start}..{start + len(counts) - 1}")
-        yield counts
-    literal = h_divisor(last)
-    if literal != counts[-1]:
-        raise InternalCheckError(
-            f"forward differences and the literal divisor count disagree at j = {last}: "
-            f"{counts[-1]} != {literal}"
-        )
+    last = points[-1]
+    seeds = [h_divisor(j) for j in range(lo, min(lo + max(model.degree, 1), last + 1))]
+    extends = lo + len(seeds) <= last
+    steps = []
+    while seeds:
+        steps.append(seeds[0])
+        seeds = [b - a for a, b in zip(seeds, seeds[1:])]
+    if extends and min(steps) < 0:
+        raise InputError(f"a forward difference of h_D at j = {lo} is negative")
+    steps += [0, 0]
+    products = [lo * d + i * (below + d) for i, (below, d) in enumerate(zip([0, *steps], steps))]
+    # The coefficients of h_D(x), S0(x) and S1(x) on C(t-1, i), since
+    # C(t, i+1) = C(t-1, i+1) + C(t-1, i).
+    rows = zip(steps, map(add, steps, [0, *steps]), map(add, products, [0, *products]))
+    offsets = [x - lo for x in ends]
+    h, s0, s1 = ([a] * len(ends) for a in next(rows))  # C(t-1, 0) = 1
+    for i, (dh, d0, d1) in enumerate(rows, 1):
+        column = list(map(comb, offsets, repeat(i)))
+        h = list(map(add, h, map(mul, column, repeat(dh))))
+        s0 = list(map(add, s0, map(mul, column, repeat(d0))))
+        s1 = list(map(add, s1, map(mul, column, repeat(d1))))
+    if extends:
+        literal = h_divisor(last)
+        if literal != h[-1]:
+            raise InternalCheckError(
+                f"forward differences and the literal divisor count disagree at j = {last}: "
+                f"{h[-1]} != {literal}"
+            )
+    records.update(zip(ends, zip(s0, s1, h)))
 
 
 def _first_level(model: HilbertModel, c: Fraction) -> int:
@@ -326,9 +320,11 @@ def recover_coefficients(
     The first n+4 admissible levels are summed, and each sample must equal
     the model's sum polynomials at its level (InternalCheckError otherwise);
     the coefficients are then read off the count polynomial's two leading
-    forward differences.
+    forward differences. A c outside (0, 1), then a model whose Riemann-Roch
+    invariants are not the pair's (InconsistentDataError), is refused first.
     """
-    return _sample_and_recover(model, Fraction(c), pair.dimension)[1]
+    c = _require_c(c)
+    return _sample_and_recover(model.check_against(pair), c, pair.dimension)[1]
 
 
 def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
@@ -357,8 +353,9 @@ def oracle_report(
     samples at admissible_ks(model, c, k_max), by default at the first n+4;
     both are leading runs of the admissible k, summed in one walk, and every
     walked sample is checked against the sum polynomials. The listing's k are
-    found first, then the closed form, so a bad (pair, c) is refused before
-    any sum runs.
+    found first, then the closed form, then the model is checked against the
+    pair (InconsistentDataError), so a bad (pair, c) or model is refused
+    before any sum runs.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")
@@ -368,7 +365,7 @@ def oracle_report(
     n = pair.dimension
     listed = n + 4 if k_max is None else len(admissible_ks(model, c, k_max))
     closed = closed_form_coefficients(pair, c)
-    samples, recovered = _sample_and_recover(model, c, n, listed)
+    samples, recovered = _sample_and_recover(model.check_against(pair), c, n, listed)
     if recovered != closed:
         raise InternalCheckError(f"recovered coefficients {recovered.as_dict()} differ "
                                  f"from the closed form {closed.as_dict()}")

@@ -34,6 +34,16 @@ def test_oracle_sweep_runs():
     assert "J^NA(P2-line, c=1/2) = 5/24" in proc.stdout
 
 
+def test_oracle_sweep_denominator_table():
+    proc = _run("oracle_sweep.py", "--denominators", "7", "100")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:3] == ["pair", "c", "seconds"]
+    # One row per catalog model (P2, P3, P4, P1xP1) and denominator.
+    assert len(rows) == 8
+    assert [row.split()[1] for row in rows[:2]] == ["6/7", "93/100"]
+
+
 def test_compare_outputs_quick_against_itself():
     root = SCRIPTS.parent
     proc = _run("compare_outputs.py", str(root), str(root), "--quick")

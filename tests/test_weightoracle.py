@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from logklab.errors import (
     BelowValidityFloorError,
     DimensionTooSmallError,
+    InconsistentDataError,
     InputError,
     InternalCheckError,
     NonIntegralCKError,
@@ -59,6 +60,16 @@ def test_product_model_counts():
     model = HilbertModel.product_p1p1()
     assert [model.h_total(k) for k in range(4)] == [1, 4, 9, 16]
     assert [model.h_divisor(j) for j in range(1, 4)] == [3, 5, 7]
+
+
+@pytest.mark.parametrize("model", [*(HilbertModel.projective_space(n) for n in range(1, 9)),
+                                   HilbertModel.product_p1p1()])
+def test_divisor_counts_satisfy_the_restriction_sequence(model):
+    # The builtin kinds count on D itself; Pascal's rule ties them to h_X.
+    for j in range(201):
+        assert model.h_divisor(j) == model.h_total(j) - model.h_total(j - 1)
+    with pytest.raises(InputError, match="^dimension function not defined for k = -2$"):
+        model.h_divisor(-1)
 
 
 def test_explicit_model_matches_builtin(p2_model):
@@ -153,6 +164,24 @@ def test_recover_coefficients_p2(p2_model, p2):
 def test_recover_coefficients_p1xp1(p1xp1):
     rec = recover_coefficients(HilbertModel.product_p1p1(), Fraction(3, 4), p1xp1)
     assert rec == coefficients(p1xp1, Fraction(3, 4))
+
+
+def test_recover_coefficients_checks_the_model_against_the_pair(p2):
+    with pytest.raises(InconsistentDataError, match=r"= \(3, 1, 4\) by Riemann-Roch"):
+        recover_coefficients(HilbertModel.projective_space(3), Fraction(1, 2), p2)
+    with pytest.raises(ParameterOutOfRangeError):  # the refusal of c comes first
+        recover_coefficients(HilbertModel.projective_space(3), Fraction(3, 2), p2)
+
+
+def test_oracle_report_checks_the_model_against_the_pair(p2):
+    p3_model = HilbertModel.projective_space(3)
+    with pytest.raises(InconsistentDataError, match="but the pair has \\(2, 1, 3\\)"):
+        oracle_report(p2, p3_model, Fraction(1, 2))
+    # The earlier refusals keep their precedence.
+    with pytest.raises(InputError, match="--kmax must be at most"):
+        oracle_report(p2, p3_model, Fraction(1, 2), ORACLE_KMAX_LIMIT + 1)
+    with pytest.raises(ParameterOutOfRangeError):
+        oracle_report(p2, p3_model, Fraction(3, 2))
 
 
 def test_recover_coefficients_p3(p3):
@@ -454,6 +483,57 @@ def test_flatness_check_calls_each_divisor_count_once(p2_model):
     model, divisor_args, _ = _recording(p2_model)
     assert flatness_check(model, Fraction(1, 2), 60)
     assert sorted(divisor_args) == list(range(2, 61))
+
+
+def _runs(c, ks):
+    """The number of maximal contiguous runs of the union of the block ranges."""
+    union = sorted(set().union(*(_block_range(c, k) for k in ks)))
+    return 1 + sum(b != a + 1 for a, b in zip(union, union[1:]))
+
+
+@pytest.mark.parametrize("c", [Fraction(9511, 10000), Fraction(95111, 100000), Fraction(1, 7)])
+def test_walk_asks_a_few_counts_per_run(monkeypatch, c):
+    # The seeds and the literal check of the last count, whatever q is.
+    model = CATALOG["P4-hyperplane"].model
+    ks = admissible_ks(model, c, 8 * c.denominator)
+    # Counted on the class, so type(model) stays HilbertModel: the plain path.
+    calls, real = [], HilbertModel.h_divisor
+    monkeypatch.setattr(HilbertModel, "h_divisor", lambda self, j: calls.append(j) or real(self, j))
+    samples = sum_samples(model, c, ks)
+    assert len(calls) <= (model.degree + 1) * _runs(c, ks)
+    calls.clear()
+    assert samples[0] == dims_and_weights(model, c, ks[0])
+    assert len(calls) == int(c * ks[0]) + 1  # one call per block, and d~
+
+
+def test_oracle_exits_4_when_a_runs_last_count_is_off_by_one(monkeypatch, capsys):
+    # P2 at c = 1/2 with the default --kmax 60: the block ranges of k = 2..60
+    # make one run, (1, 60].
+    real = HilbertModel.h_divisor
+    monkeypatch.setattr(HilbertModel, "h_divisor", lambda self, j: real(self, j) + (j == 60))
+    assert run(["oracle", "catalog:P2-line", "--c", "1/2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "forward differences and the literal divisor count disagree at j = 60: 61 != 62" \
+        in captured.err
+
+
+# h_X(k) = 1 + sum_{1<=j<=k} ((j - 5)^2 + 1): every count is positive, but the
+# forward differences of h_D at j < 5 are not all >= 0.
+DIP_COUNTS = Polynomial([1, Fraction(127, 6), Fraction(-9, 2), Fraction(1, 3)])
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(9, 10), Fraction(1, 7), Fraction(5, 6)])
+def test_negative_forward_difference_takes_the_literal_path(c):
+    import logklab.weightoracle as weightoracle
+
+    model = HilbertModel.explicit(DIP_COUNTS, floor=0)
+    assert [model.h_divisor(j) for j in range(1, 12)] == [(j - 5) ** 2 + 1 for j in range(1, 12)]
+    ks = admissible_ks(model, c, 12 * c.denominator)
+    assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
+    if ks[0] - int(c * ks[0]) < 4:  # the first run starts where Δh_D(j) = 2j - 9 < 0
+        with pytest.raises(InputError, match="forward difference"):
+            weightoracle._walk(model, c, ks)
 
 
 def test_admissible_ks(p2_model):
