@@ -49,8 +49,11 @@ trees, in one scratch directory that holds the workloads' input files,
 with COLUMNS=80 so that argparse wraps the same way. The script prints
 every argv whose exit code, stdout or stderr differ, and exits 1 on any
 difference but those of EXPECTED, which it prints as expected when the
-exit codes are the listed ones. --quick runs only the first invocation of
-each workload, the top-level --help and one usage error.
+exit codes are the listed ones. It also prints every argv that exits 3 or
+4 with non-empty stdout under either tree, and exits 1 on any: an input
+error or a failed cross-check must leave stdout empty. --quick runs only
+the first invocation of each workload, the top-level --help and one usage
+error.
 """
 
 import argparse
@@ -294,17 +297,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         cwd = Path(scratch)
         invs = invocations(tree_a, cwd, args.quick)
-        differing = 0
+        differing = leaking = 0
         for inv in invs:
             a, b = run(tree_a, inv.argv, cwd), run(tree_b, inv.argv, cwd)
+            for tree, (code, out, _) in ((tree_a, a), (tree_b, b)):
+                if code in (3, 4) and out:
+                    leaking += 1
+                    print(f"STDOUT ON EXIT {code} under {tree}: {inv.key}")
             parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
             if parts and EXPECTED.get(tuple(inv.argv)) == (a[0], b[0]):
                 print(f"EXPECTED ({', '.join(parts)}; exit {a[0]} vs {b[0]}): {inv.key}")
             elif parts:
                 differing += 1
                 print(f"DIFFERS ({', '.join(parts)}; exit {a[0]} vs {b[0]}): {inv.key}")
+    print(f"{leaking} with exit 3 or 4 and non-empty stdout")
     print(f"{len(invs)} invocations, {differing} differ")
-    return 1 if differing else 0
+    return 1 if differing or leaking else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,11 @@
 Exit codes: 0 success / criterion satisfied, 2 inconclusive / precondition
 failed, 3 input error, 4 internal cross-check failure (never on a correct
 build). Output never contains timestamps, so identical invocations produce
-byte-identical bytes.
+byte-identical bytes. Each subcommand's handler returns its exit code and
+the pieces of its stdout, and run writes them in one loop inside its error
+mapping, so stdout is written only after the subcommand's checks pass:
+exits 3 and 4 leave it empty. df-curve's pieces are batches of rows,
+computed as they are written, after its end checks.
 
 The normalcone, thresholds and weightoracle modules, and json, are imported
 inside the functions that use them, so that a process loads only what its
@@ -37,6 +41,7 @@ from .pairmodel import (
 
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Iterable
 
     from .thresholds import PositivityData, SingularCriteriaInput, Verdict
 
@@ -195,22 +200,21 @@ def _field_text(value) -> str:
     return str(value)
 
 
-def _print_rows(rows) -> None:
-    """Print (label, value, provenance) rows as a table with a decimal column;
-    a str value, such as "n/a", has no decimal."""
+def _table(rows) -> str:
+    """(label, value, provenance) rows as a table with a decimal column; a
+    str value, such as "n/a", has no decimal."""
     header = f"{'quantity':<34} {'exact':>20}  {'decimal':<18} {'provenance'}"
-    print(header)
-    print("-" * len(header))
+    lines = [header, "-" * len(header)]
     for label, value, provenance in rows:
         dec = "" if isinstance(value, str) else decimal_string(value)
-        print(f"{label:<34} {_field_text(value):>20}  {dec:<18} {provenance}")
+        lines.append(f"{label:<34} {_field_text(value):>20}  {dec:<18} {provenance}")
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _print_fields(fields) -> None:
-    """Print one `label: value` line per (label, value) field, skipping None values."""
-    for label, value in fields:
-        if value is not None:
-            print(f"{label}: {_field_text(value)}")
+def _fields(fields) -> str:
+    """One `label: value` line per (label, value) field, skipping None values."""
+    return "".join(f"{label}: {_field_text(value)}\n" for label, value in fields
+                   if value is not None)
 
 
 def _verdict_fields(v: Verdict) -> list:
@@ -225,7 +229,7 @@ def _verdict_fields(v: Verdict) -> list:
 # ----------------------------- subcommands -----------------------------
 
 
-def _cmd_info(ns) -> int:
+def _cmd_info(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
     pair, divisor = ns.source.pair, ns.divisor
@@ -241,17 +245,14 @@ def _cmd_info(ns) -> int:
                          "normal-cone family only asserted for m = 1"))
     else:
         rows.append(("S_D", "n/a", "undefined for n = 1"))
-    # The rows are built first, so that a failed check leaves stdout empty.
-    _print_fields([
+    return EXIT_OK, [_fields([
         ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
                  f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
         ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
-    ])
-    _print_rows(rows)
-    return EXIT_OK
+    ]), _table(rows)]
 
 
-def _cmd_scalar(ns) -> int:
+def _cmd_scalar(ns) -> tuple[int, Iterable[str]]:
     report = pairmodel.avg_scalar_sbeta(ns.source.pair, ns.divisor, ns.beta)
     rows = [
         ("beta", report.beta, "evaluation angle"),
@@ -261,11 +262,10 @@ def _cmd_scalar(ns) -> int:
         ("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
         ("mu", report.mu, "S_beta/n"),
     ]
-    _print_rows(rows)
-    return EXIT_OK
+    return EXIT_OK, [_table(rows)]
 
 
-def _cmd_thresholds(ns) -> int:
+def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
     from . import thresholds
 
     pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
@@ -277,11 +277,10 @@ def _cmd_thresholds(ns) -> int:
     rows.append((f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
                  thresholds.min_multiplicity_eta0(pair, pos, ns.beta),
                  "least m with both eta=0 conditions strict"))
-    _print_rows(rows)
-    return EXIT_OK
+    return EXIT_OK, [_table(rows)]
 
 
-def _cmd_window(ns) -> int:
+def _cmd_window(ns) -> tuple[int, Iterable[str]]:
     from . import thresholds
 
     pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
@@ -289,28 +288,26 @@ def _cmd_window(ns) -> int:
         window = thresholds.uniform_stability_window(pair, pos, m)
     else:
         window = thresholds.existence_window(pair, pos, m, thresholds.ExistenceCase(ns.case))
-    _print_fields([
+    return EXIT_INCONCLUSIVE if window.empty else EXIT_OK, [_fields([
         ("claim", window.claim.value),
         ("window", window.render()),
         ("note", "hypotheses hold but the window is empty; nothing is certified"
          if window.empty else None),
-    ])
-    return EXIT_INCONCLUSIVE if window.empty else EXIT_OK
+    ])]
 
 
-def _cmd_verdict(ns) -> int:
+def _cmd_verdict(ns) -> tuple[int, Iterable[str]]:
     """eta and entropy: the subcommand's verdict at (pair, positivity, m, beta)."""
     from . import thresholds
 
     verdict_of = {"eta": thresholds.eta_feasibility,
                   "entropy": thresholds.entropy_threshold_check}[ns.cmd]
     verdict = verdict_of(ns.source.pair, ns.positivity, ns.divisor.m, ns.beta)
-    _print_fields(_verdict_fields(verdict))
     satisfied = verdict.status is thresholds.VerdictStatus.CRITERION_SATISFIED
-    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE
+    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE, [_fields(_verdict_fields(verdict))]
 
 
-def _cmd_df(ns) -> int:
+def _cmd_df(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
     coeffs, report = normalcone.df_checked(ns.source.pair, ns.c, ns.beta)
@@ -328,12 +325,10 @@ def _cmd_df(ns) -> int:
         ("positive_prefactor", report.positive_prefactor, "n a0 (1-(1-c)^(n+1))/(n+1)"),
         ("J^NA", report.jna, "c - (1-(1-c)^(n+1))/(n+1) = -b0/a0"),
     ]
-    _print_rows(rows)
-    print("cross-check: both DF paths agree exactly")
-    return EXIT_OK
+    return EXIT_OK, [_table(rows), "cross-check: both DF paths agree exactly\n"]
 
 
-def _cmd_df_curve(ns) -> int:
+def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
     columns = ("c", "df", "inner_factor", "jna")
@@ -350,55 +345,56 @@ def _cmd_df_curve(ns) -> int:
     rows = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
     texts = (row % tuple(ratio_texts((c, df, inner, jna), digits))
              for c, df, inner, _, jna in rows)
-    # One write per batch of rows, not per row: with PYTHONUNBUFFERED set,
-    # each write is a system call. Memory stays bounded by the batch.
-    write, lead = sys.stdout.write, head
-    while batch := list(islice(texts, _CURVE_BATCH)):
-        write(lead + between.join(batch))
-        lead = between
-    write(tail)
-    return EXIT_OK
+
+    # One piece, so one write, per batch of rows, not per row: with
+    # PYTHONUNBUFFERED set, each write is a system call. Memory stays
+    # bounded by the batch.
+    def pieces():
+        lead = head
+        while batch := list(islice(texts, _CURVE_BATCH)):
+            yield lead + between.join(batch)
+            lead = between
+        yield tail
+
+    return EXIT_OK, pieces()
 
 
-def _cmd_destabilize(ns) -> int:
+def _cmd_destabilize(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
     pair = ns.source.pair
     c, df = normalcone.find_destabilizer(pair, ns.beta, ns.tol)
     threshold = normalcone.instability_threshold(pair)
-    _print_fields([
+    return EXIT_OK, [_fields([
         ("instability threshold", threshold),
         ("witness c", c),
         (f"DF(c, beta={format_rational(ns.beta)}) = {format_rational(df)} < 0",
          "pair is log K-unstable at this angle"),
-    ])
-    return EXIT_OK
+    ])]
 
 
-def _cmd_critical_c(ns) -> int:
+def _cmd_critical_c(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
     bracket = normalcone.critical_c(ns.source.pair, ns.beta, ns.tol)
     if bracket.all_destabilizing:
-        print("every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)")
-        return EXIT_OK
-    _print_fields([
+        return EXIT_OK, [
+            "every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)\n"]
+    return EXIT_OK, [_fields([
         ("isolating interval", [bracket.lo, bracket.hi]),
         ("width", f"{format_rational(bracket.hi - bracket.lo)} (<= tol {format_rational(ns.tol)})"),
         ("inner factor at lo", bracket.lo_inner),
         ("inner factor at hi", bracket.hi_inner),
-    ])
-    return EXIT_OK
+    ])]
 
 
-def _cmd_oracle(ns) -> int:
+def _cmd_oracle(ns) -> tuple[int, Iterable[str]]:
     import json
 
     from . import weightoracle
 
     report = weightoracle.oracle_report(ns.source.pair, ns.source.model, ns.c, ns.kmax)
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
+    return EXIT_OK, [json.dumps(report, indent=2) + "\n"]
 
 
 def _parse_criteria_file(path: str) -> SingularCriteriaInput:
@@ -426,42 +422,35 @@ def _parse_criteria_file(path: str) -> SingularCriteriaInput:
     return SingularCriteriaInput(**kwargs)
 
 
-def _cmd_criteria(ns) -> int:
+def _cmd_criteria(ns) -> tuple[int, Iterable[str]]:
     from . import thresholds
 
     data = _parse_criteria_file(ns.file)
     verdicts = thresholds.singular_criteria(data)
     if not verdicts:
-        print("no criterion applicable: no distinguishing assertion present")
-        return EXIT_INCONCLUSIVE
-    for i, verdict in enumerate(verdicts):
-        if i:
-            print()
-        _print_fields(_verdict_fields(verdict))
+        return EXIT_INCONCLUSIVE, ["no criterion applicable: no distinguishing assertion present\n"]
     satisfied = any(v.status is thresholds.VerdictStatus.CRITERION_SATISFIED for v in verdicts)
-    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE
+    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE, [
+        "\n".join(_fields(_verdict_fields(v)) for v in verdicts)]
 
 
-def _cmd_catalog(ns) -> int:
+def _cmd_catalog(ns) -> tuple[int, Iterable[str]]:
     if ns.action == "list":
         if ns.name is not None:
             raise InputError(f"catalog list takes no pair name, got {ns.name!r}")
-        for name in pairmodel.catalog_names():
-            print(name)
-        return EXIT_OK
+        return EXIT_OK, [f"{name}\n" for name in pairmodel.catalog_names()]
     if ns.name is None:
         raise InputError("catalog show needs a pair name")
     entry = pairmodel.catalog_entry(ns.name)
     pair, model = entry.pair, entry.model
-    _print_fields([
+    return EXIT_OK, [_fields([
         ("name", pair.name), ("dimension", pair.dimension), ("L_top", pair.L_top),
         ("cX_L", pair.cX_L),
         ("proportional_x", "none" if pair.proportional_x is None else pair.proportional_x),
         ("divisor multiplicity", entry.divisor.m),
         ("dimension model",
          "none (supply alphas and bounds by hand)" if model is None else model.kind),
-    ])
-    return EXIT_OK
+    ])]
 
 
 # ----------------------------- parser wiring -----------------------------
@@ -654,7 +643,9 @@ def run(argv: list[str]) -> int:
     Before a handler runs, its inputs are resolved once, in one order: the
     pair source (ns.source), the refusal of m != 1 where D in |L| is needed,
     the positivity data merged from the file and the flags (ns.positivity),
-    then the divisor with --m applied (ns.divisor).
+    then the divisor with --m applied (ns.divisor). Then the handler's
+    pieces are written, inside the error mapping, so an error a lazy piece
+    raises still maps to its exit code.
     """
     try:
         ns = _fast_parse(argv) or build_parser().parse_args(argv)
@@ -664,18 +655,21 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        if ns.pair_input is not None:
-            ns.source = resolve_pair(ns.pair)
-            if ns.pair_input == _UNIT_PAIR and ns.source.divisor.m != 1:
-                raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
-            if hasattr(ns, "lam"):  # the subcommands that take the positivity flags
-                ns.positivity = _merged_positivity(ns.source, ns)
-            m = getattr(ns, "m", None)
-            ns.divisor = ns.source.divisor if m is None else DivisorSpec(m=m)
-        return ns.handler(ns)
-    except PreconditionFailedError as exc:
-        print(f"PreconditionFailed: {exc.violated}")
-        return EXIT_INCONCLUSIVE
+        try:
+            if ns.pair_input is not None:
+                ns.source = resolve_pair(ns.pair)
+                if ns.pair_input == _UNIT_PAIR and ns.source.divisor.m != 1:
+                    raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
+                if hasattr(ns, "lam"):  # the subcommands that take the positivity flags
+                    ns.positivity = _merged_positivity(ns.source, ns)
+                m = getattr(ns, "m", None)
+                ns.divisor = ns.source.divisor if m is None else DivisorSpec(m=m)
+            code, pieces = ns.handler(ns)
+        except PreconditionFailedError as exc:
+            code, pieces = EXIT_INCONCLUSIVE, [f"PreconditionFailed: {exc.violated}\n"]
+        for piece in pieces:
+            sys.stdout.write(piece)
+        return code
     except InputError as exc:
         _print_error(f"input error: {exc}")
         return EXIT_INPUT

@@ -19,7 +19,8 @@ denominator of c; the run's last count is checked against a literal call.
 Other models are asked for every count. dims_and_weights is the literal
 per-sample sum, kept as the reference the walk is checked against: every
 report recomputes its first sample that way (InternalCheckError on any
-difference).
+difference), and refuses one of more than ORACLE_LITERAL_LIMIT divisor
+counts (InputError) before any sum runs.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class WeightSample(NamedTuple):
 
 
 def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
-    """Return the integer ck after validating all preconditions."""
-    c = _require_c(c)
+    """Return the integer ck after validating the preconditions at level k,
+    c being already checked to lie in (0, 1)."""
     ck, rest = divmod(c.numerator * k, c.denominator)  # on integers: once per sample
     if rest:
         raise NonIntegralCKError(f"c*k = {format_rational(c * k)} is not an integer "
@@ -89,7 +90,7 @@ def dims_and_weights(model: HilbertModel, c: Fraction, k: int) -> WeightSample:
     This is the reference path: sum_samples computes the same samples from
     one shared walk, and is checked against this function.
     """
-    c = Fraction(c)
+    c = _require_c(c)
     ck = _check_admissible(model, c, k)
     d = model.h_total(k - ck)
     w = 0
@@ -130,9 +131,9 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
 
     A negative difference or a model fault sends the call to the literal
     path, which gives the same samples, or the error dims_and_weights meets
-    first.
+    first. c is checked once, when ks is not empty.
     """
-    c = Fraction(c)
+    c = _require_c(c) if ks else Fraction(c)
     try:
         return _walk(model, c, ks)
     except InputError:
@@ -299,8 +300,15 @@ def _sample_and_recover(
     """The first `listed` admissible samples and the coefficients read off the
     model's count polynomial, once every sample of one walk over the first
     max(n + 4, listed) levels equals its sums; the first sample, the
-    cheapest, is summed again on the literal path."""
-    summed = sum_samples(model, c, _sampling_ks(model, c, max(n + 4, listed)))
+    cheapest, is summed again on the literal path. Its c k divisor counts
+    are held to ORACLE_LITERAL_LIMIT (InputError) before any sum runs."""
+    ks = _sampling_ks(model, c, max(n + 4, listed))
+    counts = ks[0] // c.denominator * c.numerator
+    if counts > ORACLE_LITERAL_LIMIT:
+        raise InputError(
+            f"the literal check of the first sample would sum c*k = {counts} divisor counts "
+            f"at k = {ks[0]}, more than the limit {ORACLE_LITERAL_LIMIT}")
+    summed = sum_samples(model, c, ks)
     reference = dims_and_weights(model, c, summed[0].k)
     if summed[0] != reference:
         raise InternalCheckError(
@@ -321,7 +329,8 @@ def recover_coefficients(
     the model's sum polynomials at its level (InternalCheckError otherwise);
     the coefficients are then read off the count polynomial's two leading
     forward differences. A c outside (0, 1), then a model whose Riemann-Roch
-    invariants are not the pair's (InconsistentDataError), is refused first.
+    invariants are not the pair's (InconsistentDataError), is refused first,
+    then a first level past ORACLE_LITERAL_LIMIT (InputError).
     """
     c = _require_c(c)
     return _sample_and_recover(model.check_against(pair), c, pair.dimension)[1]
@@ -340,6 +349,10 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
 
 # Largest k_max of the oracle listing (the CLI's --kmax); see the README for its cost.
 ORACLE_KMAX_LIMIT = 10000
+# Most divisor counts the literal reference sums at the first admissible level,
+# c k there: about 0.8 s for a builtin model and 2.3 s for an explicit one
+# (2-core x86-64 VM, Python 3.11); see the README.
+ORACLE_LITERAL_LIMIT = 10**6
 
 
 def oracle_report(
@@ -354,8 +367,9 @@ def oracle_report(
     both are leading runs of the admissible k, summed in one walk, and every
     walked sample is checked against the sum polynomials. The listing's k are
     found first, then the closed form, then the model is checked against the
-    pair (InconsistentDataError), so a bad (pair, c) or model is refused
-    before any sum runs.
+    pair (InconsistentDataError), then the literal check's length is held to
+    ORACLE_LITERAL_LIMIT (InputError), so a bad (pair, c) or model, or too
+    long a check, is refused before any sum runs.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")

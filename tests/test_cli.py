@@ -18,6 +18,7 @@ from logklab.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_IOERR,
     EXIT_OK,
     _POSITIVITY,
@@ -25,7 +26,7 @@ from logklab.cli import (
     resolve_pair,
     run,
 )
-from logklab.errors import InputError
+from logklab.errors import InputError, InternalCheckError
 from logklab.exactnum import decimal_string, format_rational, parse_rational
 from logklab.normalcone import curve, instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
@@ -269,6 +270,17 @@ def test_oracle_kmax_limit(capsys):
     assert "--kmax must be at most 10000" in err
 
 
+def test_oracle_literal_limit(capsys):
+    # At the limit's boundary 10^6 counts run; 10^9 - 1 are refused at once.
+    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1000000/1000001"])
+    assert code == EXIT_OK
+    assert json.loads(out)["match"] is True
+    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "999999999/1000000000"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("input error: the literal check of the first sample would sum "
+                   "c*k = 999999999 divisor counts at k = 1000000000, more than the limit 1000000\n")
+
+
 def explicit_p2_pair(tmp_path, floor):
     """P2 with the dimension polynomial (k+1)(k+2)/2 given as an explicit model."""
     return write_pair(tmp_path, {
@@ -504,6 +516,47 @@ def test_criteria_nothing_applicable(capsys, tmp_path):
     path.write_text(json.dumps({"Sbeta": "0", "alpha_beta": "0", "n": 2}))
     code, out, _ = invoke(capsys, ["criteria", "--file", str(path)])
     assert code == EXIT_INCONCLUSIVE
+
+
+ALPHAS = ("--alpha-L", "1/3", "--alpha-LD", "1/2")
+# Every subcommand that renders rows or fields, each on an input that
+# renders at least two values.
+RENDERING_ARGVS = [
+    ["info", "catalog:P2-line"],
+    ["scalar", "catalog:P2-line", "--beta", "1/2"],
+    ["thresholds", "catalog:P2-line", *ALPHAS],
+    ["window", "catalog:Fano-template", "--case", "given", *ALPHAS],
+    ["eta", "catalog:P2-line", "--beta", "1/4", *ALPHAS],
+    ["entropy", "catalog:P2-line", "--beta", "1/4", *ALPHAS],
+    ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"],
+    ["destabilize", "catalog:P2-line", "--beta", "1/2"],
+    ["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"],
+    ["criteria", "--file", "CRITERIA"],
+    ["catalog", "show", "P2-line"],
+]
+
+
+@pytest.mark.parametrize("argv", RENDERING_ARGVS, ids=[argv[0] for argv in RENDERING_ARGVS])
+def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys, tmp_path, argv):
+    # The value renderer fails on its second value, after the text of the
+    # first is made: none of it is written.
+    import logklab.cli as cli
+
+    path = tmp_path / "criteria.json"
+    path.write_text(json.dumps({"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True,
+                                "bullet2_nef": True}))
+    calls, real = [], cli._field_text
+
+    def failing(value):
+        calls.append(value)
+        if len(calls) == 2:
+            raise InternalCheckError("the renderer's second value")
+        return real(value)
+
+    monkeypatch.setattr(cli, "_field_text", failing)
+    code, out, err = invoke(capsys, [str(path) if word == "CRITERIA" else word for word in argv])
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal cross-check failure: the renderer's second value\n"
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -28,6 +28,7 @@ from logklab.normalcone import (
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
     ORACLE_KMAX_LIMIT,
+    ORACLE_LITERAL_LIMIT,
     HilbertModel,
     admissible_ks,
     dims_and_weights,
@@ -341,6 +342,44 @@ def test_oracle_report_refuses_a_missing_model_then_a_large_k_max(p2, p2_model):
     assert str(exc.value) == "--kmax must be at most 10000, got 10001"
     report = oracle_report(p2, p2_model, Fraction(99, 100), ORACLE_KMAX_LIMIT)
     assert [s["k"] for s in report["samples"]] == list(range(100, 10001, 100))
+
+
+def test_oracle_report_checks_c_a_few_times(monkeypatch, p2, p2_model):
+    # Once per call that needs it, not once per level: the listing has 5000.
+    import logklab.normalcone as normalcone
+    import logklab.weightoracle as weightoracle
+
+    calls, real = [], normalcone._require_c
+    for module in (normalcone, weightoracle):
+        monkeypatch.setattr(module, "_require_c", lambda c: calls.append(c) or real(c))
+    report = oracle_report(p2, p2_model, Fraction(1, 2), k_max=ORACLE_KMAX_LIMIT)
+    assert len(report["samples"]) == 5000
+    assert 1 <= len(calls) <= 6
+
+
+def test_oracle_report_refuses_a_literal_check_past_its_limit(monkeypatch, p2):
+    # The first sample's c k divisor counts, summed one at a time, are
+    # refused before any sum runs: here 10^9 - 1 of them.
+    model, divisor_args, total_args = _recording(HilbertModel.projective_space(2))
+    c = Fraction(10**9 - 1, 10**9)
+    with pytest.raises(InputError) as exc:
+        oracle_report(p2, model, c)
+    assert str(exc.value) == (
+        "the literal check of the first sample would sum c*k = 999999999 divisor counts "
+        f"at k = 1000000000, more than the limit {ORACLE_LITERAL_LIMIT}")
+    assert divisor_args == total_args == []
+    with pytest.raises(InputError, match="c\\*k = 999999999 divisor"):
+        recover_coefficients(model, c, p2)
+    # At floor 10000 and c = 99/100 the first level is 10^6, with 990000
+    # counts: under the limit, and refused just past it.
+    explicit = HilbertModel.explicit(P2_COUNTS, floor=10000)
+    monkeypatch.setattr("logklab.weightoracle.ORACLE_LITERAL_LIMIT", 989999)
+    with pytest.raises(InputError, match="c\\*k = 990000 divisor counts at k = 1000000,"):
+        oracle_report(p2, explicit, Fraction(99, 100))
+    monkeypatch.setattr("logklab.weightoracle.ORACLE_LITERAL_LIMIT", 4)
+    assert oracle_report(p2, HilbertModel.projective_space(2), Fraction(4, 5))["match"]
+    with pytest.raises(InputError, match="c\\*k = 5 divisor counts at k = 6,"):
+        oracle_report(p2, HilbertModel.projective_space(2), Fraction(5, 6))
 
 
 def _recording(model):
