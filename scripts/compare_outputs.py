@@ -18,10 +18,13 @@ explicit models whose divisor counts go negative inside the walk, P4 at c =
 95111/100000 (one run of 795111 divisor counts), P1xP1 at c = 1/7 with
 --kmax 400 (runs with gaps between them), and an explicit P3 model whose
 counts are all positive but whose forward differences go negative at small
-j, at c = 1/2, 9/10 and 1/7 and with --kmax 400; and
-`info` and `oracle` on pair files whose hilbert block is refused: an
-unknown kind, a projective_space block that contradicts its pair, and an
-explicit floor of -1 and of 10001; and the input resolution every pair
+j, at c = 1/2, 9/10 and 1/7, with --kmax 400, and at c = 1/2 and 9/10
+with --kmax 2000 (runs the walk counts rather than jumps); and `info` and
+`oracle` on pair files whose hilbert block is refused: an unknown kind, a
+projective_space block that contradicts its pair, an explicit floor of -1
+and of 10001, and a projective_space block with a floor and coefficients,
+which only an explicit block takes (listed in EXPECTED: earlier trees
+ignored both keys); and the input resolution every pair
 subcommand shares: an m = 2 pair file on the five commands that need D in
 |L|, a bad --m with a lambda above Lambda on the four positivity commands,
 and a pair file whose nef bounds miss S_1/n on those four and destabilize;
@@ -84,10 +87,18 @@ PARSE_FORMS = (
     ("catalog", "list", "extra"),
 )
 
+P2_DOC = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1}}
+# A builtin kind with the keys of an explicit block.
+BUILTIN_WITH_FLOOR = workloads._file("pair", dict(P2_DOC, hilbert={
+    "kind": "projective_space", "floor": 5000, "coefficients": ["9", "9"]}))
+
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
 # under TREE_B) when TREE_A is the parent.
 EXPECTED = {
     ("catalog", "list", "extra"): (0, 3),  # catalog list refuses a pair name
+    # The builtin kinds refuse `floor` and `coefficients`.
+    ("info", BUILTIN_WITH_FLOOR[0]): (0, 3),
+    ("oracle", BUILTIN_WITH_FLOOR[0], "--c", "1/2"): (0, 3),
 }
 
 
@@ -134,19 +145,20 @@ def oracle_edges() -> list[workloads.Invocation]:
         ("catalog:P1xP1-diag", "--c", "1/7", "--kmax", "400"),
         *((p3_valley[0], "--c", c) for c in ("1/2", "9/10", "1/7")),
         (p3_valley[0], "--c", "1/2", "--kmax", "400"),
+        *((p3_valley[0], "--c", c, "--kmax", "2000") for c in ("1/2", "9/10")),
     ]
     return [workloads.Invocation(("oracle", *argv), files) for argv in argvs]
 
 
 def hilbert_errors() -> list[workloads.Invocation]:
     """info and oracle on each pair file whose hilbert block the loader refuses."""
-    p2 = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1}}
     explicit = {"kind": "explicit", "coefficients": ["1", "3/2", "1/2"]}
     files = [
-        workloads._file("pair", dict(p2, hilbert={"kind": "grassmannian"})),
-        workloads._file("pair", dict(p2, cX_L="4", hilbert={"kind": "projective_space"})),
-        workloads._file("pair", dict(p2, hilbert=dict(explicit, floor=-1))),
-        workloads._file("pair", dict(p2, hilbert=dict(explicit, floor=10001))),
+        workloads._file("pair", dict(P2_DOC, hilbert={"kind": "grassmannian"})),
+        workloads._file("pair", dict(P2_DOC, cX_L="4", hilbert={"kind": "projective_space"})),
+        workloads._file("pair", dict(P2_DOC, hilbert=dict(explicit, floor=-1))),
+        workloads._file("pair", dict(P2_DOC, hilbert=dict(explicit, floor=10001))),
+        BUILTIN_WITH_FLOOR,
     ]
     return [workloads.Invocation(argv, (f,)) for f in files
             for argv in (("info", f[0]), ("oracle", f[0], "--c", "1/2"))]

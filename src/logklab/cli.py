@@ -99,6 +99,8 @@ def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
     """The dimension model a hilbert block describes, checked against the pair."""
     _reject_unknown(block, {"kind", "coefficients", "floor"}, "hilbert block")
     kind = block.get("kind")
+    if kind in (KIND_PROJECTIVE_SPACE, KIND_PRODUCT_P1P1):
+        _reject_unknown(block, {"kind"}, f"{kind} hilbert block")
     if kind == KIND_PROJECTIVE_SPACE:
         model = HilbertModel.projective_space(pair.dimension)
     elif kind == KIND_PRODUCT_P1P1:

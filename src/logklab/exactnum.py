@@ -223,11 +223,18 @@ def forward_differences(poly: Polynomial, length: int = 0) -> tuple[int, list[in
         for a in scaled:
             acc = acc * x + a
         row.append(acc)
-    differences = []
-    while row:
-        differences.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+    differences = leading_differences(row)
     return d, differences + [0] * (length - len(differences))
+
+
+def leading_differences(values: list[int]) -> list[int]:
+    """[Δ^0 v(0), Δ^1 v(0), ...] for the values v(0), v(1), ... of a
+    sequence at consecutive integers: as many differences as values."""
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return differences
 
 
 def newton_sums(differences: list[int], x: int) -> tuple[int, int]:

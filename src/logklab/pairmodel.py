@@ -159,10 +159,10 @@ def sD_provenance(divisor: DivisorSpec) -> str:
 KIND_PROJECTIVE_SPACE = "projective_space"
 KIND_PRODUCT_P1P1 = "product_p1p1"
 KIND_EXPLICIT = "explicit"
-# Largest validity floor of an explicit model. The oracle's walk covers about
-# floor/(1 - c) divisor counts, most of them by integer forward differences,
-# but its literal cross-check of the first sample still evaluates h_X at about
-# 2 c floor/(1 - c) arguments. See the README for its cost.
+# Largest validity floor of an explicit model. The oracle's first sample
+# needs k (1 - c) >= floor, so its levels start near floor/(1 - c), and the
+# literal check of that sample sums about c floor/(1 - c) divisor counts,
+# which weightoracle.ORACLE_LITERAL_LIMIT bounds. See the README for its cost.
 HILBERT_FLOOR_LIMIT = 10000
 
 

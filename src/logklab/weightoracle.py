@@ -10,17 +10,18 @@ The sample at level k sums the divisor counts h_D(j) over the block range
 (k - ck, k]. sum_samples serves every sample of one (model, c) from a single
 ascending walk over the union of those ranges, which records the running
 sums S0 = sum h_D(j) and S1 = sum j h_D(j) at each range end, so each
-sample is a difference of two records. On a plain HilbertModel, whose h_D
-is a polynomial in j, the walk jumps from range end to range end: a few
-literal h_divisor calls at the start of each contiguous run of the union
-give its integer forward differences, and summation on the upper index
-reads every record off them, so the walk's cost does not grow with the
-denominator of c; the run's last count is checked against a literal call.
-Other models are asked for every count. dims_and_weights is the literal
-per-sample sum, kept as the reference the walk is checked against: every
-report recomputes its first sample that way (InternalCheckError on any
-difference), and refuses one of more than ORACLE_LITERAL_LIMIT divisor
-counts (InputError) before any sum runs.
+sample is a difference of two records. Each contiguous run of the union
+starts with a few literal h_divisor calls. On a plain HilbertModel, whose
+h_D is a polynomial in j, their integer forward differences fix the whole
+run: when they are all >= 0 the walk jumps from range end to range end by
+summation on the upper index, so its cost does not grow with the
+denominator of c, and the run's last count is checked against a literal
+call. Any other run, and every run of another model, is counted, each
+h_D(j) read once. dims_and_weights is the literal per-sample sum, kept as
+the reference the walk is checked against: every report recomputes its
+first sample that way (InternalCheckError on any difference), and refuses
+one of more than ORACLE_LITERAL_LIMIT divisor counts (InputError) before
+any sum runs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .errors import (
     InternalCheckError,
     NonIntegralCKError,
 )
-from .exactnum import format_rational, forward_differences, newton_sums
+from .exactnum import (
+    format_rational, forward_differences, leading_differences, newton_sums)
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
 from .pairmodel import HilbertModel, PolarisedPair
@@ -120,18 +122,12 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
 
         d_k = h_X(base) + dS0,   w_k = -(dS1 - base dS0),   d~_k = h_D(k).
 
-    For a plain HilbertModel the records of each maximal contiguous run of
-    the union are read off the forward differences of max(degree(h_X), 1)
-    literal h_divisor calls at the start of the run (_record_run), so a run
-    costs O(records x degree), however long it is. A run that goes past
-    those seeds needs all of the differences >= 0, which certifies every
-    count of the run as >= 0, and its last count must equal a literal
-    h_divisor call (InternalCheckError otherwise). Any other model, such as
-    a subclass that overrides its counts, is asked for every h_divisor(j).
-
-    A negative difference or a model fault sends the call to the literal
-    path, which gives the same samples, or the error dims_and_weights meets
-    first. c is checked once, when ks is not empty.
+    The records of each maximal contiguous run of the union come from one
+    jump or one count (_record_run); a valid model is counted or jumped
+    over in one pass, linear in the union at worst. A model fault, such as
+    a negative or non-integer count, sends the call to the literal path,
+    only to name the first error dims_and_weights meets. c is checked
+    once, when ks is not empty.
     """
     c = _require_c(c) if ks else Fraction(c)
     try:
@@ -178,42 +174,37 @@ def _record_run(
     """Record (S0, S1, h_D(x)) at each end point x of the run (points[0], points[-1]].
 
     The sums start at 0 on each run: every block range lies inside one run.
-    A model other than a plain HilbertModel is asked for every count. On a
-    plain one, h_D(j) for j >= 1 is a polynomial of degree below
-    max(degree(h_X), 1), so that many literal counts from lo = points[0] + 1
-    fix its forward differences D_i there, and with t = x - lo + 1
+    The run's first max(degree(h_X), 1) counts from lo = points[0] + 1 are
+    read literally. On a plain HilbertModel, h_D(j) for j >= 1 is a
+    polynomial of degree below that, so these seeds fix its forward
+    differences D_i at lo, and with t = x - lo + 1
 
         h_D(x) = sum_i D_i C(t-1, i),   S0(x) = sum_i D_i C(t, i+1),
         S1(x) = sum_i E_i C(t, i+1),    E_i = lo D_i + i (D_(i-1) + D_i),
 
-    E being the differences of j h_D(j) (the product rule). Each record is
-    read off these sums in the basis C(t-1, i), one column per order, so
-    the run costs O(records x degree) whatever its length. A run past its
-    seeds needs every D_i >= 0, which makes every count >= 0 (an InputError
-    sends sum_samples to the literal path otherwise), and its last count
-    must equal a literal h_divisor call (InternalCheckError otherwise).
+    E being the differences of j h_D(j) (the product rule). If the run goes
+    past its seeds and every D_i >= 0, which makes every count >= 0, it
+    jumps: each record is read off these sums in the basis C(t-1, i), one
+    column per order, at O(records x degree) whatever its length, and the
+    run's last count must equal a literal h_divisor call
+    (InternalCheckError otherwise). Any other run, and every run of another
+    model, is counted: each h_divisor(j) past the seeds is read once.
     """
-    lo, ends = points[0] + 1, points[1:]
+    lo, ends, last = points[0] + 1, points[1:], points[-1]
     records[points[0]] = (0, 0, 0)  # a run starts at a base, never at a k: no h_D read
     h_divisor = model.h_divisor
-    if type(model) is not HilbertModel:
+    seeds = [h_divisor(j) for j in range(lo, min(lo + max(model.degree, 1), last + 1))]
+    steps = leading_differences(seeds)
+    if type(model) is not HilbertModel or lo + len(seeds) > last or min(steps) < 0:
         s0 = s1 = 0
         for x in ends:
-            counts = [h_divisor(j) for j in range(lo, x + 1)]
+            counts, seeds = seeds[:x + 1 - lo], seeds[x + 1 - lo:]
+            counts += map(h_divisor, range(lo + len(counts), x + 1))
             s0 += sum(counts)
             s1 += sum(map(mul, range(lo, x + 1), counts))
             records[x] = (s0, s1, counts[-1])
             lo = x + 1
         return
-    last = points[-1]
-    seeds = [h_divisor(j) for j in range(lo, min(lo + max(model.degree, 1), last + 1))]
-    extends = lo + len(seeds) <= last
-    steps = []
-    while seeds:
-        steps.append(seeds[0])
-        seeds = [b - a for a, b in zip(seeds, seeds[1:])]
-    if extends and min(steps) < 0:
-        raise InputError(f"a forward difference of h_D at j = {lo} is negative")
     steps += [0, 0]
     products = [lo * d + i * (below + d) for i, (below, d) in enumerate(zip([0, *steps], steps))]
     # The coefficients of h_D(x), S0(x) and S1(x) on C(t-1, i), since
@@ -226,13 +217,12 @@ def _record_run(
         h = list(map(add, h, map(mul, column, repeat(dh))))
         s0 = list(map(add, s0, map(mul, column, repeat(d0))))
         s1 = list(map(add, s1, map(mul, column, repeat(d1))))
-    if extends:
-        literal = h_divisor(last)
-        if literal != h[-1]:
-            raise InternalCheckError(
-                f"forward differences and the literal divisor count disagree at j = {last}: "
-                f"{h[-1]} != {literal}"
-            )
+    literal = h_divisor(last)
+    if literal != h[-1]:
+        raise InternalCheckError(
+            f"forward differences and the literal divisor count disagree at j = {last}: "
+            f"{h[-1]} != {literal}"
+        )
     records.update(zip(ends, zip(s0, s1, h)))
 
 

@@ -301,6 +301,25 @@ def test_hilbert_floor_limit(capsys, tmp_path, command):
     assert (code, err) == (EXIT_OK, "")
 
 
+@pytest.mark.parametrize("kind, keys", [
+    ("projective_space", {"floor": 5000, "coefficients": ["9", "9"]}),
+    ("projective_space", {"floor": 0}),
+    ("product_p1p1", {"coefficients": ["1", "2", "1"]}),
+], ids=["projective-both", "projective-floor", "product-coefficients"])
+@pytest.mark.parametrize("command", [["oracle", "--c", "1/2", "--kmax", "4"], ["info"]],
+                         ids=["oracle", "info"])
+def test_builtin_hilbert_kind_refuses_floor_and_coefficients(capsys, tmp_path, kind, keys,
+                                                             command):
+    entry = CATALOG["P2-line" if kind == "projective_space" else "P1xP1-diag"]
+    path = write_pair(tmp_path, {
+        "name": "builtin", "dimension": 2, "L_top": str(entry.pair.L_top),
+        "cX_L": str(entry.pair.cX_L), "divisor": {"m": 1}, "hilbert": {"kind": kind, **keys}})
+    code, out, err = invoke(capsys, [command[0], path, *command[1:]])
+    assert (code, out) == (EXIT_INPUT, "")
+    named = ", ".join(sorted(keys))
+    assert err == f"input error: unknown key(s) in {kind} hilbert block: {named}\n"
+
+
 @pytest.mark.parametrize("flag, message", [
     (["--lambda", "3"], "lambda = 3 exceeds Lambda = 2"),
     (["--alpha-L=-1"], "alpha_L must be >= 0, got -1"),

@@ -563,16 +563,35 @@ DIP_COUNTS = Polynomial([1, Fraction(127, 6), Fraction(-9, 2), Fraction(1, 3)])
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(9, 10), Fraction(1, 7), Fraction(5, 6)])
-def test_negative_forward_difference_takes_the_literal_path(c):
+def test_negative_forward_difference_counts_the_run(c):
     import logklab.weightoracle as weightoracle
 
     model = HilbertModel.explicit(DIP_COUNTS, floor=0)
     assert [model.h_divisor(j) for j in range(1, 12)] == [(j - 5) ** 2 + 1 for j in range(1, 12)]
     ks = admissible_ks(model, c, 12 * c.denominator)
-    assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
-    if ks[0] - int(c * ks[0]) < 4:  # the first run starts where Δh_D(j) = 2j - 9 < 0
-        with pytest.raises(InputError, match="forward difference"):
-            weightoracle._walk(model, c, ks)
+    literal = [dims_and_weights(model, c, k) for k in ks]
+    assert sum_samples(model, c, ks) == literal
+    # The walk itself gives the samples, also where the first run starts at
+    # Δh_D(j) = 2j - 9 < 0.
+    assert weightoracle._walk(model, c, ks) == literal
+
+
+def test_valley_model_reads_each_divisor_count_once(monkeypatch):
+    import logklab.weightoracle as weightoracle
+
+    model, c = HilbertModel.explicit(DIP_COUNTS, floor=0), Fraction(1, 2)
+    ks = admissible_ks(model, c, 2000)
+    # Counted on the class, so type(model) stays HilbertModel: the plain path.
+    calls, literal_sums = [], []
+    real_count, real_sum = HilbertModel.h_divisor, weightoracle.dims_and_weights
+    monkeypatch.setattr(HilbertModel, "h_divisor",
+                        lambda self, j: calls.append(j) or real_count(self, j))
+    monkeypatch.setattr(weightoracle, "dims_and_weights",
+                        lambda *args: literal_sums.append(args) or real_sum(*args))
+    samples = sum_samples(model, c, ks)
+    assert literal_sums == []
+    assert sorted(calls) == sorted(set().union(*(_block_range(c, k) for k in ks)))
+    assert samples[::100] == [real_sum(model, c, k) for k in ks[::100]]
 
 
 def test_admissible_ks(p2_model):
