@@ -19,7 +19,10 @@ explicit models whose divisor counts go negative inside the walk, P4 at c =
 --kmax 400 (runs with gaps between them), and an explicit P3 model whose
 counts are all positive but whose forward differences go negative at small
 j, at c = 1/2, 9/10 and 1/7, with --kmax 400, and at c = 1/2 and 9/10
-with --kmax 2000 (runs the walk counts rather than jumps); and `info` and
+with --kmax 2000 (runs the walk counts rather than jumps), and at c =
+99999/100000 and 999999/1000000 (one counted run of about 7 10^5 counts,
+and one of about 7 10^6, past the limit: listed in EXPECTED, earlier trees
+counted it); and `info` and
 `oracle` on pair files whose hilbert block is refused: an unknown kind, a
 projective_space block that contradicts its pair, an explicit floor of -1
 and of 10001, and a projective_space block with a floor and coefficients,
@@ -40,7 +43,8 @@ with (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1), (-1, -3) and (-1, -6); and
 critical-c at a tol of 3/1000 and of 5/2^200, on the exact root of P2 at
 2^-512, on an n = 6 pair file, at 2^-512 on P16 and P64 hyperplane pair
 files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
-(-1, -6), which L^n < 0 refuses; and df, whose coefficients are checked
+(-1, -6), which L^n < 0 refuses; and df-curve at --steps 100001, past its
+limit (listed in EXPECTED); and df, whose coefficients are checked
 against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
 catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and
 L^n = 1 with c1(X).L^(n-1) = -2; and the dimension knob, on P^n pair
@@ -92,6 +96,15 @@ P2_DOC = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"
 BUILTIN_WITH_FLOOR = workloads._file("pair", dict(P2_DOC, hilbert={
     "kind": "projective_space", "floor": 5000, "coefficients": ["9", "9"]}))
 
+# 1 + the sum of (j - 5)^2 + 1 over 1 <= j <= k: every h_D(j) > 0, but its
+# forward differences at j < 5 are not all >= 0, so the oracle's walk counts.
+P3_VALLEY = workloads._file("pair", {
+    "name": "P3-valley", "dimension": 3, "L_top": "2", "cX_L": "-18", "divisor": {"m": 1},
+    "hilbert": {"kind": "explicit", "coefficients": ["1", "127/6", "-9/2", "1/3"]}})
+# A counted run of about 7 10^6 divisor counts, and a grid past --steps' limit.
+COUNT_LIMIT = ("oracle", P3_VALLEY[0], "--c", "999999/1000000")
+STEPS_LIMIT = ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "100001")
+
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
 # under TREE_B) when TREE_A is the parent.
 EXPECTED = {
@@ -99,6 +112,8 @@ EXPECTED = {
     # The builtin kinds refuse `floor` and `coefficients`.
     ("info", BUILTIN_WITH_FLOOR[0]): (0, 3),
     ("oracle", BUILTIN_WITH_FLOOR[0], "--c", "1/2"): (0, 3),
+    COUNT_LIMIT: (0, 3),  # the walk's counted run is held to ORACLE_LITERAL_LIMIT
+    STEPS_LIMIT: (0, 3),  # --steps is held to CURVE_STEPS_LIMIT
 }
 
 
@@ -124,12 +139,7 @@ def oracle_edges() -> list[workloads.Invocation]:
     # binom(k,4) + 4 binom(k,3) - 200 binom(k,2) + 2000 k: h_D(j) < 0 for
     # j = 14..22 only, past the seeds of a run that starts at j = 2.
     p4_dip = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
-    # 1 + the sum of (j - 5)^2 + 1 over 1 <= j <= k: every h_D(j) > 0, but its
-    # forward differences at j < 5 are not all >= 0.
-    p3_valley = workloads._file("pair", {
-        "name": "P3-valley", "dimension": 3, "L_top": "2", "cX_L": "-18", "divisor": {"m": 1},
-        "hilbert": {"kind": "explicit", "coefficients": ["1", "127/6", "-9/2", "1/3"]}})
-    files = (point, floor50, floor10000, p3, p4, p3_negative, p4_dip, p3_valley)
+    files = (point, floor50, floor10000, p3, p4, p3_negative, p4_dip, P3_VALLEY)
     p2, p1, explicit = "catalog:P2-line", point[0], floor50[0]
     argvs = [
         (p2, "--c", "3/2"), (p2, "--c", "3/2", "--kmax", "0"), (p2, "--c=-1/2"), (p2, "--c", "0"),
@@ -143,9 +153,11 @@ def oracle_edges() -> list[workloads.Invocation]:
         *((p4_dip[0], "--c", c) for c in ("9999/10000", "1/2")),
         ("catalog:P4-hyperplane", "--c", "95111/100000"),
         ("catalog:P1xP1-diag", "--c", "1/7", "--kmax", "400"),
-        *((p3_valley[0], "--c", c) for c in ("1/2", "9/10", "1/7")),
-        (p3_valley[0], "--c", "1/2", "--kmax", "400"),
-        *((p3_valley[0], "--c", c, "--kmax", "2000") for c in ("1/2", "9/10")),
+        *((P3_VALLEY[0], "--c", c) for c in ("1/2", "9/10", "1/7")),
+        (P3_VALLEY[0], "--c", "1/2", "--kmax", "400"),
+        *((P3_VALLEY[0], "--c", c, "--kmax", "2000") for c in ("1/2", "9/10")),
+        (P3_VALLEY[0], "--c", "99999/100000"),  # one counted run of about 7 10^5
+        COUNT_LIMIT[1:],
     ]
     return [workloads.Invocation(("oracle", *argv), files) for argv in argvs]
 
@@ -223,6 +235,7 @@ def moved_checks() -> list[workloads.Invocation]:
         *(workloads.Invocation((cmd, ent[0], "--beta", "1/2"), (ent,))
           for cmd in ("entropy", "destabilize")),
         workloads.Invocation(("entropy", neg[0], "--beta", "1"), (neg,)),
+        workloads.Invocation(STEPS_LIMIT),
     ]
 
 

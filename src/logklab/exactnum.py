@@ -1,5 +1,5 @@
-"""Exact rational arithmetic, univariate polynomials, and their sums over
-0 <= j < x from integer forward differences (Newton series).
+"""Exact rational arithmetic, and polynomials held as their integer forward
+differences (Newton series), with their values and sums over 0 <= j < x.
 
 Every quantity in the package is a fractions.Fraction; floating point is
 banned from the computation path (decimals are derived for display only).
@@ -106,20 +106,20 @@ def _decimal_context(digits: int) -> Context:
 
 
 class Polynomial:
-    """Immutable exact polynomial; coefficients[i] multiplies x**i.
+    """Immutable exact polynomial; coefficients[i] multiplies x**i: the value
+    an explicit dimension model is read from (forward_differences).
 
     Trailing zero coefficients are stripped, so equal polynomials have equal
     coefficient tuples; the zero polynomial has an empty tuple.
     """
 
-    __slots__ = ("coefficients", "_integer_form")
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
         coeffs = [Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-        object.__setattr__(self, "_integer_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -135,22 +135,6 @@ class Polynomial:
             return self.coefficients[i]
         return Fraction(0)
 
-    def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(d, (d a_m, ..., d a_1, d a_0)): the least common denominator d of
-        the coefficients and the integers d a_i, highest power first, so that
-        integer Horner evaluation over them gives d p(x) at an integer x.
-
-        Built on first use and kept: a polynomial that is only evaluated at
-        Fractions never builds it.
-        """
-        form = self._integer_form
-        if form is None:
-            d = lcm(*(c.denominator for c in self.coefficients))
-            form = (d, tuple(c.numerator * (d // c.denominator)
-                             for c in reversed(self.coefficients)))
-            object.__setattr__(self, "_integer_form", form)
-        return form
-
     def __call__(self, x: Fraction | int) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
@@ -163,68 +147,23 @@ class Polynomial:
             return NotImplemented
         return self.coefficients == other.coefficients
 
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coefficients])
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if not self.coefficients:
-            return "Polynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{i}")
-        return "Polynomial(" + " + ".join(terms) + ")"
-
-
-def forward_differences(poly: Polynomial, length: int = 0) -> tuple[int, list[int]]:
-    """(d, [d D_0, d D_1, ...]): the forward differences D_i = Δ^i p(0), zero
-    past the degree and padded to `length` entries, times the d of integer_form,
-    from integer Horner over it at 0..degree. Newton's formula gives
-    p(x) = sum_i D_i C(x, i), and summation on the upper index gives
-    sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1) (newton_sums)."""
-    d, scaled = poly.integer_form()
+def forward_differences(poly: Polynomial) -> tuple[int, list[int]]:
+    """(d, [d D_0, ..., d D_m]): the forward differences D_i = Δ^i p(0) of a
+    polynomial of degree m, times the least common denominator d of its
+    coefficients, from integer Horner over the d a_i at 0..m. Newton's
+    formula gives p(x) = sum_i D_i C(x, i), and summation on the upper index
+    gives sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1) (newton_sums). The package
+    converts monomial coefficients here and nowhere else."""
+    d = lcm(*(c.denominator for c in poly.coefficients))
+    scaled = [c.numerator * (d // c.denominator) for c in reversed(poly.coefficients)]
     row = []
     for x in range(len(scaled)):
         acc = 0
         for a in scaled:
             acc = acc * x + a
         row.append(acc)
-    differences = leading_differences(row)
-    return d, differences + [0] * (length - len(differences))
+    return d, leading_differences(row)
 
 
 def leading_differences(values: list[int]) -> list[int]:

@@ -20,7 +20,7 @@ from .errors import (
     PreconditionFailedError,
     SearchExhaustedError,
 )
-from .exactnum import forward_differences, format_rational
+from .exactnum import format_rational
 from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
 
 _UNIT_DIVISOR = DivisorSpec(1)
@@ -43,16 +43,15 @@ class NormalConeCoefficients(NamedTuple):
     n: int
 
     @classmethod
-    def from_differences(cls, differences: tuple[int, list[int]], c: Fraction, n: int
+    def from_differences(cls, top: Fraction, below: Fraction, c: Fraction, n: int
                          ) -> NormalConeCoefficients:
-        """The coefficients in dimension n at c of the sums of a count polynomial H
-        of degree <= n, from exactnum.forward_differences(H, n + 1): as
-        C(x, m) = (x^m - C(m, 2) x^(m-1))/m! + ..., D_n and D_(n-1) give the top
-        two coefficients of d_k = H(k) and of G(x) = sum_i D_i C(x, i + 1), so of
+        """The coefficients in dimension n at c of the sums of a count polynomial
+        H = sum_i D_i C(x, i) of degree <= n, from its top two forward
+        differences top = D_n and below = D_(n-1): as
+        C(x, m) = (x^m - C(m, 2) x^(m-1))/m! + ..., they give the top two
+        coefficients of d_k = H(k) and of G(x) = sum_i D_i C(x, i + 1), so of
         w_k = G(k) - G((1-c)k) - c k H(k); d~_k = H(k) - H(k-1) has a0~ = n a0,
         and w~_k = -c k d~_k has b0~ = -c a0~."""
-        den, steps = differences
-        top, below = Fraction(steps[n], den), Fraction(steps[n - 1], den)
         a0, u = top / factorial(n), 1 - c
         a1 = (n * below - comb(n, 2) * top) / factorial(n)
         g1 = ((n + 1) * below - comb(n + 1, 2) * top) / factorial(n + 1)  # G's top is a0/(n+1)
@@ -194,18 +193,18 @@ class _Pair(NamedTuple):
 
 
 def _pair_of(pair: PolarisedPair) -> _Pair:
-    """The pair's constants, once a0 and a1 = (n/2) a0 (s + 1) equal the top
-    two coefficients of pair.riemann_roch() (InternalCheckError otherwise);
-    avg_scalar_sD refuses n < 2, where D is zero-dimensional."""
+    """The pair's constants, once n! a0 and n! a0 (s + n)/2, the top two forward
+    differences of the coefficients a0 and a1 = (n/2) a0 (s + 1), equal
+    pair.riemann_roch() (InternalCheckError otherwise); avg_scalar_sD refuses
+    n < 2, where D is zero-dimensional."""
     n = pair.dimension
     constants = _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1))
-    rr = pair.riemann_roch()
-    ours = (constants.a0, Fraction(n, 2) * constants.a0 * (constants.s + 1))
-    sums = (rr.coefficient(n), rr.coefficient(n - 1))
-    if ours != sums:
-        raise InternalCheckError(f"pair constants disagree with Riemann-Roch: a0, a1 = "
-                                 f"{', '.join(map(format_rational, ours))}, sums give "
-                                 f"{', '.join(map(format_rational, sums))}")
+    top = factorial(n) * constants.a0
+    ours, rr = (top, top * (constants.s + n) / 2), pair.riemann_roch()
+    if ours != rr:
+        raise InternalCheckError(f"pair constants disagree with Riemann-Roch: D_n, D_(n-1) = "
+                                 f"{', '.join(map(format_rational, ours))}, Riemann-Roch gives "
+                                 f"{', '.join(map(format_rational, rr))}")
     return constants
 
 
@@ -296,13 +295,12 @@ def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Frac
 def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
                ) -> tuple[NormalConeCoefficients, DFReport]:
     """The family's coefficients and closed-form DF report at (c, beta), once
-    they equal field by field those read off the forward differences of
+    they equal field by field those read off the forward differences
     pair.riemann_roch() and df_from_coefficients gives the same DF
     (InternalCheckError otherwise)."""
     at_c = family(pair, c)
     coeffs, report = at_c.coefficients(), at_c.df(beta)
-    summed = NormalConeCoefficients.from_differences(
-        forward_differences(pair.riemann_roch(), at_c.n + 1), at_c.c, at_c.n)
+    summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), at_c.c, at_c.n)
     if summed != coeffs:
         raise InternalCheckError(
             f"coefficient paths disagree: closed form {coeffs.as_dict()}, "
@@ -565,15 +563,23 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     return CriticalBracket(lo, hi, lo_inner=lo_inner, hi_inner=hi_inner)
 
 
+# Largest --steps of df-curve: 10^5 rows of P2-line take about 1 s per process
+# and 16 MB of CSV (2-core x86-64 VM, Python 3.11); see the README.
+CURVE_STEPS_LIMIT = 10**5
+
+
 def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[tuple]:
     """The rows of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
 
     The Fraction closed form at the first and last points is the independent
     second path: any field that differs from it raises InternalCheckError
-    before the rows are returned.
+    before the rows are returned. steps outside 1..CURVE_STEPS_LIMIT is an
+    InputError.
     """
     if steps < 1:
         raise ParameterOutOfRangeError(f"steps must be >= 1, got {steps}")
+    if steps > CURVE_STEPS_LIMIT:
+        raise ParameterOutOfRangeError(f"steps must be at most {CURVE_STEPS_LIMIT}, got {steps}")
     beta = Fraction(beta)
     constants = _pair_of(pair)
     kernel, d = constants.kernel(beta), steps + 1

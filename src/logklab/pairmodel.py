@@ -3,20 +3,20 @@
 A pair is reduced to its intersection-number shadow: the dimension n, the
 top self-intersection L^n, and c1(X).L^(n-1). Those three numbers determine
 S_1, S^D and S_beta, which every stability criterion consumes. A pair may
-also carry a dimension model h_X(k), the section counts the oracle sums.
-The forward differences of its count polynomial, and of the pair's two-term
-Riemann-Roch polynomial (exactnum.forward_differences), give those sums in
-closed form.
+also carry a dimension model h_X(k), the section counts the oracle sums,
+held as its integer forward differences at 0. Those differences, and the top
+two of the pair's two-term Riemann-Roch polynomial, give the sums in closed
+form (exactnum.newton_sums, normalcone.NormalConeCoefficients.from_differences).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import Polynomial, format_rational
+from .exactnum import Polynomial, format_rational, forward_differences, newton_sums
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData
@@ -63,12 +63,12 @@ class PolarisedPair(_PairFields):
                 )
         return pair._replace(L_top=L_top, cX_L=cX_L, proportional_x=x)
 
-    def riemann_roch(self) -> Polynomial:
-        """The two leading Riemann-Roch terms of h_X(k), as HilbertModel.invariants
-        reads them: (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1)."""
-        n = self.dimension
-        return Polynomial([*[0] * (n - 1), self.cX_L / (2 * factorial(n - 1)),
-                           self.L_top / factorial(n)])
+    def riemann_roch(self) -> tuple[Fraction, Fraction]:
+        """(D_n, D_(n-1)) = (L^n, (c1(X).L^(n-1) + (n-1) L^n)/2): the top two
+        forward differences at 0 of the two leading Riemann-Roch terms of h_X(k),
+        (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1), as
+        HilbertModel.top_differences gives them for a model."""
+        return self.L_top, (self.cX_L + (self.dimension - 1) * self.L_top) / 2
 
 
 class _DivisorFields(NamedTuple):
@@ -171,28 +171,32 @@ class HilbertModel(NamedTuple):
     h_D(j) = h_X(j) - h_X(j-1) of the restriction sequence (m = 1); the
     builtin kinds count h_D(j) on D itself (h_divisor).
 
-    Every kind is a polynomial of the given degree in k for k >= 0, so h_D
-    is one of degree one less for j >= 1; the oracle's walk relies on that.
-    The explicit-polynomial kind is evaluated on integers: Horner over the
-    polynomial's integer_form, then one division by its common denominator.
-    It carries a validity floor below which the polynomial is not trusted to
-    equal the true dimension.
+    Every kind is a polynomial in k for k >= 0, held as its forward
+    differences at 0, D_i = differences[i]/den, so that
+    h_X(k) = sum_i D_i C(k, i); its degree is one less than their number, and
+    h_D is of degree one less for j >= 1, which the oracle's walk relies on.
+    The builtin kinds' rows are binomials, and they count by comb; the
+    explicit kind converts its polynomial once (exactnum.forward_differences)
+    and counts by exactnum.newton_sums. It carries a validity floor below
+    which the polynomial is not trusted to equal the true dimension.
     """
 
     kind: str
-    n: int | None = None
-    polynomial: Polynomial | None = None
+    den: int
+    differences: tuple[int, ...]
     floor: int = 0
 
     @classmethod
     def projective_space(cls, n: int) -> HilbertModel:
+        """C(n + k, n), whose differences are C(n, i) (Vandermonde)."""
         if n < 1:
             raise InputError(f"projective space model needs n >= 1, got {n}")
-        return cls(kind=KIND_PROJECTIVE_SPACE, n=n)
+        return cls(KIND_PROJECTIVE_SPACE, 1, tuple(comb(n, i) for i in range(n + 1)))
 
     @classmethod
     def product_p1p1(cls) -> HilbertModel:
-        return cls(kind=KIND_PRODUCT_P1P1, n=2)
+        """(k + 1)^2 = 1 + 3 C(k, 1) + 2 C(k, 2)."""
+        return cls(KIND_PRODUCT_P1P1, 1, (1, 3, 2))
 
     @classmethod
     def explicit(cls, polynomial: Polynomial, floor: int) -> HilbertModel:
@@ -200,27 +204,24 @@ class HilbertModel(NamedTuple):
             raise InputError(f"validity floor must be >= 0, got {floor}")
         if floor > HILBERT_FLOOR_LIMIT:
             raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
-        return cls(kind=KIND_EXPLICIT, polynomial=polynomial, floor=floor)
+        den, differences = forward_differences(polynomial)
+        return cls(KIND_EXPLICIT, den, tuple(differences), floor)
 
-    def count_polynomial(self) -> Polynomial:
-        """h_X as a polynomial in k: h_total(k) is its value at every k >= 0."""
-        if self.kind == KIND_PROJECTIVE_SPACE:  # comb(n + k, n) = (k + 1)...(k + n)/n!
-            product = [1]
-            for i in range(1, self.n + 1):  # times (k + i), on integers
-                product = [i * a + b for a, b in zip([*product, 0], [0, *product])]
-            return Polynomial([Fraction(a, factorial(self.n)) for a in product])
-        if self.kind == KIND_PRODUCT_P1P1:
-            return Polynomial([1, 2, 1])  # (k + 1)^2
-        return self.polynomial
+    def top_differences(self) -> tuple[Fraction, Fraction]:
+        """(D_d, D_(d-1)) for d = max(degree, 1), zero past the degree: by
+        Riemann-Roch, L^n and (c1(X).L^(n-1) + (n-1) L^n)/2 with n = d, as
+        PolarisedPair.riemann_roch gives them for a pair."""
+        d = max(self.degree, 1)  # a constant model already fails on its degree
+        steps = [*self.differences, 0, 0]
+        return Fraction(steps[d], self.den), Fraction(steps[d - 1], self.den)
 
     def invariants(self) -> tuple[int, Fraction, Fraction]:
         """(n, L^n, c1(X).L^(n-1)) that the model fixes by Riemann-Roch,
         h(k) = (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1) + ..., with n
-        the degree of h in k (-1 for the zero explicit model)."""
-        poly = self.count_polynomial()
-        d = max(poly.degree, 1)  # a constant polynomial already fails on its degree
-        return (poly.degree, factorial(d) * poly.coefficient(d),
-                2 * factorial(d - 1) * poly.coefficient(d - 1))
+        the degree of h in k (-1 for the zero explicit model), read off
+        top_differences."""
+        top, below = self.top_differences()
+        return self.degree, top, 2 * below - (max(self.degree, 1) - 1) * top
 
     def check_against(self, pair: PolarisedPair) -> HilbertModel:
         """The model itself, if its invariants are the pair's; InconsistentDataError if not."""
@@ -235,7 +236,7 @@ class HilbertModel(NamedTuple):
     @property
     def degree(self) -> int:
         """Degree of h_X as a polynomial in k; -1 for the zero explicit model."""
-        return self.n if self.polynomial is None else self.polynomial.degree
+        return len(self.differences) - 1
 
     def h_total(self, k: int) -> int:
         """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""
@@ -244,18 +245,16 @@ class HilbertModel(NamedTuple):
         if k < 0:
             raise InputError(f"dimension function not defined for k = {k}")
         if self.kind == KIND_PROJECTIVE_SPACE:
-            return comb(self.n + k, self.n)
+            n = self.degree
+            return comb(n + k, n)
         if self.kind == KIND_PRODUCT_P1P1:
             return (k + 1) ** 2
-        denominator, scaled = self.polynomial.integer_form()
-        value = 0
-        for a in scaled:
-            value = value * k + a
-        count, rest = divmod(value, denominator)
+        value = newton_sums(self.differences, k)[0]
+        count, rest = divmod(value, self.den)
         if rest or count < 0:
             raise InputError(
                 "explicit model gives a non-dimension value "
-                f"{format_rational(Fraction(value, denominator))} at k = {k}"
+                f"{format_rational(Fraction(value, self.den))} at k = {k}"
             )
         return count
 
@@ -267,7 +266,8 @@ class HilbertModel(NamedTuple):
         sequence."""
         if self.kind != KIND_EXPLICIT and j >= 0:
             if self.kind == KIND_PROJECTIVE_SPACE:
-                return comb(self.n - 1 + j, self.n - 1)
+                r = self.degree - 1
+                return comb(r + j, r)
             return 2 * j + 1
         value = self.h_total(j) - self.h_total(j - 1)
         if value < 0:

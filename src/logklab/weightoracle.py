@@ -2,9 +2,10 @@
 
 Dimensions and weights are obtained by literally summing the section counts
 of the central-fibre decomposition, never through the closed forms they are
-meant to check. Every sample must equal, on integers, the sum polynomials of
-the model's count polynomial at its level (exactnum.newton_sums), and the
-coefficients read off them must agree with normalcone.coefficients exactly.
+meant to check. Every sample must equal, on integers, the sums at its level
+of the model's stored forward differences (exactnum.newton_sums), and the
+coefficients read off their top two must agree with normalcone.coefficients
+exactly.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
 (k - ck, k]. sum_samples serves every sample of one (model, c) from a single
@@ -17,11 +18,12 @@ run: when they are all >= 0 the walk jumps from range end to range end by
 summation on the upper index, so its cost does not grow with the
 denominator of c, and the run's last count is checked against a literal
 call. Any other run, and every run of another model, is counted, each
-h_D(j) read once. dims_and_weights is the literal per-sample sum, kept as
-the reference the walk is checked against: every report recomputes its
-first sample that way (InternalCheckError on any difference), and refuses
-one of more than ORACLE_LITERAL_LIMIT divisor counts (InputError) before
-any sum runs.
+h_D(j) read once, and a count of more than ORACLE_LITERAL_LIMIT values is
+refused (InputError) before it starts. dims_and_weights is the literal
+per-sample sum, kept as the reference the walk is checked against: every
+report recomputes its first sample that way (InternalCheckError on any
+difference), and refuses one of more than ORACLE_LITERAL_LIMIT divisor
+counts (InputError) before any sum runs.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .errors import (
     InternalCheckError,
     NonIntegralCKError,
 )
-from .exactnum import (
-    format_rational, forward_differences, leading_differences, newton_sums)
+from .exactnum import format_rational, leading_differences, newton_sums
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
 from .pairmodel import HilbertModel, PolarisedPair
@@ -124,16 +125,23 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
 
     The records of each maximal contiguous run of the union come from one
     jump or one count (_record_run); a valid model is counted or jumped
-    over in one pass, linear in the union at worst. A model fault, such as
-    a negative or non-integer count, sends the call to the literal path,
-    only to name the first error dims_and_weights meets. c is checked
-    once, when ks is not empty.
+    over in one pass, linear in the union at worst, and a run too long to
+    count is refused (InputError). A model fault, such as a negative or
+    non-integer count, sends the call to the literal path, only to name the
+    first error dims_and_weights meets. c is checked once, when ks is not
+    empty.
     """
     c = _require_c(c) if ks else Fraction(c)
     try:
         return _walk(model, c, ks)
+    except _CountTooLong:
+        raise  # the literal path would sum every sample, which costs more
     except InputError:
         return [dims_and_weights(model, c, k) for k in ks]
+
+
+class _CountTooLong(InputError):
+    """A run of the walk that would count more than ORACLE_LITERAL_LIMIT values."""
 
 
 def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
@@ -188,7 +196,9 @@ def _record_run(
     column per order, at O(records x degree) whatever its length, and the
     run's last count must equal a literal h_divisor call
     (InternalCheckError otherwise). Any other run, and every run of another
-    model, is counted: each h_divisor(j) past the seeds is read once.
+    model, is counted: each h_divisor(j) past the seeds is read once, and a
+    run of more than ORACLE_LITERAL_LIMIT counts is refused first
+    (_CountTooLong).
     """
     lo, ends, last = points[0] + 1, points[1:], points[-1]
     records[points[0]] = (0, 0, 0)  # a run starts at a base, never at a k: no h_D read
@@ -196,6 +206,10 @@ def _record_run(
     seeds = [h_divisor(j) for j in range(lo, min(lo + max(model.degree, 1), last + 1))]
     steps = leading_differences(seeds)
     if type(model) is not HilbertModel or lo + len(seeds) > last or min(steps) < 0:
+        if last - lo + 1 > ORACLE_LITERAL_LIMIT:
+            raise _CountTooLong(
+                f"the walk would count a run of {last - lo + 1} divisor counts from j = {lo}, "
+                f"more than the limit {ORACLE_LITERAL_LIMIT}")
         s0 = s1 = 0
         for x in ends:
             counts, seeds = seeds[:x + 1 - lo], seeds[x + 1 - lo:]
@@ -265,12 +279,11 @@ def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
     return list(range(first, first + count * c.denominator, c.denominator))
 
 
-def _check_samples(differences: tuple[int, list[int]], c: Fraction,
+def _check_samples(den: int, steps: tuple[int, ...], c: Fraction,
                    samples: list[WeightSample]) -> None:
     """InternalCheckError unless each sample's d_k, w_k, d~_k is H(k),
     G(k) - G((1-c)k) - c k H(k) and H(k) - H(k-1), by newton_sums over the
-    forward differences of H, G(x) the sum of H(j) over 0 <= j < x."""
-    den, steps = differences
+    forward differences steps/den of H, G(x) the sum of H(j) over 0 <= j < x."""
     for sample in samples:
         k, ck = sample.k, int(c * sample.k)
         h_k, g_k = newton_sums(steps, k)
@@ -288,10 +301,11 @@ def _sample_and_recover(
     model: HilbertModel, c: Fraction, n: int, listed: int = 0
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
     """The first `listed` admissible samples and the coefficients read off the
-    model's count polynomial, once every sample of one walk over the first
-    max(n + 4, listed) levels equals its sums; the first sample, the
-    cheapest, is summed again on the literal path. Its c k divisor counts
-    are held to ORACLE_LITERAL_LIMIT (InputError) before any sum runs."""
+    model's top two forward differences, once every sample of one walk over
+    the first max(n + 4, listed) levels equals its sums over the model's
+    stored row; the first sample, the cheapest, is summed again on the
+    literal path. Its c k divisor counts are held to ORACLE_LITERAL_LIMIT
+    (InputError) before any sum runs."""
     ks = _sampling_ks(model, c, max(n + 4, listed))
     counts = ks[0] // c.denominator * c.numerator
     if counts > ORACLE_LITERAL_LIMIT:
@@ -305,9 +319,9 @@ def _sample_and_recover(
             f"shared walk and literal sum disagree at k = {reference.k}: "
             f"{summed[0].as_dict()} != {reference.as_dict()}"
         )
-    differences = forward_differences(model.count_polynomial(), n + 1)
-    _check_samples(differences, c, summed)
-    return summed[:listed], NormalConeCoefficients.from_differences(differences, c, n)
+    _check_samples(model.den, model.differences, c, summed)
+    return summed[:listed], NormalConeCoefficients.from_differences(
+        *model.top_differences(), c, n)
 
 
 def recover_coefficients(
@@ -316,9 +330,9 @@ def recover_coefficients(
     """Recover a0, a1, b0, b1, a0_tilde, b0_tilde from finite-k samples.
 
     The first n+4 admissible levels are summed, and each sample must equal
-    the model's sum polynomials at its level (InternalCheckError otherwise);
-    the coefficients are then read off the count polynomial's two leading
-    forward differences. A c outside (0, 1), then a model whose Riemann-Roch
+    the sums of the model's stored forward differences at its level
+    (InternalCheckError otherwise); the coefficients are then read off the
+    two leading differences. A c outside (0, 1), then a model whose Riemann-Roch
     invariants are not the pair's (InconsistentDataError), is refused first,
     then a first level past ORACLE_LITERAL_LIMIT (InputError).
     """
@@ -340,8 +354,9 @@ def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
 # Largest k_max of the oracle listing (the CLI's --kmax); see the README for its cost.
 ORACLE_KMAX_LIMIT = 10000
 # Most divisor counts the literal reference sums at the first admissible level,
-# c k there: about 0.8 s for a builtin model and 2.3 s for an explicit one
-# (2-core x86-64 VM, Python 3.11); see the README.
+# c k there: about 0.8 s for a builtin model and 4 s for an explicit one
+# (2-core x86-64 VM, Python 3.11); see the README. The walk holds each run it
+# counts, rather than jumps over, to the same limit.
 ORACLE_LITERAL_LIMIT = 10**6
 
 
@@ -359,7 +374,8 @@ def oracle_report(
     found first, then the closed form, then the model is checked against the
     pair (InconsistentDataError), then the literal check's length is held to
     ORACLE_LITERAL_LIMIT (InputError), so a bad (pair, c) or model, or too
-    long a check, is refused before any sum runs.
+    long a check, is refused before any sum runs. A run the walk would count
+    past the same limit is refused before it is counted.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from logklab.cli import (
 )
 from logklab.errors import InputError, InternalCheckError
 from logklab.exactnum import decimal_string, format_rational, parse_rational
-from logklab.normalcone import curve, instability_threshold
+from logklab.normalcone import CURVE_STEPS_LIMIT, curve, curve_rows, instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
@@ -281,6 +282,32 @@ def test_oracle_literal_limit(capsys):
                    "c*k = 999999999 divisor counts at k = 1000000000, more than the limit 1000000\n")
 
 
+# h_X(k) = 1 + sum_{1<=j<=k} ((j - 5)^2 + 1): its divisor counts' forward
+# differences start negative, so the oracle's walk counts its runs.
+VALLEY_DOC = {"name": "P3-valley", "dimension": 3, "L_top": "2", "cX_L": "-18", "divisor": {"m": 1},
+              "hilbert": {"kind": "explicit", "coefficients": ["1", "127/6", "-9/2", "1/3"]}}
+
+
+def test_oracle_counted_run_limit(capsys, monkeypatch, tmp_path):
+    # c near 1 joins the first n + 4 block ranges (t, t q] into one run of
+    # 7 q - 1 counts from j = 2; the first sample's literal check sums q - 1.
+    import logklab.weightoracle as weightoracle
+
+    valley = write_pair(tmp_path, VALLEY_DOC)
+    code, out, _ = invoke(capsys, ["oracle", valley, "--c", "99999/100000"])
+    assert (code, json.loads(out)["match"]) == (EXIT_OK, True)
+    # Refused before the run is counted, and without the literal fallback.
+    literal, real = [], weightoracle.dims_and_weights
+    monkeypatch.setattr(weightoracle, "dims_and_weights",
+                        lambda *args: literal.append(args) or real(*args))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["oracle", valley, "--c", "999999/1000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, literal) == (EXIT_INPUT, "", [])
+    assert err == ("input error: the walk would count a run of 6999999 divisor counts "
+                   "from j = 2, more than the limit 1000000\n")
+
+
 def explicit_p2_pair(tmp_path, floor):
     """P2 with the dimension polynomial (k+1)(k+2)/2 given as an explicit model."""
     return write_pair(tmp_path, {
@@ -453,6 +480,15 @@ def test_df_curve_json(capsys):
     payload = json.loads(out)
     assert [row["c"] for row in payload] == ["1/4", "1/2", "3/4"]
     assert payload[1]["df"] == "-1/48"
+
+
+def test_df_curve_steps_limit(capsys):
+    # The rows are lazy: the limit itself is accepted before any is computed.
+    assert curve_rows(CATALOG["P2-line"].pair, Fraction(1, 2), CURVE_STEPS_LIMIT)
+    code, out, err = invoke(capsys, ["df-curve", "catalog:P2-line", "--beta", "1/2",
+                                     "--steps", str(CURVE_STEPS_LIMIT + 1)])
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: steps must be at most 100000, "
+                                                "got 100001\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from logklab.normalcone import (
     instability_threshold,
     jna_normal_cone,
 )
-from logklab.exactnum import forward_differences
+from logklab.exactnum import Polynomial, forward_differences
 from logklab.pairmodel import CATALOG, PolarisedPair
 
 from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, true_signs
@@ -482,8 +483,22 @@ def test_df_checked_raises_when_s_is_wrong(monkeypatch, capsys, p2):
 def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
     # Any sign of L^n and of s = c1(X).L^(n-1)/L^n - 1.
     pair = PolarisedPair("random", n, L_top, cX_L)
-    differences = forward_differences(pair.riemann_roch(), n + 1)
-    assert NormalConeCoefficients.from_differences(differences, c, n) == coefficients(pair, c)
+    summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), c, n)
+    assert summed == coefficients(pair, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    L_top=st.fractions(min_value=-100, max_value=100, max_denominator=1000).filter(bool),
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+)
+def test_riemann_roch_gives_the_top_two_forward_differences(n, L_top, cX_L):
+    # (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1), converted by integer Horner.
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    den, steps = forward_differences(Polynomial(
+        [*[0] * (n - 1), cX_L / (2 * factorial(n - 1)), L_top / factorial(n)]))
+    assert pair.riemann_roch() == (Fraction(steps[n], den), Fraction(steps[n - 1], den))
 
 
 # ----------------------------- integer sign kernel -----------------------------

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logklab.errors import DimensionTooSmallError, InconsistentDataError, InputError
-from logklab.exactnum import Polynomial
+from logklab.exactnum import Polynomial, format_rational, leading_differences
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
@@ -138,6 +138,33 @@ def test_explicit_model_floor_bounds(floor, message):
         HilbertModel.explicit(counts, floor)
     assert str(exc.value) == message
     assert [HilbertModel.explicit(counts, f).floor for f in (0, 10000)] == [0, 10000]
+
+
+def test_builtin_rows_are_the_forward_differences_of_their_counts():
+    # The stored row against the comb path the counts take.
+    for model in [*(HilbertModel.projective_space(n) for n in range(1, 41)),
+                  HilbertModel.product_p1p1()]:
+        values = [model.h_total(x) for x in range(model.degree + 1)]
+        assert (model.den, list(model.differences)) == (1, leading_differences(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=6), max_size=7))
+@example([1, Fraction(3, 2), Fraction(1, 2)])
+@example([3, -4, 1])  # (k - 1)(k - 3): -1 at k = 2
+def test_explicit_model_counts_are_its_polynomial(coefficients):
+    # Converted once to forward differences, counted by Newton series.
+    poly = Polynomial(coefficients)
+    model = HilbertModel.explicit(poly, 0)
+    for k in range(51):
+        value = poly(k)
+        if value.denominator == 1 and value >= 0:
+            assert model.h_total(k) == value
+            continue
+        with pytest.raises(InputError) as exc:
+            model.h_total(k)
+        assert str(exc.value) == (f"explicit model gives a non-dimension value "
+                                  f"{format_rational(value)} at k = {k}")
 
 
 def test_hilbert_model_invariants_are_checked_against_the_pair(p2, p3):

@@ -22,7 +22,7 @@ from logklab.errors import (
 )
 from logklab.cli import run
 from logklab.exactnum import (
-    Polynomial, format_rational, forward_differences, newton_sums, power_sum)
+    Polynomial, format_rational, newton_sums, power_sum)
 from logklab.normalcone import (
     coefficients, df_checked, df_closed, df_from_coefficients, jna_normal_cone)
 from logklab.pairmodel import CATALOG, PolarisedPair
@@ -148,7 +148,7 @@ class _CorruptedModel(HilbertModel):
 
 
 def test_flatness_fails_for_corrupted_divisor_model():
-    corrupted = _CorruptedModel(kind="projective_space", n=2)
+    corrupted = _CorruptedModel(*HilbertModel.projective_space(2))
     assert not flatness_check(corrupted, Fraction(1, 2), 60)
 
 
@@ -220,7 +220,7 @@ class _KinkedModel(HilbertModel):
 
 
 def test_recovery_detects_pre_asymptotic_samples(p2):
-    kinked = _KinkedModel(kind="projective_space", n=2, floor=0)
+    kinked = _KinkedModel(*HilbertModel.projective_space(2))
     with pytest.raises(InternalCheckError, match="k = 2: d_k = 7, polynomial 6"):
         recover_coefficients(kinked, Fraction(1, 2), p2)
 
@@ -233,14 +233,14 @@ class _OffByOneModel(HilbertModel):
 
 
 def test_oracle_report_checks_every_listed_sample(p2):
-    model = _OffByOneModel(kind="projective_space", n=2)
+    model = _OffByOneModel(*HilbertModel.projective_space(2))
     with pytest.raises(InternalCheckError,
                        match="disagree at k = 40: d_k = 862, polynomial 861"):
         oracle_report(p2, model, Fraction(1, 2), 60)
 
 
 def test_recovery_succeeds_above_raised_floor(p2):
-    kinked = _KinkedModel(kind="projective_space", n=2, floor=5)
+    kinked = _KinkedModel(*HilbertModel.projective_space(2)._replace(floor=5))
     rec = recover_coefficients(kinked, Fraction(1, 2), p2)
     assert rec == coefficients(p2, Fraction(1, 2))
 
@@ -304,16 +304,16 @@ def test_oracle_report_raises_when_the_closed_form_differs(monkeypatch, p2, p2_m
 
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_oracle_exits_4_when_one_forward_difference_is_perturbed(monkeypatch, capsys, i):
-    # D_0 never reaches the read-off of a0..b0~, so only the sample check can refuse it.
-    import logklab.weightoracle as weightoracle
+    # D_0 never reaches the read-off of a0..b0~, so only the sample check can
+    # refuse it. The row is perturbed past the model's check against the pair,
+    # which reads D_1 and D_2; the builtin counts do not read the row.
+    real = HilbertModel.check_against
 
-    real = weightoracle.forward_differences
+    def perturbed(model, pair):
+        steps = real(model, pair).differences
+        return model._replace(differences=tuple(step + (j == i) for j, step in enumerate(steps)))
 
-    def perturbed(poly, length=0):
-        den, steps = real(poly, length)
-        return den, [step + (j == i) for j, step in enumerate(steps)]
-
-    monkeypatch.setattr(weightoracle, "forward_differences", perturbed)
+    monkeypatch.setattr(HilbertModel, "check_against", perturbed)
     assert run(["oracle", "catalog:P2-line", "--c", "1/2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -395,7 +395,7 @@ def _recording(model):
             total_args.append(k)
             return super().h_total(k)
 
-    copy = Recording(model.kind, model.n, model.polynomial, model.floor)
+    copy = Recording(*model)
     return copy, divisor_args, total_args
 
 
@@ -450,7 +450,7 @@ def test_sum_samples_equals_literal_sums(model, q, data):
     ks = [m * c.denominator for m in multiples if m * c.denominator in admissible]
     samples = sum_samples(model, c, ks)
     assert samples == [dims_and_weights(model, c, k) for k in ks]
-    den, steps = forward_differences(model.count_polynomial())
+    den, steps = model.den, model.differences
 
     def sums(k):  # d = H(k), w = G(k) - G((1-c)k) - c k H(k), d~ = H(k) - H(k-1)
         (h, g), ck = newton_sums(steps, k), int(c * k)
@@ -461,11 +461,11 @@ def test_sum_samples_equals_literal_sums(model, q, data):
 
 
 def _binomial_basis(degree):
-    """binom(k, i) as polynomials in k, for i = 0..degree."""
-    basis, falling = [], Polynomial([1])
+    """binom(k, i) as coefficient lists in k, for i = 0..degree."""
+    basis, falling = [], [1]
     for i in range(degree + 1):
-        basis.append(falling * Fraction(1, factorial(i)))
-        falling = falling * Polynomial([-i, 1])
+        basis.append([Fraction(a, factorial(i)) for a in falling])
+        falling = [b - i * a for a, b in zip([*falling, 0], [0, *falling])]  # times (k - i)
     return basis
 
 
@@ -490,8 +490,11 @@ def test_forward_differences_equal_literal_sums(coefficients, leading, floor, q,
     # in the binomial basis. Negative ones can make it invalid, and then both
     # paths must raise the same error.
     terms = [*coefficients, leading]
-    h = sum((a * b for a, b in zip(terms, _binomial_basis(len(coefficients)))), Polynomial())
-    model = HilbertModel.explicit(h, floor=floor)
+    h = [0] * len(terms)
+    for a, binomial in zip(terms, _binomial_basis(len(coefficients))):
+        for m, b in enumerate(binomial):
+            h[m] += a * b
+    model = HilbertModel.explicit(Polynomial(h), floor=floor)
     # Small p leaves gaps between the block ranges, p near q overlaps them.
     p = data.draw(st.one_of(st.integers(min_value=1, max_value=min(3, q - 1)),
                             st.integers(min_value=max(1, q - 3), max_value=q - 1)))
@@ -592,6 +595,21 @@ def test_valley_model_reads_each_divisor_count_once(monkeypatch):
     assert literal_sums == []
     assert sorted(calls) == sorted(set().union(*(_block_range(c, k) for k in ks)))
     assert samples[::100] == [real_sum(model, c, k) for k in ks[::100]]
+
+
+def test_counted_run_limit(monkeypatch):
+    # At c = 9/10 the first seven block ranges (t, 10 t] join into one run of
+    # 69 counts from j = 2, which the walk counts.
+    import logklab.weightoracle as weightoracle
+
+    model, c = HilbertModel.explicit(DIP_COUNTS, floor=0), Fraction(9, 10)
+    ks = admissible_ks(model, c, 70)
+    monkeypatch.setattr(weightoracle, "ORACLE_LITERAL_LIMIT", 69)
+    assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
+    monkeypatch.setattr(weightoracle, "ORACLE_LITERAL_LIMIT", 68)
+    with pytest.raises(InputError, match="^the walk would count a run of 69 divisor counts "
+                                         "from j = 2, more than the limit 68$"):
+        sum_samples(model, c, ks)
 
 
 def test_admissible_ks(p2_model):
