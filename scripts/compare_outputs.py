@@ -25,9 +25,14 @@ and one of about 7 10^6, past the limit: listed in EXPECTED, earlier trees
 counted it); and `info` and
 `oracle` on pair files whose hilbert block is refused: an unknown kind, a
 projective_space block that contradicts its pair, an explicit floor of -1
-and of 10001, and a projective_space block with a floor and coefficients,
+and of 10001, a projective_space block with a floor and coefficients,
 which only an explicit block takes (listed in EXPECTED: earlier trees
-ignored both keys); and the input resolution every pair
+ignored both keys), and an explicit P2 block that is not integer-valued
+(listed in EXPECTED: earlier trees refused it only in `oracle`, where the
+literal sums met it); and on an explicit P2 block with trailing zero
+coefficients, which changes nothing; and `info` on an explicit block of
+1000 coefficients on a P2 pair (listed in EXPECTED: earlier trees
+converted it before refusing its degree); and the input resolution every pair
 subcommand shares: an m = 2 pair file on the five commands that need D in
 |L|, a bad --m with a lambda above Lambda on the four positivity commands,
 and a pair file whose nef bounds miss S_1/n on those four and destabilize;
@@ -96,6 +101,12 @@ P2_DOC = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"
 BUILTIN_WITH_FLOOR = workloads._file("pair", dict(P2_DOC, hilbert={
     "kind": "projective_space", "floor": 5000, "coefficients": ["9", "9"]}))
 
+# (k + 1)(k + 2)/2 + 1/2, which is no count at any k, and a degree of 999 on P2.
+NON_INTEGER = workloads._file("pair", dict(P2_DOC, hilbert={
+    "kind": "explicit", "coefficients": ["3/2", "3/2", "1/2"]}))
+LONG_BLOCK = workloads._file("pair", dict(P2_DOC, hilbert={
+    "kind": "explicit", "coefficients": ["1/7"] * 1000}))
+
 # 1 + the sum of (j - 5)^2 + 1 over 1 <= j <= k: every h_D(j) > 0, but its
 # forward differences at j < 5 are not all >= 0, so the oracle's walk counts.
 P3_VALLEY = workloads._file("pair", {
@@ -114,6 +125,11 @@ EXPECTED = {
     ("oracle", BUILTIN_WITH_FLOOR[0], "--c", "1/2"): (0, 3),
     COUNT_LIMIT: (0, 3),  # the walk's counted run is held to ORACLE_LITERAL_LIMIT
     STEPS_LIMIT: (0, 3),  # --steps is held to CURVE_STEPS_LIMIT
+    # An explicit model is checked integer-valued when it is loaded, and its
+    # degree before it is converted.
+    ("info", NON_INTEGER[0]): (0, 3),
+    ("oracle", NON_INTEGER[0], "--c", "1/2"): (3, 3),
+    ("info", LONG_BLOCK[0]): (3, 3),
 }
 
 
@@ -163,7 +179,8 @@ def oracle_edges() -> list[workloads.Invocation]:
 
 
 def hilbert_errors() -> list[workloads.Invocation]:
-    """info and oracle on each pair file whose hilbert block the loader refuses."""
+    """info and oracle on each pair file whose hilbert block the loader
+    refuses, and on an explicit block with trailing zeros; info on LONG_BLOCK."""
     explicit = {"kind": "explicit", "coefficients": ["1", "3/2", "1/2"]}
     files = [
         workloads._file("pair", dict(P2_DOC, hilbert={"kind": "grassmannian"})),
@@ -171,9 +188,13 @@ def hilbert_errors() -> list[workloads.Invocation]:
         workloads._file("pair", dict(P2_DOC, hilbert=dict(explicit, floor=-1))),
         workloads._file("pair", dict(P2_DOC, hilbert=dict(explicit, floor=10001))),
         BUILTIN_WITH_FLOOR,
+        NON_INTEGER,
+        workloads._file("pair", dict(P2_DOC, hilbert=dict(
+            explicit, coefficients=["1", "3/2", "1/2", "0", "0"]))),
     ]
-    return [workloads.Invocation(argv, (f,)) for f in files
-            for argv in (("info", f[0]), ("oracle", f[0], "--c", "1/2"))]
+    return [*(workloads.Invocation(argv, (f,)) for f in files
+              for argv in (("info", f[0]), ("oracle", f[0], "--c", "1/2"))),
+            workloads.Invocation(("info", LONG_BLOCK[0]), (LONG_BLOCK,))]
 
 
 def resolution_edges() -> list[workloads.Invocation]:

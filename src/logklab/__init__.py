@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # Each exported name, under the module that defines it.
 _EXPORTS = {
     "exactnum": (
-        "Polynomial", "decimal_string", "format_rational", "parse_rational", "power_sum",
+        "decimal_string", "format_rational", "parse_rational", "power_sum",
     ),
     "pairmodel": (
         "CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import pairmodel
 from .errors import InputError, InternalCheckError, LogKLabError, PreconditionFailedError
-from .exactnum import Polynomial, decimal_string, format_rational, parse_rational, ratio_texts
+from .exactnum import decimal_string, format_rational, parse_rational, ratio_texts
 from .pairmodel import (
     KIND_EXPLICIT,
     KIND_PRODUCT_P1P1,
@@ -108,8 +108,14 @@ def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
     elif kind == KIND_EXPLICIT:
         if not isinstance(block.get("coefficients"), list):
             raise InputError("explicit hilbert block needs a 'coefficients' list")
-        poly = Polynomial(_input_rational(c) for c in block["coefficients"])
-        model = HilbertModel.explicit(poly, _input_int(block.get("floor", 0), "hilbert 'floor'"))
+        coefficients = [_input_rational(c) for c in block["coefficients"]]
+        floor = _input_int(block.get("floor", 0), "hilbert 'floor'")
+        # Refused before the conversion, whose work grows faster than the square of the degree.
+        degree = max((i for i, a in enumerate(coefficients) if a), default=-1)
+        if degree > pair.dimension:
+            raise InputError(f"explicit hilbert block has degree {degree}, "
+                             f"more than the pair's dimension {pair.dimension}")
+        model = HilbertModel.explicit(coefficients, floor)
     else:
         raise InputError(
             f"unknown hilbert kind {kind!r}; expected one of "

@@ -11,7 +11,7 @@ import re
 from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import InputError
@@ -105,58 +105,16 @@ def _decimal_context(digits: int) -> Context:
     return Context(prec=digits)
 
 
-class Polynomial:
-    """Immutable exact polynomial; coefficients[i] multiplies x**i: the value
-    an explicit dimension model is read from (forward_differences).
-
-    Trailing zero coefficients are stripped, so equal polynomials have equal
-    coefficient tuples; the zero polynomial has an empty tuple.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Highest nonzero index; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def coefficient(self, i: int) -> Fraction:
-        """Coefficient of x**i (zero beyond the degree)."""
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return Fraction(0)
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-
-def forward_differences(poly: Polynomial) -> tuple[int, list[int]]:
-    """(d, [d D_0, ..., d D_m]): the forward differences D_i = Δ^i p(0) of a
-    polynomial of degree m, times the least common denominator d of its
-    coefficients, from integer Horner over the d a_i at 0..m. Newton's
-    formula gives p(x) = sum_i D_i C(x, i), and summation on the upper index
-    gives sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1) (newton_sums). The package
-    converts monomial coefficients here and nowhere else."""
-    d = lcm(*(c.denominator for c in poly.coefficients))
-    scaled = [c.numerator * (d // c.denominator) for c in reversed(poly.coefficients)]
+def forward_differences(coefficients: list[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, [d D_0, ..., d D_m]): the forward differences D_i = Δ^i p(0) of the
+    polynomial p(x) = sum_i coefficients[i] x**i, times the least common
+    denominator d of its coefficients, from integer Horner over the d a_i at
+    0..m. Newton's formula gives p(x) = sum_i D_i C(x, i), and summation on
+    the upper index gives sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1)
+    (newton_sums). The D_i are all integers exactly when p is integer-valued
+    (Polya). The package converts monomial coefficients here and nowhere else."""
+    d = lcm(*(c.denominator for c in coefficients))
+    scaled = [c.numerator * (d // c.denominator) for c in reversed(coefficients)]
     row = []
     for x in range(len(scaled)):
         acc = 0
@@ -194,5 +152,5 @@ def power_sum(p: int, n_upper: int) -> Fraction:
         raise InputError("upper limit must be nonnegative")
     if p < 0:
         raise InputError("power must be nonnegative")
-    _, differences = forward_differences(Polynomial([comb(p, i) for i in range(p + 1)]))
+    differences = leading_differences([(j + 1)**p for j in range(p + 1)])
     return Fraction(newton_sums(differences, n_upper)[1])

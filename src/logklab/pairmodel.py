@@ -4,7 +4,8 @@ A pair is reduced to its intersection-number shadow: the dimension n, the
 top self-intersection L^n, and c1(X).L^(n-1). Those three numbers determine
 S_1, S^D and S_beta, which every stability criterion consumes. A pair may
 also carry a dimension model h_X(k), the section counts the oracle sums,
-held as its integer forward differences at 0. Those differences, and the top
+held as its integer forward differences at 0, which an explicit model's
+coefficients must give when it is built. Those differences, and the top
 two of the pair's two-term Riemann-Roch polynomial, give the sums in closed
 form (exactnum.newton_sums, normalcone.NormalConeCoefficients.from_differences).
 """
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import Polynomial, format_rational, forward_differences, newton_sums
+from .exactnum import format_rational, forward_differences, newton_sums
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData
@@ -171,18 +172,18 @@ class HilbertModel(NamedTuple):
     h_D(j) = h_X(j) - h_X(j-1) of the restriction sequence (m = 1); the
     builtin kinds count h_D(j) on D itself (h_divisor).
 
-    Every kind is a polynomial in k for k >= 0, held as its forward
-    differences at 0, D_i = differences[i]/den, so that
+    Every kind is an integer-valued polynomial in k for k >= 0, held as its
+    integer forward differences at 0, D_i = differences[i], so that
     h_X(k) = sum_i D_i C(k, i); its degree is one less than their number, and
     h_D is of degree one less for j >= 1, which the oracle's walk relies on.
     The builtin kinds' rows are binomials, and they count by comb; the
-    explicit kind converts its polynomial once (exactnum.forward_differences)
-    and counts by exactnum.newton_sums. It carries a validity floor below
-    which the polynomial is not trusted to equal the true dimension.
+    explicit kind converts its coefficients once (exactnum.forward_differences),
+    refusing them unless every D_i is an integer, and counts by
+    exactnum.newton_sums. It carries a validity floor below which the
+    polynomial is not trusted to equal the true dimension.
     """
 
     kind: str
-    den: int
     differences: tuple[int, ...]
     floor: int = 0
 
@@ -191,21 +192,32 @@ class HilbertModel(NamedTuple):
         """C(n + k, n), whose differences are C(n, i) (Vandermonde)."""
         if n < 1:
             raise InputError(f"projective space model needs n >= 1, got {n}")
-        return cls(KIND_PROJECTIVE_SPACE, 1, tuple(comb(n, i) for i in range(n + 1)))
+        return cls(KIND_PROJECTIVE_SPACE, tuple(comb(n, i) for i in range(n + 1)))
 
     @classmethod
     def product_p1p1(cls) -> HilbertModel:
         """(k + 1)^2 = 1 + 3 C(k, 1) + 2 C(k, 2)."""
-        return cls(KIND_PRODUCT_P1P1, 1, (1, 3, 2))
+        return cls(KIND_PRODUCT_P1P1, (1, 3, 2))
 
     @classmethod
-    def explicit(cls, polynomial: Polynomial, floor: int) -> HilbertModel:
+    def explicit(cls, coefficients: Sequence[Fraction | int], floor: int) -> HilbertModel:
+        """sum_i coefficients[i] k**i, trailing zeros ignored. An InputError
+        names its least non-integer value at k = floor..floor + degree, if
+        any: integers there make it integer-valued, its D_i integers."""
         if floor < 0:
             raise InputError(f"validity floor must be >= 0, got {floor}")
         if floor > HILBERT_FLOOR_LIMIT:
             raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
-        den, differences = forward_differences(polynomial)
-        return cls(KIND_EXPLICIT, den, tuple(differences), floor)
+        coefficients = list(coefficients)
+        while coefficients and coefficients[-1] == 0:
+            coefficients.pop()
+        den, row = forward_differences(coefficients)
+        for k in range(floor, floor + len(row)):
+            value = newton_sums(row, k)[0]
+            if value % den:
+                raise InputError("explicit model gives a non-dimension value "
+                                 f"{format_rational(Fraction(value, den))} at k = {k}")
+        return cls(KIND_EXPLICIT, tuple(d // den for d in row), floor)
 
     def top_differences(self) -> tuple[Fraction, Fraction]:
         """(D_d, D_(d-1)) for d = max(degree, 1), zero past the degree: by
@@ -213,7 +225,7 @@ class HilbertModel(NamedTuple):
         PolarisedPair.riemann_roch gives them for a pair."""
         d = max(self.degree, 1)  # a constant model already fails on its degree
         steps = [*self.differences, 0, 0]
-        return Fraction(steps[d], self.den), Fraction(steps[d - 1], self.den)
+        return Fraction(steps[d]), Fraction(steps[d - 1])
 
     def invariants(self) -> tuple[int, Fraction, Fraction]:
         """(n, L^n, c1(X).L^(n-1)) that the model fixes by Riemann-Roch,
@@ -249,13 +261,10 @@ class HilbertModel(NamedTuple):
             return comb(n + k, n)
         if self.kind == KIND_PRODUCT_P1P1:
             return (k + 1) ** 2
-        value = newton_sums(self.differences, k)[0]
-        count, rest = divmod(value, self.den)
-        if rest or count < 0:
-            raise InputError(
-                "explicit model gives a non-dimension value "
-                f"{format_rational(Fraction(value, self.den))} at k = {k}"
-            )
+        count = newton_sums(self.differences, k)[0]
+        if count < 0:
+            raise InputError("explicit model gives a non-dimension value "
+                             f"{format_rational(count)} at k = {k}")
         return count
 
     def h_divisor(self, j: int) -> int:

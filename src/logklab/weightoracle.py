@@ -2,8 +2,8 @@
 
 Dimensions and weights are obtained by literally summing the section counts
 of the central-fibre decomposition, never through the closed forms they are
-meant to check. Every sample must equal, on integers, the sums at its level
-of the model's stored forward differences (exactnum.newton_sums), and the
+meant to check. Every sample must equal the sums at its level of the
+model's stored integer forward differences (exactnum.newton_sums), and the
 coefficients read off their top two must agree with normalcone.coefficients
 exactly.
 
@@ -126,9 +126,9 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
     The records of each maximal contiguous run of the union come from one
     jump or one count (_record_run); a valid model is counted or jumped
     over in one pass, linear in the union at worst, and a run too long to
-    count is refused (InputError). A model fault, such as a negative or
-    non-integer count, sends the call to the literal path, only to name the
-    first error dims_and_weights meets. c is checked once, when ks is not
+    count is refused (InputError). A model fault, a negative count,
+    sends the call to the literal path, only to name the first error
+    dims_and_weights meets. c is checked once, when ks is not
     empty.
     """
     c = _require_c(c) if ks else Fraction(c)
@@ -279,22 +279,21 @@ def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
     return list(range(first, first + count * c.denominator, c.denominator))
 
 
-def _check_samples(den: int, steps: tuple[int, ...], c: Fraction,
-                   samples: list[WeightSample]) -> None:
+def _check_samples(steps: tuple[int, ...], c: Fraction, samples: list[WeightSample]) -> None:
     """InternalCheckError unless each sample's d_k, w_k, d~_k is H(k),
     G(k) - G((1-c)k) - c k H(k) and H(k) - H(k-1), by newton_sums over the
-    forward differences steps/den of H, G(x) the sum of H(j) over 0 <= j < x."""
+    integer forward differences steps of H, G(x) the sum of H(j) over 0 <= j < x."""
     for sample in samples:
         k, ck = sample.k, int(c * sample.k)
         h_k, g_k = newton_sums(steps, k)
-        for name, value, scaled in (
+        for name, value, summed in (
                 ("d_k", sample.d_k, h_k),
                 ("w_k", sample.w_k, g_k - newton_sums(steps, k - ck)[1] - ck * h_k),
                 ("d_tilde_k", sample.d_tilde_k, h_k - newton_sums(steps, k - 1)[0])):
-            if den * value != scaled:
+            if value != summed:
                 raise InternalCheckError(
                     f"walked sample and sum polynomial disagree at k = {k}: {name} = "
-                    f"{format_rational(value)}, polynomial {format_rational(Fraction(scaled, den))}")
+                    f"{format_rational(value)}, polynomial {format_rational(summed)}")
 
 
 def _sample_and_recover(
@@ -319,7 +318,7 @@ def _sample_and_recover(
             f"shared walk and literal sum disagree at k = {reference.k}: "
             f"{summed[0].as_dict()} != {reference.as_dict()}"
         )
-    _check_samples(model.den, model.differences, c, summed)
+    _check_samples(model.differences, c, summed)
     return summed[:listed], NormalConeCoefficients.from_differences(
         *model.top_differences(), c, n)
 

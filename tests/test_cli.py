@@ -219,7 +219,7 @@ def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("n, coefficients, c, message", [
-    (2, ["1/2", "3/2", "1/2"], "1/2", "explicit model gives a non-dimension value 5/2 at k = 1"),
+    (2, ["1/2", "3/2", "1/2"], "1/2", "explicit model gives a non-dimension value 1/2 at k = 0"),
     (2, ["-20", "3/2", "1/2"], "1/3", "explicit model gives a non-dimension value -15 at k = 2"),
     (3, ["20", "-61/6", "1", "1/6"], "2/3", "divisor dimension negative at j = 3; model invalid"),
     # h_D(j) < 0 for j = 14..22 only: the walk's seeds at j = 2..5 are valid,
@@ -228,8 +228,9 @@ def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
      "divisor dimension negative at j = 14; model invalid"),
 ], ids=["non-integer", "negative", "negative-divisor-count", "negative-past-the-seeds"])
 def test_oracle_bad_explicit_model_exits_3(capsys, tmp_path, n, coefficients, c, message):
-    # Each model is wrong at several arguments; the message names the one
-    # the literal per-sample sums meet first.
+    # Each model is wrong at several arguments. A non-integer value is refused
+    # when the file is loaded, at the least k; any other fault is named where
+    # the literal per-sample sums meet it first.
     doc = {"name": "bad", "dimension": n, "L_top": "1", "cX_L": str(n + 1), "divisor": {"m": 1},
            "hilbert": {"kind": "explicit", "coefficients": coefficients}}
     code, out, err = invoke(capsys, ["oracle", write_pair(tmp_path, doc), "--c", c])
@@ -670,17 +671,53 @@ def test_readme_lists_every_positivity_key_and_flag():
     assert rows in readme
 
 
-@pytest.mark.parametrize("hilbert", [
-    {"kind": "product_p1p1"},
-    {"kind": "explicit", "coefficients": ["1", "3/2", "1"]},
-], ids=["builtin-kind", "explicit-leading-coefficient"])
-def test_hilbert_block_contradicting_pair_exits_3(capsys, tmp_path, hilbert):
+@pytest.mark.parametrize("hilbert, message", [
+    ({"kind": "product_p1p1"}, "Riemann-Roch"),
+    ({"kind": "explicit", "coefficients": ["1", "2", "1"]}, "Riemann-Roch"),
+    # Not integer-valued, which is refused first.
+    ({"kind": "explicit", "coefficients": ["1", "3/2", "1"]},
+     "explicit model gives a non-dimension value 7/2 at k = 1"),
+], ids=["builtin-kind", "explicit-leading-coefficient", "explicit-non-integer"])
+def test_hilbert_block_contradicting_pair_exits_3(capsys, tmp_path, hilbert, message):
     doc = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1},
            "hilbert": hilbert}
     code, out, err = invoke(capsys, ["oracle", write_pair(tmp_path, doc), "--c", "1/2"])
     assert code == EXIT_INPUT
     assert out == ""
-    assert "Riemann-Roch" in err
+    assert message in err
+
+
+P2_EXPLICIT = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1}}
+
+
+def test_info_refuses_a_non_integer_valued_model(capsys, tmp_path):
+    # (k + 1)(k + 2)/2 + 1/2: the pair's invariants, but not a count at any k.
+    doc = dict(P2_EXPLICIT, hilbert={"kind": "explicit", "coefficients": ["3/2", "3/2", "1/2"]})
+    code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
+    assert (code, out, err) == (
+        EXIT_INPUT, "", "input error: explicit model gives a non-dimension value 3/2 at k = 0\n")
+
+
+def test_trailing_zero_coefficients_change_nothing(capsys, tmp_path):
+    outputs = []
+    for tail in ([], ["0"], ["0", "0/7", "-0"]):
+        doc = dict(P2_EXPLICIT, hilbert={
+            "kind": "explicit", "coefficients": ["1", "3/2", "1/2", *tail], "floor": 2})
+        path = write_pair(tmp_path, doc)
+        outputs.append((load_pair_file(path).model,
+                        *(invoke(capsys, argv) for argv in (
+                            ["info", path], ["oracle", path, "--c", "2/3", "--kmax", "30"]))))
+    assert outputs[0][1][0] == outputs[0][2][0] == EXIT_OK
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_explicit_degree_past_the_dimension_exits_3(capsys, tmp_path):
+    # Refused before the coefficients are converted, however many there are.
+    doc = dict(P2_EXPLICIT, hilbert={"kind": "explicit", "coefficients": ["1/7"] * 5000})
+    code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
+    assert (code, out, err) == (
+        EXIT_INPUT, "",
+        "input error: explicit hilbert block has degree 4999, more than the pair's dimension 2\n")
 
 
 def test_criteria_rejects_unknown_keys(capsys, tmp_path):

@@ -30,7 +30,7 @@ from logklab.normalcone import (
     instability_threshold,
     jna_normal_cone,
 )
-from logklab.exactnum import Polynomial, forward_differences
+from logklab.exactnum import forward_differences
 from logklab.pairmodel import CATALOG, PolarisedPair
 
 from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, true_signs
@@ -496,8 +496,8 @@ def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
 def test_riemann_roch_gives_the_top_two_forward_differences(n, L_top, cX_L):
     # (L^n/n!) k^n + (c1(X).L^(n-1)/(2(n-1)!)) k^(n-1), converted by integer Horner.
     pair = PolarisedPair("random", n, L_top, cX_L)
-    den, steps = forward_differences(Polynomial(
-        [*[0] * (n - 1), cX_L / (2 * factorial(n - 1)), L_top / factorial(n)]))
+    den, steps = forward_differences(
+        [*[0] * (n - 1), cX_L / (2 * factorial(n - 1)), L_top / factorial(n)])
     assert pair.riemann_roch() == (Fraction(steps[n], den), Fraction(steps[n - 1], den))
 
 

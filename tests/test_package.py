@@ -15,8 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Every name the package exports, under the module that defines it.
 EXPORTS = {
-    "exactnum": ["Polynomial", "decimal_string", "format_rational", "parse_rational",
-                 "power_sum"],
+    "exactnum": ["decimal_string", "format_rational", "parse_rational", "power_sum"],
     "pairmodel": ["CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
                   "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
     "normalcone": ["CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients",

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logklab.errors import DimensionTooSmallError, InconsistentDataError, InputError
-from logklab.exactnum import Polynomial, format_rational, leading_differences
+from logklab.exactnum import format_rational, leading_differences
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
@@ -133,7 +134,7 @@ def test_fano_template_shape(fano):
 ])
 def test_explicit_model_floor_bounds(floor, message):
     # Both bounds hold for library callers as for pair files.
-    counts = Polynomial([1, Fraction(3, 2), Fraction(1, 2)])
+    counts = [1, Fraction(3, 2), Fraction(1, 2)]
     with pytest.raises(InputError) as exc:
         HilbertModel.explicit(counts, floor)
     assert str(exc.value) == message
@@ -145,31 +146,65 @@ def test_builtin_rows_are_the_forward_differences_of_their_counts():
     for model in [*(HilbertModel.projective_space(n) for n in range(1, 41)),
                   HilbertModel.product_p1p1()]:
         values = [model.h_total(x) for x in range(model.degree + 1)]
-        assert (model.den, list(model.differences)) == (1, leading_differences(values))
+        assert list(model.differences) == leading_differences(values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=6), max_size=7))
-@example([1, Fraction(3, 2), Fraction(1, 2)])
-@example([3, -4, 1])  # (k - 1)(k - 3): -1 at k = 2
-def test_explicit_model_counts_are_its_polynomial(coefficients):
-    # Converted once to forward differences, counted by Newton series.
-    poly = Polynomial(coefficients)
-    model = HilbertModel.explicit(poly, 0)
-    for k in range(51):
-        value = poly(k)
-        if value.denominator == 1 and value >= 0:
+def _value(coefficients, k):
+    """sum_i coefficients[i] k**i, by Fraction Horner."""
+    acc = Fraction(0)
+    for a in reversed(coefficients):
+        acc = acc * k + a
+    return acc
+
+
+def _non_dimension(value, k):
+    return f"explicit model gives a non-dimension value {format_rational(value)} at k = {k}"
+
+
+def _monomial(steps):
+    """The coefficients in k of sum_i steps[i] C(k, i), an integer-valued polynomial."""
+    coefficients, falling = [Fraction(0)] * len(steps), [1]
+    for i, step in enumerate(steps):
+        for m, a in enumerate(falling):
+            coefficients[m] += Fraction(step * a, factorial(i))
+        falling = [b - i * a for a, b in zip([*falling, 0], [0, *falling])]  # times (k - i)
+    return coefficients
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+           st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=6), max_size=7),
+           st.lists(st.integers(min_value=-50, max_value=50), max_size=7).map(_monomial)),
+       st.integers(min_value=0, max_value=5))
+@example([1, Fraction(3, 2), Fraction(1, 2)], 0)
+@example([3, -4, 1], 0)  # (k - 1)(k - 3): -1 at k = 2
+@example([Fraction(1, 2), Fraction(1, 2)], 1)  # (k + 1)/2: 3/2 at k = 2, not at k = 1
+@example([0, Fraction(1, 2), Fraction(1, 2), 0, 0], 3)  # C(k + 1, 2), trailing zeros
+def test_explicit_model_is_refused_unless_integer_valued(coefficients, floor):
+    # Integer values at floor..floor + degree are checked once, when the model
+    # is built; then every count is the polynomial's value, or negative.
+    degree = max((i for i, a in enumerate(coefficients) if a), default=-1)
+    values = {k: _value(coefficients, k) for k in range(floor, 51)}
+    fractional = [k for k in range(floor, floor + degree + 1) if values[k].denominator != 1]
+    if fractional:
+        with pytest.raises(InputError) as exc:
+            HilbertModel.explicit(coefficients, floor)
+        assert str(exc.value) == _non_dimension(values[fractional[0]], fractional[0])
+        return
+    model = HilbertModel.explicit(coefficients, floor)
+    assert model.degree == degree
+    for k, value in values.items():
+        if value >= 0:
             assert model.h_total(k) == value
             continue
         with pytest.raises(InputError) as exc:
             model.h_total(k)
-        assert str(exc.value) == (f"explicit model gives a non-dimension value "
-                                  f"{format_rational(value)} at k = {k}")
+        assert str(exc.value) == _non_dimension(value, k)
 
 
 def test_hilbert_model_invariants_are_checked_against_the_pair(p2, p3):
     # Riemann-Roch: (n, L^n, c1(X).L^(n-1)) from the top two coefficients.
-    p3_counts = Polynomial([1, Fraction(11, 6), 1, Fraction(1, 6)])  # binom(k+3, 3)
+    p3_counts = [1, Fraction(11, 6), 1, Fraction(1, 6)]  # binom(k+3, 3)
     assert HilbertModel.explicit(p3_counts, 0).invariants() == (3, 1, 4)
     assert HilbertModel.product_p1p1().invariants() == (2, 2, 4)
     model = HilbertModel.projective_space(2)
