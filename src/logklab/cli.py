@@ -22,13 +22,12 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import pairmodel
 from .errors import InputError, InternalCheckError, LogKLabError, PreconditionFailedError
-from .exactnum import decimal_string, format_rational, parse_rational, ratio_texts
+from .exactnum import decimal_string, format_rational, lowest_terms, parse_rational, ratio_texts
 from .pairmodel import (
     KIND_EXPLICIT,
     KIND_PRODUCT_P1P1,
@@ -53,8 +52,6 @@ EXIT_IOERR = 74  # EX_IOERR of sysexits.h: stdout could not be written
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe ended
 
 CATALOG_PREFIX = "catalog:"
-# Rows of df-curve per write call.
-_CURVE_BATCH = 256
 
 
 class _UsageError(Exception):
@@ -339,7 +336,7 @@ def _cmd_df(ns) -> tuple[int, Iterable[str]]:
 def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
-    columns = ("c", "df", "inner_factor", "jna")
+    columns = normalcone.GRID_FIELDS[:4]  # the prefactor, last, is not printed
     if ns.format == "csv":
         # No field needs CSV quoting: rationals and decimals hold no comma,
         # quote or newline.
@@ -350,17 +347,33 @@ def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
         # value is [-0-9/] text, so nothing needs escaping.
         head, between, tail, digits = "[\n  ", ",\n  ", "\n]\n", 0
         row = "{\n%s\n  }" % ",\n".join(f'    "{name}": "%s"' for name in columns)
-    rows = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
-    texts = (row % tuple(ratio_texts((c, df, inner, jna), digits))
-             for c, df, inner, _, jna in rows)
+    # The same row with %d/%d for each rational, so one % per row formats the
+    # lowest terms. A batch with an integer field, which prints bare, or an
+    # integer past the int->str digit limit takes ratio_texts instead.
+    terms_row = row.replace("%s", "%d/%d", len(columns))
+    batches = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
+
+    def rows(nums: list[int], dens: list[int]) -> list[str]:
+        k = len(nums) // len(normalcone.GRID_FIELDS)
+        fields = range(0, len(columns) * k, k)
+        nums, dens, decimals = lowest_terms(nums[:fields.stop], dens[:fields.stop], digits)
+        decimals = [decimals[i:i + k] for i in fields] if digits else []
+        if 1 not in dens:
+            terms = [seq[i:i + k] for i in fields for seq in (nums, dens)]
+            try:
+                return list(map(terms_row.__mod__, zip(*terms, *decimals)))
+            except ValueError:  # the digit limit
+                pass
+        texts = ratio_texts(nums, dens)
+        return list(map(row.__mod__, zip(*(texts[i:i + k] for i in fields), *decimals)))
 
     # One piece, so one write, per batch of rows, not per row: with
     # PYTHONUNBUFFERED set, each write is a system call. Memory stays
     # bounded by the batch.
     def pieces():
         lead = head
-        while batch := list(islice(texts, _CURVE_BATCH)):
-            yield lead + between.join(batch)
+        for nums, dens in batches:
+            yield lead + between.join(rows(nums, dens))
             lead = between
         yield tail
 

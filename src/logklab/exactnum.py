@@ -12,7 +12,7 @@ from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable
+from operator import floordiv
 
 from .errors import InputError
 
@@ -69,26 +69,31 @@ def format_rational(value: Fraction | int) -> str:
     Equal to str() of the Fraction, also past the interpreter's int<->str
     digit limit.
     """
-    return ratio_texts([(value.numerator, value.denominator)])[0]
+    return ratio_texts([value.numerator], [value.denominator])[0]
 
 
-def ratio_texts(pairs: Iterable[tuple[int, int]], digits: int = 0) -> list[str]:
-    """The exact text of each num/den of pairs (den > 0) reduced by gcd, then,
-    if digits > 0, the decimal of each: format_rational and decimal_string of
-    Fraction(num, den), also past the int->str digit limit, without the Fraction.
-    """
-    divide = _decimal_context(digits).divide if digits > 0 else None
-    texts, decimals = [], []
-    for num, den in pairs:
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        try:
-            texts.append(str(num) if den == 1 else f"{num}/{den}")
-        except ValueError:
-            texts.append(_int_to_str(num) + ("" if den == 1 else f"/{_int_to_str(den)}"))
-        if divide is not None:
-            decimals.append(str(divide(num, den)))
-    return texts + decimals
+def lowest_terms(nums: list[int], dens: list[int], digits: int = 0
+                 ) -> tuple[list[int], list[int], list[str]]:
+    """The terms of each nums[i]/dens[i] (dens[i] > 0) divided by their gcd,
+    and, if digits > 0, the text of each decimal_string(Fraction(nums[i],
+    dens[i]), digits), with no Fraction: gcd, the divisions and
+    Context.divide each run once over the lists."""
+    gcds = list(map(gcd, nums, dens))
+    nums, dens = list(map(floordiv, nums, gcds)), list(map(floordiv, dens, gcds))
+    if digits <= 0:
+        return nums, dens, []
+    return nums, dens, list(map(str, map(_decimal_context(digits).divide, nums, dens)))
+
+
+def ratio_texts(nums: list[int], dens: list[int]) -> list[str]:
+    """format_rational(Fraction(nums[i], dens[i])) for each i (dens[i] > 0),
+    from lowest_terms, also past the int->str digit limit."""
+    nums, dens, _ = lowest_terms(nums, dens)
+    try:
+        return [str(num) if den == 1 else "%d/%d" % (num, den) for num, den in zip(nums, dens)]
+    except ValueError:  # the digit limit
+        return [_int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
+                for num, den in zip(nums, dens)]
 
 
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:
@@ -144,6 +149,23 @@ def newton_sums(differences: list[int], x: int) -> tuple[int, int]:
         binomial = binomial * (x - i) // (i + 1)  # exact: it is C(x, i + 1)
         total += step * binomial
     return value, total
+
+
+def newton_values(differences: list[int], x: int) -> tuple[int, int, int]:
+    """(sum_i D_i C(x, i), sum_i D_i C(x - 1, i), sum_i D_i C(x, i + 1)) at an
+    integer x for differences D: the values at x and at x - 1 and the sum over
+    0 <= j < x, as newton_sums gives them, in one pass over the C(x - 1, i),
+    by C(x, i) = C(x - 1, i) + C(x - 1, i - 1)."""
+    y = x - 1
+    below = rise = ahead = 0
+    previous, binomial = 0, 1  # C(y, i - 1), C(y, i)
+    for i, step in enumerate(differences):
+        following = binomial * (y - i) // (i + 1)  # exact: it is C(y, i + 1)
+        below += step * binomial
+        rise += step * previous
+        ahead += step * following
+        previous, binomial = binomial, following
+    return below + rise, below, below + ahead
 
 
 def power_sum(p: int, n_upper: int) -> Fraction:

@@ -10,8 +10,9 @@ D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InternalCheckError,
@@ -231,7 +232,7 @@ class _Kernel(NamedTuple):
         DF           = a0 V / (den (n+1) d^(n+1))
         J^NA         = ((n+1) a d^n - (d^(n+1) - b^(n+1))) / ((n+1) d^(n+1)).
 
-    grid yields these as unreduced integer pairs; df-curve prints no Fraction.
+    grid yields these as unreduced integers; df-curve prints no Fraction.
     """
 
     n: int
@@ -249,29 +250,37 @@ class _Kernel(NamedTuple):
         v = self.value(a, d, (d - a) ** self.n, d ** (self.n + 1))
         return (v > 0) - (v < 0)
 
-    def grid(self, d: int, a_values: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        """At c = a/d for each a of a_values (0 < a < d), lazily: the unreduced
-        (num, den) integer pairs of c, DF, the inner factor, the prefactor and J^NA.
+    def grid(self, d: int, a_values: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
+        """At c = a/d for each a of a_values (0 < a < d), lazily, CURVE_BATCH
+        points at a time: each batch of k points as two flat lists, the
+        unreduced integer numerators and the denominators of its GRID_FIELDS,
+        c, DF, the inner factor, J^NA and the prefactor, field by field (the
+        k values of c, then the k of DF, and so on).
 
-        The powers of d and the constants of the four denominators are
-        computed once; each point needs b^n, b^(n+1) and V.
+        The powers of d and the constants of the denominators are computed
+        once; each point needs b^n, V and d^(n+1) - b^(n+1), and no tuple.
         """
-        n, a0 = self.n, self.a0
+        n, a0_num = self.n, self.a0.numerator
         d_n = d**n
         d_n1 = d_n * d
-        df_den = a0.denominator * self.den * (n + 1) * d_n1
         inner_den = self.den * n
-        prefactor_num = n * a0.numerator
-        prefactor_den = a0.denominator * (n + 1) * d_n1
+        prefactor_num = n * a0_num
         jna_lead = (n + 1) * d_n
         jna_den = (n + 1) * d_n1
-        for a in a_values:
-            b = d - a
-            b_n = b**n
-            v = self.value(a, d, b_n, d_n1)
-            gap = d_n1 - b_n * b  # d^(n+1) - b^(n+1) > 0
-            yield ((a, d), (a0.numerator * v, df_den), (v, inner_den * gap),
-                   (prefactor_num * gap, prefactor_den), (jna_lead * a - gap, jna_den))
+        prefactor_den = self.a0.denominator * jna_den
+        df_den = prefactor_den * self.den
+        for start in range(0, len(a_values), CURVE_BATCH):
+            batch = a_values[start:start + CURVE_BATCH]
+            k = len(batch)
+            bs = [d - a for a in batch]
+            b_ns = [b**n for b in bs]
+            vs = list(map(self.value, batch, repeat(d, k), b_ns, repeat(d_n1, k)))
+            gaps = [d_n1 - b_n * b for b_n, b in zip(b_ns, bs)]  # d^(n+1) - b^(n+1) > 0
+            yield ([*batch, *[a0_num * v for v in vs], *vs,
+                    *[jna_lead * a - gap for a, gap in zip(batch, gaps)],
+                    *[prefactor_num * gap for gap in gaps]],
+                   [*[d] * k, *[df_den] * k, *[inner_den * gap for gap in gaps],
+                    *[jna_den] * k, *[prefactor_den] * k])
 
 
 def family(pair: PolarisedPair, c: Fraction) -> Family:
@@ -563,17 +572,22 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     return CriticalBracket(lo, hi, lo_inner=lo_inner, hi_inner=hi_inner)
 
 
-# Largest --steps of df-curve: 10^5 rows of P2-line take about 1 s per process
-# and 16 MB of CSV (2-core x86-64 VM, Python 3.11); see the README.
+# Largest --steps of df-curve: 10^5 rows of P2-line take 0.6-1.0 s per
+# process and 16 MB of CSV (2-core x86-64 VM, Python 3.11); see the README.
 CURVE_STEPS_LIMIT = 10**5
+# Points of one batch of _Kernel.grid, so rows per write call of df-curve.
+CURVE_BATCH = 256
+# The fields of a _Kernel.grid batch, in their order.
+GRID_FIELDS = ("c", "df", "inner_factor", "jna", "positive_prefactor")
 
 
-def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[tuple]:
-    """The rows of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
+def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
+               ) -> Iterator[tuple[list[int], list[int]]]:
+    """The batches of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
 
     The Fraction closed form at the first and last points is the independent
     second path: any field that differs from it raises InternalCheckError
-    before the rows are returned. steps outside 1..CURVE_STEPS_LIMIT is an
+    before the batches are returned. steps outside 1..CURVE_STEPS_LIMIT is an
     InputError.
     """
     if steps < 1:
@@ -593,13 +607,18 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[tupl
     return kernel.grid(d, range(1, d))
 
 
-def _reports(rows: Iterable[tuple]) -> Iterator[tuple[Fraction, DFReport]]:
-    """Rows of _Kernel.grid as c and its DFReport, in Fractions."""
-    return ((Fraction(*c), DFReport(*(Fraction(*field) for field in fields)))
-            for c, *fields in rows)
+def _reports(batches: Iterable[tuple[list[int], list[int]]]
+             ) -> Iterator[tuple[Fraction, DFReport]]:
+    """The points of _Kernel.grid's batches as c and its DFReport, in Fractions."""
+    for nums, dens in batches:
+        values = list(map(Fraction, nums, dens))
+        k = len(values) // len(GRID_FIELDS)
+        fields = (values[i:i + k] for i in range(0, len(values), k))
+        for c, df, inner, jna, prefactor in zip(*fields):
+            yield c, DFReport(df, inner, prefactor, jna)
 
 
 def curve(pair: PolarisedPair, beta: Fraction, steps: int) -> list[tuple[Fraction, DFReport]]:
     """DF reports on the uniform grid c = i/(steps+1), i = 1..steps: the
-    checked rows of curve_rows, as Fractions."""
+    checked batches of curve_rows, as Fractions."""
     return list(_reports(curve_rows(pair, beta, steps)))

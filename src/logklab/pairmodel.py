@@ -17,7 +17,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import format_rational, forward_differences, newton_sums
+from .exactnum import format_rational, forward_differences, newton_sums, newton_values
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData
@@ -179,8 +179,9 @@ class HilbertModel(NamedTuple):
     The builtin kinds' rows are binomials, and they count by comb; the
     explicit kind converts its coefficients once (exactnum.forward_differences),
     refusing them unless every D_i is an integer, and counts by
-    exactnum.newton_sums. It carries a validity floor below which the
-    polynomial is not trusted to equal the true dimension.
+    exactnum.newton_sums, or newton_values for h_X(j) and h_X(j-1) together.
+    It carries a validity floor below which the polynomial is not trusted to
+    equal the true dimension.
     """
 
     kind: str
@@ -211,12 +212,16 @@ class HilbertModel(NamedTuple):
         coefficients = list(coefficients)
         while coefficients and coefficients[-1] == 0:
             coefficients.pop()
+        # h(floor) first, in one evaluation: the conversion grows with the
+        # square of the degree.
+        head = sum(coefficient * floor**i for i, coefficient in enumerate(coefficients))
+        if head.denominator != 1:
+            raise _non_dimension(head, floor)
         den, row = forward_differences(coefficients)
-        for k in range(floor, floor + len(row)):
+        for k in range(floor + 1, floor + len(row)):
             value = newton_sums(row, k)[0]
             if value % den:
-                raise InputError("explicit model gives a non-dimension value "
-                                 f"{format_rational(Fraction(value, den))} at k = {k}")
+                raise _non_dimension(Fraction(value, den), k)
         return cls(KIND_EXPLICIT, tuple(d // den for d in row), floor)
 
     def top_differences(self) -> tuple[Fraction, Fraction]:
@@ -261,27 +266,39 @@ class HilbertModel(NamedTuple):
             return comb(n + k, n)
         if self.kind == KIND_PRODUCT_P1P1:
             return (k + 1) ** 2
-        count = newton_sums(self.differences, k)[0]
-        if count < 0:
-            raise InputError("explicit model gives a non-dimension value "
-                             f"{format_rational(count)} at k = {k}")
-        return count
+        return _explicit_count(newton_sums(self.differences, k)[0], k)
 
     def h_divisor(self, j: int) -> int:
         """dim H^0(D, L~^j), which must be >= 0. For j >= 0 the builtin kinds
         read the divisor's own count: C(n-1+j, n-1) for D = P^(n-1) in P^n,
         2j + 1 for the conic of P^1 x P^1 (P^1 with O(2)). An explicit model,
         and every kind below 0, takes h_X(j) - h_X(j-1) by the restriction
-        sequence."""
+        sequence, an explicit one at j >= 1 with both counts from one series."""
         if self.kind != KIND_EXPLICIT and j >= 0:
             if self.kind == KIND_PROJECTIVE_SPACE:
                 r = self.degree - 1
                 return comb(r + j, r)
             return 2 * j + 1
-        value = self.h_total(j) - self.h_total(j - 1)
+        if self.kind == KIND_EXPLICIT and j >= 1:
+            at, below, _ = newton_values(self.differences, j)
+            value = _explicit_count(at, j) - _explicit_count(below, j - 1)
+        else:
+            value = self.h_total(j) - self.h_total(j - 1)
         if value < 0:
             raise InputError(f"divisor dimension negative at j = {j}; model invalid")
         return value
+
+
+def _non_dimension(value: Fraction | int, k: int) -> InputError:
+    return InputError(f"explicit model gives a non-dimension value {format_rational(value)} "
+                      f"at k = {k}")
+
+
+def _explicit_count(count: int, k: int) -> int:
+    """An explicit model's count at k, once it is >= 0 (InputError otherwise)."""
+    if count < 0:
+        raise _non_dimension(count, k)
+    return count
 
 
 class PairSource(NamedTuple):

@@ -12,9 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logklab import pairmodel
 from logklab.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -533,6 +534,11 @@ CURVE_COLUMNS = ("c", "df", "inner_factor", "jna")
     beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
     steps=st.integers(min_value=1, max_value=40),
 )
+# The row 2/3,0,0,34/81,...: an exact zero, whose denominator 1 prints no "/".
+@example(n=3, L_top=Fraction(1), cX_L=Fraction(4), beta=Fraction(9, 10), steps=2)
+# Each input integer within the int->str digit limit, but DF's terms and the
+# inner factor's numerator past it.
+@example(n=2, L_top=Fraction(1, 7**4000), cX_L=Fraction(3), beta=Fraction(1, 3**7000), steps=2)
 def test_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
     # The streamed rows against format_rational, decimal_string and
     # json.dumps over the Fractions of curve().
@@ -709,6 +715,20 @@ def test_trailing_zero_coefficients_change_nothing(capsys, tmp_path):
                             ["info", path], ["oracle", path, "--c", "2/3", "--kmax", "30"]))))
     assert outputs[0][1][0] == outputs[0][2][0] == EXIT_OK
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_non_integer_first_value_is_refused_before_the_conversion(capsys, tmp_path,
+                                                                     monkeypatch):
+    # h(floor) is checked first: the conversion of 2001 coefficients is never run.
+    def unreachable(coefficients):
+        raise AssertionError("forward_differences ran")
+
+    monkeypatch.setattr(pairmodel, "forward_differences", unreachable)
+    doc = dict(P2_EXPLICIT, dimension=2000,
+               hilbert={"kind": "explicit", "coefficients": ["1/7"] * 2001})
+    code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
+    assert (code, out, err) == (
+        EXIT_INPUT, "", "input error: explicit model gives a non-dimension value 1/7 at k = 0\n")
 
 
 def test_explicit_degree_past_the_dimension_exits_3(capsys, tmp_path):

@@ -10,9 +10,12 @@ from logklab.exactnum import (
     decimal_string,
     format_rational,
     forward_differences,
+    lowest_terms,
     newton_sums,
+    newton_values,
     parse_rational,
     power_sum,
+    ratio_texts,
 )
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
@@ -93,6 +96,34 @@ def test_decimal_string_matches_a_local_context_division(q, digits):
     assert decimal_string(q, digits) == expected
 
 
+# Factors that put an integer past the int->str digit limit, or leave it.
+_SCALES = st.sampled_from([1, 1, 3**9001, 10**4400 + 1])
+
+
+@st.composite
+def _ratio_terms(draw):
+    """(num, den), den > 0: a negative num, a den that divides num and terms
+    past the digit limit among them."""
+    den = draw(st.integers(min_value=1, max_value=10**20)) * draw(_SCALES)
+    if draw(st.booleans()):
+        return den * draw(st.integers(min_value=-10**6, max_value=10**6)), den
+    return draw(st.integers(min_value=-10**30, max_value=10**30)) * draw(_SCALES), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(_ratio_terms(), max_size=12), digits=st.integers(min_value=1, max_value=30))
+def test_batched_texts_equal_the_one_value_writers(pairs, digits):
+    nums, dens = [num for num, _ in pairs], [den for _, den in pairs]
+    values = [Fraction(num, den) for num, den in pairs]
+    texts = ratio_texts(nums, dens)
+    assert texts == [format_rational(q) for q in values]
+    assert [parse_rational(text) for text in texts] == values
+    lowest_nums, lowest_dens, decimals = lowest_terms(nums, dens, digits)
+    assert list(zip(lowest_nums, lowest_dens)) == [(q.numerator, q.denominator) for q in values]
+    assert decimals == [decimal_string(q, digits) for q in values]
+    assert lowest_terms(nums, dens)[2] == []
+
+
 # ----------------------------- field laws / canonical form -----------------------------
 
 
@@ -155,6 +186,8 @@ def test_newton_sums_equal_literal_sums(steps, x):
     differences += [0, 0]  # zero past the degree
     assert [Fraction(d, den) for d in differences] == [*steps, 0, 0]
     assert newton_sums(differences, x) == (den * h(x), den * sum(h(j) for j in range(x)))
+    assert newton_values(differences, x) == (
+        den * h(x), den * h(x - 1), den * sum(h(j) for j in range(x)))
 
 
 def test_power_sum_rejects_negative():

@@ -202,6 +202,34 @@ def test_explicit_model_is_refused_unless_integer_valued(coefficients, floor):
         assert str(exc.value) == _non_dimension(value, k)
 
 
+def _outcome(count, j):
+    """count(j), or the message of the InputError it raises."""
+    try:
+        return count(j)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-30, max_value=30), max_size=6).map(_monomial))
+@example(_monomial([5, -2, 0, 1]))  # h_X = 5, 3, 1, 0, 1, ...: h_D(1) = -2
+@example(_monomial([2, -3, 2]))  # h_X = 2, -1, -2, -1, 2, ...: h_X(j-1) < 0 <= h_X(j) at j = 4
+@example(_monomial([-1, 3]))  # h_X(0) = -1 < 0 < h_X(1)
+def test_explicit_divisor_counts_follow_the_restriction_sequence(coefficients):
+    # One series gives h_X(j) and h_X(j-1); the value, or the first error:
+    # h_X(j), then h_X(j-1), then the sign of their difference.
+    model = HilbertModel.explicit(coefficients, 0)
+
+    def restricted(j):
+        value = model.h_total(j) - model.h_total(j - 1)
+        if value < 0:
+            raise InputError(f"divisor dimension negative at j = {j}; model invalid")
+        return value
+
+    for j in range(-3, 20):
+        assert _outcome(model.h_divisor, j) == _outcome(restricted, j)
+
+
 def test_hilbert_model_invariants_are_checked_against_the_pair(p2, p3):
     # Riemann-Roch: (n, L^n, c1(X).L^(n-1)) from the top two coefficients.
     p3_counts = [1, Fraction(11, 6), 1, Fraction(1, 6)]  # binom(k+3, 3)
