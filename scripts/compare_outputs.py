@@ -32,8 +32,9 @@ ignored both keys), and an explicit P2 block that is not integer-valued
 literal sums met it); and on an explicit P2 block with trailing zero
 coefficients, which changes nothing; and `info` on an explicit block of
 1000 coefficients on a P2 pair (listed in EXPECTED: earlier trees
-converted it before refusing its degree), and on a dimension-2000 pair
-whose 2001 coefficients 1/7 are no count at its floor; and the input
+converted it before refusing its degree), and on two dimension-2000 pairs
+whose 2001 coefficients are no count at floor 0 (all 1/7) or at floor + 1
+(1, then 1/7); and the input
 resolution every pair subcommand shares: an m = 2 pair file on the five
 commands that need D in |L|, a bad --m with a lambda above Lambda on the
 four positivity commands, and a pair file whose nef bounds miss S_1/n on
@@ -58,10 +59,10 @@ L^n = 1 with c1(X).L^(n-1) = -2; and the dimension knob, on P^n pair
 files with a projective_space hilbert block, where the Riemann-Roch sums
 and the count polynomial grow with n: df --beta 1/2 at c = 1/2 and 1/7 on
 P^8, P^32, P^64 and P^128, oracle --c 1/2 on P^8, P^32 and P^64, and info
-on P^128; and the df-curve rows that leave its %d/%d row template: an
-exact zero on P3-hyperplane at beta 9/10, and a pair with L^n = 1/7^4000 at
-beta 1/2 and 1/3^7000, whose terms pass the int->str digit limit, each in
-CSV and JSON. Each runs as a fresh `python -m logklab.cli` process under both
+on P^128; and the df-curve rows whose texts take ratio_texts' special
+cases: an exact zero, printed bare, on P3-hyperplane at beta 9/10, and a
+pair with L^n = 1/7^4000 at beta 1/2 and 1/3^7000, whose terms pass the
+int->str digit limit, each in CSV and JSON. Each runs as a fresh `python -m logklab.cli` process under both
 trees, in one scratch directory that holds the workloads' input files,
 with COLUMNS=80 so that argparse wraps the same way. The script prints
 every argv whose exit code, stdout or stderr differ, and exits 1 on any
@@ -111,9 +112,12 @@ NON_INTEGER = workloads._file("pair", dict(P2_DOC, hilbert={
     "kind": "explicit", "coefficients": ["3/2", "3/2", "1/2"]}))
 LONG_BLOCK = workloads._file("pair", dict(P2_DOC, hilbert={
     "kind": "explicit", "coefficients": ["1/7"] * 1000}))
-# 2001 coefficients 1/7 within the degree a dimension-2000 pair allows.
+# 2001 coefficients within the degree a dimension-2000 pair allows, whose
+# first non-integer value is at k = 0, and at k = 1.
 WIDE_BLOCK = workloads._file("pair", dict(P2_DOC, dimension=2000, hilbert={
     "kind": "explicit", "coefficients": ["1/7"] * 2001}))
+WIDE_BLOCK_AT_1 = workloads._file("pair", dict(P2_DOC, dimension=2000, hilbert={
+    "kind": "explicit", "coefficients": ["1"] + ["1/7"] * 2000}))
 
 # 1 + the sum of (j - 5)^2 + 1 over 1 <= j <= k: every h_D(j) > 0, but its
 # forward differences at j < 5 are not all >= 0, so the oracle's walk counts.
@@ -188,8 +192,8 @@ def oracle_edges() -> list[workloads.Invocation]:
 
 def hilbert_errors() -> list[workloads.Invocation]:
     """info and oracle on each pair file whose hilbert block the loader
-    refuses, and on an explicit block with trailing zeros; info on LONG_BLOCK
-    and WIDE_BLOCK."""
+    refuses, and on an explicit block with trailing zeros; info on LONG_BLOCK,
+    WIDE_BLOCK and WIDE_BLOCK_AT_1."""
     explicit = {"kind": "explicit", "coefficients": ["1", "3/2", "1/2"]}
     files = [
         workloads._file("pair", dict(P2_DOC, hilbert={"kind": "grassmannian"})),
@@ -203,7 +207,8 @@ def hilbert_errors() -> list[workloads.Invocation]:
     ]
     return [*(workloads.Invocation(argv, (f,)) for f in files
               for argv in (("info", f[0]), ("oracle", f[0], "--c", "1/2"))),
-            *(workloads.Invocation(("info", f[0]), (f,)) for f in (LONG_BLOCK, WIDE_BLOCK))]
+            *(workloads.Invocation(("info", f[0]), (f,))
+              for f in (LONG_BLOCK, WIDE_BLOCK, WIDE_BLOCK_AT_1))]
 
 
 def resolution_edges() -> list[workloads.Invocation]:
@@ -298,10 +303,11 @@ def df_pairs() -> list[workloads.Invocation]:
 
 
 def curve_fallbacks() -> list[workloads.Invocation]:
-    """df-curve rows that leave the %d/%d row template, in CSV and JSON: an
-    exact zero (DF and the inner factor of P3 at beta 9/10 and c = 2/3), and
-    a pair with L^n = 1/7^4000 at beta 1/2 (terms of about 3400 digits) and at
-    beta 1/3^7000 (DF's terms past the 4300-digit int->str limit)."""
+    """df-curve rows whose texts take ratio_texts' special cases, in CSV
+    and JSON: an exact zero (DF and the inner factor of P3 at beta 9/10 and
+    c = 2/3), and a pair with L^n = 1/7^4000 at beta 1/2 (terms of about 3400
+    digits) and at beta 1/3^7000 (DF's terms past the 4300-digit int->str
+    limit)."""
     big = workloads._file("pair", {"name": "small-top", "dimension": 2,
                                    "L_top": f"1/{7**4000}", "cX_L": "3", "divisor": {"m": 1}})
     argvs = [("catalog:P3-hyperplane", "--beta", "9/10"),

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import pairmodel
 from .errors import InputError, InternalCheckError, LogKLabError, PreconditionFailedError
-from .exactnum import decimal_string, format_rational, lowest_terms, parse_rational, ratio_texts
+from .exactnum import decimal_string, format_rational, parse_rational, ratio_texts
 from .pairmodel import (
     KIND_EXPLICIT,
     KIND_PRODUCT_P1P1,
@@ -347,25 +347,13 @@ def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
         # value is [-0-9/] text, so nothing needs escaping.
         head, between, tail, digits = "[\n  ", ",\n  ", "\n]\n", 0
         row = "{\n%s\n  }" % ",\n".join(f'    "{name}": "%s"' for name in columns)
-    # The same row with %d/%d for each rational, so one % per row formats the
-    # lowest terms. A batch with an integer field, which prints bare, or an
-    # integer past the int->str digit limit takes ratio_texts instead.
-    terms_row = row.replace("%s", "%d/%d", len(columns))
     batches = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
 
     def rows(nums: list[int], dens: list[int]) -> list[str]:
         k = len(nums) // len(normalcone.GRID_FIELDS)
-        fields = range(0, len(columns) * k, k)
-        nums, dens, decimals = lowest_terms(nums[:fields.stop], dens[:fields.stop], digits)
-        decimals = [decimals[i:i + k] for i in fields] if digits else []
-        if 1 not in dens:
-            terms = [seq[i:i + k] for i in fields for seq in (nums, dens)]
-            try:
-                return list(map(terms_row.__mod__, zip(*terms, *decimals)))
-            except ValueError:  # the digit limit
-                pass
-        texts = ratio_texts(nums, dens)
-        return list(map(row.__mod__, zip(*(texts[i:i + k] for i in fields), *decimals)))
+        printed = len(columns) * k
+        texts = ratio_texts(nums[:printed], dens[:printed], digits)
+        return list(map(row.__mod__, zip(*(texts[i:i + k] for i in range(0, len(texts), k)))))
 
     # One piece, so one write, per batch of rows, not per row: with
     # PYTHONUNBUFFERED set, each write is a system call. Memory stays

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import floordiv
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -72,28 +73,22 @@ def format_rational(value: Fraction | int) -> str:
     return ratio_texts([value.numerator], [value.denominator])[0]
 
 
-def lowest_terms(nums: list[int], dens: list[int], digits: int = 0
-                 ) -> tuple[list[int], list[int], list[str]]:
-    """The terms of each nums[i]/dens[i] (dens[i] > 0) divided by their gcd,
-    and, if digits > 0, the text of each decimal_string(Fraction(nums[i],
+def ratio_texts(nums: list[int], dens: list[int], digits: int = 0) -> list[str]:
+    """The text format_rational(Fraction(nums[i], dens[i])) of each i
+    (dens[i] > 0), then, if digits > 0, each decimal_string(Fraction(nums[i],
     dens[i]), digits), with no Fraction: gcd, the divisions and
-    Context.divide each run once over the lists."""
+    Context.divide each run once over the lists. Exact also past the int->str
+    digit limit."""
     gcds = list(map(gcd, nums, dens))
     nums, dens = list(map(floordiv, nums, gcds)), list(map(floordiv, dens, gcds))
-    if digits <= 0:
-        return nums, dens, []
-    return nums, dens, list(map(str, map(_decimal_context(digits).divide, nums, dens)))
-
-
-def ratio_texts(nums: list[int], dens: list[int]) -> list[str]:
-    """format_rational(Fraction(nums[i], dens[i])) for each i (dens[i] > 0),
-    from lowest_terms, also past the int->str digit limit."""
-    nums, dens, _ = lowest_terms(nums, dens)
     try:
-        return [str(num) if den == 1 else "%d/%d" % (num, den) for num, den in zip(nums, dens)]
+        texts = [f"{num}/{den}" if den != 1 else str(num) for num, den in zip(nums, dens)]
     except ValueError:  # the digit limit
-        return [_int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
-                for num, den in zip(nums, dens)]
+        texts = [_int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
+                 for num, den in zip(nums, dens)]
+    if digits > 0:
+        texts += map(str, map(_decimal_context(digits).divide, nums, dens))
+    return texts
 
 
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:
@@ -110,23 +105,33 @@ def _decimal_context(digits: int) -> Context:
     return Context(prec=digits)
 
 
+def scaled_values(coefficients: list[Fraction | int], xs: Iterable[int]
+                  ) -> tuple[int, Iterator[int]]:
+    """(d, the integers d p(x) for x of xs, lazily) for the polynomial
+    p(x) = sum_i coefficients[i] x**i and the least common denominator d of
+    its coefficients, by integer Horner over the d a_i."""
+    d = lcm(*(c.denominator for c in coefficients))
+    scaled = [c.numerator * (d // c.denominator) for c in reversed(coefficients)]
+
+    def values() -> Iterator[int]:
+        for x in xs:
+            acc = 0
+            for a in scaled:
+                acc = acc * x + a
+            yield acc
+    return d, values()
+
+
 def forward_differences(coefficients: list[Fraction | int]) -> tuple[int, list[int]]:
     """(d, [d D_0, ..., d D_m]): the forward differences D_i = Δ^i p(0) of the
     polynomial p(x) = sum_i coefficients[i] x**i, times the least common
-    denominator d of its coefficients, from integer Horner over the d a_i at
-    0..m. Newton's formula gives p(x) = sum_i D_i C(x, i), and summation on
-    the upper index gives sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1)
-    (newton_sums). The D_i are all integers exactly when p is integer-valued
-    (Polya). The package converts monomial coefficients here and nowhere else."""
-    d = lcm(*(c.denominator for c in coefficients))
-    scaled = [c.numerator * (d // c.denominator) for c in reversed(coefficients)]
-    row = []
-    for x in range(len(scaled)):
-        acc = 0
-        for a in scaled:
-            acc = acc * x + a
-        row.append(acc)
-    return d, leading_differences(row)
+    denominator d of its coefficients, from scaled_values at 0..m. Newton's
+    formula gives p(x) = sum_i D_i C(x, i), and summation on the upper index
+    gives sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1) (newton_sums). The D_i
+    are all integers exactly when p is integer-valued (Polya). The package
+    converts monomial coefficients here and nowhere else."""
+    d, values = scaled_values(coefficients, range(len(coefficients)))
+    return d, leading_differences(list(values))
 
 
 def leading_differences(values: list[int]) -> list[int]:
@@ -139,23 +144,11 @@ def leading_differences(values: list[int]) -> list[int]:
     return differences
 
 
-def newton_sums(differences: list[int], x: int) -> tuple[int, int]:
-    """(sum_i D_i C(x, i), sum_i D_i C(x, i + 1)) at an integer x >= 0 for
-    differences D: the value at x and the sum over 0 <= j < x."""
-    value = total = 0
-    binomial = 1  # C(x, i)
-    for i, step in enumerate(differences):
-        value += step * binomial
-        binomial = binomial * (x - i) // (i + 1)  # exact: it is C(x, i + 1)
-        total += step * binomial
-    return value, total
-
-
-def newton_values(differences: list[int], x: int) -> tuple[int, int, int]:
+def newton_sums(differences: list[int], x: int) -> tuple[int, int, int]:
     """(sum_i D_i C(x, i), sum_i D_i C(x - 1, i), sum_i D_i C(x, i + 1)) at an
-    integer x for differences D: the values at x and at x - 1 and the sum over
-    0 <= j < x, as newton_sums gives them, in one pass over the C(x - 1, i),
-    by C(x, i) = C(x - 1, i) + C(x - 1, i - 1)."""
+    integer x for differences D: the values at x and at x - 1 and the sum
+    over 0 <= j < x, in one pass over the C(x - 1, i), by
+    C(x, i) = C(x - 1, i) + C(x - 1, i - 1)."""
     y = x - 1
     below = rise = ahead = 0
     previous, binomial = 0, 1  # C(y, i - 1), C(y, i)
@@ -175,4 +168,4 @@ def power_sum(p: int, n_upper: int) -> Fraction:
     if p < 0:
         raise InputError("power must be nonnegative")
     differences = leading_differences([(j + 1)**p for j in range(p + 1)])
-    return Fraction(newton_sums(differences, n_upper)[1])
+    return Fraction(newton_sums(differences, n_upper)[2])

@@ -17,7 +17,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionTooSmallError, InconsistentDataError, InputError
-from .exactnum import format_rational, forward_differences, newton_sums, newton_values
+from .exactnum import format_rational, forward_differences, newton_sums, scaled_values
 
 if TYPE_CHECKING:
     from .thresholds import PositivityData
@@ -179,7 +179,7 @@ class HilbertModel(NamedTuple):
     The builtin kinds' rows are binomials, and they count by comb; the
     explicit kind converts its coefficients once (exactnum.forward_differences),
     refusing them unless every D_i is an integer, and counts by
-    exactnum.newton_sums, or newton_values for h_X(j) and h_X(j-1) together.
+    exactnum.newton_sums, which gives h_X(j) and h_X(j-1) together.
     It carries a validity floor below which the polynomial is not trusted to
     equal the true dimension.
     """
@@ -212,17 +212,16 @@ class HilbertModel(NamedTuple):
         coefficients = list(coefficients)
         while coefficients and coefficients[-1] == 0:
             coefficients.pop()
-        # h(floor) first, in one evaluation: the conversion grows with the
-        # square of the degree.
-        head = sum(coefficient * floor**i for i, coefficient in enumerate(coefficients))
-        if head.denominator != 1:
-            raise _non_dimension(head, floor)
-        den, row = forward_differences(coefficients)
-        for k in range(floor + 1, floor + len(row)):
-            value = newton_sums(row, k)[0]
+        # Integer values at degree + 1 consecutive k make h integer-valued, so
+        # its D_i integers (Polya). They are checked one k at a time before
+        # the conversion, whose cost grows with the square of the degree.
+        ks = range(floor, floor + len(coefficients))
+        den, values = scaled_values(coefficients, ks)
+        for k, value in zip(ks, values):
             if value % den:
                 raise _non_dimension(Fraction(value, den), k)
-        return cls(KIND_EXPLICIT, tuple(d // den for d in row), floor)
+        den, row = forward_differences(coefficients)
+        return cls(KIND_EXPLICIT, tuple(step // den for step in row), floor)
 
     def top_differences(self) -> tuple[Fraction, Fraction]:
         """(D_d, D_(d-1)) for d = max(degree, 1), zero past the degree: by
@@ -280,7 +279,7 @@ class HilbertModel(NamedTuple):
                 return comb(r + j, r)
             return 2 * j + 1
         if self.kind == KIND_EXPLICIT and j >= 1:
-            at, below, _ = newton_values(self.differences, j)
+            at, below, _ = newton_sums(self.differences, j)
             value = _explicit_count(at, j) - _explicit_count(below, j - 1)
         else:
             value = self.h_total(j) - self.h_total(j - 1)

@@ -40,7 +40,7 @@ from .errors import (
     InternalCheckError,
     NonIntegralCKError,
 )
-from .exactnum import format_rational, leading_differences, newton_sums, newton_values
+from .exactnum import format_rational, leading_differences, newton_sums
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
 from .pairmodel import HilbertModel, PolarisedPair
@@ -283,13 +283,13 @@ def _check_samples(steps: tuple[int, ...], c: Fraction, samples: list[WeightSamp
     """InternalCheckError unless each sample's d_k, w_k, d~_k is H(k),
     G(k) - G((1-c)k) - c k H(k) and H(k) - H(k-1), over the integer forward
     differences steps of H, G(x) the sum of H(j) over 0 <= j < x: H(k), H(k-1)
-    and G(k) from one newton_values pass, G((1-c)k) by newton_sums."""
+    and G(k) from one newton_sums pass, G((1-c)k) from another."""
     for sample in samples:
         k, ck = sample.k, int(c * sample.k)
-        h_k, h_below, g_k = newton_values(steps, k)
+        h_k, h_below, g_k = newton_sums(steps, k)
         for name, value, summed in (
                 ("d_k", sample.d_k, h_k),
-                ("w_k", sample.w_k, g_k - newton_sums(steps, k - ck)[1] - ck * h_k),
+                ("w_k", sample.w_k, g_k - newton_sums(steps, k - ck)[2] - ck * h_k),
                 ("d_tilde_k", sample.d_tilde_k, h_k - h_below)):
             if value != summed:
                 raise InternalCheckError(

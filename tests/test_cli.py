@@ -539,6 +539,8 @@ CURVE_COLUMNS = ("c", "df", "inner_factor", "jna")
 # Each input integer within the int->str digit limit, but DF's terms and the
 # inner factor's numerator past it.
 @example(n=2, L_top=Fraction(1, 7**4000), cX_L=Fraction(3), beta=Fraction(1, 3**7000), steps=2)
+# A full batch of CURVE_BATCH rows, then a short one.
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(3), beta=Fraction(1, 2), steps=300)
 def test_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
     # The streamed rows against format_rational, decimal_string and
     # json.dumps over the Fractions of curve().
@@ -717,18 +719,21 @@ def test_trailing_zero_coefficients_change_nothing(capsys, tmp_path):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def test_a_non_integer_first_value_is_refused_before_the_conversion(capsys, tmp_path,
-                                                                     monkeypatch):
-    # h(floor) is checked first: the conversion of 2001 coefficients is never run.
+def test_a_non_integer_value_is_refused_before_the_conversion(capsys, tmp_path, monkeypatch):
+    # h(floor), h(floor + 1), ... are checked one at a time first: the
+    # conversion of 2001 coefficients is never run.
     def unreachable(coefficients):
         raise AssertionError("forward_differences ran")
 
     monkeypatch.setattr(pairmodel, "forward_differences", unreachable)
-    doc = dict(P2_EXPLICIT, dimension=2000,
-               hilbert={"kind": "explicit", "coefficients": ["1/7"] * 2001})
-    code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
-    assert (code, out, err) == (
-        EXIT_INPUT, "", "input error: explicit model gives a non-dimension value 1/7 at k = 0\n")
+    for coefficients, value, k in ((["1/7"] * 2001, "1/7", 0),
+                                   (["1"] + ["1/7"] * 2000, "2007/7", 1)):
+        doc = dict(P2_EXPLICIT, dimension=2000,
+                   hilbert={"kind": "explicit", "coefficients": coefficients})
+        code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
+        assert (code, out, err) == (
+            EXIT_INPUT, "", f"input error: explicit model gives a non-dimension value {value} "
+                            f"at k = {k}\n")
 
 
 def test_explicit_degree_past_the_dimension_exits_3(capsys, tmp_path):

@@ -748,6 +748,8 @@ def test_curve_grid(p2):
     beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
     steps=st.integers(min_value=1, max_value=40),
 )
+# A full batch of CURVE_BATCH points, then a short one.
+@example(n=3, L_top=Fraction(1), cX_L=Fraction(4), beta=Fraction(1, 2), steps=300)
 def test_curve_rows_equal_closed_form(n, L_top, cX_L, beta, steps):
     pair = PolarisedPair("random", n, L_top, cX_L)
     rows = curve(pair, beta, steps)

@@ -450,8 +450,8 @@ def test_sum_samples_equals_literal_sums(model, q, data):
     steps = model.differences
 
     def sums(k):  # d = H(k), w = G(k) - G((1-c)k) - c k H(k), d~ = H(k) - H(k-1)
-        (h, g), ck = newton_sums(steps, k), int(c * k)
-        return h, g - newton_sums(steps, k - ck)[1] - ck * h, h - newton_sums(steps, k - 1)[0]
+        (h, _, g), ck = newton_sums(steps, k), int(c * k)
+        return h, g - newton_sums(steps, k - ck)[2] - ck * h, h - newton_sums(steps, k - 1)[0]
 
     assert [(s.d_k, s.w_k, s.d_tilde_k) for s in samples] == [sums(k) for k in ks]
 
