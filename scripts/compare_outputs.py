@@ -52,7 +52,11 @@ critical-c at a tol of 3/1000 and of 5/2^200, on the exact root of P2 at
 2^-512, on an n = 6 pair file, at 2^-512 on P16 and P64 hyperplane pair
 files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
 (-1, -6), which L^n < 0 refuses; and df-curve at --steps 100001, past its
-limit (listed in EXPECTED); and df, whose coefficients are checked
+limit (listed in EXPECTED), and critical-c on P4 at a tol one bit past
+normalcone.TOL_BITS_LIMIT (listed in EXPECTED), run with the int<->str
+digit limit lifted, which would refuse its 18062-digit tol first; and eta
+on P2 with an alpha_beta override above m*beta (listed in EXPECTED); and df,
+whose coefficients are checked
 against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
 catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and
 L^n = 1 with c1(X).L^(n-1) = -2; and the dimension knob, on P^n pair
@@ -124,9 +128,15 @@ WIDE_BLOCK_AT_1 = workloads._file("pair", dict(P2_DOC, dimension=2000, hilbert={
 P3_VALLEY = workloads._file("pair", {
     "name": "P3-valley", "dimension": 3, "L_top": "2", "cX_L": "-18", "divisor": {"m": 1},
     "hilbert": {"kind": "explicit", "coefficients": ["1", "127/6", "-9/2", "1/3"]}})
-# A counted run of about 7 10^6 divisor counts, and a grid past --steps' limit.
+# A counted run of about 7 10^6 divisor counts, a grid past --steps' limit,
+# and a tol one bit past --tol's, whose text needs the digit limit lifted.
 COUNT_LIMIT = ("oracle", P3_VALLEY[0], "--c", "999999/1000000")
 STEPS_LIMIT = ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "100001")
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+TOL_LIMIT = ("critical-c", "catalog:P4-hyperplane", "--beta", "1/2", "--tol", workloads._tol(60001))
+# An alpha_beta override above m*beta, which no divisor in |mL| allows.
+OVERRIDE_ABOVE = ("eta", "catalog:P2-line", "--beta", "1/4", "--alpha-beta", "100")
 
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
 # under TREE_B) when TREE_A is the parent.
@@ -137,6 +147,8 @@ EXPECTED = {
     ("oracle", BUILTIN_WITH_FLOOR[0], "--c", "1/2"): (0, 3),
     COUNT_LIMIT: (0, 3),  # the walk's counted run is held to ORACLE_LITERAL_LIMIT
     STEPS_LIMIT: (0, 3),  # --steps is held to CURVE_STEPS_LIMIT
+    TOL_LIMIT: (0, 3),  # --tol is held to 2^-TOL_BITS_LIMIT
+    OVERRIDE_ABOVE: (0, 3),  # an alpha_beta override is held to m*beta
     # An explicit model is checked integer-valued when it is loaded, and its
     # degree before it is converted.
     ("info", NON_INTEGER[0]): (0, 3),
@@ -271,6 +283,8 @@ def moved_checks() -> list[workloads.Invocation]:
           for cmd in ("entropy", "destabilize")),
         workloads.Invocation(("entropy", neg[0], "--beta", "1"), (neg,)),
         workloads.Invocation(STEPS_LIMIT),
+        workloads.Invocation(TOL_LIMIT),
+        workloads.Invocation(OVERRIDE_ABOVE),
     ]
 
 
@@ -333,6 +347,8 @@ def dimension_knob() -> list[workloads.Invocation]:
 def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
+    if tuple(argv) == TOL_LIMIT:
+        env["PYTHONINTMAXSTRDIGITS"] = "0"
     proc = subprocess.run([sys.executable, "-m", "logklab.cli", *argv],
                           cwd=cwd, env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr

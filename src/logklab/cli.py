@@ -631,19 +631,13 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _to_devnull(stream) -> None:
-    """Point a standard stream's descriptor at devnull, so that the
-    interpreter's final flush of what it could not write does not raise again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-
-
 def _print_error(text: str) -> None:
     """Print text to stderr. An unwritable stderr loses the text but does not
     change the exit code."""
     try:
         print(text, file=sys.stderr)
     except OSError:
-        _to_devnull(sys.stderr)
+        pass
 
 
 def run(argv: list[str]) -> int:
@@ -691,6 +685,8 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """Run sys.argv, flush both streams, and end the process with os._exit:
+    nothing needs the interpreter's teardown, which costs 6-11 ms a process."""
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
@@ -699,10 +695,12 @@ def main() -> None:
     except OSError as exc:  # stdout cannot take the output, on a full disk say
         _print_error(f"error: cannot write output: {exc}")
         code = EXIT_IOERR
-    else:
-        sys.exit(code)
-    _to_devnull(sys.stdout)
-    sys.exit(code)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

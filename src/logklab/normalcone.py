@@ -347,13 +347,22 @@ def instability_threshold(pair: PolarisedPair) -> Fraction:
     return _pair_of(pair).threshold()
 
 
+# Most bits of --tol: critical_c on P4-hyperplane at beta 1/2 takes 0.9-1.0 s
+# at tol 2^-60000, its cost growing with slope 1.55 in the bits (2-core
+# x86-64 VM, Python 3.11); see the README.
+TOL_BITS_LIMIT = 60000
+
+
 def _checked(pair: PolarisedPair, beta: Fraction, tol: Fraction
              ) -> tuple[Fraction, Fraction, _Pair, Fraction]:
-    """The checked preamble of find_destabilizer and critical_c: tol > 0.
-    Returns beta and tol as Fractions, the pair's constants and its threshold."""
+    """The checked preamble of find_destabilizer and critical_c:
+    2^-TOL_BITS_LIMIT <= tol. Returns beta and tol as Fractions, the pair's
+    constants and its threshold."""
     beta, tol = Fraction(beta), Fraction(tol)
     if tol <= 0:
         raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
+    if tol.numerator << TOL_BITS_LIMIT < tol.denominator:
+        raise ParameterOutOfRangeError(f"tol must be at least 2^-{TOL_BITS_LIMIT}")
     constants = _pair_of(pair)
     return beta, tol, constants, constants.threshold()
 

@@ -212,11 +212,18 @@ def _min_alpha(pos: PositivityData, m: int) -> Fraction:
 
 def alpha_beta_lower_bound(pos: PositivityData, m: int, beta: Fraction) -> Fraction:
     """Lower bound min{m*beta, alpha_L, m*alpha_LD_restricted} for the log
-    alpha invariant; a direct alpha_beta_override wins when present."""
+    alpha invariant; a direct alpha_beta_override wins when present. The
+    invariant of (X, (1-beta)D) with D in |mL| is at most m*beta, as D/m lies
+    in |L|_Q, so an override above m*beta is an InconsistentDataError."""
     beta = _require_angle(beta)
-    if pos.alpha_beta_override is not None:
-        return pos.alpha_beta_override
-    return min(m * beta, _min_alpha(pos, m))
+    if pos.alpha_beta_override is None:
+        return min(m * beta, _min_alpha(pos, m))
+    if pos.alpha_beta_override > m * beta:
+        raise InconsistentDataError(
+            f"alpha_beta override {format_rational(pos.alpha_beta_override)} exceeds "
+            f"m*beta = {format_rational(m * beta)}, which bounds the log alpha invariant "
+            "of (X, (1-beta)D) for D in |mL|")
+    return pos.alpha_beta_override
 
 
 def beta_u(pair: PolarisedPair, pos: PositivityData, m: int) -> Fraction:

@@ -245,7 +245,7 @@ ACCEPTANCE_COMMANDS = [
       "--alpha-L", "1/3", "--alpha-LD", "1/2"], 0),
     (["eta", "catalog:P2-line", "--m", "4", "--beta", "5/16",
       "--alpha-L", "1/3", "--alpha-LD", "1/2"], 0),
-    (["entropy", "catalog:Fano-template", "--beta", "1/2", "--alpha-beta", "3/4"], 0),
+    (["entropy", "catalog:Fano-template", "--beta", "3/4", "--alpha-beta", "3/4"], 0),
     (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], 0),
     (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "8"], 0),
     (["df-curve", "catalog:P1xP1-diag", "--beta", "1/4", "--steps", "6",

@@ -433,7 +433,7 @@ def test_thresholds_missing_alphas(capsys):
 
 def test_entropy_command(capsys):
     code, out, _ = invoke(capsys, [
-        "entropy", "catalog:Fano-template", "--beta", "1/2", "--alpha-beta", "3/4"])
+        "entropy", "catalog:Fano-template", "--beta", "3/4", "--alpha-beta", "3/4"])
     assert code == EXIT_OK
     assert "certificate: 9/8" in out
 
@@ -491,6 +491,18 @@ def test_df_curve_steps_limit(capsys):
                                      "--steps", str(CURVE_STEPS_LIMIT + 1)])
     assert (code, out, err) == (EXIT_INPUT, "", "input error: steps must be at most 100000, "
                                                 "got 100001\n")
+
+
+@pytest.mark.parametrize("cmd", ["critical-c", "destabilize"])
+def test_tol_bits_limit_exits_3(monkeypatch, capsys, cmd):
+    import logklab.normalcone as normalcone
+
+    monkeypatch.setattr(normalcone, "TOL_BITS_LIMIT", 10)
+    argv = [cmd, "catalog:P2-line", "--beta", "1/2", "--tol"]
+    for tol in ("1/1024", "3/2048"):  # 2^-10 and 1.5 2^-10
+        assert invoke(capsys, [*argv, tol])[0] == EXIT_OK
+    assert invoke(capsys, [*argv, "1023/1048576"]) == (
+        EXIT_INPUT, "", "input error: tol must be at least 2^-10\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -635,6 +647,32 @@ def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys, tmp_
 def test_input_file_integers_are_strict(capsys, tmp_path, command, doc):
     code, _, _ = invoke(capsys, [*command, write_pair(tmp_path, doc)])
     assert code == EXIT_INPUT
+
+
+CRITERIA_DOC = {"Sbeta": "-3", "alpha_beta": "0", "n": 2}
+P2_LINE_DOC = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "0"], None,
+     "steps must be >= 1, got 0"),
+    (["criteria", "--file"], {"alpha_beta": "0", "n": 2},
+     "criteria file is missing required key 'Sbeta'"),
+    (["criteria", "--file"], dict(CRITERIA_DOC, is_lc=1),
+     "criteria key 'is_lc' must be a boolean"),
+    (["criteria", "--file"], dict(CRITERIA_DOC, alpha_beta="-1/2"),
+     "alpha_beta must be >= 0, got -1/2"),
+    (["criteria", "--file"], dict(CRITERIA_DOC, n=0), "dimension must be >= 1, got 0"),
+    (["info"], [P2_LINE_DOC], "pair file {path!r} must hold a JSON object"),
+    (["info"], dict(P2_LINE_DOC, divisor=1), "divisor block must be a JSON object"),
+    (["info"], dict(P2_LINE_DOC, hilbert={"kind": "explicit", "coefficients": "1"}),
+     "explicit hilbert block needs a 'coefficients' list"),
+], ids=["steps-0", "criteria-no-Sbeta", "criteria-flag-not-bool", "criteria-alpha-negative",
+        "criteria-n-0", "pair-array", "divisor-not-object", "explicit-no-coefficients"])
+def test_input_refusals_exit_3(capsys, tmp_path, command, doc, message):
+    path = None if doc is None else write_pair(tmp_path, doc)
+    argv = command if path is None else [*command, path]
+    assert invoke(capsys, argv) == (EXIT_INPUT, "", f"input error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -1177,6 +1215,35 @@ def test_unwritable_stderr_keeps_exit_code(argv, stdout_full, code):
     assert proc.returncode == code
     if code == EXIT_OK:
         assert proc.stdout.endswith(b"cross-check: both DF paths agree exactly\n")
+
+
+# One argv per subcommand, one exit 2 and one exit 3 (CRITERIA is a criteria file).
+PROCESS_ARGVS = [
+    *RENDERING_ARGVS,
+    ["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3"],
+    ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "6"],
+    ["destabilize", "catalog:P2-line", "--beta", "1"],
+    ["eta", "catalog:P2-line", "--beta", "1/4", "--alpha-beta", "100"],
+]
+
+
+def test_a_process_writes_what_run_returns(capsys, tmp_path):
+    # main ends the process with os._exit, so only its own flushes put the
+    # bytes out: a fresh process with block-buffered pipes must give run's.
+    path = tmp_path / "criteria.json"
+    path.write_text(json.dumps({"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True,
+                                "bullet2_nef": True}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    codes = set()
+    for argv in PROCESS_ARGVS:
+        argv = [str(path) if word == "CRITERIA" else word for word in argv]
+        expected = invoke(capsys, argv)
+        proc = subprocess.run([sys.executable, "-m", "logklab.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+        codes.add(proc.returncode)
+    assert codes == {EXIT_OK, EXIT_INCONCLUSIVE, EXIT_INPUT}
 
 
 @pytest.mark.parametrize("command, text, key", [

@@ -15,6 +15,7 @@ from logklab.errors import (
 )
 from logklab.cli import run
 from logklab.normalcone import (
+    TOL_BITS_LIMIT,
     CriticalBracket,
     NormalConeCoefficients,
     _pair_of,
@@ -226,6 +227,18 @@ def test_positive_df_at_and_above_threshold(p2, p1xp1):
 def test_find_destabilizer_guards(p2):
     with pytest.raises(ParameterOutOfRangeError):
         find_destabilizer(p2, Fraction(1, 2), tol=Fraction(0))
+
+
+def test_tol_bits_limit():
+    # The limit is above the 4096 bits the benchmark sends, and refuses one
+    # bit more before any work: critical_c there would take about a second.
+    assert TOL_BITS_LIMIT > 4096
+    pair, beta = CATALOG["P4-hyperplane"].pair, Fraction(1, 2)
+    assert find_destabilizer(pair, beta, Fraction(1, 2**TOL_BITS_LIMIT))[0] == Fraction(1, 2)
+    for search in (find_destabilizer, critical_c):
+        with pytest.raises(ParameterOutOfRangeError, match=f"^tol must be at least "
+                                                            f"2\\^-{TOL_BITS_LIMIT}$"):
+            search(pair, beta, Fraction(1, 2**(TOL_BITS_LIMIT + 1)))
 
 
 # ----------------------------- critical c -----------------------------

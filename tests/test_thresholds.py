@@ -84,7 +84,16 @@ def test_alpha_beta_lower_bound_examples():
     equal = PositivityData(alpha_L=Fraction(1, 3), alpha_LD_restricted=Fraction(1, 3))
     assert alpha_beta_lower_bound(equal, 1, Fraction(1)) == Fraction(1, 3)
     override = PositivityData(alpha_beta_override=Fraction(7, 10))
-    assert alpha_beta_lower_bound(override, 1, Fraction(1, 2)) == Fraction(7, 10)
+    assert alpha_beta_lower_bound(override, 1, Fraction(3, 4)) == Fraction(7, 10)
+    assert alpha_beta_lower_bound(override, 1, Fraction(7, 10)) == Fraction(7, 10)
+
+
+def test_alpha_beta_override_above_m_beta_is_refused():
+    # D/m lies in |L|_Q, so the log alpha invariant is at most m*beta.
+    override = PositivityData(alpha_beta_override=Fraction(7, 10))
+    with pytest.raises(InconsistentDataError, match="exceeds m\\*beta = 1/2"):
+        alpha_beta_lower_bound(override, 1, Fraction(1, 2))
+    assert alpha_beta_lower_bound(override, 2, Fraction(1, 2)) == Fraction(7, 10)
 
 
 def test_alpha_beta_requires_data(p2):
@@ -267,7 +276,7 @@ def test_entropy_threshold_examples(p2, fano):
     assert verdict.status is VerdictStatus.INCONCLUSIVE
 
     fano_pos = PositivityData(alpha_beta_override=Fraction(3, 4))
-    verdict = entropy_threshold_check(fano, fano_pos, 1, Fraction(1, 2))
+    verdict = entropy_threshold_check(fano, fano_pos, 1, Fraction(3, 4))
     assert verdict.status is VerdictStatus.CRITERION_SATISFIED
     assert verdict.certificate == Fraction(9, 8)
 
@@ -284,8 +293,9 @@ def _fractions(low, high):
 # test configuration, so no certificate may cover an angle the normal-cone
 # family destabilises. Pairs have L ample (L^n > 0) and D in |L|; the nef
 # bounds fit the pair (lambda <= S_1/n <= Lambda, or an exact proportional_x),
-# as the loader requires; alpha_L and alpha_LD are any, and entropy_lower is
-# absent or any.
+# as the loader requires; alpha_L and alpha_LD are any, entropy_lower is
+# absent or any, and an alpha_beta override is absent or any: one above
+# m*beta = beta is refused wherever the alpha_beta bound is read.
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=4),
@@ -294,18 +304,27 @@ def _fractions(low, high):
     nef=st.none() | st.tuples(_fractions(0, 3), _fractions(0, 3)),
     alphas=st.tuples(_fractions(0, 4), _fractions(0, 4)),
     entropy_lower=st.none() | _fractions(0, 10),
+    override=st.none() | _fractions(0, 4),
     beta=_fractions(0, 1).filter(lambda b: b > 0),
 )
 @example(n=2, L_top=Fraction(1), mean=Fraction(7, 3), nef=(Fraction(0), Fraction(0)),
-         alphas=(Fraction(0), Fraction(0)), entropy_lower=Fraction(3), beta=Fraction(1, 2))
+         alphas=(Fraction(0), Fraction(0)), entropy_lower=Fraction(3), override=None,
+         beta=Fraction(1, 2))
+@example(n=2, L_top=Fraction(1), mean=Fraction(3), nef=None,
+         alphas=(Fraction(1, 3), Fraction(1, 2)), entropy_lower=None, override=Fraction(100),
+         beta=Fraction(1, 4))  # eta catalog:P2-line --beta 1/4 --alpha-beta 100
+@example(n=2, L_top=Fraction(1), mean=Fraction(3), nef=None,
+         alphas=(Fraction(1, 3), Fraction(1, 2)), entropy_lower=None, override=Fraction(1, 4),
+         beta=Fraction(1, 4))
 def test_no_certificate_below_the_instability_threshold(
-        n, L_top, mean, nef, alphas, entropy_lower, beta):
+        n, L_top, mean, nef, alphas, entropy_lower, override, beta):
     # mean is S_1/n = c1(X).L^(n-1)/L^n; nef None means proportional_x = mean.
     pair = PolarisedPair("random", n, L_top, mean * L_top, None if nef else mean)
     lam, Lam = (None, None) if nef is None else (mean - nef[0], mean + nef[1])
     pos = PositivityData(alpha_L=alphas[0], alpha_LD_restricted=alphas[1], lam=lam,
-                         Lambda_up=Lam, entropy_lower=entropy_lower)
+                         Lambda_up=Lam, alpha_beta_override=override, entropy_lower=entropy_lower)
     threshold = instability_threshold(pair)
+    refused = override is not None and override > beta
     windows = (lambda: uniform_stability_window(pair, pos, 1),
                *(lambda case=case: existence_window(pair, pos, 1, case) for case in ExistenceCase))
     for window_of in windows:
@@ -314,13 +333,22 @@ def test_no_certificate_below_the_instability_threshold(
         except (PreconditionFailedError, InputError):
             continue
         assert window.empty or window.lower >= threshold, window.render()
-    verdict = eta_feasibility(pair, pos, 1, beta)
-    assert verdict.status is VerdictStatus.INCONCLUSIVE or beta >= threshold
+    try:
+        verdict = eta_feasibility(pair, pos, 1, beta)
+    except InconsistentDataError:
+        assert refused
+    else:
+        assert not refused
+        assert verdict.status is VerdictStatus.INCONCLUSIVE or beta >= threshold
     try:
         verdict = entropy_threshold_check(pair, pos, 1, beta)
-    except InconsistentDataError:
-        assert beta < threshold
+    except InconsistentDataError as exc:
+        if "m*beta" in str(exc):  # entropy_lower, when given, replaces the alpha_beta bound
+            assert refused and entropy_lower is None
+        else:
+            assert beta < threshold
     else:
+        assert not (refused and entropy_lower is None)
         assert verdict.status is VerdictStatus.INCONCLUSIVE or beta >= threshold
 
 
