@@ -2,6 +2,7 @@
 """Compare logklab's exit code, stdout and stderr between two source trees.
 
     python3 scripts/compare_outputs.py TREE_A TREE_B [--quick]
+    python3 scripts/compare_outputs.py --reach
 
 Each TREE is a checkout root, the directory that holds src/logklab. The
 invocations are the benchmark's whole universe (bench/workloads.py, all
@@ -55,7 +56,10 @@ files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
 limit (listed in EXPECTED), and critical-c on P4 at a tol one bit past
 normalcone.TOL_BITS_LIMIT (listed in EXPECTED), run with the int<->str
 digit limit lifted, which would refuse its 18062-digit tol first; and eta
-on P2 with an alpha_beta override above m*beta (listed in EXPECTED); and df,
+on P2 with an alpha_beta override above m*beta (listed in EXPECTED); and
+thresholds on P2 with an alpha_beta override of 1/2 at --beta 1/2 (listed in
+EXPECTED: earlier trees refused the whole table for its row at beta 1/4) and
+at --beta 1/4; and df,
 whose coefficients are checked
 against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
 catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and
@@ -76,14 +80,23 @@ exit codes are the listed ones. It also prints every argv that exits 3 or
 error or a failed cross-check must leave stdout empty. --quick runs only
 the first invocation of each workload, the top-level --help and one usage
 error.
+
+--reach runs the whole universe instead in this process, through
+logklab.cli.run under a profile hook, on this checkout's src/logklab, with
+the int<->str digit limit set back to its default, as a fresh process has
+it. It prints every function of src/logklab that never ran, and exits 1 if
+one is not in REACH_EXEMPT: the library is what the commands run.
 """
 
 import argparse
+import inspect
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import types
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +150,10 @@ if hasattr(sys, "set_int_max_str_digits"):
 TOL_LIMIT = ("critical-c", "catalog:P4-hyperplane", "--beta", "1/2", "--tol", workloads._tol(60001))
 # An alpha_beta override above m*beta, which no divisor in |mL| allows.
 OVERRIDE_ABOVE = ("eta", "catalog:P2-line", "--beta", "1/4", "--alpha-beta", "100")
+# thresholds with an override of 1/2 on P2 (m = 1), above m*beta in its row at
+# beta = 1/4 only: admissible at --beta 1/2, refused at --beta 1/4.
+THRESHOLDS_OVERRIDE = ("thresholds", "catalog:P2-line", "--alpha-L", "1/3", "--alpha-LD", "1/2",
+                       "--alpha-beta", "1/2")
 
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
 # under TREE_B) when TREE_A is the parent.
@@ -149,6 +166,8 @@ EXPECTED = {
     STEPS_LIMIT: (0, 3),  # --steps is held to CURVE_STEPS_LIMIT
     TOL_LIMIT: (0, 3),  # --tol is held to 2^-TOL_BITS_LIMIT
     OVERRIDE_ABOVE: (0, 3),  # an alpha_beta override is held to m*beta
+    # thresholds prints n/a in a row where the override exceeds m*beta.
+    (*THRESHOLDS_OVERRIDE, "--beta", "1/2"): (3, 0),
     # An explicit model is checked integer-valued when it is loaded, and its
     # degree before it is converted.
     ("info", NON_INTEGER[0]): (0, 3),
@@ -285,6 +304,7 @@ def moved_checks() -> list[workloads.Invocation]:
         workloads.Invocation(STEPS_LIMIT),
         workloads.Invocation(TOL_LIMIT),
         workloads.Invocation(OVERRIDE_ABOVE),
+        *(workloads.Invocation((*THRESHOLDS_OVERRIDE, "--beta", beta)) for beta in ("1/2", "1/4")),
     ]
 
 
@@ -363,9 +383,10 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
     if not quick:
         found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
                   + df_pairs() + destabilize_signs() + dimension_knob() + curve_fallbacks())
-    for inv in found:
-        for file_name, content in inv.files:
-            (cwd / file_name).write_bytes(content)
+    # Each file once: many invocations share one, and rewriting a file costs
+    # far more than writing a new one on some file systems.
+    for file_name, content in {name: data for inv in found for name, data in inv.files}.items():
+        (cwd / file_name).write_bytes(content)
     help_text = run(tree, ("--help",), cwd)[1].decode()
     commands = re.search(r"\{([^}]*)\}", help_text).group(1).split(",")
     argvs = [("--help",), USAGE_ERRORS[0]] if quick else [
@@ -373,13 +394,87 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
     return found + [workloads.Invocation(argv) for argv in argvs]
 
 
+# The functions --reach accepts unreached, each for a reason no in-process run
+# can remove: cli.main runs only in a fresh process, where
+# tests/test_cli.py's test_a_process_writes_what_run_returns covers it;
+# __dir__ is the dir() hook that tests/test_package.py pins; and
+# AngleWindow.contains serves tests/test_thresholds.py, which would otherwise
+# copy its body.
+REACH_EXEMPT = ("logklab.cli.main", "logklab.__dir__", "logklab.thresholds.AngleWindow.contains")
+
+
+def _functions(package: Path) -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) -> qualified name of every def in the package's
+    modules, nested ones included, read off their compiled code."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        module = "logklab" if path.stem == "__init__" else f"logklab.{path.stem}"
+        stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module)]
+        while stack:
+            code, prefix = stack.pop()
+            for const in code.co_consts:
+                if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                    continue  # comprehensions and lambdas belong to their function
+                name = f"{prefix}.{const.co_name}"
+                if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                    found[(str(path), const.co_firstlineno, const.co_name)] = name
+                    name += ".<locals>"
+                stack.append((const, name))
+    return found
+
+
+def reach() -> int:
+    """Run the universe through cli.run in this process under a profile hook,
+    print the functions of src/logklab that never ran, and return 1 if one is
+    not in REACH_EXEMPT."""
+    if hasattr(sys, "set_int_max_str_digits"):  # lifted on import, unlike a fresh process
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    package = ROOT / "src" / "logklab"
+    sys.path.insert(0, str(package.parent))
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        invs = invocations(ROOT, Path(scratch), quick=False)
+        os.chdir(scratch)  # the invocations name their input files relative to it
+        sys.setprofile(hook)
+        try:
+            from logklab import cli
+
+            with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+                for inv in invs:
+                    cli.run(list(inv.argv))
+        finally:
+            sys.setprofile(None)
+            os.chdir(here)
+    functions = _functions(package)
+    ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in called}
+    unreached = sorted(name for key, name in functions.items() if key not in ran)
+    for name in unreached:
+        print(f"NOT REACHED{' (exempt)' if name in REACH_EXEMPT else ''}: {name}")
+    print(f"{len(invs)} invocations in process: {len(functions) - len(unreached)} of "
+          f"{len(functions)} functions in src/logklab ran")
+    return 1 if set(unreached) - set(REACH_EXEMPT) else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("tree_a", type=Path)
-    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("tree_a", type=Path, nargs="?")
+    parser.add_argument("tree_b", type=Path, nargs="?")
     parser.add_argument("--quick", action="store_true",
                         help="a few invocations instead of the whole universe")
+    parser.add_argument("--reach", action="store_true",
+                        help="list the functions of this checkout's src/logklab that no "
+                             "invocation runs, in process, instead of comparing trees")
     args = parser.parse_args()
+    if args.reach:
+        return reach()
+    if args.tree_b is None:
+        parser.error("give TREE_A and TREE_B, or --reach")
     tree_a, tree_b = args.tree_a.resolve(), args.tree_b.resolve()
     for tree in (tree_a, tree_b):
         if not (tree / "src" / "logklab").is_dir():

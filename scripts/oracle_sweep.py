@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import gcd
 
 from logklab.exactnum import decimal_string, format_rational
-from logklab.normalcone import jna_normal_cone
+from logklab.normalcone import family
 from logklab.pairmodel import CATALOG, HilbertModel
-from logklab.weightoracle import dims_and_weights, jna_finite_k, oracle_report
+from logklab.weightoracle import dims_and_weights, oracle_report, sum_samples
 
 
 def _near_095(q: int) -> Fraction:
@@ -89,10 +89,11 @@ def main() -> None:
     print()
     pair, model = CATALOG["P2-line"].pair, CATALOG["P2-line"].model
     c = Fraction(1, 2)
-    limit = jna_normal_cone(pair, c)
+    limit = family(pair, c).jna()
     print(f"J^NA(P2-line, c=1/2) = {format_rational(limit)} = {decimal_string(limit)}")
-    for k in range(2, args.convergence_k + 1, 2):
-        jk = jna_finite_k(model, c, k)
+    # J_k = -w_k/(k d_k), the gap between the maximal weight 0 and the average.
+    for sample in sum_samples(model, c, list(range(2, args.convergence_k + 1, 2))):
+        k, jk = sample.k, -sample.w_k / (sample.k * sample.d_k)
         gap = jk - limit
         print(f"  k = {k:>3}: J_k = {format_rational(jk):>10} ({decimal_string(jk)}), "
               f"gap = {decimal_string(gap)}")

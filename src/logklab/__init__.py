@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # Each exported name, under the module that defines it.
 _EXPORTS = {
     "exactnum": (
-        "decimal_string", "format_rational", "parse_rational", "power_sum",
+        "decimal_string", "format_rational", "parse_rational",
     ),
     "pairmodel": (
         "CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
@@ -20,8 +20,7 @@ _EXPORTS = {
     ),
     "normalcone": (
         "CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients", "critical_c",
-        "df_checked", "df_closed", "df_from_coefficients", "find_destabilizer", "g_factor",
-        "instability_threshold", "jna_normal_cone",
+        "df_checked", "df_from_coefficients", "find_destabilizer", "instability_threshold",
     ),
     "thresholds": (
         "AngleWindow", "ExistenceCase", "PositivityData", "SingularCriteriaInput", "Verdict",
@@ -30,8 +29,7 @@ _EXPORTS = {
         "uniform_stability_window",
     ),
     "weightoracle": (
-        "WeightSample", "dims_and_weights", "flatness_check", "jna_finite_k", "oracle_report",
-        "recover_coefficients",
+        "WeightSample", "dims_and_weights", "oracle_report",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

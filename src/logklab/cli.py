@@ -26,7 +26,13 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import pairmodel
-from .errors import InputError, InternalCheckError, LogKLabError, PreconditionFailedError
+from .errors import (
+    InconsistentDataError,
+    InputError,
+    InternalCheckError,
+    LogKLabError,
+    PreconditionFailedError,
+)
 from .exactnum import decimal_string, format_rational, parse_rational, ratio_texts
 from .pairmodel import (
     KIND_EXPLICIT,
@@ -276,9 +282,13 @@ def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
     pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
     rows = [("beta_u", thresholds.beta_u(pair, pos, m), "critical cone angle from alpha data")]
     for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        rows.append((f"alpha_beta_lower(beta={format_rational(beta)})",
-                     thresholds.alpha_beta_lower_bound(pos, m, beta),
-                     "min{m*beta, alpha_L, m*alpha_LD}"))
+        label = f"alpha_beta_lower(beta={format_rational(beta)})"
+        try:
+            rows.append((label, thresholds.alpha_beta_lower_bound(pos, m, beta),
+                         "min{m*beta, alpha_L, m*alpha_LD}"))
+        except InconsistentDataError:  # an override above m*beta, which may hold at --beta
+            rows.append((label, "n/a", "alpha_beta override exceeds m*beta"))
+    thresholds.alpha_beta_lower_bound(pos, m, ns.beta)  # refuses an override above m*--beta
     rows.append((f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
                  thresholds.min_multiplicity_eta0(pair, pos, ns.beta),
                  "least m with both eta=0 conditions strict"))

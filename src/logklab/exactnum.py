@@ -159,13 +159,3 @@ def newton_sums(differences: list[int], x: int) -> tuple[int, int, int]:
         ahead += step * following
         previous, binomial = binomial, following
     return below + rise, below, below + ahead
-
-
-def power_sum(p: int, n_upper: int) -> Fraction:
-    """sum_{i=1..N} i**p: the sum of (j + 1)**p over 0 <= j < N, by newton_sums."""
-    if n_upper < 0:
-        raise InputError("upper limit must be nonnegative")
-    if p < 0:
-        raise InputError("power must be nonnegative")
-    differences = leading_differences([(j + 1)**p for j in range(p + 1)])
-    return Fraction(newton_sums(differences, n_upper)[2])

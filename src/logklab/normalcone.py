@@ -110,17 +110,13 @@ def _require_c(c: Fraction) -> Fraction:
 
 
 def _g(n: int, un: Fraction, un1: Fraction) -> Fraction:
-    return 1 - Fraction(n + 1, n) * (1 - un) / (1 - un1)
-
-
-def g_factor(n: int, c: Fraction) -> Fraction:
-    """g(c) = 1 - ((n+1)/n) * (1-(1-c)^n) / (1-(1-c)^(n+1)).
+    """g(c) = 1 - ((n+1)/n) * (1-(1-c)^n) / (1-(1-c)^(n+1)), given un = (1-c)^n
+    and un1 = (1-c)^(n+1).
 
     Strictly decreasing on (0, 1) with range (-1/n, 0); multiplies S^D/(n-1)
     inside the closed-form DF.
     """
-    u = 1 - _require_c(c)
-    return _g(n, u**n, u ** (n + 1))
+    return 1 - Fraction(n + 1, n) * (1 - un) / (1 - un1)
 
 
 class Family(NamedTuple):
@@ -150,6 +146,9 @@ class Family(NamedTuple):
         )
 
     def df(self, beta: Fraction) -> DFReport:
+        """Closed-form DF: prefactor(c) * (beta + s g(c)), for any rational beta
+        (angle-range semantics live in the thresholds module). It does not go
+        through the coefficient formula, so the two paths check each other."""
         n = self.n
         prefactor = n * self.a0 * (1 - self.un1) / (n + 1)
         inner = Fraction(beta) + self.s * _g(n, self.un, self.un1)
@@ -161,6 +160,7 @@ class Family(NamedTuple):
         )
 
     def jna(self) -> Fraction:
+        """J^NA = c - (1-(1-c)^(n+1))/(n+1), i.e. -b0/a0; positive on (0, 1)."""
         return self.c - (1 - self.un1) / (self.n + 1)
 
 
@@ -320,26 +320,6 @@ def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
             f"DF paths disagree: closed form {format_rational(report.df)}, "
             f"coefficient formula {format_rational(df_coeff_path)}")
     return coeffs, report
-
-
-def df_closed(pair: PolarisedPair, c: Fraction, beta: Fraction) -> DFReport:
-    """Closed-form DF of the family: prefactor(c) * (beta + (S^D/(n-1)) g(c)).
-
-    beta may be any rational here; angle-range semantics live in the
-    thresholds module. Computed without going through the coefficient
-    formula so the two paths cross-check each other.
-    """
-    return family(pair, c).df(beta)
-
-
-def jna_normal_cone(pair: PolarisedPair, c: Fraction) -> Fraction:
-    """J^NA of the family: c - (1-(1-c)^(n+1))/(n+1), i.e. -b0/a0.
-
-    Strictly positive on (0, 1); gated on exact agreement with the finite-k
-    oracle limit before any release (see weightoracle and the acceptance
-    suite).
-    """
-    return family(pair, c).jna()
 
 
 def instability_threshold(pair: PolarisedPair) -> Fraction:
@@ -625,9 +605,3 @@ def _reports(batches: Iterable[tuple[list[int], list[int]]]
         fields = (values[i:i + k] for i in range(0, len(values), k))
         for c, df, inner, jna, prefactor in zip(*fields):
             yield c, DFReport(df, inner, prefactor, jna)
-
-
-def curve(pair: PolarisedPair, beta: Fraction, steps: int) -> list[tuple[Fraction, DFReport]]:
-    """DF reports on the uniform grid c = i/(steps+1), i = 1..steps: the
-    checked batches of curve_rows, as Fractions."""
-    return list(_reports(curve_rows(pair, beta, steps)))

@@ -263,16 +263,6 @@ def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
     return list(range(_first_level(model, c), k_max + 1, c.denominator))
 
 
-def flatness_check(model: HilbertModel, c: Fraction, k_max: int) -> bool:
-    """True iff d_k = h_X(k) for every admissible k <= k_max.
-
-    The restriction sequence telescopes the divisor blocks back onto
-    h_X(k); any corruption of the divisor model breaks the equality.
-    """
-    samples = sum_samples(model, c, admissible_ks(model, c, k_max))
-    return all(s.d_k == model.h_total(s.k) for s in samples)
-
-
 def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
     """The first `count` admissible k."""
     first = _first_level(model, c)
@@ -298,7 +288,7 @@ def _check_samples(steps: tuple[int, ...], c: Fraction, samples: list[WeightSamp
 
 
 def _sample_and_recover(
-    model: HilbertModel, c: Fraction, n: int, listed: int = 0
+    model: HilbertModel, c: Fraction, n: int, listed: int
 ) -> tuple[list[WeightSample], NormalConeCoefficients]:
     """The first `listed` admissible samples and the coefficients read off the
     model's top two forward differences, once every sample of one walk over
@@ -322,33 +312,6 @@ def _sample_and_recover(
     _check_samples(model.differences, c, summed)
     return summed[:listed], NormalConeCoefficients.from_differences(
         *model.top_differences(), c, n)
-
-
-def recover_coefficients(
-    model: HilbertModel, c: Fraction, pair: PolarisedPair
-) -> NormalConeCoefficients:
-    """Recover a0, a1, b0, b1, a0_tilde, b0_tilde from finite-k samples.
-
-    The first n+4 admissible levels are summed, and each sample must equal
-    the sums of the model's stored forward differences at its level
-    (InternalCheckError otherwise); the coefficients are then read off the
-    two leading differences. A c outside (0, 1), then a model whose Riemann-Roch
-    invariants are not the pair's (InconsistentDataError), is refused first,
-    then a first level past ORACLE_LITERAL_LIMIT (InputError).
-    """
-    c = _require_c(c)
-    return _sample_and_recover(model.check_against(pair), c, pair.dimension)[1]
-
-
-def jna_finite_k(model: HilbertModel, c: Fraction, k: int) -> Fraction:
-    """Finite-k normalised average weight J_k = -w_k / (k d_k).
-
-    The maximal normalised weight of the decomposition is 0, so J_k is the
-    gap between maximum and average; as k grows it tends to -b0/a0, the
-    ratio of the leading coefficients of the sum polynomials w and d.
-    """
-    sample = dims_and_weights(model, c, k)
-    return -sample.w_k / (k * sample.d_k)
 
 
 # Largest k_max of the oracle listing (the CLI's --kmax); see the README for its cost.

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from logklab.normalcone import _Kernel, _pair_of
-from logklab.pairmodel import CATALOG, DivisorSpec
-from logklab.weightoracle import HilbertModel
+from logklab.exactnum import parse_rational
+from logklab.normalcone import NormalConeCoefficients, _Kernel, _pair_of
+from logklab.pairmodel import CATALOG, DivisorSpec, PolarisedPair
+from logklab.weightoracle import HilbertModel, oracle_report, sum_samples
 
 
 @pytest.fixture
@@ -49,6 +50,34 @@ ORACLE_MODELS = [
 TRIANGULATION_PAIRS = ["P2-line", "P3-hyperplane", "P1xP1-diag"]
 TRIANGULATION_CS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
 TRIANGULATION_BETAS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+
+
+def g_values(n: int, cs) -> list[Fraction]:
+    """g(c) at each c of cs in dimension n, read off the closed form as the
+    commands run it: the inner factor beta + s g(c) of Family.df at beta = 0,
+    over s, on the hyperplane pair of P^n (s > 0)."""
+    constants = _pair_of(PolarisedPair(f"P{n}-hyperplane", n, 1, n + 1))
+    return [constants.at(c).df(Fraction(0)).inner_factor / constants.s for c in cs]
+
+
+def recovered(pair, model, c) -> NormalConeCoefficients:
+    """The coefficients the oracle recovers from its walked samples, as
+    oracle_report prints them, parsed back."""
+    fields = oracle_report(pair, model, c)["recovered"]
+    return NormalConeCoefficients(**{key: value if key == "n" else parse_rational(value)
+                                     for key, value in fields.items()})
+
+
+def flat(pair, model, c, k_max: int = 60) -> bool:
+    """The flatness identity d_k = h_X(k) on every sample oracle_report lists up to k_max."""
+    samples = oracle_report(pair, model, c, k_max)["samples"]
+    return all(sample["d_k"] == model.h_total(sample["k"]) for sample in samples)
+
+
+def finite_k_jna(model, c, ks) -> list[Fraction]:
+    """J_k = -w_k/(k d_k) of the walked sample at each k of ks: the gap between
+    the maximal weight 0 and the average, which tends to J^NA = -b0/a0."""
+    return [-sample.w_k / (sample.k * sample.d_k) for sample in sum_samples(model, c, ks)]
 
 
 def model_for(name: str) -> HilbertModel:

@@ -20,12 +20,10 @@ from logklab.exactnum import format_rational, parse_rational
 from logklab.normalcone import (
     coefficients,
     critical_c,
-    df_closed,
     df_from_coefficients,
+    family,
     find_destabilizer,
-    g_factor,
     instability_threshold,
-    jna_normal_cone,
 )
 from logklab.pairmodel import (
     CATALOG,
@@ -45,18 +43,16 @@ from logklab.thresholds import (
     min_multiplicity_eta0,
     uniform_stability_window,
 )
-from logklab.weightoracle import (
-    flatness_check,
-    jna_finite_k,
-    recover_coefficients,
-)
-
 from conftest import (
     ORACLE_MODELS,
     TRIANGULATION_BETAS,
     TRIANGULATION_CS,
     TRIANGULATION_PAIRS,
+    finite_k_jna,
+    flat,
+    g_values,
     model_for,
+    recovered,
 )
 
 HALF = Fraction(1, 2)
@@ -83,7 +79,7 @@ def test_criterion_01_instability_worked_example(p2, unit_divisor):
         assert (co.a0, co.a1, co.b0, co.b1, co.a0_tilde, co.b0_tilde) == (
             Fraction(1, 2), Fraction(3, 2), Fraction(-5, 48), Fraction(-3, 8),
             Fraction(1), Fraction(-1, 2))
-        closed = df_closed(p2, HALF, HALF).df
+        closed = family(p2, HALF).df(HALF).df
         via_coeffs = df_from_coefficients(co, HALF)
         assert closed == via_coeffs == Fraction(-1, 48)
 
@@ -94,18 +90,18 @@ def test_criterion_02_oracle_triangulation():
             pair = CATALOG[name].pair
             model = model_for(name)
             for c in TRIANGULATION_CS:
-                recovered = recover_coefficients(model, c, pair)
+                recovered_coeffs = recovered(pair, model, c)
                 closed = coefficients(pair, c)
-                assert recovered == closed, (name, c)
+                assert recovered_coeffs == closed, (name, c)
                 for beta in TRIANGULATION_BETAS:
-                    assert df_from_coefficients(recovered, beta) == df_closed(pair, c, beta).df
+                    assert df_from_coefficients(recovered_coeffs, beta) == family(pair, c).df(beta).df
 
 
 def test_criterion_03_flatness():
     with criterion(3, "d_k = h_X(k) for admissible k <= 60 on all catalog models", 2.0):
         for name, model in ORACLE_MODELS:
             for c in TRIANGULATION_CS:
-                assert flatness_check(model, c, 60), (name, c)
+                assert flat(CATALOG[name].pair, model, c), (name, c)
 
 
 def test_criterion_04_g_range_and_sign_dichotomy():
@@ -118,14 +114,13 @@ def test_criterion_04_g_range_and_sign_dichotomy():
                 den = rng.randint(2, 10**6)
                 cs.append(Fraction(rng.randint(1, den - 1), den))
             samples[n] = cs
-            for c in cs:
-                g = g_factor(n, c)
+            for g in g_values(n, cs):
                 assert Fraction(-1, n) < g < 0
         for name, _ in ORACLE_MODELS:
             pair = CATALOG[name].pair
             threshold = instability_threshold(pair)
             for c in samples[pair.dimension]:
-                assert df_closed(pair, c, threshold).df > 0
+                assert family(pair, c).df(threshold).df > 0
             witness_c, witness_df = find_destabilizer(pair, threshold * Fraction(15, 16))
             assert 0 < witness_c < 1 and witness_df < 0
 
@@ -139,8 +134,8 @@ def test_criterion_05_affinity_in_beta():
                 for b1 in betas:
                     for b2 in betas:
                         mid = (b1 + b2) / 2
-                        assert 2 * df_closed(pair, c, mid).df == (
-                            df_closed(pair, c, b1).df + df_closed(pair, c, b2).df)
+                        assert 2 * family(pair, c).df(mid).df == (
+                            family(pair, c).df(b1).df + family(pair, c).df(b2).df)
 
 
 def test_criterion_06_jna_gate(p2, p2_model):
@@ -149,13 +144,12 @@ def test_criterion_06_jna_gate(p2, p2_model):
             pair = CATALOG[name].pair
             model = model_for(name)
             for c in TRIANGULATION_CS:
-                recovered = recover_coefficients(model, c, pair)
-                assert -recovered.b0 / recovered.a0 == jna_normal_cone(pair, c)
-        assert jna_normal_cone(p2, HALF) == Fraction(5, 24)
-        assert jna_finite_k(p2_model, HALF, 4) == Fraction(7, 30)
-        assert jna_finite_k(p2_model, HALF, 10) == Fraction(29, 132)
-        gaps = [abs(jna_finite_k(p2_model, HALF, k) - Fraction(5, 24))
-                for k in range(2, 22, 2)]
+                recovered_coeffs = recovered(pair, model, c)
+                assert -recovered_coeffs.b0 / recovered_coeffs.a0 == family(pair, c).jna()
+        assert family(p2, HALF).jna() == Fraction(5, 24)
+        assert finite_k_jna(p2_model, HALF, [4, 10]) == [Fraction(7, 30), Fraction(29, 132)]
+        gaps = [abs(jna_k - Fraction(5, 24))
+                for jna_k in finite_k_jna(p2_model, HALF, list(range(2, 22, 2)))]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
@@ -224,8 +218,8 @@ def test_criterion_09_critical_c_isolation(p2):
         tol = Fraction(1, 2**10)
         bracket = critical_c(p2, HALF, tol)
         assert bracket.hi - bracket.lo <= tol
-        assert df_closed(p2, bracket.lo, HALF).inner_factor > 0
-        assert df_closed(p2, bracket.hi, HALF).inner_factor < 0
+        assert family(p2, bracket.lo).df(HALF).inner_factor > 0
+        assert family(p2, bracket.hi).df(HALF).inner_factor < 0
         u_lo, u_hi = _bisect_quadratic_root(Fraction(1, 2**16))
         c_star_lo, c_star_hi = 1 - u_hi, 1 - u_lo
         # both intervals contain the same irrational root, so they overlap

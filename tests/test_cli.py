@@ -30,7 +30,7 @@ from logklab.cli import (
 )
 from logklab.errors import InputError, InternalCheckError
 from logklab.exactnum import decimal_string, format_rational, parse_rational
-from logklab.normalcone import CURVE_STEPS_LIMIT, curve, curve_rows, instability_threshold
+from logklab.normalcone import CURVE_STEPS_LIMIT, curve_rows, family, instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
@@ -425,6 +425,23 @@ def test_thresholds_command(capsys):
     assert "beta_u" in out and "3/8" in out
 
 
+def test_thresholds_prints_n_a_where_an_override_exceeds_m_beta(capsys):
+    # On P2-line (m = 1) an alpha_beta override of 1/2 holds at beta >= 1/2
+    # only: the row at 1/4 is n/a, and --beta 1/4 itself is refused.
+    base = ["thresholds", "catalog:P2-line", "--alpha-L", "1/3", "--alpha-LD", "1/2",
+            "--alpha-beta", "1/2"]
+    code, out, err = invoke(capsys, [*base, "--beta", "1/2"])
+    assert (code, err) == (EXIT_OK, "")
+    rows = [line.split()[:2] for line in out.splitlines()[2:]]
+    assert rows == [["beta_u", "0"], ["alpha_beta_lower(beta=1/4)", "n/a"],
+                    *([f"alpha_beta_lower(beta={b})", "1/2"] for b in ("1/2", "3/4", "1")),
+                    ["min_multiplicity_eta0(beta=1/2)", "7"]]
+    assert out.splitlines()[3].endswith("  alpha_beta override exceeds m*beta")
+    code, out, err = invoke(capsys, [*base, "--beta", "1/4"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: alpha_beta override 1/2 exceeds m*beta = 1/4,")
+
+
 def test_thresholds_missing_alphas(capsys):
     code, _, err = invoke(capsys, ["thresholds", "catalog:P2-line", "--m", "4"])
     assert code == EXIT_INPUT
@@ -555,9 +572,11 @@ CURVE_COLUMNS = ("c", "df", "inner_factor", "jna")
 @example(n=2, L_top=Fraction(1), cX_L=Fraction(3), beta=Fraction(1, 2), steps=300)
 def test_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
     # The streamed rows against format_rational, decimal_string and
-    # json.dumps over the Fractions of curve().
-    rows = [(c, rep.df, rep.inner_factor, rep.jna)
-            for c, rep in curve(PolarisedPair("random", n, L_top, cX_L), beta, steps)]
+    # json.dumps over the Fractions of the closed form at each c.
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    reports = ((c, family(pair, c).df(beta)) for c in (Fraction(i, steps + 1)
+                                                       for i in range(1, steps + 1)))
+    rows = [(c, rep.df, rep.inner_factor, rep.jna) for c, rep in reports]
     doc = {"name": "random", "dimension": n, "L_top": format_rational(L_top),
            "cX_L": format_rational(cX_L), "divisor": {"m": 1}}
     outputs = {}
@@ -1136,9 +1155,10 @@ def destabilize_threshold_case(tmp_path):
 
 def df_curve_case(tmp_path, fmt):
     path = big_pair(tmp_path, L_top=f"1/{BIG_X}", cX_L=str(-BIG_Y))
-    rows = curve(load_pair_file(path).pair, Fraction(1, 2), 3)
+    pair = load_pair_file(path).pair
+    reports = [family(pair, Fraction(i, 4)).df(Fraction(1, 2)) for i in range(1, 4)]
     argv = ["df-curve", path, "--beta", "1/2", "--steps", "3", "--format", fmt]
-    return argv, EXIT_OK, [value for _, rep in rows for value in (rep.df, rep.inner_factor)]
+    return argv, EXIT_OK, [value for rep in reports for value in (rep.df, rep.inner_factor)]
 
 
 def df_curve_csv_case(tmp_path):

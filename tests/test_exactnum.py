@@ -12,7 +12,6 @@ from logklab.exactnum import (
     forward_differences,
     newton_sums,
     parse_rational,
-    power_sum,
     ratio_texts,
 )
 
@@ -136,22 +135,7 @@ def test_rational_canonical_form_preserved(a, b):
         assert math.gcd(abs(value.numerator), value.denominator) == 1
 
 
-# ----------------------------- power sums -----------------------------
-
-
-@pytest.mark.parametrize("p, n, expected", [
-    (0, 5, 5),
-    (2, 4, 30),
-    (3, 10, 3025),
-])
-def test_power_sum_known_values(p, n, expected):
-    assert power_sum(p, n) == expected
-
-
-def test_power_sum_matches_literal_loop():
-    for p in range(7):
-        for n in range(201):
-            assert power_sum(p, n) == sum(i**p for i in range(1, n + 1)), (p, n)
+# ----------------------------- Newton series -----------------------------
 
 
 def _binomial(i):
@@ -183,9 +167,3 @@ def test_newton_sums_equal_literal_sums(steps, x):
     assert newton_sums(differences, x) == (
         den * h(x), den * h(x - 1), den * sum(h(j) for j in range(x)))
 
-
-def test_power_sum_rejects_negative():
-    with pytest.raises(InputError):
-        power_sum(-1, 5)
-    with pytest.raises(InputError):
-        power_sum(2, -1)

@@ -21,20 +21,20 @@ from logklab.normalcone import (
     _pair_of,
     _root_estimate,
     coefficients,
+    _reports,
     critical_c,
-    curve,
+    curve_rows,
     df_checked,
-    df_closed,
     df_from_coefficients,
+    family,
     find_destabilizer,
-    g_factor,
     instability_threshold,
-    jna_normal_cone,
 )
 from logklab.exactnum import forward_differences
 from logklab.pairmodel import CATALOG, PolarisedPair
 
-from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, true_signs
+from conftest import (
+    _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, g_values, true_signs)
 
 C_GRID = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
 BETA_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -71,7 +71,7 @@ def test_coefficients_structural_identities():
             assert co.b0 < 0
             assert co.a0_tilde == pair.dimension * co.a0
             assert co.b0_tilde == -c * pair.dimension * co.a0
-            assert df_closed(pair, c, Fraction(0)).positive_prefactor > 0
+            assert family(pair, c).df(Fraction(0)).positive_prefactor > 0
 
 
 def test_coefficients_guards(p2):
@@ -90,7 +90,7 @@ def test_coefficients_guards(p2):
 
 
 def test_df_closed_worked_example(p2):
-    rep = df_closed(p2, Fraction(1, 2), Fraction(1, 2))
+    rep = family(p2, Fraction(1, 2)).df(Fraction(1, 2))
     assert rep.df == Fraction(-1, 48)
     assert rep.inner_factor == Fraction(-1, 14)
     assert rep.positive_prefactor == Fraction(7, 24)
@@ -98,7 +98,7 @@ def test_df_closed_worked_example(p2):
 
 
 def test_df_closed_p1xp1(p1xp1):
-    rep = df_closed(p1xp1, Fraction(3, 4), Fraction(1, 4))
+    rep = family(p1xp1, Fraction(3, 4)).df(Fraction(1, 4))
     assert rep.df == Fraction(-15, 128)
     assert rep.inner_factor == Fraction(-5, 28)
     assert rep.positive_prefactor == Fraction(21, 32)
@@ -106,7 +106,7 @@ def test_df_closed_p1xp1(p1xp1):
 
 def test_df_zero_at_constructed_root(p2):
     # beta chosen as -(S_D/(n-1)) * g(1/2) = 2 * 2/7
-    assert df_closed(p2, Fraction(1, 2), Fraction(4, 7)).df == 0
+    assert family(p2, Fraction(1, 2)).df(Fraction(4, 7)).df == 0
 
 
 def test_df_from_coefficients_examples(p2):
@@ -121,7 +121,7 @@ def test_cross_path_identity_on_grid():
         for c in C_GRID:
             co = coefficients(pair, c)
             for beta in BETA_GRID:
-                assert df_from_coefficients(co, beta) == df_closed(pair, c, beta).df
+                assert df_from_coefficients(co, beta) == family(pair, c).df(beta).df
 
 
 @settings(deadline=None)
@@ -133,14 +133,14 @@ def test_df_affine_in_beta(beta1, beta2):
     pair = CATALOG["P3-hyperplane"].pair
     c = Fraction(2, 3)
     mid = (beta1 + beta2) / 2
-    assert 2 * df_closed(pair, c, mid).df == (
-        df_closed(pair, c, beta1).df + df_closed(pair, c, beta2).df)
+    assert 2 * family(pair, c).df(mid).df == (
+        family(pair, c).df(beta1).df + family(pair, c).df(beta2).df)
 
 
 def test_df_slope_in_beta_is_prefactor(p2):
     c = Fraction(1, 3)
-    rep0 = df_closed(p2, c, Fraction(0))
-    rep1 = df_closed(p2, c, Fraction(1))
+    rep0 = family(p2, c).df(Fraction(0))
+    rep1 = family(p2, c).df(Fraction(1))
     assert rep1.df - rep0.df == rep0.positive_prefactor
 
 
@@ -152,16 +152,17 @@ def test_g_range_on_seeded_random_rationals():
 
     rng = random.Random(20260809)
     for n in range(2, 7):
+        cs = []
         for _ in range(200):
             den = rng.randint(2, 10**6)
-            num = rng.randint(1, den - 1)
-            g = g_factor(n, Fraction(num, den))
+            cs.append(Fraction(rng.randint(1, den - 1), den))
+        for g in g_values(n, cs):
             assert Fraction(-1, n) < g < 0
 
 
 def test_g_strictly_decreasing():
     for n in (2, 3, 5):
-        values = [g_factor(n, Fraction(i, 64)) for i in range(1, 64)]
+        values = g_values(n, [Fraction(i, 64) for i in range(1, 64)])
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -169,12 +170,12 @@ def test_g_strictly_decreasing():
 
 
 def test_jna_known_values(p2, p1xp1):
-    assert jna_normal_cone(p2, Fraction(1, 2)) == Fraction(5, 24)
-    assert jna_normal_cone(p1xp1, Fraction(3, 4)) == Fraction(27, 64)
+    assert family(p2, Fraction(1, 2)).jna() == Fraction(5, 24)
+    assert family(p1xp1, Fraction(3, 4)).jna() == Fraction(27, 64)
 
 
 def test_jna_small_c_positive_and_small(p2):
-    value = jna_normal_cone(p2, Fraction(1, 1000))
+    value = family(p2, Fraction(1, 1000)).jna()
     assert 0 < value < Fraction(1, 1000)
 
 
@@ -182,7 +183,7 @@ def test_jna_small_c_positive_and_small(p2):
 @given(open_unit_fractions)
 def test_jna_positive_on_open_interval(c):
     pair = CATALOG["P3-hyperplane"].pair
-    assert jna_normal_cone(pair, c) > 0
+    assert family(pair, c).jna() > 0
 
 
 def test_jna_equals_minus_b0_over_a0():
@@ -190,7 +191,7 @@ def test_jna_equals_minus_b0_over_a0():
         pair = CATALOG[name].pair
         for c in C_GRID:
             co = coefficients(pair, c)
-            assert jna_normal_cone(pair, c) == -co.b0 / co.a0
+            assert family(pair, c).jna() == -co.b0 / co.a0
 
 
 # ----------------------------- threshold and search -----------------------------
@@ -206,7 +207,7 @@ def test_find_destabilizer_examples(p2, p1xp1):
     c, df = find_destabilizer(p1xp1, Fraction(1, 4))
     assert 0 < c < 1 and df < 0
     c, df = find_destabilizer(p2, Fraction(1, 2))
-    assert df_closed(p2, c, Fraction(1, 2)).df == df < 0
+    assert family(p2, c).df(Fraction(1, 2)).df == df < 0
     # c = 1/2 itself qualifies; the dyadic schedule finds it immediately
     assert c == Fraction(1, 2)
 
@@ -220,8 +221,8 @@ def test_positive_df_at_and_above_threshold(p2, p1xp1):
     for pair in (p2, p1xp1):
         thr = instability_threshold(pair)
         for c in C_GRID:
-            assert df_closed(pair, c, thr).df > 0
-            assert df_closed(pair, c, thr + Fraction(1, 7)).df > 0
+            assert family(pair, c).df(thr).df > 0
+            assert family(pair, c).df(thr + Fraction(1, 7)).df > 0
 
 
 def test_find_destabilizer_guards(p2):
@@ -249,14 +250,14 @@ def test_critical_c_p2(p2):
     bracket = critical_c(p2, Fraction(1, 2), tol)
     assert not bracket.all_destabilizing
     assert bracket.hi - bracket.lo <= tol
-    assert df_closed(p2, bracket.lo, Fraction(1, 2)).inner_factor > 0
-    assert df_closed(p2, bracket.hi, Fraction(1, 2)).inner_factor < 0
+    assert family(p2, bracket.lo).df(Fraction(1, 2)).inner_factor > 0
+    assert family(p2, bracket.hi).df(Fraction(1, 2)).inner_factor < 0
 
 
 def test_critical_c_p1xp1_sign_change(p1xp1):
     bracket = critical_c(p1xp1, Fraction(1, 4), Fraction(1, 4096))
-    assert df_closed(p1xp1, bracket.lo, Fraction(1, 4)).df > 0
-    assert df_closed(p1xp1, bracket.hi, Fraction(1, 4)).df < 0
+    assert family(p1xp1, bracket.lo).df(Fraction(1, 4)).df > 0
+    assert family(p1xp1, bracket.hi).df(Fraction(1, 4)).df < 0
 
 
 def test_critical_c_loose_tolerance(p2):
@@ -286,8 +287,8 @@ def test_critical_c_refuses_at_threshold(p2):
 def test_critical_c_returns_the_closed_form_inner_factors(p2):
     beta = Fraction(1, 2)
     bracket = critical_c(p2, beta, Fraction(1, 1024))
-    assert bracket.lo_inner == df_closed(p2, bracket.lo, beta).inner_factor
-    assert bracket.hi_inner == df_closed(p2, bracket.hi, beta).inner_factor
+    assert bracket.lo_inner == family(p2, bracket.lo).df(beta).inner_factor
+    assert bracket.hi_inner == family(p2, bracket.hi).df(beta).inner_factor
     assert bracket.lo_inner > 0 > bracket.hi_inner
     root = critical_c(p2, Fraction(4, 7), Fraction(1, 1024))
     assert root == (Fraction(1, 2), Fraction(1, 2), False, 0, 0)
@@ -457,7 +458,7 @@ def test_df_checked_returns_both_agreeing_paths(p2):
     c, beta = Fraction(1, 2), Fraction(1, 2)
     coeffs, report = df_checked(p2, c, beta)
     assert coeffs == coefficients(p2, c)
-    assert report == df_closed(p2, c, beta)
+    assert report == family(p2, c).df(beta)
     assert df_from_coefficients(coeffs, beta) == report.df == Fraction(-1, 48)
 
 
@@ -528,7 +529,7 @@ def test_riemann_roch_gives_the_top_two_forward_differences(n, L_top, cX_L):
 @example(n=2, L_top=Fraction(1), cX_L=Fraction(3), beta=Fraction(7, 19), c=Fraction(1, 3))
 def test_sign_kernel_matches_closed_form_inner_factor(n, L_top, cX_L, beta, c):
     pair = PolarisedPair("random", n, L_top, cX_L)
-    inner = df_closed(pair, c, beta).inner_factor
+    inner = family(pair, c).df(beta).inner_factor
     sign = _pair_of(pair).kernel(beta).sign
     assert sign(c.numerator, c.denominator) == (inner > 0) - (inner < 0)
 
@@ -540,17 +541,17 @@ def test_sign_kernel_matches_closed_form_inner_factor(n, L_top, cX_L, beta, c):
 def _reference_seeds(pair, beta):
     """The seed bracket [2^-j, 1 - 2^-i], each end found one bit at a time."""
     lo = Fraction(1, 2)
-    while df_closed(pair, lo, beta).inner_factor <= 0:
+    while family(pair, lo).df(beta).inner_factor <= 0:
         lo /= 2
     step = Fraction(1, 2)
-    while df_closed(pair, 1 - step, beta).inner_factor >= 0:
+    while family(pair, 1 - step).df(beta).inner_factor >= 0:
         step /= 2
     return lo, 1 - step
 
 
 def _reference_critical_c(pair, beta, tol):
     def inner(c):
-        return df_closed(pair, c, beta).inner_factor
+        return family(pair, c).df(beta).inner_factor
 
     lo, hi = _reference_seeds(pair, beta)
     while hi - lo > tol:
@@ -569,7 +570,7 @@ def _reference_find_destabilizer(pair, beta, tol):
     step = Fraction(1, 2)
     while step >= tol:
         c = 1 - step
-        report = df_closed(pair, c, beta)
+        report = family(pair, c).df(beta)
         if report.df < 0:
             return c, report.df
         step /= 2
@@ -625,7 +626,7 @@ def test_critical_c_equals_fraction_bisection(n, L_top, excess, share, root, bit
     else:
         a, e = root
         c = Fraction(a % (1 << e) or 1, 1 << e)
-        beta = -excess * g_factor(n, c)
+        beta = -family(pair, c).df(Fraction(0)).inner_factor  # -s g(c)
     tol = Fraction(num, den << bits)
     assert critical_c(pair, beta, tol) == _reference_critical_c(pair, beta, tol)
 
@@ -662,8 +663,8 @@ def test_find_destabilizer_every_c_destabilises_for_negative_volume(beta):
     # the witness.
     pair = PolarisedPair("neg", 2, -1, -6)
     c, df = find_destabilizer(pair, beta)
-    assert c == Fraction(1, 2) and df == df_closed(pair, c, beta).df < 0
-    assert all(df_closed(pair, Fraction(i, 16), beta).df < 0 for i in range(1, 16))
+    assert c == Fraction(1, 2) and df == family(pair, c).df(beta).df < 0
+    assert all(family(pair, Fraction(i, 16)).df(beta).df < 0 for i in range(1, 16))
 
 
 @pytest.mark.parametrize("L_top, cX_L, beta", [
@@ -675,8 +676,8 @@ def test_find_destabilizer_witness_where_s_is_negative(L_top, cX_L, beta):
     pair = PolarisedPair("s-negative", 2, L_top, cX_L)
     assert beta >= instability_threshold(pair)
     c, df = find_destabilizer(pair, beta)
-    assert c == Fraction(1, 2) and df == df_closed(pair, c, beta).df < 0
-    assert df_closed(pair, Fraction(1, 64), beta).df < 0
+    assert c == Fraction(1, 2) and df == family(pair, c).df(beta).df < 0
+    assert family(pair, Fraction(1, 64)).df(beta).df < 0
 
 
 def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
@@ -690,8 +691,8 @@ def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
                         lambda kernel, a, d: steps.append((a, d)) or real(kernel, a, d))
     assert find_destabilizer(pair, Fraction(1)) == (Fraction(1, 4), Fraction(-1, 16))
     assert steps == [(1, 2), (1, 4)]
-    assert df_closed(pair, Fraction(1, 2), Fraction(1)).inner_factor == Fraction(-3, 7)
-    assert df_closed(pair, Fraction(1, 8), Fraction(1)).df == Fraction(-19, 256)
+    assert family(pair, Fraction(1, 2)).df(Fraction(1)).inner_factor == Fraction(-3, 7)
+    assert family(pair, Fraction(1, 8)).df(Fraction(1)).df == Fraction(-19, 256)
     with pytest.raises(PreconditionFailedError) as exc:  # beta <= 0: DF > 0 for every c
         find_destabilizer(pair, Fraction(0))
     assert str(exc.value) == ("L^n < 0 and beta = 0 is not positive: "
@@ -705,7 +706,7 @@ def _reference_scan(pair, beta, tol):
     step = Fraction(1, 2)
     while step >= tol:
         for c in (1 - step, step):
-            df = df_closed(pair, c, beta).df
+            df = family(pair, c).df(beta).df
             if df < 0:
                 return c, df
         step /= 2
@@ -736,7 +737,7 @@ def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, num, bit
         assert expected is None
     except PreconditionFailedError as exc:
         assert expected is None
-        dfs = [df_closed(pair, Fraction(i, 97), beta).df for i in range(1, 97)]
+        dfs = [family(pair, Fraction(i, 97)).df(beta).df for i in range(1, 97)]
         assert min(dfs) >= 0 and ("DF > 0" not in str(exc) or min(dfs) > 0)
     else:
         assert found == expected
@@ -746,10 +747,10 @@ def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, num, bit
 
 
 def test_curve_grid(p2):
-    rows = curve(p2, Fraction(1, 2), 7)
+    rows = list(_reports(curve_rows(p2, Fraction(1, 2), 7)))
     assert [c for c, _ in rows] == [Fraction(i, 8) for i in range(1, 8)]
     for c, rep in rows:
-        assert rep.df == df_closed(p2, c, Fraction(1, 2)).df
+        assert rep.df == family(p2, c).df(Fraction(1, 2)).df
 
 
 
@@ -765,9 +766,9 @@ def test_curve_grid(p2):
 @example(n=3, L_top=Fraction(1), cX_L=Fraction(4), beta=Fraction(1, 2), steps=300)
 def test_curve_rows_equal_closed_form(n, L_top, cX_L, beta, steps):
     pair = PolarisedPair("random", n, L_top, cX_L)
-    rows = curve(pair, beta, steps)
+    rows = list(_reports(curve_rows(pair, beta, steps)))
     assert [c for c, _ in rows] == [Fraction(i, steps + 1) for i in range(1, steps + 1)]
     for c, rep in rows:
-        closed = df_closed(pair, c, beta)
+        closed = family(pair, c).df(beta)
         assert (rep.df, rep.inner_factor, rep.positive_prefactor, rep.jna) == (
             closed.df, closed.inner_factor, closed.positive_prefactor, closed.jna)

@@ -15,18 +15,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Every name the package exports, under the module that defines it.
 EXPORTS = {
-    "exactnum": ["decimal_string", "format_rational", "parse_rational", "power_sum"],
+    "exactnum": ["decimal_string", "format_rational", "parse_rational"],
     "pairmodel": ["CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
                   "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
     "normalcone": ["CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients",
-                   "critical_c", "df_checked", "df_closed", "df_from_coefficients",
-                   "find_destabilizer", "g_factor", "instability_threshold", "jna_normal_cone"],
+                   "critical_c", "df_checked", "df_from_coefficients", "find_destabilizer",
+                   "instability_threshold"],
     "thresholds": ["AngleWindow", "ExistenceCase", "PositivityData", "SingularCriteriaInput",
                    "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "beta_u",
                    "entropy_threshold_check", "eta_feasibility", "existence_window",
                    "min_multiplicity_eta0", "singular_criteria", "uniform_stability_window"],
-    "weightoracle": ["WeightSample", "dims_and_weights", "flatness_check", "jna_finite_k",
-                     "oracle_report", "recover_coefficients"],
+    "weightoracle": ["WeightSample", "dims_and_weights", "oracle_report"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,21 +11,6 @@ def _run(script, *args):
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True, text=True, timeout=120,
     )
-
-
-def test_df_landscape_runs():
-    proc = _run("df_landscape.py", "--rungs", "2", "--pairs", "P2-line")
-    assert proc.returncode == 0, proc.stderr
-    assert "instability threshold: 1" in proc.stdout
-    assert "witness c" in proc.stdout
-
-
-def test_df_landscape_default_pairs():
-    # Fano-template has threshold 0, so no angle is below it.
-    proc = _run("df_landscape.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "== Fano-template" in proc.stdout
-    assert proc.stdout.endswith("the family destabilises none\n")
 
 
 def test_oracle_sweep_runs():
@@ -49,3 +35,17 @@ def test_compare_outputs_quick_against_itself():
     proc = _run("compare_outputs.py", str(root), str(root), "--quick")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith(" invocations, 0 differ\n")
+
+
+def test_compare_outputs_reach_finds_every_function_run():
+    # Every function of src/logklab runs in some invocation, but those the
+    # script exempts with a reason.
+    proc = _run("compare_outputs.py", "--reach")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *unreached, summary = proc.stdout.splitlines()
+    assert unreached == ["NOT REACHED (exempt): logklab.__dir__",
+                         "NOT REACHED (exempt): logklab.cli.main",
+                         "NOT REACHED (exempt): logklab.thresholds.AngleWindow.contains"]
+    counts = re.fullmatch(r"\d+ invocations in process: (\d+) of (\d+) functions in "
+                          r"src/logklab ran", summary)
+    assert counts and int(counts[1]) + len(unreached) == int(counts[2])
