@@ -15,7 +15,9 @@ after the flags and `catalog list extra`), and oracle runs the workloads
 leave out: a c outside (0, 1), an n = 1 pair, an explicit model at floor 50
 with --kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4
 models at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000,
-explicit models whose divisor counts go negative inside the walk, P4 at c =
+explicit models whose divisor counts go negative inside the walk (listed
+in EXPECTED at c = 9999/10000: earlier trees named the first bad count of
+the per-sample sums, not of the walk), P4 at c =
 95111/100000 (one run of 795111 divisor counts), P1xP1 at c = 1/7 with
 --kmax 400 (runs with gaps between them), and an explicit P3 model whose
 counts are all positive but whose forward differences go negative at small
@@ -155,6 +157,20 @@ OVERRIDE_ABOVE = ("eta", "catalog:P2-line", "--beta", "1/4", "--alpha-beta", "10
 THRESHOLDS_OVERRIDE = ("thresholds", "catalog:P2-line", "--alpha-L", "1/3", "--alpha-LD", "1/2",
                        "--alpha-beta", "1/2")
 
+
+def _explicit(n: int, cX_L: str, coefficients: list[str]) -> tuple[str, bytes]:
+    """A pair file of dimension n, L^n = 1, with an explicit hilbert block."""
+    return workloads._file("pair", {
+        "name": f"P{n}-explicit", "dimension": n, "L_top": "1", "cX_L": cX_L,
+        "divisor": {"m": 1}, "hilbert": {"kind": "explicit", "coefficients": coefficients}})
+
+
+# binom(k,3) + 3 binom(k,2) - 1000 k + 100000: h_D(j) < 0 for j <= 43.
+P3_NEGATIVE = _explicit(3, "4", ["100000", "-6007/6", "1", "1/6"])
+# binom(k,4) + 4 binom(k,3) - 200 binom(k,2) + 2000 k: h_D(j) < 0 for
+# j = 14..22 only, past the seeds of a run that starts at j = 2.
+P4_DIP = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
+
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
 # under TREE_B) when TREE_A is the parent.
 EXPECTED = {
@@ -173,14 +189,11 @@ EXPECTED = {
     ("info", NON_INTEGER[0]): (0, 3),
     ("oracle", NON_INTEGER[0], "--c", "1/2"): (3, 3),
     ("info", LONG_BLOCK[0]): (3, 3),
+    # An invalid model is refused at the first bad count the walk meets, no
+    # longer at the first one the literal per-sample sums meet.
+    ("oracle", P3_NEGATIVE[0], "--c", "9999/10000"): (3, 3),
+    ("oracle", P4_DIP[0], "--c", "9999/10000"): (3, 3),
 }
-
-
-def _explicit(n: int, cX_L: str, coefficients: list[str]) -> tuple[str, bytes]:
-    """A pair file of dimension n, L^n = 1, with an explicit hilbert block."""
-    return workloads._file("pair", {
-        "name": f"P{n}-explicit", "dimension": n, "L_top": "1", "cX_L": cX_L,
-        "divisor": {"m": 1}, "hilbert": {"kind": "explicit", "coefficients": coefficients}})
 
 
 def oracle_edges() -> list[workloads.Invocation]:
@@ -193,12 +206,7 @@ def oracle_edges() -> list[workloads.Invocation]:
     # binom(k+3, 3) and binom(k+4, 4) given explicitly.
     p3 = _explicit(3, "4", ["1", "11/6", "1", "1/6"])
     p4 = _explicit(4, "5", ["1", "25/12", "35/24", "5/12", "1/24"])
-    # binom(k,3) + 3 binom(k,2) - 1000 k + 100000: h_D(j) < 0 for j <= 43.
-    p3_negative = _explicit(3, "4", ["100000", "-6007/6", "1", "1/6"])
-    # binom(k,4) + 4 binom(k,3) - 200 binom(k,2) + 2000 k: h_D(j) < 0 for
-    # j = 14..22 only, past the seeds of a run that starts at j = 2.
-    p4_dip = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
-    files = (point, floor50, floor10000, p3, p4, p3_negative, p4_dip, P3_VALLEY)
+    files = (point, floor50, floor10000, p3, p4, P3_NEGATIVE, P4_DIP, P3_VALLEY)
     p2, p1, explicit = "catalog:P2-line", point[0], floor50[0]
     argvs = [
         (p2, "--c", "3/2"), (p2, "--c", "3/2", "--kmax", "0"), (p2, "--c=-1/2"), (p2, "--c", "0"),
@@ -208,8 +216,8 @@ def oracle_edges() -> list[workloads.Invocation]:
         ("catalog:P4-hyperplane", "--c", "1/2", "--kmax", "10000"),
         *((f[0], "--c", c) for f in (p3, p4) for c in ("9999/10000", "1/7", "1/60")),
         (floor10000[0], "--c", "1/2"),
-        (p3_negative[0], "--c", "9999/10000"),
-        *((p4_dip[0], "--c", c) for c in ("9999/10000", "1/2")),
+        (P3_NEGATIVE[0], "--c", "9999/10000"),
+        *((P4_DIP[0], "--c", c) for c in ("9999/10000", "1/2")),
         ("catalog:P4-hyperplane", "--c", "95111/100000"),
         ("catalog:P1xP1-diag", "--c", "1/7", "--kmax", "400"),
         *((P3_VALLEY[0], "--c", c) for c in ("1/2", "9/10", "1/7")),

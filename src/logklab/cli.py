@@ -346,7 +346,7 @@ def _cmd_df(ns) -> tuple[int, Iterable[str]]:
 def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
-    columns = normalcone.GRID_FIELDS[:4]  # the prefactor, last, is not printed
+    columns = normalcone.GRID_FIELDS
     if ns.format == "csv":
         # No field needs CSV quoting: rationals and decimals hold no comma,
         # quote or newline.
@@ -360,9 +360,8 @@ def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
     batches = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
 
     def rows(nums: list[int], dens: list[int]) -> list[str]:
-        k = len(nums) // len(normalcone.GRID_FIELDS)
-        printed = len(columns) * k
-        texts = ratio_texts(nums[:printed], dens[:printed], digits)
+        k = len(nums) // len(columns)
+        texts = ratio_texts(nums, dens, digits)
         return list(map(row.__mod__, zip(*(texts[i:i + k] for i in range(0, len(texts), k)))))
 
     # One piece, so one write, per batch of rows, not per row: with
@@ -679,7 +678,7 @@ def run(argv: list[str]) -> int:
                 ns.divisor = ns.source.divisor if m is None else DivisorSpec(m=m)
             code, pieces = ns.handler(ns)
         except PreconditionFailedError as exc:
-            code, pieces = EXIT_INCONCLUSIVE, [f"PreconditionFailed: {exc.violated}\n"]
+            code, pieces = EXIT_INCONCLUSIVE, [f"PreconditionFailed: {exc}\n"]
         for piece in pieces:
             sys.stdout.write(piece)
         return code

@@ -48,11 +48,7 @@ class BelowValidityFloorError(InputError):
 
 
 class PreconditionFailedError(LogKLabError):
-    """A theorem hypothesis fails for the given data; carries the violated inequality."""
-
-    def __init__(self, violated: str):
-        super().__init__(violated)
-        self.violated = violated
+    """A theorem hypothesis fails for the given data; its message is the violated inequality."""
 
 
 class NotBelowThresholdError(PreconditionFailedError):

@@ -232,7 +232,8 @@ class _Kernel(NamedTuple):
         DF           = a0 V / (den (n+1) d^(n+1))
         J^NA         = ((n+1) a d^n - (d^(n+1) - b^(n+1))) / ((n+1) d^(n+1)).
 
-    grid yields these as unreduced integers; df-curve prints no Fraction.
+    grid yields all but the prefactor, the columns df-curve prints, as
+    unreduced integers; df-curve makes no Fraction.
     """
 
     n: int
@@ -254,8 +255,8 @@ class _Kernel(NamedTuple):
         """At c = a/d for each a of a_values (0 < a < d), lazily, CURVE_BATCH
         points at a time: each batch of k points as two flat lists, the
         unreduced integer numerators and the denominators of its GRID_FIELDS,
-        c, DF, the inner factor, J^NA and the prefactor, field by field (the
-        k values of c, then the k of DF, and so on).
+        c, DF, the inner factor and J^NA, field by field (the k values of c,
+        then the k of DF, and so on).
 
         The powers of d and the constants of the denominators are computed
         once; each point needs b^n, V and d^(n+1) - b^(n+1), and no tuple.
@@ -264,11 +265,9 @@ class _Kernel(NamedTuple):
         d_n = d**n
         d_n1 = d_n * d
         inner_den = self.den * n
-        prefactor_num = n * a0_num
         jna_lead = (n + 1) * d_n
         jna_den = (n + 1) * d_n1
-        prefactor_den = self.a0.denominator * jna_den
-        df_den = prefactor_den * self.den
+        df_den = self.a0.denominator * jna_den * self.den
         for start in range(0, len(a_values), CURVE_BATCH):
             batch = a_values[start:start + CURVE_BATCH]
             k = len(batch)
@@ -277,10 +276,8 @@ class _Kernel(NamedTuple):
             vs = list(map(self.value, batch, repeat(d, k), b_ns, repeat(d_n1, k)))
             gaps = [d_n1 - b_n * b for b_n, b in zip(b_ns, bs)]  # d^(n+1) - b^(n+1) > 0
             yield ([*batch, *[a0_num * v for v in vs], *vs,
-                    *[jna_lead * a - gap for a, gap in zip(batch, gaps)],
-                    *[prefactor_num * gap for gap in gaps]],
-                   [*[d] * k, *[df_den] * k, *[inner_den * gap for gap in gaps],
-                    *[jna_den] * k, *[prefactor_den] * k])
+                    *[jna_lead * a - gap for a, gap in zip(batch, gaps)]],
+                   [*[d] * k, *[df_den] * k, *[inner_den * gap for gap in gaps], *[jna_den] * k])
 
 
 def family(pair: PolarisedPair, c: Fraction) -> Family:
@@ -566,8 +563,8 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
 CURVE_STEPS_LIMIT = 10**5
 # Points of one batch of _Kernel.grid, so rows per write call of df-curve.
 CURVE_BATCH = 256
-# The fields of a _Kernel.grid batch, in their order.
-GRID_FIELDS = ("c", "df", "inner_factor", "jna", "positive_prefactor")
+# The fields of a _Kernel.grid batch, in their order: df-curve's columns.
+GRID_FIELDS = ("c", "df", "inner_factor", "jna")
 
 
 def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
@@ -575,9 +572,9 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
     """The batches of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
 
     The Fraction closed form at the first and last points is the independent
-    second path: any field that differs from it raises InternalCheckError
-    before the batches are returned. steps outside 1..CURVE_STEPS_LIMIT is an
-    InputError.
+    second path: a DF, inner factor or J^NA that differs from it raises
+    InternalCheckError before the batches are returned. steps outside
+    1..CURVE_STEPS_LIMIT is an InputError.
     """
     if steps < 1:
         raise ParameterOutOfRangeError(f"steps must be >= 1, got {steps}")
@@ -586,22 +583,20 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
     beta = Fraction(beta)
     constants = _pair_of(pair)
     kernel, d = constants.kernel(beta), steps + 1
-    for c, report in _reports(kernel.grid(d, (1, d - 1))):
+    for c, df, inner, jna in _reports(kernel.grid(d, (1, d - 1))):
         closed = constants.at(c).df(beta)
-        if report != closed:
+        if (df, inner, jna) != (closed.df, closed.inner_factor, closed.jna):
             raise InternalCheckError(
                 f"df-curve grid and closed form disagree at c = {format_rational(c)}: "
-                f"DF {format_rational(report.df)} against {format_rational(closed.df)}"
+                f"DF {format_rational(df)} against {format_rational(closed.df)}"
             )
     return kernel.grid(d, range(1, d))
 
 
 def _reports(batches: Iterable[tuple[list[int], list[int]]]
-             ) -> Iterator[tuple[Fraction, DFReport]]:
-    """The points of _Kernel.grid's batches as c and its DFReport, in Fractions."""
+             ) -> Iterator[tuple[Fraction, ...]]:
+    """The points of _Kernel.grid's batches as tuples of their GRID_FIELDS, in Fractions."""
     for nums, dens in batches:
         values = list(map(Fraction, nums, dens))
         k = len(values) // len(GRID_FIELDS)
-        fields = (values[i:i + k] for i in range(0, len(values), k))
-        for c, df, inner, jna, prefactor in zip(*fields):
-            yield c, DFReport(df, inner, prefactor, jna)
+        yield from zip(*(values[i:i + k] for i in range(0, len(values), k)))

@@ -110,27 +110,27 @@ class _WindowFields(NamedTuple):
     lower_inclusive: bool
     upper: Fraction
     upper_inclusive: bool
-    empty: bool
     claim: WindowClaim
 
 
 class AngleWindow(_WindowFields):
     """Certified cone-angle interval; endpoint strictness follows the
-    theorem statements exactly. Every construction checks that a nonempty
-    window is a nonempty part of [0, 1]."""
+    theorem statements exactly. It is empty unless lower < upper, or the
+    bounds are equal and both inclusive. Every construction checks that a
+    nonempty window lies in [0, 1]."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         window = super().__new__(cls, *args, **kwargs)
-        if not window.empty:
-            if not (0 <= window.lower and window.upper <= 1):
-                raise InconsistentDataError(f"window [{window._bounds()}] escapes [0, 1]")
-            degenerate_ok = (window.lower == window.upper and window.lower_inclusive
-                             and window.upper_inclusive)
-            if not (window.lower < window.upper or degenerate_ok):
-                raise InconsistentDataError("nonempty window needs lower < upper")
+        if not window.empty and not (0 <= window.lower and window.upper <= 1):
+            raise InconsistentDataError(f"window [{window._bounds()}] escapes [0, 1]")
         return window
+
+    @property
+    def empty(self) -> bool:
+        return not (self.lower < self.upper or self.lower == self.upper
+                    and self.lower_inclusive and self.upper_inclusive)
 
     def contains(self, beta: Fraction) -> bool:
         if self.empty:
@@ -149,12 +149,6 @@ class AngleWindow(_WindowFields):
 
     def _bounds(self) -> str:
         return f"{format_rational(self.lower)}, {format_rational(self.upper)}"
-
-
-def _make_window(lower, lower_inc, upper, upper_inc, claim) -> AngleWindow:
-    lower, upper = Fraction(lower), Fraction(upper)
-    nonempty = lower < upper or (lower == upper and lower_inc and upper_inc)
-    return AngleWindow(lower, lower_inc, upper, upper_inc, not nonempty, claim)
 
 
 class ExistenceCase(enum.Enum):
@@ -250,7 +244,7 @@ def uniform_stability_window(pair: PolarisedPair, pos: PositivityData, m: int) -
                                       f"> S_1 + m = {format_rational(s1 + m)}")
     lower = 1 - ((n + 1) * lam - s1) / m
     upper = beta_u(pair, pos, m)
-    return _make_window(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
+    return AngleWindow(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
 
 
 def _require_s1_at_most_mn(s1: Fraction, m: int, n: int) -> None:
@@ -297,7 +291,7 @@ def existence_window(
         upper = bu
     else:  # pragma: no cover - enum is exhaustive
         raise InputError(f"unknown existence case {case!r}")
-    return _make_window(Fraction(0), False, upper, True, WindowClaim.EXISTENCE_CSCK_CONE)
+    return AngleWindow(Fraction(0), False, upper, True, WindowClaim.EXISTENCE_CSCK_CONE)
 
 
 def eta_feasibility(

@@ -19,10 +19,11 @@ summation on the upper index, so its cost does not grow with the
 denominator of c, and the run's last count is checked against a literal
 call. Any other run, and every run of another model, is counted, each
 h_D(j) read once, and a count of more than ORACLE_LITERAL_LIMIT values is
-refused (InputError) before it starts. dims_and_weights is the literal
-per-sample sum, kept as the reference the walk is checked against: every
-report recomputes its first sample that way (InternalCheckError on any
-difference), and refuses one of more than ORACLE_LITERAL_LIMIT divisor
+refused (InputError) before it starts. An invalid model is refused
+(InputError) at the first bad count the walk meets. dims_and_weights is the
+literal per-sample sum, kept as the reference the walk is checked against:
+every report recomputes its first sample that way (InternalCheckError on
+any difference), and refuses one of more than ORACLE_LITERAL_LIMIT divisor
 counts (InputError) before any sum runs.
 """
 
@@ -113,7 +114,7 @@ def dims_and_weights(model: HilbertModel, c: Fraction, k: int) -> WeightSample:
 
 
 def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
-    """[dims_and_weights(model, c, k) for k in ks], from one shared walk.
+    """[dims_and_weights(model, c, k) for k in ks] on a valid model, from one shared walk.
 
     The walk goes ascending over the union of the block ranges (k - ck, k]
     and records the running sums S0 = sum h_D(j) and S1 = sum j h_D(j) at
@@ -124,27 +125,12 @@ def sum_samples(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightS
         d_k = h_X(base) + dS0,   w_k = -(dS1 - base dS0),   d~_k = h_D(k).
 
     The records of each maximal contiguous run of the union come from one
-    jump or one count (_record_run); a valid model is counted or jumped
-    over in one pass, linear in the union at worst, and a run too long to
-    count is refused (InputError). A model fault, a negative count,
-    sends the call to the literal path, only to name the first error
-    dims_and_weights meets. c is checked once, when ks is not
-    empty.
+    jump or one count (_record_run), so a model is counted or jumped over in
+    one pass, linear in the union at worst. A run too long to count, and a
+    model fault such as a negative count, is refused (InputError) where the
+    walk meets it first. c is checked once, when ks is not empty.
     """
     c = _require_c(c) if ks else Fraction(c)
-    try:
-        return _walk(model, c, ks)
-    except _CountTooLong:
-        raise  # the literal path would sum every sample, which costs more
-    except InputError:
-        return [dims_and_weights(model, c, k) for k in ks]
-
-
-class _CountTooLong(InputError):
-    """A run of the walk that would count more than ORACLE_LITERAL_LIMIT values."""
-
-
-def _walk(model: HilbertModel, c: Fraction, ks: list[int]) -> list[WeightSample]:
     bases = [k - _check_admissible(model, c, k) for k in ks]
     # Ranges opening minus ranges closing at each end point.
     depth_change: dict[int, int] = {}
@@ -198,7 +184,7 @@ def _record_run(
     (InternalCheckError otherwise). Any other run, and every run of another
     model, is counted: each h_divisor(j) past the seeds is read once, and a
     run of more than ORACLE_LITERAL_LIMIT counts is refused first
-    (_CountTooLong).
+    (InputError), as is a negative count (HilbertModel.h_divisor).
     """
     lo, ends, last = points[0] + 1, points[1:], points[-1]
     records[points[0]] = (0, 0, 0)  # a run starts at a base, never at a k: no h_D read
@@ -207,7 +193,7 @@ def _record_run(
     steps = leading_differences(seeds)
     if type(model) is not HilbertModel or lo + len(seeds) > last or min(steps) < 0:
         if last - lo + 1 > ORACLE_LITERAL_LIMIT:
-            raise _CountTooLong(
+            raise InputError(
                 f"the walk would count a run of {last - lo + 1} divisor counts from j = {lo}, "
                 f"more than the limit {ORACLE_LITERAL_LIMIT}")
         s0 = s1 = 0

@@ -158,6 +158,15 @@ def test_destabilize_below_threshold(capsys):
     assert "witness c" in out
 
 
+def test_destabilize_exits_3_when_tol_is_too_coarse(capsys):
+    # A search that ends without a witness is neither an answer nor a bug.
+    code, out, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", "1/2",
+                                     "--tol", "5"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("error: no destabilising c found before the dyadic step fell below "
+                   "tol = 5; decrease tol\n")
+
+
 def test_oracle_match(capsys):
     code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "20"])
     assert code == EXIT_OK
@@ -221,8 +230,8 @@ def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n, coefficients, c, message", [
     (2, ["1/2", "3/2", "1/2"], "1/2", "explicit model gives a non-dimension value 1/2 at k = 0"),
-    (2, ["-20", "3/2", "1/2"], "1/3", "explicit model gives a non-dimension value -15 at k = 2"),
-    (3, ["20", "-61/6", "1", "1/6"], "2/3", "divisor dimension negative at j = 3; model invalid"),
+    (2, ["-20", "3/2", "1/2"], "1/3", "explicit model gives a non-dimension value -11 at k = 3"),
+    (3, ["20", "-61/6", "1", "1/6"], "2/3", "divisor dimension negative at j = 2; model invalid"),
     # h_D(j) < 0 for j = 14..22 only: the walk's seeds at j = 2..5 are valid,
     # and the first sample (k = 2) never reaches a negative count.
     (4, ["0", "25213/12", "-2437/24", "5/12", "1/24"], "1/2",
@@ -231,7 +240,7 @@ def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
 def test_oracle_bad_explicit_model_exits_3(capsys, tmp_path, n, coefficients, c, message):
     # Each model is wrong at several arguments. A non-integer value is refused
     # when the file is loaded, at the least k; any other fault is named where
-    # the literal per-sample sums meet it first.
+    # the walk meets it first.
     doc = {"name": "bad", "dimension": n, "L_top": "1", "cX_L": str(n + 1), "divisor": {"m": 1},
            "hilbert": {"kind": "explicit", "coefficients": coefficients}}
     code, out, err = invoke(capsys, ["oracle", write_pair(tmp_path, doc), "--c", c])
@@ -298,7 +307,7 @@ def test_oracle_counted_run_limit(capsys, monkeypatch, tmp_path):
     valley = write_pair(tmp_path, VALLEY_DOC)
     code, out, _ = invoke(capsys, ["oracle", valley, "--c", "99999/100000"])
     assert (code, json.loads(out)["match"]) == (EXIT_OK, True)
-    # Refused before the run is counted, and without the literal fallback.
+    # Refused before the run is counted, and before the literal check.
     literal, real = [], weightoracle.dims_and_weights
     monkeypatch.setattr(weightoracle, "dims_and_weights",
                         lambda *args: literal.append(args) or real(*args))
@@ -308,6 +317,27 @@ def test_oracle_counted_run_limit(capsys, monkeypatch, tmp_path):
     assert (code, out, literal) == (EXIT_INPUT, "", [])
     assert err == ("input error: the walk would count a run of 6999999 divisor counts "
                    "from j = 2, more than the limit 1000000\n")
+
+
+# h_D(j) = (j - 9990)^2 - 1, negative at j = 9990 only.
+DIP_DOC = {"name": "dip", "dimension": 3, "L_top": "2", "cX_L": "-39958", "divisor": {"m": 1},
+           "hilbert": {"kind": "explicit",
+                       "coefficients": ["1", "598740655/6", "-19979/2", "1/3"]}}
+
+
+def test_oracle_refuses_a_bad_model_on_its_walk(capsys, monkeypatch, tmp_path):
+    # The walk counts the one run (1, 10000], whose differences start
+    # negative, and refuses the model at the dip's own count, with no
+    # per-sample re-sum of the 5000 samples (about 12.5 million counts).
+    import logklab.weightoracle as weightoracle
+
+    literal, real = [], weightoracle.dims_and_weights
+    monkeypatch.setattr(weightoracle, "dims_and_weights",
+                        lambda *args: literal.append(args) or real(*args))
+    argv = ["oracle", write_pair(tmp_path, DIP_DOC), "--c", "1/2", "--kmax", "10000"]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out, literal) == (EXIT_INPUT, "", [])
+    assert err == "input error: divisor dimension negative at j = 9990; model invalid\n"
 
 
 def explicit_p2_pair(tmp_path, floor):
@@ -406,6 +436,17 @@ def test_window_empty_exit_2(capsys):
         "--alpha-L", "0", "--alpha-LD", "0"])
     assert code == EXIT_INCONCLUSIVE
     assert "empty" in out
+
+
+def test_uniform_window_refuses_a_large_lambda_on_a_non_ample_pair(capsys, tmp_path):
+    # With L^n > 0, lambda <= S_1/n (the nef sandwich) and S_1 <= m n give
+    # (n+1) lambda <= S_1 + m, so only a non-ample pair fails that hypothesis.
+    pair = write_pair(tmp_path, {"name": "non-ample", "dimension": 2, "L_top": "-1",
+                                 "cX_L": "1", "divisor": {"m": 1}})
+    code, out, err = invoke(capsys, ["window", pair, "--case", "uniform",
+                                     "--lambda", "1", "--Lambda", "2"])
+    assert (code, out, err) == (
+        EXIT_INCONCLUSIVE, "PreconditionFailed: (n+1)*lambda = 3 > S_1 + m = -1\n", "")
 
 
 def test_eta_command(capsys):

@@ -748,9 +748,10 @@ def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, num, bit
 
 def test_curve_grid(p2):
     rows = list(_reports(curve_rows(p2, Fraction(1, 2), 7)))
-    assert [c for c, _ in rows] == [Fraction(i, 8) for i in range(1, 8)]
-    for c, rep in rows:
-        assert rep.df == family(p2, c).df(Fraction(1, 2)).df
+    assert [row[0] for row in rows] == [Fraction(i, 8) for i in range(1, 8)]
+    for c, *values in rows:
+        closed = family(p2, c).df(Fraction(1, 2))
+        assert values == [closed.df, closed.inner_factor, closed.jna]
 
 
 
@@ -767,8 +768,7 @@ def test_curve_grid(p2):
 def test_curve_rows_equal_closed_form(n, L_top, cX_L, beta, steps):
     pair = PolarisedPair("random", n, L_top, cX_L)
     rows = list(_reports(curve_rows(pair, beta, steps)))
-    assert [c for c, _ in rows] == [Fraction(i, steps + 1) for i in range(1, steps + 1)]
-    for c, rep in rows:
+    assert [row[0] for row in rows] == [Fraction(i, steps + 1) for i in range(1, steps + 1)]
+    for c, *values in rows:
         closed = family(pair, c).df(beta)
-        assert (rep.df, rep.inner_factor, rep.positive_prefactor, rep.jna) == (
-            closed.df, closed.inner_factor, closed.positive_prefactor, closed.jna)
+        assert values == [closed.df, closed.inner_factor, closed.jna]

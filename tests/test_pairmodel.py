@@ -141,6 +141,11 @@ def test_explicit_model_floor_bounds(floor, message):
     assert [HilbertModel.explicit(counts, f).floor for f in (0, 10000)] == [0, 10000]
 
 
+def test_projective_space_model_needs_a_positive_dimension():
+    with pytest.raises(InputError, match="^projective space model needs n >= 1, got 0$"):
+        HilbertModel.projective_space(0)
+
+
 def test_builtin_rows_are_the_forward_differences_of_their_counts():
     # The stored row against the comb path the counts take.
     for model in [*(HilbertModel.projective_space(n) for n in range(1, 41)),

@@ -182,9 +182,11 @@ def test_existence_window_fano_given_m(fano):
 
 
 def test_window_invariant_guard():
-    with pytest.raises(InconsistentDataError):
-        AngleWindow(Fraction(1, 2), True, Fraction(1, 4), False, False,
-                    WindowClaim.UNIFORM_LOG_K_STABLE)
+    claim = WindowClaim.UNIFORM_LOG_K_STABLE
+    with pytest.raises(InconsistentDataError, match=r"^window \[-1/4, 1/2\] escapes \[0, 1\]$"):
+        AngleWindow(Fraction(-1, 4), True, Fraction(1, 2), False, claim)
+    # Bounds in the wrong order make an empty window, which is never checked.
+    assert AngleWindow(Fraction(1, 2), True, Fraction(1, 4), False, claim).empty
 
 
 # ----------------------------- eta feasibility -----------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
@@ -94,6 +95,8 @@ def test_dims_and_weights_guards(p2_model):
         dims_and_weights(p2_model, Fraction(1, 2), 3)
     with pytest.raises(NonIntegralCKError):
         dims_and_weights(p2_model, Fraction(1, 3), 2)
+    with pytest.raises(NonIntegralCKError, match="^need c\\*k >= 1, got c\\*k = 0$"):
+        dims_and_weights(p2_model, Fraction(1, 2), 0)
     with pytest.raises(ParameterOutOfRangeError):
         dims_and_weights(p2_model, Fraction(3, 2), 4)
     floored = HilbertModel.explicit([1, Fraction(3, 2), Fraction(1, 2)], floor=4)
@@ -465,12 +468,12 @@ def _binomial_basis(degree):
     return basis
 
 
-def _outcome(compute):
-    """The samples compute() returns, or the type and message of its InputError."""
-    try:
-        return compute()
-    except InputError as exc:
-        return type(exc), str(exc)
+def _assert_refuses_what_it_names(model, refusal):
+    """The j or k that the walk's InputError names is itself refused by the
+    model's count there: the walk stops at a real fault of the model."""
+    count, at = re.search(r"at ([jk]) = (-?\d+)", str(refusal)).groups()
+    with pytest.raises(InputError):
+        (model.h_divisor if count == "j" else model.h_total)(int(at))
 
 
 @settings(max_examples=150, deadline=None)
@@ -483,8 +486,8 @@ def _outcome(compute):
 )
 def test_forward_differences_equal_literal_sums(coefficients, leading, floor, q, data):
     # An integer-valued explicit model of degree 1..6: integer coefficients
-    # in the binomial basis. Negative ones can make it invalid, and then both
-    # paths must raise the same error.
+    # in the binomial basis. Negative ones can make it invalid: then both
+    # paths raise, each where it meets a bad count first.
     terms = [*coefficients, leading]
     h = [0] * len(terms)
     for a, binomial in zip(terms, _binomial_basis(len(coefficients))):
@@ -496,8 +499,14 @@ def test_forward_differences_equal_literal_sums(coefficients, leading, floor, q,
                             st.integers(min_value=max(1, q - 3), max_value=q - 1)))
     c = Fraction(p, q)
     ks = admissible_ks(model, c, 6 * c.denominator)
-    assert _outcome(lambda: sum_samples(model, c, ks)) == _outcome(
-        lambda: [dims_and_weights(model, c, k) for k in ks])
+    try:
+        literal = [dims_and_weights(model, c, k) for k in ks]
+    except InputError:
+        with pytest.raises(InputError) as refusal:
+            sum_samples(model, c, ks)
+        _assert_refuses_what_it_names(model, refusal.value)
+    else:
+        assert sum_samples(model, c, ks) == literal
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 7), Fraction(2, 9), Fraction(3, 11),
@@ -564,16 +573,12 @@ DIP_COUNTS = [1, Fraction(127, 6), Fraction(-9, 2), Fraction(1, 3)]
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(9, 10), Fraction(1, 7), Fraction(5, 6)])
 def test_negative_forward_difference_counts_the_run(c):
-    import logklab.weightoracle as weightoracle
-
     model = HilbertModel.explicit(DIP_COUNTS, floor=0)
     assert [model.h_divisor(j) for j in range(1, 12)] == [(j - 5) ** 2 + 1 for j in range(1, 12)]
     ks = admissible_ks(model, c, 12 * c.denominator)
-    literal = [dims_and_weights(model, c, k) for k in ks]
-    assert sum_samples(model, c, ks) == literal
-    # The walk itself gives the samples, also where the first run starts at
+    # The walk gives the samples, also where the first run starts at
     # Δh_D(j) = 2j - 9 < 0.
-    assert weightoracle._walk(model, c, ks) == literal
+    assert sum_samples(model, c, ks) == [dims_and_weights(model, c, k) for k in ks]
 
 
 def test_valley_model_reads_each_divisor_count_once(monkeypatch):
@@ -607,6 +612,31 @@ def test_counted_run_limit(monkeypatch):
     with pytest.raises(InputError, match="^the walk would count a run of 69 divisor counts "
                                          "from j = 2, more than the limit 68$"):
         sum_samples(model, c, ks)
+
+
+def test_walk_refuses_a_bad_model_without_the_literal_path(monkeypatch):
+    # h_D(j) < 0 for j = 14..22 only, past the first sample's range (1, 2] at
+    # c = 1/2: the walk meets j = 14 first and refuses the model itself.
+    import logklab.weightoracle as weightoracle
+
+    model = HilbertModel.explicit(
+        [0, Fraction(25213, 12), Fraction(-2437, 24), Fraction(5, 12), Fraction(1, 24)], floor=0)
+    assert [j for j in range(1, 40) if _refuses(model, j)] == list(range(14, 23))
+
+    def literal(*args):
+        raise AssertionError("the literal path ran")
+
+    monkeypatch.setattr(weightoracle, "dims_and_weights", literal)
+    with pytest.raises(InputError, match="^divisor dimension negative at j = 14; model invalid$"):
+        sum_samples(model, Fraction(1, 2), admissible_ks(model, Fraction(1, 2), 60))
+
+
+def _refuses(model, j):
+    try:
+        model.h_divisor(j)
+    except InputError:
+        return True
+    return False
 
 
 def test_admissible_ks(p2_model):
