@@ -148,7 +148,9 @@ def newton_sums(differences: list[int], x: int) -> tuple[int, int, int]:
     """(sum_i D_i C(x, i), sum_i D_i C(x - 1, i), sum_i D_i C(x, i + 1)) at an
     integer x for differences D: the values at x and at x - 1 and the sum
     over 0 <= j < x, in one pass over the C(x - 1, i), by
-    C(x, i) = C(x - 1, i) + C(x - 1, i - 1)."""
+    C(x, i) = C(x - 1, i) + C(x - 1, i - 1). It is the package's one
+    Newton-series function: the explicit model's counts, the oracle's walk
+    and the sample check it is held to all evaluate through it."""
     y = x - 1
     below = rise = ahead = 0
     previous, binomial = 0, 1  # C(y, i - 1), C(y, i)

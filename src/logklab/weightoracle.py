@@ -14,25 +14,25 @@ sums S0 = sum h_D(j) and S1 = sum j h_D(j) at each range end, so each
 sample is a difference of two records. Each contiguous run of the union
 starts with a few literal h_divisor calls. On a plain HilbertModel, whose
 h_D is a polynomial in j, their integer forward differences fix the whole
-run: when they are all >= 0 the walk jumps from range end to range end by
-summation on the upper index, so its cost does not grow with the
-denominator of c, and the run's last count is checked against a literal
-call. Any other run, and every run of another model, is counted, each
-h_D(j) read once, and a count of more than ORACLE_LITERAL_LIMIT values is
-refused (InputError) before it starts. An invalid model is refused
-(InputError) at the first bad count the walk meets. dims_and_weights is the
-literal per-sample sum, kept as the reference the walk is checked against:
-every report recomputes its first sample that way (InternalCheckError on
-any difference), and refuses one of more than ORACLE_LITERAL_LIMIT divisor
-counts (InputError) before any sum runs.
+run. A run of more than twice as many values as it has records, whose
+differences are all >= 0, is jumped: each record is two
+exactnum.newton_sums series, the model's counts and their product with j,
+so its cost does not grow with the denominator of c, and the run's last
+count is checked against a literal call. Any other run, and every run of
+another model, is counted, each h_D(j) read once, and a count of more than
+ORACLE_LITERAL_LIMIT values is refused (InputError) before it starts. An
+invalid model is refused (InputError) at the first bad count the walk
+meets. dims_and_weights is the literal per-sample sum, kept as the
+reference the walk is checked against: every report recomputes its first
+sample that way (InternalCheckError on any difference), and refuses one of
+more than ORACLE_LITERAL_LIMIT divisor counts (InputError) before any sum
+runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import comb
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -176,25 +176,29 @@ def _record_run(
         h_D(x) = sum_i D_i C(t-1, i),   S0(x) = sum_i D_i C(t, i+1),
         S1(x) = sum_i E_i C(t, i+1),    E_i = lo D_i + i (D_(i-1) + D_i),
 
-    E being the differences of j h_D(j) (the product rule). If the run goes
-    past its seeds and every D_i >= 0, which makes every count >= 0, it
-    jumps: each record is read off these sums in the basis C(t-1, i), one
-    column per order, at O(records x degree) whatever its length, and the
-    run's last count must equal a literal h_divisor call
-    (InternalCheckError otherwise). Any other run, and every run of another
-    model, is counted: each h_divisor(j) past the seeds is read once, and a
-    run of more than ORACLE_LITERAL_LIMIT counts is refused first
-    (InputError), as is a negative count (HilbertModel.h_divisor).
+    E being the differences of j h_D(j) (the product rule): h_D(x) and S0(x)
+    are the second and third values of newton_sums(D, t), S1(x) the third of
+    newton_sums(E, t). A run is counted when that is cheaper: when it holds
+    at most twice as many values as it has records, since a jump costs two
+    Newton series per record and a count one h_divisor call per value. Any
+    longer run jumps if every D_i >= 0, which makes every count >= 0: its
+    records cost O(records x degree) whatever its length, and its last count
+    must equal a literal h_divisor call (InternalCheckError otherwise). Any
+    other run, and every run of another model, is counted: each
+    h_divisor(j) past the seeds is read once, and a run of more than
+    ORACLE_LITERAL_LIMIT counts is refused first (InputError), as is a
+    negative count (HilbertModel.h_divisor).
     """
     lo, ends, last = points[0] + 1, points[1:], points[-1]
+    length = last - lo + 1
     records[points[0]] = (0, 0, 0)  # a run starts at a base, never at a k: no h_D read
     h_divisor = model.h_divisor
     seeds = [h_divisor(j) for j in range(lo, min(lo + max(model.degree, 1), last + 1))]
     steps = leading_differences(seeds)
-    if type(model) is not HilbertModel or lo + len(seeds) > last or min(steps) < 0:
-        if last - lo + 1 > ORACLE_LITERAL_LIMIT:
+    if type(model) is not HilbertModel or length <= 2 * len(ends) or min(steps) < 0:
+        if length > ORACLE_LITERAL_LIMIT:
             raise InputError(
-                f"the walk would count a run of {last - lo + 1} divisor counts from j = {lo}, "
+                f"the walk would count a run of {length} divisor counts from j = {lo}, "
                 f"more than the limit {ORACLE_LITERAL_LIMIT}")
         s0 = s1 = 0
         for x in ends:
@@ -205,25 +209,17 @@ def _record_run(
             records[x] = (s0, s1, counts[-1])
             lo = x + 1
         return
-    steps += [0, 0]
+    steps.append(0)  # j h_D(j) has one forward difference more
     products = [lo * d + i * (below + d) for i, (below, d) in enumerate(zip([0, *steps], steps))]
-    # The coefficients of h_D(x), S0(x) and S1(x) on C(t-1, i), since
-    # C(t, i+1) = C(t-1, i+1) + C(t-1, i).
-    rows = zip(steps, map(add, steps, [0, *steps]), map(add, products, [0, *products]))
-    offsets = [x - lo for x in ends]
-    h, s0, s1 = ([a] * len(ends) for a in next(rows))  # C(t-1, 0) = 1
-    for i, (dh, d0, d1) in enumerate(rows, 1):
-        column = list(map(comb, offsets, repeat(i)))
-        h = list(map(add, h, map(mul, column, repeat(dh))))
-        s0 = list(map(add, s0, map(mul, column, repeat(d0))))
-        s1 = list(map(add, s1, map(mul, column, repeat(d1))))
+    for x in ends:
+        _, h, s0 = newton_sums(steps, x - lo + 1)
+        records[x] = (s0, newton_sums(products, x - lo + 1)[2], h)
     literal = h_divisor(last)
-    if literal != h[-1]:
+    if literal != h:
         raise InternalCheckError(
             f"forward differences and the literal divisor count disagree at j = {last}: "
-            f"{h[-1]} != {literal}"
+            f"{h} != {literal}"
         )
-    records.update(zip(ends, zip(s0, s1, h)))
 
 
 def _first_level(model: HilbertModel, c: Fraction) -> int:

@@ -186,15 +186,16 @@ def test_oracle_sums_each_k_once(capsys, monkeypatch):
         return real(self, j)
 
     monkeypatch.setattr(HilbertModel, "h_divisor", recorded)
-    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "20"])
+    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "9/10"])
     assert code == EXIT_OK
-    assert [s["k"] for s in json.loads(out)["samples"]] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
-    # One walk over the block ranges (k/2, k] of the report's k = 2..12 and
-    # the listing's k = 2..20 together: they form the one run j = 2..20, so
-    # its n = 2 seeds at j = 2, 3 and its end check at j = 20 (the counts in
-    # between are forward differences). Then the literal cross-check of the
-    # first sample (k = 2: block j = 2, then d~ at j = 2).
-    assert divisor_args == [2, 3, 20, 2, 2]
+    assert [s["k"] for s in json.loads(out)["samples"]] == [10, 20, 30, 40, 50, 60]
+    # One walk over the block ranges (k/10, k] of the default listing's
+    # k = 10..60: they form the one run j = 2..60, of 59 values and 11
+    # records, so it is jumped: its n = 2 seeds at j = 2, 3 and its end check
+    # at j = 60 (the counts in between are Newton series). Then the literal
+    # cross-check of the first sample (k = 10: blocks j = 10..2, then d~ at
+    # j = 10).
+    assert divisor_args == [2, 3, 60, *range(10, 1, -1), 10]
 
 
 def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
@@ -218,11 +219,11 @@ def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
     real = HilbertModel.h_divisor
 
     def off_at_run_end(self, j):
-        # The walk's one run at c = 1/2, --kmax 60 is j = 2..60.
+        # The walk's one run at c = 9/10, --kmax 60 is j = 2..60, jumped.
         return real(self, j) + (j == 60)
 
     monkeypatch.setattr(HilbertModel, "h_divisor", off_at_run_end)
-    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2"])
+    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "9/10"])
     assert code == 4
     assert out == ""
     assert "disagree at j = 60" in err and "Traceback" not in err

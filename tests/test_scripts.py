@@ -30,6 +30,18 @@ def test_oracle_sweep_denominator_table():
     assert [row.split()[1] for row in rows[:2]] == ["6/7", "93/100"]
 
 
+def test_oracle_sweep_dimension_table():
+    proc = _run("oracle_sweep.py", "--dimensions", "4", "8")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["N", "s", "c=1/2", "slope", "s", "c=99/100", "slope",
+                              "reports", "sha256"]
+    # One row per N; the first has no previous row to take a slope from.
+    assert [len(row.split()) for row in rows] == [4, 6]
+    assert [row.split()[0] for row in rows] == ["4", "8"]
+    assert all(re.fullmatch(r"[0-9a-f]{14}", row.split()[-1]) for row in rows)
+
+
 def test_compare_outputs_quick_against_itself():
     root = SCRIPTS.parent
     proc = _run("compare_outputs.py", str(root), str(root), "--quick")

@@ -430,7 +430,7 @@ def test_oracle_report_sums_each_sample_once(p2):
 
 P2_COUNTS = [1, Fraction(3, 2), Fraction(1, 2)]
 SUM_MODELS = [
-    *(HilbertModel.projective_space(n) for n in range(1, 6)),
+    *(HilbertModel.projective_space(n) for n in (*range(1, 6), 8, 16, 32)),
     HilbertModel.product_p1p1(),
     *(HilbertModel.explicit(P2_COUNTS, floor=floor) for floor in range(4)),
 ]
@@ -555,15 +555,63 @@ def test_walk_asks_a_few_counts_per_run(monkeypatch, c):
 
 
 def test_oracle_exits_4_when_a_runs_last_count_is_off_by_one(monkeypatch, capsys):
-    # P2 at c = 1/2 with the default --kmax 60: the block ranges of k = 2..60
-    # make one run, (1, 60].
+    # P2 at c = 9/10 with the default --kmax 60: the block ranges of
+    # k = 10..60 make one run, (1, 60], of 59 values and 11 records: jumped.
     real = HilbertModel.h_divisor
     monkeypatch.setattr(HilbertModel, "h_divisor", lambda self, j: real(self, j) + (j == 60))
-    assert run(["oracle", "catalog:P2-line", "--c", "1/2"]) == 4
+    assert run(["oracle", "catalog:P2-line", "--c", "9/10"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "forward differences and the literal divisor count disagree at j = 60: 61 != 62" \
         in captured.err
+
+
+def _binomial_off_at_2(differences, x):
+    """exactnum.newton_sums with its running binomial C(x - 1, 2) one too large."""
+    y, below, rise, ahead, previous, binomial = x - 1, 0, 0, 0, 0, 1
+    for i, step in enumerate(differences):
+        binomial += i == 2
+        following = binomial * (y - i) // (i + 1)
+        below += step * binomial
+        rise += step * previous
+        ahead += step * following
+        previous, binomial = binomial, following
+    return below + rise, below, below + ahead
+
+
+def _sum_off_past_50(differences, x):
+    at, below, ahead = newton_sums(differences, x)
+    return at, below, ahead + (differences[-1] if x > 50 else 0)
+
+
+def _below_off_past_30(differences, x):
+    at, below, ahead = newton_sums(differences, x)
+    return at, below + (x > 30), ahead
+
+
+@pytest.mark.parametrize("mutant", [_binomial_off_at_2, _sum_off_past_50, _below_off_past_30])
+def test_a_wrong_newton_series_exits_4_or_changes_nothing(monkeypatch, capsys, mutant):
+    # The walk and the sample check both read exactnum.newton_sums, so a
+    # fault there reaches both; the literal first sample (builtin counts by
+    # comb) and the closed form must still refuse any output it would change.
+    import logklab.pairmodel as pairmodel
+    import logklab.weightoracle as weightoracle
+
+    argvs = [["oracle", f"catalog:{name}", "--c", c]
+             for name in ("P2-line", "P3-hyperplane", "P4-hyperplane", "P1xP1-diag")
+             for c in ("1/2", "9/10", "9501/10000")]
+    expected = []
+    for argv in argvs:
+        assert run(argv) == 0
+        expected.append(capsys.readouterr().out)
+    monkeypatch.setattr(weightoracle, "newton_sums", mutant)
+    monkeypatch.setattr(pairmodel, "newton_sums", mutant)
+    codes = []
+    for argv, out in zip(argvs, expected):
+        codes.append(run(argv))
+        captured = capsys.readouterr()
+        assert (codes[-1], captured.out) in ((4, ""), (0, out)), argv
+    assert 4 in codes
 
 
 # h_X(k) = 1 + sum_{1<=j<=k} ((j - 5)^2 + 1): every count is positive, but the
