@@ -15,27 +15,21 @@ after the flags and `catalog list extra`), and oracle runs the workloads
 leave out: a c outside (0, 1), an n = 1 pair, an explicit model at floor 50
 with --kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4
 models at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000,
-explicit models whose divisor counts go negative inside the walk (listed
-in EXPECTED at c = 9999/10000: earlier trees named the first bad count of
-the per-sample sums, not of the walk), P4 at c =
-95111/100000 (one run of 795111 divisor counts), P1xP1 at c = 1/7 with
+explicit models whose divisor counts go negative inside the walk, P4 at
+c = 95111/100000 (one run of 795111 divisor counts), P1xP1 at c = 1/7 with
 --kmax 400 (runs with gaps between them), and an explicit P3 model whose
 counts are all positive but whose forward differences go negative at small
 j, at c = 1/2, 9/10 and 1/7, with --kmax 400, and at c = 1/2 and 9/10
 with --kmax 2000 (runs the walk counts rather than jumps), and at c =
 99999/100000 and 999999/1000000 (one counted run of about 7 10^5 counts,
-and one of about 7 10^6, past the limit: listed in EXPECTED, earlier trees
-counted it); and `info` and
+and one of about 7 10^6, past the limit); and `info` and
 `oracle` on pair files whose hilbert block is refused: an unknown kind, a
 projective_space block that contradicts its pair, an explicit floor of -1
 and of 10001, a projective_space block with a floor and coefficients,
-which only an explicit block takes (listed in EXPECTED: earlier trees
-ignored both keys), and an explicit P2 block that is not integer-valued
-(listed in EXPECTED: earlier trees refused it only in `oracle`, where the
-literal sums met it); and on an explicit P2 block with trailing zero
+which only an explicit block takes, and an explicit P2 block that is not
+integer-valued; and on an explicit P2 block with trailing zero
 coefficients, which changes nothing; and `info` on an explicit block of
-1000 coefficients on a P2 pair (listed in EXPECTED: earlier trees
-converted it before refusing its degree), and on two dimension-2000 pairs
+1000 coefficients on a P2 pair, and on two dimension-2000 pairs
 whose 2001 coefficients are no count at floor 0 (all 1/7) or at floor + 1
 (1, then 1/7); and the input
 resolution every pair subcommand shares: an m = 2 pair file on the five
@@ -55,13 +49,15 @@ critical-c at a tol of 3/1000 and of 5/2^200, on the exact root of P2 at
 2^-512, on an n = 6 pair file, at 2^-512 on P16 and P64 hyperplane pair
 files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
 (-1, -6), which L^n < 0 refuses; and df-curve at --steps 100001, past its
-limit (listed in EXPECTED), and critical-c on P4 at a tol one bit past
-normalcone.TOL_BITS_LIMIT (listed in EXPECTED), run with the int<->str
-digit limit lifted, which would refuse its 18062-digit tol first; and eta
-on P2 with an alpha_beta override above m*beta (listed in EXPECTED); and
-thresholds on P2 with an alpha_beta override of 1/2 at --beta 1/2 (listed in
-EXPECTED: earlier trees refused the whole table for its row at beta 1/4) and
-at --beta 1/4; and df,
+limit, and critical-c on P4 at a tol one bit past
+normalcone.TOL_BITS_LIMIT, run with the int<->str digit limit lifted, which
+would refuse its 18062-digit tol first; and eta on P2 with an alpha_beta
+override above m*beta; and thresholds on P2 with an alpha_beta override of
+1/2 at --beta 1/2 and at --beta 1/4; and the refusals no other invocation
+raises: critical-c on P2 at beta 1, not below the threshold (exit 2), and
+at tol 0, df-curve at --steps 0, eta on P2 without alpha data and at beta
+2, criteria on a file that asserts is_klt without is_lc, and destabilize
+on P2 at tol 5, whose search is exhausted at once (exit 3, `error:`); and df,
 whose coefficients are checked
 against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
 catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and
@@ -172,28 +168,10 @@ P3_NEGATIVE = _explicit(3, "4", ["100000", "-6007/6", "1", "1/6"])
 P4_DIP = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
 
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
-# under TREE_B) when TREE_A is the parent.
-EXPECTED = {
-    ("catalog", "list", "extra"): (0, 3),  # catalog list refuses a pair name
-    # The builtin kinds refuse `floor` and `coefficients`.
-    ("info", BUILTIN_WITH_FLOOR[0]): (0, 3),
-    ("oracle", BUILTIN_WITH_FLOOR[0], "--c", "1/2"): (0, 3),
-    COUNT_LIMIT: (0, 3),  # the walk's counted run is held to ORACLE_LITERAL_LIMIT
-    STEPS_LIMIT: (0, 3),  # --steps is held to CURVE_STEPS_LIMIT
-    TOL_LIMIT: (0, 3),  # --tol is held to 2^-TOL_BITS_LIMIT
-    OVERRIDE_ABOVE: (0, 3),  # an alpha_beta override is held to m*beta
-    # thresholds prints n/a in a row where the override exceeds m*beta.
-    (*THRESHOLDS_OVERRIDE, "--beta", "1/2"): (3, 0),
-    # An explicit model is checked integer-valued when it is loaded, and its
-    # degree before it is converted.
-    ("info", NON_INTEGER[0]): (0, 3),
-    ("oracle", NON_INTEGER[0], "--c", "1/2"): (3, 3),
-    ("info", LONG_BLOCK[0]): (3, 3),
-    # An invalid model is refused at the first bad count the walk meets, no
-    # longer at the first one the literal per-sample sums meet.
-    ("oracle", P3_NEGATIVE[0], "--c", "9999/10000"): (3, 3),
-    ("oracle", P4_DIP[0], "--c", "9999/10000"): (3, 3),
-}
+# under TREE_B) when TREE_A is the parent. A change lists only its own
+# intended differences, and the next change removes them: an entry left
+# behind would excuse any later change to the bytes of its invocation.
+EXPECTED: dict[tuple[str, ...], tuple[int, int]] = {}
 
 
 def oracle_edges() -> list[workloads.Invocation]:
@@ -285,6 +263,7 @@ def moved_checks() -> list[workloads.Invocation]:
                        "alpha_LD_restricted": "0", "entropy_lower": "3"}})
     neg = workloads._file("pair", {
         "name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6", "divisor": {"m": 1}})
+    klt = workloads._file("criteria", {"Sbeta": "0", "alpha_beta": "0", "n": 2, "is_klt": True})
     p6, p16, p64 = (workloads._file("pair", {
         "name": f"P{n}-hyperplane", "dimension": n, "L_top": "1", "cX_L": str(n + 1),
         "divisor": {"m": 1}}) for n in (6, 16, 64))
@@ -297,6 +276,12 @@ def moved_checks() -> list[workloads.Invocation]:
         ("critical-c", p2, "--beta", "4/7", "--tol", workloads._tol(512)),
         *(("oracle", pair, "--c", "1/2", "--kmax", "10001")
           for pair in (p2, "catalog:Fano-template")),
+        ("critical-c", p2, "--beta", "1", "--tol", "1/1024"),
+        ("critical-c", p2, "--beta", "1/2", "--tol", "0"),
+        ("df-curve", p2, "--beta", "1/2", "--steps", "0"),
+        ("eta", p2, "--beta", "1/2"),
+        ("eta", p2, "--beta", "2", "--alpha-L", "1/3", "--alpha-LD", "1/2"),
+        ("destabilize", p2, "--beta", "1/2", "--tol", "5"),
     ]
     return [
         *(workloads.Invocation(argv) for argv in argvs),
@@ -309,6 +294,7 @@ def moved_checks() -> list[workloads.Invocation]:
         *(workloads.Invocation((cmd, ent[0], "--beta", "1/2"), (ent,))
           for cmd in ("entropy", "destabilize")),
         workloads.Invocation(("entropy", neg[0], "--beta", "1"), (neg,)),
+        workloads.Invocation(("criteria", "--file", klt[0]), (klt,)),
         workloads.Invocation(STEPS_LIMIT),
         workloads.Invocation(TOL_LIMIT),
         workloads.Invocation(OVERRIDE_ABOVE),

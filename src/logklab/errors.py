@@ -1,7 +1,14 @@
-"""Exception hierarchy shared by all logklab modules.
+"""Exception hierarchy shared by all logklab modules: one class per outcome.
 
-The CLI maps these onto process exit codes: InputError -> 3,
-PreconditionFailedError -> 2, InternalCheckError -> 4.
+cli.run maps each class onto an exit code, the stream that takes its
+message, and the prefix the message follows:
+
+- LogKLabError: exit 3, stderr, "error: ", as does any subclass not listed here.
+- InputError: exit 3, stderr, "input error: ".
+- InconsistentDataError: exit 3, stderr, "input error: "; _cmd_thresholds catches it.
+- PreconditionFailedError: exit 2, stdout, "PreconditionFailed: ".
+- SearchExhaustedError: exit 3, stderr, "error: ".
+- InternalCheckError: exit 4, stderr, "internal cross-check failure: ".
 """
 
 from __future__ import annotations
@@ -15,44 +22,12 @@ class InputError(LogKLabError):
     """Malformed or inconsistent user-supplied data."""
 
 
-class DimensionTooSmallError(InputError):
-    """Operation needs dimension n >= 2 (divisor quantities undefined for n = 1)."""
-
-
-class ParameterOutOfRangeError(InputError):
-    """Blow-up parameter c outside the open interval (0, 1), or similar."""
-
-
-class MissingAlphaDataError(InputError):
-    """alpha(L) and alpha(L_D|_D) (or a direct alpha_beta override) are required."""
-
-
-class MissingPositivityDataError(InputError):
-    """lambda/Lambda bounds (or an exact proportionality coefficient) are required."""
-
-
 class InconsistentDataError(InputError):
     """Supplied fields contradict each other (e.g. proportionality vs intersection numbers)."""
 
 
-class InconsistentAssertionsError(InputError):
-    """Caller-asserted geometric facts contradict each other (e.g. klt without lc)."""
-
-
-class NonIntegralCKError(InputError):
-    """The weight decomposition needs c*k to be a positive integer."""
-
-
-class BelowValidityFloorError(InputError):
-    """Requested k is below the dimension model's validity floor."""
-
-
 class PreconditionFailedError(LogKLabError):
     """A theorem hypothesis fails for the given data; its message is the violated inequality."""
-
-
-class NotBelowThresholdError(PreconditionFailedError):
-    """beta is not below the instability threshold, so no destabilising c exists."""
 
 
 class SearchExhaustedError(LogKLabError):

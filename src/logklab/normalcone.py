@@ -15,9 +15,8 @@ from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
+    InputError,
     InternalCheckError,
-    NotBelowThresholdError,
-    ParameterOutOfRangeError,
     PreconditionFailedError,
     SearchExhaustedError,
 )
@@ -104,8 +103,7 @@ class CriticalBracket(NamedTuple):
 def _require_c(c: Fraction) -> Fraction:
     c = Fraction(c)
     if not 0 < c.numerator < c.denominator:  # 0 < c < 1, on integers
-        raise ParameterOutOfRangeError(
-            f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
+        raise InputError(f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
     return c
 
 
@@ -337,15 +335,15 @@ def _checked(pair: PolarisedPair, beta: Fraction, tol: Fraction
     constants and its threshold."""
     beta, tol = Fraction(beta), Fraction(tol)
     if tol <= 0:
-        raise ParameterOutOfRangeError(f"tol must be positive, got {format_rational(tol)}")
+        raise InputError(f"tol must be positive, got {format_rational(tol)}")
     if tol.numerator << TOL_BITS_LIMIT < tol.denominator:
-        raise ParameterOutOfRangeError(f"tol must be at least 2^-{TOL_BITS_LIMIT}")
+        raise InputError(f"tol must be at least 2^-{TOL_BITS_LIMIT}")
     constants = _pair_of(pair)
     return beta, tol, constants, constants.threshold()
 
 
-def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> NotBelowThresholdError:
-    return NotBelowThresholdError(
+def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> PreconditionFailedError:
+    return PreconditionFailedError(
         f"beta = {format_rational(beta)} is not below the instability threshold "
         f"{format_rational(threshold)}{clause}")
 
@@ -397,9 +395,9 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
 
     _first_dyadic finds j on the integer signs of the pair's _Kernel among
     the j with 2^-j >= tol (SearchExhaustedError if none). The empty set is
-    refused with NotBelowThresholdError for beta >= threshold, which adds
-    "DF > 0 for every c" for L^n > 0 < beta, and otherwise (L^n < 0,
-    beta <= 0) with PreconditionFailedError. The witness's DF comes from
+    refused (PreconditionFailedError): for beta >= threshold as not below
+    it, adding "DF > 0 for every c" for L^n > 0 < beta, and otherwise
+    (L^n < 0, beta <= 0) as DF > 0 for every c. The witness's DF comes from
     the closed form (Family.df) and must be negative, or InternalCheckError
     is raised.
     """
@@ -577,9 +575,9 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
     1..CURVE_STEPS_LIMIT is an InputError.
     """
     if steps < 1:
-        raise ParameterOutOfRangeError(f"steps must be >= 1, got {steps}")
+        raise InputError(f"steps must be >= 1, got {steps}")
     if steps > CURVE_STEPS_LIMIT:
-        raise ParameterOutOfRangeError(f"steps must be at most {CURVE_STEPS_LIMIT}, got {steps}")
+        raise InputError(f"steps must be at most {CURVE_STEPS_LIMIT}, got {steps}")
     beta = Fraction(beta)
     constants = _pair_of(pair)
     kernel, d = constants.kernel(beta), steps + 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DimensionTooSmallError, InconsistentDataError, InputError
+from .errors import InconsistentDataError, InputError
 from .exactnum import format_rational, forward_differences, newton_sums, scaled_values
 
 if TYPE_CHECKING:
@@ -117,7 +117,7 @@ def avg_scalar_sD(pair: PolarisedPair, divisor: DivisorSpec) -> Fraction:
     """
     n = pair.dimension
     if n < 2:
-        raise DimensionTooSmallError("S^D needs n >= 2; the divisor is zero-dimensional for n = 1")
+        raise InputError("S^D needs n >= 2; the divisor is zero-dimensional for n = 1")
     return (n - 1) * (avg_scalar_s1(pair) / n - divisor.m)
 
 

@@ -13,14 +13,7 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    InconsistentAssertionsError,
-    InconsistentDataError,
-    InputError,
-    MissingAlphaDataError,
-    MissingPositivityDataError,
-    PreconditionFailedError,
-)
+from .errors import InconsistentDataError, InputError, PreconditionFailedError
 from .exactnum import format_rational
 from .pairmodel import PolarisedPair, avg_scalar_s1, scalar_sbeta
 
@@ -174,9 +167,8 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
                 )
         return x, x, MODEL_PROPORTIONAL
     if pos.lam is None or pos.Lambda_up is None:
-        raise MissingPositivityDataError(
-            "need nef thresholds lambda and Lambda (or an exact proportional_x on the pair)"
-        )
+        raise InputError(
+            "need nef thresholds lambda and Lambda (or an exact proportional_x on the pair)")
     mean = avg_scalar_s1(pair) / pair.dimension
     if pair.L_top > 0 and not pos.lam <= mean <= pos.Lambda_up:
         raise InconsistentDataError(
@@ -198,9 +190,8 @@ def _require_angle(beta: Fraction, allow_one: bool = True) -> Fraction:
 
 def _min_alpha(pos: PositivityData, m: int) -> Fraction:
     if pos.alpha_L is None or pos.alpha_LD_restricted is None:
-        raise MissingAlphaDataError(
-            "need alpha_L and alpha_LD_restricted (or alpha_beta_override where accepted)"
-        )
+        raise InputError(
+            "need alpha_L and alpha_LD_restricted (or alpha_beta_override where accepted)")
     return min(pos.alpha_L, m * pos.alpha_LD_restricted)
 
 
@@ -444,7 +435,7 @@ class SingularCriteriaInput(_CriteriaFields):
         if data.bullet1_eta is not None:
             data = data._replace(bullet1_eta=Fraction(data.bullet1_eta))
         if data.is_klt and not data.is_lc:
-            raise InconsistentAssertionsError("is_klt asserted without is_lc (klt implies lc)")
+            raise InputError("is_klt asserted without is_lc (klt implies lc)")
         return data
 
 

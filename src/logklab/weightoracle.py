@@ -35,12 +35,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (
-    BelowValidityFloorError,
-    InputError,
-    InternalCheckError,
-    NonIntegralCKError,
-)
+from .errors import InputError, InternalCheckError
 from .exactnum import format_rational, leading_differences, newton_sums
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
@@ -73,14 +68,12 @@ def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
     c being already checked to lie in (0, 1)."""
     ck, rest = divmod(c.numerator * k, c.denominator)  # on integers: once per sample
     if rest:
-        raise NonIntegralCKError(f"c*k = {format_rational(c * k)} is not an integer "
-                                 f"(c = {format_rational(c)}, k = {k})")
+        raise InputError(f"c*k = {format_rational(c * k)} is not an integer "
+                         f"(c = {format_rational(c)}, k = {k})")
     if ck < 1:
-        raise NonIntegralCKError(f"need c*k >= 1, got c*k = {ck}")
+        raise InputError(f"need c*k >= 1, got c*k = {ck}")
     if k < model.floor or k - ck < model.floor:
-        raise BelowValidityFloorError(
-            f"k = {k} gives arguments below the model's validity floor {model.floor}"
-        )
+        raise InputError(f"k = {k} gives arguments below the model's validity floor {model.floor}")
     return ck
 
 
@@ -245,12 +238,6 @@ def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
     return list(range(_first_level(model, c), k_max + 1, c.denominator))
 
 
-def _sampling_ks(model: HilbertModel, c: Fraction, count: int) -> list[int]:
-    """The first `count` admissible k."""
-    first = _first_level(model, c)
-    return list(range(first, first + count * c.denominator, c.denominator))
-
-
 def _check_samples(steps: tuple[int, ...], c: Fraction, samples: list[WeightSample]) -> None:
     """InternalCheckError unless each sample's d_k, w_k, d~_k is H(k),
     G(k) - G((1-c)k) - c k H(k) and H(k) - H(k-1), over the integer forward
@@ -269,33 +256,6 @@ def _check_samples(steps: tuple[int, ...], c: Fraction, samples: list[WeightSamp
                     f"{format_rational(value)}, polynomial {format_rational(summed)}")
 
 
-def _sample_and_recover(
-    model: HilbertModel, c: Fraction, n: int, listed: int
-) -> tuple[list[WeightSample], NormalConeCoefficients]:
-    """The first `listed` admissible samples and the coefficients read off the
-    model's top two forward differences, once every sample of one walk over
-    the first max(n + 4, listed) levels equals its sums over the model's
-    stored row; the first sample, the cheapest, is summed again on the
-    literal path. Its c k divisor counts are held to ORACLE_LITERAL_LIMIT
-    (InputError) before any sum runs."""
-    ks = _sampling_ks(model, c, max(n + 4, listed))
-    counts = ks[0] // c.denominator * c.numerator
-    if counts > ORACLE_LITERAL_LIMIT:
-        raise InputError(
-            f"the literal check of the first sample would sum c*k = {counts} divisor counts "
-            f"at k = {ks[0]}, more than the limit {ORACLE_LITERAL_LIMIT}")
-    summed = sum_samples(model, c, ks)
-    reference = dims_and_weights(model, c, summed[0].k)
-    if summed[0] != reference:
-        raise InternalCheckError(
-            f"shared walk and literal sum disagree at k = {reference.k}: "
-            f"{summed[0].as_dict()} != {reference.as_dict()}"
-        )
-    _check_samples(model.differences, c, summed)
-    return summed[:listed], NormalConeCoefficients.from_differences(
-        *model.top_differences(), c, n)
-
-
 # Largest k_max of the oracle listing (the CLI's --kmax); see the README for its cost.
 ORACLE_KMAX_LIMIT = 10000
 # Most divisor counts the literal reference sums at the first admissible level,
@@ -310,17 +270,21 @@ def oracle_report(
 ) -> dict:
     """Cross-check record: recovered coefficients vs closed forms.
 
-    A missing model, then k_max > ORACLE_KMAX_LIMIT, is an InputError. The
-    recovered coefficients must equal the closed form field by field
-    (InternalCheckError otherwise), so match is always true. samples lists the
-    samples at admissible_ks(model, c, k_max), by default at the first n+4;
-    both are leading runs of the admissible k, summed in one walk, and every
-    walked sample is checked against the sum polynomials. The listing's k are
-    found first, then the closed form, then the model is checked against the
-    pair (InconsistentDataError), then the literal check's length is held to
-    ORACLE_LITERAL_LIMIT (InputError), so a bad (pair, c) or model, or too
-    long a check, is refused before any sum runs. A run the walk would count
-    past the same limit is refused before it is counted.
+    samples lists the samples at admissible_ks(model, c, k_max), by default at
+    the first n+4. One walk (sum_samples) sums the first max(n + 4, listed)
+    admissible levels, a leading run that holds them; every walked sample
+    must equal its sums over the model's stored row (_check_samples), and
+    the first, the cheapest, its literal sum (dims_and_weights). The
+    coefficients read off the model's top two forward differences must then
+    equal the closed form field by field. Any difference is an
+    InternalCheckError, so match is always true.
+
+    The refusals come before any sum runs, in this order: a missing model,
+    k_max > ORACLE_KMAX_LIMIT, a bad c (admissible_ks), the closed form's
+    own checks (n >= 2, and c), a model whose invariants are not the pair's
+    (InconsistentDataError), and a first sample of more than
+    ORACLE_LITERAL_LIMIT divisor counts; each is an InputError. A run the
+    walk would count past the same limit is refused before it is counted.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")
@@ -330,14 +294,29 @@ def oracle_report(
     n = pair.dimension
     listed = n + 4 if k_max is None else len(admissible_ks(model, c, k_max))
     closed = closed_form_coefficients(pair, c)
-    samples, recovered = _sample_and_recover(model.check_against(pair), c, n, listed)
+    model = model.check_against(pair)
+    first, q = _first_level(model, c), c.denominator
+    counts = first // q * c.numerator
+    if counts > ORACLE_LITERAL_LIMIT:
+        raise InputError(
+            f"the literal check of the first sample would sum c*k = {counts} divisor counts "
+            f"at k = {first}, more than the limit {ORACLE_LITERAL_LIMIT}")
+    samples = sum_samples(model, c, list(range(first, first + max(n + 4, listed) * q, q)))
+    reference = dims_and_weights(model, c, first)
+    if samples[0] != reference:
+        raise InternalCheckError(
+            f"shared walk and literal sum disagree at k = {first}: "
+            f"{samples[0].as_dict()} != {reference.as_dict()}"
+        )
+    _check_samples(model.differences, c, samples)
+    recovered = NormalConeCoefficients.from_differences(*model.top_differences(), c, n)
     if recovered != closed:
         raise InternalCheckError(f"recovered coefficients {recovered.as_dict()} differ "
                                  f"from the closed form {closed.as_dict()}")
     return {
         "pair": pair.name,
         "c": format_rational(c),
-        "samples": [s.as_dict() for s in samples],
+        "samples": [s.as_dict() for s in samples[:listed]],
         "recovered": recovered.as_dict(),
         "closed_form": closed.as_dict(),
         "match": True,

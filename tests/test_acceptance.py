@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from logklab.cli import run
-from logklab.errors import NotBelowThresholdError
 from logklab.exactnum import format_rational, parse_rational
 from logklab.normalcone import (
     coefficients,

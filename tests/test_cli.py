@@ -167,6 +167,33 @@ def test_destabilize_exits_3_when_tol_is_too_coarse(capsys):
                    "tol = 5; decrease tol\n")
 
 
+def test_each_error_class_maps_to_the_exit_stream_and_prefix_its_docstring_gives(
+        monkeypatch, capsys):
+    # One class per outcome: a class that no caller tells apart from its base
+    # is one the exit code already names.
+    from logklab import cli, errors
+
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert set(classes) == {"LogKLabError", "InputError", "InconsistentDataError",
+                            "PreconditionFailedError", "SearchExhaustedError",
+                            "InternalCheckError"}
+    documented = {name: (int(code), stream, prefix) for name, code, stream, prefix in re.findall(
+        r'^- (\w+): exit (\d), (stdout|stderr), "([^"]*)"', errors.__doc__, re.MULTILINE)}
+    assert set(documented) == set(classes)
+    for name, error in classes.items():
+        def raising(ns, error=error):
+            raise error("the message")
+
+        monkeypatch.setattr(cli, "_COMMANDS", tuple(
+            (*row[:2], raising, *row[3:]) if row[0] == "catalog" else row
+            for row in cli._COMMANDS))
+        code, stream, prefix = documented[name]
+        text = f"{prefix}the message\n"
+        expected = (code, text, "") if stream == "stdout" else (code, "", text)
+        assert invoke(capsys, ["catalog", "list"]) == expected, name
+
+
 def test_oracle_match(capsys):
     code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "20"])
     assert code == EXIT_OK

@@ -6,10 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logklab.errors import (
-    DimensionTooSmallError,
+    InputError,
     InternalCheckError,
-    NotBelowThresholdError,
-    ParameterOutOfRangeError,
     PreconditionFailedError,
     SearchExhaustedError,
 )
@@ -75,14 +73,13 @@ def test_coefficients_structural_identities():
 
 
 def test_coefficients_guards(p2):
-    with pytest.raises(ParameterOutOfRangeError):
-        coefficients(p2, Fraction(0))
-    with pytest.raises(ParameterOutOfRangeError):
-        coefficients(p2, Fraction(1))
-    with pytest.raises(ParameterOutOfRangeError):
-        coefficients(p2, Fraction(3, 2))
+    for c, text in ((Fraction(0), "0"), (Fraction(1), "1"), (Fraction(3, 2), "3/2")):
+        with pytest.raises(InputError, match=f"^blow-up parameter must satisfy "
+                                             f"0 < c < 1, got {text}$"):
+            coefficients(p2, c)
     curve_pair = PolarisedPair("curve", 1, Fraction(2), Fraction(2))
-    with pytest.raises(DimensionTooSmallError):
+    with pytest.raises(InputError, match="^S\\^D needs n >= 2; "
+                                         "the divisor is zero-dimensional for n = 1$"):
         coefficients(curve_pair, Fraction(1, 2))
 
 
@@ -213,8 +210,10 @@ def test_find_destabilizer_examples(p2, p1xp1):
 
 
 def test_find_destabilizer_at_threshold_refuses(p2):
-    with pytest.raises(NotBelowThresholdError):
+    with pytest.raises(PreconditionFailedError) as exc:
         find_destabilizer(p2, Fraction(1))
+    assert str(exc.value) == ("beta = 1 is not below the instability threshold 1; "
+                              "DF > 0 for every c in (0, 1)")
 
 
 def test_positive_df_at_and_above_threshold(p2, p1xp1):
@@ -226,7 +225,7 @@ def test_positive_df_at_and_above_threshold(p2, p1xp1):
 
 
 def test_find_destabilizer_guards(p2):
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(InputError, match="^tol must be positive, got 0$"):
         find_destabilizer(p2, Fraction(1, 2), tol=Fraction(0))
 
 
@@ -237,8 +236,7 @@ def test_tol_bits_limit():
     pair, beta = CATALOG["P4-hyperplane"].pair, Fraction(1, 2)
     assert find_destabilizer(pair, beta, Fraction(1, 2**TOL_BITS_LIMIT))[0] == Fraction(1, 2)
     for search in (find_destabilizer, critical_c):
-        with pytest.raises(ParameterOutOfRangeError, match=f"^tol must be at least "
-                                                            f"2\\^-{TOL_BITS_LIMIT}$"):
+        with pytest.raises(InputError, match=f"^tol must be at least 2\\^-{TOL_BITS_LIMIT}$"):
             search(pair, beta, Fraction(1, 2**(TOL_BITS_LIMIT + 1)))
 
 
@@ -280,7 +278,8 @@ def test_critical_c_sentinel_for_nonpositive_beta(p2):
 
 
 def test_critical_c_refuses_at_threshold(p2):
-    with pytest.raises(NotBelowThresholdError):
+    with pytest.raises(PreconditionFailedError,
+                       match="^beta = 1 is not below the instability threshold 1$"):
         critical_c(p2, Fraction(1), Fraction(1, 8))
 
 
@@ -697,7 +696,6 @@ def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
         find_destabilizer(pair, Fraction(0))
     assert str(exc.value) == ("L^n < 0 and beta = 0 is not positive: "
                               "DF > 0 for every c in (0, 1)")
-    assert not isinstance(exc.value, NotBelowThresholdError)
 
 
 def _reference_scan(pair, beta, tol):

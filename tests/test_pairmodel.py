@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logklab.errors import DimensionTooSmallError, InconsistentDataError, InputError
+from logklab.errors import InconsistentDataError, InputError
 from logklab.exactnum import format_rational, leading_differences
 from logklab.pairmodel import (
     CATALOG,
@@ -48,7 +48,8 @@ def test_sD_matches_adjunction_formula(unit_divisor):
 
 def test_sD_needs_surface():
     curve = PolarisedPair("elliptic-like", 1, Fraction(1), Fraction(0))
-    with pytest.raises(DimensionTooSmallError):
+    with pytest.raises(InputError, match="^S\\^D needs n >= 2; "
+                       "the divisor is zero-dimensional for n = 1$"):
         avg_scalar_sD(curve, DivisorSpec(1))
 
 

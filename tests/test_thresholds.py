@@ -4,14 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logklab.errors import (
-    InconsistentAssertionsError,
-    InconsistentDataError,
-    InputError,
-    MissingAlphaDataError,
-    MissingPositivityDataError,
-    PreconditionFailedError,
-)
+from logklab.errors import InconsistentDataError, InputError, PreconditionFailedError
 from logklab.normalcone import instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.thresholds import (
@@ -72,7 +65,8 @@ def test_effective_bounds_sandwich():
     lam, Lam, model = effective_nef_bounds(
         pair, PositivityData(lam=Fraction(1), Lambda_up=Fraction(2)))
     assert (lam, Lam, model) == (1, 2, MODEL_SANDWICH)
-    with pytest.raises(MissingPositivityDataError):
+    with pytest.raises(InputError, match="^need nef thresholds lambda and Lambda "
+                       "\\(or an exact proportional_x on the pair\\)$"):
         effective_nef_bounds(pair, PositivityData())
 
 
@@ -97,7 +91,8 @@ def test_alpha_beta_override_above_m_beta_is_refused():
 
 
 def test_alpha_beta_requires_data(p2):
-    with pytest.raises(MissingAlphaDataError):
+    with pytest.raises(InputError, match="^need alpha_L and alpha_LD_restricted "
+                       "\\(or alpha_beta_override where accepted\\)$"):
         alpha_beta_lower_bound(PositivityData(), 1, Fraction(1, 2))
 
 
@@ -429,7 +424,7 @@ def test_no_applicable_criteria():
 
 
 def test_inconsistent_assertions_rejected():
-    with pytest.raises(InconsistentAssertionsError):
+    with pytest.raises(InputError, match="^is_klt asserted without is_lc \\(klt implies lc\\)$"):
         _base(is_klt=True)
 
 
