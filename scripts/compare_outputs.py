@@ -29,8 +29,8 @@ and of 10001, a projective_space block with a floor and coefficients,
 which only an explicit block takes, and an explicit P2 block that is not
 integer-valued; and on an explicit P2 block with trailing zero
 coefficients, which changes nothing; and `info` on an explicit block of
-1000 coefficients on a P2 pair, and on two dimension-2000 pairs
-whose 2001 coefficients are no count at floor 0 (all 1/7) or at floor + 1
+1000 coefficients on a P2 pair, and on two dimension-512 pairs
+whose 513 coefficients are no count at floor 0 (all 1/7) or at floor + 1
 (1, then 1/7); and the input
 resolution every pair subcommand shares: an m = 2 pair file on the five
 commands that need D in |L|, a bad --m with a lambda above Lambda on the
@@ -42,13 +42,14 @@ at beta 0 and -1/2 (the sentinel) and at tol 1 (the seed bracket), oracle
 --kmax 10001 on P2 and on Fano-template (whose missing model is reported
 first), and entropy and destabilize on a pair whose entropy_lower certifies
 an angle the normal-cone family destabilises, and entropy on a pair with
-L^n < 0; and destabilize on every sign case of its table, at beta = -2, -1,
--1/2, 0, 1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0) and on pair files
-with (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1), (-1, -3) and (-1, -6); and
+L^n < 0, which is refused; and destabilize on every sign case of its table,
+at beta = -2, -1, -1/2, 0, 1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0)
+and on pair files with (L^n, c1(X).L^(n-1)) = (1, -2), and (-1, 1), (-1, -3)
+and (-1, -6), which are refused; and
 critical-c at a tol of 3/1000 and of 5/2^200, on the exact root of P2 at
 2^-512, on an n = 6 pair file, at 2^-512 on P16 and P64 hyperplane pair
 files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
-(-1, -6), which L^n < 0 refuses; and df-curve at --steps 100001, past its
+(-1, -6), which is refused; and df-curve at --steps 100001, past its
 limit, and critical-c on P4 at a tol one bit past
 normalcone.TOL_BITS_LIMIT, run with the int<->str digit limit lifted, which
 would refuse its 18062-digit tol first; and eta on P2 with an alpha_beta
@@ -60,9 +61,11 @@ at tol 0, df-curve at --steps 0, eta on P2 without alpha data and at beta
 on P2 at tol 5, whose search is exhausted at once (exit 3, `error:`); and df,
 whose coefficients are checked
 against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
-catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1, and
-L^n = 1 with c1(X).L^(n-1) = -2; and the dimension knob, on P^n pair
-files with a projective_space hilbert block, where the Riemann-Roch sums
+catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1,
+which is refused, and L^n = 1 with c1(X).L^(n-1) = -2; and info, scalar,
+thresholds, window, eta, df-curve and oracle on that L^n = -1 pair, and
+info on a pair of dimension 513, past the limit; and the dimension knob,
+on P^n pair files with a projective_space hilbert block, where the Riemann-Roch sums
 and the count polynomial grow with n: df --beta 1/2 at c = 1/2 and 1/7 on
 P^8, P^32, P^64 and P^128, oracle --c 1/2 on P^8, P^32 and P^64, and info
 on P^128; and the df-curve rows whose texts take ratio_texts' special
@@ -127,12 +130,20 @@ NON_INTEGER = workloads._file("pair", dict(P2_DOC, hilbert={
     "kind": "explicit", "coefficients": ["3/2", "3/2", "1/2"]}))
 LONG_BLOCK = workloads._file("pair", dict(P2_DOC, hilbert={
     "kind": "explicit", "coefficients": ["1/7"] * 1000}))
-# 2001 coefficients within the degree a dimension-2000 pair allows, whose
+# 513 coefficients within the degree a dimension-512 pair allows, whose
 # first non-integer value is at k = 0, and at k = 1.
-WIDE_BLOCK = workloads._file("pair", dict(P2_DOC, dimension=2000, hilbert={
-    "kind": "explicit", "coefficients": ["1/7"] * 2001}))
-WIDE_BLOCK_AT_1 = workloads._file("pair", dict(P2_DOC, dimension=2000, hilbert={
-    "kind": "explicit", "coefficients": ["1"] + ["1/7"] * 2000}))
+WIDE_BLOCK = workloads._file("pair", dict(P2_DOC, dimension=512, hilbert={
+    "kind": "explicit", "coefficients": ["1/7"] * 513}))
+WIDE_BLOCK_AT_1 = workloads._file("pair", dict(P2_DOC, dimension=512, hilbert={
+    "kind": "explicit", "coefficients": ["1"] + ["1/7"] * 512}))
+# Pairs whose L is not ample, L^n = -1, with c1(X).L^(n-1) = 1, -3 and -6,
+# and a pair past the dimension limit.
+NEGATIVE_TOP, NEG_3, NEG_6 = (workloads._file("pair", {
+    "name": name, "dimension": 2, "L_top": "-1", "cX_L": cX_L, "divisor": {"m": 1}})
+    for name, cX_L in (("negative-top", "1"), ("neg", "-3"), ("neg", "-6")))
+P513 = workloads._file("pair", {
+    "name": "P513-hyperplane", "dimension": 513, "L_top": "1", "cX_L": "514",
+    "divisor": {"m": 1}})
 
 # 1 + the sum of (j - 5)^2 + 1 over 1 <= j <= k: every h_D(j) > 0, but its
 # forward differences at j < 5 are not all >= 0, so the oracle's walk counts.
@@ -167,11 +178,34 @@ P3_NEGATIVE = _explicit(3, "4", ["100000", "-6007/6", "1", "1/6"])
 # j = 14..22 only, past the seeds of a run that starts at j = 2.
 P4_DIP = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
 
+DESTABILIZE_BETAS = ("-2", "-1", "-1/2", "0", "1/4", "1/2", "1", "5/2", "3")
+
 # Differences a change makes on purpose: argv -> (exit code under TREE_A,
 # under TREE_B) when TREE_A is the parent. A change lists only its own
 # intended differences, and the next change removes them: an entry left
 # behind would excuse any later change to the bytes of its invocation.
-EXPECTED: dict[tuple[str, ...], tuple[int, int]] = {}
+EXPECTED: dict[tuple[str, ...], tuple[int, int]] = {
+    # A pair with L^n <= 0 is refused where it is built, and so is one of
+    # dimension above 512: exit 3 with "input error: L_top must be > 0 (L is
+    # ample), got -1" or "... dimension must be at most 512, got 513".
+    **{("destabilize", pair, f"--beta={beta}"): (2 if beta in refused else 0, 3)
+       for pair, refused in ((NEGATIVE_TOP[0], ("-2", "-1")),
+                             (NEG_3[0], ("-2", "-1", "-1/2", "0")),
+                             (NEG_6[0], ("-2", "-1", "-1/2", "0")))
+       for beta in DESTABILIZE_BETAS},
+    **{("critical-c", NEG_6[0], f"--beta={beta}", "--tol", "1/8"): (2, 3)
+       for beta in ("0", "-1/2")},
+    ("entropy", NEG_6[0], "--beta", "1"): (3, 3),
+    **{("df", NEGATIVE_TOP[0], "--c", c, "--beta", "1/2"): (0, 3) for c in ("1/2", "1/7")},
+    ("info", NEGATIVE_TOP[0]): (0, 3),
+    ("scalar", NEGATIVE_TOP[0], "--beta", "1/2"): (0, 3),
+    ("thresholds", NEGATIVE_TOP[0]): (3, 3),
+    ("window", NEGATIVE_TOP[0], "--case", "large"): (3, 3),
+    ("eta", NEGATIVE_TOP[0], "--beta", "1/2"): (3, 3),
+    ("df-curve", NEGATIVE_TOP[0], "--beta", "1/2", "--steps", "3"): (0, 3),
+    ("oracle", NEGATIVE_TOP[0], "--c", "1/2"): (3, 3),
+    ("info", P513[0]): (0, 3),
+}
 
 
 def oracle_edges() -> list[workloads.Invocation]:
@@ -261,8 +295,6 @@ def moved_checks() -> list[workloads.Invocation]:
         "name": "ent", "dimension": 2, "L_top": "1", "cX_L": "7/3", "divisor": {"m": 1},
         "positivity": {"lambda": "7/3", "Lambda": "7/3", "alpha_L": "0",
                        "alpha_LD_restricted": "0", "entropy_lower": "3"}})
-    neg = workloads._file("pair", {
-        "name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6", "divisor": {"m": 1}})
     klt = workloads._file("criteria", {"Sbeta": "0", "alpha_beta": "0", "n": 2, "is_klt": True})
     p6, p16, p64 = (workloads._file("pair", {
         "name": f"P{n}-hyperplane", "dimension": n, "L_top": "1", "cX_L": str(n + 1),
@@ -289,11 +321,11 @@ def moved_checks() -> list[workloads.Invocation]:
           for beta, tol in (("1/2", "1/1024"), ("5/6", workloads._tol(512)))),
         *(workloads.Invocation(("critical-c", f[0], "--beta", "1/2", "--tol", workloads._tol(512)),
                                (f,)) for f in (p16, p64)),
-        *(workloads.Invocation(("critical-c", neg[0], f"--beta={beta}", "--tol", "1/8"), (neg,))
+        *(workloads.Invocation(("critical-c", NEG_6[0], f"--beta={beta}", "--tol", "1/8"), (NEG_6,))
           for beta in ("0", "-1/2")),
         *(workloads.Invocation((cmd, ent[0], "--beta", "1/2"), (ent,))
           for cmd in ("entropy", "destabilize")),
-        workloads.Invocation(("entropy", neg[0], "--beta", "1"), (neg,)),
+        workloads.Invocation(("entropy", NEG_6[0], "--beta", "1"), (NEG_6,)),
         workloads.Invocation(("criteria", "--file", klt[0]), (klt,)),
         workloads.Invocation(STEPS_LIMIT),
         workloads.Invocation(TOL_LIMIT),
@@ -302,20 +334,28 @@ def moved_checks() -> list[workloads.Invocation]:
     ]
 
 
-DESTABILIZE_BETAS = ("-2", "-1", "-1/2", "0", "1/4", "1/2", "1", "5/2", "3")
-
 
 def destabilize_signs() -> list[workloads.Invocation]:
     """destabilize across the signs of L^n, of s and of beta: Fano-template
     (s = 0) and pair files with (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1),
     (-1, -3) and (-1, -6), at every beta of DESTABILIZE_BETAS."""
-    files = [workloads._file("pair", {"name": name, "dimension": 2, "L_top": L_top,
-                                      "cX_L": cX_L, "divisor": {"m": 1}})
-             for name, L_top, cX_L in (("negative-s", "1", "-2"), ("negative-top", "-1", "1"),
-                                       ("neg", "-1", "-3"), ("neg", "-1", "-6"))]
+    negative_s = workloads._file("pair", {"name": "negative-s", "dimension": 2, "L_top": "1",
+                                          "cX_L": "-2", "divisor": {"m": 1}})
+    files = [negative_s, NEGATIVE_TOP, NEG_3, NEG_6]
     pairs = [("catalog:Fano-template", ()), *((f[0], (f,)) for f in files)]
     return [workloads.Invocation(("destabilize", pair, f"--beta={beta}"), needs)
             for pair, needs in pairs for beta in DESTABILIZE_BETAS]
+
+
+def refused_pairs() -> list[workloads.Invocation]:
+    """NEGATIVE_TOP under each pair subcommand that no other invocation runs
+    on a pair with L^n < 0, and info on P513."""
+    argvs = [("info",), ("scalar", "--beta", "1/2"), ("thresholds",), ("window", "--case", "large"),
+             ("eta", "--beta", "1/2"), ("df-curve", "--beta", "1/2", "--steps", "3"),
+             ("oracle", "--c", "1/2")]
+    return [*(workloads.Invocation((cmd, NEGATIVE_TOP[0], *rest), (NEGATIVE_TOP,))
+              for cmd, *rest in argvs),
+            workloads.Invocation(("info", P513[0]), (P513,))]
 
 
 def df_pairs() -> list[workloads.Invocation]:
@@ -376,7 +416,8 @@ def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation
         found += universe[:1] if quick else universe
     if not quick:
         found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
-                  + df_pairs() + destabilize_signs() + dimension_knob() + curve_fallbacks())
+                  + df_pairs() + destabilize_signs() + dimension_knob() + curve_fallbacks()
+                  + refused_pairs())
     # Each file once: many invocations share one, and rewriting a file costs
     # far more than writing a new one on some file systems.
     for file_name, content in {name: data for inv in found for name, data in inv.files}.items():

@@ -89,8 +89,8 @@ class CriticalBracket(NamedTuple):
     """Isolating interval for the root of the inner factor: the cell that two
     integer signs at the root estimate confirm, then the closed-form inner
     factors lo_inner > 0 > hi_inner (both 0 on a width-zero bracket).
-    all_destabilizing marks L^n > 0 with beta <= 0, where every c in (0, 1)
-    destabilises and no root exists; lo = hi = 0, inner factors None.
+    all_destabilizing marks beta <= 0, where every c in (0, 1) destabilises
+    and no root exists; lo = hi = 0, inner factors None.
     """
 
     lo: Fraction
@@ -348,13 +348,6 @@ def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> Precond
         f"{format_rational(threshold)}{clause}")
 
 
-def _no_destabilizer(beta: Fraction) -> PreconditionFailedError:
-    """The refusal of L^n < 0 with beta <= 0 below the threshold: the inner
-    factor, between beta and beta - threshold, is negative, and so DF > 0."""
-    return PreconditionFailedError(f"L^n < 0 and beta = {format_rational(beta)} is not "
-                                   f"positive: DF > 0 for every c in (0, 1)")
-
-
 def _first_dyadic(sign: Callable[[int, int], int], want: int, near_one: bool,
                   last: int | None = None) -> int | None:
     """The least j >= 1 (<= last, if given) with sign = want at c = 2^-j, or at
@@ -382,11 +375,10 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
                       ) -> tuple[Fraction, Fraction]:
     """Witness c in (0, 1) with DF(c, beta) < 0, refused where DF >= 0 on all of (0, 1).
 
-    DF is the prefactor, of the sign sigma of L^n, times the inner factor
-    beta + s g(c), s = S^D/(n-1), which moves strictly and monotonically
-    from beta (c -> 0) to beta - threshold (c -> 1), or stays at beta for
-    s = 0. So e0 = sigma beta and e1 = sigma (beta - threshold) decide the
-    set where DF < 0:
+    DF is the positive prefactor times the inner factor beta + s g(c),
+    s = S^D/(n-1), which moves strictly and monotonically from beta (c -> 0)
+    to beta - threshold (c -> 1), or stays at beta for s = 0. So e0 = beta
+    and e1 = beta - threshold decide the set where DF < 0:
 
         e0 <= 0, e1 <= 0, not both 0   (0, 1)    c = 1/2, the first 1 - 2^-j
         e0 < 0 < e1                    (0, c*)   the first 2^-j in it
@@ -394,24 +386,19 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
         e0 >= 0, e1 >= 0               empty     refused
 
     _first_dyadic finds j on the integer signs of the pair's _Kernel among
-    the j with 2^-j >= tol (SearchExhaustedError if none). The empty set is
-    refused (PreconditionFailedError): for beta >= threshold as not below
-    it, adding "DF > 0 for every c" for L^n > 0 < beta, and otherwise
-    (L^n < 0, beta <= 0) as DF > 0 for every c. The witness's DF comes from
+    the j with 2^-j >= tol (SearchExhaustedError if none). The empty set,
+    beta >= threshold, is refused as not below it (PreconditionFailedError),
+    adding "DF > 0 for every c" for beta > 0. The witness's DF comes from
     the closed form (Family.df) and must be negative, or InternalCheckError
     is raised.
     """
     beta, tol, constants, threshold = _checked(pair, beta, tol)
-    sigma = 1 if pair.L_top > 0 else -1
-    e0, e1 = sigma * beta, sigma * (beta - threshold)
+    e0, e1 = beta, beta - threshold
     if e0 >= 0 and e1 >= 0:
-        if beta >= threshold:
-            clause = "" if sigma < 0 or beta <= 0 else "; DF > 0 for every c in (0, 1)"
-            raise _not_below(beta, threshold, clause)
-        raise _no_destabilizer(beta)
+        raise _not_below(beta, threshold, "; DF > 0 for every c in (0, 1)" if beta > 0 else "")
     near_one = not e0 < 0 < e1
     last = (tol.denominator // tol.numerator).bit_length() - 1  # the last j with 2^-j >= tol
-    j = _first_dyadic(constants.kernel(beta).sign, -sigma, near_one, last)
+    j = _first_dyadic(constants.kernel(beta).sign, -1, near_one, last)
     if j is None:
         raise SearchExhaustedError(f"no destabilising c found before the dyadic step fell "
                                    f"below tol = {format_rational(tol)}; decrease tol")
@@ -499,17 +486,13 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
 
     The closed form (Family.df) at both ends is the second path: the inner
     factor must be > 0 at lo and < 0 at hi, or 0 on a width-zero bracket
-    (InternalCheckError otherwise). beta <= 0 means every c destabilises
-    when L^n > 0: the (0, 0) sentinel with all_destabilizing is returned.
-    When L^n < 0 no c does, and PreconditionFailedError is raised, as by
-    find_destabilizer.
+    (InternalCheckError otherwise). beta <= 0 means every c destabilises:
+    the (0, 0) sentinel with all_destabilizing is returned.
     """
     beta, tol, constants, threshold = _checked(pair, beta, tol)
     if beta >= threshold:
         raise _not_below(beta, threshold)
     if beta <= 0:
-        if pair.L_top < 0:
-            raise _no_destabilizer(beta)
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
     kernel = constants.kernel(beta)
     sign = kernel.sign

@@ -22,9 +22,14 @@ from .exactnum import format_rational, forward_differences, newton_sums, scaled_
 if TYPE_CHECKING:
     from .thresholds import PositivityData
 
-FINDING_NOT_AMPLE = "NotAmple"
 FINDING_BOUND_VIOLATED = "ScalarBoundViolated"
 FINDING_BOUND_SATURATED = "ScalarBoundSaturated"
+
+
+# Largest dimension of a pair: on P^512 the oracle takes 0.25 s at c = 1/2
+# and 1.73 s at c = 99/100, in process, growing about as n^3
+# (scripts/oracle_sweep.py, 2-core x86-64 VM, Python 3.11); see the README.
+DIMENSION_LIMIT = 512
 
 
 class _PairFields(NamedTuple):
@@ -42,7 +47,8 @@ class PolarisedPair(_PairFields):
     exact rational multiple x of c1(L) (e.g. projective spaces, Fano pairs
     with L = -K_X), proportional_x records that coefficient; it then doubles
     as both nef thresholds lambda and Lambda. Every construction coerces the
-    rationals to Fraction and checks them.
+    rationals to Fraction and checks them: L is ample, so L^n > 0, and
+    1 <= n <= DIMENSION_LIMIT.
     """
 
     __slots__ = ()
@@ -51,9 +57,11 @@ class PolarisedPair(_PairFields):
         pair = super().__new__(cls, *args, **kwargs)
         if pair.dimension < 1:
             raise InputError(f"dimension must be >= 1, got {pair.dimension}")
+        if pair.dimension > DIMENSION_LIMIT:
+            raise InputError(f"dimension must be at most {DIMENSION_LIMIT}, got {pair.dimension}")
         L_top, cX_L, x = Fraction(pair.L_top), Fraction(pair.cX_L), pair.proportional_x
-        if L_top == 0:
-            raise InputError("L_top must be nonzero")
+        if L_top <= 0:
+            raise InputError(f"L_top must be > 0 (L is ample), got {format_rational(L_top)}")
         if x is not None:
             x = Fraction(x)
             if cX_L != x * L_top:
@@ -139,8 +147,6 @@ def avg_scalar_sbeta(pair: PolarisedPair, divisor: DivisorSpec, beta: Fraction) 
 def validate_pair(pair: PolarisedPair) -> list[str]:
     """Sanity findings; data violating S_1 <= n(n+1) cannot come from a manifold."""
     findings: list[str] = []
-    if pair.L_top <= 0:
-        findings.append(FINDING_NOT_AMPLE)
     n = pair.dimension
     s1 = avg_scalar_s1(pair)
     if s1 > n * (n + 1):

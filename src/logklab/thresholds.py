@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentDataError, InputError, PreconditionFailedError
 from .exactnum import format_rational
-from .pairmodel import PolarisedPair, avg_scalar_s1, scalar_sbeta
+from .pairmodel import DivisorSpec, PolarisedPair, avg_scalar_s1, scalar_sbeta
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
 MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
@@ -153,9 +153,9 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
     """(lambda, Lambda, model) actually in force for this pair.
 
     An exact proportionality coefficient x gives lambda = Lambda = x; a
-    supplied lambda/Lambda pair must then agree with it. Otherwise, with L
-    ample (L^n > 0), intersecting lambda c1(L) <= c1(X) <= Lambda c1(L) with
-    L^(n-1) gives lambda <= S_1/n <= Lambda, and data outside it is refused.
+    supplied lambda/Lambda pair must then agree with it. Otherwise, L being
+    ample, intersecting lambda c1(L) <= c1(X) <= Lambda c1(L) with L^(n-1)
+    gives lambda <= S_1/n <= Lambda, and data outside it is refused.
     """
     if pair.proportional_x is not None:
         x = pair.proportional_x
@@ -170,7 +170,7 @@ def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Frac
         raise InputError(
             "need nef thresholds lambda and Lambda (or an exact proportional_x on the pair)")
     mean = avg_scalar_s1(pair) / pair.dimension
-    if pair.L_top > 0 and not pos.lam <= mean <= pos.Lambda_up:
+    if not pos.lam <= mean <= pos.Lambda_up:
         raise InconsistentDataError(
             f"nef thresholds need lambda <= S_1/n <= Lambda, but S_1/n = "
             f"{format_rational(mean)} lies outside [{format_rational(pos.lam)}, "
@@ -188,6 +188,11 @@ def _require_angle(beta: Fraction, allow_one: bool = True) -> Fraction:
     return beta
 
 
+def _multiplicity(m: int) -> int:
+    """m, once DivisorSpec accepts it as the multiplicity of D in |mL| (m >= 1)."""
+    return DivisorSpec(m).m
+
+
 def _min_alpha(pos: PositivityData, m: int) -> Fraction:
     if pos.alpha_L is None or pos.alpha_LD_restricted is None:
         raise InputError(
@@ -200,7 +205,7 @@ def alpha_beta_lower_bound(pos: PositivityData, m: int, beta: Fraction) -> Fract
     alpha invariant; a direct alpha_beta_override wins when present. The
     invariant of (X, (1-beta)D) with D in |mL| is at most m*beta, as D/m lies
     in |L|_Q, so an override above m*beta is an InconsistentDataError."""
-    beta = _require_angle(beta)
+    m, beta = _multiplicity(m), _require_angle(beta)
     if pos.alpha_beta_override is None:
         return min(m * beta, _min_alpha(pos, m))
     if pos.alpha_beta_override > m * beta:
@@ -214,7 +219,7 @@ def alpha_beta_lower_bound(pos: PositivityData, m: int, beta: Fraction) -> Fract
 def beta_u(pair: PolarisedPair, pos: PositivityData, m: int) -> Fraction:
     """Critical cone angle
     min{1, (n+1)/n * min{alpha_L, m*alpha_LD}/m + 1 - S_1/(m n)}, clamped at 0."""
-    n = pair.dimension
+    m, n = _multiplicity(m), pair.dimension
     s1 = avg_scalar_s1(pair)
     raw = Fraction(n + 1, n) * _min_alpha(pos, m) / m + 1 - s1 / (m * n)
     return max(Fraction(0), min(Fraction(1), raw))
@@ -223,16 +228,14 @@ def beta_u(pair: PolarisedPair, pos: PositivityData, m: int) -> Fraction:
 def uniform_stability_window(pair: PolarisedPair, pos: PositivityData, m: int) -> AngleWindow:
     """Uniform log K-stability window [1 - ((n+1)lambda - S_1)/m, beta_u).
 
-    Hypotheses S_1 <= m n and (n+1)lambda <= S_1 + m are checked first; the
-    second one also forces the lower endpoint to be >= 0.
+    The hypothesis S_1 <= m n is checked first. With lambda <= S_1/n, which
+    effective_nef_bounds holds the data to, it gives the other hypothesis,
+    (n+1)lambda <= S_1 + m, which makes the lower endpoint >= 0.
     """
-    n = pair.dimension
+    m, n = _multiplicity(m), pair.dimension
     s1 = avg_scalar_s1(pair)
     lam, _, _ = effective_nef_bounds(pair, pos)
     _require_s1_at_most_mn(s1, m, n)
-    if (n + 1) * lam > s1 + m:
-        raise PreconditionFailedError(f"(n+1)*lambda = {format_rational((n + 1) * lam)} "
-                                      f"> S_1 + m = {format_rational(s1 + m)}")
     lower = 1 - ((n + 1) * lam - s1) / m
     upper = beta_u(pair, pos, m)
     return AngleWindow(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
@@ -254,7 +257,7 @@ def existence_window(
     Given-m case: needs S_1 <= m n and Lambda <= S_1/n <= lambda + m(1 - beta_u);
     upper = beta_u.
     """
-    n = pair.dimension
+    m, n = _multiplicity(m), pair.dimension
     s1 = avg_scalar_s1(pair)
     lam, Lam, _ = effective_nef_bounds(pair, pos)
     if case is ExistenceCase.LARGE_M:
@@ -298,7 +301,7 @@ def eta_feasibility(
     conservative lambda/Lambda sandwich bounds are used. The certificate is
     the midpoint of the feasible interval.
     """
-    beta = _require_angle(beta)
+    m, beta = _multiplicity(m), _require_angle(beta)
     lo_c1, up_c1, model = effective_nef_bounds(pair, pos)
     alpha_beta = alpha_beta_lower_bound(pos, m, beta)
     n = pair.dimension
@@ -357,11 +360,11 @@ def entropy_threshold_check(
 
     The default lower bound for the entropy threshold is (n+1) alpha_beta / n;
     pos.entropy_lower overrides it when supplied. A cscK cone metric forces
-    DF >= 0, so for D in |L| (m = 1), n >= 2 and L^n > 0, a satisfied verdict
+    DF >= 0, so for D in |L| (m = 1) and n >= 2, a satisfied verdict
     at a beta below normalcone.instability_threshold, where the normal-cone
     family destabilises, is an InconsistentDataError.
     """
-    beta = _require_angle(beta)
+    m, beta = _multiplicity(m), _require_angle(beta)
     lam, Lam, model = effective_nef_bounds(pair, pos)
     n = pair.dimension
     s_beta = scalar_sbeta(pair, m, beta)
@@ -383,8 +386,7 @@ def entropy_threshold_check(
         certificate=e_lower,
         certificate_note="entropy lower bound exceeding the J-threshold bound",
     )
-    if (verdict.status is VerdictStatus.CRITERION_SATISFIED and m == 1 and n >= 2
-            and pair.L_top > 0):
+    if verdict.status is VerdictStatus.CRITERION_SATISFIED and m == 1 and n >= 2:
         from .normalcone import instability_threshold  # only here: --m 2 loads no normalcone
 
         threshold = instability_threshold(pair)

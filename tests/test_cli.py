@@ -468,13 +468,14 @@ def test_window_empty_exit_2(capsys):
 
 def test_uniform_window_refuses_a_large_lambda_on_a_non_ample_pair(capsys, tmp_path):
     # With L^n > 0, lambda <= S_1/n (the nef sandwich) and S_1 <= m n give
-    # (n+1) lambda <= S_1 + m, so only a non-ample pair fails that hypothesis.
+    # (n+1) lambda <= S_1 + m, so only a non-ample pair could fail that
+    # hypothesis, and it is refused when it is loaded.
     pair = write_pair(tmp_path, {"name": "non-ample", "dimension": 2, "L_top": "-1",
                                  "cX_L": "1", "divisor": {"m": 1}})
     code, out, err = invoke(capsys, ["window", pair, "--case", "uniform",
                                      "--lambda", "1", "--Lambda", "2"])
     assert (code, out, err) == (
-        EXIT_INCONCLUSIVE, "PreconditionFailed: (n+1)*lambda = 3 > S_1 + m = -1\n", "")
+        EXIT_INPUT, "", "input error: L_top must be > 0 (L is ample), got -1\n")
 
 
 def test_eta_command(capsys):
@@ -847,14 +848,14 @@ def test_trailing_zero_coefficients_change_nothing(capsys, tmp_path):
 
 def test_a_non_integer_value_is_refused_before_the_conversion(capsys, tmp_path, monkeypatch):
     # h(floor), h(floor + 1), ... are checked one at a time first: the
-    # conversion of 2001 coefficients is never run.
+    # conversion of 513 coefficients is never run.
     def unreachable(coefficients):
         raise AssertionError("forward_differences ran")
 
     monkeypatch.setattr(pairmodel, "forward_differences", unreachable)
-    for coefficients, value, k in ((["1/7"] * 2001, "1/7", 0),
-                                   (["1"] + ["1/7"] * 2000, "2007/7", 1)):
-        doc = dict(P2_EXPLICIT, dimension=2000,
+    for coefficients, value, k in ((["1/7"] * 513, "1/7", 0),
+                                   (["1"] + ["1/7"] * 512, "519/7", 1)):
+        doc = dict(P2_EXPLICIT, dimension=512,
                    hilbert={"kind": "explicit", "coefficients": coefficients})
         code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
         assert (code, out, err) == (
@@ -985,48 +986,63 @@ def test_entropy_refuses_a_certificate_below_the_instability_threshold(capsys, t
 
 
 def test_destabilize_negative_volume_finds_the_witness_near_0(capsys, tmp_path):
-    # L^n < 0 and beta = 1 < 5/2: DF < 0 on (0, c*), c* < 1/2, so the
-    # witness is the first c = 2^-j there; at beta <= 0 DF > 0 everywhere.
-    path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
-                                 "divisor": {"m": 1}})
-    code, out, err = invoke(capsys, ["destabilize", path, "--beta", "1"])
+    # A pair with L^n < 0 is refused when it is loaded. The search toward 0
+    # needs s < 0 on a pair with L^n > 0: here s = -3, the threshold is -3/2,
+    # and at beta = -1/2 DF < 0 on (0, c*), c* < 1/2, so the witness is the
+    # first c = 2^-j there. At the threshold DF < 0 at every c; at beta = 0
+    # it is not below the threshold, and DF > 0 everywhere.
+    path = write_pair(tmp_path, {"name": "negative-s", "dimension": 2, "L_top": "1",
+                                 "cX_L": "-2", "divisor": {"m": 1}})
+    code, out, err = invoke(capsys, ["destabilize", path, "--beta=-1/2"])
     assert (code, err) == (EXIT_OK, "")
-    assert out == ("instability threshold: 5/2\nwitness c: 1/4\n"
-                   "DF(c, beta=1) = -1/16 < 0: pair is log K-unstable at this angle\n")
-    code, out, _ = invoke(capsys, ["df", path, "--c", "1/4", "--beta", "1"])
-    assert code == EXIT_OK and re.search(r"DF\(closed form\) +(\S+)", out).group(1) == "-1/16"
-    code, out, err = invoke(capsys, ["destabilize", path, "--beta", "0"])
-    assert (code, err) == (EXIT_INCONCLUSIVE, "")
-    assert out == ("PreconditionFailed: L^n < 0 and beta = 0 is not positive: "
-                   "DF > 0 for every c in (0, 1)\n")
+    assert out == ("instability threshold: -3/2\nwitness c: 1/4\n"
+                   "DF(c, beta=-1/2) = -7/384 < 0: pair is log K-unstable at this angle\n")
+    code, out, _ = invoke(capsys, ["df", path, "--c", "1/4", "--beta=-1/2"])
+    assert code == EXIT_OK and re.search(r"DF\(closed form\) +(\S+)", out).group(1) == "-7/384"
+    code, out, err = invoke(capsys, ["destabilize", path, "--beta=-3/2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == ("instability threshold: -3/2\nwitness c: 1/2\n"
+                   "DF(c, beta=-3/2) = -3/16 < 0: pair is log K-unstable at this angle\n")
+    assert invoke(capsys, ["destabilize", path, "--beta", "0"]) == (
+        EXIT_INCONCLUSIVE,
+        "PreconditionFailed: beta = 0 is not below the instability threshold -3/2\n", "")
 
 
 @pytest.mark.parametrize("beta", ["0", "-1/2"])
 def test_critical_c_negative_volume_refuses_nonpositive_beta(capsys, tmp_path, beta):
-    # L^n < 0 and beta <= 0: DF > 0 for every c, so critical-c refuses as
-    # destabilize does, with its text, instead of printing the sentinel.
+    # L^n < 0: L is not ample, and the pair file is refused when it is loaded.
     path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
                                  "divisor": {"m": 1}})
-    refusal = (f"PreconditionFailed: L^n < 0 and beta = {beta} is not positive: "
-               f"DF > 0 for every c in (0, 1)\n")
+    refusal = "input error: L_top must be > 0 (L is ample), got -1\n"
     for argv in (["critical-c", path, f"--beta={beta}", "--tol", "1/8"],
                  ["destabilize", path, f"--beta={beta}"]):
-        assert invoke(capsys, argv) == (EXIT_INCONCLUSIVE, refusal, "")
+        assert invoke(capsys, argv) == (EXIT_INPUT, "", refusal)
 
 
-@pytest.mark.parametrize("beta, df", [("3", "-11/24"), ("5/2", "-5/16")])
-def test_destabilize_negative_volume_at_or_above_threshold_every_c_destabilises(
-        capsys, tmp_path, beta, df):
-    # L^n < 0 < s: the inner factor exceeds beta - 5/2 >= 0 at every c, and
-    # the prefactor is negative, so the first schedule point is a witness.
-    path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "-6",
+# The arguments after the pair of each of the 11 subcommands that read one.
+PAIR_ARGS = {
+    "info": [], "scalar": ["--beta", "1/2"], "thresholds": [], "window": ["--case", "large"],
+    "eta": ["--beta", "1/2"], "entropy": ["--beta", "1/2"], "df": ["--c", "1/2", "--beta", "1/2"],
+    "df-curve": ["--beta", "1/2", "--steps", "3"], "destabilize": ["--beta", "1/2"],
+    "critical-c": ["--beta", "1/2", "--tol", "1/8"], "oracle": ["--c", "1/2"],
+}
+
+
+@pytest.mark.parametrize("command", PAIR_ARGS)
+def test_a_non_ample_pair_file_exits_3(capsys, tmp_path, command):
+    path = write_pair(tmp_path, {"name": "neg", "dimension": 2, "L_top": "-1", "cX_L": "1",
                                  "divisor": {"m": 1}})
-    code, out, err = invoke(capsys, ["destabilize", path, "--beta", beta])
-    assert (code, err) == (EXIT_OK, "")
-    assert out == (f"instability threshold: 5/2\nwitness c: 1/2\n"
-                   f"DF(c, beta={beta}) = {df} < 0: pair is log K-unstable at this angle\n")
-    code, out, _ = invoke(capsys, ["df", path, "--c", "1/2", "--beta", beta])
-    assert code == EXIT_OK and re.search(r"DF\(closed form\) +(\S+)", out).group(1) == df
+    assert invoke(capsys, [command, path, *PAIR_ARGS[command]]) == (
+        EXIT_INPUT, "", "input error: L_top must be > 0 (L is ample), got -1\n")
+
+
+def test_a_pair_file_past_the_dimension_limit_exits_3(capsys, tmp_path):
+    doc = {"name": "P513", "dimension": 513, "L_top": "1", "cX_L": "514", "divisor": {"m": 1}}
+    assert invoke(capsys, ["info", write_pair(tmp_path, doc)]) == (
+        EXIT_INPUT, "", "input error: dimension must be at most 512, got 513\n")
+    doc = dict(doc, name="P512", dimension=512, cX_L="513")
+    code, out, err = invoke(capsys, ["info", write_pair(tmp_path, doc)])
+    assert (code, err) == (EXIT_OK, "") and "P512 (n=512, L^n=1" in out
 
 
 def test_scalar_curve_pair_reports_sD_unavailable(capsys, tmp_path):

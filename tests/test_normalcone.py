@@ -39,6 +39,9 @@ BETA_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fracti
 open_unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**4).filter(
     lambda q: 0 < q < 1
 )
+# L^n of a pair: L is ample.
+positive_tops = st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(
+    lambda q: q > 0)
 
 
 # ----------------------------- coefficients -----------------------------
@@ -487,14 +490,13 @@ def test_df_checked_raises_when_s_is_wrong(monkeypatch, capsys, p2):
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=6),
-    L_top=st.fractions(min_value=-100, max_value=100, max_denominator=1000).filter(bool),
+    L_top=positive_tops,
     cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
     c=open_unit_fractions,
 )
-@example(n=2, L_top=Fraction(-1), cX_L=Fraction(1), c=Fraction(1, 2))
 @example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), c=Fraction(1, 2))
 def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
-    # Any sign of L^n and of s = c1(X).L^(n-1)/L^n - 1.
+    # Any sign of s = c1(X).L^(n-1)/L^n - 1.
     pair = PolarisedPair("random", n, L_top, cX_L)
     summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), c, n)
     assert summed == coefficients(pair, c)
@@ -503,7 +505,7 @@ def test_riemann_roch_sums_give_the_closed_form_coefficients(n, L_top, cX_L, c):
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=40),
-    L_top=st.fractions(min_value=-100, max_value=100, max_denominator=1000).filter(bool),
+    L_top=positive_tops,
     cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
 )
 def test_riemann_roch_gives_the_top_two_forward_differences(n, L_top, cX_L):
@@ -520,7 +522,7 @@ def test_riemann_roch_gives_the_top_two_forward_differences(n, L_top, cX_L):
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=6),
-    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    L_top=positive_tops,
     cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
     beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
     c=open_unit_fractions.filter(lambda q: q.denominator & (q.denominator - 1)),
@@ -602,7 +604,7 @@ def test_critical_c_matches_fraction_bisection(name, tol):
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=12),
-    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    L_top=positive_tops,
     excess=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
     share=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda q: 0 < q < 1),
     root=st.one_of(st.none(), st.tuples(st.integers(1, 2**12 - 1), st.integers(1, 12))),
@@ -642,33 +644,34 @@ def test_find_destabilizer_matches_fraction_walk(name, tol):
 
 
 def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
-    # L^n < 0 makes the DF prefactor negative, so DF < 0 where the inner
-    # factor is positive. At beta = 1/2 it is positive only on (0, c*),
-    # c* < 1/2, which no c = 1 - 2^-j reaches.
-    pair, tol = PolarisedPair("negative-volume", 2, -1, -3), Fraction(1, 2**64)
-    beta = Fraction(9, 10)
+    # A pair with L^n < 0 is refused where it is built, so DF < 0 on (0, c*)
+    # needs s < 0. With s = -3 and beta = -1/2 the inner factor is negative
+    # only on (0, c*), c* < 1/2, which no c = 1 - 2^-j reaches.
+    pair, tol = PolarisedPair("negative-s", 2, 1, -2), Fraction(1, 2**64)
+    beta = Fraction(-1)
     assert find_destabilizer(pair, beta, tol) == _reference_find_destabilizer(pair, beta, tol)
     assert find_destabilizer(pair, beta)[0] == Fraction(1, 2)
-    beta = Fraction(1, 2)
+    beta = Fraction(-1, 2)
     assert _reference_find_destabilizer(pair, beta, tol) is SearchExhaustedError
     assert find_destabilizer(pair, beta, tol) == _reference_scan(pair, beta, tol) == (
-        Fraction(1, 4), Fraction(-17, 384))
+        Fraction(1, 4), Fraction(-7, 384))
 
 
-@pytest.mark.parametrize("beta", [Fraction(5, 2), Fraction(3)])
+@pytest.mark.parametrize("beta", [Fraction(-3, 2), Fraction(-2)])
 def test_find_destabilizer_every_c_destabilises_for_negative_volume(beta):
-    # L^n < 0 < s and beta >= s/n = 5/2: the inner factor exceeds
-    # beta - s/n >= 0, so DF < 0 at every c and the first schedule point is
-    # the witness.
-    pair = PolarisedPair("neg", 2, -1, -6)
+    # The inner factor moves from beta to beta - threshold, so DF < 0 at
+    # every c when both are <= 0 and not both 0. With s = -3 (threshold
+    # -3/2) that is beta at or below the threshold, where the first schedule
+    # point is the witness.
+    pair = PolarisedPair("negative-s", 2, 1, -2)
     c, df = find_destabilizer(pair, beta)
     assert c == Fraction(1, 2) and df == family(pair, c).df(beta).df < 0
     assert all(family(pair, Fraction(i, 16)).df(beta).df < 0 for i in range(1, 16))
 
 
 @pytest.mark.parametrize("L_top, cX_L, beta", [
-    (-1, 1, Fraction(0)),  # L^n < 0, s = -2: DF < 0 at every c
-    (1, -2, Fraction(-1)),  # L^n > 0, s = -3: DF < 0 on (0, c*), c* > 1/2
+    (1, -4, Fraction(-2)),  # s = -5: DF < 0 on (0, c*), c* > 1/2
+    (1, -2, Fraction(-1)),  # s = -3: DF < 0 on (0, c*), c* > 1/2
 ])
 def test_find_destabilizer_witness_where_s_is_negative(L_top, cX_L, beta):
     # beta is at or above the threshold s/n < 0, yet DF < 0 at c = 1/2.
@@ -680,22 +683,22 @@ def test_find_destabilizer_witness_where_s_is_negative(L_top, cX_L, beta):
 
 
 def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
-    # L^n < 0: DF < 0 needs a positive inner factor, which is -3/7 at c = 1/2
-    # and decreases in c, so the set is (0, c*) and the search walks c = 2^-j.
+    # With L^n > 0 the search walks c = 2^-j where DF < 0 on (0, c*): s < 0
+    # and threshold < beta < 0. At s = -3 and beta = -1/2 the inner factor is
+    # 5/14 at c = 1/2, and DF < 0 at c = 1/4 and 1/8.
     import logklab.normalcone as normalcone
 
-    pair = PolarisedPair("neg", 2, -1, -6)
+    pair = PolarisedPair("negative-s", 2, 1, -2)
     real, steps = normalcone._Kernel.sign, []
     monkeypatch.setattr(normalcone._Kernel, "sign",
                         lambda kernel, a, d: steps.append((a, d)) or real(kernel, a, d))
-    assert find_destabilizer(pair, Fraction(1)) == (Fraction(1, 4), Fraction(-1, 16))
+    assert find_destabilizer(pair, Fraction(-1, 2)) == (Fraction(1, 4), Fraction(-7, 384))
     assert steps == [(1, 2), (1, 4)]
-    assert family(pair, Fraction(1, 2)).df(Fraction(1)).inner_factor == Fraction(-3, 7)
-    assert family(pair, Fraction(1, 8)).df(Fraction(1)).df == Fraction(-19, 256)
-    with pytest.raises(PreconditionFailedError) as exc:  # beta <= 0: DF > 0 for every c
+    assert family(pair, Fraction(1, 2)).df(Fraction(-1, 2)).inner_factor == Fraction(5, 14)
+    assert family(pair, Fraction(1, 8)).df(Fraction(-1, 2)).df == Fraction(-103, 3072)
+    with pytest.raises(PreconditionFailedError) as exc:  # beta = 0 >= threshold: DF > 0
         find_destabilizer(pair, Fraction(0))
-    assert str(exc.value) == ("L^n < 0 and beta = 0 is not positive: "
-                              "DF > 0 for every c in (0, 1)")
+    assert str(exc.value) == "beta = 0 is not below the instability threshold -3/2"
 
 
 def _reference_scan(pair, beta, tol):
@@ -714,17 +717,17 @@ def _reference_scan(pair, beta, tol):
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=6),
-    L_top=st.fractions(min_value=-100, max_value=100, max_denominator=1000).filter(bool),
+    L_top=positive_tops,
     cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
     beta=st.one_of(st.none(), st.fractions(min_value=-10, max_value=10, max_denominator=1000)),
     num=st.integers(min_value=1, max_value=3),
     bits=st.integers(min_value=0, max_value=64),
 )
-@example(n=2, L_top=Fraction(-1), cX_L=Fraction(1), beta=Fraction(0), num=1, bits=60)
 @example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1), num=1, bits=60)
-@example(n=2, L_top=Fraction(-1), cX_L=Fraction(-6), beta=Fraction(1), num=1, bits=60)
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1, 2), num=1, bits=60)
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(0), num=1, bits=60)
 def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, num, bits):
-    # Any sign of L^n and of s; beta = None stands for the threshold itself.
+    # Any sign of s; beta = None stands for the threshold itself.
     pair = PolarisedPair("random", n, L_top, cX_L)
     beta = instability_threshold(pair) if beta is None else beta
     tol = Fraction(num, 2**bits)
@@ -756,7 +759,7 @@ def test_curve_grid(p2):
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=6),
-    L_top=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda q: q > 0),
+    L_top=positive_tops,
     cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
     beta=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
     steps=st.integers(min_value=1, max_value=40),

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logklab import pairmodel
 from logklab.errors import InconsistentDataError, InputError
 from logklab.exactnum import format_rational, leading_differences
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
     FINDING_BOUND_VIOLATED,
-    FINDING_NOT_AMPLE,
     DivisorSpec,
     HilbertModel,
     PolarisedPair,
@@ -91,8 +91,29 @@ def test_validate_pair_findings(p2, p1xp1):
 
 
 def test_validate_pair_not_ample():
-    fake = PolarisedPair("anti-ample", 2, Fraction(-1), Fraction(1))
-    assert FINDING_NOT_AMPLE in validate_pair(fake)
+    # A pair whose L is not ample never reaches validate_pair: it is refused
+    # where it is built.
+    with pytest.raises(InputError, match=r"^L_top must be > 0 \(L is ample\), got -1$"):
+        PolarisedPair("anti-ample", 2, Fraction(-1), Fraction(1))
+
+
+@pytest.mark.parametrize("L_top, text", [(0, "0"), (-1, "-1"), (Fraction(-1, 3), "-1/3")])
+def test_pair_refuses_a_nonpositive_L_top(L_top, text):
+    with pytest.raises(InputError) as exc:
+        PolarisedPair("not-ample", 2, L_top, Fraction(1))
+    assert str(exc.value) == f"L_top must be > 0 (L is ample), got {text}"
+
+
+def test_pair_dimension_limit(monkeypatch):
+    assert pairmodel.DIMENSION_LIMIT == 512
+    assert PolarisedPair("P512", 512, 1, 513).dimension == 512
+    with pytest.raises(InputError) as exc:
+        PolarisedPair("P513", 513, 1, 514)
+    assert str(exc.value) == "dimension must be at most 512, got 513"
+    monkeypatch.setattr(pairmodel, "DIMENSION_LIMIT", 3)
+    assert PolarisedPair("P3", 3, 1, 4).dimension == 3
+    with pytest.raises(InputError, match="^dimension must be at most 3, got 4$"):
+        PolarisedPair("P4", 4, 1, 5)
 
 
 def test_catalog_never_violates_scalar_bound():

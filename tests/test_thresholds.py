@@ -143,6 +143,35 @@ def test_uniform_window_precondition_failures(p2):
         uniform_stability_window(p2, P2_ALPHAS, 2)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_a_multiplicity_below_1_is_refused(p2, m):
+    # As DivisorSpec refuses it on the command line, for every exported
+    # function that takes m.
+    import inspect
+
+    import logklab
+    from logklab import thresholds
+
+    half = Fraction(1, 2)
+    calls = [
+        ("alpha_beta_lower_bound", lambda: alpha_beta_lower_bound(P2_ALPHAS, m, half)),
+        ("beta_u", lambda: beta_u(p2, P2_ALPHAS, m)),
+        ("uniform_stability_window", lambda: uniform_stability_window(p2, P2_ALPHAS, m)),
+        *(("existence_window", lambda case=case: existence_window(p2, P2_ALPHAS, m, case))
+          for case in ExistenceCase),
+        ("eta_feasibility", lambda: eta_feasibility(p2, P2_ALPHAS, m, half)),
+        ("entropy_threshold_check", lambda: entropy_threshold_check(p2, P2_ALPHAS, m, half)),
+    ]
+    takes_m = {name for name in logklab._EXPORTS["thresholds"]
+               if inspect.isfunction(getattr(thresholds, name))
+               and "m" in inspect.signature(getattr(thresholds, name)).parameters}
+    assert takes_m == {name for name, _ in calls}
+    for _, call in calls:
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == f"divisor multiplicity must be >= 1, got {m}"
+
+
 def test_uniform_window_fano(fano):
     window = uniform_stability_window(fano, FANO_ALPHAS, 1)
     assert (window.lower, window.upper) == (0, 1)
