@@ -1,115 +1,61 @@
 #!/usr/bin/env python3
-"""Compare logklab's exit code, stdout and stderr between two source trees.
+"""The CLI's outcome table: exit code, stdout and stderr of every invocation.
 
-    python3 scripts/compare_outputs.py TREE_A TREE_B [--quick]
-    python3 scripts/compare_outputs.py --reach
+    python3 scripts/compare_outputs.py
 
-Each TREE is a checkout root, the directory that holds src/logklab. The
-invocations are the benchmark's whole universe (bench/workloads.py, all
-four workloads), `logklab --help`, every `<cmd> --help`, the usage errors
-that tests/test_cli_usage.py pins, valid argv in forms the benchmark does
-not use, so that both of the CLI's argv readers are compared (argparse
-alone reads an abbreviated flag, `--beta=-1/3`, a repeated flag, a negative
-integer value and `--`; the table reader also reads the pair positional
-after the flags and `catalog list extra`), and oracle runs the workloads
-leave out: a c outside (0, 1), an n = 1 pair, an explicit model at floor 50
-with --kmax 0, -3 and 400, the largest --kmax on P4, explicit P3 and P4
-models at c = 9999/10000, 1/7 and 1/60, an explicit P2 at floor 10000,
-explicit models whose divisor counts go negative inside the walk, P4 at
-c = 95111/100000 (one run of 795111 divisor counts), P1xP1 at c = 1/7 with
---kmax 400 (runs with gaps between them), and an explicit P3 model whose
-counts are all positive but whose forward differences go negative at small
-j, at c = 1/2, 9/10 and 1/7, with --kmax 400, and at c = 1/2 and 9/10
-with --kmax 2000 (runs the walk counts rather than jumps), and at c =
-99999/100000 and 999999/1000000 (one counted run of about 7 10^5 counts,
-and one of about 7 10^6, past the limit); and `info` and
-`oracle` on pair files whose hilbert block is refused: an unknown kind, a
-projective_space block that contradicts its pair, an explicit floor of -1
-and of 10001, a projective_space block with a floor and coefficients,
-which only an explicit block takes, and an explicit P2 block that is not
-integer-valued; and on an explicit P2 block with trailing zero
-coefficients, which changes nothing; and `info` on an explicit block of
-1000 coefficients on a P2 pair, and on two dimension-512 pairs
-whose 513 coefficients are no count at floor 0 (all 1/7) or at floor + 1
-(1, then 1/7); and the input
-resolution every pair subcommand shares: an m = 2 pair file on the five
-commands that need D in |L|, a bad --m with a lambda above Lambda on the
-four positivity commands, and a pair file whose nef bounds miss S_1/n on
-those four and destabilize;
-and the library cross-checks and limits the benchmark never reaches:
-critical-c on P2 at beta 4/7 (a width-zero bracket on the exact root 1/2),
-at beta 0 and -1/2 (the sentinel) and at tol 1 (the seed bracket), oracle
---kmax 10001 on P2 and on Fano-template (whose missing model is reported
-first), and entropy and destabilize on a pair whose entropy_lower certifies
-an angle the normal-cone family destabilises, and entropy on a pair with
-L^n < 0, which is refused; and destabilize on every sign case of its table,
-at beta = -2, -1, -1/2, 0, 1/4, 1/2, 1, 5/2 and 3 on Fano-template (s = 0)
-and on pair files with (L^n, c1(X).L^(n-1)) = (1, -2), and (-1, 1), (-1, -3)
-and (-1, -6), which are refused; and
-critical-c at a tol of 3/1000 and of 5/2^200, on the exact root of P2 at
-2^-512, on an n = 6 pair file, at 2^-512 on P16 and P64 hyperplane pair
-files, and at beta 0 and -1/2 on the pair file with (L^n, c1(X).L^(n-1)) =
-(-1, -6), which is refused; and df-curve at --steps 100001, past its
-limit, and critical-c on P4 at a tol one bit past
-normalcone.TOL_BITS_LIMIT, run with the int<->str digit limit lifted, which
-would refuse its 18062-digit tol first; and eta on P2 with an alpha_beta
-override above m*beta; and thresholds on P2 with an alpha_beta override of
-1/2 at --beta 1/2 and at --beta 1/4; and the refusals no other invocation
-raises: critical-c on P2 at beta 1, not below the threshold (exit 2), and
-at tol 0, df-curve at --steps 0, eta on P2 without alpha data and at beta
-2, criteria on a file that asserts is_klt without is_lc, and destabilize
-on P2 at tol 5, whose search is exhausted at once (exit 3, `error:`); and df,
-whose coefficients are checked
-against Riemann-Roch sums, at c = 1/2 and 1/7 on pair files outside the
-catalog: P5 and P6 with a hyperplane, L^n = -1 with c1(X).L^(n-1) = 1,
-which is refused, and L^n = 1 with c1(X).L^(n-1) = -2; and info, scalar,
-thresholds, window, eta, df-curve and oracle on that L^n = -1 pair, and
-info on a pair of dimension 513, past the limit; and the dimension knob,
-on P^n pair files with a projective_space hilbert block, where the Riemann-Roch sums
-and the count polynomial grow with n: df --beta 1/2 at c = 1/2 and 1/7 on
-P^8, P^32, P^64 and P^128, oracle --c 1/2 on P^8, P^32 and P^64, and info
-on P^128; and the df-curve rows whose texts take ratio_texts' special
-cases: an exact zero, printed bare, on P3-hyperplane at beta 9/10, and a
-pair with L^n = 1/7^4000 at beta 1/2 and 1/3^7000, whose terms pass the
-int->str digit limit, each in CSV and JSON. Each runs as a fresh `python -m logklab.cli` process under both
-trees, in one scratch directory that holds the workloads' input files,
-with COLUMNS=80 so that argparse wraps the same way. The script prints
-every argv whose exit code, stdout or stderr differ, and exits 1 on any
-difference but those of EXPECTED, which it prints as expected when the
-exit codes are the listed ones. It also prints every argv that exits 3 or
-4 with non-empty stdout under either tree, and exits 1 on any: an input
-error or a failed cross-check must leave stdout empty. --quick runs only
-the first invocation of each workload, the top-level --help and one usage
-error.
-
---reach runs the whole universe instead in this process, through
-logklab.cli.run under a profile hook, on this checkout's src/logklab, with
-the int<->str digit limit set back to its default, as a fresh process has
-it. It prints every function of src/logklab that never ran, and exits 1 if
-one is not in REACH_EXEMPT: the library is what the commands run.
+runs every invocation of invocations() through logklab.cli.run in this
+process and rewrites tests/outcomes.json, printing each key whose entry was
+added, removed or changed. Tier-1 (tests/test_outcomes.py) runs the same
+invocations and fails on any entry that differs from the table: the table
+is the spec of every CLI byte. A re-record changes the spec, so its diff
+goes with the change that made it, with a reason, and never makes a known
+defect pass.
 """
 
-import argparse
+import hashlib
 import inspect
+import io
+import json
 import os
-import re
-import subprocess
 import sys
 import tempfile
 import types
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "tests" / "outcomes.json"
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/ is not a package)
 
+
+@contextmanager
+def _digit_limit(limit: int):
+    """Set the int<->str digit limit (0 lifts it) for the block, then restore
+    the caller's; nothing to set where the interpreter has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        yield
+        return
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
+# The usage errors tests/test_cli_usage.py pins.
 USAGE_ERRORS = (
     ("info", "catalog:P2-line", "--nope"),
     ("df", "catalog:P2-line", "--c", "1/2"),
     ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3", "--format", "xml"),
     ("scalar", "catalog:P2-line", "--beta", "1/2", "--m", "x"),
 )
+# Valid argv in forms the benchmark does not use, so that both of the CLI's
+# argv readers are compared: argparse alone reads an abbreviated flag,
+# --beta=-1/3, a repeated flag, a negative integer value and --; the table
+# reader also reads the pair positional after the flags and `catalog list extra`.
 PARSE_FORMS = (
     ("df", "catalog:P2-line", "--c", "1/2", "--bet", "1/2"),
     ("df", "catalog:P2-line", "--c", "1/2", "--beta=-1/3"),
@@ -154,9 +100,9 @@ P3_VALLEY = workloads._file("pair", {
 # and a tol one bit past --tol's, whose text needs the digit limit lifted.
 COUNT_LIMIT = ("oracle", P3_VALLEY[0], "--c", "999999/1000000")
 STEPS_LIMIT = ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "100001")
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
-TOL_LIMIT = ("critical-c", "catalog:P4-hyperplane", "--beta", "1/2", "--tol", workloads._tol(60001))
+with _digit_limit(0):
+    TOL_LIMIT = ("critical-c", "catalog:P4-hyperplane", "--beta", "1/2", "--tol",
+                 workloads._tol(60001))
 # An alpha_beta override above m*beta, which no divisor in |mL| allows.
 OVERRIDE_ABOVE = ("eta", "catalog:P2-line", "--beta", "1/4", "--alpha-beta", "100")
 # thresholds with an override of 1/2 on P2 (m = 1), above m*beta in its row at
@@ -179,33 +125,6 @@ P3_NEGATIVE = _explicit(3, "4", ["100000", "-6007/6", "1", "1/6"])
 P4_DIP = _explicit(4, "5", ["0", "25213/12", "-2437/24", "5/12", "1/24"])
 
 DESTABILIZE_BETAS = ("-2", "-1", "-1/2", "0", "1/4", "1/2", "1", "5/2", "3")
-
-# Differences a change makes on purpose: argv -> (exit code under TREE_A,
-# under TREE_B) when TREE_A is the parent. A change lists only its own
-# intended differences, and the next change removes them: an entry left
-# behind would excuse any later change to the bytes of its invocation.
-EXPECTED: dict[tuple[str, ...], tuple[int, int]] = {
-    # A pair with L^n <= 0 is refused where it is built, and so is one of
-    # dimension above 512: exit 3 with "input error: L_top must be > 0 (L is
-    # ample), got -1" or "... dimension must be at most 512, got 513".
-    **{("destabilize", pair, f"--beta={beta}"): (2 if beta in refused else 0, 3)
-       for pair, refused in ((NEGATIVE_TOP[0], ("-2", "-1")),
-                             (NEG_3[0], ("-2", "-1", "-1/2", "0")),
-                             (NEG_6[0], ("-2", "-1", "-1/2", "0")))
-       for beta in DESTABILIZE_BETAS},
-    **{("critical-c", NEG_6[0], f"--beta={beta}", "--tol", "1/8"): (2, 3)
-       for beta in ("0", "-1/2")},
-    ("entropy", NEG_6[0], "--beta", "1"): (3, 3),
-    **{("df", NEGATIVE_TOP[0], "--c", c, "--beta", "1/2"): (0, 3) for c in ("1/2", "1/7")},
-    ("info", NEGATIVE_TOP[0]): (0, 3),
-    ("scalar", NEGATIVE_TOP[0], "--beta", "1/2"): (0, 3),
-    ("thresholds", NEGATIVE_TOP[0]): (3, 3),
-    ("window", NEGATIVE_TOP[0], "--case", "large"): (3, 3),
-    ("eta", NEGATIVE_TOP[0], "--beta", "1/2"): (3, 3),
-    ("df-curve", NEGATIVE_TOP[0], "--beta", "1/2", "--steps", "3"): (0, 3),
-    ("oracle", NEGATIVE_TOP[0], "--c", "1/2"): (3, 3),
-    ("info", P513[0]): (0, 3),
-}
 
 
 def oracle_edges() -> list[workloads.Invocation]:
@@ -398,51 +317,124 @@ def dimension_knob() -> list[workloads.Invocation]:
     return [workloads.Invocation(argv, tuple(files.values())) for argv in argvs]
 
 
-def run(tree: Path, argv, cwd: Path) -> tuple[int, bytes, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
-    env.pop("PYTHONINTMAXSTRDIGITS", None)  # the digit limit decides some outputs
-    if tuple(argv) == TOL_LIMIT:
-        env["PYTHONINTMAXSTRDIGITS"] = "0"
-    proc = subprocess.run([sys.executable, "-m", "logklab.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
-def invocations(tree: Path, cwd: Path, quick: bool) -> list[workloads.Invocation]:
-    """The invocations to compare; writes the workloads' input files into cwd."""
-    found = []
-    for name in workloads.WORKLOADS:
-        universe = workloads.universe(name)
-        found += universe[:1] if quick else universe
-    if not quick:
-        found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
-                  + df_pairs() + destabilize_signs() + dimension_knob() + curve_fallbacks()
-                  + refused_pairs())
-    # Each file once: many invocations share one, and rewriting a file costs
-    # far more than writing a new one on some file systems.
-    for file_name, content in {name: data for inv in found for name, data in inv.files}.items():
-        (cwd / file_name).write_bytes(content)
-    help_text = run(tree, ("--help",), cwd)[1].decode()
-    commands = re.search(r"\{([^}]*)\}", help_text).group(1).split(",")
-    argvs = [("--help",), USAGE_ERRORS[0]] if quick else [
-        ("--help",), *((cmd, "--help") for cmd in commands), *USAGE_ERRORS, *PARSE_FORMS]
+def invocations() -> list[workloads.Invocation]:
+    """The universe: the benchmark's four workloads, the groups above,
+    `logklab --help`, every `<cmd> --help`, USAGE_ERRORS and PARSE_FORMS."""
+    from logklab.cli import _COMMANDS
+
+    found = [inv for name in workloads.WORKLOADS for inv in workloads.universe(name)]
+    found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
+              + df_pairs() + destabilize_signs() + dimension_knob() + curve_fallbacks()
+              + refused_pairs())
+    argvs = [("--help",), *((row[0], "--help") for row in _COMMANDS), *USAGE_ERRORS, *PARSE_FORMS]
     return found + [workloads.Invocation(argv) for argv in argvs]
 
 
-# The functions --reach accepts unreached, each for a reason no in-process run
-# can remove: cli.main runs only in a fresh process, where
+def write_files(invs, directory: Path) -> None:
+    """Write the invocations' input files into directory, each once: many
+    invocations share one, and rewriting a file costs far more than writing
+    a new one on some file systems."""
+    for name, content in {name: data for inv in invs for name, data in inv.files}.items():
+        (directory / name).write_bytes(content)
+
+
+def entry(code: int, stdout: bytes, stderr: bytes) -> list:
+    """An outcome as the table holds it: [exit code, stdout sha256, stderr sha256]."""
+    return [code, hashlib.sha256(stdout).hexdigest(), hashlib.sha256(stderr).hexdigest()]
+
+
+def outcomes(profile=None) -> dict[str, list]:
+    """Invocation.key -> entry() of every invocation, run through cli.run in
+    this process as a fresh `python -m logklab.cli` process runs it: in a
+    scratch directory that holds the input files, with COLUMNS=80, and with
+    the int<->str digit limit at the interpreter's default (lifted for
+    TOL_LIMIT only, whose 18063-digit tol the default refuses first).
+    profile, if given, is the sys.setprofile hook while the invocations run.
+    The caller's directory, COLUMNS, digit limit and profile hook come back."""
+    from logklab import _EXPORTS, cli
+
+    # Every module loaded, as in a test process, and every cache empty, as in
+    # a fresh one, so that what a profile hook sees does not depend on what
+    # ran before: cli's first `from . import normalcone` would call
+    # logklab.__getattr__, and a cached _decimal_context would skip its body.
+    for name in _EXPORTS:
+        for value in vars(import_module(f"logklab.{name}")).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    with _digit_limit(0):  # TOL_LIMIT's key reads its 18063-digit tol
+        invs = {inv.key: inv for inv in invocations()}
+    default = getattr(sys.int_info, "default_max_str_digits", 0)
+    here, columns, hook = os.getcwd(), os.environ.get("COLUMNS"), sys.getprofile()
+    found = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        write_files(invs.values(), Path(scratch))
+        os.chdir(scratch)  # the invocations name their input files relative to it
+        os.environ["COLUMNS"] = "80"  # argparse wraps --help and usage to it
+        sys.setprofile(profile)
+        try:
+            for key, inv in invs.items():
+                out, err = io.StringIO(), io.StringIO()
+                with (_digit_limit(0 if inv.argv == TOL_LIMIT else default),
+                      redirect_stdout(out), redirect_stderr(err)):
+                    code = cli.run(list(inv.argv))
+                found[key] = entry(code, out.getvalue().encode(), err.getvalue().encode())
+        finally:
+            sys.setprofile(hook)
+            os.chdir(here)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
+    return found
+
+
+def read_table() -> dict[str, list]:
+    return json.loads(TABLE.read_text(encoding="utf-8"))
+
+
+def write_table(table: dict[str, list]) -> None:
+    """One entry a line, sorted by key, so that a changed byte is a one-line diff."""
+    lines = (f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(table.items()))
+    TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+def changes(old: dict[str, list], new: dict[str, list]) -> list[str]:
+    """One line per key added, removed or changed from table old to table new."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"ADDED: {key}")
+        elif key not in new:
+            lines.append(f"REMOVED: {key}")
+        elif old[key] != new[key]:
+            (a, *_), (b, *_) = old[key], new[key]
+            parts = ", ".join(part for part, x, y in zip(("exit code", "stdout", "stderr"),
+                                                         old[key], new[key]) if x != y)
+            lines.append(f"CHANGED ({parts}; exit {a} -> {b}): {key}")
+    return lines
+
+
+# The functions the outcome test accepts unreached, each for a reason no
+# in-process run can remove: cli.main runs only in a fresh process, where
 # tests/test_cli.py's test_a_process_writes_what_run_returns covers it;
-# __dir__ is the dir() hook that tests/test_package.py pins; and
+# __getattr__ and __dir__ are the lazy-export hooks that tests/test_package.py
+# pins, which no command calls once its modules are loaded; and
 # AngleWindow.contains serves tests/test_thresholds.py, which would otherwise
 # copy its body.
-REACH_EXEMPT = ("logklab.cli.main", "logklab.__dir__", "logklab.thresholds.AngleWindow.contains")
+REACH_EXEMPT = ("logklab.cli.main", "logklab.__getattr__", "logklab.__dir__",
+                "logklab.thresholds.AngleWindow.contains")
 
 
-def _functions(package: Path) -> dict[tuple[str, int, str], str]:
-    """(file, first line, name) -> qualified name of every def in the package's
-    modules, nested ones included, read off their compiled code."""
-    found = {}
-    for path in sorted(package.glob("*.py")):
+def unreached(called) -> list[str]:
+    """The qualified names, sorted, of every def in the logklab package's
+    modules, nested ones included, whose code object is not in called."""
+    import logklab
+
+    ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in called}
+    found = []
+    for path in sorted(Path(logklab.__file__).parent.glob("*.py")):
         module = "logklab" if path.stem == "__init__" else f"logklab.{path.stem}"
         stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module)]
         while stack:
@@ -452,88 +444,24 @@ def _functions(package: Path) -> dict[tuple[str, int, str], str]:
                     continue  # comprehensions and lambdas belong to their function
                 name = f"{prefix}.{const.co_name}"
                 if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
-                    found[(str(path), const.co_firstlineno, const.co_name)] = name
+                    if (str(path), const.co_firstlineno, const.co_name) not in ran:
+                        found.append(name)
                     name += ".<locals>"
                 stack.append((const, name))
-    return found
+    return sorted(found)
 
 
-def reach() -> int:
-    """Run the universe through cli.run in this process under a profile hook,
-    print the functions of src/logklab that never ran, and return 1 if one is
-    not in REACH_EXEMPT."""
-    if hasattr(sys, "set_int_max_str_digits"):  # lifted on import, unlike a fresh process
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    package = ROOT / "src" / "logklab"
-    sys.path.insert(0, str(package.parent))
-    called = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        invs = invocations(ROOT, Path(scratch), quick=False)
-        os.chdir(scratch)  # the invocations name their input files relative to it
-        sys.setprofile(hook)
-        try:
-            from logklab import cli
-
-            with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
-                for inv in invs:
-                    cli.run(list(inv.argv))
-        finally:
-            sys.setprofile(None)
-            os.chdir(here)
-    functions = _functions(package)
-    ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in called}
-    unreached = sorted(name for key, name in functions.items() if key not in ran)
-    for name in unreached:
-        print(f"NOT REACHED{' (exempt)' if name in REACH_EXEMPT else ''}: {name}")
-    print(f"{len(invs)} invocations in process: {len(functions) - len(unreached)} of "
-          f"{len(functions)} functions in src/logklab ran")
-    return 1 if set(unreached) - set(REACH_EXEMPT) else 0
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("tree_a", type=Path, nargs="?")
-    parser.add_argument("tree_b", type=Path, nargs="?")
-    parser.add_argument("--quick", action="store_true",
-                        help="a few invocations instead of the whole universe")
-    parser.add_argument("--reach", action="store_true",
-                        help="list the functions of this checkout's src/logklab that no "
-                             "invocation runs, in process, instead of comparing trees")
-    args = parser.parse_args()
-    if args.reach:
-        return reach()
-    if args.tree_b is None:
-        parser.error("give TREE_A and TREE_B, or --reach")
-    tree_a, tree_b = args.tree_a.resolve(), args.tree_b.resolve()
-    for tree in (tree_a, tree_b):
-        if not (tree / "src" / "logklab").is_dir():
-            parser.error(f"{tree} holds no src/logklab")
-    with tempfile.TemporaryDirectory() as scratch:
-        cwd = Path(scratch)
-        invs = invocations(tree_a, cwd, args.quick)
-        differing = leaking = 0
-        for inv in invs:
-            a, b = run(tree_a, inv.argv, cwd), run(tree_b, inv.argv, cwd)
-            for tree, (code, out, _) in ((tree_a, a), (tree_b, b)):
-                if code in (3, 4) and out:
-                    leaking += 1
-                    print(f"STDOUT ON EXIT {code} under {tree}: {inv.key}")
-            parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
-            if parts and EXPECTED.get(tuple(inv.argv)) == (a[0], b[0]):
-                print(f"EXPECTED ({', '.join(parts)}; exit {a[0]} vs {b[0]}): {inv.key}")
-            elif parts:
-                differing += 1
-                print(f"DIFFERS ({', '.join(parts)}; exit {a[0]} vs {b[0]}): {inv.key}")
-    print(f"{leaking} with exit 3 or 4 and non-empty stdout")
-    print(f"{len(invs)} invocations, {differing} differ")
-    return 1 if differing or leaking else 0
+def main() -> None:
+    if sys.argv[1:]:
+        sys.exit(__doc__)
+    sys.path.insert(0, str(ROOT / "src"))  # record this checkout's logklab
+    new = outcomes()
+    lines = changes(read_table() if TABLE.exists() else {}, new)
+    for line in lines:
+        print(line)
+    write_table(new)
+    print(f"{len(new)} invocations, {len(lines)} entries changed in {TABLE.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -30,7 +30,7 @@ from math import gcd, log
 
 from logklab.exactnum import decimal_string, format_rational
 from logklab.normalcone import family
-from logklab.pairmodel import CATALOG, HilbertModel, PolarisedPair
+from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, HilbertModel, PolarisedPair
 from logklab.weightoracle import dims_and_weights, oracle_report, sum_samples
 
 
@@ -112,6 +112,12 @@ def main() -> None:
     parser.add_argument("--dimensions", nargs="+", type=int, metavar="N",
                         help="print the cost table at these dimensions of P^N instead")
     args = parser.parse_args()
+    for n in args.dimensions or ():
+        if not 2 <= n <= DIMENSION_LIMIT:
+            parser.error(f"--dimensions: N must be in 2..{DIMENSION_LIMIT}, got {n}")
+    for q in args.denominators or ():
+        if q < 2:
+            parser.error(f"--denominators: Q must be at least 2, got {q}")
     if args.denominators:
         denominator_table(args.denominators)
         return

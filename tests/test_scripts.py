@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -42,22 +44,13 @@ def test_oracle_sweep_dimension_table():
     assert all(re.fullmatch(r"[0-9a-f]{14}", row.split()[-1]) for row in rows)
 
 
-def test_compare_outputs_quick_against_itself():
-    root = SCRIPTS.parent
-    proc = _run("compare_outputs.py", str(root), str(root), "--quick")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith(" invocations, 0 differ\n")
-
-
-def test_compare_outputs_reach_finds_every_function_run():
-    # Every function of src/logklab runs in some invocation, but those the
-    # script exempts with a reason.
-    proc = _run("compare_outputs.py", "--reach")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    *unreached, summary = proc.stdout.splitlines()
-    assert unreached == ["NOT REACHED (exempt): logklab.__dir__",
-                         "NOT REACHED (exempt): logklab.cli.main",
-                         "NOT REACHED (exempt): logklab.thresholds.AngleWindow.contains"]
-    counts = re.fullmatch(r"\d+ invocations in process: (\d+) of (\d+) functions in "
-                          r"src/logklab ran", summary)
-    assert counts and int(counts[1]) + len(unreached) == int(counts[2])
+@pytest.mark.parametrize("args, message", [
+    (("--dimensions", "4", "513"), "--dimensions: N must be in 2..512, got 513"),
+    (("--dimensions", "1"), "--dimensions: N must be in 2..512, got 1"),
+    (("--denominators", "7", "1"), "--denominators: Q must be at least 2, got 1"),
+])
+def test_oracle_sweep_refuses_knobs_out_of_range(args, message):
+    proc = _run("oracle_sweep.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f"error: {message}\n")
