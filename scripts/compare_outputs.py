@@ -5,11 +5,12 @@
 
 runs every invocation of invocations() through logklab.cli.run in this
 process and rewrites tests/outcomes.json, printing each key whose entry was
-added, removed or changed. Tier-1 (tests/test_outcomes.py) runs the same
-invocations and fails on any entry that differs from the table: the table
-is the spec of every CLI byte. A re-record changes the spec, so its diff
-goes with the change that made it, with a reason, and never makes a known
-defect pass.
+added, removed or changed, and under each added or changed key its new exit
+code and the first lines of its new stdout and stderr. Tier-1
+(tests/test_outcomes.py) runs the same invocations and fails on any entry
+that differs from the table: the table is the spec of every CLI byte. A
+re-record changes the spec, so its diff goes with the change that made it,
+with a reason, and never makes a known defect pass.
 """
 
 import hashlib
@@ -345,13 +346,32 @@ def entry(code: int, stdout: bytes, stderr: bytes) -> list:
     return [code, hashlib.sha256(stdout).hexdigest(), hashlib.sha256(stderr).hexdigest()]
 
 
-def outcomes(profile=None) -> dict[str, list]:
+EXCERPT_LINES, EXCERPT_WIDTH = 3, 160
+
+
+def excerpt(code: int, stdout: bytes, stderr: bytes) -> str:
+    """The bytes a table entry hashes, shortened for a reader: the exit code,
+    then the first EXCERPT_LINES lines of stdout and of stderr, each cut to
+    EXCERPT_WIDTH characters, indented to stand under the key changes() names."""
+    lines = [f"    exit {code}"]
+    for name, data in (("stdout", stdout), ("stderr", stderr)):
+        text = data.decode().splitlines() or ["(empty)"]
+        lines += [f"    {name}: {line[:EXCERPT_WIDTH]}"
+                  + (f"... ({len(line)} characters)" if len(line) > EXCERPT_WIDTH else "")
+                  for line in text[:EXCERPT_LINES]]
+        if len(text) > EXCERPT_LINES:
+            lines.append(f"    {name}: ... {len(text) - EXCERPT_LINES} more lines")
+    return "\n".join(lines)
+
+
+def outcomes(profile=None, excerpts=None) -> dict[str, list]:
     """Invocation.key -> entry() of every invocation, run through cli.run in
     this process as a fresh `python -m logklab.cli` process runs it: in a
     scratch directory that holds the input files, with COLUMNS=80, and with
     the int<->str digit limit at the interpreter's default (lifted for
     TOL_LIMIT only, whose 18063-digit tol the default refuses first).
     profile, if given, is the sys.setprofile hook while the invocations run.
+    excerpts, if given, is a dict that receives each key's excerpt().
     The caller's directory, COLUMNS, digit limit and profile hook come back."""
     from logklab import _EXPORTS, cli
 
@@ -379,7 +399,10 @@ def outcomes(profile=None) -> dict[str, list]:
                 with (_digit_limit(0 if inv.argv == TOL_LIMIT else default),
                       redirect_stdout(out), redirect_stderr(err)):
                     code = cli.run(list(inv.argv))
-                found[key] = entry(code, out.getvalue().encode(), err.getvalue().encode())
+                stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+                found[key] = entry(code, stdout, stderr)
+                if excerpts is not None:
+                    excerpts[key] = excerpt(code, stdout, stderr)
         finally:
             sys.setprofile(hook)
             os.chdir(here)
@@ -400,19 +423,25 @@ def write_table(table: dict[str, list]) -> None:
     TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
-def changes(old: dict[str, list], new: dict[str, list]) -> list[str]:
-    """One line per key added, removed or changed from table old to table new."""
+def changes(old: dict[str, list], new: dict[str, list], excerpts=None) -> list[str]:
+    """One item per key added, removed or changed from table old to table new;
+    under an added or changed key, its excerpt from excerpts, if that holds one."""
     lines = []
     for key in sorted(old.keys() | new.keys()):
-        if key not in old:
-            lines.append(f"ADDED: {key}")
-        elif key not in new:
+        if key not in new:
             lines.append(f"REMOVED: {key}")
+            continue
+        if key not in old:
+            line = f"ADDED: {key}"
         elif old[key] != new[key]:
             (a, *_), (b, *_) = old[key], new[key]
             parts = ", ".join(part for part, x, y in zip(("exit code", "stdout", "stderr"),
                                                          old[key], new[key]) if x != y)
-            lines.append(f"CHANGED ({parts}; exit {a} -> {b}): {key}")
+            line = f"CHANGED ({parts}; exit {a} -> {b}): {key}"
+        else:
+            continue
+        shown = (excerpts or {}).get(key)
+        lines.append(line if shown is None else f"{line}\n{shown}")
     return lines
 
 
@@ -455,8 +484,9 @@ def main() -> None:
     if sys.argv[1:]:
         sys.exit(__doc__)
     sys.path.insert(0, str(ROOT / "src"))  # record this checkout's logklab
-    new = outcomes()
-    lines = changes(read_table() if TABLE.exists() else {}, new)
+    excerpts = {}
+    new = outcomes(excerpts=excerpts)
+    lines = changes(read_table() if TABLE.exists() else {}, new, excerpts)
     for line in lines:
         print(line)
     write_table(new)

@@ -247,21 +247,19 @@ def _require_s1_at_most_mn(s1: Fraction, m: int, n: int) -> None:
             f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}")
 
 
-def existence_window(
-    pair: PolarisedPair, pos: PositivityData, m: int, case: ExistenceCase
-) -> AngleWindow:
-    """cscK-cone existence window (0, upper] for the chosen case.
+def _eta0_bound(pair: PolarisedPair, pos: PositivityData, m: int | None = None) -> Fraction:
+    """T = max(Lambda, (S_1 - (n-1)lambda)/n), the large-m existence theorem's
+    eta = 0 bound: its two conditions, Lambda - m(1-beta) < 0 and
+    S_1 - m n (1-beta) - (n-1)lambda < 0, both read m(1-beta) > T.
 
-    Large-m case: needs S_1 < m n + (n-1)lambda and Lambda < m (strict);
-    upper = min{1, 1 - Lambda/m, 1 - (S_1 - (n-1)lambda)/(m n)}.
-    Given-m case: needs S_1 <= m n and Lambda <= S_1/n <= lambda + m(1 - beta_u);
-    upper = beta_u.
+    With m given, T's two terms must first be < m, the hypotheses of the
+    large-m window, each a PreconditionFailedError with its own message.
     """
-    m, n = _multiplicity(m), pair.dimension
-    s1 = avg_scalar_s1(pair)
     lam, Lam, _ = effective_nef_bounds(pair, pos)
-    if case is ExistenceCase.LARGE_M:
-        if not s1 < m * n + (n - 1) * lam:
+    n, s1 = pair.dimension, avg_scalar_s1(pair)
+    third = (s1 - (n - 1) * lam) / n
+    if m is not None:
+        if not third < m:
             raise PreconditionFailedError(
                 f"S_1 = {format_rational(s1)} not < m*n + (n-1)*lambda = "
                 f"{format_rational(m * n + (n - 1) * lam)}"
@@ -269,8 +267,27 @@ def existence_window(
         if not Lam < m:
             raise PreconditionFailedError(
                 f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}")
-        upper = min(Fraction(1), 1 - Lam / m, 1 - (s1 - (n - 1) * lam) / (m * n))
+    return max(Lam, third)
+
+
+def existence_window(
+    pair: PolarisedPair, pos: PositivityData, m: int, case: ExistenceCase
+) -> AngleWindow:
+    """cscK-cone existence window (0, upper] for the chosen case.
+
+    Large-m case: needs both terms of T = max(Lambda, (S_1 - (n-1)lambda)/n)
+    below m, S_1 < m n + (n-1)lambda and Lambda < m (strict);
+    upper = min{1, 1 - T/m}, so beta is in the window exactly when
+    m(1-beta) >= T (see _eta0_bound and min_multiplicity_eta0).
+    Given-m case: needs S_1 <= m n and Lambda <= S_1/n <= lambda + m(1 - beta_u);
+    upper = beta_u.
+    """
+    m = _multiplicity(m)
+    if case is ExistenceCase.LARGE_M:
+        upper = min(Fraction(1), 1 - _eta0_bound(pair, pos, m) / m)
     elif case is ExistenceCase.GIVEN_M:
+        n, s1 = pair.dimension, avg_scalar_s1(pair)
+        lam, Lam, _ = effective_nef_bounds(pair, pos)
         _require_s1_at_most_mn(s1, m, n)
         bu = beta_u(pair, pos, m)
         mu_bar = s1 / Fraction(n)
@@ -300,6 +317,11 @@ def eta_feasibility(
     In the exact proportional model lo_c1 = up_c1 = x; otherwise the
     conservative lambda/Lambda sandwich bounds are used. The certificate is
     the midpoint of the feasible interval.
+
+    At eta = 0 the third condition is stronger than the second eta = 0
+    condition of min_multiplicity_eta0, S_1 - m n (1-beta) - (n-1)lambda < 0,
+    by (n-1)m(1-beta), so an m that row gives need not admit eta = 0 here;
+    the two agree when lambda = Lambda = S_1/n.
     """
     m, beta = _multiplicity(m), _require_angle(beta)
     lo_c1, up_c1, model = effective_nef_bounds(pair, pos)
@@ -334,23 +356,22 @@ def eta_feasibility(
 
 
 def min_multiplicity_eta0(pair: PolarisedPair, pos: PositivityData, beta: Fraction) -> int:
-    """Least m making both eta = 0 conditions strict:
-    Lambda - m(1-beta) < 0 and S_1 - m n (1-beta) - (n-1)lambda < 0."""
+    """Least m >= 1 making both of the large-m theorem's eta = 0 conditions
+    strict, Lambda - m(1-beta) < 0 and S_1 - m n (1-beta) - (n-1)lambda < 0:
+    the least m with m(1-beta) > T (_eta0_bound).
+
+    This is not the least m at which eta_feasibility admits eta = 0. Its
+    third condition at eta = 0, S_beta - (n-1)(lambda - m(1-beta)) < 0, is
+    stronger than the second one here by (n-1)m(1-beta); the two give the
+    same least m when lambda = Lambda = S_1/n, as on every catalog pair.
+    On a sandwich pair with n = 2, S_1 = 6, lambda = 2, Lambda = 3, alphas
+    10, the least m at beta = 1/2 is 7, and eta at m = 7 certifies only
+    eta in (1/2, 21/4).
+    """
     beta = _require_angle(beta, allow_one=False)
-    lam, Lam, _ = effective_nef_bounds(pair, pos)
-    n = pair.dimension
-    s1 = avg_scalar_s1(pair)
-    one_minus = 1 - beta
-    # least integer strictly above each rational bound
-    bound_a = Lam / one_minus
-    bound_b = (s1 - (n - 1) * lam) / (n * one_minus)
-    m = max(_strictly_above(bound_a), _strictly_above(bound_b), 1)
-    return m
-
-
-def _strictly_above(q: Fraction) -> int:
-    floor = q.numerator // q.denominator
-    return floor + 1
+    bound = _eta0_bound(pair, pos)
+    # Strict, where existence_window(LARGE_M) admits m(1-beta) = T: open, ROADMAP direction 26.
+    return max(1, bound // (1 - beta) + 1)
 
 
 def entropy_threshold_check(

@@ -512,6 +512,28 @@ def test_thresholds_prints_n_a_where_an_override_exceeds_m_beta(capsys):
     assert err.startswith("input error: alpha_beta override 1/2 exceeds m*beta = 1/4,")
 
 
+def test_the_least_m_row_and_eta_read_eta_0_differently(capsys, tmp_path):
+    # On a sandwich pair (S_1 = 6, lambda = 2, Lambda = 3) the least-m row's
+    # second eta = 0 condition, S_1 - m n (1-beta) - (n-1)lambda < 0, holds at
+    # m = 7, beta = 1/2; eta's third condition at eta = 0 is stronger by
+    # (n-1)m(1-beta) and fails there, so eta certifies only eta > 1/2.
+    pair = write_pair(tmp_path, {
+        "name": "sandwich", "dimension": 2, "L_top": "1", "cX_L": "3", "divisor": {"m": 1},
+        "positivity": {"alpha_L": "10", "alpha_LD_restricted": "10", "lambda": "2",
+                       "Lambda": "3"}})
+    code, out, err = invoke(capsys, ["thresholds", pair, "--beta", "1/2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1].split() == [
+        "min_multiplicity_eta0(beta=1/2)", "7", "7", "least", "m", "with", "both",
+        "eta=0", "conditions", "strict"]
+    code, out, err = invoke(capsys, ["eta", pair, "--m", "7", "--beta", "1/2"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "eta interval: (1/2, 21/4)\n" in out and "fact: S_beta = -1\n" in out
+    # The large-m window admits m(1 - beta) = T = 3, which the least m does not.
+    code, out, err = invoke(capsys, ["window", pair, "--m", "6", "--case", "large"])
+    assert (code, out, err) == (EXIT_OK, "claim: ExistenceCscKCone\nwindow: (0, 1/2]\n", "")
+
+
 def test_thresholds_missing_alphas(capsys):
     code, _, err = invoke(capsys, ["thresholds", "catalog:P2-line", "--m", "4"])
     assert code == EXIT_INPUT

@@ -19,20 +19,22 @@ EMPTY = compare_outputs.entry(0, b"", b"")[1]
 
 @pytest.fixture(scope="module")
 def run():
-    """The universe's outcomes in this process, and the code objects called."""
-    called = set()
+    """The universe's outcomes in this process, the code objects called, and
+    each outcome's excerpt."""
+    called, excerpts = set(), {}
 
     def hook(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    return compare_outputs.outcomes(profile=hook), called
+    return compare_outputs.outcomes(profile=hook, excerpts=excerpts), called, excerpts
 
 
 def test_every_outcome_equals_the_table(run):
     # Re-record with `python3 scripts/compare_outputs.py` only for a change
-    # meant to alter these bytes.
-    changed = compare_outputs.changes(compare_outputs.read_table(), run[0])
+    # meant to alter these bytes. A failure shows each new entry's bytes.
+    assert run[2].keys() == run[0].keys()
+    changed = compare_outputs.changes(compare_outputs.read_table(), run[0], run[2])
     if changed:
         pytest.fail(f"{len(changed)} table entries differ:\n" + "\n".join(changed), pytrace=False)
 

@@ -54,3 +54,24 @@ def test_oracle_sweep_refuses_knobs_out_of_range(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.endswith(f"error: {message}\n")
+
+
+def test_compare_outputs_shows_the_new_bytes_under_each_added_or_changed_key():
+    sys.path.insert(0, str(SCRIPTS))
+    from compare_outputs import changes, entry, excerpt
+
+    long_line = "1/" + "7" * 198
+    runs = {"same": (0, b"x\n", b""), "changed": (0, b"window: (0, 1/4)\n", b""),
+            "added": (2, b"a\nb\nc\nd\ne\n", f"{long_line}\n".encode())}
+    old = {"same": entry(0, b"x\n", b""), "changed": entry(0, b"window: (0, 1/4]\n", b""),
+           "removed": entry(3, b"", b"input error: x\n")}
+    new = {key: entry(*outcome) for key, outcome in runs.items()}
+    lines = changes(old, new, {key: excerpt(*outcome) for key, outcome in runs.items()})
+    assert "\n".join(lines).splitlines() == [
+        "ADDED: added", "    exit 2", "    stdout: a", "    stdout: b", "    stdout: c",
+        "    stdout: ... 2 more lines", f"    stderr: {long_line[:160]}... (200 characters)",
+        "CHANGED (stdout; exit 0 -> 0): changed", "    exit 0", "    stdout: window: (0, 1/4)",
+        "    stderr: (empty)",
+        "REMOVED: removed"]
+    assert len(lines) == 3  # one item per key
+    assert changes(old, new) == [line.splitlines()[0] for line in lines]

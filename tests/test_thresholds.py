@@ -378,6 +378,43 @@ def test_no_certificate_below_the_instability_threshold(
         assert verdict.status is VerdictStatus.INCONCLUSIVE or beta >= threshold
 
 
+# The large-m theorem's two eta = 0 conditions, evaluated as stated rather than
+# solved: the large-m window holds beta exactly where both are <= 0, and the
+# least m is the least m where both are < 0. So beta lies in the window
+# exactly when m >= the least m, except where m(1 - beta) equals
+# T = max(Lambda, (S_1 - (n-1)lambda)/n): there the window admits beta and the
+# least m does not (ROADMAP direction 26).
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    L_top=_fractions(0, 10).filter(lambda q: q > 0),
+    mean=_fractions(-3, 8),
+    nef=st.none() | st.tuples(_fractions(0, 4), _fractions(0, 4)),
+    m=st.integers(min_value=1, max_value=16),
+    beta=_fractions(0, 1).filter(lambda b: 0 < b < 1),
+)
+@example(n=2, L_top=Fraction(1), mean=Fraction(3), nef=None, m=6,
+         beta=Fraction(1, 2))  # P2-line: m(1 - beta) = T = 3, window (0, 1/2], least m 7
+@example(n=2, L_top=Fraction(1), mean=Fraction(3), nef=(Fraction(1), Fraction(0)), m=7,
+         beta=Fraction(1, 2))  # the sandwich pair of tests/test_cli.py: least m 7
+def test_large_m_window_holds_beta_exactly_from_the_least_m(n, L_top, mean, nef, m, beta):
+    # mean is S_1/n; nef None means proportional_x = mean.
+    pair = PolarisedPair("random", n, L_top, mean * L_top, None if nef else mean)
+    lam, Lam = (mean, mean) if nef is None else (mean - nef[0], mean + nef[1])
+    pos = PositivityData() if nef is None else PositivityData(lam=lam, Lambda_up=Lam)
+    s1 = n * mean
+    conditions = (Lam - m * (1 - beta), s1 - m * n * (1 - beta) - (n - 1) * lam)
+    try:
+        in_window = existence_window(pair, pos, m, ExistenceCase.LARGE_M).contains(beta)
+    except PreconditionFailedError:
+        in_window = False
+    least = min_multiplicity_eta0(pair, pos, beta)
+    assert in_window == all(c <= 0 for c in conditions)
+    assert (m >= least) == all(c < 0 for c in conditions)
+    on_boundary = m * (1 - beta) == max(Lam, (s1 - (n - 1) * lam) / n)
+    assert in_window == (m >= least) or on_boundary and in_window and m < least
+
+
 # ----------------------------- singular criteria -----------------------------
 
 
