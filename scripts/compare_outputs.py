@@ -364,14 +364,14 @@ def excerpt(code: int, stdout: bytes, stderr: bytes) -> str:
     return "\n".join(lines)
 
 
-def outcomes(profile=None, excerpts=None) -> dict[str, list]:
+def outcomes(profile=None) -> tuple[dict[str, list], dict[str, str]]:
     """Invocation.key -> entry() of every invocation, run through cli.run in
     this process as a fresh `python -m logklab.cli` process runs it: in a
     scratch directory that holds the input files, with COLUMNS=80, and with
     the int<->str digit limit at the interpreter's default (lifted for
     TOL_LIMIT only, whose 18063-digit tol the default refuses first).
     profile, if given, is the sys.setprofile hook while the invocations run.
-    excerpts, if given, is a dict that receives each key's excerpt().
+    Returns that table and, by the same keys, each outcome's excerpt().
     The caller's directory, COLUMNS, digit limit and profile hook come back."""
     from logklab import _EXPORTS, cli
 
@@ -387,7 +387,7 @@ def outcomes(profile=None, excerpts=None) -> dict[str, list]:
         invs = {inv.key: inv for inv in invocations()}
     default = getattr(sys.int_info, "default_max_str_digits", 0)
     here, columns, hook = os.getcwd(), os.environ.get("COLUMNS"), sys.getprofile()
-    found = {}
+    found, excerpts = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         write_files(invs.values(), Path(scratch))
         os.chdir(scratch)  # the invocations name their input files relative to it
@@ -401,8 +401,7 @@ def outcomes(profile=None, excerpts=None) -> dict[str, list]:
                     code = cli.run(list(inv.argv))
                 stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
                 found[key] = entry(code, stdout, stderr)
-                if excerpts is not None:
-                    excerpts[key] = excerpt(code, stdout, stderr)
+                excerpts[key] = excerpt(code, stdout, stderr)
         finally:
             sys.setprofile(hook)
             os.chdir(here)
@@ -410,7 +409,7 @@ def outcomes(profile=None, excerpts=None) -> dict[str, list]:
                 del os.environ["COLUMNS"]
             else:
                 os.environ["COLUMNS"] = columns
-    return found
+    return found, excerpts
 
 
 def read_table() -> dict[str, list]:
@@ -423,9 +422,9 @@ def write_table(table: dict[str, list]) -> None:
     TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
-def changes(old: dict[str, list], new: dict[str, list], excerpts=None) -> list[str]:
+def changes(old: dict[str, list], new: dict[str, list], excerpts: dict[str, str]) -> list[str]:
     """One item per key added, removed or changed from table old to table new;
-    under an added or changed key, its excerpt from excerpts, if that holds one."""
+    under an added or changed key, its excerpt from excerpts."""
     lines = []
     for key in sorted(old.keys() | new.keys()):
         if key not in new:
@@ -440,8 +439,7 @@ def changes(old: dict[str, list], new: dict[str, list], excerpts=None) -> list[s
             line = f"CHANGED ({parts}; exit {a} -> {b}): {key}"
         else:
             continue
-        shown = (excerpts or {}).get(key)
-        lines.append(line if shown is None else f"{line}\n{shown}")
+        lines.append(f"{line}\n{excerpts[key]}")
     return lines
 
 
@@ -484,8 +482,7 @@ def main() -> None:
     if sys.argv[1:]:
         sys.exit(__doc__)
     sys.path.insert(0, str(ROOT / "src"))  # record this checkout's logklab
-    excerpts = {}
-    new = outcomes(excerpts=excerpts)
+    new, excerpts = outcomes()
     lines = changes(read_table() if TABLE.exists() else {}, new, excerpts)
     for line in lines:
         print(line)

@@ -247,27 +247,17 @@ def _require_s1_at_most_mn(s1: Fraction, m: int, n: int) -> None:
             f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}")
 
 
-def _eta0_bound(pair: PolarisedPair, pos: PositivityData, m: int | None = None) -> Fraction:
+def _eta0_bound(
+    pair: PolarisedPair, pos: PositivityData
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """T = max(Lambda, (S_1 - (n-1)lambda)/n), the large-m existence theorem's
     eta = 0 bound: its two conditions, Lambda - m(1-beta) < 0 and
     S_1 - m n (1-beta) - (n-1)lambda < 0, both read m(1-beta) > T.
-
-    With m given, T's two terms must first be < m, the hypotheses of the
-    large-m window, each a PreconditionFailedError with its own message.
+    Returns T with the S_1, lambda and Lambda it is made of.
     """
     lam, Lam, _ = effective_nef_bounds(pair, pos)
     n, s1 = pair.dimension, avg_scalar_s1(pair)
-    third = (s1 - (n - 1) * lam) / n
-    if m is not None:
-        if not third < m:
-            raise PreconditionFailedError(
-                f"S_1 = {format_rational(s1)} not < m*n + (n-1)*lambda = "
-                f"{format_rational(m * n + (n - 1) * lam)}"
-            )
-        if not Lam < m:
-            raise PreconditionFailedError(
-                f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}")
-    return max(Lam, third)
+    return max(Lam, (s1 - (n - 1) * lam) / n), s1, lam, Lam
 
 
 def existence_window(
@@ -282,12 +272,19 @@ def existence_window(
     Given-m case: needs S_1 <= m n and Lambda <= S_1/n <= lambda + m(1 - beta_u);
     upper = beta_u.
     """
-    m = _multiplicity(m)
+    m, n = _multiplicity(m), pair.dimension
+    bound, s1, lam, Lam = _eta0_bound(pair, pos)
     if case is ExistenceCase.LARGE_M:
-        upper = min(Fraction(1), 1 - _eta0_bound(pair, pos, m) / m)
+        if not s1 < m * n + (n - 1) * lam:
+            raise PreconditionFailedError(
+                f"S_1 = {format_rational(s1)} not < m*n + (n-1)*lambda = "
+                f"{format_rational(m * n + (n - 1) * lam)}"
+            )
+        if not Lam < m:
+            raise PreconditionFailedError(
+                f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}")
+        upper = min(Fraction(1), 1 - bound / m)
     elif case is ExistenceCase.GIVEN_M:
-        n, s1 = pair.dimension, avg_scalar_s1(pair)
-        lam, Lam, _ = effective_nef_bounds(pair, pos)
         _require_s1_at_most_mn(s1, m, n)
         bu = beta_u(pair, pos, m)
         mu_bar = s1 / Fraction(n)
@@ -369,7 +366,7 @@ def min_multiplicity_eta0(pair: PolarisedPair, pos: PositivityData, beta: Fracti
     eta in (1/2, 21/4).
     """
     beta = _require_angle(beta, allow_one=False)
-    bound = _eta0_bound(pair, pos)
+    bound = _eta0_bound(pair, pos)[0]
     # Strict, where existence_window(LARGE_M) admits m(1-beta) = T: open, ROADMAP direction 26.
     return max(1, bound // (1 - beta) + 1)
 

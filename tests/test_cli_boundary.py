@@ -23,10 +23,9 @@ from hypothesis import strategies as st
 from logklab import cli
 from logklab.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from compare_outputs import _digit_limit  # noqa: E402  (scripts/ is not a package)
-
 DEFAULT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 0)  # 0: no limit before 3.10.7
+get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 PAST_LIMIT = "9" * (DEFAULT_LIMIT or 4300) + "9"
 # Words no flag or positional accepts: a zero denominator, a sign, a bare
 # "--", an exponent, a vulgar fraction, a full-width digit, an integer past
@@ -61,11 +60,14 @@ def run_in_scratch(argv: list[str], files: dict[str, bytes]) -> tuple[int, str, 
         for name, data in files.items():
             (Path(scratch) / name).write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
+        limit = get_limit()
         os.chdir(scratch)
+        set_limit(DEFAULT_LIMIT)
         try:
-            with _digit_limit(DEFAULT_LIMIT), redirect_stdout(out), redirect_stderr(err):
+            with redirect_stdout(out), redirect_stderr(err):
                 code = cli.run(argv)
         finally:
+            set_limit(limit)
             os.chdir(here)
     return code, out.getvalue(), err.getvalue()
 

@@ -21,13 +21,14 @@ EMPTY = compare_outputs.entry(0, b"", b"")[1]
 def run():
     """The universe's outcomes in this process, the code objects called, and
     each outcome's excerpt."""
-    called, excerpts = set(), {}
+    called = set()
 
     def hook(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    return compare_outputs.outcomes(profile=hook, excerpts=excerpts), called, excerpts
+    table, excerpts = compare_outputs.outcomes(profile=hook)
+    return table, called, excerpts
 
 
 def test_every_outcome_equals_the_table(run):

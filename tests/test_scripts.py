@@ -74,4 +74,3 @@ def test_compare_outputs_shows_the_new_bytes_under_each_added_or_changed_key():
         "    stderr: (empty)",
         "REMOVED: removed"]
     assert len(lines) == 3  # one item per key
-    assert changes(old, new) == [line.splitlines()[0] for line in lines]

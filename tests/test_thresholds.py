@@ -197,6 +197,11 @@ def test_existence_windows_p2(p2):
 def test_existence_window_large_m_boundary_strict(p2):
     with pytest.raises(PreconditionFailedError, match="Lambda"):
         existence_window(p2, P2_ALPHAS, 3, ExistenceCase.LARGE_M)
+    # S_1 = m n + (n-1)lambda = 0 with Lambda = 0 < m = 1.
+    pair = PolarisedPair("edge", 2, Fraction(1), Fraction(0), None)
+    with pytest.raises(PreconditionFailedError, match=r"^S_1 = 0 not < m\*n \+ \(n-1\)\*lambda = 0$"):
+        existence_window(pair, PositivityData(lam=Fraction(-2), Lambda_up=Fraction(0)), 1,
+                         ExistenceCase.LARGE_M)
 
 
 def test_existence_window_fano_given_m(fano):
