@@ -46,6 +46,9 @@ def _digit_limit(limit: int):
         sys.set_int_max_str_digits(caller)
 
 
+# The interpreter's default int<->str digit limit (0: none, before 3.10.7).
+DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 0)
+
 # The usage errors tests/test_cli_usage.py pins.
 USAGE_ERRORS = (
     ("info", "catalog:P2-line", "--nope"),
@@ -226,6 +229,8 @@ def moved_checks() -> list[workloads.Invocation]:
         *(("critical-c", p2, "--beta", "1/2", "--tol", tol)
           for tol in ("3/1000", f"5/{2**200}")),
         ("critical-c", p2, "--beta", "4/7", "--tol", workloads._tol(512)),
+        # c* within about 2^-67 of 1, so the root estimate starts at u = 2^-68.
+        ("critical-c", p2, "--beta", f"{2**134 - 1}/{2**134}", "--tol", workloads._tol(184)),
         *(("oracle", pair, "--c", "1/2", "--kmax", "10001")
           for pair in (p2, "catalog:Fano-template")),
         ("critical-c", p2, "--beta", "1", "--tol", "1/1024"),
@@ -318,6 +323,81 @@ def dimension_knob() -> list[workloads.Invocation]:
     return [workloads.Invocation(argv, tuple(files.values())) for argv in argvs]
 
 
+def _raw(kind: str, content: bytes) -> tuple[str, bytes]:
+    """An input file of content as given, named after it as workloads._file names one."""
+    return f"{kind}-{hashlib.sha256(content).hexdigest()[:12]}.json", content
+
+
+def refusals() -> list[workloads.Invocation]:
+    """The refusals and rows no other invocation reaches, each once: window
+    hypotheses and an empty window; info's n/a rows and the S_1 bound;
+    malformed pair and criteria files; positivity data that is negative,
+    missing or contradicts x; a flag past the digit limit and --m 0; the
+    oracle's first-sample limit; and the sign depth of destabilize and
+    critical-c."""
+    p2 = "catalog:P2-line"
+    quadric = workloads._file("pair", {
+        "name": "quadric-m2", "dimension": 2, "L_top": "2", "cX_L": "4", "proportional_x": "2",
+        "divisor": {"m": 2}, "hilbert": {"kind": "product_p1p1"}})
+    point = workloads._file("pair", {"name": "P1", "dimension": 1, "L_top": "1", "cX_L": "2",
+                                     "divisor": {"m": 1}})
+    # S_1/n = 2 between the nef bounds; Lambda = 3 fails the given-m case's
+    # Lambda <= S_1/n, lambda = 1 with Lambda = 2 its S_1/n <= lambda + m(1 - beta_u).
+    sandwich = [workloads._file("pair", {
+        "name": "sandwich", "dimension": 2, "L_top": "1", "cX_L": "2", "divisor": {"m": 1},
+        "positivity": {"lambda": "1", "Lambda": Lambda, "alpha_L": "1",
+                       "alpha_LD_restricted": "1"}}) for Lambda in ("3", "2")]
+    no_bounds = workloads._file("pair", {"name": "no-bounds", "dimension": 2, "L_top": "1",
+                                         "cX_L": "2", "divisor": {"m": 1}})
+    pair_files = [
+        _raw("pair", b"{\n"),
+        _raw("pair", b"[1]\n"),
+        _raw("pair", b'{"name": "P2", "name": "P2"}\n'),
+        workloads._file("pair", {k: v for k, v in P2_DOC.items() if k != "cX_L"}),
+        workloads._file("pair", dict(P2_DOC, name=2)),
+        workloads._file("pair", dict(P2_DOC, dimension="2")),
+        workloads._file("pair", dict(P2_DOC, dimension=0)),
+        workloads._file("pair", dict(P2_DOC, proportional_x="2")),
+        workloads._file("pair", dict(P2_DOC, divisor=1)),
+        workloads._file("pair", dict(P2_DOC, hilbert={"kind": "explicit"})),
+        workloads._file("pair", dict(P2_DOC, cX_L="4")),  # S_1 = 8 > n(n+1) = 6
+    ]
+    criteria = {"Sbeta": "0", "alpha_beta": "1/2", "n": 2}
+    criteria_files = [
+        workloads._file("criteria", {k: v for k, v in criteria.items() if k != "n"}),
+        workloads._file("criteria", dict(criteria, is_lc=1)),
+        workloads._file("criteria", dict(criteria, alpha_beta="-1")),
+        workloads._file("criteria", dict(criteria, n=0)),
+    ]
+    p512, small_s = (workloads._file("pair", {
+        "name": name, "dimension": 512, "L_top": "1", "cX_L": cX_L, "divisor": {"m": 1}})
+        for name, cX_L in (("P512-hyperplane", "513"), ("small-s", "999/1000")))
+    files = (quadric, point, *sandwich, no_bounds, *pair_files, *criteria_files, p512, small_s)
+    argvs = [
+        ("window", p2, "--m", "1", "--case", "large"),  # S_1 not < m n + (n-1) lambda
+        ("window", p2, "--m", "2", "--case", "large"),  # Lambda not < m
+        *(("window", f[0], "--m", "2", "--case", "given") for f in sandwich),
+        ("window", p2, "--m", "4", "--case", "uniform", "--alpha-L", "0", "--alpha-LD", "0"),
+        ("info", quadric[0]), ("info", point[0]),
+        *(("info", f[0]) for f in pair_files),
+        ("eta", p2, "--beta", "1/2", "--alpha-L=-1"),
+        ("window", no_bounds[0], "--case", "large"),
+        ("window", p2, "--m", "4", "--case", "large", "--lambda", "2"),
+        *(("criteria", "--file", f[0]) for f in criteria_files),
+        ("scalar", p2, "--beta", "1" + "0" * (DEFAULT_DIGITS or 4300)),
+        ("scalar", p2, "--beta", "1/2", "--m", "0"),
+        ("oracle", p2, "--c", "1000001/1000002"),
+        # The depth on P512 is 584: the witness at 2^-584, then none within
+        # it; at beta 1/2 the finest tol whose level K is within it, the next,
+        # and a tol past it; a root past it; and a root near 2^-510 whose
+        # level K at tol 2^-100 is past it.
+        *(("destabilize", small_s[0], f"--beta=-{workloads._tol(e)}") for e in (594, 595)),
+        *(("critical-c", p512[0], "--beta", "1/2", "--tol", workloads._tol(bits))
+          for bits in (576, 577, 585)),
+        ("critical-c", p512[0], "--beta", workloads._tol(600), "--tol", "1/1024"),
+        ("critical-c", p512[0], "--beta", workloads._tol(500), "--tol", workloads._tol(100)),
+    ]
+    return [workloads.Invocation(argv, files) for argv in argvs]
 
 
 def invocations() -> list[workloads.Invocation]:
@@ -328,7 +408,7 @@ def invocations() -> list[workloads.Invocation]:
     found = [inv for name in workloads.WORKLOADS for inv in workloads.universe(name)]
     found += (oracle_edges() + hilbert_errors() + resolution_edges() + moved_checks()
               + df_pairs() + destabilize_signs() + dimension_knob() + curve_fallbacks()
-              + refused_pairs())
+              + refused_pairs() + refusals())
     argvs = [("--help",), *((row[0], "--help") for row in _COMMANDS), *USAGE_ERRORS, *PARSE_FORMS]
     return found + [workloads.Invocation(argv) for argv in argvs]
 
@@ -385,7 +465,6 @@ def outcomes(profile=None) -> tuple[dict[str, list], dict[str, str]]:
                 value.cache_clear()
     with _digit_limit(0):  # TOL_LIMIT's key reads its 18063-digit tol
         invs = {inv.key: inv for inv in invocations()}
-    default = getattr(sys.int_info, "default_max_str_digits", 0)
     here, columns, hook = os.getcwd(), os.environ.get("COLUMNS"), sys.getprofile()
     found, excerpts = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -396,7 +475,7 @@ def outcomes(profile=None) -> tuple[dict[str, list], dict[str, str]]:
         try:
             for key, inv in invs.items():
                 out, err = io.StringIO(), io.StringIO()
-                with (_digit_limit(0 if inv.argv == TOL_LIMIT else default),
+                with (_digit_limit(0 if inv.argv == TOL_LIMIT else DEFAULT_DIGITS),
                       redirect_stdout(out), redirect_stderr(err)):
                     code = cli.run(list(inv.argv))
                 stdout, stderr = out.getvalue().encode(), err.getvalue().encode()

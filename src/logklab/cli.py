@@ -381,7 +381,7 @@ def _cmd_destabilize(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
     pair = ns.source.pair
-    c, df = normalcone.find_destabilizer(pair, ns.beta, ns.tol)
+    c, df = normalcone.find_destabilizer(pair, ns.beta)
     threshold = normalcone.instability_threshold(pair)
     return EXIT_OK, [_fields([
         ("instability threshold", threshold),
@@ -551,9 +551,7 @@ _COMMANDS = (
     ("df-curve", "DF grid over c for fixed beta", _cmd_df_curve, _UNIT_PAIR, (
         _BETA, ("--steps", {"type": _int_arg, "required": True}),
         ("--format", {"choices": ["csv", "json"], "default": "csv"}))),
-    ("destabilize", "find c with DF < 0 at this angle", _cmd_destabilize, _UNIT_PAIR, (
-        _BETA, ("--tol", {"type": _rational_arg, "default": Fraction(1, 2**60),
-                          "help": "dyadic search floor (default 2^-60)"}))),
+    ("destabilize", "find c with DF < 0 at this angle", _cmd_destabilize, _UNIT_PAIR, (_BETA,)),
     ("critical-c", "isolate the root of the inner factor", _cmd_critical_c, _UNIT_PAIR, (
         _BETA, ("--tol", {"type": _rational_arg, "required": True}))),
     ("oracle", "brute-force coefficient cross-check report", _cmd_oracle, _UNIT_PAIR, (

@@ -7,7 +7,6 @@ message, and the prefix the message follows:
 - InputError: exit 3, stderr, "input error: ".
 - InconsistentDataError: exit 3, stderr, "input error: "; _cmd_thresholds catches it.
 - PreconditionFailedError: exit 2, stdout, "PreconditionFailed: ".
-- SearchExhaustedError: exit 3, stderr, "error: ".
 - InternalCheckError: exit 4, stderr, "internal cross-check failure: ".
 """
 
@@ -28,10 +27,6 @@ class InconsistentDataError(InputError):
 
 class PreconditionFailedError(LogKLabError):
     """A theorem hypothesis fails for the given data; its message is the violated inequality."""
-
-
-class SearchExhaustedError(LogKLabError):
-    """Search hit its resolution floor before finding a witness (tol too coarse)."""
 
 
 class InternalCheckError(LogKLabError):

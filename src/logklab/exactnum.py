@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import floordiv
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -71,6 +71,13 @@ def format_rational(value: Fraction | int) -> str:
     digit limit.
     """
     return ratio_texts([value.numerator], [value.denominator])[0]
+
+
+def json_record(record: NamedTuple) -> dict[str, str | int]:
+    """A NamedTuple's fields by name, for a JSON report: an int stays an int,
+    every other value becomes its format_rational text."""
+    return {name: value if type(value) is int else format_rational(value)
+            for name, value in record._asdict().items()}
 
 
 def ratio_texts(nums: list[int], dens: list[int], digits: int = 0) -> list[str]:

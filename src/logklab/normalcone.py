@@ -14,13 +14,8 @@ from itertools import repeat
 from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    InputError,
-    InternalCheckError,
-    PreconditionFailedError,
-    SearchExhaustedError,
-)
-from .exactnum import format_rational
+from .errors import InputError, InternalCheckError, PreconditionFailedError
+from .exactnum import format_rational, json_record
 from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
 
 _UNIT_DIVISOR = DivisorSpec(1)
@@ -57,18 +52,6 @@ class NormalConeCoefficients(NamedTuple):
         g1 = ((n + 1) * below - comb(n + 1, 2) * top) / factorial(n + 1)  # G's top is a0/(n+1)
         return cls(a0=a0, a1=a1, b0=a0 / (n + 1) * (1 - u ** (n + 1)) - c * a0,
                    b1=g1 * (1 - u**n) - c * a1, a0_tilde=n * a0, b0_tilde=-c * n * a0, c=c, n=n)
-
-    def as_dict(self) -> dict[str, str | int]:
-        return {
-            "a0": format_rational(self.a0),
-            "a1": format_rational(self.a1),
-            "b0": format_rational(self.b0),
-            "b1": format_rational(self.b1),
-            "a0_tilde": format_rational(self.a0_tilde),
-            "b0_tilde": format_rational(self.b0_tilde),
-            "c": format_rational(self.c),
-            "n": self.n,
-        }
 
 
 class DFReport(NamedTuple):
@@ -307,8 +290,8 @@ def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
     summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), at_c.c, at_c.n)
     if summed != coeffs:
         raise InternalCheckError(
-            f"coefficient paths disagree: closed form {coeffs.as_dict()}, "
-            f"Riemann-Roch sums {summed.as_dict()}")
+            f"coefficient paths disagree: closed form {json_record(coeffs)}, "
+            f"Riemann-Roch sums {json_record(summed)}")
     df_coeff_path = df_from_coefficients(coeffs, beta)
     if df_coeff_path != report.df:
         raise InternalCheckError(
@@ -322,24 +305,22 @@ def instability_threshold(pair: PolarisedPair) -> Fraction:
     return _pair_of(pair).threshold()
 
 
-# Most bits of --tol: critical_c on P4-hyperplane at beta 1/2 takes 0.9-1.0 s
-# at tol 2^-60000, its cost growing with slope 1.55 in the bits (2-core
-# x86-64 VM, Python 3.11); see the README.
-TOL_BITS_LIMIT = 60000
+# Bits of d^(n+1) at the deepest dyadic c = a/d, d = 2^depth, at which either
+# search takes a sign: depth = SIGN_BITS_LIMIT // (n + 1), 60000 on P4, where
+# critical_c at beta 1/2 and tol 2^-60000 takes about 0.5 s, and 584 at the
+# dimension limit (2-core x86-64 VM, Python 3.11); see the README.
+SIGN_BITS_LIMIT = 300000
 
 
-def _checked(pair: PolarisedPair, beta: Fraction, tol: Fraction
-             ) -> tuple[Fraction, Fraction, _Pair, Fraction]:
-    """The checked preamble of find_destabilizer and critical_c:
-    2^-TOL_BITS_LIMIT <= tol. Returns beta and tol as Fractions, the pair's
-    constants and its threshold."""
-    beta, tol = Fraction(beta), Fraction(tol)
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {format_rational(tol)}")
-    if tol.numerator << TOL_BITS_LIMIT < tol.denominator:
-        raise InputError(f"tol must be at least 2^-{TOL_BITS_LIMIT}")
-    constants = _pair_of(pair)
-    return beta, tol, constants, constants.threshold()
+def _depth(pair: PolarisedPair) -> int:
+    """The largest j at which find_destabilizer or critical_c takes a sign at
+    c = a/2^j; both refuse (InputError) a search that would go deeper."""
+    return SIGN_BITS_LIMIT // (pair.dimension + 1)
+
+
+def _past_depth(goal: str, pair: PolarisedPair) -> InputError:
+    return InputError(f"{goal} needs a sign at c = a/2^j with j > {_depth(pair)}, the search "
+                      f"depth in dimension {pair.dimension}")
 
 
 def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> PreconditionFailedError:
@@ -348,22 +329,22 @@ def _not_below(beta: Fraction, threshold: Fraction, clause: str = "") -> Precond
         f"{format_rational(threshold)}{clause}")
 
 
-def _first_dyadic(sign: Callable[[int, int], int], want: int, near_one: bool,
-                  last: int | None = None) -> int | None:
-    """The least j >= 1 (<= last, if given) with sign = want at c = 2^-j, or at
-    1 - 2^-j if near_one, or None; once sign = want it must stay so for larger
-    j, as the monotone inner factor does. Gallops j = 1, 2, 4, ... (last caps
-    the last probe), then halves the gap: about 2 log2 j signs, not j."""
+def _first_dyadic(sign: Callable[[int, int], int], want: int, near_one: bool, last: int) -> int:
+    """The least j in 1..last with sign = want at c = 2^-j, or at 1 - 2^-j if
+    near_one, or last + 1 if there is none; once sign = want it must stay so
+    for larger j, as the monotone inner factor does. Gallops j = 1, 2, 4, ...
+    (last caps the last probe), then halves the gap: about 2 log2 j signs,
+    not j."""
     def holds(j: int) -> bool:
         d = 1 << j
         return sign(d - 1 if near_one else 1, d) == want
 
     lo, hi = 0, 1  # no j <= lo holds
-    while (last is None or hi < last) and not holds(hi):
+    while hi < last and not holds(hi):
         lo, hi = hi, 2 * hi
-    if last is not None and hi >= last:
-        if last < 1 or not holds(last):
-            return None
+    if hi >= last:
+        if not holds(last):
+            return last + 1
         hi = last
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -371,8 +352,7 @@ def _first_dyadic(sign: Callable[[int, int], int], want: int, near_one: bool,
     return hi
 
 
-def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fraction(1, 2**60)
-                      ) -> tuple[Fraction, Fraction]:
+def find_destabilizer(pair: PolarisedPair, beta: Fraction) -> tuple[Fraction, Fraction]:
     """Witness c in (0, 1) with DF(c, beta) < 0, refused where DF >= 0 on all of (0, 1).
 
     DF is the positive prefactor times the inner factor beta + s g(c),
@@ -386,22 +366,21 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction, tol: Fraction = Fract
         e0 >= 0, e1 >= 0               empty     refused
 
     _first_dyadic finds j on the integer signs of the pair's _Kernel among
-    the j with 2^-j >= tol (SearchExhaustedError if none). The empty set,
-    beta >= threshold, is refused as not below it (PreconditionFailedError),
-    adding "DF > 0 for every c" for beta > 0. The witness's DF comes from
-    the closed form (Family.df) and must be negative, or InternalCheckError
-    is raised.
+    j <= _depth(pair); a set that no such j reaches, so within 2^-depth of
+    0 or 1, is an InputError. The empty set, beta >= threshold, is refused
+    as not below it (PreconditionFailedError), adding "DF > 0 for every c"
+    for beta > 0. The witness's DF comes from the closed form (Family.df)
+    and must be negative, or InternalCheckError is raised.
     """
-    beta, tol, constants, threshold = _checked(pair, beta, tol)
+    beta, constants = Fraction(beta), _pair_of(pair)
+    threshold = constants.threshold()
     e0, e1 = beta, beta - threshold
     if e0 >= 0 and e1 >= 0:
         raise _not_below(beta, threshold, "; DF > 0 for every c in (0, 1)" if beta > 0 else "")
-    near_one = not e0 < 0 < e1
-    last = (tol.denominator // tol.numerator).bit_length() - 1  # the last j with 2^-j >= tol
-    j = _first_dyadic(constants.kernel(beta).sign, -1, near_one, last)
-    if j is None:
-        raise SearchExhaustedError(f"no destabilising c found before the dyadic step fell "
-                                   f"below tol = {format_rational(tol)}; decrease tol")
+    near_one, depth = not e0 < 0 < e1, _depth(pair)
+    j = _first_dyadic(constants.kernel(beta).sign, -1, near_one, depth)
+    if j > depth:
+        raise _past_depth("finding a destabilising c", pair)
     c = Fraction((1 << j) - 1 if near_one else 1, 1 << j)
     df = constants.at(c).df(beta).df
     if not df < 0:
@@ -425,12 +404,14 @@ def _root_estimate(kernel: _Kernel, u0: Fraction, bits: int) -> int:
     of u* again and rounding the step down keeps it there. The precision
     doubles up to bits; at each level the steps run until one rounds to 0,
     which they must: each nonzero step raises U, and U stays below u* 2^p.
+    The coarsest level holds u0 exactly (bits exceeds the bits of u0's
+    denominator): a step is proportional to U, so none leaves U = 0.
     A point right of the root, f > 0, means the seeds came from signs this
     kernel does not share: InternalCheckError.
     """
     n, A, B = kernel.n, kernel.A, kernel.B
     levels = [bits]
-    while levels[-1] > u0.denominator.bit_length() + 64:
+    while (levels[-1] + 1) // 2 >= u0.denominator.bit_length() + 64:
         levels.append((levels[-1] + 1) // 2)
     p = levels[-1]
     U = (u0.numerator << p) // u0.denominator
@@ -488,8 +469,18 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     factor must be > 0 at lo and < 0 at hi, or 0 on a width-zero bracket
     (InternalCheckError otherwise). beta <= 0 means every c destabilises:
     the (0, 0) sentinel with all_destabilizing is returned.
+
+    No sign is taken at c = a/2^j with j > _depth(pair): tol below 2^-depth
+    is refused before the pair is read, and a seed or a level K past depth
+    before any sign there (InputError).
     """
-    beta, tol, constants, threshold = _checked(pair, beta, tol)
+    beta, tol, depth = Fraction(beta), Fraction(tol), _depth(pair)
+    if tol <= 0:
+        raise InputError(f"tol must be positive, got {format_rational(tol)}")
+    if tol.numerator << depth < tol.denominator:
+        raise InputError(f"tol must be at least 2^-{depth}")
+    constants = _pair_of(pair)
+    threshold = constants.threshold()
     if beta >= threshold:
         raise _not_below(beta, threshold)
     if beta <= 0:
@@ -497,13 +488,15 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     kernel = constants.kernel(beta)
     sign = kernel.sign
     # inner tends to beta > 0 as c -> 0 and to beta - threshold < 0 as c -> 1.
-    j = _first_dyadic(sign, 1, near_one=False)
-    i = _first_dyadic(sign, -1, near_one=True)
-    k0 = max(i, j)
+    j = _first_dyadic(sign, 1, near_one=False, last=depth)
+    i = _first_dyadic(sign, -1, near_one=True, last=depth)
+    k0 = max(i, j)  # past depth if a seed is
     lo0 = 1 << (k0 - j)
     width = (1 << k0) - (1 << (k0 - i)) - lo0
     # The first K >= k0 with width * tol.denominator <= tol.numerator * 2^K.
     K = max(k0, (-(-width * tol.denominator // tol.numerator) - 1).bit_length())
+    if K > depth:
+        raise _past_depth("isolating the critical c to within tol", pair)
     x0, d = lo0 << (K - k0), 1 << K
     lo_t, hi_t = 0, 1 << (K - k0)  # signs known: > 0 at lo_t, < 0 at hi_t
     if hi_t > 1:

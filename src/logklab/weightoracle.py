@@ -36,7 +36,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
-from .exactnum import format_rational, leading_differences, newton_sums
+from .exactnum import format_rational, json_record, leading_differences, newton_sums
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
 from .pairmodel import HilbertModel, PolarisedPair
@@ -51,16 +51,6 @@ class WeightSample(NamedTuple):
     d_tilde_k: int
     w_tilde_k: Fraction
     c: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "d_k": self.d_k,
-            "w_k": format_rational(self.w_k),
-            "d_tilde_k": self.d_tilde_k,
-            "w_tilde_k": format_rational(self.w_tilde_k),
-            "c": format_rational(self.c),
-        }
 
 
 def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
@@ -306,18 +296,18 @@ def oracle_report(
     if samples[0] != reference:
         raise InternalCheckError(
             f"shared walk and literal sum disagree at k = {first}: "
-            f"{samples[0].as_dict()} != {reference.as_dict()}"
+            f"{json_record(samples[0])} != {json_record(reference)}"
         )
     _check_samples(model.differences, c, samples)
     recovered = NormalConeCoefficients.from_differences(*model.top_differences(), c, n)
     if recovered != closed:
-        raise InternalCheckError(f"recovered coefficients {recovered.as_dict()} differ "
-                                 f"from the closed form {closed.as_dict()}")
+        raise InternalCheckError(f"recovered coefficients {json_record(recovered)} differ "
+                                 f"from the closed form {json_record(closed)}")
     return {
         "pair": pair.name,
         "c": format_rational(c),
-        "samples": [s.as_dict() for s in samples[:listed]],
-        "recovered": recovered.as_dict(),
-        "closed_form": closed.as_dict(),
+        "samples": [json_record(s) for s in samples[:listed]],
+        "recovered": json_record(recovered),
+        "closed_form": json_record(closed),
         "match": True,
     }

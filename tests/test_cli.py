@@ -158,13 +158,14 @@ def test_destabilize_below_threshold(capsys):
     assert "witness c" in out
 
 
-def test_destabilize_exits_3_when_tol_is_too_coarse(capsys):
-    # A search that ends without a witness is neither an answer nor a bug.
+def test_destabilize_takes_no_tol(capsys):
+    # Below the threshold the destabilising set is an interval, so the search
+    # always has a witness; only the sign depth bounds it, and a floor is a
+    # usage error.
     code, out, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", "1/2",
                                      "--tol", "5"])
     assert (code, out) == (EXIT_INPUT, "")
-    assert err == ("error: no destabilising c found before the dyadic step fell below "
-                   "tol = 5; decrease tol\n")
+    assert err.endswith("error: unrecognized arguments: --tol 5\n")
 
 
 def test_each_error_class_maps_to_the_exit_stream_and_prefix_its_docstring_gives(
@@ -176,8 +177,7 @@ def test_each_error_class_maps_to_the_exit_stream_and_prefix_its_docstring_gives
     classes = {name: value for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, Exception)}
     assert set(classes) == {"LogKLabError", "InputError", "InconsistentDataError",
-                            "PreconditionFailedError", "SearchExhaustedError",
-                            "InternalCheckError"}
+                            "PreconditionFailedError", "InternalCheckError"}
     documented = {name: (int(code), stream, prefix) for name, code, stream, prefix in re.findall(
         r'^- (\w+): exit (\d), (stdout|stderr), "([^"]*)"', errors.__doc__, re.MULTILINE)}
     assert set(documented) == set(classes)
@@ -603,15 +603,30 @@ def test_df_curve_steps_limit(capsys):
 
 
 @pytest.mark.parametrize("cmd", ["critical-c", "destabilize"])
-def test_tol_bits_limit_exits_3(monkeypatch, capsys, cmd):
+def test_sign_depth_exits_3(monkeypatch, capsys, cmd):
+    # With 30 bits, a P2 search takes no sign past c = a/2^10.
     import logklab.normalcone as normalcone
 
-    monkeypatch.setattr(normalcone, "TOL_BITS_LIMIT", 10)
-    argv = [cmd, "catalog:P2-line", "--beta", "1/2", "--tol"]
-    for tol in ("1/1024", "3/2048"):  # 2^-10 and 1.5 2^-10
-        assert invoke(capsys, [*argv, tol])[0] == EXIT_OK
-    assert invoke(capsys, [*argv, "1023/1048576"]) == (
-        EXIT_INPUT, "", "input error: tol must be at least 2^-10\n")
+    monkeypatch.setattr(normalcone, "SIGN_BITS_LIMIT", 30)
+    if cmd == "critical-c":
+        argv = [cmd, "catalog:P2-line", "--beta", "1/2", "--tol"]
+        for tol in ("1/1024", "3/2048"):  # 2^-10 and 1.5 2^-10
+            assert invoke(capsys, [*argv, tol])[0] == EXIT_OK
+        assert invoke(capsys, [*argv, "1023/1048576"]) == (
+            EXIT_INPUT, "", "input error: tol must be at least 2^-10\n")
+        # The root within 2^-13 of 0, where no seed within the depth reaches it.
+        argv = [cmd, "catalog:P2-line", "--beta", "1/8192", "--tol", "1/2"]
+        goal = "isolating the critical c to within tol"
+    else:
+        # The witness is 1 - 2^-9 at beta = 1 - 2^-16, and past 1 - 2^-10 at 1 - 2^-30.
+        argv = [cmd, "catalog:P2-line", "--beta", "65535/65536"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == EXIT_OK and "witness c: 511/512\n" in out
+        argv = [cmd, "catalog:P2-line", "--beta", f"{2**30 - 1}/{2**30}"]
+        goal = "finding a destabilising c"
+    assert invoke(capsys, argv) == (
+        EXIT_INPUT, "", f"input error: {goal} needs a sign at c = a/2^j with j > 10, "
+                        "the search depth in dimension 2\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

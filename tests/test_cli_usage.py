@@ -175,7 +175,7 @@ HELP = {
       --format {csv,json}
     """,
     ("destabilize",): """\
-    usage: logklab destabilize [-h] --beta BETA [--tol TOL] pair
+    usage: logklab destabilize [-h] --beta BETA pair
 
     positional arguments:
       pair         pair source: 'catalog:NAME' or a JSON file path
@@ -183,7 +183,6 @@ HELP = {
     options:
       -h, --help   show this help message and exit
       --beta BETA
-      --tol TOL    dyadic search floor (default 2^-60)
     """,
     ("critical-c",): """\
     usage: logklab critical-c [-h] --beta BETA --tol TOL pair

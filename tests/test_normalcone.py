@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -5,15 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logklab.errors import (
-    InputError,
-    InternalCheckError,
-    PreconditionFailedError,
-    SearchExhaustedError,
-)
+from logklab.errors import InputError, InternalCheckError, PreconditionFailedError
 from logklab.cli import run
 from logklab.normalcone import (
-    TOL_BITS_LIMIT,
+    SIGN_BITS_LIMIT,
     CriticalBracket,
     NormalConeCoefficients,
     _pair_of,
@@ -29,7 +25,7 @@ from logklab.normalcone import (
     instability_threshold,
 )
 from logklab.exactnum import forward_differences
-from logklab.pairmodel import CATALOG, PolarisedPair
+from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, PolarisedPair
 
 from conftest import (
     _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs, g_values, true_signs)
@@ -227,20 +223,29 @@ def test_positive_df_at_and_above_threshold(p2, p1xp1):
             assert family(pair, c).df(thr + Fraction(1, 7)).df > 0
 
 
-def test_find_destabilizer_guards(p2):
-    with pytest.raises(InputError, match="^tol must be positive, got 0$"):
-        find_destabilizer(p2, Fraction(1, 2), tol=Fraction(0))
+def test_find_destabilizer_guards():
+    # L^n = 1 and c1(X).L^(n-1) = 999/1000 in dimension 512: s < 0, and DF < 0
+    # on (0, c*), with c* about 2^10 |beta|, 2^-13277 at beta = -10^-4000. The
+    # search stops at the depth, 2^-584, after a few dozen signs.
+    pair = PolarisedPair("small-s", 512, 1, Fraction(999, 1000))
+    c, df = find_destabilizer(pair, Fraction(-1, 2**594))
+    assert c == Fraction(1, 2**584) and df < 0
+    for beta in (Fraction(-1, 2**595), Fraction(-1, 10**4000)):
+        with pytest.raises(InputError, match="^finding a destabilising c needs a sign at "
+                                             "c = a/2\\^j with j > 584, the search depth in "
+                                             "dimension 512$"):
+            find_destabilizer(pair, beta)
 
 
 def test_tol_bits_limit():
-    # The limit is above the 4096 bits the benchmark sends, and refuses one
-    # bit more before any work: critical_c there would take about a second.
-    assert TOL_BITS_LIMIT > 4096
-    pair, beta = CATALOG["P4-hyperplane"].pair, Fraction(1, 2)
-    assert find_destabilizer(pair, beta, Fraction(1, 2**TOL_BITS_LIMIT))[0] == Fraction(1, 2)
-    for search in (find_destabilizer, critical_c):
-        with pytest.raises(InputError, match=f"^tol must be at least 2\\^-{TOL_BITS_LIMIT}$"):
-            search(pair, beta, Fraction(1, 2**(TOL_BITS_LIMIT + 1)))
+    # critical_c's tol is held to 2^-depth, depth = SIGN_BITS_LIMIT // (n + 1):
+    # P4 keeps the 60000 bits it had, above the 4096 the benchmark sends, and
+    # one bit more is refused before any work.
+    for n, depth in ((4, 60000), (512, 584)):
+        assert SIGN_BITS_LIMIT // (n + 1) == depth
+        pair = PolarisedPair(f"P{n}-hyperplane", n, 1, n + 1)
+        with pytest.raises(InputError, match=f"^tol must be at least 2\\^-{depth}$"):
+            critical_c(pair, Fraction(1, 2), Fraction(1, 2**(depth + 1)))
 
 
 # ----------------------------- critical c -----------------------------
@@ -568,6 +573,7 @@ def _reference_critical_c(pair, beta, tol):
 
 
 def _reference_find_destabilizer(pair, beta, tol):
+    """The first c = 1 - 2^-j with DF < 0 and 2^-j >= tol, and its DF; None if none."""
     step = Fraction(1, 2)
     while step >= tol:
         c = 1 - step
@@ -575,14 +581,7 @@ def _reference_find_destabilizer(pair, beta, tol):
         if report.df < 0:
             return c, report.df
         step /= 2
-    return SearchExhaustedError
-
-
-def _witness_or_exhausted(pair, beta, tol):
-    try:
-        return find_destabilizer(pair, beta, tol)
-    except SearchExhaustedError:
-        return SearchExhaustedError
+    return None
 
 
 CATALOG_PAIRS = ["P2-line", "P3-hyperplane", "P4-hyperplane", "P1xP1-diag"]
@@ -616,6 +615,13 @@ def test_critical_c_matches_fraction_bisection(name, tol):
          bits=0, num=1, den=10**9)
 @example(n=4, L_top=Fraction(1), excess=Fraction(4), share=Fraction(1, 2), root=None,
          bits=2048, num=3, den=1)
+# P2 and P4 within 2^-134 and 2^-266 of the threshold: c* lies within about
+# 2^-67 of 1, so the root estimate starts at u0 = 2^-68, which its coarsest
+# level must hold, or the estimate stays at 0 and the probes confirm no cell.
+@example(n=2, L_top=Fraction(1), excess=Fraction(2), share=1 - Fraction(1, 2**134), root=None,
+         bits=184, num=1, den=1)
+@example(n=4, L_top=Fraction(1), excess=Fraction(4), share=1 - Fraction(1, 2**266), root=None,
+         bits=184, num=1, den=1)
 def test_critical_c_equals_fraction_bisection(n, L_top, excess, share, root, bits, num, den):
     # cX_L = L_top (1 + excess) makes s = excess > 0. With root = (a, e) the
     # angle beta = -s g(a/2^e) puts c* at the dyadic a/2^e, an exact root
@@ -639,8 +645,7 @@ def test_find_destabilizer_matches_fraction_walk(name, tol):
     threshold = instability_threshold(pair)
     for beta in (Fraction(-1), threshold / 2, threshold - Fraction(1, 2**20),
                  threshold - Fraction(1, 2**100)):
-        assert _witness_or_exhausted(pair, beta, tol) == _reference_find_destabilizer(
-            pair, beta, tol)
+        assert find_destabilizer(pair, beta) == _reference_find_destabilizer(pair, beta, tol)
 
 
 def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
@@ -649,11 +654,11 @@ def test_find_destabilizer_matches_fraction_walk_for_negative_volume():
     # only on (0, c*), c* < 1/2, which no c = 1 - 2^-j reaches.
     pair, tol = PolarisedPair("negative-s", 2, 1, -2), Fraction(1, 2**64)
     beta = Fraction(-1)
-    assert find_destabilizer(pair, beta, tol) == _reference_find_destabilizer(pair, beta, tol)
+    assert find_destabilizer(pair, beta) == _reference_find_destabilizer(pair, beta, tol)
     assert find_destabilizer(pair, beta)[0] == Fraction(1, 2)
     beta = Fraction(-1, 2)
-    assert _reference_find_destabilizer(pair, beta, tol) is SearchExhaustedError
-    assert find_destabilizer(pair, beta, tol) == _reference_scan(pair, beta, tol) == (
+    assert _reference_find_destabilizer(pair, beta, tol) is None
+    assert find_destabilizer(pair, beta) == _reference_scan(pair, beta, tol) == (
         Fraction(1, 4), Fraction(-7, 384))
 
 
@@ -720,28 +725,89 @@ def _reference_scan(pair, beta, tol):
     L_top=positive_tops,
     cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
     beta=st.one_of(st.none(), st.fractions(min_value=-10, max_value=10, max_denominator=1000)),
-    num=st.integers(min_value=1, max_value=3),
     bits=st.integers(min_value=0, max_value=64),
 )
-@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1), num=1, bits=60)
-@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1, 2), num=1, bits=60)
-@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(0), num=1, bits=60)
-def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, num, bits):
-    # Any sign of s; beta = None stands for the threshold itself.
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1), bits=60)
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(-1, 2), bits=60)
+@example(n=2, L_top=Fraction(1), cX_L=Fraction(-2), beta=Fraction(0), bits=60)
+def test_find_destabilizer_equals_the_dyadic_scan(n, L_top, cX_L, beta, bits):
+    # Any sign of s; beta = None stands for the threshold itself. The scan
+    # stops at 2^-bits; a witness it does not reach lies closer to 0 or 1.
     pair = PolarisedPair("random", n, L_top, cX_L)
     beta = instability_threshold(pair) if beta is None else beta
-    tol = Fraction(num, 2**bits)
-    expected = _reference_scan(pair, beta, tol)
+    expected = _reference_scan(pair, beta, Fraction(1, 2**bits))
     try:
-        found = find_destabilizer(pair, beta, tol)
-    except SearchExhaustedError:  # a witness, if any, lies past the tol floor
-        assert expected is None
+        found = find_destabilizer(pair, beta)
     except PreconditionFailedError as exc:
         assert expected is None
         dfs = [family(pair, Fraction(i, 97)).df(beta).df for i in range(1, 97)]
         assert min(dfs) >= 0 and ("DF > 0" not in str(exc) or min(dfs) > 0)
     else:
-        assert found == expected
+        if expected is None:
+            c, df = found
+            assert min(c, 1 - c) < Fraction(1, 2**bits) and df == family(pair, c).df(beta).df < 0
+        else:
+            assert found == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=64),
+    L_top=positive_tops,
+    cX_L=st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    at_threshold=st.booleans(),
+    side=st.sampled_from([-1, 1]),
+    k=st.integers(min_value=1, max_value=6000),
+    num=st.integers(min_value=1, max_value=3),
+    bits=st.integers(min_value=0, max_value=8192),
+)
+# On P64 the depth is 4615. With s > 0 and beta = 2^-4500 the root is near
+# 2^-4500: bracketed at tol 2^-64, past the depth at tol 2^-4600, where the
+# level K is; at beta = 2^-6000 the seeds are past it. With s < 0 and
+# beta = -2^-4500 the witness is near 2^-4500; at -2^-6000 it is past the depth.
+@example(n=64, L_top=Fraction(1), cX_L=Fraction(65), at_threshold=False, side=1, k=4500,
+         num=1, bits=64)
+@example(n=64, L_top=Fraction(1), cX_L=Fraction(65), at_threshold=False, side=1, k=4500,
+         num=1, bits=4600)
+@example(n=64, L_top=Fraction(1), cX_L=Fraction(65), at_threshold=False, side=1, k=6000,
+         num=1, bits=64)
+@example(n=64, L_top=Fraction(1), cX_L=Fraction(-1), at_threshold=False, side=-1, k=4500,
+         num=1, bits=64)
+@example(n=64, L_top=Fraction(1), cX_L=Fraction(-1), at_threshold=False, side=-1, k=6000,
+         num=1, bits=64)
+def test_every_sign_stays_within_the_bit_budget(n, L_top, cX_L, at_threshold, side, k, num,
+                                                bits):
+    # Angles within 2^-k of 0 or of the threshold put the witness or the root
+    # near 0 or 1, at about j = k / n or k; no sign either search takes has
+    # d^(n+1) past SIGN_BITS_LIMIT bits, and each call ends in a witness, a
+    # bracket, a beta not below the threshold, or the depth refusal. The
+    # depth is at least the 60 bits of destabilize's old floor in every
+    # dimension, so each witness that floor found comes back at the same j.
+    assert SIGN_BITS_LIMIT // (DIMENSION_LIMIT + 1) >= 60
+
+    pair = PolarisedPair("random", n, L_top, cX_L)
+    threshold = instability_threshold(pair)
+    beta = (threshold if at_threshold else 0) + Fraction(side, 2**k)
+    depth = SIGN_BITS_LIMIT // (n + 1)
+    refusals = (f"^tol must be at least 2\\^-{depth}$",
+                f"needs a sign at c = a/2\\^j with j > {depth}, the search depth in "
+                f"dimension {n}$")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_signs(mp)
+        for search, args in ((find_destabilizer, ()), (critical_c, (Fraction(num, 2**bits),))):
+            try:
+                found = search(pair, beta, *args)
+            except PreconditionFailedError:
+                assert beta >= threshold
+            except InputError as exc:
+                assert any(re.search(refusal, str(exc)) for refusal in refusals), exc
+            else:
+                if search is find_destabilizer:
+                    assert found[1] == family(pair, found[0]).df(beta).df < 0
+                else:
+                    assert found.all_destabilizing or found.lo_inner >= 0 >= found.hi_inner
+    assert all(d & (d - 1) == 0 and (n + 1) * (d.bit_length() - 1) <= SIGN_BITS_LIMIT
+               for _, d in calls)
 
 
 # ----------------------------- curve -----------------------------

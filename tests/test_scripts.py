@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -5,13 +6,16 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(script, *args):
+    """The script in a process that imports logklab from this checkout."""
     return subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from logklab.errors import InconsistentDataError, InputError, InternalCheckError
 from logklab.cli import run
-from logklab.exactnum import format_rational, newton_sums
+from logklab.exactnum import format_rational, json_record, newton_sums
 from logklab.normalcone import coefficients, df_checked, df_from_coefficients, family
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
@@ -324,7 +324,7 @@ def test_df_checked_and_oracle_report_on_p128_equal_the_closed_form():
         coeffs, report = df_checked(pair, c, Fraction(1, 2))
         assert (coeffs, report) == (coefficients(pair, c), family(pair, c).df(Fraction(1, 2)))
     report = oracle_report(pair, HilbertModel.projective_space(n), Fraction(1, 2))
-    assert report["recovered"] == coefficients(pair, Fraction(1, 2)).as_dict()
+    assert report["recovered"] == json_record(coefficients(pair, Fraction(1, 2)))
 
 
 def test_oracle_report_refuses_a_missing_model_then_a_large_k_max(p2, p2_model):
