@@ -261,9 +261,11 @@ def moved_checks() -> list[workloads.Invocation]:
 
 
 def destabilize_signs() -> list[workloads.Invocation]:
-    """destabilize across the signs of L^n, of s and of beta: Fano-template
-    (s = 0) and pair files with (L^n, c1(X).L^(n-1)) = (1, -2), (-1, 1),
-    (-1, -3) and (-1, -6), at every beta of DESTABILIZE_BETAS."""
+    """destabilize at every beta of DESTABILIZE_BETAS, across the signs of s
+    and of beta: on Fano-template (s = 0) and a pair file with
+    (L^n, c1(X).L^(n-1)) = (1, -2) (s < 0). With them, the pair files with
+    L^n = -1 and c1(X).L^(n-1) = 1, -3 and -6, which give one outcome at
+    every beta: L is not ample, and the pair is refused where it is built."""
     negative_s = workloads._file("pair", {"name": "negative-s", "dimension": 2, "L_top": "1",
                                           "cX_L": "-2", "divisor": {"m": 1}})
     files = [negative_s, NEGATIVE_TOP, NEG_3, NEG_6]
@@ -273,8 +275,10 @@ def destabilize_signs() -> list[workloads.Invocation]:
 
 
 def refused_pairs() -> list[workloads.Invocation]:
-    """NEGATIVE_TOP under each pair subcommand that no other invocation runs
-    on a pair with L^n < 0, and info on P513."""
+    """Pair files refused where their pair is built, all with one outcome a
+    file: NEGATIVE_TOP (L^n = -1, so L is not ample) under each pair
+    subcommand that no other invocation runs on it, and P513 (past the
+    dimension limit) under info."""
     argvs = [("info",), ("scalar", "--beta", "1/2"), ("thresholds",), ("window", "--case", "large"),
              ("eta", "--beta", "1/2"), ("df-curve", "--beta", "1/2", "--steps", "3"),
              ("oracle", "--c", "1/2")]
@@ -332,8 +336,9 @@ def refusals() -> list[workloads.Invocation]:
     """The refusals and rows no other invocation reaches, each once: window
     hypotheses and an empty window; info's n/a rows and the S_1 bound;
     malformed pair and criteria files; positivity data that is negative,
-    missing or contradicts x; a flag past the digit limit and --m 0; the
-    oracle's first-sample limit; and the sign depth of destabilize and
+    missing or contradicts x; a flag past the digit limit and --m 0; an
+    extra positional; the oracle's first-sample limit and an explicit count
+    below 0 at its first sample; and the sign depth of destabilize and
     critical-c."""
     p2 = "catalog:P2-line"
     quadric = workloads._file("pair", {
@@ -372,7 +377,10 @@ def refusals() -> list[workloads.Invocation]:
     p512, small_s = (workloads._file("pair", {
         "name": name, "dimension": 512, "L_top": "1", "cX_L": cX_L, "divisor": {"m": 1}})
         for name, cX_L in (("P512-hyperplane", "513"), ("small-s", "999/1000")))
-    files = (quadric, point, *sandwich, no_bounds, *pair_files, *criteria_files, p512, small_s)
+    # Integer-valued with P2's invariants, but h_X(2) = -94.
+    negative_count = _explicit(2, "3", ["-99", "3/2", "1/2"])
+    files = (quadric, point, *sandwich, no_bounds, *pair_files, *criteria_files, p512, small_s,
+             negative_count)
     argvs = [
         ("window", p2, "--m", "1", "--case", "large"),  # S_1 not < m n + (n-1) lambda
         ("window", p2, "--m", "2", "--case", "large"),  # Lambda not < m
@@ -386,7 +394,9 @@ def refusals() -> list[workloads.Invocation]:
         *(("criteria", "--file", f[0]) for f in criteria_files),
         ("scalar", p2, "--beta", "1" + "0" * (DEFAULT_DIGITS or 4300)),
         ("scalar", p2, "--beta", "1/2", "--m", "0"),
+        ("info", p2, "extra"),
         ("oracle", p2, "--c", "1000001/1000002"),
+        ("oracle", negative_count[0], "--c", "1/2"),
         # The depth on P512 is 584: the witness at 2^-584, then none within
         # it; at beta 1/2 the finest tol whose level K is within it, the next,
         # and a tol past it; a root past it; and a root near 2^-510 whose

@@ -15,7 +15,7 @@ _EXPORTS = {
         "decimal_string", "format_rational", "parse_rational",
     ),
     "pairmodel": (
-        "CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
+        "CATALOG", "HilbertModel", "PolarisedPair", "ScalarReport",
         "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair",
     ),
     "normalcone": (
@@ -23,7 +23,7 @@ _EXPORTS = {
         "df_checked", "df_from_coefficients", "find_destabilizer", "instability_threshold",
     ),
     "thresholds": (
-        "AngleWindow", "ExistenceCase", "PositivityData", "SingularCriteriaInput", "Verdict",
+        "AngleWindow", "PositivityData", "SingularCriteriaInput", "Verdict",
         "VerdictStatus", "alpha_beta_lower_bound", "beta_u", "entropy_threshold_check",
         "eta_feasibility", "existence_window", "min_multiplicity_eta0", "singular_criteria",
         "uniform_stability_window",

@@ -38,7 +38,6 @@ from .pairmodel import (
     KIND_EXPLICIT,
     KIND_PRODUCT_P1P1,
     KIND_PROJECTIVE_SPACE,
-    DivisorSpec,
     HilbertModel,
     PairSource,
     PolarisedPair,
@@ -175,12 +174,12 @@ def load_pair_file(path: str) -> PairSource:
     )
     div_block = doc["divisor"]
     _reject_unknown(div_block, {"m"}, "divisor block")
-    divisor = DivisorSpec(m=_input_int(div_block.get("m"), "divisor block 'm'"))
+    m = pairmodel.multiplicity(_input_int(div_block.get("m"), "divisor block 'm'"))
     positivity = (
         _parse_positivity_block(doc["positivity"]) if "positivity" in doc else None
     )
     model = _hilbert_model(doc["hilbert"], pair) if "hilbert" in doc else None
-    return PairSource(pair, divisor, positivity, model)
+    return PairSource(pair, m, positivity, model)
 
 
 def resolve_pair(source: str) -> PairSource:
@@ -243,12 +242,11 @@ def _verdict_fields(v: Verdict) -> list:
 def _cmd_info(ns) -> tuple[int, Iterable[str]]:
     from . import normalcone
 
-    pair, divisor = ns.source.pair, ns.divisor
+    pair, m = ns.source.pair, ns.m
     rows = [("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
     if pair.dimension >= 2:
-        rows.append(("S_D", pairmodel.avg_scalar_sD(pair, divisor),
-                     pairmodel.sD_provenance(divisor)))
-        if divisor.m == 1:
+        rows.append(("S_D", pairmodel.avg_scalar_sD(pair, m), pairmodel.sD_provenance(m)))
+        if m == 1:
             rows.append(("instability_threshold", normalcone.instability_threshold(pair),
                          "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family"))
         else:
@@ -258,18 +256,18 @@ def _cmd_info(ns) -> tuple[int, Iterable[str]]:
         rows.append(("S_D", "n/a", "undefined for n = 1"))
     return EXIT_OK, [_fields([
         ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
-                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{divisor.m}L|)"),
+                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{m}L|)"),
         ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
     ]), _table(rows)]
 
 
 def _cmd_scalar(ns) -> tuple[int, Iterable[str]]:
-    report = pairmodel.avg_scalar_sbeta(ns.source.pair, ns.divisor, ns.beta)
+    report = pairmodel.avg_scalar_sbeta(ns.source.pair, ns.m, ns.beta)
     rows = [
         ("beta", report.beta, "evaluation angle"),
         ("S_1", report.S1, "n*cX_L/L_top"),
         ("S_D", report.SD if report.SD is not None else "n/a",
-         pairmodel.sD_provenance(ns.divisor) if report.SD is not None else "undefined for n = 1"),
+         pairmodel.sD_provenance(ns.m) if report.SD is not None else "undefined for n = 1"),
         ("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
         ("mu", report.mu, "S_beta/n"),
     ]
@@ -279,7 +277,7 @@ def _cmd_scalar(ns) -> tuple[int, Iterable[str]]:
 def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
     from . import thresholds
 
-    pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
+    pair, pos, m = ns.source.pair, ns.positivity, ns.m
     rows = [("beta_u", thresholds.beta_u(pair, pos, m), "critical cone angle from alpha data")]
     for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         label = f"alpha_beta_lower(beta={format_rational(beta)})"
@@ -298,11 +296,11 @@ def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
 def _cmd_window(ns) -> tuple[int, Iterable[str]]:
     from . import thresholds
 
-    pair, pos, m = ns.source.pair, ns.positivity, ns.divisor.m
+    pair, pos, m = ns.source.pair, ns.positivity, ns.m
     if ns.case == "uniform":
         window = thresholds.uniform_stability_window(pair, pos, m)
     else:
-        window = thresholds.existence_window(pair, pos, m, thresholds.ExistenceCase(ns.case))
+        window = thresholds.existence_window(pair, pos, m, ns.case)
     return EXIT_INCONCLUSIVE if window.empty else EXIT_OK, [_fields([
         ("claim", window.claim.value),
         ("window", window.render()),
@@ -317,7 +315,7 @@ def _cmd_verdict(ns) -> tuple[int, Iterable[str]]:
 
     verdict_of = {"eta": thresholds.eta_feasibility,
                   "entropy": thresholds.entropy_threshold_check}[ns.cmd]
-    verdict = verdict_of(ns.source.pair, ns.positivity, ns.divisor.m, ns.beta)
+    verdict = verdict_of(ns.source.pair, ns.positivity, ns.m, ns.beta)
     satisfied = verdict.status is thresholds.VerdictStatus.CRITERION_SATISFIED
     return EXIT_OK if satisfied else EXIT_INCONCLUSIVE, [_fields(_verdict_fields(verdict))]
 
@@ -465,7 +463,7 @@ def _cmd_catalog(ns) -> tuple[int, Iterable[str]]:
         ("name", pair.name), ("dimension", pair.dimension), ("L_top", pair.L_top),
         ("cX_L", pair.cX_L),
         ("proportional_x", "none" if pair.proportional_x is None else pair.proportional_x),
-        ("divisor multiplicity", entry.divisor.m),
+        ("divisor multiplicity", entry.m),
         ("dimension model",
          "none (supply alphas and bounds by hand)" if model is None else model.kind),
     ])]
@@ -653,7 +651,7 @@ def run(argv: list[str]) -> int:
     Before a handler runs, its inputs are resolved once, in one order: the
     pair source (ns.source), the refusal of m != 1 where D in |L| is needed,
     the positivity data merged from the file and the flags (ns.positivity),
-    then the divisor with --m applied (ns.divisor). Then the handler's
+    then the divisor multiplicity, --m if given (ns.m). Then the handler's
     pieces are written, inside the error mapping, so an error a lazy piece
     raises still maps to its exit code.
     """
@@ -668,12 +666,12 @@ def run(argv: list[str]) -> int:
         try:
             if ns.pair_input is not None:
                 ns.source = resolve_pair(ns.pair)
-                if ns.pair_input == _UNIT_PAIR and ns.source.divisor.m != 1:
+                if ns.pair_input == _UNIT_PAIR and ns.source.m != 1:
                     raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
                 if hasattr(ns, "lam"):  # the subcommands that take the positivity flags
                     ns.positivity = _merged_positivity(ns.source, ns)
                 m = getattr(ns, "m", None)
-                ns.divisor = ns.source.divisor if m is None else DivisorSpec(m=m)
+                ns.m = ns.source.m if m is None else pairmodel.multiplicity(m)
             code, pieces = ns.handler(ns)
         except PreconditionFailedError as exc:
             code, pieces = EXIT_INCONCLUSIVE, [f"PreconditionFailed: {exc}\n"]

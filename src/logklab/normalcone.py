@@ -16,9 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionFailedError
 from .exactnum import format_rational, json_record
-from .pairmodel import PolarisedPair, avg_scalar_sD, DivisorSpec
-
-_UNIT_DIVISOR = DivisorSpec(1)
+from .pairmodel import PolarisedPair, avg_scalar_sD
 
 
 class NormalConeCoefficients(NamedTuple):
@@ -180,7 +178,7 @@ def _pair_of(pair: PolarisedPair) -> _Pair:
     pair.riemann_roch() (InternalCheckError otherwise); avg_scalar_sD refuses
     n < 2, where D is zero-dimensional."""
     n = pair.dimension
-    constants = _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, _UNIT_DIVISOR) / (n - 1))
+    constants = _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, 1) / (n - 1))
     top = factorial(n) * constants.a0
     ours, rr = (top, top * (constants.s + n) / 2), pair.riemann_roch()
     if ours != rr:

@@ -80,24 +80,15 @@ class PolarisedPair(_PairFields):
         return self.L_top, (self.cX_L + (self.dimension - 1) * self.L_top) / 2
 
 
-class _DivisorFields(NamedTuple):
-    m: int = 1
-
-
-class DivisorSpec(_DivisorFields):
-    """D in the linear system |mL|; assumed smooth."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        divisor = super().__new__(cls, *args, **kwargs)
-        if divisor.m < 1:
-            raise InputError(f"divisor multiplicity must be >= 1, got {divisor.m}")
-        return divisor
+def multiplicity(m: int) -> int:
+    """m, once it is >= 1 as the multiplicity of the divisor D in |mL|."""
+    if m < 1:
+        raise InputError(f"divisor multiplicity must be >= 1, got {m}")
+    return m
 
 
 class ScalarReport(NamedTuple):
-    """All scalar-curvature averages at one cone angle beta.
+    """All scalar-curvature averages at one cone angle beta, for D in |mL|.
 
     SD is None when n = 1 (the divisor is zero-dimensional). Always satisfies
     Sbeta = S1 - m*n*(1 - beta) and mu = Sbeta / n.
@@ -108,7 +99,6 @@ class ScalarReport(NamedTuple):
     Sbeta: Fraction
     mu: Fraction
     beta: Fraction
-    m: int
 
 
 def avg_scalar_s1(pair: PolarisedPair) -> Fraction:
@@ -116,17 +106,17 @@ def avg_scalar_s1(pair: PolarisedPair) -> Fraction:
     return pair.dimension * pair.cX_L / pair.L_top
 
 
-def avg_scalar_sD(pair: PolarisedPair, divisor: DivisorSpec) -> Fraction:
+def avg_scalar_sD(pair: PolarisedPair, m: int) -> Fraction:
     """Average scalar curvature of the polarised divisor D in |mL|.
 
     Adjunction gives (n-1) * (S_1/n - m). The m = 1 case is the standard
     hypersurface formula; m > 1 is a derived extension and is labelled as
     such in reports.
     """
-    n = pair.dimension
+    m, n = multiplicity(m), pair.dimension
     if n < 2:
         raise InputError("S^D needs n >= 2; the divisor is zero-dimensional for n = 1")
-    return (n - 1) * (avg_scalar_s1(pair) / n - divisor.m)
+    return (n - 1) * (avg_scalar_s1(pair) / n - m)
 
 
 def scalar_sbeta(pair: PolarisedPair, m: int, beta: Fraction) -> Fraction:
@@ -134,14 +124,13 @@ def scalar_sbeta(pair: PolarisedPair, m: int, beta: Fraction) -> Fraction:
     return avg_scalar_s1(pair) - m * pair.dimension * (1 - beta)
 
 
-def avg_scalar_sbeta(pair: PolarisedPair, divisor: DivisorSpec, beta: Fraction) -> ScalarReport:
-    """Scalar averages for the cone angle 2*pi*beta; Sbeta is scalar_sbeta."""
-    beta = Fraction(beta)
-    n = pair.dimension
+def avg_scalar_sbeta(pair: PolarisedPair, m: int, beta: Fraction) -> ScalarReport:
+    """Scalar averages for D in |mL| and the cone angle 2*pi*beta; Sbeta is scalar_sbeta."""
+    m, beta, n = multiplicity(m), Fraction(beta), pair.dimension
     s1 = avg_scalar_s1(pair)
-    sD = avg_scalar_sD(pair, divisor) if n >= 2 else None
-    sbeta = scalar_sbeta(pair, divisor.m, beta)
-    return ScalarReport(S1=s1, SD=sD, Sbeta=sbeta, mu=sbeta / n, beta=beta, m=divisor.m)
+    sD = avg_scalar_sD(pair, m) if n >= 2 else None
+    sbeta = scalar_sbeta(pair, m, beta)
+    return ScalarReport(S1=s1, SD=sD, Sbeta=sbeta, mu=sbeta / n, beta=beta)
 
 
 def validate_pair(pair: PolarisedPair) -> list[str]:
@@ -156,11 +145,11 @@ def validate_pair(pair: PolarisedPair) -> list[str]:
     return findings
 
 
-def sD_provenance(divisor: DivisorSpec) -> str:
+def sD_provenance(m: int) -> str:
     """Report tag distinguishing the m = 1 formula from the derived extension."""
-    if divisor.m == 1:
+    if m == 1:
         return "adjunction, D in |L|"
-    return f"derived extension (m={divisor.m})"
+    return f"derived extension (m={m})"
 
 
 KIND_PROJECTIVE_SPACE = "projective_space"
@@ -307,11 +296,12 @@ def _explicit_count(count: int, k: int) -> int:
 
 
 class PairSource(NamedTuple):
-    """A resolved pair: a catalog entry, or a pair file with its positivity
-    data and dimension model, each None where the source gives none."""
+    """A resolved pair: a catalog entry or a pair file, with the multiplicity
+    m of its divisor D in |mL|, and its positivity data and dimension model,
+    each None where the source gives none."""
 
     pair: PolarisedPair
-    divisor: DivisorSpec
+    m: int
     positivity: PositivityData | None = None
     model: HilbertModel | None = None
 
@@ -319,29 +309,29 @@ class PairSource(NamedTuple):
 CATALOG: dict[str, PairSource] = {
     "P2-line": PairSource(
         pair=PolarisedPair("P2-line", 2, Fraction(1), Fraction(3), Fraction(3)),
-        divisor=DivisorSpec(1),
+        m=1,
         model=HilbertModel.projective_space(2),
     ),
     "P3-hyperplane": PairSource(
         pair=PolarisedPair("P3-hyperplane", 3, Fraction(1), Fraction(4), Fraction(4)),
-        divisor=DivisorSpec(1),
+        m=1,
         model=HilbertModel.projective_space(3),
     ),
     "P4-hyperplane": PairSource(
         pair=PolarisedPair("P4-hyperplane", 4, Fraction(1), Fraction(5), Fraction(5)),
-        divisor=DivisorSpec(1),
+        m=1,
         model=HilbertModel.projective_space(4),
     ),
     "P1xP1-diag": PairSource(
         pair=PolarisedPair("P1xP1-diag", 2, Fraction(2), Fraction(4), Fraction(2)),
-        divisor=DivisorSpec(1),
+        m=1,
         model=HilbertModel.product_p1p1(),
     ),
     # Normalised shape of any Fano pair with L = -K_X: lambda = Lambda = 1 and
     # S_1 = n. Alpha invariants must be supplied by the user.
     "Fano-template": PairSource(
         pair=PolarisedPair("Fano-template", 2, Fraction(1), Fraction(1), Fraction(1)),
-        divisor=DivisorSpec(1),
+        m=1,
     ),
 }
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentDataError, InputError, PreconditionFailedError
 from .exactnum import format_rational
-from .pairmodel import DivisorSpec, PolarisedPair, avg_scalar_s1, scalar_sbeta
+from .pairmodel import PolarisedPair, avg_scalar_s1, multiplicity, scalar_sbeta
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
 MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
@@ -144,11 +144,6 @@ class AngleWindow(_WindowFields):
         return f"{format_rational(self.lower)}, {format_rational(self.upper)}"
 
 
-class ExistenceCase(enum.Enum):
-    LARGE_M = "large"
-    GIVEN_M = "given"
-
-
 def effective_nef_bounds(pair: PolarisedPair, pos: PositivityData) -> tuple[Fraction, Fraction, str]:
     """(lambda, Lambda, model) actually in force for this pair.
 
@@ -188,11 +183,6 @@ def _require_angle(beta: Fraction, allow_one: bool = True) -> Fraction:
     return beta
 
 
-def _multiplicity(m: int) -> int:
-    """m, once DivisorSpec accepts it as the multiplicity of D in |mL| (m >= 1)."""
-    return DivisorSpec(m).m
-
-
 def _min_alpha(pos: PositivityData, m: int) -> Fraction:
     if pos.alpha_L is None or pos.alpha_LD_restricted is None:
         raise InputError(
@@ -205,7 +195,7 @@ def alpha_beta_lower_bound(pos: PositivityData, m: int, beta: Fraction) -> Fract
     alpha invariant; a direct alpha_beta_override wins when present. The
     invariant of (X, (1-beta)D) with D in |mL| is at most m*beta, as D/m lies
     in |L|_Q, so an override above m*beta is an InconsistentDataError."""
-    m, beta = _multiplicity(m), _require_angle(beta)
+    m, beta = multiplicity(m), _require_angle(beta)
     if pos.alpha_beta_override is None:
         return min(m * beta, _min_alpha(pos, m))
     if pos.alpha_beta_override > m * beta:
@@ -219,7 +209,7 @@ def alpha_beta_lower_bound(pos: PositivityData, m: int, beta: Fraction) -> Fract
 def beta_u(pair: PolarisedPair, pos: PositivityData, m: int) -> Fraction:
     """Critical cone angle
     min{1, (n+1)/n * min{alpha_L, m*alpha_LD}/m + 1 - S_1/(m n)}, clamped at 0."""
-    m, n = _multiplicity(m), pair.dimension
+    m, n = multiplicity(m), pair.dimension
     s1 = avg_scalar_s1(pair)
     raw = Fraction(n + 1, n) * _min_alpha(pos, m) / m + 1 - s1 / (m * n)
     return max(Fraction(0), min(Fraction(1), raw))
@@ -232,7 +222,7 @@ def uniform_stability_window(pair: PolarisedPair, pos: PositivityData, m: int) -
     effective_nef_bounds holds the data to, it gives the other hypothesis,
     (n+1)lambda <= S_1 + m, which makes the lower endpoint >= 0.
     """
-    m, n = _multiplicity(m), pair.dimension
+    m, n = multiplicity(m), pair.dimension
     s1 = avg_scalar_s1(pair)
     lam, _, _ = effective_nef_bounds(pair, pos)
     _require_s1_at_most_mn(s1, m, n)
@@ -261,9 +251,10 @@ def _eta0_bound(
 
 
 def existence_window(
-    pair: PolarisedPair, pos: PositivityData, m: int, case: ExistenceCase
+    pair: PolarisedPair, pos: PositivityData, m: int, case: str
 ) -> AngleWindow:
-    """cscK-cone existence window (0, upper] for the chosen case.
+    """cscK-cone existence window (0, upper] for the case "large" or "given",
+    the words of window --case; any other case is an InputError.
 
     Large-m case: needs both terms of T = max(Lambda, (S_1 - (n-1)lambda)/n)
     below m, S_1 < m n + (n-1)lambda and Lambda < m (strict);
@@ -272,9 +263,11 @@ def existence_window(
     Given-m case: needs S_1 <= m n and Lambda <= S_1/n <= lambda + m(1 - beta_u);
     upper = beta_u.
     """
-    m, n = _multiplicity(m), pair.dimension
+    m, n = multiplicity(m), pair.dimension
+    if case not in ("large", "given"):
+        raise InputError(f"unknown existence case {case!r}")
     bound, s1, lam, Lam = _eta0_bound(pair, pos)
-    if case is ExistenceCase.LARGE_M:
+    if case == "large":
         if not s1 < m * n + (n - 1) * lam:
             raise PreconditionFailedError(
                 f"S_1 = {format_rational(s1)} not < m*n + (n-1)*lambda = "
@@ -284,7 +277,7 @@ def existence_window(
             raise PreconditionFailedError(
                 f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}")
         upper = min(Fraction(1), 1 - bound / m)
-    elif case is ExistenceCase.GIVEN_M:
+    else:
         _require_s1_at_most_mn(s1, m, n)
         bu = beta_u(pair, pos, m)
         mu_bar = s1 / Fraction(n)
@@ -297,8 +290,6 @@ def existence_window(
                 f"{format_rational(lam + m * (1 - bu))}"
             )
         upper = bu
-    else:  # pragma: no cover - enum is exhaustive
-        raise InputError(f"unknown existence case {case!r}")
     return AngleWindow(Fraction(0), False, upper, True, WindowClaim.EXISTENCE_CSCK_CONE)
 
 
@@ -320,7 +311,7 @@ def eta_feasibility(
     by (n-1)m(1-beta), so an m that row gives need not admit eta = 0 here;
     the two agree when lambda = Lambda = S_1/n.
     """
-    m, beta = _multiplicity(m), _require_angle(beta)
+    m, beta = multiplicity(m), _require_angle(beta)
     lo_c1, up_c1, model = effective_nef_bounds(pair, pos)
     alpha_beta = alpha_beta_lower_bound(pos, m, beta)
     n = pair.dimension
@@ -367,7 +358,7 @@ def min_multiplicity_eta0(pair: PolarisedPair, pos: PositivityData, beta: Fracti
     """
     beta = _require_angle(beta, allow_one=False)
     bound = _eta0_bound(pair, pos)[0]
-    # Strict, where existence_window(LARGE_M) admits m(1-beta) = T: open, ROADMAP direction 26.
+    # Strict, where existence_window("large") admits m(1-beta) = T: open, ROADMAP direction 26.
     return max(1, bound // (1 - beta) + 1)
 
 
@@ -382,7 +373,7 @@ def entropy_threshold_check(
     at a beta below normalcone.instability_threshold, where the normal-cone
     family destabilises, is an InconsistentDataError.
     """
-    m, beta = _multiplicity(m), _require_angle(beta)
+    m, beta = multiplicity(m), _require_angle(beta)
     lam, Lam, model = effective_nef_bounds(pair, pos)
     n = pair.dimension
     s_beta = scalar_sbeta(pair, m, beta)

@@ -4,7 +4,7 @@ import pytest
 
 from logklab.exactnum import parse_rational
 from logklab.normalcone import NormalConeCoefficients, _Kernel, _pair_of
-from logklab.pairmodel import CATALOG, DivisorSpec, PolarisedPair
+from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import HilbertModel, oracle_report, sum_samples
 
 
@@ -26,11 +26,6 @@ def p1xp1():
 @pytest.fixture
 def fano():
     return CATALOG["Fano-template"].pair
-
-
-@pytest.fixture
-def unit_divisor():
-    return DivisorSpec(1)
 
 
 @pytest.fixture

@@ -27,13 +27,11 @@ from logklab.normalcone import (
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
-    DivisorSpec,
     avg_scalar_s1,
     avg_scalar_sD,
     validate_pair,
 )
 from logklab.thresholds import (
-    ExistenceCase,
     PositivityData,
     VerdictStatus,
     beta_u,
@@ -68,11 +66,11 @@ def criterion(number: int, description: str, budget_seconds: float):
     print(f"criterion {number:02d} [{description}]: PASS ({elapsed:.3f}s < {budget_seconds}s)")
 
 
-def test_criterion_01_instability_worked_example(p2, unit_divisor):
+def test_criterion_01_instability_worked_example(p2):
     with criterion(1, "P2 worked example, DF = -1/48 via both paths", 1.0):
         assert avg_scalar_s1(p2) == 6
         assert validate_pair(p2) == [FINDING_BOUND_SATURATED]  # saturates n(n+1)
-        assert avg_scalar_sD(p2, unit_divisor) == 2
+        assert avg_scalar_sD(p2, 1) == 2
         assert instability_threshold(p2) == 1
         co = coefficients(p2, HALF)
         assert (co.a0, co.a1, co.b0, co.b1, co.a0_tilde, co.b0_tilde) == (
@@ -158,9 +156,9 @@ def test_criterion_07_window_coherence(p2):
         uniform = uniform_stability_window(p2, pos, 4)
         assert (uniform.lower, uniform.upper) == (Fraction(1, 4), Fraction(3, 8))
         assert uniform.lower_inclusive and not uniform.upper_inclusive
-        large = existence_window(p2, pos, 4, ExistenceCase.LARGE_M)
+        large = existence_window(p2, pos, 4, "large")
         assert (large.lower, large.upper) == (0, Fraction(1, 4)) and large.upper_inclusive
-        given = existence_window(p2, pos, 4, ExistenceCase.GIVEN_M)
+        given = existence_window(p2, pos, 4, "given")
         assert (given.lower, given.upper) == (0, Fraction(3, 8)) and given.upper_inclusive
         assert beta_u(p2, pos, 4) == Fraction(3, 8)
 
@@ -188,7 +186,7 @@ def test_criterion_08_min_multiplicity_and_fano_corollary(p2, fano):
             # hypotheses hold automatically: windows come out without any
             # precondition failure for every alpha choice
             uniform = uniform_stability_window(fano, pos, m)
-            given = existence_window(fano, pos, m, ExistenceCase.GIVEN_M)
+            given = existence_window(fano, pos, m, "given")
             assert uniform.lower == 0
             assert given.upper == beta_u(fano, pos, m)
         pos = PositivityData(alpha_L=Fraction(2, 3), alpha_LD_restricted=Fraction(2, 3))

@@ -69,7 +69,7 @@ def test_load_pair_file_round_trip(tmp_path):
     assert pf.pair.dimension == 2
     assert pf.pair.L_top == 2
     assert pf.pair.proportional_x == 2
-    assert pf.divisor.m == 1
+    assert pf.m == 1
     assert pf.positivity.alpha_L == Fraction(1, 3)
     assert pf.model.kind == "product_p1p1"
 
@@ -127,7 +127,7 @@ def test_catalog_models_pass_the_pair_file_check(tmp_path, name):
     doc = {"name": pair.name, "dimension": pair.dimension, "L_top": format_rational(pair.L_top),
            "cX_L": format_rational(pair.cX_L),
            "proportional_x": format_rational(pair.proportional_x),
-           "divisor": {"m": entry.divisor.m}, "hilbert": {"kind": entry.model.kind}}
+           "divisor": {"m": entry.m}, "hilbert": {"kind": entry.model.kind}}
     assert load_pair_file(write_pair(tmp_path, doc)) == entry
 
 
@@ -1106,8 +1106,8 @@ def test_normal_cone_commands_exit_4_when_s_disagrees_with_riemann_roch(
     import logklab.normalcone as normalcone
 
     real = normalcone.avg_scalar_sD
-    monkeypatch.setattr(normalcone, "avg_scalar_sD", lambda pair, divisor:
-                        real(pair, divisor) + Fraction(pair.dimension - 1, 7))
+    monkeypatch.setattr(normalcone, "avg_scalar_sD", lambda pair, m:
+                        real(pair, m) + Fraction(pair.dimension - 1, 7))
     code, out, err = invoke(capsys, [argv[0], "catalog:P2-line", *argv[1:]])
     assert (code, out) == (4, "")
     assert "pair constants disagree with Riemann-Roch" in err and "Traceback" not in err

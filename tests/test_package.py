@@ -16,12 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # Every name the package exports, under the module that defines it.
 EXPORTS = {
     "exactnum": ["decimal_string", "format_rational", "parse_rational"],
-    "pairmodel": ["CATALOG", "DivisorSpec", "HilbertModel", "PolarisedPair", "ScalarReport",
+    "pairmodel": ["CATALOG", "HilbertModel", "PolarisedPair", "ScalarReport",
                   "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
     "normalcone": ["CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients",
                    "critical_c", "df_checked", "df_from_coefficients", "find_destabilizer",
                    "instability_threshold"],
-    "thresholds": ["AngleWindow", "ExistenceCase", "PositivityData", "SingularCriteriaInput",
+    "thresholds": ["AngleWindow", "PositivityData", "SingularCriteriaInput",
                    "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "beta_u",
                    "entropy_threshold_check", "eta_feasibility", "existence_window",
                    "min_multiplicity_eta0", "singular_criteria", "uniform_stability_window"],
@@ -60,4 +60,4 @@ def test_readme_library_example_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "-1/48\n[1/4, 3/8)\n"
+    assert proc.stdout == "-1/48\n2\n[1/4, 3/8)\n(0, 1/2]\n"

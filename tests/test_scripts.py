@@ -78,3 +78,39 @@ def test_compare_outputs_shows_the_new_bytes_under_each_added_or_changed_key():
         "    stderr: (empty)",
         "REMOVED: removed"]
     assert len(lines) == 3  # one item per key
+
+
+def test_code_lines_skips_blank_lines_comments_and_docstrings():
+    sys.path.insert(0, str(SCRIPTS))
+    from code_lines import code_lines
+
+    source = '''"""Module docstring,
+over two lines."""
+
+# A comment.
+def f(x):
+    """One line."""
+    total = (x  # a comment after code
+             + 1)
+    return "not a docstring"
+
+
+class C:
+    """Class docstring."""
+
+    y = f(
+        2,
+    )
+'''
+    # def f, total (two lines), return, class C, y = f( (three lines)
+    assert code_lines(source) == 8
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    proc = _run("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = (line.split() for line in proc.stdout.splitlines())
+    names = sorted(path.name for path in (ROOT / "src" / "logklab").glob("*.py"))
+    assert [name for name, _ in rows] == names
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(count) for _, count in rows)

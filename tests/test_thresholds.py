@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from logklab.errors import InconsistentDataError, InputError, PreconditionFailedError
 from logklab.normalcone import instability_threshold
-from logklab.pairmodel import CATALOG, PolarisedPair
+from logklab.pairmodel import CATALOG, PolarisedPair, avg_scalar_sD, avg_scalar_sbeta
 from logklab.thresholds import (
     MODEL_PROPORTIONAL,
     MODEL_SANDWICH,
     AngleWindow,
-    ExistenceCase,
     PositivityData,
     SingularCriteriaInput,
     VerdictStatus,
@@ -144,32 +143,44 @@ def test_uniform_window_precondition_failures(p2):
 
 
 @pytest.mark.parametrize("m", [0, -1])
-def test_a_multiplicity_below_1_is_refused(p2, m):
-    # As DivisorSpec refuses it on the command line, for every exported
-    # function that takes m.
+def test_a_multiplicity_below_1_is_refused(m):
+    # One rule for every exported function that takes m, the multiplicity of
+    # D in |mL|: a plain int, refused below 1 with one message. The existence
+    # case is the CLI's --case word, "large" or "given".
     import inspect
+    from importlib import import_module
 
     import logklab
-    from logklab import thresholds
 
+    # c1(X) = L/2 on a surface: every hypothesis holds at m = 1 and m = 2.
+    pair = PolarisedPair("half", 2, 1, Fraction(1, 2), Fraction(1, 2))
     half = Fraction(1, 2)
     calls = [
-        ("alpha_beta_lower_bound", lambda: alpha_beta_lower_bound(P2_ALPHAS, m, half)),
-        ("beta_u", lambda: beta_u(p2, P2_ALPHAS, m)),
-        ("uniform_stability_window", lambda: uniform_stability_window(p2, P2_ALPHAS, m)),
-        *(("existence_window", lambda case=case: existence_window(p2, P2_ALPHAS, m, case))
-          for case in ExistenceCase),
-        ("eta_feasibility", lambda: eta_feasibility(p2, P2_ALPHAS, m, half)),
-        ("entropy_threshold_check", lambda: entropy_threshold_check(p2, P2_ALPHAS, m, half)),
+        ("avg_scalar_sD", lambda m: avg_scalar_sD(pair, m)),
+        ("avg_scalar_sbeta", lambda m: avg_scalar_sbeta(pair, m, half)),
+        ("alpha_beta_lower_bound", lambda m: alpha_beta_lower_bound(FANO_ALPHAS, m, half)),
+        ("beta_u", lambda m: beta_u(pair, FANO_ALPHAS, m)),
+        ("uniform_stability_window", lambda m: uniform_stability_window(pair, FANO_ALPHAS, m)),
+        *(("existence_window", lambda m, case=case: existence_window(pair, FANO_ALPHAS, m, case))
+          for case in ("large", "given")),
+        ("eta_feasibility", lambda m: eta_feasibility(pair, FANO_ALPHAS, m, half)),
+        ("entropy_threshold_check", lambda m: entropy_threshold_check(pair, FANO_ALPHAS, m, half)),
     ]
-    takes_m = {name for name in logklab._EXPORTS["thresholds"]
-               if inspect.isfunction(getattr(thresholds, name))
-               and "m" in inspect.signature(getattr(thresholds, name)).parameters}
+    exported = ((module, name) for module, names in logklab._EXPORTS.items() for name in names)
+    functions = {name: getattr(import_module(f"logklab.{module}"), name)
+                 for module, name in exported}
+    takes_m = {name for name, function in functions.items()
+               if inspect.isfunction(function) and "m" in inspect.signature(function).parameters}
     assert takes_m == {name for name, _ in calls}
     for _, call in calls:
         with pytest.raises(InputError) as exc:
-            call()
+            call(m)
         assert str(exc.value) == f"divisor multiplicity must be >= 1, got {m}"
+        call(1)
+        call(2)
+    with pytest.raises(InputError) as exc:
+        existence_window(pair, FANO_ALPHAS, 2, "huge")
+    assert str(exc.value) == "unknown existence case 'huge'"
 
 
 def test_uniform_window_fano(fano):
@@ -186,26 +197,26 @@ def test_uniform_window_empty_when_alphas_vanish(p2):
 
 
 def test_existence_windows_p2(p2):
-    large = existence_window(p2, P2_ALPHAS, 4, ExistenceCase.LARGE_M)
+    large = existence_window(p2, P2_ALPHAS, 4, "large")
     assert (large.lower, large.upper) == (0, Fraction(1, 4))
     assert not large.lower_inclusive and large.upper_inclusive
-    given = existence_window(p2, P2_ALPHAS, 4, ExistenceCase.GIVEN_M)
+    given = existence_window(p2, P2_ALPHAS, 4, "given")
     assert (given.lower, given.upper) == (0, Fraction(3, 8))
     assert given.render() == "(0, 3/8]"
 
 
 def test_existence_window_large_m_boundary_strict(p2):
     with pytest.raises(PreconditionFailedError, match="Lambda"):
-        existence_window(p2, P2_ALPHAS, 3, ExistenceCase.LARGE_M)
+        existence_window(p2, P2_ALPHAS, 3, "large")
     # S_1 = m n + (n-1)lambda = 0 with Lambda = 0 < m = 1.
     pair = PolarisedPair("edge", 2, Fraction(1), Fraction(0), None)
     with pytest.raises(PreconditionFailedError, match=r"^S_1 = 0 not < m\*n \+ \(n-1\)\*lambda = 0$"):
         existence_window(pair, PositivityData(lam=Fraction(-2), Lambda_up=Fraction(0)), 1,
-                         ExistenceCase.LARGE_M)
+                         "large")
 
 
 def test_existence_window_fano_given_m(fano):
-    window = existence_window(fano, FANO_ALPHAS, 1, ExistenceCase.GIVEN_M)
+    window = existence_window(fano, FANO_ALPHAS, 1, "given")
     assert window.render() == "(0, 1]"
     assert window.contains(Fraction(1)) and not window.contains(Fraction(0))
 
@@ -357,7 +368,7 @@ def test_no_certificate_below_the_instability_threshold(
     threshold = instability_threshold(pair)
     refused = override is not None and override > beta
     windows = (lambda: uniform_stability_window(pair, pos, 1),
-               *(lambda case=case: existence_window(pair, pos, 1, case) for case in ExistenceCase))
+               *(lambda case=case: existence_window(pair, pos, 1, case) for case in ("large", "given")))
     for window_of in windows:
         try:
             window = window_of()
@@ -410,7 +421,7 @@ def test_large_m_window_holds_beta_exactly_from_the_least_m(n, L_top, mean, nef,
     s1 = n * mean
     conditions = (Lam - m * (1 - beta), s1 - m * n * (1 - beta) - (n - 1) * lam)
     try:
-        in_window = existence_window(pair, pos, m, ExistenceCase.LARGE_M).contains(beta)
+        in_window = existence_window(pair, pos, m, "large").contains(beta)
     except PreconditionFailedError:
         in_window = False
     least = min_multiplicity_eta0(pair, pos, beta)
