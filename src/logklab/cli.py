@@ -357,18 +357,17 @@ def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
         row = "{\n%s\n  }" % ",\n".join(f'    "{name}": "%s"' for name in columns)
     batches = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
 
-    def rows(nums: list[int], dens: list[int]) -> list[str]:
-        k = len(nums) // len(columns)
-        texts = ratio_texts(nums, dens, digits)
-        return list(map(row.__mod__, zip(*(texts[i:i + k] for i in range(0, len(texts), k)))))
+    def rows(batch) -> list[str]:
+        texts, decimals = zip(*(ratio_texts(nums, dens, digits) for nums, dens in batch))
+        return list(map(row.__mod__, zip(*texts, *decimals) if digits else zip(*texts)))
 
     # One piece, so one write, per batch of rows, not per row: with
     # PYTHONUNBUFFERED set, each write is a system call. Memory stays
     # bounded by the batch.
     def pieces():
         lead = head
-        for nums, dens in batches:
-            yield lead + between.join(rows(nums, dens))
+        for batch in batches:
+            yield lead + between.join(rows(batch))
             lead = between
         yield tail
 

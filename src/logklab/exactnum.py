@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import floordiv
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -70,7 +70,7 @@ def format_rational(value: Fraction | int) -> str:
     Equal to str() of the Fraction, also past the interpreter's int<->str
     digit limit.
     """
-    return ratio_texts([value.numerator], [value.denominator])[0]
+    return ratio_texts([value.numerator], [value.denominator])[0][0]
 
 
 def json_record(record: NamedTuple) -> dict[str, str | int]:
@@ -80,12 +80,13 @@ def json_record(record: NamedTuple) -> dict[str, str | int]:
             for name, value in record._asdict().items()}
 
 
-def ratio_texts(nums: list[int], dens: list[int], digits: int = 0) -> list[str]:
-    """The text format_rational(Fraction(nums[i], dens[i])) of each i
-    (dens[i] > 0), then, if digits > 0, each decimal_string(Fraction(nums[i],
-    dens[i]), digits), with no Fraction: gcd, the divisions and
-    Context.divide each run once over the lists. Exact also past the int->str
-    digit limit."""
+def ratio_texts(nums: Sequence[int], dens: Sequence[int], digits: int = 0
+                ) -> tuple[list[str], list[str]]:
+    """(texts, decimals): the text format_rational(Fraction(nums[i], dens[i]))
+    of each i (dens[i] > 0) and, if digits > 0, each
+    decimal_string(Fraction(nums[i], dens[i]), digits), else no decimals,
+    with no Fraction: gcd, the divisions and Context.divide each run once
+    over the lists. Exact also past the int->str digit limit."""
     gcds = list(map(gcd, nums, dens))
     nums, dens = list(map(floordiv, nums, gcds)), list(map(floordiv, dens, gcds))
     try:
@@ -93,9 +94,8 @@ def ratio_texts(nums: list[int], dens: list[int], digits: int = 0) -> list[str]:
     except ValueError:  # the digit limit
         texts = [_int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
                  for num, den in zip(nums, dens)]
-    if digits > 0:
-        texts += map(str, map(_decimal_context(digits).divide, nums, dens))
-    return texts
+    decimals = map(_decimal_context(digits).divide, nums, dens) if digits > 0 else ()
+    return texts, list(map(str, decimals))
 
 
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:

@@ -230,12 +230,10 @@ class _Kernel(NamedTuple):
         v = self.value(a, d, (d - a) ** self.n, d ** (self.n + 1))
         return (v > 0) - (v < 0)
 
-    def grid(self, d: int, a_values: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
+    def grid(self, d: int, a_values: Sequence[int]) -> Iterator[_Batch]:
         """At c = a/d for each a of a_values (0 < a < d), lazily, CURVE_BATCH
-        points at a time: each batch of k points as two flat lists, the
-        unreduced integer numerators and the denominators of its GRID_FIELDS,
-        c, DF, the inner factor and J^NA, field by field (the k values of c,
-        then the k of DF, and so on).
+        points at a time, as _Batch values: the columns of c, DF, the inner
+        factor and J^NA.
 
         The powers of d and the constants of the denominators are computed
         once; each point needs b^n, V and d^(n+1) - b^(n+1), and no tuple.
@@ -254,9 +252,9 @@ class _Kernel(NamedTuple):
             b_ns = [b**n for b in bs]
             vs = list(map(self.value, batch, repeat(d, k), b_ns, repeat(d_n1, k)))
             gaps = [d_n1 - b_n * b for b_n, b in zip(b_ns, bs)]  # d^(n+1) - b^(n+1) > 0
-            yield ([*batch, *[a0_num * v for v in vs], *vs,
-                    *[jna_lead * a - gap for a, gap in zip(batch, gaps)]],
-                   [*[d] * k, *[df_den] * k, *[inner_den * gap for gap in gaps], *[jna_den] * k])
+            yield [(batch, [d] * k), ([a0_num * v for v in vs], [df_den] * k),
+                   (vs, [inner_den * gap for gap in gaps]),
+                   ([jna_lead * a - gap for a, gap in zip(batch, gaps)], [jna_den] * k)]
 
 
 def family(pair: PolarisedPair, c: Fraction) -> Family:
@@ -530,17 +528,19 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     return CriticalBracket(lo, hi, lo_inner=lo_inner, hi_inner=hi_inner)
 
 
-# Largest --steps of df-curve: 10^5 rows of P2-line take 0.6-1.0 s per
+# Largest --steps of df-curve: 10^5 rows of P2-line take 0.30-0.33 s per
 # process and 16 MB of CSV (2-core x86-64 VM, Python 3.11); see the README.
 CURVE_STEPS_LIMIT = 10**5
 # Points of one batch of _Kernel.grid, so rows per write call of df-curve.
 CURVE_BATCH = 256
 # The fields of a _Kernel.grid batch, in their order: df-curve's columns.
 GRID_FIELDS = ("c", "df", "inner_factor", "jna")
+# A _Kernel.grid batch: a (numerators, denominators) column pair per field of
+# GRID_FIELDS, in its order, the integers unreduced.
+_Batch = list[tuple[Sequence[int], list[int]]]
 
 
-def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
-               ) -> Iterator[tuple[list[int], list[int]]]:
+def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[_Batch]:
     """The batches of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
 
     The Fraction closed form at the first and last points is the independent
@@ -565,10 +565,7 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int
     return kernel.grid(d, range(1, d))
 
 
-def _reports(batches: Iterable[tuple[list[int], list[int]]]
-             ) -> Iterator[tuple[Fraction, ...]]:
+def _reports(batches: Iterable[_Batch]) -> Iterator[tuple[Fraction, ...]]:
     """The points of _Kernel.grid's batches as tuples of their GRID_FIELDS, in Fractions."""
-    for nums, dens in batches:
-        values = list(map(Fraction, nums, dens))
-        k = len(values) // len(GRID_FIELDS)
-        yield from zip(*(values[i:i + k] for i in range(0, len(values), k)))
+    for columns in batches:
+        yield from zip(*(map(Fraction, nums, dens) for nums, dens in columns))

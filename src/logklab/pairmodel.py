@@ -81,7 +81,9 @@ class PolarisedPair(_PairFields):
 
 
 def multiplicity(m: int) -> int:
-    """m, once it is >= 1 as the multiplicity of the divisor D in |mL|."""
+    """m, once it is an int >= 1 as the multiplicity of the divisor D in |mL|."""
+    if type(m) is not int:  # so a bool, and an integral float or Fraction, too
+        raise InputError(f"divisor multiplicity must be an int, got {m!r} ({type(m).__name__})")
     if m < 1:
         raise InputError(f"divisor multiplicity must be >= 1, got {m}")
     return m

@@ -112,10 +112,11 @@ def _ratio_terms(draw):
 def test_batched_texts_equal_the_one_value_writers(pairs, digits):
     nums, dens = [num for num, _ in pairs], [den for _, den in pairs]
     values = [Fraction(num, den) for num, den in pairs]
-    texts = ratio_texts(nums, dens)
+    texts, decimals = ratio_texts(nums, dens)
     assert texts == [format_rational(q) for q in values]
     assert [parse_rational(text) for text in texts] == values
-    assert ratio_texts(nums, dens, digits) == texts + [decimal_string(q, digits) for q in values]
+    assert decimals == []
+    assert ratio_texts(nums, dens, digits) == (texts, [decimal_string(q, digits) for q in values])
 
 
 # ----------------------------- field laws / canonical form -----------------------------

@@ -2,6 +2,7 @@
 recorded outcome table, tests/outcomes.json."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +50,18 @@ def test_every_library_function_runs(run):
     # Every function of src/logklab runs in some invocation, but those
     # REACH_EXEMPT names with a reason.
     assert compare_outputs.unreached(run[1]) == sorted(compare_outputs.REACH_EXEMPT)
+
+
+def test_the_table_holds_every_benchmark_outcome():
+    # bench/expected.json records the exit code and stdout sha256 of each
+    # benchmark invocation (a null sha256 marks a known defect), so a
+    # re-record of this table that moves a benchmark output fails here.
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    benchmark = {key: [outcome["exit"], outcome["sha256"]]
+                 for key, outcome in expected["outcomes"].items() if outcome["sha256"] is not None}
+    table = compare_outputs.read_table()
+    assert benchmark
+    assert {key: table.get(key, [None, None, None])[:2] for key in benchmark} == benchmark
 
 
 def test_fresh_processes_give_the_table(tmp_path):

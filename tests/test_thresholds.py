@@ -183,6 +183,19 @@ def test_a_multiplicity_below_1_is_refused(m):
     assert str(exc.value) == "unknown existence case 'huge'"
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda p2: avg_scalar_sD(p2, 1.5), "1.5 (float)"),
+    (lambda p2: avg_scalar_sD(p2, True), "True (bool)"),
+    (lambda p2: beta_u(p2, P2_ALPHAS, Fraction(9, 2)), "Fraction(9, 2) (Fraction)"),
+    (lambda p2: existence_window(p2, P2_ALPHAS, 6.5, "large"), "6.5 (float)"),
+], ids=["avg_scalar_sD-float", "avg_scalar_sD-bool", "beta_u-Fraction", "existence_window-float"])
+def test_a_multiplicity_that_is_not_an_int_is_refused(p2, call, text):
+    # A float, a bool or a Fraction m is refused as one, not computed with.
+    with pytest.raises(InputError) as exc:
+        call(p2)
+    assert str(exc.value) == f"divisor multiplicity must be an int, got {text}"
+
+
 def test_uniform_window_fano(fano):
     window = uniform_stability_window(fano, FANO_ALPHAS, 1)
     assert (window.lower, window.upper) == (0, 1)
