@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionFailedError
 from .exactnum import format_rational, json_record
-from .pairmodel import PolarisedPair, avg_scalar_sD
+from .pairmodel import PolarisedPair, avg_scalar_sD, integer
 
 
 class NormalConeCoefficients(NamedTuple):
@@ -88,16 +88,6 @@ def _require_c(c: Fraction) -> Fraction:
     return c
 
 
-def _g(n: int, un: Fraction, un1: Fraction) -> Fraction:
-    """g(c) = 1 - ((n+1)/n) * (1-(1-c)^n) / (1-(1-c)^(n+1)), given un = (1-c)^n
-    and un1 = (1-c)^(n+1).
-
-    Strictly decreasing on (0, 1) with range (-1/n, 0); multiplies S^D/(n-1)
-    inside the closed-form DF.
-    """
-    return 1 - Fraction(n + 1, n) * (1 - un) / (1 - un1)
-
-
 class Family(NamedTuple):
     """The family of one pair at one c, validated: n >= 2 and 0 < c < 1.
 
@@ -124,13 +114,20 @@ class Family(NamedTuple):
             n=n,
         )
 
+    def inner(self, beta: Fraction) -> Fraction:
+        """The closed-form DF's inner factor beta + s g(c), where
+        g(c) = 1 - ((n+1)/n) * (1-(1-c)^n) / (1-(1-c)^(n+1)) is strictly
+        decreasing on (0, 1) with range (-1/n, 0)."""
+        n = self.n
+        return Fraction(beta) + self.s * (1 - Fraction(n + 1, n) * (1 - self.un) / (1 - self.un1))
+
     def df(self, beta: Fraction) -> DFReport:
-        """Closed-form DF: prefactor(c) * (beta + s g(c)), for any rational beta
+        """Closed-form DF: prefactor(c) * inner(beta), for any rational beta
         (angle-range semantics live in the thresholds module). It does not go
         through the coefficient formula, so the two paths check each other."""
         n = self.n
         prefactor = n * self.a0 * (1 - self.un1) / (n + 1)
-        inner = Fraction(beta) + self.s * _g(n, self.un, self.un1)
+        inner = self.inner(beta)
         return DFReport(
             df=prefactor * inner,
             inner_factor=inner,
@@ -303,7 +300,7 @@ def instability_threshold(pair: PolarisedPair) -> Fraction:
 
 # Bits of d^(n+1) at the deepest dyadic c = a/d, d = 2^depth, at which either
 # search takes a sign: depth = SIGN_BITS_LIMIT // (n + 1), 60000 on P4, where
-# critical_c at beta 1/2 and tol 2^-60000 takes about 0.5 s, and 584 at the
+# critical_c at beta 1/2 and tol 2^-60000 takes about 0.25 s, and 584 at the
 # dimension limit (2-core x86-64 VM, Python 3.11); see the README.
 SIGN_BITS_LIMIT = 300000
 
@@ -461,8 +458,8 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
     probes that confirm no cell mean that the estimate and the signs
     disagree: InternalCheckError (a correct estimate rules it out).
 
-    The closed form (Family.df) at both ends is the second path: the inner
-    factor must be > 0 at lo and < 0 at hi, or 0 on a width-zero bracket
+    The closed form's inner factor (Family.inner) at both ends is the second
+    path: it must be > 0 at lo and < 0 at hi, or 0 on a width-zero bracket
     (InternalCheckError otherwise). beta <= 0 means every c destabilises:
     the (0, 0) sentinel with all_destabilizing is returned.
 
@@ -519,8 +516,7 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
         else:
             raise InternalCheckError("the two signs at the root estimate confirm no cell")
     lo, hi = Fraction(x0 + lo_t * width, d), Fraction(x0 + hi_t * width, d)
-    lo_inner = constants.at(lo).df(beta).inner_factor
-    hi_inner = constants.at(hi).df(beta).inner_factor
+    lo_inner, hi_inner = constants.at(lo).inner(beta), constants.at(hi).inner(beta)
     if not (lo_inner > 0 > hi_inner or lo == hi and lo_inner == 0):
         raise InternalCheckError(
             f"closed-form inner factor does not change sign across the bracket "
@@ -545,13 +541,10 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[_Bat
 
     The Fraction closed form at the first and last points is the independent
     second path: a DF, inner factor or J^NA that differs from it raises
-    InternalCheckError before the batches are returned. steps outside
-    1..CURVE_STEPS_LIMIT is an InputError.
+    InternalCheckError before the batches are returned. A steps that is not
+    an int in 1..CURVE_STEPS_LIMIT is an InputError.
     """
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    if steps > CURVE_STEPS_LIMIT:
-        raise InputError(f"steps must be at most {CURVE_STEPS_LIMIT}, got {steps}")
+    integer(steps, "steps", 1, CURVE_STEPS_LIMIT)
     beta = Fraction(beta)
     constants = _pair_of(pair)
     kernel, d = constants.kernel(beta), steps + 1

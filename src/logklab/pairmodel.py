@@ -47,18 +47,15 @@ class PolarisedPair(_PairFields):
     exact rational multiple x of c1(L) (e.g. projective spaces, Fano pairs
     with L = -K_X), proportional_x records that coefficient; it then doubles
     as both nef thresholds lambda and Lambda. Every construction coerces the
-    rationals to Fraction and checks them: L is ample, so L^n > 0, and
-    1 <= n <= DIMENSION_LIMIT.
+    rationals to Fraction and checks them: L is ample, so L^n > 0, and n
+    is an int in 1..DIMENSION_LIMIT.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         pair = super().__new__(cls, *args, **kwargs)
-        if pair.dimension < 1:
-            raise InputError(f"dimension must be >= 1, got {pair.dimension}")
-        if pair.dimension > DIMENSION_LIMIT:
-            raise InputError(f"dimension must be at most {DIMENSION_LIMIT}, got {pair.dimension}")
+        integer(pair.dimension, "dimension", 1, DIMENSION_LIMIT)
         L_top, cX_L, x = Fraction(pair.L_top), Fraction(pair.cX_L), pair.proportional_x
         if L_top <= 0:
             raise InputError(f"L_top must be > 0 (L is ample), got {format_rational(L_top)}")
@@ -80,13 +77,23 @@ class PolarisedPair(_PairFields):
         return self.L_top, (self.cX_L + (self.dimension - 1) * self.L_top) / 2
 
 
+def integer(value: int, what: str, low: int | None = None, high: int | None = None) -> int:
+    """value, once it is an int in low..high (a bound of None is absent): the
+    one rule for every integer the library takes. An InputError names it by
+    what, refusing first any type but int itself, so a bool, and an integral
+    float or Fraction, too."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, got {value!r} ({type(value).__name__})")
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{what} must be at most {high}, got {value}")
+    return value
+
+
 def multiplicity(m: int) -> int:
     """m, once it is an int >= 1 as the multiplicity of the divisor D in |mL|."""
-    if type(m) is not int:  # so a bool, and an integral float or Fraction, too
-        raise InputError(f"divisor multiplicity must be an int, got {m!r} ({type(m).__name__})")
-    if m < 1:
-        raise InputError(f"divisor multiplicity must be >= 1, got {m}")
-    return m
+    return integer(m, "divisor multiplicity", 1)
 
 
 class ScalarReport(NamedTuple):
@@ -187,9 +194,8 @@ class HilbertModel(NamedTuple):
 
     @classmethod
     def projective_space(cls, n: int) -> HilbertModel:
-        """C(n + k, n), whose differences are C(n, i) (Vandermonde)."""
-        if n < 1:
-            raise InputError(f"projective space model needs n >= 1, got {n}")
+        """C(n + k, n), whose differences are C(n, i) (Vandermonde); n is an int >= 1."""
+        integer(n, "dimension", 1)
         return cls(KIND_PROJECTIVE_SPACE, tuple(comb(n, i) for i in range(n + 1)))
 
     @classmethod
@@ -199,14 +205,12 @@ class HilbertModel(NamedTuple):
 
     @classmethod
     def explicit(cls, coefficients: Sequence[Fraction | int], floor: int) -> HilbertModel:
-        """sum_i coefficients[i] k**i, trailing zeros ignored. An InputError
-        names its least non-integer value at k = floor..floor + degree, if
-        any: integers there make it integer-valued, its D_i integers."""
-        if floor < 0:
-            raise InputError(f"validity floor must be >= 0, got {floor}")
-        if floor > HILBERT_FLOOR_LIMIT:
-            raise InputError(f"hilbert 'floor' must be at most {HILBERT_FLOOR_LIMIT}, got {floor}")
-        coefficients = list(coefficients)
+        """sum_i coefficients[i] k**i, trailing zeros ignored, the coefficients
+        coerced to Fraction and floor an int in 0..HILBERT_FLOOR_LIMIT. An
+        InputError names its least non-integer value at k = floor..floor +
+        degree, if any: integers there make it integer-valued, its D_i integers."""
+        integer(floor, "hilbert 'floor'", 0, HILBERT_FLOOR_LIMIT)
+        coefficients = [Fraction(a) for a in coefficients]
         while coefficients and coefficients[-1] == 0:
             coefficients.pop()
         # Integer values at degree + 1 consecutive k make h integer-valued, so

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentDataError, InputError, PreconditionFailedError
 from .exactnum import format_rational
-from .pairmodel import PolarisedPair, avg_scalar_s1, multiplicity, scalar_sbeta
+from .pairmodel import PolarisedPair, avg_scalar_s1, integer, multiplicity, scalar_sbeta
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
 MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
@@ -441,8 +441,7 @@ class SingularCriteriaInput(_CriteriaFields):
         data = data._replace(Sbeta=Fraction(data.Sbeta), alpha_beta=Fraction(data.alpha_beta))
         if data.alpha_beta < 0:
             raise InputError(f"alpha_beta must be >= 0, got {format_rational(data.alpha_beta)}")
-        if data.n < 1:
-            raise InputError(f"dimension must be >= 1, got {data.n}")
+        integer(data.n, "dimension", 1)
         if data.bullet1_eta is not None:
             data = data._replace(bullet1_eta=Fraction(data.bullet1_eta))
         if data.is_klt and not data.is_lc:

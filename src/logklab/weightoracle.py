@@ -39,7 +39,7 @@ from .errors import InputError, InternalCheckError
 from .exactnum import format_rational, json_record, leading_differences, newton_sums
 from .normalcone import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
-from .pairmodel import HilbertModel, PolarisedPair
+from .pairmodel import HilbertModel, PolarisedPair, integer
 
 
 class WeightSample(NamedTuple):
@@ -55,8 +55,8 @@ class WeightSample(NamedTuple):
 
 def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
     """Return the integer ck after validating the preconditions at level k,
-    c being already checked to lie in (0, 1)."""
-    ck, rest = divmod(c.numerator * k, c.denominator)  # on integers: once per sample
+    an int, c being already checked to lie in (0, 1)."""
+    ck, rest = divmod(c.numerator * integer(k, "k"), c.denominator)  # on integers: once per sample
     if rest:
         raise InputError(f"c*k = {format_rational(c * k)} is not an integer "
                          f"(c = {format_rational(c)}, k = {k})")
@@ -270,16 +270,17 @@ def oracle_report(
     InternalCheckError, so match is always true.
 
     The refusals come before any sum runs, in this order: a missing model,
-    k_max > ORACLE_KMAX_LIMIT, a bad c (admissible_ks), the closed form's
-    own checks (n >= 2, and c), a model whose invariants are not the pair's
-    (InconsistentDataError), and a first sample of more than
-    ORACLE_LITERAL_LIMIT divisor counts; each is an InputError. A run the
-    walk would count past the same limit is refused before it is counted.
+    a k_max that is not an int at most ORACLE_KMAX_LIMIT, a bad c
+    (admissible_ks), the closed form's own checks (n >= 2, and c), a model
+    whose invariants are not the pair's (InconsistentDataError), and a first
+    sample of more than ORACLE_LITERAL_LIMIT divisor counts; each is an
+    InputError. A run the walk would count past the same limit is refused
+    before it is counted.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")
-    if k_max is not None and k_max > ORACLE_KMAX_LIMIT:
-        raise InputError(f"--kmax must be at most {ORACLE_KMAX_LIMIT}, got {k_max}")
+    if k_max is not None:
+        integer(k_max, "--kmax", high=ORACLE_KMAX_LIMIT)
     c = Fraction(c)
     n = pair.dimension
     listed = n + 4 if k_max is None else len(admissible_ks(model, c, k_max))

@@ -49,10 +49,10 @@ TRIANGULATION_BETAS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
 
 def g_values(n: int, cs) -> list[Fraction]:
     """g(c) at each c of cs in dimension n, read off the closed form as the
-    commands run it: the inner factor beta + s g(c) of Family.df at beta = 0,
+    commands run it: the inner factor beta + s g(c), Family.inner, at beta = 0,
     over s, on the hyperplane pair of P^n (s > 0)."""
     constants = _pair_of(PolarisedPair(f"P{n}-hyperplane", n, 1, n + 1))
-    return [constants.at(c).df(Fraction(0)).inner_factor / constants.s for c in cs]
+    return [constants.at(c).inner(Fraction(0)) / constants.s for c in cs]
 
 
 def recovered(pair, model, c) -> NormalConeCoefficients:

@@ -303,6 +303,22 @@ def test_critical_c_returns_the_closed_form_inner_factors(p2):
     assert (sentinel.lo_inner, sentinel.hi_inner) == (None, None)
 
 
+@pytest.mark.parametrize("name", ["P2-line", "P4-hyperplane"])
+def test_critical_c_end_checks_read_the_inner_factor_alone(monkeypatch, name):
+    # The end checks need the closed form's inner factor only, not the DF,
+    # prefactor and J^NA of a whole report.
+    import logklab.normalcone as normalcone
+
+    pair, beta, tol = CATALOG[name].pair, Fraction(1, 2), Fraction(1, 2**64)
+    bracket = critical_c(pair, beta, tol)
+
+    def refuse(self, beta):
+        raise AssertionError("critical_c built a DF report")
+
+    monkeypatch.setattr(normalcone.Family, "df", refuse)
+    assert critical_c(pair, beta, tol) == bracket
+
+
 @pytest.mark.parametrize("corrupt", [_kernel_at_half_beta, _kernel_claiming_root])
 def test_critical_c_raises_when_sign_kernel_disagrees(monkeypatch, p2, corrupt):
     # The signs come from another kernel than the estimate: either the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logklab import pairmodel
 from logklab.errors import InconsistentDataError, InputError
 from logklab.exactnum import format_rational, leading_differences
+from logklab.normalcone import curve_rows
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
@@ -21,6 +22,8 @@ from logklab.pairmodel import (
     sD_provenance,
     validate_pair,
 )
+from logklab.thresholds import SingularCriteriaInput
+from logklab.weightoracle import dims_and_weights, oracle_report
 
 betas = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -149,7 +152,7 @@ def test_fano_template_shape(fano):
 
 
 @pytest.mark.parametrize("floor, message", [
-    (-1, "validity floor must be >= 0, got -1"),
+    (-1, "hilbert 'floor' must be >= 0, got -1"),
     (10001, "hilbert 'floor' must be at most 10000, got 10001"),
 ])
 def test_explicit_model_floor_bounds(floor, message):
@@ -162,8 +165,44 @@ def test_explicit_model_floor_bounds(floor, message):
 
 
 def test_projective_space_model_needs_a_positive_dimension():
-    with pytest.raises(InputError, match="^projective space model needs n >= 1, got 0$"):
+    with pytest.raises(InputError, match="^dimension must be >= 1, got 0$"):
         HilbertModel.projective_space(0)
+
+
+def test_explicit_model_coerces_its_coefficients_to_fractions():
+    # As a pair coerces its rationals: a float or a rational text is read, not crashed on.
+    model = HilbertModel.explicit([1, Fraction(3, 2), Fraction(1, 2)], 0)
+    assert HilbertModel.explicit([1.0, 1.5, 0.5], 0) == model
+    assert HilbertModel.explicit(["1", "3/2", "1/2"], 0) == model
+
+
+# Each site that takes an integer, called with the value, and the name its
+# messages give it.
+INTEGER_SITES = {
+    "m": (pairmodel.multiplicity, "divisor multiplicity"),
+    "pair-dimension": (lambda v: PolarisedPair("x", v, 1, 3), "dimension"),
+    "criteria-n": (lambda v: SingularCriteriaInput(Sbeta=-3, alpha_beta=1, n=v), "dimension"),
+    "explicit-floor": (lambda v: HilbertModel.explicit([1, 1], v), "hilbert 'floor'"),
+    "projective-space-n": (HilbertModel.projective_space, "dimension"),
+    "steps": (lambda v: curve_rows(CATALOG["P2-line"].pair, Fraction(1, 2), v), "steps"),
+    "kmax": (lambda v: oracle_report(CATALOG["P2-line"].pair, HilbertModel.projective_space(2),
+                                     Fraction(1, 2), v), "--kmax"),
+    "k": (lambda v: dims_and_weights(HilbertModel.projective_space(2), Fraction(1, 2), v), "k"),
+}
+
+
+@pytest.mark.parametrize("value, text", [
+    (2.0, "2.0 (float)"), (True, "True (bool)"), (Fraction(2), "Fraction(2, 1) (Fraction)"),
+], ids=["float", "bool", "Fraction"])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_site_refuses_a_value_that_is_not_an_int(site, value, text):
+    # One rule, pairmodel.integer, at every site: the type is checked before
+    # any bound, so an integral float, a bool or a Fraction never gets in.
+    call, what = INTEGER_SITES[site]
+    with pytest.raises(InputError) as exc:
+        call(value)
+    assert str(exc.value) == f"{what} must be an int, got {text}"
+    call(2)
 
 
 def test_builtin_rows_are_the_forward_differences_of_their_counts():
