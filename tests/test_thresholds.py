@@ -228,6 +228,46 @@ def test_existence_window_large_m_boundary_strict(p2):
                          "large")
 
 
+# n = 2, S_1 = 6, S_1/n = 3, with no proportional x: lambda and Lambda are free
+# on either side of 3.
+SANDWICH = PolarisedPair("sandwich", 2, 1, 3)
+WIDE_ALPHAS = dict(alpha_L=10, alpha_LD_restricted=10)  # beta_u = 1 at m = 3
+
+
+@pytest.mark.parametrize("case, m, pos, text", [
+    # large: S_1 < m n + (n-1) lambda, then Lambda < m
+    ("large", 4, PositivityData(lam=-2, Lambda_up=3),
+     "S_1 = 6 not < m*n + (n-1)*lambda = 6"),
+    ("large", 3, PositivityData(lam=3, Lambda_up=3), "Lambda = 3 not < m = 3"),
+    ("large", 3, PositivityData(lam=-2, Lambda_up=3),
+     "S_1 = 6 not < m*n + (n-1)*lambda = 4"),
+    # given: S_1 <= m n, then Lambda <= S_1/n, then S_1/n <= lambda + m(1 - beta_u)
+    ("given", 2, PositivityData(lam=3, Lambda_up=3, **WIDE_ALPHAS), "S_1 = 6 > m*n = 4"),
+    ("given", 3, PositivityData(lam=3, Lambda_up=4, **WIDE_ALPHAS),
+     "Lambda = 4 not <= S_1/n = 3"),
+    ("given", 3, PositivityData(lam=2, Lambda_up=3, **WIDE_ALPHAS),
+     "S_1/n = 3 not <= lambda + m(1 - beta_u) = 2"),
+    ("given", 3, PositivityData(lam=2, Lambda_up=4, **WIDE_ALPHAS),
+     "Lambda = 4 not <= S_1/n = 3"),
+    ("given", 2, PositivityData(lam=3, Lambda_up=4, **WIDE_ALPHAS), "S_1 = 6 > m*n = 4"),
+    # S_1 <= m n is checked before beta_u, which needs the alphas.
+    ("given", 2, PositivityData(lam=3, Lambda_up=3), "S_1 = 6 > m*n = 4"),
+    # uniform: S_1 <= m n
+    ("uniform", 2, PositivityData(lam=3, Lambda_up=3, **WIDE_ALPHAS), "S_1 = 6 > m*n = 4"),
+], ids=["large-S1", "large-Lambda", "large-both", "given-S1", "given-Lambda", "given-beta_u",
+        "given-Lambda-and-beta_u", "given-S1-and-Lambda", "given-S1-without-alphas",
+        "uniform-S1"])
+def test_each_window_hypothesis_is_reported_by_its_text(case, m, pos, text):
+    # Each hypothesis false on its own gives its own text; with two false,
+    # the first in the theorem's order is the one reported.
+    with pytest.raises(PreconditionFailedError) as exc:
+        if case == "uniform":
+            uniform_stability_window(SANDWICH, pos, m)
+        else:
+            existence_window(SANDWICH, pos, m, case)
+    assert str(exc.value) == text
+
+
 def test_existence_window_fano_given_m(fano):
     window = existence_window(fano, FANO_ALPHAS, 1, "given")
     assert window.render() == "(0, 1]"
