@@ -5,6 +5,11 @@ Everything here is one-sided: a verdict certifies stability/existence or
 reports Inconclusive; instability claims belong exclusively to the
 normalcone module. Positivity facts the criteria need (alpha invariants,
 nef thresholds, klt/lc flags) are supplied by the caller, never computed.
+
+Every theorem hypothesis and criterion condition is a (holds, text) check,
+read by one evaluator, _violated: a failed window hypothesis is raised by
+_require as PreconditionFailedError, and a failed criterion condition makes
+_verdict return Inconclusive.
 """
 
 from __future__ import annotations
@@ -82,15 +87,30 @@ class Verdict(NamedTuple):
     eta_interval: tuple[Fraction, Fraction] | None = None
 
 
+def _violated(checks: tuple[tuple[bool, str], ...]) -> str | None:
+    """The text of the first (holds, text) check that fails, in order, or None."""
+    return next((text for holds, text in checks if not holds), None)
+
+
+def _require(*checks: tuple[bool, str]) -> None:
+    """Theorem hypotheses as (holds, text) checks: the first that fails is
+    raised as PreconditionFailedError, the only place this module raises it."""
+    violated = _violated(checks)
+    if violated is not None:
+        raise PreconditionFailedError(violated)
+
+
 def _verdict(claim: str, facts: tuple[str, ...], checks: tuple[tuple[bool, str], ...],
-             model: str | None = None, **certified) -> Verdict:
-    """Inconclusive at the first (holds, violated-text) check that fails, in order;
+             model: str | None = None, certificate_note: str = NO_CERTIFICATE_NEEDED,
+             **certified) -> Verdict:
+    """Inconclusive at the first (holds, violated-text) check that fails;
     CriterionSatisfied with the certified fields when every check holds."""
-    for holds, violated in checks:
-        if not holds:
-            return Verdict(VerdictStatus.INCONCLUSIVE, claim, violated=violated, facts=facts,
-                           model=model)
-    return Verdict(VerdictStatus.CRITERION_SATISFIED, claim, facts=facts, model=model, **certified)
+    violated = _violated(checks)
+    if violated is not None:
+        return Verdict(VerdictStatus.INCONCLUSIVE, claim, violated=violated, facts=facts,
+                       model=model)
+    return Verdict(VerdictStatus.CRITERION_SATISFIED, claim, facts=facts, model=model,
+                   certificate_note=certificate_note, **certified)
 
 
 class WindowClaim(enum.Enum):
@@ -225,16 +245,14 @@ def uniform_stability_window(pair: PolarisedPair, pos: PositivityData, m: int) -
     m, n = multiplicity(m), pair.dimension
     s1 = avg_scalar_s1(pair)
     lam, _, _ = effective_nef_bounds(pair, pos)
-    _require_s1_at_most_mn(s1, m, n)
+    _require(_s1_at_most_mn(s1, m, n))
     lower = 1 - ((n + 1) * lam - s1) / m
     upper = beta_u(pair, pos, m)
     return AngleWindow(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
 
 
-def _require_s1_at_most_mn(s1: Fraction, m: int, n: int) -> None:
-    if s1 > m * n:
-        raise PreconditionFailedError(
-            f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}")
+def _s1_at_most_mn(s1: Fraction, m: int, n: int) -> tuple[bool, str]:
+    return s1 <= m * n, f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}"
 
 
 def _eta0_bound(
@@ -268,28 +286,18 @@ def existence_window(
         raise InputError(f"unknown existence case {case!r}")
     bound, s1, lam, Lam = _eta0_bound(pair, pos)
     if case == "large":
-        if not s1 < m * n + (n - 1) * lam:
-            raise PreconditionFailedError(
-                f"S_1 = {format_rational(s1)} not < m*n + (n-1)*lambda = "
-                f"{format_rational(m * n + (n - 1) * lam)}"
-            )
-        if not Lam < m:
-            raise PreconditionFailedError(
-                f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}")
+        _require((s1 < m * n + (n - 1) * lam, f"S_1 = {format_rational(s1)} not < "
+                  f"m*n + (n-1)*lambda = {format_rational(m * n + (n - 1) * lam)}"),
+                 (Lam < m, f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}"))
         upper = min(Fraction(1), 1 - bound / m)
     else:
-        _require_s1_at_most_mn(s1, m, n)
-        bu = beta_u(pair, pos, m)
-        mu_bar = s1 / Fraction(n)
-        if not Lam <= mu_bar:
-            raise PreconditionFailedError(f"Lambda = {format_rational(Lam)} not <= "
-                                          f"S_1/n = {format_rational(mu_bar)}")
-        if not mu_bar <= lam + m * (1 - bu):
-            raise PreconditionFailedError(
-                f"S_1/n = {format_rational(mu_bar)} not <= lambda + m(1 - beta_u) = "
-                f"{format_rational(lam + m * (1 - bu))}"
-            )
-        upper = bu
+        _require(_s1_at_most_mn(s1, m, n))  # before beta_u, which needs the alphas
+        upper = beta_u(pair, pos, m)
+        mu_bar, cap = s1 / n, lam + m * (1 - upper)
+        _require((Lam <= mu_bar, f"Lambda = {format_rational(Lam)} not <= "
+                                 f"S_1/n = {format_rational(mu_bar)}"),
+                 (mu_bar <= cap, f"S_1/n = {format_rational(mu_bar)} not <= "
+                                 f"lambda + m(1 - beta_u) = {format_rational(cap)}"))
     return AngleWindow(Fraction(0), False, upper, True, WindowClaim.EXISTENCE_CSCK_CONE)
 
 
@@ -453,23 +461,6 @@ UNIFORM_STABLE = "(X, L; Delta) is uniformly log K-stable with angle 2*pi*beta"
 KLT_CONCLUSION = "(X, (1-beta)*Delta) is Kawamata log terminal"
 
 
-class _Criterion(NamedTuple):
-    """One row of the singular-criteria table.
-
-    applies is the criterion's distinguishing assertion. checks are its
-    (holds, violated-text) pairs in order: the first that fails makes the
-    verdict Inconclusive, and when all hold the certificate is issued.
-    """
-
-    applies: bool
-    conclusion: str
-    via: str
-    facts: tuple[str, ...]
-    checks: tuple[tuple[bool, str], ...]
-    certificate: Fraction | None = None
-    certificate_note: str = NO_CERTIFICATE_NEEDED
-
-
 def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
     """Evaluate every applicable sufficient criterion for the singular pair.
 
@@ -486,14 +477,14 @@ def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
     lc_fact = f"asserted: lc = {data.is_lc}"
     lc = (data.is_lc, "lc not asserted")
     table = [
-        _Criterion(
-            data.is_logCY, UNIFORM_STABLE, "log Calabi-Yau criterion",
+        (data.is_logCY, _verdict(
+            f"{UNIFORM_STABLE} [via log Calabi-Yau criterion]",
             ("asserted: K_X + (1-beta)*Delta numerically trivial",
              f"asserted: klt = {data.is_klt}"),
             ((data.is_klt, "klt not asserted"),),
-        ),
-        _Criterion(
-            data.bullet1_eta is not None, UNIFORM_STABLE, "negative-S_beta eta criterion",
+        )),
+        (data.bullet1_eta is not None, _verdict(
+            f"{UNIFORM_STABLE} [via negative-S_beta eta criterion]",
             (lc_fact,
              f"eta = {format_rational(eta)}",
              f"asserted: eta*L + K_X + (1-beta)*Delta ample = {data.eta_class_ample}",
@@ -506,29 +497,27 @@ def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
              (data.eta_class_ample, "eta-class ampleness not asserted"),
              (data.third_class_ample, "third-class ampleness not asserted")),
             certificate=eta, certificate_note="feasible eta supplied by caller",
-        ),
-        _Criterion(
-            data.bullet2_nef, UNIFORM_STABLE, "nef comparison criterion",
+        )),
+        (data.bullet2_nef, _verdict(
+            f"{UNIFORM_STABLE} [via nef comparison criterion]",
             (lc_fact,
              "asserted: -S_beta*L - (n+1)(K_X + (1-beta)*Delta) nef",
              f"S_beta = {s_beta}, (n+1)*alpha_beta = {nef_cap}"),
             (lc,
              (data.Sbeta < (n + 1) * data.alpha_beta,
               f"S_beta = {s_beta} not < (n+1)*alpha_beta = {nef_cap}")),
-        ),
-        _Criterion(
-            data.corollary_neg or data.corollary_nef, UNIFORM_STABLE,
-            "negative first-Chern-class corollary",
+        )),
+        (data.corollary_neg or data.corollary_nef, _verdict(
+            f"{UNIFORM_STABLE} [via negative first-Chern-class corollary]",
             (lc_fact,
              f"asserted: c1(X, Delta) < 0 = {data.corollary_neg}",
              f"asserted: -S_beta*L + n*c1(X, Delta) nef = {data.corollary_nef}"),
             ((data.corollary_neg, "c1(X, Delta) < 0 not asserted"),
              (data.corollary_nef, "nef combination not asserted"),
              lc),
-        ),
-        _Criterion(
-            data.klt_inv_semistable or data.klt_inv_ample or data.klt_inv_nef, KLT_CONCLUSION,
-            "klt from semistability criterion",
+        )),
+        (data.klt_inv_semistable or data.klt_inv_ample or data.klt_inv_nef, _verdict(
+            f"{KLT_CONCLUSION} [via klt from semistability criterion]",
             (f"asserted: log K-semistable with angle 2*pi*beta = {data.klt_inv_semistable}",
              f"asserted: c1(X, Delta) > 0 = {data.klt_inv_ample}",
              "asserted: stated nef combination of S_beta*L and c1(X, Delta) = "
@@ -536,10 +525,6 @@ def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
             ((data.klt_inv_semistable, "log K-semistability not asserted"),
              (data.klt_inv_ample, "c1(X, Delta) > 0 not asserted"),
              (data.klt_inv_nef, "nef combination not asserted")),
-        ),
+        )),
     ]
-    return [
-        _verdict(f"{row.conclusion} [via {row.via}]", row.facts, row.checks,
-                 certificate=row.certificate, certificate_note=row.certificate_note)
-        for row in table if row.applies
-    ]
+    return [verdict for applies, verdict in table if applies]
