@@ -569,11 +569,20 @@ def build_parser() -> argparse.ArgumentParser:
         def error(self, message):
             raise _UsageError(self, message)
 
+        def _check_value(self, action, value):  # the CLI's own text, whatever argparse's
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from "
+                                                     f"{', '.join(map(repr, action.choices))})")
+
+    # The top-level usage is fixed, not wrapped to the terminal: argparse
+    # versions break the subcommand line differently.
+    indent = "\n" + " " * len("usage: logklab ")
     parser = _Parser(
         prog="logklab",
+        usage=f"%(prog)s [-h]{indent}{{{','.join(row[0] for row in _COMMANDS)}}}{indent}...",
         description="Exact-arithmetic log K-stability calculator for polarised pairs.",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, prog="logklab")
     for name, help_text, handler, pair_input, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if pair_input is not None:

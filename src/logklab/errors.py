@@ -6,7 +6,10 @@ message, and the prefix the message follows:
 - LogKLabError: exit 3, stderr, "error: ", as does any subclass not listed here.
 - InputError: exit 3, stderr, "input error: ".
 - InconsistentDataError: exit 3, stderr, "input error: "; _cmd_thresholds catches it.
-- PreconditionFailedError: exit 2, stdout, "PreconditionFailed: ".
+- PreconditionFailedError: exit 2, stdout, "PreconditionFailed: ". Raised in
+  two places: thresholds._require, at the first window hypothesis that fails,
+  and normalcone._not_below, for a destabilize or critical-c angle not below
+  the instability threshold.
 - InternalCheckError: exit 4, stderr, "internal cross-check failure: ".
 """
 

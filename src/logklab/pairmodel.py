@@ -256,7 +256,9 @@ class HilbertModel(NamedTuple):
         return len(self.differences) - 1
 
     def h_total(self, k: int) -> int:
-        """dim H^0(X, L^k) for k >= 0; defined as 0 at k = -1."""
+        """dim H^0(X, L^k) for an int k >= 0; defined as 0 at k = -1."""
+        if type(k) is not int:  # the integer rule, inline: the oracle counts through here
+            integer(k, "k")
         if k == -1:
             return 0
         if k < 0:
@@ -273,7 +275,10 @@ class HilbertModel(NamedTuple):
         read the divisor's own count: C(n-1+j, n-1) for D = P^(n-1) in P^n,
         2j + 1 for the conic of P^1 x P^1 (P^1 with O(2)). An explicit model,
         and every kind below 0, takes h_X(j) - h_X(j-1) by the restriction
-        sequence, an explicit one at j >= 1 with both counts from one series."""
+        sequence, an explicit one at j >= 1 with both counts from one series.
+        j is an int."""
+        if type(j) is not int:  # the integer rule, inline: the oracle's walk calls this per count
+            integer(j, "j")
         if self.kind != KIND_EXPLICIT and j >= 0:
             if self.kind == KIND_PROJECTIVE_SPACE:
                 r = self.degree - 1

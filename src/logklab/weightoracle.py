@@ -218,12 +218,12 @@ def _first_level(model: HilbertModel, c: Fraction) -> int:
 
 
 def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
-    """All k <= k_max satisfying the decomposition's preconditions.
+    """All k <= k_max, an int, satisfying the decomposition's preconditions.
 
     When k_max < denominator(c) there is none, and c is not checked.
     """
     c = Fraction(c)
-    if k_max < c.denominator:
+    if integer(k_max, "--kmax") < c.denominator:
         return []
     return list(range(_first_level(model, c), k_max + 1, c.denominator))
 

@@ -2,14 +2,15 @@
 usage errors.
 
 These bytes are part of the interface, so a parser change must reproduce
-them. COLUMNS is fixed because argparse wraps to the terminal width.
+them. COLUMNS is fixed because argparse wraps a subcommand's usage to the
+terminal width; the top-level usage is fixed at every width.
 """
 
 import textwrap
 
 import pytest
 
-from logklab.cli import EXIT_INPUT, EXIT_OK, run
+from logklab.cli import _COMMANDS, EXIT_INPUT, EXIT_OK, run
 
 HELP = {
     (): """\
@@ -267,3 +268,28 @@ def test_usage_error_text_is_pinned(capsys, argv, expected):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == textwrap.dedent(expected)
+
+
+def test_top_level_usage_is_the_same_at_every_width(capsys, monkeypatch):
+    # The top-level usage is written out, not wrapped to the terminal, as
+    # argparse releases break its subcommand line differently.
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(["nope"]) == EXIT_INPUT
+    usage, _ = textwrap.dedent(USAGE_ERRORS[0].values[1]).split("error: ")
+    choices = ", ".join(repr(row[0]) for row in _COMMANDS)
+    assert capsys.readouterr().err == (
+        f"{usage}error: argument cmd: invalid choice: 'nope' (choose from {choices})\n")
+
+
+def test_invalid_choice_text_is_the_clis_own(capsys, monkeypatch):
+    # Later argparse releases print the choices without quotes; the CLI's text stays.
+    import argparse
+
+    def unquoted(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value} (choose from {', '.join(action.choices)})")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", unquoted)
+    argv, expected = next(p.values for p in USAGE_ERRORS if p.id == "bad-choice")
+    test_usage_error_text_is_pinned(capsys, argv, expected)

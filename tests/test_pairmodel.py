@@ -23,7 +23,7 @@ from logklab.pairmodel import (
     validate_pair,
 )
 from logklab.thresholds import SingularCriteriaInput
-from logklab.weightoracle import dims_and_weights, oracle_report
+from logklab.weightoracle import admissible_ks, dims_and_weights, oracle_report
 
 betas = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
@@ -188,6 +188,12 @@ INTEGER_SITES = {
     "kmax": (lambda v: oracle_report(CATALOG["P2-line"].pair, HilbertModel.projective_space(2),
                                      Fraction(1, 2), v), "--kmax"),
     "k": (lambda v: dims_and_weights(HilbertModel.projective_space(2), Fraction(1, 2), v), "k"),
+    "projective-h_total": (HilbertModel.projective_space(2).h_total, "k"),
+    "projective-h_divisor": (HilbertModel.projective_space(2).h_divisor, "j"),
+    "explicit-h_total": (HilbertModel.explicit([1, 1], 0).h_total, "k"),
+    "explicit-h_divisor": (HilbertModel.explicit([1, 1], 0).h_divisor, "j"),
+    "admissible_ks-kmax": (lambda v: admissible_ks(HilbertModel.projective_space(2),
+                                                   Fraction(1, 2), v), "--kmax"),
 }
 
 
