@@ -463,14 +463,18 @@ def outcomes(profile=None) -> tuple[dict[str, list], dict[str, str]]:
     profile, if given, is the sys.setprofile hook while the invocations run.
     Returns that table and, by the same keys, each outcome's excerpt().
     The caller's directory, COLUMNS, digit limit and profile hook come back."""
-    from logklab import _EXPORTS, cli
+    from logklab import cli
 
-    # Every module loaded, as in a test process, and every cache empty, as in
-    # a fresh one, so that what a profile hook sees does not depend on what
-    # ran before: cli's first `from . import normalcone` would call
-    # logklab.__getattr__, and a cached _decimal_context would skip its body.
-    for name in _EXPORTS:
-        for value in vars(import_module(f"logklab.{name}")).values():
+    # Every module of the package loaded, as in a test process, and every
+    # cache empty, as in a fresh one, so that what a profile hook sees does
+    # not depend on what ran before: cli's first `from . import closedform`
+    # or `from . import inputs` would call logklab.__getattr__, and a cached
+    # _decimal_context would skip its body. The modules are the package's
+    # files, so one that exports nothing, such as inputs, is not missed.
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for value in vars(import_module(f"logklab.{path.stem}")).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     with _digit_limit(0):  # TOL_LIMIT's key reads its 18063-digit tol

@@ -28,8 +28,8 @@ import time
 from fractions import Fraction
 from math import gcd, log
 
+from logklab.closedform import family
 from logklab.exactnum import decimal_string, format_rational
-from logklab.normalcone import family
 from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, HilbertModel, PolarisedPair
 from logklab.weightoracle import dims_and_weights, oracle_report, sum_samples
 

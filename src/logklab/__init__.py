@@ -18,9 +18,12 @@ _EXPORTS = {
         "CATALOG", "HilbertModel", "PolarisedPair", "ScalarReport",
         "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair",
     ),
+    "closedform": (
+        "DFReport", "NormalConeCoefficients", "coefficients", "df_checked",
+        "df_from_coefficients", "instability_threshold",
+    ),
     "normalcone": (
-        "CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients", "critical_c",
-        "df_checked", "df_from_coefficients", "find_destabilizer", "instability_threshold",
+        "CriticalBracket", "critical_c", "find_destabilizer",
     ),
     "thresholds": (
         "AngleWindow", "PositivityData", "SingularCriteriaInput", "Verdict",

@@ -9,12 +9,21 @@ mapping, so stdout is written only after the subcommand's checks pass:
 exits 3 and 4 leave it empty. df-curve's pieces are batches of rows,
 computed as they are written, after its end checks.
 
-The normalcone, thresholds and weightoracle modules, and json, are imported
-inside the functions that use them, so that a process loads only what its
-subcommand runs. argparse too: _fast_parse reads a well-formed argv straight
-off the command table, and argparse (build_parser) is loaded only for
---help, usage errors and the forms only it reads, such as abbreviated flags.
-A hypothesis property checks the fast path against argparse.
+The closedform, normalcone, thresholds, weightoracle and inputs modules, and
+json, are imported inside the functions that use them, so that a process
+loads, and without a bytecode cache compiles, only what its subcommand
+runs: df and info load the closed form alone, destabilize, critical-c and
+df-curve the sign kernel (normalcone) too. inputs holds the pair-file and
+criteria-file readers and the argparse parser (inputs.build_parser). A
+catalog pair needs no reader, and _fast_parse reads a well-formed argv
+straight off the command table, so inputs is loaded only for a pair file,
+a criteria file, --help, usage errors and the forms only argparse reads,
+such as abbreviated flags; argparse only for the last three. A hypothesis
+property checks the fast path against argparse.
+
+No other logklab module imports this one: under `python -m logklab.cli` it
+runs as __main__, and an import of logklab.cli would compile and run it a
+second time.
 """
 
 from __future__ import annotations
@@ -33,21 +42,13 @@ from .errors import (
     LogKLabError,
     PreconditionFailedError,
 )
-from .exactnum import decimal_string, format_rational, parse_rational, ratio_texts
-from .pairmodel import (
-    KIND_EXPLICIT,
-    KIND_PRODUCT_P1P1,
-    KIND_PROJECTIVE_SPACE,
-    HilbertModel,
-    PairSource,
-    PolarisedPair,
-)
+from .exactnum import _input_rational, decimal_string, format_rational, ratio_texts
+from .pairmodel import _POSITIVITY, PairSource
 
 if TYPE_CHECKING:
-    import argparse
     from collections.abc import Iterable
 
-    from .thresholds import PositivityData, SingularCriteriaInput, Verdict
+    from .thresholds import PositivityData, Verdict
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -59,134 +60,13 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed p
 CATALOG_PREFIX = "catalog:"
 
 
-class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        super().__init__(message)
-        self.parser = parser
-
-
-# One row per PositivityData field, in --help order: (pair-file key, field,
-# flag, metavar, help). The flag's dest is the field.
-_POSITIVITY = (
-    ("alpha_L", "alpha_L", "--alpha-L", "ALPHA_L",
-     "alpha invariant of L (overrides the pair file)"),
-    ("alpha_LD_restricted", "alpha_LD_restricted", "--alpha-LD", "ALPHA_LD",
-     "alpha invariant of L_D restricted to D"),
-    ("alpha_beta_override", "alpha_beta_override", "--alpha-beta", "ALPHA_BETA",
-     "direct alpha_beta override"),
-    ("lambda", "lam", "--lambda", "LAM", "nef threshold lambda"),
-    ("Lambda", "Lambda_up", "--Lambda", "LAMBDA_UP", "nef threshold Lambda"),
-    ("entropy_lower", "entropy_lower", "--entropy-lower", "ENTROPY_LOWER",
-     "user lower bound for the entropy threshold"),
-)
-
-
-def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(block, dict):
-        raise InputError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise InputError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _parse_positivity_block(block: dict) -> PositivityData:
-    from .thresholds import PositivityData
-
-    _reject_unknown(block, {key for key, *_ in _POSITIVITY}, "positivity block")
-    return PositivityData(**{field: _input_rational(block[key])
-                             for key, field, *_ in _POSITIVITY if key in block})
-
-
-def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
-    """The dimension model a hilbert block describes, checked against the pair."""
-    _reject_unknown(block, {"kind", "coefficients", "floor"}, "hilbert block")
-    kind = block.get("kind")
-    if kind in (KIND_PROJECTIVE_SPACE, KIND_PRODUCT_P1P1):
-        _reject_unknown(block, {"kind"}, f"{kind} hilbert block")
-    if kind == KIND_PROJECTIVE_SPACE:
-        model = HilbertModel.projective_space(pair.dimension)
-    elif kind == KIND_PRODUCT_P1P1:
-        model = HilbertModel.product_p1p1()
-    elif kind == KIND_EXPLICIT:
-        if not isinstance(block.get("coefficients"), list):
-            raise InputError("explicit hilbert block needs a 'coefficients' list")
-        coefficients = [_input_rational(c) for c in block["coefficients"]]
-        floor = _input_int(block.get("floor", 0), "hilbert 'floor'")
-        # Refused before the conversion, whose work grows faster than the square of the degree.
-        degree = max((i for i, a in enumerate(coefficients) if a), default=-1)
-        if degree > pair.dimension:
-            raise InputError(f"explicit hilbert block has degree {degree}, "
-                             f"more than the pair's dimension {pair.dimension}")
-        model = HilbertModel.explicit(coefficients, floor)
-    else:
-        raise InputError(
-            f"unknown hilbert kind {kind!r}; expected one of "
-            f"{KIND_PROJECTIVE_SPACE}, {KIND_PRODUCT_P1P1}, {KIND_EXPLICIT}"
-        )
-    return model.check_against(pair)
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json object_pairs_hook: a repeated key is an error, not last-one-wins."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
-        doc[key] = value
-    return doc
-
-
-def _read_json_object(path: str, what: str) -> dict:
-    """The JSON object held by a UTF-8 file; any failure is an InputError."""
-    import json
-    from pathlib import Path
-
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8 or JSON, a repeated key, an integer past the digit limit
-        raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{what} {path!r} must hold a JSON object")
-    return doc
-
-
-def load_pair_file(path: str) -> PairSource:
-    """Parse a pair JSON file with a strict schema (unknown keys rejected)."""
-    doc = _read_json_object(path, "pair file")
-    allowed = {"name", "dimension", "L_top", "cX_L", "proportional_x",
-               "divisor", "positivity", "hilbert"}
-    _reject_unknown(doc, allowed, "pair file")
-    for key in ("name", "dimension", "L_top", "cX_L", "divisor"):
-        if key not in doc:
-            raise InputError(f"pair file {path!r} is missing required key {key!r}")
-    if not isinstance(doc["name"], str):
-        raise InputError(f"pair file 'name' must be a JSON string, got {doc['name']!r}")
-    pair = PolarisedPair(
-        name=doc["name"],
-        dimension=_input_int(doc["dimension"], "'dimension'"),
-        L_top=_input_rational(doc["L_top"]),
-        cX_L=_input_rational(doc["cX_L"]),
-        proportional_x=(
-            _input_rational(doc["proportional_x"]) if "proportional_x" in doc else None
-        ),
-    )
-    div_block = doc["divisor"]
-    _reject_unknown(div_block, {"m"}, "divisor block")
-    m = pairmodel.multiplicity(_input_int(div_block.get("m"), "divisor block 'm'"))
-    positivity = (
-        _parse_positivity_block(doc["positivity"]) if "positivity" in doc else None
-    )
-    model = _hilbert_model(doc["hilbert"], pair) if "hilbert" in doc else None
-    return PairSource(pair, m, positivity, model)
-
-
 def resolve_pair(source: str) -> PairSource:
     """Resolve "catalog:NAME" to its catalog entry, anything else to a JSON file."""
     if source.startswith(CATALOG_PREFIX):
         return pairmodel.catalog_entry(source[len(CATALOG_PREFIX):])
-    return load_pair_file(source)
+    from . import inputs
+
+    return inputs.load_pair_file(source)
 
 
 def _merged_positivity(pf: PairSource, ns) -> PositivityData:
@@ -240,14 +120,14 @@ def _verdict_fields(v: Verdict) -> list:
 
 
 def _cmd_info(ns) -> tuple[int, Iterable[str]]:
-    from . import normalcone
+    from . import closedform
 
     pair, m = ns.source.pair, ns.m
     rows = [("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
     if pair.dimension >= 2:
         rows.append(("S_D", pairmodel.avg_scalar_sD(pair, m), pairmodel.sD_provenance(m)))
         if m == 1:
-            rows.append(("instability_threshold", normalcone.instability_threshold(pair),
+            rows.append(("instability_threshold", closedform.instability_threshold(pair),
                          "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family"))
         else:
             rows.append(("instability_threshold", "n/a",
@@ -321,9 +201,9 @@ def _cmd_verdict(ns) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_df(ns) -> tuple[int, Iterable[str]]:
-    from . import normalcone
+    from . import closedform
 
-    coeffs, report = normalcone.df_checked(ns.source.pair, ns.c, ns.beta)
+    coeffs, report = closedform.df_checked(ns.source.pair, ns.c, ns.beta)
     rows = [
         ("a0", coeffs.a0, "leading dimension coefficient"),
         ("a1", coeffs.a1, "subleading dimension coefficient"),
@@ -375,11 +255,11 @@ def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_destabilize(ns) -> tuple[int, Iterable[str]]:
-    from . import normalcone
+    from . import closedform, normalcone
 
     pair = ns.source.pair
     c, df = normalcone.find_destabilizer(pair, ns.beta)
-    threshold = normalcone.instability_threshold(pair)
+    threshold = closedform.instability_threshold(pair)
     return EXIT_OK, [_fields([
         ("instability threshold", threshold),
         ("witness c", c),
@@ -412,35 +292,10 @@ def _cmd_oracle(ns) -> tuple[int, Iterable[str]]:
     return EXIT_OK, [json.dumps(report, indent=2) + "\n"]
 
 
-def _parse_criteria_file(path: str) -> SingularCriteriaInput:
-    """The criteria document: the fields of SingularCriteriaInput, by name."""
-    from .thresholds import SingularCriteriaInput
-
-    doc = _read_json_object(path, "criteria file")
-    _reject_unknown(doc, set(SingularCriteriaInput._fields), "criteria file")
-    for key in ("Sbeta", "alpha_beta", "n"):
-        if key not in doc:
-            raise InputError(f"criteria file is missing required key {key!r}")
-    kwargs = {
-        "Sbeta": _input_rational(doc["Sbeta"]),
-        "alpha_beta": _input_rational(doc["alpha_beta"]),
-        "n": _input_int(doc["n"], "criteria key 'n'"),
-    }
-    if doc.get("bullet1_eta") is not None:
-        kwargs["bullet1_eta"] = _input_rational(doc["bullet1_eta"])
-    # The asserted facts: the boolean fields, each False unless asserted.
-    for flag, default in SingularCriteriaInput._field_defaults.items():
-        if default is False and flag in doc:
-            if not isinstance(doc[flag], bool):
-                raise InputError(f"criteria key {flag!r} must be a boolean")
-            kwargs[flag] = doc[flag]
-    return SingularCriteriaInput(**kwargs)
-
-
 def _cmd_criteria(ns) -> tuple[int, Iterable[str]]:
-    from . import thresholds
+    from . import inputs, thresholds
 
-    data = _parse_criteria_file(ns.file)
+    data = inputs._parse_criteria_file(ns.file)
     verdicts = thresholds.singular_criteria(data)
     if not verdicts:
         return EXIT_INCONCLUSIVE, ["no criterion applicable: no distinguishing assertion present\n"]
@@ -469,27 +324,6 @@ def _cmd_catalog(ns) -> tuple[int, Iterable[str]]:
 
 
 # ----------------------------- parser wiring -----------------------------
-
-
-def _input_rational(value) -> Fraction:
-    """parse_rational for a value from the command line or an input file.
-
-    Each integer is held to the interpreter's int->str digit limit (4300 by
-    default). The limit only bounds the parsing work: every report renders
-    rationals through format_rational, which is exact past it.
-    """
-    text = str(value)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
-    if limit and any(len(part.strip().lstrip("+-")) > limit for part in text.split("/")):
-        raise InputError(f"rational input has an integer of more than {limit} digits")
-    return parse_rational(text)
-
-
-def _input_int(value, what: str) -> int:
-    """An integer from an input file: a JSON integer, not a bool or a float."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be a JSON integer, got {value!r}")
-    return value
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -561,41 +395,9 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of _COMMANDS, whose errors raise _UsageError."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise _UsageError(self, message)
-
-        def _check_value(self, action, value):  # the CLI's own text, whatever argparse's
-            if action.choices is not None and value not in action.choices:
-                raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from "
-                                                     f"{', '.join(map(repr, action.choices))})")
-
-    # The top-level usage is fixed, not wrapped to the terminal: argparse
-    # versions break the subcommand line differently.
-    indent = "\n" + " " * len("usage: logklab ")
-    parser = _Parser(
-        prog="logklab",
-        usage=f"%(prog)s [-h]{indent}{{{','.join(row[0] for row in _COMMANDS)}}}{indent}...",
-        description="Exact-arithmetic log K-stability calculator for polarised pairs.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True, prog="logklab")
-    for name, help_text, handler, pair_input, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if pair_input is not None:
-            p.add_argument("pair", help="pair source: 'catalog:NAME' or a JSON file path")
-        for arg, options in arguments:
-            p.add_argument(arg, **options)
-        p.set_defaults(handler=handler, pair_input=pair_input)
-    return parser
-
-
 def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace build_parser().parse_args(argv) returns, read straight
-    off _COMMANDS, or None where argparse must decide.
+    """The namespace inputs.build_parser(_COMMANDS).parse_args(argv)
+    returns, read straight off _COMMANDS, or None where argparse must decide.
 
     It reads an exact subcommand name, then exact long flags, each once and
     followed by a value that does not start with "-", and positionals in
@@ -663,13 +465,17 @@ def run(argv: list[str]) -> int:
     pieces are written, inside the error mapping, so an error a lazy piece
     raises still maps to its exit code.
     """
-    try:
-        ns = _fast_parse(argv) or build_parser().parse_args(argv)
-    except _UsageError as exc:
-        _print_error(f"{exc.parser.format_usage()}error: {exc}")
-        return EXIT_INPUT
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
+    ns = _fast_parse(argv)
+    if ns is None:
+        from . import inputs
+
+        try:
+            ns = inputs.build_parser(_COMMANDS).parse_args(argv)
+        except inputs._UsageError as exc:
+            _print_error(f"{exc.parser.format_usage()}error: {exc}")
+            return EXIT_INPUT
+        except SystemExit as exc:  # --help and friends
+            return int(exc.code or 0)
     try:
         try:
             if ns.pair_input is not None:

@@ -8,6 +8,7 @@ banned from the computation path (decimals are derived for display only).
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +63,20 @@ def parse_rational(text: str) -> Fraction:
     num = _str_to_int(m.group(1))
     den = _str_to_int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def _input_rational(value) -> Fraction:
+    """parse_rational for a value from the command line or an input file.
+
+    Each integer is held to the interpreter's int->str digit limit (4300 by
+    default). The limit only bounds the parsing work: every report renders
+    rationals through format_rational, which is exact past it.
+    """
+    text = str(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if limit and any(len(part.strip().lstrip("+-")) > limit for part in text.split("/")):
+        raise InputError(f"rational input has an integer of more than {limit} digits")
+    return parse_rational(text)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -1,69 +1,25 @@
-"""Deformation to the normal cone of D in |L|: exact expansion coefficients,
-the closed-form log Donaldson-Futaki invariant, destabiliser search, and
-critical-angle root isolation.
+"""Deformation to the normal cone of D in |L|: the integer sign kernel of
+the closed-form DF's inner factor, destabiliser search, critical-angle root
+isolation and the df-curve grid.
 
 The family blows up X x C along D x {0} and polarises by L - cP for a
 rational blow-up parameter c in (0, 1). Everything here is for a divisor
 D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
+Each search and the grid is checked against the Fraction closed form of
+closedform, which the df, info and oracle routes load on their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, lcm
+from math import lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .closedform import _Pair, _pair_of
 from .errors import InputError, InternalCheckError, PreconditionFailedError
-from .exactnum import format_rational, json_record
-from .pairmodel import PolarisedPair, avg_scalar_sD, integer
-
-
-class NormalConeCoefficients(NamedTuple):
-    """Leading expansion coefficients of dim/weight sums for the family at c.
-
-    d_k ~ a0 k^n + a1 k^(n-1), w_k ~ b0 k^(n+1) + b1 k^n, and the same for
-    the restriction to the divisor part (a0_tilde, b0_tilde).
-    """
-
-    a0: Fraction
-    a1: Fraction
-    b0: Fraction
-    b1: Fraction
-    a0_tilde: Fraction
-    b0_tilde: Fraction
-    c: Fraction
-    n: int
-
-    @classmethod
-    def from_differences(cls, top: Fraction, below: Fraction, c: Fraction, n: int
-                         ) -> NormalConeCoefficients:
-        """The coefficients in dimension n at c of the sums of a count polynomial
-        H = sum_i D_i C(x, i) of degree <= n, from its top two forward
-        differences top = D_n and below = D_(n-1): as
-        C(x, m) = (x^m - C(m, 2) x^(m-1))/m! + ..., they give the top two
-        coefficients of d_k = H(k) and of G(x) = sum_i D_i C(x, i + 1), so of
-        w_k = G(k) - G((1-c)k) - c k H(k); d~_k = H(k) - H(k-1) has a0~ = n a0,
-        and w~_k = -c k d~_k has b0~ = -c a0~."""
-        a0, u = top / factorial(n), 1 - c
-        a1 = (n * below - comb(n, 2) * top) / factorial(n)
-        g1 = ((n + 1) * below - comb(n + 1, 2) * top) / factorial(n + 1)  # G's top is a0/(n+1)
-        return cls(a0=a0, a1=a1, b0=a0 / (n + 1) * (1 - u ** (n + 1)) - c * a0,
-                   b1=g1 * (1 - u**n) - c * a1, a0_tilde=n * a0, b0_tilde=-c * n * a0, c=c, n=n)
-
-
-class DFReport(NamedTuple):
-    """Closed-form DF evaluation split into its certified-sign pieces.
-
-    df = positive_prefactor * inner_factor exactly, with
-    positive_prefactor > 0 for c in (0, 1); jna is the non-Archimedean
-    J value of the same family.
-    """
-
-    df: Fraction
-    inner_factor: Fraction
-    positive_prefactor: Fraction
-    jna: Fraction
+from .exactnum import format_rational
+from .pairmodel import PolarisedPair, integer
 
 
 class CriticalBracket(NamedTuple):
@@ -79,110 +35,6 @@ class CriticalBracket(NamedTuple):
     all_destabilizing: bool = False
     lo_inner: Fraction | None = None
     hi_inner: Fraction | None = None
-
-
-def _require_c(c: Fraction) -> Fraction:
-    c = Fraction(c)
-    if not 0 < c.numerator < c.denominator:  # 0 < c < 1, on integers
-        raise InputError(f"blow-up parameter must satisfy 0 < c < 1, got {format_rational(c)}")
-    return c
-
-
-class Family(NamedTuple):
-    """The family of one pair at one c, validated: n >= 2 and 0 < c < 1.
-
-    a0 = L^n/n!, s = S^D/(n-1), un = (1-c)^n and un1 = (1-c)^(n+1).
-    """
-
-    n: int
-    a0: Fraction
-    s: Fraction
-    c: Fraction
-    un: Fraction
-    un1: Fraction
-
-    def coefficients(self) -> NormalConeCoefficients:
-        n, a0, s, c = self.n, self.a0, self.s, self.c
-        return NormalConeCoefficients(
-            a0=a0,
-            a1=Fraction(n, 2) * a0 * (s + 1),
-            b0=((1 - self.un1) / (n + 1) - c) * a0,
-            b1=Fraction(n, 2) * a0 * (-c + s * ((1 - self.un) / n - c)),
-            a0_tilde=n * a0,
-            b0_tilde=-c * n * a0,
-            c=c,
-            n=n,
-        )
-
-    def inner(self, beta: Fraction) -> Fraction:
-        """The closed-form DF's inner factor beta + s g(c), where
-        g(c) = 1 - ((n+1)/n) * (1-(1-c)^n) / (1-(1-c)^(n+1)) is strictly
-        decreasing on (0, 1) with range (-1/n, 0)."""
-        n = self.n
-        return Fraction(beta) + self.s * (1 - Fraction(n + 1, n) * (1 - self.un) / (1 - self.un1))
-
-    def df(self, beta: Fraction) -> DFReport:
-        """Closed-form DF: prefactor(c) * inner(beta), for any rational beta
-        (angle-range semantics live in the thresholds module). It does not go
-        through the coefficient formula, so the two paths check each other."""
-        n = self.n
-        prefactor = n * self.a0 * (1 - self.un1) / (n + 1)
-        inner = self.inner(beta)
-        return DFReport(
-            df=prefactor * inner,
-            inner_factor=inner,
-            positive_prefactor=prefactor,
-            jna=self.jna(),
-        )
-
-    def jna(self) -> Fraction:
-        """J^NA = c - (1-(1-c)^(n+1))/(n+1), i.e. -b0/a0; positive on (0, 1)."""
-        return self.c - (1 - self.un1) / (self.n + 1)
-
-
-class _Pair(NamedTuple):
-    """One pair's normal-cone constants: n, a0 = L^n/n! and s = S^D/(n-1).
-
-    Each entry point builds it once (_pair_of), so S^D is computed, and
-    n >= 2 checked, once per call.
-    """
-
-    n: int
-    a0: Fraction
-    s: Fraction
-
-    def threshold(self) -> Fraction:
-        return self.s / self.n
-
-    def at(self, c: Fraction) -> Family:
-        c = _require_c(c)
-        u = 1 - c
-        return Family(self.n, self.a0, self.s, c, u**self.n, u ** (self.n + 1))
-
-    def kernel(self, beta: Fraction) -> _Kernel:
-        n, s = self.n, self.s
-        lead = n * (beta + s)
-        tail = n * beta - s
-        den = lcm(lead.denominator, tail.denominator)
-        A = lead.numerator * (den // lead.denominator)
-        B = tail.numerator * (den // tail.denominator)
-        return _Kernel(n, self.a0, den, A, B)
-
-
-def _pair_of(pair: PolarisedPair) -> _Pair:
-    """The pair's constants, once n! a0 and n! a0 (s + n)/2, the top two forward
-    differences of the coefficients a0 and a1 = (n/2) a0 (s + 1), equal
-    pair.riemann_roch() (InternalCheckError otherwise); avg_scalar_sD refuses
-    n < 2, where D is zero-dimensional."""
-    n = pair.dimension
-    constants = _Pair(n, pair.L_top / factorial(n), avg_scalar_sD(pair, 1) / (n - 1))
-    top = factorial(n) * constants.a0
-    ours, rr = (top, top * (constants.s + n) / 2), pair.riemann_roch()
-    if ours != rr:
-        raise InternalCheckError(f"pair constants disagree with Riemann-Roch: D_n, D_(n-1) = "
-                                 f"{', '.join(map(format_rational, ours))}, Riemann-Roch gives "
-                                 f"{', '.join(map(format_rational, rr))}")
-    return constants
 
 
 class _Kernel(NamedTuple):
@@ -254,48 +106,15 @@ class _Kernel(NamedTuple):
                    ([jna_lead * a - gap for a, gap in zip(batch, gaps)], [jna_den] * k)]
 
 
-def family(pair: PolarisedPair, c: Fraction) -> Family:
-    """The pair's family at c, validated once; coefficients(), df(beta) and jna() read it."""
-    return _pair_of(pair).at(c)
-
-
-def coefficients(pair: PolarisedPair, c: Fraction) -> NormalConeCoefficients:
-    """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
-    return family(pair, c).coefficients()
-
-
-def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
-    """DF = 2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0_tilde - a0_tilde b0)/a0."""
-    beta = Fraction(beta)
-    main = 2 * (coeffs.a1 * coeffs.b0 - coeffs.a0 * coeffs.b1) / coeffs.a0
-    log_term = (coeffs.a0 * coeffs.b0_tilde - coeffs.a0_tilde * coeffs.b0) / coeffs.a0
-    return main + (1 - beta) * log_term
-
-
-def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
-               ) -> tuple[NormalConeCoefficients, DFReport]:
-    """The family's coefficients and closed-form DF report at (c, beta), once
-    they equal field by field those read off the forward differences
-    pair.riemann_roch() and df_from_coefficients gives the same DF
-    (InternalCheckError otherwise)."""
-    at_c = family(pair, c)
-    coeffs, report = at_c.coefficients(), at_c.df(beta)
-    summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), at_c.c, at_c.n)
-    if summed != coeffs:
-        raise InternalCheckError(
-            f"coefficient paths disagree: closed form {json_record(coeffs)}, "
-            f"Riemann-Roch sums {json_record(summed)}")
-    df_coeff_path = df_from_coefficients(coeffs, beta)
-    if df_coeff_path != report.df:
-        raise InternalCheckError(
-            f"DF paths disagree: closed form {format_rational(report.df)}, "
-            f"coefficient formula {format_rational(df_coeff_path)}")
-    return coeffs, report
-
-
-def instability_threshold(pair: PolarisedPair) -> Fraction:
-    """Angles strictly below S^D / (n(n-1)) are destabilised by this family."""
-    return _pair_of(pair).threshold()
+def _kernel(constants: _Pair, beta: Fraction) -> _Kernel:
+    """The pair's _Kernel at beta: den, A and B from n(beta+s) and n beta - s."""
+    n, s = constants.n, constants.s
+    lead = n * (beta + s)
+    tail = n * beta - s
+    den = lcm(lead.denominator, tail.denominator)
+    A = lead.numerator * (den // lead.denominator)
+    B = tail.numerator * (den // tail.denominator)
+    return _Kernel(n, constants.a0, den, A, B)
 
 
 # Bits of d^(n+1) at the deepest dyadic c = a/d, d = 2^depth, at which either
@@ -371,7 +190,7 @@ def find_destabilizer(pair: PolarisedPair, beta: Fraction) -> tuple[Fraction, Fr
     if e0 >= 0 and e1 >= 0:
         raise _not_below(beta, threshold, "; DF > 0 for every c in (0, 1)" if beta > 0 else "")
     near_one, depth = not e0 < 0 < e1, _depth(pair)
-    j = _first_dyadic(constants.kernel(beta).sign, -1, near_one, depth)
+    j = _first_dyadic(_kernel(constants, beta).sign, -1, near_one, depth)
     if j > depth:
         raise _past_depth("finding a destabilising c", pair)
     c = Fraction((1 << j) - 1 if near_one else 1, 1 << j)
@@ -478,7 +297,7 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
         raise _not_below(beta, threshold)
     if beta <= 0:
         return CriticalBracket(Fraction(0), Fraction(0), all_destabilizing=True)
-    kernel = constants.kernel(beta)
+    kernel = _kernel(constants, beta)
     sign = kernel.sign
     # inner tends to beta > 0 as c -> 0 and to beta - threshold < 0 as c -> 1.
     j = _first_dyadic(sign, 1, near_one=False, last=depth)
@@ -547,7 +366,7 @@ def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[_Bat
     integer(steps, "steps", 1, CURVE_STEPS_LIMIT)
     beta = Fraction(beta)
     constants = _pair_of(pair)
-    kernel, d = constants.kernel(beta), steps + 1
+    kernel, d = _kernel(constants, beta), steps + 1
     for c, df, inner, jna in _reports(kernel.grid(d, (1, d - 1))):
         closed = constants.at(c).df(beta)
         if (df, inner, jna) != (closed.df, closed.inner_factor, closed.jna):

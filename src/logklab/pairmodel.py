@@ -7,7 +7,7 @@ also carry a dimension model h_X(k), the section counts the oracle sums,
 held as its integer forward differences at 0, which an explicit model's
 coefficients must give when it is built. Those differences, and the top
 two of the pair's two-term Riemann-Roch polynomial, give the sums in closed
-form (exactnum.newton_sums, normalcone.NormalConeCoefficients.from_differences).
+form (exactnum.newton_sums, closedform.NormalConeCoefficients.from_differences).
 """
 
 from __future__ import annotations
@@ -315,6 +315,22 @@ class PairSource(NamedTuple):
     m: int
     positivity: PositivityData | None = None
     model: HilbertModel | None = None
+
+
+# One row per PositivityData field, in --help order: (pair-file key, field,
+# flag, metavar, help). The flag's dest is the field.
+_POSITIVITY = (
+    ("alpha_L", "alpha_L", "--alpha-L", "ALPHA_L",
+     "alpha invariant of L (overrides the pair file)"),
+    ("alpha_LD_restricted", "alpha_LD_restricted", "--alpha-LD", "ALPHA_LD",
+     "alpha invariant of L_D restricted to D"),
+    ("alpha_beta_override", "alpha_beta_override", "--alpha-beta", "ALPHA_BETA",
+     "direct alpha_beta override"),
+    ("lambda", "lam", "--lambda", "LAM", "nef threshold lambda"),
+    ("Lambda", "Lambda_up", "--Lambda", "LAMBDA_UP", "nef threshold Lambda"),
+    ("entropy_lower", "entropy_lower", "--entropy-lower", "ENTROPY_LOWER",
+     "user lower bound for the entropy threshold"),
+)
 
 
 CATALOG: dict[str, PairSource] = {

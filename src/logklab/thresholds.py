@@ -3,8 +3,9 @@ certificates, and singular-pair criteria checkers.
 
 Everything here is one-sided: a verdict certifies stability/existence or
 reports Inconclusive; instability claims belong exclusively to the
-normalcone module. Positivity facts the criteria need (alpha invariants,
-nef thresholds, klt/lc flags) are supplied by the caller, never computed.
+closedform and normalcone modules. Positivity facts the criteria need
+(alpha invariants, nef thresholds, klt/lc flags) are supplied by the
+caller, never computed.
 
 Every theorem hypothesis and criterion condition is a (holds, text) check,
 read by one evaluator, _violated: a failed window hypothesis is raised by
@@ -378,7 +379,7 @@ def entropy_threshold_check(
     The default lower bound for the entropy threshold is (n+1) alpha_beta / n;
     pos.entropy_lower overrides it when supplied. A cscK cone metric forces
     DF >= 0, so for D in |L| (m = 1) and n >= 2, a satisfied verdict
-    at a beta below normalcone.instability_threshold, where the normal-cone
+    at a beta below closedform.instability_threshold, where the normal-cone
     family destabilises, is an InconsistentDataError.
     """
     m, beta = multiplicity(m), _require_angle(beta)
@@ -404,7 +405,7 @@ def entropy_threshold_check(
         certificate_note="entropy lower bound exceeding the J-threshold bound",
     )
     if verdict.status is VerdictStatus.CRITERION_SATISFIED and m == 1 and n >= 2:
-        from .normalcone import instability_threshold  # only here: --m 2 loads no normalcone
+        from .closedform import instability_threshold  # only here: --m 2 loads no closedform
 
         threshold = instability_threshold(pair)
         if beta < threshold:

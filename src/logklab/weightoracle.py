@@ -4,7 +4,7 @@ Dimensions and weights are obtained by literally summing the section counts
 of the central-fibre decomposition, never through the closed forms they are
 meant to check. Every sample must equal the sums at its level of the
 model's stored integer forward differences (exactnum.newton_sums), and the
-coefficients read off their top two must agree with normalcone.coefficients
+coefficients read off their top two must agree with closedform.coefficients
 exactly.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .exactnum import format_rational, json_record, leading_differences, newton_sums
-from .normalcone import (
+from .closedform import (
     NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
 from .pairmodel import HilbertModel, PolarisedPair, integer
 
@@ -218,12 +218,13 @@ def _first_level(model: HilbertModel, c: Fraction) -> int:
 
 
 def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
-    """All k <= k_max, an int, satisfying the decomposition's preconditions.
+    """All k <= k_max, an int at most ORACLE_KMAX_LIMIT, satisfying the
+    decomposition's preconditions.
 
     When k_max < denominator(c) there is none, and c is not checked.
     """
     c = Fraction(c)
-    if integer(k_max, "--kmax") < c.denominator:
+    if integer(k_max, "--kmax", high=ORACLE_KMAX_LIMIT) < c.denominator:
         return []
     return list(range(_first_level(model, c), k_max + 1, c.denominator))
 
@@ -270,17 +271,15 @@ def oracle_report(
     InternalCheckError, so match is always true.
 
     The refusals come before any sum runs, in this order: a missing model,
-    a k_max that is not an int at most ORACLE_KMAX_LIMIT, a bad c
-    (admissible_ks), the closed form's own checks (n >= 2, and c), a model
-    whose invariants are not the pair's (InconsistentDataError), and a first
-    sample of more than ORACLE_LITERAL_LIMIT divisor counts; each is an
-    InputError. A run the walk would count past the same limit is refused
+    a k_max that is not an int at most ORACLE_KMAX_LIMIT and then a bad c
+    (both admissible_ks's), the closed form's own checks (n >= 2, and c), a
+    model whose invariants are not the pair's (InconsistentDataError), and
+    a first sample of more than ORACLE_LITERAL_LIMIT divisor counts; each is
+    an InputError. A run the walk would count past the same limit is refused
     before it is counted.
     """
     if model is None:
         raise InputError(f"pair {pair.name!r} has no dimension model; supply a 'hilbert' block")
-    if k_max is not None:
-        integer(k_max, "--kmax", high=ORACLE_KMAX_LIMIT)
     c = Fraction(c)
     n = pair.dimension
     listed = n + 4 if k_max is None else len(admissible_ks(model, c, k_max))

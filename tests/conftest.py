@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from logklab.exactnum import parse_rational
-from logklab.normalcone import NormalConeCoefficients, _Kernel, _pair_of
+from logklab.closedform import NormalConeCoefficients, _pair_of
+from logklab.normalcone import _Kernel, _kernel
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import HilbertModel, oracle_report, sum_samples
 
@@ -90,7 +91,7 @@ _SIGN = _Kernel.sign  # before any test patches it
 
 
 def true_signs(pair, beta):
-    kernel = _pair_of(pair).kernel(Fraction(beta))
+    kernel = _kernel(_pair_of(pair), Fraction(beta))
     return lambda a, d: _SIGN(kernel, a, d)
 
 

@@ -15,15 +15,14 @@ from fractions import Fraction
 import pytest
 
 from logklab.cli import run
-from logklab.exactnum import format_rational, parse_rational
-from logklab.normalcone import (
+from logklab.closedform import (
     coefficients,
-    critical_c,
     df_from_coefficients,
     family,
-    find_destabilizer,
     instability_threshold,
 )
+from logklab.exactnum import format_rational, parse_rational
+from logklab.normalcone import critical_c, find_destabilizer
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,

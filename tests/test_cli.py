@@ -23,15 +23,15 @@ from logklab.cli import (
     EXIT_INTERNAL,
     EXIT_IOERR,
     EXIT_OK,
-    _POSITIVITY,
-    load_pair_file,
     resolve_pair,
     run,
 )
+from logklab.closedform import family, instability_threshold
 from logklab.errors import InputError, InternalCheckError
 from logklab.exactnum import decimal_string, format_rational, parse_rational
-from logklab.normalcone import CURVE_STEPS_LIMIT, curve_rows, family, instability_threshold
-from logklab.pairmodel import CATALOG, PolarisedPair
+from logklab.inputs import load_pair_file
+from logklab.normalcone import CURVE_STEPS_LIMIT, curve_rows
+from logklab.pairmodel import _POSITIVITY, CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
 from conftest import _kernel_at_half_beta, _kernel_claiming_root, corrupt_signs
@@ -1103,10 +1103,10 @@ def test_normal_cone_commands_exit_4_when_s_disagrees_with_riemann_roch(
         capsys, monkeypatch, argv):
     # S_D off by (n-1)/7 moves s, and so the closed form and Family.df,
     # together; the pair constants' check against Riemann-Roch catches it.
-    import logklab.normalcone as normalcone
+    import logklab.closedform as closedform
 
-    real = normalcone.avg_scalar_sD
-    monkeypatch.setattr(normalcone, "avg_scalar_sD", lambda pair, m:
+    real = closedform.avg_scalar_sD
+    monkeypatch.setattr(closedform, "avg_scalar_sD", lambda pair, m:
                         real(pair, m) + Fraction(pair.dimension - 1, 7))
     code, out, err = invoke(capsys, [argv[0], "catalog:P2-line", *argv[1:]])
     assert (code, out) == (4, "")
@@ -1114,9 +1114,9 @@ def test_normal_cone_commands_exit_4_when_s_disagrees_with_riemann_roch(
 
 
 def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
-    import logklab.normalcone as normalcone
+    import logklab.closedform as closedform
 
-    monkeypatch.setattr(normalcone, "df_from_coefficients",
+    monkeypatch.setattr(closedform, "df_from_coefficients",
                         lambda coeffs, beta: Fraction(1))
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"])
     assert code == 4

@@ -1,9 +1,9 @@
 """The fast argv reader of cli.run against argparse.
 
 cli._fast_parse reads a well-formed argv straight off cli._COMMANDS and
-returns None for everything else, which build_parser's argparse then reads.
-So it must return either None or exactly argparse's namespace, and None
-wherever argparse refuses the argv.
+returns None for everything else, which inputs.build_parser's argparse then
+reads. So it must return either None or exactly argparse's namespace, and
+None wherever argparse refuses the argv.
 """
 
 import io
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logklab import cli
+from logklab import cli, inputs
 
 # Values by argument type: _GOOD ones pass it, _BAD ones do not, and none of
 # either starts with "-".
@@ -84,11 +84,12 @@ def argvs(draw):
 
 
 def _argparse(argv):
-    """vars() of build_parser().parse_args(argv), or None if argparse refuses it."""
+    """vars() of inputs.build_parser(cli._COMMANDS).parse_args(argv), or None if
+    argparse refuses it."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser().parse_args(argv))
-        except (cli._UsageError, SystemExit):
+            return vars(inputs.build_parser(cli._COMMANDS).parse_args(argv))
+        except (inputs._UsageError, SystemExit):
             return None
 
 

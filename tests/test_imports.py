@@ -1,14 +1,18 @@
 """Which modules a `logklab` process loads for one subcommand.
 
-Start-up is most of a short invocation's cost, so each subcommand imports
-only the modules it runs: the thresholds route, the normal-cone route and
-the oracle are imported by the handlers that use them, a pair file's
+Start-up is most of a short invocation's cost, and without a bytecode cache
+most of that is compiling, so each subcommand imports only the modules it
+runs: the thresholds route, the closed form, the sign kernel (normalcone)
+and the oracle are imported by the handlers that use them, a pair file's
 dimension model is built without the oracle, and no logklab module imports
-dataclasses. A well-formed argv is read without argparse, and so without
+dataclasses. df, info and oracle need the closed form alone. The file
+readers (inputs) are loaded only for a pair file, a criteria file and what
+argparse reads. A well-formed argv is read without argparse, and so without
 gettext and locale, which it pulls in; --help and usage errors load it.
 Each case runs a fresh `python -X importtime -m logklab.cli` process and
 reads the modules it imported from the -X importtime report, less those a
-bare interpreter imports on its own.
+bare interpreter imports on its own. None may import logklab.cli: the
+process already runs it as __main__, and an import would run it again.
 """
 
 import json
@@ -23,9 +27,12 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
 
+CLI = "logklab.cli"
 ORACLE = "logklab.weightoracle"
+CLOSEDFORM = "logklab.closedform"
 NORMALCONE = "logklab.normalcone"
 THRESHOLDS = "logklab.thresholds"
+INPUTS = "logklab.inputs"
 PARSER = {"argparse", "gettext", "locale"}
 
 
@@ -42,9 +49,10 @@ def bare():
     return imported("-c", "pass")[2]
 
 
-def cli_imports(bare, *argv, cwd=None):
-    code, out, modules = imported("-m", "logklab.cli", *argv, cwd=cwd)
-    assert code == 0, out
+def cli_imports(bare, *argv, cwd=None, code=0):
+    got, out, modules = imported("-m", "logklab.cli", *argv, cwd=cwd)
+    assert got == code, out
+    assert CLI not in modules
     return out, modules - bare
 
 
@@ -52,17 +60,24 @@ def test_catalog_list(bare):
     out, modules = cli_imports(bare, "catalog", "list")
     assert "P2-line" in out
     assert "logklab.pairmodel" in modules  # the report reads this process's imports
-    assert not modules & {"dataclasses", NORMALCONE, THRESHOLDS, ORACLE, *PARSER}
+    assert not modules & {
+        "dataclasses", CLOSEDFORM, NORMALCONE, INPUTS, THRESHOLDS, ORACLE, *PARSER}
 
 
-@pytest.mark.parametrize("argv", [
-    ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"],
-    ["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"],
-], ids=["df", "critical-c"])
-def test_normal_cone_route(bare, argv):
+@pytest.mark.parametrize("argv, kernel", [
+    (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], False),
+    (["info", "catalog:P2-line"], False),
+    (["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"], True),
+    (["destabilize", "catalog:P2-line", "--beta", "15/16"], True),
+    (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3"], True),
+], ids=["df", "info", "critical-c", "destabilize", "df-curve"])
+def test_normal_cone_route(bare, argv, kernel):
+    # df and info need the closed form alone; the sign-kernel searches and
+    # the grid load normalcone too.
     _, modules = cli_imports(bare, *argv)
-    assert NORMALCONE in modules
-    assert not modules & {"dataclasses", THRESHOLDS, ORACLE, *PARSER}
+    assert CLOSEDFORM in modules
+    assert (NORMALCONE in modules) is kernel
+    assert not modules & {"dataclasses", INPUTS, THRESHOLDS, ORACLE, *PARSER}
 
 
 def test_df_curve_json_needs_no_json_module(bare):
@@ -70,7 +85,7 @@ def test_df_curve_json_needs_no_json_module(bare):
                                "--steps", "3", "--format", "json")
     assert out.startswith("[")
     assert NORMALCONE in modules
-    assert not modules & {"json", "dataclasses", THRESHOLDS, ORACLE}
+    assert not modules & {"json", "dataclasses", INPUTS, THRESHOLDS, ORACLE}
 
 
 def test_criteria(bare, tmp_path):
@@ -78,15 +93,15 @@ def test_criteria(bare, tmp_path):
         {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
     out, modules = cli_imports(bare, "criteria", "--file", "criteria.json", cwd=tmp_path)
     assert "CriterionSatisfied" in out
-    assert THRESHOLDS in modules
-    assert not modules & {NORMALCONE, ORACLE}
+    assert {THRESHOLDS, INPUTS} <= modules
+    assert not modules & {CLOSEDFORM, NORMALCONE, ORACLE, *PARSER}
 
 
 def test_oracle(bare):
     out, modules = cli_imports(bare, "oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4")
     assert json.loads(out)["match"] is True
-    assert ORACLE in modules
-    assert not modules & {"dataclasses", *PARSER}
+    assert {ORACLE, CLOSEDFORM} <= modules
+    assert not modules & {"dataclasses", NORMALCONE, INPUTS, *PARSER}
 
 
 @pytest.mark.parametrize("m, loaded", [("1", True), ("2", False)], ids=["m1", "m2"])
@@ -96,8 +111,8 @@ def test_entropy_reads_the_threshold_only_at_m_1(bare, m, loaded):
     out, modules = cli_imports(bare, "entropy", "catalog:P2-line", "--m", m, "--beta", "1",
                                "--entropy-lower", "100", "--alpha-L", "0", "--alpha-LD", "0")
     assert "CriterionSatisfied" in out
-    assert (NORMALCONE in modules) is loaded
-    assert not modules & {"dataclasses", ORACLE}
+    assert (CLOSEDFORM in modules) is loaded
+    assert not modules & {"dataclasses", NORMALCONE, INPUTS, ORACLE}
 
 
 @pytest.mark.parametrize("argv", [
@@ -111,8 +126,8 @@ def test_hilbert_block_needs_no_oracle(bare, tmp_path, argv):
         "positivity": {"alpha_L": "1/3", "alpha_LD_restricted": "1/2"},
         "hilbert": {"kind": "projective_space"}}))
     _, modules = cli_imports(bare, *argv, cwd=tmp_path)
-    assert THRESHOLDS in modules
-    assert not modules & {"dataclasses", NORMALCONE, ORACLE, *PARSER}
+    assert {THRESHOLDS, INPUTS} <= modules
+    assert not modules & {"dataclasses", CLOSEDFORM, NORMALCONE, ORACLE, *PARSER}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -121,6 +136,5 @@ def test_hilbert_block_needs_no_oracle(bare, tmp_path, argv):
 ], ids=["help", "usage-error"])
 def test_help_and_usage_errors_load_argparse(bare, argv, code):
     # So that the absence of argparse above is not vacuous.
-    got, _, modules = imported("-m", "logklab.cli", *argv)
-    assert got == code
-    assert "argparse" in modules - bare
+    _, modules = cli_imports(bare, *argv, code=code)
+    assert {"argparse", INPUTS} <= modules

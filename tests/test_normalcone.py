@@ -8,21 +8,24 @@ from hypothesis import strategies as st
 
 from logklab.errors import InputError, InternalCheckError, PreconditionFailedError
 from logklab.cli import run
-from logklab.normalcone import (
-    SIGN_BITS_LIMIT,
-    CriticalBracket,
+from logklab.closedform import (
     NormalConeCoefficients,
     _pair_of,
-    _root_estimate,
     coefficients,
-    _reports,
-    critical_c,
-    curve_rows,
     df_checked,
     df_from_coefficients,
     family,
-    find_destabilizer,
     instability_threshold,
+)
+from logklab.normalcone import (
+    SIGN_BITS_LIMIT,
+    CriticalBracket,
+    _kernel,
+    _root_estimate,
+    _reports,
+    critical_c,
+    curve_rows,
+    find_destabilizer,
 )
 from logklab.exactnum import forward_differences
 from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, PolarisedPair
@@ -307,7 +310,7 @@ def test_critical_c_returns_the_closed_form_inner_factors(p2):
 def test_critical_c_end_checks_read_the_inner_factor_alone(monkeypatch, name):
     # The end checks need the closed form's inner factor only, not the DF,
     # prefactor and J^NA of a whole report.
-    import logklab.normalcone as normalcone
+    import logklab.closedform as closedform
 
     pair, beta, tol = CATALOG[name].pair, Fraction(1, 2), Fraction(1, 2**64)
     bracket = critical_c(pair, beta, tol)
@@ -315,7 +318,7 @@ def test_critical_c_end_checks_read_the_inner_factor_alone(monkeypatch, name):
     def refuse(self, beta):
         raise AssertionError("critical_c built a DF report")
 
-    monkeypatch.setattr(normalcone.Family, "df", refuse)
+    monkeypatch.setattr(closedform.Family, "df", refuse)
     assert critical_c(pair, beta, tol) == bracket
 
 
@@ -334,8 +337,9 @@ def test_critical_c_raises_when_the_kernel_is_wrong(monkeypatch, p2):
     # the root for beta/2, and the closed form at the true beta refuses it.
     import logklab.normalcone as normalcone
 
-    real = normalcone._Pair.kernel
-    monkeypatch.setattr(normalcone._Pair, "kernel", lambda pair, beta: real(pair, beta / 2))
+    real = normalcone._kernel
+    monkeypatch.setattr(normalcone, "_kernel",
+                        lambda constants, beta: real(constants, beta / 2))
     beta = Fraction(1, 2)
     seeds = _seed_probes(monkeypatch, p2, beta)
     _counted_signs(monkeypatch, limit=seeds + 2)
@@ -486,9 +490,9 @@ def test_df_checked_returns_both_agreeing_paths(p2):
 
 
 def test_df_checked_raises_when_the_coefficient_formula_disagrees(monkeypatch, p2):
-    import logklab.normalcone as normalcone
+    import logklab.closedform as closedform
 
-    monkeypatch.setattr(normalcone, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
+    monkeypatch.setattr(closedform, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
     with pytest.raises(InternalCheckError, match="DF paths disagree: closed form -1/48, "
                                                  "coefficient formula 1"):
         df_checked(p2, Fraction(1, 2), Fraction(1, 2))
@@ -497,10 +501,10 @@ def test_df_checked_raises_when_the_coefficient_formula_disagrees(monkeypatch, p
 def test_df_checked_raises_when_s_is_wrong(monkeypatch, capsys, p2):
     # A wrong s moves the closed form and the coefficient formula together;
     # the Riemann-Roch sums read L^n and c1(X).L^(n-1) alone.
-    import logklab.normalcone as normalcone
+    import logklab.closedform as closedform
 
-    real = normalcone._pair_of
-    monkeypatch.setattr(normalcone, "_pair_of",
+    real = closedform._pair_of
+    monkeypatch.setattr(closedform, "_pair_of",
                         lambda pair: real(pair)._replace(s=real(pair).s + Fraction(1, 7)))
     with pytest.raises(InternalCheckError, match="coefficient paths disagree"):
         df_checked(p2, Fraction(1, 2), Fraction(1, 2))
@@ -552,7 +556,7 @@ def test_riemann_roch_gives_the_top_two_forward_differences(n, L_top, cX_L):
 def test_sign_kernel_matches_closed_form_inner_factor(n, L_top, cX_L, beta, c):
     pair = PolarisedPair("random", n, L_top, cX_L)
     inner = family(pair, c).df(beta).inner_factor
-    sign = _pair_of(pair).kernel(beta).sign
+    sign = _kernel(_pair_of(pair), beta).sign
     assert sign(c.numerator, c.denominator) == (inner > 0) - (inner < 0)
 
 

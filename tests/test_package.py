@@ -18,9 +18,9 @@ EXPORTS = {
     "exactnum": ["decimal_string", "format_rational", "parse_rational"],
     "pairmodel": ["CATALOG", "HilbertModel", "PolarisedPair", "ScalarReport",
                   "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
-    "normalcone": ["CriticalBracket", "DFReport", "NormalConeCoefficients", "coefficients",
-                   "critical_c", "df_checked", "df_from_coefficients", "find_destabilizer",
-                   "instability_threshold"],
+    "closedform": ["DFReport", "NormalConeCoefficients", "coefficients", "df_checked",
+                   "df_from_coefficients", "instability_threshold"],
+    "normalcone": ["CriticalBracket", "critical_c", "find_destabilizer"],
     "thresholds": ["AngleWindow", "PositivityData", "SingularCriteriaInput",
                    "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "beta_u",
                    "entropy_threshold_check", "eta_feasibility", "existence_window",

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logklab.errors import InconsistentDataError, InputError, PreconditionFailedError
-from logklab.normalcone import instability_threshold
+from logklab.closedform import instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair, avg_scalar_sD, avg_scalar_sbeta
 from logklab.thresholds import (
     MODEL_PROPORTIONAL,

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from logklab.errors import InconsistentDataError, InputError, InternalCheckError
 from logklab.cli import run
+from logklab.closedform import coefficients, df_checked, df_from_coefficients, family
 from logklab.exactnum import format_rational, json_record, newton_sums
-from logklab.normalcone import coefficients, df_checked, df_from_coefficients, family
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
     ORACLE_KMAX_LIMIT,
     ORACLE_LITERAL_LIMIT,
     HilbertModel,
+    _first_level,
     admissible_ks,
     dims_and_weights,
     oracle_report,
@@ -342,11 +343,11 @@ def test_oracle_report_refuses_a_missing_model_then_a_large_k_max(p2, p2_model):
 
 def test_oracle_report_checks_c_a_few_times(monkeypatch, p2, p2_model):
     # Once per call that needs it, not once per level: the listing has 5000.
-    import logklab.normalcone as normalcone
+    import logklab.closedform as closedform
     import logklab.weightoracle as weightoracle
 
-    calls, real = [], normalcone._require_c
-    for module in (normalcone, weightoracle):
+    calls, real = [], closedform._require_c
+    for module in (closedform, weightoracle):
         monkeypatch.setattr(module, "_require_c", lambda c: calls.append(c) or real(c))
     report = oracle_report(p2, p2_model, Fraction(1, 2), k_max=ORACLE_KMAX_LIMIT)
     assert len(report["samples"]) == 5000
@@ -538,7 +539,9 @@ def _runs(c, ks):
 def test_walk_asks_a_few_counts_per_run(monkeypatch, c):
     # The seeds and the literal check of the last count, whatever q is.
     model = CATALOG["P4-hyperplane"].model
-    ks = admissible_ks(model, c, 8 * c.denominator)
+    # The first 8 admissible levels; at these q they lie past the listing
+    # bound that admissible_ks holds k_max to.
+    ks = [_first_level(model, c) + i * c.denominator for i in range(8)]
     # Counted on the class, so type(model) stays HilbertModel: the plain path.
     calls, real = [], HilbertModel.h_divisor
     monkeypatch.setattr(HilbertModel, "h_divisor", lambda self, j: calls.append(j) or real(self, j))
@@ -685,6 +688,15 @@ def _refuses(model, j):
 def test_admissible_ks(p2_model):
     assert admissible_ks(p2_model, Fraction(1, 2), 10) == [2, 4, 6, 8, 10]
     assert admissible_ks(p2_model, Fraction(2, 3), 10) == [3, 6, 9]
+
+
+def test_admissible_ks_holds_k_max_to_the_listing_bound(p2_model):
+    # Its own bound, not only oracle_report's: a library caller's k_max of
+    # 2 10^6 would build a list of 10^6 levels.
+    assert admissible_ks(p2_model, Fraction(1, 2), ORACLE_KMAX_LIMIT)[-1] == ORACLE_KMAX_LIMIT
+    with pytest.raises(InputError) as exc:
+        admissible_ks(p2_model, Fraction(1, 2), 2 * 10**6)
+    assert str(exc.value) == "--kmax must be at most 10000, got 2000000"
 
 
 @settings(max_examples=200, deadline=None)
