@@ -465,18 +465,14 @@ def outcomes(profile=None) -> tuple[dict[str, list], dict[str, str]]:
     The caller's directory, COLUMNS, digit limit and profile hook come back."""
     from logklab import cli
 
-    # Every module of the package loaded, as in a test process, and every
-    # cache empty, as in a fresh one, so that what a profile hook sees does
-    # not depend on what ran before: cli's first `from . import closedform`
-    # or `from . import inputs` would call logklab.__getattr__, and a cached
-    # _decimal_context would skip its body. The modules are the package's
-    # files, so one that exports nothing, such as inputs, is not missed.
+    # Every module of the package loaded, as in a test process, so that what
+    # a profile hook sees does not depend on what ran before: cli's first
+    # `from . import closedform` or `from . import inputs` would call
+    # logklab.__getattr__. The modules are the package's files, so one that
+    # exports nothing, such as inputs, is not missed.
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        if path.stem == "__init__":
-            continue
-        for value in vars(import_module(f"logklab.{path.stem}")).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+        if path.stem != "__init__":
+            import_module(f"logklab.{path.stem}")
     with _digit_limit(0):  # TOL_LIMIT's key reads its 18063-digit tol
         invs = {inv.key: inv for inv in invocations()}
     here, columns, hook = os.getcwd(), os.environ.get("COLUMNS"), sys.getprofile()

@@ -176,11 +176,7 @@ def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
 def _cmd_window(ns) -> tuple[int, Iterable[str]]:
     from . import thresholds
 
-    pair, pos, m = ns.source.pair, ns.positivity, ns.m
-    if ns.case == "uniform":
-        window = thresholds.uniform_stability_window(pair, pos, m)
-    else:
-        window = thresholds.existence_window(pair, pos, m, ns.case)
+    window = thresholds.angle_window(ns.source.pair, ns.positivity, ns.m, ns.case)
     return EXIT_INCONCLUSIVE if window.empty else EXIT_OK, [_fields([
         ("claim", window.claim.value),
         ("window", window.render()),
@@ -308,7 +304,7 @@ def _cmd_catalog(ns) -> tuple[int, Iterable[str]]:
     if ns.action == "list":
         if ns.name is not None:
             raise InputError(f"catalog list takes no pair name, got {ns.name!r}")
-        return EXIT_OK, [f"{name}\n" for name in pairmodel.catalog_names()]
+        return EXIT_OK, [f"{name}\n" for name in pairmodel.CATALOG]
     if ns.name is None:
         raise InputError("catalog show needs a pair name")
     entry = pairmodel.catalog_entry(ns.name)
@@ -461,7 +457,8 @@ def run(argv: list[str]) -> int:
     Before a handler runs, its inputs are resolved once, in one order: the
     pair source (ns.source), the refusal of m != 1 where D in |L| is needed,
     the positivity data merged from the file and the flags (ns.positivity),
-    then the divisor multiplicity, --m if given (ns.m). Then the handler's
+    then the divisor multiplicity, --m if given, else the pair's (ns.m),
+    which each handler's first library call checks. Then the handler's
     pieces are written, inside the error mapping, so an error a lazy piece
     raises still maps to its exit code.
     """
@@ -484,8 +481,8 @@ def run(argv: list[str]) -> int:
                     raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
                 if hasattr(ns, "lam"):  # the subcommands that take the positivity flags
                     ns.positivity = _merged_positivity(ns.source, ns)
-                m = getattr(ns, "m", None)
-                ns.m = ns.source.m if m is None else pairmodel.multiplicity(m)
+                if getattr(ns, "m", None) is None:
+                    ns.m = ns.source.m
             code, pieces = ns.handler(ns)
         except PreconditionFailedError as exc:
             code, pieces = EXIT_INCONCLUSIVE, [f"PreconditionFailed: {exc}\n"]

@@ -11,7 +11,6 @@ import re
 import sys
 from decimal import Context
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import floordiv
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -109,7 +108,7 @@ def ratio_texts(nums: Sequence[int], dens: Sequence[int], digits: int = 0
     except ValueError:  # the digit limit
         texts = [_int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
                  for num, den in zip(nums, dens)]
-    decimals = map(_decimal_context(digits).divide, nums, dens) if digits > 0 else ()
+    decimals = map(Context(prec=digits).divide, nums, dens) if digits > 0 else ()
     return texts, list(map(str, decimals))
 
 
@@ -118,13 +117,7 @@ def decimal_string(value: Fraction | int, digits: int = 12) -> str:
 
     For plotting/report columns only; never re-ingested.
     """
-    return str(_decimal_context(digits).divide(value.numerator, value.denominator))
-
-
-@lru_cache(maxsize=None)
-def _decimal_context(digits: int) -> Context:
-    """Precision `digits`, every other setting (rounding included) the default."""
-    return Context(prec=digits)
+    return str(Context(prec=digits).divide(value.numerator, value.denominator))
 
 
 def scaled_values(coefficients: list[Fraction | int], xs: Iterable[int]

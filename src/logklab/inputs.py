@@ -86,15 +86,30 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+# Most bytes a pair or criteria file may hold: about four times the largest
+# file the other input limits admit, an explicit model of degree
+# DIMENSION_LIMIT whose coefficients each hold two 4300-digit integers (4.4 MB).
+INPUT_FILE_LIMIT = 2**24
+
+
 def _read_json_object(path: str, what: str) -> dict:
-    """The JSON object held by a UTF-8 file; any failure is an InputError."""
+    """The JSON object held by a UTF-8 file of at most INPUT_FILE_LIMIT
+    bytes, of which at most one byte more is read; any failure is an
+    InputError."""
+    import io
     import json
-    from pathlib import Path
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        with open(path, "rb") as file:
+            data = file.read(INPUT_FILE_LIMIT + 1)
     except OSError as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    if len(data) > INPUT_FILE_LIMIT:
+        raise InputError(f"{what} {path!r} is larger than {INPUT_FILE_LIMIT} bytes")
+    try:
+        # Decoded as Path.read_text decodes: UTF-8 with universal newlines.
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # bad UTF-8 or JSON, a repeated key, an integer past the digit limit
         raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -363,10 +363,6 @@ CATALOG: dict[str, PairSource] = {
 }
 
 
-def catalog_names() -> list[str]:
-    return list(CATALOG)
-
-
 def catalog_entry(name: str) -> PairSource:
     try:
         return CATALOG[name]

@@ -236,26 +236,6 @@ def beta_u(pair: PolarisedPair, pos: PositivityData, m: int) -> Fraction:
     return max(Fraction(0), min(Fraction(1), raw))
 
 
-def uniform_stability_window(pair: PolarisedPair, pos: PositivityData, m: int) -> AngleWindow:
-    """Uniform log K-stability window [1 - ((n+1)lambda - S_1)/m, beta_u).
-
-    The hypothesis S_1 <= m n is checked first. With lambda <= S_1/n, which
-    effective_nef_bounds holds the data to, it gives the other hypothesis,
-    (n+1)lambda <= S_1 + m, which makes the lower endpoint >= 0.
-    """
-    m, n = multiplicity(m), pair.dimension
-    s1 = avg_scalar_s1(pair)
-    lam, _, _ = effective_nef_bounds(pair, pos)
-    _require(_s1_at_most_mn(s1, m, n))
-    lower = 1 - ((n + 1) * lam - s1) / m
-    upper = beta_u(pair, pos, m)
-    return AngleWindow(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
-
-
-def _s1_at_most_mn(s1: Fraction, m: int, n: int) -> tuple[bool, str]:
-    return s1 <= m * n, f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}"
-
-
 def _eta0_bound(
     pair: PolarisedPair, pos: PositivityData
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -269,36 +249,42 @@ def _eta0_bound(
     return max(Lam, (s1 - (n - 1) * lam) / n), s1, lam, Lam
 
 
-def existence_window(
-    pair: PolarisedPair, pos: PositivityData, m: int, case: str
-) -> AngleWindow:
-    """cscK-cone existence window (0, upper] for the case "large" or "given",
+def angle_window(pair: PolarisedPair, pos: PositivityData, m: int, case: str) -> AngleWindow:
+    """Certified cone-angle window for the case "large", "given" or "uniform",
     the words of window --case; any other case is an InputError.
 
-    Large-m case: needs both terms of T = max(Lambda, (S_1 - (n-1)lambda)/n)
+    Large-m existence: needs both terms of T = max(Lambda, (S_1 - (n-1)lambda)/n)
     below m, S_1 < m n + (n-1)lambda and Lambda < m (strict);
-    upper = min{1, 1 - T/m}, so beta is in the window exactly when
+    (0, min{1, 1 - T/m}], so beta is in the window exactly when
     m(1-beta) >= T (see _eta0_bound and min_multiplicity_eta0).
-    Given-m case: needs S_1 <= m n and Lambda <= S_1/n <= lambda + m(1 - beta_u);
-    upper = beta_u.
+    The other two cases need S_1 <= m n, checked before beta_u.
+    Uniform log K-stability: [1 - ((n+1)lambda - S_1)/m, beta_u). With
+    lambda <= S_1/n, which effective_nef_bounds holds the data to, S_1 <= m n
+    gives (n+1)lambda <= S_1 + m, which makes the lower endpoint >= 0.
+    Given-m existence: needs also Lambda <= S_1/n <= lambda + m(1 - beta_u);
+    (0, beta_u].
     """
     m, n = multiplicity(m), pair.dimension
-    if case not in ("large", "given"):
-        raise InputError(f"unknown existence case {case!r}")
+    if case not in ("large", "given", "uniform"):
+        raise InputError(f"unknown window case {case!r}")
     bound, s1, lam, Lam = _eta0_bound(pair, pos)
     if case == "large":
         _require((s1 < m * n + (n - 1) * lam, f"S_1 = {format_rational(s1)} not < "
                   f"m*n + (n-1)*lambda = {format_rational(m * n + (n - 1) * lam)}"),
                  (Lam < m, f"Lambda = {format_rational(Lam)} not < m = {format_rational(m)}"))
         upper = min(Fraction(1), 1 - bound / m)
-    else:
-        _require(_s1_at_most_mn(s1, m, n))  # before beta_u, which needs the alphas
-        upper = beta_u(pair, pos, m)
-        mu_bar, cap = s1 / n, lam + m * (1 - upper)
-        _require((Lam <= mu_bar, f"Lambda = {format_rational(Lam)} not <= "
-                                 f"S_1/n = {format_rational(mu_bar)}"),
-                 (mu_bar <= cap, f"S_1/n = {format_rational(mu_bar)} not <= "
-                                 f"lambda + m(1 - beta_u) = {format_rational(cap)}"))
+        return AngleWindow(Fraction(0), False, upper, True, WindowClaim.EXISTENCE_CSCK_CONE)
+    # Before beta_u, which needs the alphas.
+    _require((s1 <= m * n, f"S_1 = {format_rational(s1)} > m*n = {format_rational(m * n)}"))
+    upper = beta_u(pair, pos, m)
+    if case == "uniform":
+        lower = 1 - ((n + 1) * lam - s1) / m
+        return AngleWindow(lower, True, upper, False, WindowClaim.UNIFORM_LOG_K_STABLE)
+    mu_bar, cap = s1 / n, lam + m * (1 - upper)
+    _require((Lam <= mu_bar, f"Lambda = {format_rational(Lam)} not <= "
+                             f"S_1/n = {format_rational(mu_bar)}"),
+             (mu_bar <= cap, f"S_1/n = {format_rational(mu_bar)} not <= "
+                             f"lambda + m(1 - beta_u) = {format_rational(cap)}"))
     return AngleWindow(Fraction(0), False, upper, True, WindowClaim.EXISTENCE_CSCK_CONE)
 
 
@@ -367,7 +353,7 @@ def min_multiplicity_eta0(pair: PolarisedPair, pos: PositivityData, beta: Fracti
     """
     beta = _require_angle(beta, allow_one=False)
     bound = _eta0_bound(pair, pos)[0]
-    # Strict, where existence_window("large") admits m(1-beta) = T: open, ROADMAP direction 26.
+    # Strict, where angle_window("large") admits m(1-beta) = T: open, ROADMAP direction 26.
     return max(1, bound // (1 - beta) + 1)
 
 

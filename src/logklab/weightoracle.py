@@ -62,7 +62,7 @@ def _check_admissible(model: HilbertModel, c: Fraction, k: int) -> int:
                          f"(c = {format_rational(c)}, k = {k})")
     if ck < 1:
         raise InputError(f"need c*k >= 1, got c*k = {ck}")
-    if k < model.floor or k - ck < model.floor:
+    if k - ck < model.floor:
         raise InputError(f"k = {k} gives arguments below the model's validity floor {model.floor}")
     return ck
 

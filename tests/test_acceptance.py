@@ -33,11 +33,10 @@ from logklab.pairmodel import (
 from logklab.thresholds import (
     PositivityData,
     VerdictStatus,
+    angle_window,
     beta_u,
     eta_feasibility,
-    existence_window,
     min_multiplicity_eta0,
-    uniform_stability_window,
 )
 from conftest import (
     ORACLE_MODELS,
@@ -152,12 +151,12 @@ def test_criterion_06_jna_gate(p2, p2_model):
 def test_criterion_07_window_coherence(p2):
     with criterion(7, "P2 windows, beta_u, and eta feasibility cohere", 1.0):
         pos = PositivityData(alpha_L=Fraction(1, 3), alpha_LD_restricted=Fraction(1, 2))
-        uniform = uniform_stability_window(p2, pos, 4)
+        uniform = angle_window(p2, pos, 4, "uniform")
         assert (uniform.lower, uniform.upper) == (Fraction(1, 4), Fraction(3, 8))
         assert uniform.lower_inclusive and not uniform.upper_inclusive
-        large = existence_window(p2, pos, 4, "large")
+        large = angle_window(p2, pos, 4, "large")
         assert (large.lower, large.upper) == (0, Fraction(1, 4)) and large.upper_inclusive
-        given = existence_window(p2, pos, 4, "given")
+        given = angle_window(p2, pos, 4, "given")
         assert (given.lower, given.upper) == (0, Fraction(3, 8)) and given.upper_inclusive
         assert beta_u(p2, pos, 4) == Fraction(3, 8)
 
@@ -184,8 +183,8 @@ def test_criterion_08_min_multiplicity_and_fano_corollary(p2, fano):
             assert beta_u(fano, pos, m) == corollary
             # hypotheses hold automatically: windows come out without any
             # precondition failure for every alpha choice
-            uniform = uniform_stability_window(fano, pos, m)
-            given = existence_window(fano, pos, m, "given")
+            uniform = angle_window(fano, pos, m, "uniform")
+            given = angle_window(fano, pos, m, "given")
             assert uniform.lower == 0
             assert given.upper == beta_u(fano, pos, m)
         pos = PositivityData(alpha_L=Fraction(2, 3), alpha_LD_restricted=Fraction(2, 3))

@@ -136,6 +136,27 @@ def test_resolve_missing_file():
         resolve_pair("/no/such/file.json")
 
 
+@pytest.mark.parametrize("argv, doc, what", [
+    (["info"], PAIR_DOC, "pair file"),
+    (["criteria", "--file"],
+     {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True},
+     "criteria file"),
+], ids=["pair", "criteria"])
+def test_an_input_file_past_the_limit_exits_3(capsys, tmp_path, monkeypatch, argv, doc, what):
+    # A file of exactly INPUT_FILE_LIMIT bytes is read; one byte more is refused
+    # before any check runs.
+    from logklab import inputs
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    size = path.stat().st_size
+    monkeypatch.setattr(inputs, "INPUT_FILE_LIMIT", size)
+    assert invoke(capsys, [*argv, str(path)])[0] == EXIT_OK
+    monkeypatch.setattr(inputs, "INPUT_FILE_LIMIT", size - 1)
+    assert invoke(capsys, [*argv, str(path)]) == (
+        EXIT_INPUT, "", f"input error: {what} {str(path)!r} is larger than {size - 1} bytes\n")
+
+
 # ----------------------------- subcommands and exit codes -----------------------------
 
 

@@ -22,9 +22,9 @@ EXPORTS = {
                    "df_from_coefficients", "instability_threshold"],
     "normalcone": ["CriticalBracket", "critical_c", "find_destabilizer"],
     "thresholds": ["AngleWindow", "PositivityData", "SingularCriteriaInput",
-                   "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "beta_u",
-                   "entropy_threshold_check", "eta_feasibility", "existence_window",
-                   "min_multiplicity_eta0", "singular_criteria", "uniform_stability_window"],
+                   "Verdict", "VerdictStatus", "alpha_beta_lower_bound", "angle_window",
+                   "beta_u", "entropy_threshold_check", "eta_feasibility",
+                   "min_multiplicity_eta0", "singular_criteria"],
     "weightoracle": ["WeightSample", "dims_and_weights", "oracle_report"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]

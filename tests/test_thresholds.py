@@ -16,14 +16,13 @@ from logklab.thresholds import (
     VerdictStatus,
     WindowClaim,
     alpha_beta_lower_bound,
+    angle_window,
     beta_u,
     effective_nef_bounds,
     entropy_threshold_check,
     eta_feasibility,
-    existence_window,
     min_multiplicity_eta0,
     singular_criteria,
-    uniform_stability_window,
 )
 
 P2_ALPHAS = PositivityData(alpha_L=Fraction(1, 3), alpha_LD_restricted=Fraction(1, 2))
@@ -129,7 +128,7 @@ def test_beta_u_monotone_in_each_alpha(p2):
 
 
 def test_uniform_window_p2(p2):
-    window = uniform_stability_window(p2, P2_ALPHAS, 4)
+    window = angle_window(p2, P2_ALPHAS, 4, "uniform")
     assert window.claim is WindowClaim.UNIFORM_LOG_K_STABLE
     assert (window.lower, window.upper) == (Fraction(1, 4), Fraction(3, 8))
     assert window.lower_inclusive and not window.upper_inclusive
@@ -139,14 +138,14 @@ def test_uniform_window_p2(p2):
 
 def test_uniform_window_precondition_failures(p2):
     with pytest.raises(PreconditionFailedError, match="S_1"):
-        uniform_stability_window(p2, P2_ALPHAS, 2)
+        angle_window(p2, P2_ALPHAS, 2, "uniform")
 
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_a_multiplicity_below_1_is_refused(m):
     # One rule for every exported function that takes m, the multiplicity of
-    # D in |mL|: a plain int, refused below 1 with one message. The existence
-    # case is the CLI's --case word, "large" or "given".
+    # D in |mL|: a plain int, refused below 1 with one message. The window
+    # case is the CLI's --case word, "large", "given" or "uniform".
     import inspect
     from importlib import import_module
 
@@ -160,9 +159,8 @@ def test_a_multiplicity_below_1_is_refused(m):
         ("avg_scalar_sbeta", lambda m: avg_scalar_sbeta(pair, m, half)),
         ("alpha_beta_lower_bound", lambda m: alpha_beta_lower_bound(FANO_ALPHAS, m, half)),
         ("beta_u", lambda m: beta_u(pair, FANO_ALPHAS, m)),
-        ("uniform_stability_window", lambda m: uniform_stability_window(pair, FANO_ALPHAS, m)),
-        *(("existence_window", lambda m, case=case: existence_window(pair, FANO_ALPHAS, m, case))
-          for case in ("large", "given")),
+        *(("angle_window", lambda m, case=case: angle_window(pair, FANO_ALPHAS, m, case))
+          for case in ("large", "given", "uniform")),
         ("eta_feasibility", lambda m: eta_feasibility(pair, FANO_ALPHAS, m, half)),
         ("entropy_threshold_check", lambda m: entropy_threshold_check(pair, FANO_ALPHAS, m, half)),
     ]
@@ -179,16 +177,16 @@ def test_a_multiplicity_below_1_is_refused(m):
         call(1)
         call(2)
     with pytest.raises(InputError) as exc:
-        existence_window(pair, FANO_ALPHAS, 2, "huge")
-    assert str(exc.value) == "unknown existence case 'huge'"
+        angle_window(pair, FANO_ALPHAS, 2, "huge")
+    assert str(exc.value) == "unknown window case 'huge'"
 
 
 @pytest.mark.parametrize("call, text", [
     (lambda p2: avg_scalar_sD(p2, 1.5), "1.5 (float)"),
     (lambda p2: avg_scalar_sD(p2, True), "True (bool)"),
     (lambda p2: beta_u(p2, P2_ALPHAS, Fraction(9, 2)), "Fraction(9, 2) (Fraction)"),
-    (lambda p2: existence_window(p2, P2_ALPHAS, 6.5, "large"), "6.5 (float)"),
-], ids=["avg_scalar_sD-float", "avg_scalar_sD-bool", "beta_u-Fraction", "existence_window-float"])
+    (lambda p2: angle_window(p2, P2_ALPHAS, 6.5, "large"), "6.5 (float)"),
+], ids=["avg_scalar_sD-float", "avg_scalar_sD-bool", "beta_u-Fraction", "angle_window-float"])
 def test_a_multiplicity_that_is_not_an_int_is_refused(p2, call, text):
     # A float, a bool or a Fraction m is refused as one, not computed with.
     with pytest.raises(InputError) as exc:
@@ -197,35 +195,55 @@ def test_a_multiplicity_that_is_not_an_int_is_refused(p2, call, text):
 
 
 def test_uniform_window_fano(fano):
-    window = uniform_stability_window(fano, FANO_ALPHAS, 1)
+    window = angle_window(fano, FANO_ALPHAS, 1, "uniform")
     assert (window.lower, window.upper) == (0, 1)
     assert window.render() == "[0, 1)"
 
 
 def test_uniform_window_empty_when_alphas_vanish(p2):
     zero = PositivityData(alpha_L=Fraction(0), alpha_LD_restricted=Fraction(0))
-    window = uniform_stability_window(p2, zero, 4)  # [1/4, 1/4) collapses
+    window = angle_window(p2, zero, 4, "uniform")  # [1/4, 1/4) collapses
     assert window.empty
     assert not window.contains(Fraction(1, 4))
 
 
-def test_existence_windows_p2(p2):
-    large = existence_window(p2, P2_ALPHAS, 4, "large")
+def test_angle_windows_p2(p2):
+    large = angle_window(p2, P2_ALPHAS, 4, "large")
     assert (large.lower, large.upper) == (0, Fraction(1, 4))
     assert not large.lower_inclusive and large.upper_inclusive
-    given = existence_window(p2, P2_ALPHAS, 4, "given")
+    given = angle_window(p2, P2_ALPHAS, 4, "given")
     assert (given.lower, given.upper) == (0, Fraction(3, 8))
     assert given.render() == "(0, 3/8]"
 
 
-def test_existence_window_large_m_boundary_strict(p2):
+def test_angle_window_takes_every_case_word_of_the_cli(p2):
+    # The words are read from the CLI's command table, so the --case choices
+    # and the cases the library takes cannot drift apart.
+    from logklab.cli import _COMMANDS
+
+    arguments = next(row[4] for row in _COMMANDS if row[0] == "window")
+    words = dict(arguments)["--case"]["choices"]
+    existence, uniform = WindowClaim.EXISTENCE_CSCK_CONE, WindowClaim.UNIFORM_LOG_K_STABLE
+    expected = {
+        "large": AngleWindow(Fraction(0), False, Fraction(1, 4), True, existence),
+        "given": AngleWindow(Fraction(0), False, Fraction(3, 8), True, existence),
+        "uniform": AngleWindow(Fraction(1, 4), True, Fraction(3, 8), False, uniform),
+    }
+    assert sorted(words) == sorted(expected)
+    for word in words:
+        assert angle_window(p2, P2_ALPHAS, 4, word) == expected[word]
+    with pytest.raises(InputError) as exc:
+        angle_window(p2, P2_ALPHAS, 4, "huge")
+    assert str(exc.value) == "unknown window case 'huge'"
+
+
+def test_angle_window_large_m_boundary_strict(p2):
     with pytest.raises(PreconditionFailedError, match="Lambda"):
-        existence_window(p2, P2_ALPHAS, 3, "large")
+        angle_window(p2, P2_ALPHAS, 3, "large")
     # S_1 = m n + (n-1)lambda = 0 with Lambda = 0 < m = 1.
     pair = PolarisedPair("edge", 2, Fraction(1), Fraction(0), None)
     with pytest.raises(PreconditionFailedError, match=r"^S_1 = 0 not < m\*n \+ \(n-1\)\*lambda = 0$"):
-        existence_window(pair, PositivityData(lam=Fraction(-2), Lambda_up=Fraction(0)), 1,
-                         "large")
+        angle_window(pair, PositivityData(lam=Fraction(-2), Lambda_up=Fraction(0)), 1, "large")
 
 
 # n = 2, S_1 = 6, S_1/n = 3, with no proportional x: lambda and Lambda are free
@@ -261,15 +279,12 @@ def test_each_window_hypothesis_is_reported_by_its_text(case, m, pos, text):
     # Each hypothesis false on its own gives its own text; with two false,
     # the first in the theorem's order is the one reported.
     with pytest.raises(PreconditionFailedError) as exc:
-        if case == "uniform":
-            uniform_stability_window(SANDWICH, pos, m)
-        else:
-            existence_window(SANDWICH, pos, m, case)
+        angle_window(SANDWICH, pos, m, case)
     assert str(exc.value) == text
 
 
-def test_existence_window_fano_given_m(fano):
-    window = existence_window(fano, FANO_ALPHAS, 1, "given")
+def test_angle_window_fano_given_m(fano):
+    window = angle_window(fano, FANO_ALPHAS, 1, "given")
     assert window.render() == "(0, 1]"
     assert window.contains(Fraction(1)) and not window.contains(Fraction(0))
 
@@ -306,7 +321,7 @@ def test_eta_feasibility_zero_alpha_inconclusive(p2):
 
 
 def test_window_coherence_with_eta(p2):
-    window = uniform_stability_window(p2, P2_ALPHAS, 4)
+    window = angle_window(p2, P2_ALPHAS, 4, "uniform")
     inside = [Fraction(1, 4), Fraction(9, 32), Fraction(5, 16), Fraction(11, 32),
               Fraction(3, 8) - Fraction(1, 1024)]
     for beta in inside:
@@ -420,11 +435,9 @@ def test_no_certificate_below_the_instability_threshold(
                          Lambda_up=Lam, alpha_beta_override=override, entropy_lower=entropy_lower)
     threshold = instability_threshold(pair)
     refused = override is not None and override > beta
-    windows = (lambda: uniform_stability_window(pair, pos, 1),
-               *(lambda case=case: existence_window(pair, pos, 1, case) for case in ("large", "given")))
-    for window_of in windows:
+    for case in ("large", "given", "uniform"):
         try:
-            window = window_of()
+            window = angle_window(pair, pos, 1, case)
         except (PreconditionFailedError, InputError):
             continue
         assert window.empty or window.lower >= threshold, window.render()
@@ -474,7 +487,7 @@ def test_large_m_window_holds_beta_exactly_from_the_least_m(n, L_top, mean, nef,
     s1 = n * mean
     conditions = (Lam - m * (1 - beta), s1 - m * n * (1 - beta) - (n - 1) * lam)
     try:
-        in_window = existence_window(pair, pos, m, "large").contains(beta)
+        in_window = angle_window(pair, pos, m, "large").contains(beta)
     except PreconditionFailedError:
         in_window = False
     least = min_multiplicity_eta0(pair, pos, beta)
