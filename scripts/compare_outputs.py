@@ -300,16 +300,18 @@ def df_pairs() -> list[workloads.Invocation]:
 
 
 def curve_fallbacks() -> list[workloads.Invocation]:
-    """df-curve rows whose texts take ratio_texts' special cases, in CSV
-    and JSON: an exact zero (DF and the inner factor of P3 at beta 9/10 and
-    c = 2/3), and a pair with L^n = 1/7^4000 at beta 1/2 (terms of about 3400
-    digits) and at beta 1/3^7000 (DF's terms past the 4300-digit int->str
-    limit)."""
+    """df-curve rows whose texts are not plain p/q pairs of small integers,
+    in CSV and JSON: an exact zero, whose denominator 1 prints no "/" (DF and
+    the inner factor of P3 at beta 9/10 and c = 2/3), alone at 2 steps and
+    inside a full batch of 256 rows, then a one-row batch, at 257 steps; and
+    a pair with L^n = 1/7^4000 at beta 1/2 (terms of about 3400 digits) and
+    at beta 1/3^7000 (DF's terms past the 4300-digit int->str limit)."""
     big = workloads._file("pair", {"name": "small-top", "dimension": 2,
                                    "L_top": f"1/{7**4000}", "cX_L": "3", "divisor": {"m": 1}})
-    argvs = [("catalog:P3-hyperplane", "--beta", "9/10"),
-             *((big[0], "--beta", beta) for beta in ("1/2", f"1/{3**7000}"))]
-    return [workloads.Invocation(("df-curve", *argv, "--steps", "2", "--format", fmt), (big,))
+    p3 = ("catalog:P3-hyperplane", "--beta", "9/10")
+    argvs = [(*p3, "--steps", "2"), (*p3, "--steps", "257"),
+             *((big[0], "--beta", beta, "--steps", "2") for beta in ("1/2", f"1/{3**7000}"))]
+    return [workloads.Invocation(("df-curve", *argv, "--format", fmt), (big,))
             for argv in argvs for fmt in ("csv", "json")]
 
 
