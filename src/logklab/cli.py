@@ -7,19 +7,21 @@ byte-identical bytes. Each subcommand's handler returns its exit code and
 the pieces of its stdout, and run writes them in one loop inside its error
 mapping, so stdout is written only after the subcommand's checks pass:
 exits 3 and 4 leave it empty. df-curve's pieces are batches of rows,
-computed as they are written, after its end checks.
+computed as they are written, after its end checks of both values and
+texts.
 
-The closedform, normalcone, thresholds, weightoracle and inputs modules, and
-json, are imported inside the functions that use them, so that a process
-loads, and without a bytecode cache compiles, only what its subcommand
-runs: df and info load the closed form alone, destabilize, critical-c and
-df-curve the sign kernel (normalcone) too. inputs holds the pair-file and
-criteria-file readers and the argparse parser (inputs.build_parser). A
-catalog pair needs no reader, and _fast_parse reads a well-formed argv
-straight off the command table, so inputs is loaded only for a pair file,
-a criteria file, --help, usage errors and the forms only argparse reads,
-such as abbreviated flags; argparse only for the last three. A hypothesis
-property checks the fast path against argparse.
+The closedform, normalcone, curve, thresholds, weightoracle and inputs
+modules, and json, are imported inside the functions that use them, so
+that a process loads, and without a bytecode cache compiles, only what its
+subcommand runs: df and info load the closed form alone, destabilize and
+critical-c the sign kernel (kernel) and its searches (normalcone) too, and
+df-curve the kernel and its grid and row text (curve), no search. inputs
+holds the pair-file and criteria-file readers and the argparse parser
+(inputs.build_parser). A catalog pair needs no reader, and _fast_parse
+reads a well-formed argv straight off the command table, so inputs is
+loaded only for a pair file, a criteria file, --help, usage errors and the
+forms only argparse reads, such as abbreviated flags; argparse only for the
+last three. A hypothesis property checks the fast path against argparse.
 
 No other logklab module imports this one: under `python -m logklab.cli` it
 runs as __main__, and an import of logklab.cli would compile and run it a
@@ -42,7 +44,7 @@ from .errors import (
     LogKLabError,
     PreconditionFailedError,
 )
-from .exactnum import _input_rational, decimal_string, format_rational, ratio_texts
+from .exactnum import _input_rational, decimal_string, format_rational
 from .pairmodel import _POSITIVITY, PairSource
 
 if TYPE_CHECKING:
@@ -218,36 +220,9 @@ def _cmd_df(ns) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
-    from . import normalcone
+    from . import curve
 
-    columns = normalcone.GRID_FIELDS
-    if ns.format == "csv":
-        # No field needs CSV quoting: rationals and decimals hold no comma,
-        # quote or newline.
-        head = ",".join([*columns, *(f"{name}_decimal" for name in columns)]) + "\n"
-        row, between, tail, digits = ",".join(["%s"] * 8) + "\n", "", "", 12
-    else:
-        # The bytes of json.dumps(rows, indent=2): the keys are fixed and every
-        # value is [-0-9/] text, so nothing needs escaping.
-        head, between, tail, digits = "[\n  ", ",\n  ", "\n]\n", 0
-        row = "{\n%s\n  }" % ",\n".join(f'    "{name}": "%s"' for name in columns)
-    batches = normalcone.curve_rows(ns.source.pair, ns.beta, ns.steps)  # ends checked first
-
-    def rows(batch) -> list[str]:
-        texts, decimals = zip(*(ratio_texts(nums, dens, digits) for nums, dens in batch))
-        return list(map(row.__mod__, zip(*texts, *decimals) if digits else zip(*texts)))
-
-    # One piece, so one write, per batch of rows, not per row: with
-    # PYTHONUNBUFFERED set, each write is a system call. Memory stays
-    # bounded by the batch.
-    def pieces():
-        lead = head
-        for batch in batches:
-            yield lead + between.join(rows(batch))
-            lead = between
-        yield tail
-
-    return EXIT_OK, pieces()
+    return EXIT_OK, curve.curve_text(ns.source.pair, ns.beta, ns.steps, ns.format)
 
 
 def _cmd_destabilize(ns) -> tuple[int, Iterable[str]]:

@@ -5,8 +5,9 @@ second path.
 The family blows up X x C along D x {0} and polarises by L - cP for a
 rational blow-up parameter c in (0, 1). Everything here is for a divisor
 D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
-The integer sign kernel and the searches built on it live in normalcone,
-which reads the closed form from here.
+The integer sign kernel lives in kernel, the searches built on it in
+normalcone and the df-curve grid in curve; both read the closed form from
+here.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
-"""Deformation to the normal cone of D in |L|: the integer sign kernel of
-the closed-form DF's inner factor, destabiliser search, critical-angle root
-isolation and the df-curve grid.
+"""Deformation to the normal cone of D in |L|: the destabiliser search and
+the critical-angle root isolation, on the signs of the integer kernel.
 
 The family blows up X x C along D x {0} and polarises by L - cP for a
 rational blow-up parameter c in (0, 1). Everything here is for a divisor
 D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
-Each search and the grid is checked against the Fraction closed form of
-closedform, which the df, info and oracle routes load on their own.
+Each search is checked against the Fraction closed form of closedform,
+which the df, info and oracle routes load on their own. The sign kernel
+lives in kernel, which the df-curve grid (curve) shares; df-curve loads
+neither search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .closedform import _Pair, _pair_of
+from .closedform import _pair_of
 from .errors import InputError, InternalCheckError, PreconditionFailedError
 from .exactnum import format_rational
-from .pairmodel import PolarisedPair, integer
+from .kernel import _Kernel, _kernel
+from .pairmodel import PolarisedPair
 
 
 class CriticalBracket(NamedTuple):
@@ -35,86 +35,6 @@ class CriticalBracket(NamedTuple):
     all_destabilizing: bool = False
     lo_inner: Fraction | None = None
     hi_inner: Fraction | None = None
-
-
-class _Kernel(NamedTuple):
-    """The inner factor's integer numerator for one pair at one beta.
-
-    With u = 1 - c and s = S^D/(n-1), multiply the inner factor
-    beta + s g(c) by n(1 - u^(n+1))/(1 - u) = n(1 + u + ... + u^n):
-
-        Q(u) = n(beta+s) u^n + (n beta - s)(1 + u + ... + u^(n-1)).
-
-    The multiplier is positive for u in (0, 1), so Q(u) and the inner factor
-    have the same sign there. den clears the denominators of n(beta+s) and
-    n beta - s, leaving the integers A and B. For c = a/d put b = d - a, so
-    u = b/d and d^n (1 + ... + u^(n-1)) = d(d^n - b^n)/a. Then
-
-        V(a, d) = (a A - B d) b^n + B d^(n+1) = a den d^n Q(b/d),
-
-    an integer with the sign of the inner factor, and the whole closed form
-    is V over integers (a0 = L^n/n!):
-
-        inner factor = V / (den n (d^(n+1) - b^(n+1)))
-        prefactor    = n a0 (d^(n+1) - b^(n+1)) / ((n+1) d^(n+1))
-        DF           = a0 V / (den (n+1) d^(n+1))
-        J^NA         = ((n+1) a d^n - (d^(n+1) - b^(n+1))) / ((n+1) d^(n+1)).
-
-    grid yields all but the prefactor, the columns df-curve prints, as
-    unreduced integers; df-curve makes no Fraction.
-    """
-
-    n: int
-    a0: Fraction
-    den: int
-    A: int
-    B: int
-
-    def value(self, a: int, d: int, b_n: int, d_n1: int) -> int:
-        """V(a, d), given b^n = (d - a)^n and d^(n+1)."""
-        return (a * self.A - self.B * d) * b_n + self.B * d_n1
-
-    def sign(self, a: int, d: int) -> int:
-        """Sign of the inner factor at c = a/d (0 < a < d): -1, 0 or 1."""
-        v = self.value(a, d, (d - a) ** self.n, d ** (self.n + 1))
-        return (v > 0) - (v < 0)
-
-    def grid(self, d: int, a_values: Sequence[int]) -> Iterator[_Batch]:
-        """At c = a/d for each a of a_values (0 < a < d), lazily, CURVE_BATCH
-        points at a time, as _Batch values: the columns of c, DF, the inner
-        factor and J^NA.
-
-        The powers of d and the constants of the denominators are computed
-        once; each point needs b^n, V and d^(n+1) - b^(n+1), and no tuple.
-        """
-        n, a0_num = self.n, self.a0.numerator
-        d_n = d**n
-        d_n1 = d_n * d
-        inner_den = self.den * n
-        jna_lead = (n + 1) * d_n
-        jna_den = (n + 1) * d_n1
-        df_den = self.a0.denominator * jna_den * self.den
-        for start in range(0, len(a_values), CURVE_BATCH):
-            batch = a_values[start:start + CURVE_BATCH]
-            k = len(batch)
-            bs = [d - a for a in batch]
-            b_ns = [b**n for b in bs]
-            vs = list(map(self.value, batch, repeat(d, k), b_ns, repeat(d_n1, k)))
-            gaps = [d_n1 - b_n * b for b_n, b in zip(b_ns, bs)]  # d^(n+1) - b^(n+1) > 0
-            yield [(batch, [d] * k), ([a0_num * v for v in vs], [df_den] * k),
-                   (vs, [inner_den * gap for gap in gaps]),
-                   ([jna_lead * a - gap for a, gap in zip(batch, gaps)], [jna_den] * k)]
-
-
-def _kernel(constants: _Pair, beta: Fraction) -> _Kernel:
-    """The pair's _Kernel at beta: den, A and B from n(beta+s) and n beta - s."""
-    n, s = constants.n, constants.s
-    lead = n * (beta + s)
-    tail = n * beta - s
-    den = lcm(lead.denominator, tail.denominator)
-    A = lead.numerator * (den // lead.denominator)
-    B = tail.numerator * (den // tail.denominator)
-    return _Kernel(n, constants.a0, den, A, B)
 
 
 # Bits of d^(n+1) at the deepest dyadic c = a/d, d = 2^depth, at which either
@@ -341,43 +261,3 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
             f"closed-form inner factor does not change sign across the bracket "
             f"[{format_rational(lo)}, {format_rational(hi)}]")
     return CriticalBracket(lo, hi, lo_inner=lo_inner, hi_inner=hi_inner)
-
-
-# Largest --steps of df-curve: 10^5 rows of P2-line take 0.30-0.33 s per
-# process and 16 MB of CSV (2-core x86-64 VM, Python 3.11); see the README.
-CURVE_STEPS_LIMIT = 10**5
-# Points of one batch of _Kernel.grid, so rows per write call of df-curve.
-CURVE_BATCH = 256
-# The fields of a _Kernel.grid batch, in their order: df-curve's columns.
-GRID_FIELDS = ("c", "df", "inner_factor", "jna")
-# A _Kernel.grid batch: a (numerators, denominators) column pair per field of
-# GRID_FIELDS, in its order, the integers unreduced.
-_Batch = list[tuple[Sequence[int], list[int]]]
-
-
-def curve_rows(pair: PolarisedPair, beta: Fraction, steps: int) -> Iterator[_Batch]:
-    """The batches of _Kernel.grid at c = i/(steps+1), i = 1..steps, computed lazily.
-
-    The Fraction closed form at the first and last points is the independent
-    second path: a DF, inner factor or J^NA that differs from it raises
-    InternalCheckError before the batches are returned. A steps that is not
-    an int in 1..CURVE_STEPS_LIMIT is an InputError.
-    """
-    integer(steps, "steps", 1, CURVE_STEPS_LIMIT)
-    beta = Fraction(beta)
-    constants = _pair_of(pair)
-    kernel, d = _kernel(constants, beta), steps + 1
-    for c, df, inner, jna in _reports(kernel.grid(d, (1, d - 1))):
-        closed = constants.at(c).df(beta)
-        if (df, inner, jna) != (closed.df, closed.inner_factor, closed.jna):
-            raise InternalCheckError(
-                f"df-curve grid and closed form disagree at c = {format_rational(c)}: "
-                f"DF {format_rational(df)} against {format_rational(closed.df)}"
-            )
-    return kernel.grid(d, range(1, d))
-
-
-def _reports(batches: Iterable[_Batch]) -> Iterator[tuple[Fraction, ...]]:
-    """The points of _Kernel.grid's batches as tuples of their GRID_FIELDS, in Fractions."""
-    for columns in batches:
-        yield from zip(*(map(Fraction, nums, dens) for nums, dens in columns))

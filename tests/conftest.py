@@ -4,7 +4,7 @@ import pytest
 
 from logklab.exactnum import parse_rational
 from logklab.closedform import NormalConeCoefficients, _pair_of
-from logklab.normalcone import _Kernel, _kernel
+from logklab.kernel import _Kernel, _kernel
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import HilbertModel, oracle_report, sum_samples
 

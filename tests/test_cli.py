@@ -27,10 +27,11 @@ from logklab.cli import (
     run,
 )
 from logklab.closedform import family, instability_threshold
+from logklab.curve import CURVE_STEPS_LIMIT, curve_rows
 from logklab.errors import InputError, InternalCheckError
 from logklab.exactnum import decimal_string, format_rational, parse_rational
 from logklab.inputs import load_pair_file
-from logklab.normalcone import CURVE_STEPS_LIMIT, curve_rows
+from logklab.kernel import _Kernel
 from logklab.pairmodel import _POSITIVITY, CATALOG, PolarisedPair
 from logklab.thresholds import PositivityData, eta_feasibility
 
@@ -698,9 +699,39 @@ CURVE_COLUMNS = ("c", "df", "inner_factor", "jna")
 @example(n=2, L_top=Fraction(1, 7**4000), cX_L=Fraction(3), beta=Fraction(1, 3**7000), steps=2)
 # A full batch of CURVE_BATCH rows, then a short one.
 @example(n=2, L_top=Fraction(1), cX_L=Fraction(3), beta=Fraction(1, 2), steps=300)
+# Exactly one full batch; one full batch then a one-row batch.
+@example(n=3, L_top=Fraction(1), cX_L=Fraction(4), beta=Fraction(9, 10), steps=256)
+@example(n=3, L_top=Fraction(1), cX_L=Fraction(4), beta=Fraction(9, 10), steps=257)
 def test_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
-    # The streamed rows against format_rational, decimal_string and
-    # json.dumps over the Fractions of the closed form at each c.
+    assert_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps)
+
+
+def test_df_curve_digit_limit_fallback_holds_on_every_batch(monkeypatch):
+    # One row per batch, and each row has integers past the int->str digit
+    # limit, so every batch is formatted through ratio_texts.
+    import logklab.curve as curve
+
+    monkeypatch.setattr(curve, "CURVE_BATCH", 1)
+    assert_df_curve_bytes_equal_the_fraction_writers(
+        2, Fraction(1, 7**4000), Fraction(3), Fraction(1, 3**7000), 3)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_df_curve_exits_4_when_its_suffix_table_is_corrupt(capsys, monkeypatch, fmt):
+    import logklab.curve as curve
+
+    real = curve._Suffixes.__missing__
+    monkeypatch.setattr(curve._Suffixes, "__missing__", lambda self, g: real(self, g) + "1")
+    code, out, err = invoke(capsys, [
+        "df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "5", "--format", fmt])
+    assert code == 4
+    assert out == ""
+    assert "Fraction writers disagree at c = 1/6" in err and "Traceback" not in err
+
+
+def assert_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
+    """The df-curve rows of the pair against format_rational, decimal_string
+    and json.dumps over the Fractions of the closed form at each c."""
     pair = PolarisedPair("random", n, L_top, cX_L)
     reports = ((c, family(pair, c).df(beta)) for c in (Fraction(i, steps + 1)
                                                        for i in range(1, steps + 1)))
@@ -1155,10 +1186,8 @@ def test_critical_c_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch, corr
 
 
 def test_destabilize_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch):
-    import logklab.normalcone as normalcone
-
-    real = normalcone._Kernel.sign
-    monkeypatch.setattr(normalcone._Kernel, "sign", lambda kernel, a, d: -real(kernel, a, d))
+    real = _Kernel.sign
+    monkeypatch.setattr(_Kernel, "sign", lambda kernel, a, d: -real(kernel, a, d))
     code, out, err = invoke(capsys, ["destabilize", "catalog:P2-line", "--beta", "15/16"])
     assert code == 4
     assert out == ""
@@ -1166,11 +1195,9 @@ def test_destabilize_exits_4_when_sign_kernel_disagrees(capsys, monkeypatch):
 
 
 def test_df_curve_exits_4_when_grid_kernel_disagrees(capsys, monkeypatch):
-    import logklab.normalcone as normalcone
-
-    real = normalcone._Kernel.value
-    monkeypatch.setattr(normalcone._Kernel, "value",
-                        lambda self, a, d, b_n, d_n1: real(self, a, d, b_n, d_n1) + 1)
+    real = _Kernel.values
+    monkeypatch.setattr(_Kernel, "values", lambda self, d, a_values, b_ns:
+                        [v + 1 for v in real(self, d, a_values, b_ns)])
     code, out, err = invoke(capsys, [
         "df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "5"])
     assert code == 4
@@ -1180,11 +1207,9 @@ def test_df_curve_exits_4_when_grid_kernel_disagrees(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_df_curve_checks_its_last_point_before_the_first_byte(capsys, monkeypatch, fmt):
-    import logklab.normalcone as normalcone
-
-    real = normalcone._Kernel.value
-    monkeypatch.setattr(normalcone._Kernel, "value", lambda self, a, d, b_n, d_n1:
-                        real(self, a, d, b_n, d_n1) + (a == d - 1))
+    real = _Kernel.values
+    monkeypatch.setattr(_Kernel, "values", lambda self, d, a_values, b_ns: [
+        v + (a == d - 1) for a, v in zip(a_values, real(self, d, a_values, b_ns))])
     code, out, err = invoke(capsys, [
         "df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "5", "--format", fmt])
     assert code == 4

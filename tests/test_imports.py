@@ -2,10 +2,11 @@
 
 Start-up is most of a short invocation's cost, and without a bytecode cache
 most of that is compiling, so each subcommand imports only the modules it
-runs: the thresholds route, the closed form, the sign kernel (normalcone)
-and the oracle are imported by the handlers that use them, a pair file's
-dimension model is built without the oracle, and no logklab module imports
-dataclasses. df, info and oracle need the closed form alone. The file
+runs: the thresholds route, the closed form, the sign kernel (kernel), its
+searches (normalcone), the df-curve grid (curve) and the oracle are imported
+by the handlers that use them, a pair file's dimension model is built
+without the oracle, and no logklab module imports dataclasses. df, info and
+oracle need the closed form alone, and df-curve loads no search. The file
 readers (inputs) are loaded only for a pair file, a criteria file and what
 argparse reads. A well-formed argv is read without argparse, and so without
 gettext and locale, which it pulls in; --help and usage errors load it.
@@ -30,7 +31,9 @@ IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
 CLI = "logklab.cli"
 ORACLE = "logklab.weightoracle"
 CLOSEDFORM = "logklab.closedform"
+KERNEL = "logklab.kernel"
 NORMALCONE = "logklab.normalcone"
+CURVE = "logklab.curve"
 THRESHOLDS = "logklab.thresholds"
 INPUTS = "logklab.inputs"
 PARSER = {"argparse", "gettext", "locale"}
@@ -60,23 +63,24 @@ def test_catalog_list(bare):
     out, modules = cli_imports(bare, "catalog", "list")
     assert "P2-line" in out
     assert "logklab.pairmodel" in modules  # the report reads this process's imports
-    assert not modules & {
-        "dataclasses", CLOSEDFORM, NORMALCONE, INPUTS, THRESHOLDS, ORACLE, *PARSER}
+    assert not modules & {"dataclasses", CLOSEDFORM, KERNEL, NORMALCONE, CURVE, INPUTS,
+                          THRESHOLDS, ORACLE, *PARSER}
 
 
-@pytest.mark.parametrize("argv, kernel", [
-    (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], False),
-    (["info", "catalog:P2-line"], False),
-    (["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"], True),
-    (["destabilize", "catalog:P2-line", "--beta", "15/16"], True),
-    (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3"], True),
+@pytest.mark.parametrize("argv, route", [
+    (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], set()),
+    (["info", "catalog:P2-line"], set()),
+    (["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"], {KERNEL, NORMALCONE}),
+    (["destabilize", "catalog:P2-line", "--beta", "15/16"], {KERNEL, NORMALCONE}),
+    (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3"], {KERNEL, CURVE}),
 ], ids=["df", "info", "critical-c", "destabilize", "df-curve"])
-def test_normal_cone_route(bare, argv, kernel):
-    # df and info need the closed form alone; the sign-kernel searches and
-    # the grid load normalcone too.
+def test_normal_cone_route(bare, argv, route):
+    # df and info need the closed form alone. The searches load the sign
+    # kernel and normalcone, and the grid the kernel and curve, so df-curve
+    # compiles no root search and the searches no grid or row template.
     _, modules = cli_imports(bare, *argv)
     assert CLOSEDFORM in modules
-    assert (NORMALCONE in modules) is kernel
+    assert modules & {KERNEL, NORMALCONE, CURVE} == route
     assert not modules & {"dataclasses", INPUTS, THRESHOLDS, ORACLE, *PARSER}
 
 
@@ -84,8 +88,8 @@ def test_df_curve_json_needs_no_json_module(bare):
     out, modules = cli_imports(bare, "df-curve", "catalog:P2-line", "--beta", "1/2",
                                "--steps", "3", "--format", "json")
     assert out.startswith("[")
-    assert NORMALCONE in modules
-    assert not modules & {"json", "dataclasses", INPUTS, THRESHOLDS, ORACLE}
+    assert {KERNEL, CURVE} <= modules
+    assert not modules & {"json", "dataclasses", NORMALCONE, INPUTS, THRESHOLDS, ORACLE}
 
 
 def test_criteria(bare, tmp_path):
@@ -101,7 +105,7 @@ def test_oracle(bare):
     out, modules = cli_imports(bare, "oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4")
     assert json.loads(out)["match"] is True
     assert {ORACLE, CLOSEDFORM} <= modules
-    assert not modules & {"dataclasses", NORMALCONE, INPUTS, *PARSER}
+    assert not modules & {"dataclasses", KERNEL, NORMALCONE, CURVE, INPUTS, *PARSER}
 
 
 @pytest.mark.parametrize("m, loaded", [("1", True), ("2", False)], ids=["m1", "m2"])

@@ -17,17 +17,16 @@ from logklab.closedform import (
     family,
     instability_threshold,
 )
+from logklab.curve import _reports, curve_rows
+from logklab.exactnum import forward_differences
+from logklab.kernel import _Kernel, _kernel
 from logklab.normalcone import (
     SIGN_BITS_LIMIT,
     CriticalBracket,
-    _kernel,
     _root_estimate,
-    _reports,
     critical_c,
-    curve_rows,
     find_destabilizer,
 )
-from logklab.exactnum import forward_differences
 from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, PolarisedPair
 
 from conftest import (
@@ -351,16 +350,14 @@ def _counted_signs(monkeypatch, limit=None, wrong=None):
     """Record each (a, d) that any _Kernel is asked the sign at, failing the
     test past limit calls rather than run on; answer with wrong's signs
     ((a, d) -> sign) if given, else with the kernel's own."""
-    import logklab.normalcone as normalcone
-
-    real, calls = normalcone._Kernel.sign, []
+    real, calls = _Kernel.sign, []
 
     def counted(kernel, a, d):
         calls.append((a, d))
         assert limit is None or len(calls) <= limit, f"more than {limit} signs"
         return real(kernel, a, d) if wrong is None else wrong(a, d)
 
-    monkeypatch.setattr(normalcone._Kernel, "sign", counted)
+    monkeypatch.setattr(_Kernel, "sign", counted)
     return calls
 
 
@@ -711,11 +708,9 @@ def test_find_destabilizer_gallops_toward_0_for_negative_volume(monkeypatch):
     # With L^n > 0 the search walks c = 2^-j where DF < 0 on (0, c*): s < 0
     # and threshold < beta < 0. At s = -3 and beta = -1/2 the inner factor is
     # 5/14 at c = 1/2, and DF < 0 at c = 1/4 and 1/8.
-    import logklab.normalcone as normalcone
-
     pair = PolarisedPair("negative-s", 2, 1, -2)
-    real, steps = normalcone._Kernel.sign, []
-    monkeypatch.setattr(normalcone._Kernel, "sign",
+    real, steps = _Kernel.sign, []
+    monkeypatch.setattr(_Kernel, "sign",
                         lambda kernel, a, d: steps.append((a, d)) or real(kernel, a, d))
     assert find_destabilizer(pair, Fraction(-1, 2)) == (Fraction(1, 4), Fraction(-7, 384))
     assert steps == [(1, 2), (1, 4)]
@@ -834,7 +829,7 @@ def test_every_sign_stays_within_the_bit_budget(n, L_top, cX_L, at_threshold, si
 
 
 def test_curve_grid(p2):
-    rows = list(_reports(curve_rows(p2, Fraction(1, 2), 7)))
+    rows = list(_reports(curve_rows(p2, Fraction(1, 2), 7)[1]))
     assert [row[0] for row in rows] == [Fraction(i, 8) for i in range(1, 8)]
     for c, *values in rows:
         closed = family(p2, c).df(Fraction(1, 2))
@@ -854,7 +849,7 @@ def test_curve_grid(p2):
 @example(n=3, L_top=Fraction(1), cX_L=Fraction(4), beta=Fraction(1, 2), steps=300)
 def test_curve_rows_equal_closed_form(n, L_top, cX_L, beta, steps):
     pair = PolarisedPair("random", n, L_top, cX_L)
-    rows = list(_reports(curve_rows(pair, beta, steps)))
+    rows = list(_reports(curve_rows(pair, beta, steps)[1]))
     assert [row[0] for row in rows] == [Fraction(i, steps + 1) for i in range(1, steps + 1)]
     for c, *values in rows:
         closed = family(pair, c).df(beta)

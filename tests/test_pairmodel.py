@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logklab import pairmodel
+from logklab.curve import curve_rows
 from logklab.errors import InconsistentDataError, InputError
 from logklab.exactnum import format_rational, leading_differences
-from logklab.normalcone import curve_rows
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,

@@ -106,11 +106,21 @@ class C:
     assert code_lines(source) == 8
 
 
+def test_code_lines_counts_ast_nodes():
+    sys.path.insert(0, str(SCRIPTS))
+    from code_lines import ast_nodes
+
+    # Module, Expr, Call, Name f, Load, Constant 1
+    assert ast_nodes("f(1)\n") == 6
+
+
 def test_code_lines_total_is_the_sum_of_the_modules():
     proc = _run("code_lines.py")
     assert proc.returncode == 0, proc.stderr
-    *rows, total = (line.split() for line in proc.stdout.splitlines())
+    header, *rows, total = (line.split() for line in proc.stdout.splitlines())
+    assert header == ["module", "lines", "nodes"]
     names = sorted(path.name for path in (ROOT / "src" / "logklab").glob("*.py"))
-    assert [name for name, _ in rows] == names
+    assert [name for name, _, _ in rows] == names
     assert total[0] == "total"
-    assert int(total[1]) == sum(int(count) for _, count in rows)
+    assert int(total[1]) == sum(int(lines) for _, lines, _ in rows)
+    assert int(total[2]) == sum(int(nodes) for _, _, nodes in rows)
