@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Count the lines of the logklab package that hold code, and its AST nodes.
+"""Count the lines of the logklab package that hold code, and its AST nodes,
+in all and on each subcommand's route.
 
     python3 scripts/code_lines.py
 
@@ -9,17 +10,50 @@ Blank lines, comment-only lines and the lines of docstrings (the first
 statement of a module, class or function body, when it is a string) are not
 counted; every line of a statement that spans several lines is. The nodes
 are what the interpreter compiles when it loads the module without a
-bytecode cache, so the rows of the modules a subcommand loads add up to
-what its process compiles.
+bytecode cache.
+
+After a blank line it prints one row per route of ROUTES: the nodes of the
+logklab modules that a fresh `python -X importtime -m logklab.cli ARGV`
+process imports for the route's fixed ARGV, plus cli.py, which runs as
+__main__ and so is missing from that report. That is what the process
+compiles of logklab.
 """
 
 import ast
 import io
+import json
+import os
+import re
+import subprocess
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logklab"
+
+_ALPHAS = ("--alpha-L", "1/3", "--alpha-LD", "1/2")
+# One argv per subcommand route, each exiting 0 on a catalog pair or on
+# CRITERIA_FILE, which route_nodes writes to the process's directory.
+CRITERIA_FILE = "criteria.json"
+ROUTES = {
+    "catalog list": ("catalog", "list"),
+    "catalog show": ("catalog", "show", "P2-line"),
+    "info": ("info", "catalog:P2-line"),
+    "scalar": ("scalar", "catalog:P2-line", "--beta", "1/2"),
+    "thresholds": ("thresholds", "catalog:P2-line", *_ALPHAS),
+    "window": ("window", "catalog:P2-line", "--m", "4", "--case", "uniform", *_ALPHAS),
+    "eta": ("eta", "catalog:P2-line", "--m", "4", "--beta", "5/16", *_ALPHAS),
+    "entropy": ("entropy", "catalog:P2-line", "--beta", "1", "--entropy-lower", "100",
+                *_ALPHAS),
+    "df": ("df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"),
+    "df-curve": ("df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3"),
+    "destabilize": ("destabilize", "catalog:P2-line", "--beta", "15/16"),
+    "critical-c": ("critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"),
+    "oracle": ("oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4"),
+    "criteria": ("criteria", "--file", CRITERIA_FILE),
+}
+_IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(logklab\S*)$", re.M)
 
 # Tokens that hold no code: comments, line ends, indentation and the stream's ends.
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -46,6 +80,24 @@ def ast_nodes(source: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse(source)))
 
 
+def route_nodes(argv) -> int:
+    """The AST nodes of logklab that a fresh `python -m logklab.cli ARGV`
+    process compiles: those of the modules its -X importtime report lists
+    and of cli.py. The process runs in a scratch directory holding
+    CRITERIA_FILE; an exit code other than 0 is a RuntimeError."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    with tempfile.TemporaryDirectory() as scratch:
+        Path(scratch, CRITERIA_FILE).write_text(json.dumps(
+            {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "logklab.cli", *argv],
+                              cwd=scratch, capture_output=True, text=True, env=env, timeout=120)
+    if proc.returncode != 0:
+        raise RuntimeError(f"logklab {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+    files = {"cli.py"} | {f"{name.partition('.')[2] or '__init__'}.py"
+                          for name in _IMPORT_LINE.findall(proc.stderr)}
+    return sum(ast_nodes((PACKAGE / name).read_text(encoding="utf-8")) for name in files)
+
+
 def main() -> None:
     if sys.argv[1:]:
         sys.exit(__doc__)
@@ -59,6 +111,10 @@ def main() -> None:
         print(f"{name:<{width}} {lines:>5} {nodes:>6}")
     lines, nodes = map(sum, zip(*counts.values()))
     print(f"{'total':<{width}} {lines:>5} {nodes:>6}")
+    width = max(map(len, ROUTES))
+    print(f"\n{'route':<{width}} {'nodes':>6}")
+    for route, argv in ROUTES.items():
+        print(f"{route:<{width}} {route_nodes(argv):>6}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ from math import gcd, log
 
 from logklab.closedform import family
 from logklab.exactnum import decimal_string, format_rational
-from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, HilbertModel, PolarisedPair
+from logklab.hilbert import CATALOG_MODELS, HilbertModel
+from logklab.pairmodel import CATALOG, DIMENSION_LIMIT, PolarisedPair
 from logklab.weightoracle import dims_and_weights, oracle_report, sum_samples
 
 
@@ -69,15 +70,14 @@ def _divisor_calls(compute) -> int:
 
 def denominator_table(denominators: list[int]) -> None:
     print(f"{'pair':<16} {'c':>14} {'seconds':>9} {'walk calls':>10} {'literal calls':>13}")
-    for name, entry in CATALOG.items():
-        if entry.model is None:
-            continue
+    for name, model in CATALOG_MODELS.items():
+        pair = CATALOG[name].pair
         for q in denominators:
             c = _near_095(q)
-            seconds, report = _best_of_3(lambda: oracle_report(entry.pair, entry.model, c))
+            seconds, report = _best_of_3(lambda: oracle_report(pair, model, c))
             first = report["samples"][0]["k"]
-            literal = _divisor_calls(lambda: dims_and_weights(entry.model, c, first))
-            total = _divisor_calls(lambda: oracle_report(entry.pair, entry.model, c))
+            literal = _divisor_calls(lambda: dims_and_weights(model, c, first))
+            total = _divisor_calls(lambda: oracle_report(pair, model, c))
             print(f"{name:<16} {format_rational(c):>14} {seconds:>9.4f} "
                   f"{total - literal:>10} {literal:>13}")
 
@@ -125,15 +125,13 @@ def main() -> None:
         dimension_table(args.dimensions)
         return
 
-    for name, entry in CATALOG.items():
-        if entry.model is None:
-            continue
+    for name, model in CATALOG_MODELS.items():
         for c in args.cs:
-            oracle_report(entry.pair, entry.model, c)
+            oracle_report(CATALOG[name].pair, model, c)
             print(f"{name:<16} c = {format_rational(c):>5}  recovery ok")
 
     print()
-    pair, model = CATALOG["P2-line"].pair, CATALOG["P2-line"].model
+    pair, model = CATALOG["P2-line"].pair, CATALOG_MODELS["P2-line"]
     c = Fraction(1, 2)
     limit = family(pair, c).jna()
     print(f"J^NA(P2-line, c=1/2) = {format_rational(limit)} = {decimal_string(limit)}")

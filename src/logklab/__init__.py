@@ -15,21 +15,23 @@ _EXPORTS = {
         "decimal_string", "format_rational", "parse_rational",
     ),
     "pairmodel": (
-        "CATALOG", "HilbertModel", "PolarisedPair", "ScalarReport",
+        "CATALOG", "PolarisedPair", "ScalarReport",
         "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair",
     ),
-    "closedform": (
-        "DFReport", "NormalConeCoefficients", "coefficients", "df_checked",
-        "df_from_coefficients", "instability_threshold",
+    "hilbert": ("CATALOG_MODELS", "HilbertModel"),
+    "closedform": ("DFReport", "instability_threshold"),
+    "expansion": (
+        "NormalConeCoefficients", "coefficients", "df_checked", "df_from_coefficients",
     ),
     "normalcone": (
         "CriticalBracket", "critical_c", "find_destabilizer",
     ),
     "thresholds": (
-        "AngleWindow", "PositivityData", "SingularCriteriaInput", "Verdict",
-        "VerdictStatus", "alpha_beta_lower_bound", "angle_window", "beta_u",
-        "entropy_threshold_check", "eta_feasibility", "min_multiplicity_eta0", "singular_criteria",
+        "AngleWindow", "PositivityData", "Verdict", "VerdictStatus",
+        "alpha_beta_lower_bound", "angle_window", "beta_u",
+        "entropy_threshold_check", "eta_feasibility", "min_multiplicity_eta0",
     ),
+    "criteria": ("SingularCriteriaInput", "singular_criteria"),
     "weightoracle": (
         "WeightSample", "dims_and_weights", "oracle_report",
     ),

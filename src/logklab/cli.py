@@ -1,4 +1,5 @@
-"""Command-line front end: pair ingestion, builtin catalog, reports, curves.
+"""Command-line front end: the command table, argv parsing, pair
+resolution, and the exit-code mapping.
 
 Exit codes: 0 success / criterion satisfied, 2 inconclusive / precondition
 failed, 3 input error, 4 internal cross-check failure (never on a correct
@@ -10,18 +11,26 @@ exits 3 and 4 leave it empty. df-curve's pieces are batches of rows,
 computed as they are written, after its end checks of both values and
 texts.
 
-The closedform, normalcone, curve, thresholds, weightoracle and inputs
-modules, and json, are imported inside the functions that use them, so
-that a process loads, and without a bytecode cache compiles, only what its
-subcommand runs: df and info load the closed form alone, destabilize and
-critical-c the sign kernel (kernel) and its searches (normalcone) too, and
-df-curve the kernel and its grid and row text (curve), no search. inputs
-holds the pair-file and criteria-file readers and the argparse parser
-(inputs.build_parser). A catalog pair needs no reader, and _fast_parse
-reads a well-formed argv straight off the command table, so inputs is
-loaded only for a pair file, a criteria file, --help, usage errors and the
-forms only argparse reads, such as abbreviated flags; argparse only for the
-last three. A hypothesis property checks the fast path against argparse.
+Each handler lives beside the library it renders, and _COMMANDS names it
+by module and function, so that a process loads, and without a bytecode
+cache compiles, only what its subcommand runs: run imports that one module.
+info's handler is in closedform, df's in expansion, destabilize's and
+critical-c's in normalcone, df-curve's in curve, oracle's in weightoracle,
+thresholds', window's, eta's and entropy's in thresholds, criteria's in
+criteria, and scalar's and catalog's in pairmodel; the text of their
+tables and fields is exactnum's. So df and info load the closed form,
+destabilize and critical-c the sign kernel (kernel) and its searches
+(normalcone) too, df-curve the kernel and its grid and row text (curve), no
+search, and only df and oracle the coefficient path (expansion). The
+dimension models (hilbert) load only for oracle, whose catalog pair
+resolve_pair gives its model, for catalog show, and for a pair file's
+hilbert block. inputs holds the pair-file and criteria-file readers and the
+argparse parser (inputs.build_parser). A catalog pair needs no reader, and
+_fast_parse reads a well-formed argv straight off the command table, so
+inputs is loaded only for a pair file, a criteria file, --help, usage
+errors and the forms only argparse reads, such as abbreviated flags;
+argparse only for the last three. A hypothesis property checks the fast
+path against argparse.
 
 No other logklab module imports this one: under `python -m logklab.cli` it
 runs as __main__, and an import of logklab.cli would compile and run it a
@@ -34,26 +43,20 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import pairmodel
 from .errors import (
-    InconsistentDataError,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
     InputError,
     InternalCheckError,
     LogKLabError,
     PreconditionFailedError,
 )
-from .exactnum import _input_rational, decimal_string, format_rational
+from .exactnum import _input_rational
 from .pairmodel import _POSITIVITY, PairSource
 
-if TYPE_CHECKING:
-    from collections.abc import Iterable
-
-    from .thresholds import PositivityData, Verdict
-
-EXIT_OK = 0
-EXIT_INCONCLUSIVE = 2
+# The exit codes past the handlers' own two, EXIT_OK and EXIT_INCONCLUSIVE.
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 EXIT_IOERR = 74  # EX_IOERR of sysexits.h: stdout could not be written
@@ -62,236 +65,23 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed p
 CATALOG_PREFIX = "catalog:"
 
 
-def resolve_pair(source: str) -> PairSource:
-    """Resolve "catalog:NAME" to its catalog entry, anything else to a JSON file."""
+def resolve_pair(source: str, model: bool = False) -> PairSource:
+    """Resolve "catalog:NAME" to its catalog entry, anything else to a JSON file.
+
+    A catalog entry holds no dimension model; with model, it is given its
+    own from hilbert.CATALOG_MODELS, or None. A pair file's hilbert block is
+    read either way."""
     if source.startswith(CATALOG_PREFIX):
-        return pairmodel.catalog_entry(source[len(CATALOG_PREFIX):])
+        name = source[len(CATALOG_PREFIX):]
+        entry = pairmodel.catalog_entry(name)
+        if model:
+            from .hilbert import CATALOG_MODELS
+
+            entry = entry._replace(model=CATALOG_MODELS.get(name))
+        return entry
     from . import inputs
 
     return inputs.load_pair_file(source)
-
-
-def _merged_positivity(pf: PairSource, ns) -> PositivityData:
-    """The pair file's positivity data, with each field a flag sets taken from
-    the flag, built through the constructor so that its checks run again."""
-    from .thresholds import PositivityData
-
-    base = pf.positivity._asdict() if pf.positivity is not None else {}
-    flags = {field: getattr(ns, field) for _, field, *_ in _POSITIVITY}
-    return PositivityData(**base | {field: v for field, v in flags.items() if v is not None})
-
-
-def _field_text(value) -> str:
-    """A field value as text: every rational exact through format_rational,
-    a tuple as (a, b) and a list as [a, b]."""
-    if isinstance(value, Fraction) or type(value) is int:
-        return format_rational(value)
-    if isinstance(value, (tuple, list)):
-        inner = ", ".join(map(_field_text, value))
-        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
-    return str(value)
-
-
-def _table(rows) -> str:
-    """(label, value, provenance) rows as a table with a decimal column; a
-    str value, such as "n/a", has no decimal."""
-    header = f"{'quantity':<34} {'exact':>20}  {'decimal':<18} {'provenance'}"
-    lines = [header, "-" * len(header)]
-    for label, value, provenance in rows:
-        dec = "" if isinstance(value, str) else decimal_string(value)
-        lines.append(f"{label:<34} {_field_text(value):>20}  {dec:<18} {provenance}")
-    return "".join(f"{line}\n" for line in lines)
-
-
-def _fields(fields) -> str:
-    """One `label: value` line per (label, value) field, skipping None values."""
-    return "".join(f"{label}: {_field_text(value)}\n" for label, value in fields
-                   if value is not None)
-
-
-def _verdict_fields(v: Verdict) -> list:
-    return [
-        ("status", v.status.value), ("claim", v.claim), ("positivity model", v.model),
-        ("eta interval", v.eta_interval), ("certificate", v.certificate),
-        ("certificate note", v.certificate_note), ("violated", v.violated),
-        *(("fact", fact) for fact in v.facts),
-    ]
-
-
-# ----------------------------- subcommands -----------------------------
-
-
-def _cmd_info(ns) -> tuple[int, Iterable[str]]:
-    from . import closedform
-
-    pair, m = ns.source.pair, ns.m
-    rows = [("S_1", pairmodel.avg_scalar_s1(pair), "n*cX_L/L_top")]
-    if pair.dimension >= 2:
-        rows.append(("S_D", pairmodel.avg_scalar_sD(pair, m), pairmodel.sD_provenance(m)))
-        if m == 1:
-            rows.append(("instability_threshold", closedform.instability_threshold(pair),
-                         "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family"))
-        else:
-            rows.append(("instability_threshold", "n/a",
-                         "normal-cone family only asserted for m = 1"))
-    else:
-        rows.append(("S_D", "n/a", "undefined for n = 1"))
-    return EXIT_OK, [_fields([
-        ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
-                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{m}L|)"),
-        ("findings", ", ".join(pairmodel.validate_pair(pair)) or "none"),
-    ]), _table(rows)]
-
-
-def _cmd_scalar(ns) -> tuple[int, Iterable[str]]:
-    report = pairmodel.avg_scalar_sbeta(ns.source.pair, ns.m, ns.beta)
-    rows = [
-        ("beta", report.beta, "evaluation angle"),
-        ("S_1", report.S1, "n*cX_L/L_top"),
-        ("S_D", report.SD if report.SD is not None else "n/a",
-         pairmodel.sD_provenance(ns.m) if report.SD is not None else "undefined for n = 1"),
-        ("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
-        ("mu", report.mu, "S_beta/n"),
-    ]
-    return EXIT_OK, [_table(rows)]
-
-
-def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
-    from . import thresholds
-
-    pair, pos, m = ns.source.pair, ns.positivity, ns.m
-    rows = [("beta_u", thresholds.beta_u(pair, pos, m), "critical cone angle from alpha data")]
-    for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        label = f"alpha_beta_lower(beta={format_rational(beta)})"
-        try:
-            rows.append((label, thresholds.alpha_beta_lower_bound(pos, m, beta),
-                         "min{m*beta, alpha_L, m*alpha_LD}"))
-        except InconsistentDataError:  # an override above m*beta, which may hold at --beta
-            rows.append((label, "n/a", "alpha_beta override exceeds m*beta"))
-    thresholds.alpha_beta_lower_bound(pos, m, ns.beta)  # refuses an override above m*--beta
-    rows.append((f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
-                 thresholds.min_multiplicity_eta0(pair, pos, ns.beta),
-                 "least m with both eta=0 conditions strict"))
-    return EXIT_OK, [_table(rows)]
-
-
-def _cmd_window(ns) -> tuple[int, Iterable[str]]:
-    from . import thresholds
-
-    window = thresholds.angle_window(ns.source.pair, ns.positivity, ns.m, ns.case)
-    return EXIT_INCONCLUSIVE if window.empty else EXIT_OK, [_fields([
-        ("claim", window.claim.value),
-        ("window", window.render()),
-        ("note", "hypotheses hold but the window is empty; nothing is certified"
-         if window.empty else None),
-    ])]
-
-
-def _cmd_verdict(ns) -> tuple[int, Iterable[str]]:
-    """eta and entropy: the subcommand's verdict at (pair, positivity, m, beta)."""
-    from . import thresholds
-
-    verdict_of = {"eta": thresholds.eta_feasibility,
-                  "entropy": thresholds.entropy_threshold_check}[ns.cmd]
-    verdict = verdict_of(ns.source.pair, ns.positivity, ns.m, ns.beta)
-    satisfied = verdict.status is thresholds.VerdictStatus.CRITERION_SATISFIED
-    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE, [_fields(_verdict_fields(verdict))]
-
-
-def _cmd_df(ns) -> tuple[int, Iterable[str]]:
-    from . import closedform
-
-    coeffs, report = closedform.df_checked(ns.source.pair, ns.c, ns.beta)
-    rows = [
-        ("a0", coeffs.a0, "leading dimension coefficient"),
-        ("a1", coeffs.a1, "subleading dimension coefficient"),
-        ("b0", coeffs.b0, "leading weight coefficient"),
-        ("b1", coeffs.b1, "subleading weight coefficient"),
-        ("a0_tilde", coeffs.a0_tilde, "divisor dimension leading coefficient"),
-        ("b0_tilde", coeffs.b0_tilde, "divisor weight leading coefficient"),
-        ("DF(closed form)", report.df, "prefactor * inner factor"),
-        ("DF(coefficient formula)", report.df,
-         "2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0~ - a0~ b0)/a0"),
-        ("inner_factor", report.inner_factor, "beta + (S_D/(n-1)) g(c)"),
-        ("positive_prefactor", report.positive_prefactor, "n a0 (1-(1-c)^(n+1))/(n+1)"),
-        ("J^NA", report.jna, "c - (1-(1-c)^(n+1))/(n+1) = -b0/a0"),
-    ]
-    return EXIT_OK, [_table(rows), "cross-check: both DF paths agree exactly\n"]
-
-
-def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
-    from . import curve
-
-    return EXIT_OK, curve.curve_text(ns.source.pair, ns.beta, ns.steps, ns.format)
-
-
-def _cmd_destabilize(ns) -> tuple[int, Iterable[str]]:
-    from . import closedform, normalcone
-
-    pair = ns.source.pair
-    c, df = normalcone.find_destabilizer(pair, ns.beta)
-    threshold = closedform.instability_threshold(pair)
-    return EXIT_OK, [_fields([
-        ("instability threshold", threshold),
-        ("witness c", c),
-        (f"DF(c, beta={format_rational(ns.beta)}) = {format_rational(df)} < 0",
-         "pair is log K-unstable at this angle"),
-    ])]
-
-
-def _cmd_critical_c(ns) -> tuple[int, Iterable[str]]:
-    from . import normalcone
-
-    bracket = normalcone.critical_c(ns.source.pair, ns.beta, ns.tol)
-    if bracket.all_destabilizing:
-        return EXIT_OK, [
-            "every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)\n"]
-    return EXIT_OK, [_fields([
-        ("isolating interval", [bracket.lo, bracket.hi]),
-        ("width", f"{format_rational(bracket.hi - bracket.lo)} (<= tol {format_rational(ns.tol)})"),
-        ("inner factor at lo", bracket.lo_inner),
-        ("inner factor at hi", bracket.hi_inner),
-    ])]
-
-
-def _cmd_oracle(ns) -> tuple[int, Iterable[str]]:
-    import json
-
-    from . import weightoracle
-
-    report = weightoracle.oracle_report(ns.source.pair, ns.source.model, ns.c, ns.kmax)
-    return EXIT_OK, [json.dumps(report, indent=2) + "\n"]
-
-
-def _cmd_criteria(ns) -> tuple[int, Iterable[str]]:
-    from . import inputs, thresholds
-
-    data = inputs._parse_criteria_file(ns.file)
-    verdicts = thresholds.singular_criteria(data)
-    if not verdicts:
-        return EXIT_INCONCLUSIVE, ["no criterion applicable: no distinguishing assertion present\n"]
-    satisfied = any(v.status is thresholds.VerdictStatus.CRITERION_SATISFIED for v in verdicts)
-    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE, [
-        "\n".join(_fields(_verdict_fields(v)) for v in verdicts)]
-
-
-def _cmd_catalog(ns) -> tuple[int, Iterable[str]]:
-    if ns.action == "list":
-        if ns.name is not None:
-            raise InputError(f"catalog list takes no pair name, got {ns.name!r}")
-        return EXIT_OK, [f"{name}\n" for name in pairmodel.CATALOG]
-    if ns.name is None:
-        raise InputError("catalog show needs a pair name")
-    entry = pairmodel.catalog_entry(ns.name)
-    pair, model = entry.pair, entry.model
-    return EXIT_OK, [_fields([
-        ("name", pair.name), ("dimension", pair.dimension), ("L_top", pair.L_top),
-        ("cX_L", pair.cX_L),
-        ("proportional_x", "none" if pair.proportional_x is None else pair.proportional_x),
-        ("divisor multiplicity", entry.m),
-        ("dimension model",
-         "none (supply alphas and bounds by hand)" if model is None else model.kind),
-    ])]
 
 
 # ----------------------------- parser wiring -----------------------------
@@ -328,40 +118,47 @@ _POSITIVITY_FLAGS = tuple(
     (flag, {"dest": field, "metavar": metavar, "type": _rational_arg, "help": help_text})
     for _, field, flag, metavar, help_text in _POSITIVITY)
 
-# The pair input of a subcommand: any pair, or only one with D in |L|.
-_ANY_PAIR, _UNIT_PAIR = "any", "m = 1"
+# The pair input of a subcommand: any pair, only one with D in |L|, or one
+# with D in |L| and, for a catalog pair, its dimension model.
+_ANY_PAIR, _UNIT_PAIR, _MODEL_PAIR = "any", "m = 1", "m = 1, with its model"
 
-# One row per subcommand, in --help order: (name, help, handler, pair input
-# or None, arguments after the pair positional).
+# One row per subcommand, in --help order: (name, help, handler as (module,
+# function), pair input or None, arguments after the pair positional).
 _COMMANDS = (
-    ("info", "pair findings, scalar averages, instability threshold", _cmd_info, _ANY_PAIR, ()),
-    ("scalar", "scalar averages at a cone angle", _cmd_scalar, _ANY_PAIR, (
+    ("info", "pair findings, scalar averages, instability threshold",
+     ("closedform", "_cmd_info"), _ANY_PAIR, ()),
+    ("scalar", "scalar averages at a cone angle", ("pairmodel", "_cmd_scalar"), _ANY_PAIR, (
         _BETA, ("--m", {"type": _int_arg, "help": "override divisor multiplicity"}))),
-    ("thresholds", "beta_u, alpha_beta lower bounds, minimal multiplicity", _cmd_thresholds,
+    ("thresholds", "beta_u, alpha_beta lower bounds, minimal multiplicity",
+     ("thresholds", "_cmd_thresholds"),
      _ANY_PAIR, (
         _M, ("--beta", {"type": _rational_arg, "default": Fraction(1, 2),
                         "help": "angle for the minimal-multiplicity row (default 1/2)"}),
         *_POSITIVITY_FLAGS)),
-    ("window", "certified cone-angle window", _cmd_window, _ANY_PAIR, (
+    ("window", "certified cone-angle window", ("thresholds", "_cmd_window"), _ANY_PAIR, (
         _M, ("--case", {"choices": ["large", "given", "uniform"], "required": True}),
         *_POSITIVITY_FLAGS)),
-    ("eta", "eta-feasibility verdict with certificate", _cmd_verdict, _ANY_PAIR,
+    ("eta", "eta-feasibility verdict with certificate", ("thresholds", "_cmd_verdict"), _ANY_PAIR,
      (_M, _BETA, *_POSITIVITY_FLAGS)),
-    ("entropy", "entropy-threshold comparison verdict", _cmd_verdict, _ANY_PAIR,
+    ("entropy", "entropy-threshold comparison verdict", ("thresholds", "_cmd_verdict"), _ANY_PAIR,
      (_M, _BETA, *_POSITIVITY_FLAGS)),
-    ("df", "log Donaldson-Futaki invariant via both paths", _cmd_df, _UNIT_PAIR, (_C, _BETA)),
-    ("df-curve", "DF grid over c for fixed beta", _cmd_df_curve, _UNIT_PAIR, (
+    ("df", "log Donaldson-Futaki invariant via both paths", ("expansion", "_cmd_df"), _UNIT_PAIR, (_C, _BETA)),
+    ("df-curve", "DF grid over c for fixed beta", ("curve", "_cmd_df_curve"), _UNIT_PAIR, (
         _BETA, ("--steps", {"type": _int_arg, "required": True}),
         ("--format", {"choices": ["csv", "json"], "default": "csv"}))),
-    ("destabilize", "find c with DF < 0 at this angle", _cmd_destabilize, _UNIT_PAIR, (_BETA,)),
-    ("critical-c", "isolate the root of the inner factor", _cmd_critical_c, _UNIT_PAIR, (
+    ("destabilize", "find c with DF < 0 at this angle",
+     ("normalcone", "_cmd_destabilize"), _UNIT_PAIR, (_BETA,)),
+    ("critical-c", "isolate the root of the inner factor",
+     ("normalcone", "_cmd_critical_c"), _UNIT_PAIR, (
         _BETA, ("--tol", {"type": _rational_arg, "required": True}))),
-    ("oracle", "brute-force coefficient cross-check report", _cmd_oracle, _UNIT_PAIR, (
+    ("oracle", "brute-force coefficient cross-check report",
+     ("weightoracle", "_cmd_oracle"), _MODEL_PAIR, (
         _C, ("--kmax", {"type": _int_arg, "default": 60,
                         "help": "sample listing bound for the report (default 60)"}))),
-    ("criteria", "singular-pair criteria from asserted facts", _cmd_criteria, None, (
+    ("criteria", "singular-pair criteria from asserted facts",
+     ("criteria", "_cmd_criteria"), None, (
         ("--file", {"required": True, "help": "JSON document mirroring the criteria input"}),)),
-    ("catalog", "builtin pairs", _cmd_catalog, None, (
+    ("catalog", "builtin pairs", ("pairmodel", "_cmd_catalog"), None, (
         ("action", {"choices": ["list", "show"]}), ("name", {"nargs": "?", "default": None}))),
 )
 
@@ -429,13 +226,14 @@ def _print_error(text: str) -> None:
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code.
 
-    Before a handler runs, its inputs are resolved once, in one order: the
-    pair source (ns.source), the refusal of m != 1 where D in |L| is needed,
-    the positivity data merged from the file and the flags (ns.positivity),
-    then the divisor multiplicity, --m if given, else the pair's (ns.m),
-    which each handler's first library call checks. Then the handler's
-    pieces are written, inside the error mapping, so an error a lazy piece
-    raises still maps to its exit code.
+    The handler's module is imported first. Before the handler runs, its
+    inputs are resolved once, in one order: the pair source (ns.source),
+    with its dimension model for oracle, the refusal of m != 1 where D in
+    |L| is needed, the positivity data merged from the file and the flags
+    (ns.positivity), then the divisor multiplicity, --m if given, else the
+    pair's (ns.m), which each handler's first library call checks. Then the
+    handler's pieces are written, inside the error mapping, so an error a
+    lazy piece raises still maps to its exit code.
     """
     ns = _fast_parse(argv)
     if ns is None:
@@ -448,17 +246,23 @@ def run(argv: list[str]) -> int:
             return EXIT_INPUT
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
+    module, name = ns.handler
+    # `from .module import name`, as the import statement runs it, so that
+    # -X importtime reports the module.
+    handler = getattr(__import__(module, globals(), None, (name,), 1), name)
     try:
         try:
             if ns.pair_input is not None:
-                ns.source = resolve_pair(ns.pair)
-                if ns.pair_input == _UNIT_PAIR and ns.source.m != 1:
+                ns.source = resolve_pair(ns.pair, ns.pair_input == _MODEL_PAIR)
+                if ns.pair_input != _ANY_PAIR and ns.source.m != 1:
                     raise InputError(f"{ns.cmd} needs a pair with divisor multiplicity m = 1")
                 if hasattr(ns, "lam"):  # the subcommands that take the positivity flags
+                    from .thresholds import _merged_positivity
+
                     ns.positivity = _merged_positivity(ns.source, ns)
                 if getattr(ns, "m", None) is None:
                     ns.m = ns.source.m
-            code, pieces = ns.handler(ns)
+            code, pieces = handler(ns)
         except PreconditionFailedError as exc:
             code, pieces = EXIT_INCONCLUSIVE, [f"PreconditionFailed: {exc}\n"]
         for piece in pieces:

@@ -1,57 +1,26 @@
-"""Deformation to the normal cone of D in |L|: exact expansion coefficients
-and the closed-form log Donaldson-Futaki invariant, each checked against a
-second path.
+"""Deformation to the normal cone of D in |L|: the closed-form log
+Donaldson-Futaki invariant, its inner factor and J^NA, and the instability
+threshold, with the info subcommand's handler.
 
 The family blows up X x C along D x {0} and polarises by L - cP for a
 rational blow-up parameter c in (0, 1). Everything here is for a divisor
 D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 The integer sign kernel lives in kernel, the searches built on it in
 normalcone and the df-curve grid in curve; both read the closed form from
-here.
+here. The expansion coefficients, df's second DF path and the oracle's
+closed form, live in expansion, which none of those routes loads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import NamedTuple
+from math import factorial
+from typing import Iterable, NamedTuple
 
-from .errors import InputError, InternalCheckError
-from .exactnum import format_rational, json_record
-from .pairmodel import PolarisedPair, avg_scalar_sD
-
-
-class NormalConeCoefficients(NamedTuple):
-    """Leading expansion coefficients of dim/weight sums for the family at c.
-
-    d_k ~ a0 k^n + a1 k^(n-1), w_k ~ b0 k^(n+1) + b1 k^n, and the same for
-    the restriction to the divisor part (a0_tilde, b0_tilde).
-    """
-
-    a0: Fraction
-    a1: Fraction
-    b0: Fraction
-    b1: Fraction
-    a0_tilde: Fraction
-    b0_tilde: Fraction
-    c: Fraction
-    n: int
-
-    @classmethod
-    def from_differences(cls, top: Fraction, below: Fraction, c: Fraction, n: int
-                         ) -> NormalConeCoefficients:
-        """The coefficients in dimension n at c of the sums of a count polynomial
-        H = sum_i D_i C(x, i) of degree <= n, from its top two forward
-        differences top = D_n and below = D_(n-1): as
-        C(x, m) = (x^m - C(m, 2) x^(m-1))/m! + ..., they give the top two
-        coefficients of d_k = H(k) and of G(x) = sum_i D_i C(x, i + 1), so of
-        w_k = G(k) - G((1-c)k) - c k H(k); d~_k = H(k) - H(k-1) has a0~ = n a0,
-        and w~_k = -c k d~_k has b0~ = -c a0~."""
-        a0, u = top / factorial(n), 1 - c
-        a1 = (n * below - comb(n, 2) * top) / factorial(n)
-        g1 = ((n + 1) * below - comb(n + 1, 2) * top) / factorial(n + 1)  # G's top is a0/(n+1)
-        return cls(a0=a0, a1=a1, b0=a0 / (n + 1) * (1 - u ** (n + 1)) - c * a0,
-                   b1=g1 * (1 - u**n) - c * a1, a0_tilde=n * a0, b0_tilde=-c * n * a0, c=c, n=n)
+from .errors import EXIT_OK, InputError, InternalCheckError
+from .exactnum import _fields, _table, format_rational
+from .pairmodel import (
+    PolarisedPair, avg_scalar_s1, avg_scalar_sD, sD_provenance, validate_pair)
 
 
 class DFReport(NamedTuple):
@@ -87,19 +56,6 @@ class Family(NamedTuple):
     c: Fraction
     un: Fraction
     un1: Fraction
-
-    def coefficients(self) -> NormalConeCoefficients:
-        n, a0, s, c = self.n, self.a0, self.s, self.c
-        return NormalConeCoefficients(
-            a0=a0,
-            a1=Fraction(n, 2) * a0 * (s + 1),
-            b0=((1 - self.un1) / (n + 1) - c) * a0,
-            b1=Fraction(n, 2) * a0 * (-c + s * ((1 - self.un) / n - c)),
-            a0_tilde=n * a0,
-            b0_tilde=-c * n * a0,
-            c=c,
-            n=n,
-        )
 
     def inner(self, beta: Fraction) -> Fraction:
         """The closed-form DF's inner factor beta + s g(c), where
@@ -164,44 +120,31 @@ def _pair_of(pair: PolarisedPair) -> _Pair:
 
 
 def family(pair: PolarisedPair, c: Fraction) -> Family:
-    """The pair's family at c, validated once; coefficients(), df(beta) and jna() read it."""
+    """The pair's family at c, validated once; df(beta) and jna() read it, and
+    expansion.family_coefficients."""
     return _pair_of(pair).at(c)
-
-
-def coefficients(pair: PolarisedPair, c: Fraction) -> NormalConeCoefficients:
-    """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
-    return family(pair, c).coefficients()
-
-
-def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
-    """DF = 2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0_tilde - a0_tilde b0)/a0."""
-    beta = Fraction(beta)
-    main = 2 * (coeffs.a1 * coeffs.b0 - coeffs.a0 * coeffs.b1) / coeffs.a0
-    log_term = (coeffs.a0 * coeffs.b0_tilde - coeffs.a0_tilde * coeffs.b0) / coeffs.a0
-    return main + (1 - beta) * log_term
-
-
-def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
-               ) -> tuple[NormalConeCoefficients, DFReport]:
-    """The family's coefficients and closed-form DF report at (c, beta), once
-    they equal field by field those read off the forward differences
-    pair.riemann_roch() and df_from_coefficients gives the same DF
-    (InternalCheckError otherwise)."""
-    at_c = family(pair, c)
-    coeffs, report = at_c.coefficients(), at_c.df(beta)
-    summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), at_c.c, at_c.n)
-    if summed != coeffs:
-        raise InternalCheckError(
-            f"coefficient paths disagree: closed form {json_record(coeffs)}, "
-            f"Riemann-Roch sums {json_record(summed)}")
-    df_coeff_path = df_from_coefficients(coeffs, beta)
-    if df_coeff_path != report.df:
-        raise InternalCheckError(
-            f"DF paths disagree: closed form {format_rational(report.df)}, "
-            f"coefficient formula {format_rational(df_coeff_path)}")
-    return coeffs, report
 
 
 def instability_threshold(pair: PolarisedPair) -> Fraction:
     """Angles strictly below S^D / (n(n-1)) are destabilised by this family."""
     return _pair_of(pair).threshold()
+
+
+def _cmd_info(ns) -> tuple[int, Iterable[str]]:
+    pair, m = ns.source.pair, ns.m
+    rows = [("S_1", avg_scalar_s1(pair), "n*cX_L/L_top")]
+    if pair.dimension >= 2:
+        rows.append(("S_D", avg_scalar_sD(pair, m), sD_provenance(m)))
+        if m == 1:
+            rows.append(("instability_threshold", instability_threshold(pair),
+                         "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family"))
+        else:
+            rows.append(("instability_threshold", "n/a",
+                         "normal-cone family only asserted for m = 1"))
+    else:
+        rows.append(("S_D", "n/a", "undefined for n = 1"))
+    return EXIT_OK, [_fields([
+        ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
+                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{m}L|)"),
+        ("findings", ", ".join(validate_pair(pair)) or "none"),
+    ]), _table(rows)]

@@ -5,7 +5,8 @@ Both ends of the grid are checked against the Fraction closed form of
 closedform, and the texts of both end rows against format_rational and
 decimal_string of those Fractions, before any row is returned. This module
 holds no root search: df-curve loads closedform, kernel and this module,
-destabilize and critical-c load kernel and normalcone.
+destabilize and critical-c load kernel and normalcone. The df-curve handler
+lives here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import floordiv
 from typing import Iterable, Iterator, Sequence
 
 from .closedform import _pair_of
-from .errors import InternalCheckError
+from .errors import EXIT_OK, InternalCheckError
 from .exactnum import decimal_string, format_rational, ratio_texts
 from .kernel import _Kernel, _kernel
 from .pairmodel import PolarisedPair, integer
@@ -192,3 +193,7 @@ def curve_text(pair: PolarisedPair, beta: Fraction, steps: int, fmt: str) -> Ite
         yield tail
 
     return pieces()
+
+
+def _cmd_df_curve(ns) -> tuple[int, Iterable[str]]:
+    return EXIT_OK, curve_text(ns.source.pair, ns.beta, ns.steps, ns.format)

@@ -5,7 +5,8 @@ message, and the prefix the message follows:
 
 - LogKLabError: exit 3, stderr, "error: ", as does any subclass not listed here.
 - InputError: exit 3, stderr, "input error: ".
-- InconsistentDataError: exit 3, stderr, "input error: "; _cmd_thresholds catches it.
+- InconsistentDataError: exit 3, stderr, "input error: "; thresholds._cmd_thresholds
+  catches it.
 - PreconditionFailedError: exit 2, stdout, "PreconditionFailed: ". Raised in
   two places: thresholds._require, at the first window hypothesis that fails,
   and normalcone._not_below, for a destabilize or critical-c angle not below
@@ -14,6 +15,12 @@ message, and the prefix the message follows:
 """
 
 from __future__ import annotations
+
+# The exit codes a subcommand's handler returns: success or criterion
+# satisfied, and inconclusive or precondition failed. cli.run maps the
+# classes below onto the others.
+EXIT_OK = 0
+EXIT_INCONCLUSIVE = 2
 
 
 class LogKLabError(Exception):

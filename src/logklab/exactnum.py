@@ -1,8 +1,9 @@
-"""Exact rational arithmetic, and polynomials held as their integer forward
-differences (Newton series), with their values and sums over 0 <= j < x.
+"""Exact rational arithmetic and its text: parsing, format_rational,
+decimals, and the report fields and tables the handlers print.
 
 Every quantity in the package is a fractions.Fraction; floating point is
 banned from the computation path (decimals are derived for display only).
+The Newton series of the count polynomials live in hilbert.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import re
 import sys
 from decimal import Context
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import floordiv
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -120,59 +121,29 @@ def decimal_string(value: Fraction | int, digits: int = 12) -> str:
     return str(Context(prec=digits).divide(value.numerator, value.denominator))
 
 
-def scaled_values(coefficients: list[Fraction | int], xs: Iterable[int]
-                  ) -> tuple[int, Iterator[int]]:
-    """(d, the integers d p(x) for x of xs, lazily) for the polynomial
-    p(x) = sum_i coefficients[i] x**i and the least common denominator d of
-    its coefficients, by integer Horner over the d a_i."""
-    d = lcm(*(c.denominator for c in coefficients))
-    scaled = [c.numerator * (d // c.denominator) for c in reversed(coefficients)]
-
-    def values() -> Iterator[int]:
-        for x in xs:
-            acc = 0
-            for a in scaled:
-                acc = acc * x + a
-            yield acc
-    return d, values()
+def _field_text(value) -> str:
+    """A field value as text: every rational exact through format_rational,
+    a tuple as (a, b) and a list as [a, b]."""
+    if isinstance(value, Fraction) or type(value) is int:
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(map(_field_text, value))
+        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    return str(value)
 
 
-def forward_differences(coefficients: list[Fraction | int]) -> tuple[int, list[int]]:
-    """(d, [d D_0, ..., d D_m]): the forward differences D_i = Δ^i p(0) of the
-    polynomial p(x) = sum_i coefficients[i] x**i, times the least common
-    denominator d of its coefficients, from scaled_values at 0..m. Newton's
-    formula gives p(x) = sum_i D_i C(x, i), and summation on the upper index
-    gives sum_{0<=j<x} p(j) = sum_i D_i C(x, i + 1) (newton_sums). The D_i
-    are all integers exactly when p is integer-valued (Polya). The package
-    converts monomial coefficients here and nowhere else."""
-    d, values = scaled_values(coefficients, range(len(coefficients)))
-    return d, leading_differences(list(values))
+def _table(rows) -> str:
+    """(label, value, provenance) rows as a table with a decimal column; a
+    str value, such as "n/a", has no decimal."""
+    header = f"{'quantity':<34} {'exact':>20}  {'decimal':<18} {'provenance'}"
+    lines = [header, "-" * len(header)]
+    for label, value, provenance in rows:
+        dec = "" if isinstance(value, str) else decimal_string(value)
+        lines.append(f"{label:<34} {_field_text(value):>20}  {dec:<18} {provenance}")
+    return "".join(f"{line}\n" for line in lines)
 
 
-def leading_differences(values: list[int]) -> list[int]:
-    """[Δ^0 v(0), Δ^1 v(0), ...] for the values v(0), v(1), ... of a
-    sequence at consecutive integers: as many differences as values."""
-    differences = []
-    while values:
-        differences.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return differences
-
-
-def newton_sums(differences: list[int], x: int) -> tuple[int, int, int]:
-    """(sum_i D_i C(x, i), sum_i D_i C(x - 1, i), sum_i D_i C(x, i + 1)) at an
-    integer x for differences D: the values at x and at x - 1 and the sum
-    over 0 <= j < x, in one pass over the C(x - 1, i), by
-    C(x, i) = C(x - 1, i) + C(x - 1, i - 1). It is the package's one
-    Newton-series function: the explicit model's counts, the oracle's walk
-    and the sample check it is held to all evaluate through it."""
-    y = x - 1
-    below = rise = ahead = 0
-    previous, binomial = 0, 1  # C(y, i - 1), C(y, i)
-    for i, step in enumerate(differences):
-        following = binomial * (y - i) // (i + 1)  # exact: it is C(y, i + 1)
-        below += step * binomial
-        rise += step * previous
-        ahead += step * following
-        previous, binomial = binomial, following
-    return below + rise, below, below + ahead
+def _fields(fields) -> str:
+    """One `label: value` line per (label, value) field, skipping None values."""
+    return "".join(f"{label}: {_field_text(value)}\n" for label, value in fields
+                   if value is not None)

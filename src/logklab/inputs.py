@@ -1,6 +1,7 @@
 """The CLI's file readers and its argparse parser, which a well-formed
 catalog invocation never needs: the pair file with its positivity and
-hilbert blocks, the criteria file, and build_parser.
+hilbert blocks, the criteria file, and build_parser. Only a hilbert block
+loads the dimension models (hilbert).
 
 cli imports this module only for a pair source that is not "catalog:", for
 criteria's --file, and where its fast parse leaves argv to argparse. No
@@ -15,14 +16,14 @@ from typing import TYPE_CHECKING
 from . import pairmodel
 from .errors import InputError
 from .exactnum import _input_rational
-from .pairmodel import (
-    _POSITIVITY, KIND_EXPLICIT, KIND_PRODUCT_P1P1, KIND_PROJECTIVE_SPACE, HilbertModel,
-    PairSource, PolarisedPair)
+from .pairmodel import _POSITIVITY, PairSource, PolarisedPair
 
 if TYPE_CHECKING:
     import argparse
 
-    from .thresholds import PositivityData, SingularCriteriaInput
+    from .criteria import SingularCriteriaInput
+    from .hilbert import HilbertModel
+    from .thresholds import PositivityData
 
 
 class _UsageError(Exception):
@@ -49,6 +50,8 @@ def _parse_positivity_block(block: dict) -> PositivityData:
 
 def _hilbert_model(block: dict, pair: PolarisedPair) -> HilbertModel:
     """The dimension model a hilbert block describes, checked against the pair."""
+    from .hilbert import KIND_EXPLICIT, KIND_PRODUCT_P1P1, KIND_PROJECTIVE_SPACE, HilbertModel
+
     _reject_unknown(block, {"kind", "coefficients", "floor"}, "hilbert block")
     kind = block.get("kind")
     if kind in (KIND_PROJECTIVE_SPACE, KIND_PRODUCT_P1P1):
@@ -149,7 +152,7 @@ def load_pair_file(path: str) -> PairSource:
 
 def _parse_criteria_file(path: str) -> SingularCriteriaInput:
     """The criteria document: the fields of SingularCriteriaInput, by name."""
-    from .thresholds import SingularCriteriaInput
+    from .criteria import SingularCriteriaInput
 
     doc = _read_json_object(path, "criteria file")
     _reject_unknown(doc, set(SingularCriteriaInput._fields), "criteria file")

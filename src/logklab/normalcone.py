@@ -7,17 +7,17 @@ D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 Each search is checked against the Fraction closed form of closedform,
 which the df, info and oracle routes load on their own. The sign kernel
 lives in kernel, which the df-curve grid (curve) shares; df-curve loads
-neither search.
+neither search. The destabilize and critical-c handlers live here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .closedform import _pair_of
-from .errors import InputError, InternalCheckError, PreconditionFailedError
-from .exactnum import format_rational
+from .closedform import _pair_of, instability_threshold
+from .errors import EXIT_OK, InputError, InternalCheckError, PreconditionFailedError
+from .exactnum import _fields, format_rational
 from .kernel import _Kernel, _kernel
 from .pairmodel import PolarisedPair
 
@@ -261,3 +261,28 @@ def critical_c(pair: PolarisedPair, beta: Fraction, tol: Fraction) -> CriticalBr
             f"closed-form inner factor does not change sign across the bracket "
             f"[{format_rational(lo)}, {format_rational(hi)}]")
     return CriticalBracket(lo, hi, lo_inner=lo_inner, hi_inner=hi_inner)
+
+
+def _cmd_destabilize(ns) -> tuple[int, Iterable[str]]:
+    pair = ns.source.pair
+    c, df = find_destabilizer(pair, ns.beta)
+    threshold = instability_threshold(pair)
+    return EXIT_OK, [_fields([
+        ("instability threshold", threshold),
+        ("witness c", c),
+        (f"DF(c, beta={format_rational(ns.beta)}) = {format_rational(df)} < 0",
+         "pair is log K-unstable at this angle"),
+    ])]
+
+
+def _cmd_critical_c(ns) -> tuple[int, Iterable[str]]:
+    bracket = critical_c(ns.source.pair, ns.beta, ns.tol)
+    if bracket.all_destabilizing:
+        return EXIT_OK, [
+            "every c in (0, 1) destabilises at this angle (beta <= 0); sentinel (0, 0)\n"]
+    return EXIT_OK, [_fields([
+        ("isolating interval", [bracket.lo, bracket.hi]),
+        ("width", f"{format_rational(bracket.hi - bracket.lo)} (<= tol {format_rational(ns.tol)})"),
+        ("inner factor at lo", bracket.lo_inner),
+        ("inner factor at hi", bracket.hi_inner),
+    ])]

@@ -1,5 +1,6 @@
-"""Cone-angle thresholds, stability/existence windows, eta-feasibility
-certificates, and singular-pair criteria checkers.
+"""Cone-angle thresholds, stability/existence windows and eta-feasibility
+and entropy certificates, with the shared verdict form and the handlers of
+thresholds, window, eta and entropy.
 
 Everything here is one-sided: a verdict certifies stability/existence or
 reports Inconclusive; instability claims belong exclusively to the
@@ -10,18 +11,21 @@ caller, never computed.
 Every theorem hypothesis and criterion condition is a (holds, text) check,
 read by one evaluator, _violated: a failed window hypothesis is raised by
 _require as PreconditionFailedError, and a failed criterion condition makes
-_verdict return Inconclusive.
+_verdict return Inconclusive. The singular-pair criteria live in criteria,
+which reads the verdict form from here and which these routes never load.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import InconsistentDataError, InputError, PreconditionFailedError
-from .exactnum import format_rational
-from .pairmodel import PolarisedPair, avg_scalar_s1, integer, multiplicity, scalar_sbeta
+from .errors import (
+    EXIT_INCONCLUSIVE, EXIT_OK, InconsistentDataError, InputError, PreconditionFailedError)
+from .exactnum import _fields, _table, format_rational
+from .pairmodel import (
+    _POSITIVITY, PairSource, PolarisedPair, avg_scalar_s1, multiplicity, scalar_sbeta)
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
 MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
@@ -402,116 +406,53 @@ def entropy_threshold_check(
     return verdict
 
 
-class _CriteriaFields(NamedTuple):
-    Sbeta: Fraction
-    alpha_beta: Fraction
-    n: int
-    is_lc: bool = False
-    is_klt: bool = False
-    is_logCY: bool = False
-    bullet1_eta: Fraction | None = None
-    eta_class_ample: bool = False
-    third_class_ample: bool = False
-    bullet2_nef: bool = False
-    corollary_neg: bool = False
-    corollary_nef: bool = False
-    klt_inv_semistable: bool = False
-    klt_inv_ample: bool = False
-    klt_inv_nef: bool = False
+def _merged_positivity(pf: PairSource, ns) -> PositivityData:
+    """The pair file's positivity data, with each field a flag sets taken from
+    the flag, built through the constructor so that its checks run again."""
+    base = pf.positivity._asdict() if pf.positivity is not None else {}
+    flags = {field: getattr(ns, field) for _, field, *_ in _POSITIVITY}
+    return PositivityData(**base | {field: v for field, v in flags.items() if v is not None})
 
 
-class SingularCriteriaInput(_CriteriaFields):
-    """Caller-asserted facts about a (possibly singular) pair (X, (1-beta)*Delta).
-
-    Boolean fields are assertions the caller takes responsibility for; they
-    are echoed verbatim into the verdict's facts. A criterion is evaluated
-    only when its distinguishing assertion is present. Every construction
-    coerces the rationals to Fraction and checks the fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        data = super().__new__(cls, *args, **kwargs)
-        data = data._replace(Sbeta=Fraction(data.Sbeta), alpha_beta=Fraction(data.alpha_beta))
-        if data.alpha_beta < 0:
-            raise InputError(f"alpha_beta must be >= 0, got {format_rational(data.alpha_beta)}")
-        integer(data.n, "dimension", 1)
-        if data.bullet1_eta is not None:
-            data = data._replace(bullet1_eta=Fraction(data.bullet1_eta))
-        if data.is_klt and not data.is_lc:
-            raise InputError("is_klt asserted without is_lc (klt implies lc)")
-        return data
-
-
-UNIFORM_STABLE = "(X, L; Delta) is uniformly log K-stable with angle 2*pi*beta"
-KLT_CONCLUSION = "(X, (1-beta)*Delta) is Kawamata log terminal"
-
-
-def singular_criteria(data: SingularCriteriaInput) -> list[Verdict]:
-    """Evaluate every applicable sufficient criterion for the singular pair.
-
-    One verdict per criterion whose distinguishing assertion is present;
-    each CriterionSatisfied names the criterion and echoes the asserted
-    facts it consumed. Never asserts instability.
-    """
-    n = data.n
-    s_beta = format_rational(data.Sbeta)
-    # The eta row applies only when an eta is given; 0 keeps its checks defined.
-    eta = Fraction(0) if data.bullet1_eta is None else data.bullet1_eta
-    eta_cap = Fraction(n + 1, n) * data.alpha_beta
-    nef_cap = format_rational((n + 1) * data.alpha_beta)
-    lc_fact = f"asserted: lc = {data.is_lc}"
-    lc = (data.is_lc, "lc not asserted")
-    table = [
-        (data.is_logCY, _verdict(
-            f"{UNIFORM_STABLE} [via log Calabi-Yau criterion]",
-            ("asserted: K_X + (1-beta)*Delta numerically trivial",
-             f"asserted: klt = {data.is_klt}"),
-            ((data.is_klt, "klt not asserted"),),
-        )),
-        (data.bullet1_eta is not None, _verdict(
-            f"{UNIFORM_STABLE} [via negative-S_beta eta criterion]",
-            (lc_fact,
-             f"eta = {format_rational(eta)}",
-             f"asserted: eta*L + K_X + (1-beta)*Delta ample = {data.eta_class_ample}",
-             "asserted: -(n-1)(K_X + (1-beta)*Delta) - (S_beta - eta)*L ample = "
-             f"{data.third_class_ample}"),
-            (lc,
-             (data.Sbeta < 0, f"S_beta = {s_beta} not < 0"),
-             (0 <= eta < eta_cap, f"eta = {format_rational(eta)} not in "
-                                  f"[0, (n+1)*alpha_beta/n = {format_rational(eta_cap)})"),
-             (data.eta_class_ample, "eta-class ampleness not asserted"),
-             (data.third_class_ample, "third-class ampleness not asserted")),
-            certificate=eta, certificate_note="feasible eta supplied by caller",
-        )),
-        (data.bullet2_nef, _verdict(
-            f"{UNIFORM_STABLE} [via nef comparison criterion]",
-            (lc_fact,
-             "asserted: -S_beta*L - (n+1)(K_X + (1-beta)*Delta) nef",
-             f"S_beta = {s_beta}, (n+1)*alpha_beta = {nef_cap}"),
-            (lc,
-             (data.Sbeta < (n + 1) * data.alpha_beta,
-              f"S_beta = {s_beta} not < (n+1)*alpha_beta = {nef_cap}")),
-        )),
-        (data.corollary_neg or data.corollary_nef, _verdict(
-            f"{UNIFORM_STABLE} [via negative first-Chern-class corollary]",
-            (lc_fact,
-             f"asserted: c1(X, Delta) < 0 = {data.corollary_neg}",
-             f"asserted: -S_beta*L + n*c1(X, Delta) nef = {data.corollary_nef}"),
-            ((data.corollary_neg, "c1(X, Delta) < 0 not asserted"),
-             (data.corollary_nef, "nef combination not asserted"),
-             lc),
-        )),
-        (data.klt_inv_semistable or data.klt_inv_ample or data.klt_inv_nef, _verdict(
-            f"{KLT_CONCLUSION} [via klt from semistability criterion]",
-            (f"asserted: log K-semistable with angle 2*pi*beta = {data.klt_inv_semistable}",
-             f"asserted: c1(X, Delta) > 0 = {data.klt_inv_ample}",
-             "asserted: stated nef combination of S_beta*L and c1(X, Delta) = "
-             f"{data.klt_inv_nef}"),
-            ((data.klt_inv_semistable, "log K-semistability not asserted"),
-             (data.klt_inv_ample, "c1(X, Delta) > 0 not asserted"),
-             (data.klt_inv_nef, "nef combination not asserted")),
-        )),
+def _verdict_fields(v: Verdict) -> list:
+    return [
+        ("status", v.status.value), ("claim", v.claim), ("positivity model", v.model),
+        ("eta interval", v.eta_interval), ("certificate", v.certificate),
+        ("certificate note", v.certificate_note), ("violated", v.violated),
+        *(("fact", fact) for fact in v.facts),
     ]
-    return [verdict for applies, verdict in table if applies]
+
+
+def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:
+    pair, pos, m = ns.source.pair, ns.positivity, ns.m
+    rows = [("beta_u", beta_u(pair, pos, m), "critical cone angle from alpha data")]
+    for beta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+        label = f"alpha_beta_lower(beta={format_rational(beta)})"
+        try:
+            rows.append((label, alpha_beta_lower_bound(pos, m, beta),
+                         "min{m*beta, alpha_L, m*alpha_LD}"))
+        except InconsistentDataError:  # an override above m*beta, which may hold at --beta
+            rows.append((label, "n/a", "alpha_beta override exceeds m*beta"))
+    alpha_beta_lower_bound(pos, m, ns.beta)  # refuses an override above m*--beta
+    rows.append((f"min_multiplicity_eta0(beta={format_rational(ns.beta)})",
+                 min_multiplicity_eta0(pair, pos, ns.beta),
+                 "least m with both eta=0 conditions strict"))
+    return EXIT_OK, [_table(rows)]
+
+
+def _cmd_window(ns) -> tuple[int, Iterable[str]]:
+    window = angle_window(ns.source.pair, ns.positivity, ns.m, ns.case)
+    return EXIT_INCONCLUSIVE if window.empty else EXIT_OK, [_fields([
+        ("claim", window.claim.value),
+        ("window", window.render()),
+        ("note", "hypotheses hold but the window is empty; nothing is certified"
+         if window.empty else None),
+    ])]
+
+
+def _cmd_verdict(ns) -> tuple[int, Iterable[str]]:
+    """eta and entropy: the subcommand's verdict at (pair, positivity, m, beta)."""
+    verdict_of = {"eta": eta_feasibility, "entropy": entropy_threshold_check}[ns.cmd]
+    verdict = verdict_of(ns.source.pair, ns.positivity, ns.m, ns.beta)
+    satisfied = verdict.status is VerdictStatus.CRITERION_SATISFIED
+    return EXIT_OK if satisfied else EXIT_INCONCLUSIVE, [_fields(_verdict_fields(verdict))]

@@ -3,8 +3,8 @@
 Dimensions and weights are obtained by literally summing the section counts
 of the central-fibre decomposition, never through the closed forms they are
 meant to check. Every sample must equal the sums at its level of the
-model's stored integer forward differences (exactnum.newton_sums), and the
-coefficients read off their top two must agree with closedform.coefficients
+model's stored integer forward differences (hilbert.newton_sums), and the
+coefficients read off their top two must agree with expansion.coefficients
 exactly.
 
 The sample at level k sums the divisor counts h_D(j) over the block range
@@ -16,7 +16,7 @@ starts with a few literal h_divisor calls. On a plain HilbertModel, whose
 h_D is a polynomial in j, their integer forward differences fix the whole
 run. A run of more than twice as many values as it has records, whose
 differences are all >= 0, is jumped: each record is two
-exactnum.newton_sums series, the model's counts and their product with j,
+hilbert.newton_sums series, the model's counts and their product with j,
 so its cost does not grow with the denominator of c, and the run's last
 count is checked against a literal call. Any other run, and every run of
 another model, is counted, each h_D(j) read once, and a count of more than
@@ -26,20 +26,21 @@ meets. dims_and_weights is the literal per-sample sum, kept as the
 reference the walk is checked against: every report recomputes its first
 sample that way (InternalCheckError on any difference), and refuses one of
 more than ORACLE_LITERAL_LIMIT divisor counts (InputError) before any sum
-runs.
+runs. The oracle handler lives here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import InputError, InternalCheckError
-from .exactnum import format_rational, json_record, leading_differences, newton_sums
-from .closedform import (
-    NormalConeCoefficients, _require_c, coefficients as closed_form_coefficients)
-from .pairmodel import HilbertModel, PolarisedPair, integer
+from .closedform import _require_c
+from .errors import EXIT_OK, InputError, InternalCheckError
+from .exactnum import format_rational, json_record
+from .expansion import NormalConeCoefficients, coefficients as closed_form_coefficients
+from .hilbert import HilbertModel, leading_differences, newton_sums
+from .pairmodel import PolarisedPair, integer
 
 
 class WeightSample(NamedTuple):
@@ -311,3 +312,10 @@ def oracle_report(
         "closed_form": json_record(closed),
         "match": True,
     }
+
+
+def _cmd_oracle(ns) -> tuple[int, Iterable[str]]:
+    import json
+
+    report = oracle_report(ns.source.pair, ns.source.model, ns.c, ns.kmax)
+    return EXIT_OK, [json.dumps(report, indent=2) + "\n"]

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from logklab.exactnum import parse_rational
-from logklab.closedform import NormalConeCoefficients, _pair_of
+from logklab.closedform import _pair_of
+from logklab.expansion import NormalConeCoefficients
+from logklab.hilbert import HilbertModel
 from logklab.kernel import _Kernel, _kernel
 from logklab.pairmodel import CATALOG, PolarisedPair
-from logklab.weightoracle import HilbertModel, oracle_report, sum_samples
+from logklab.weightoracle import oracle_report, sum_samples
 
 
 @pytest.fixture

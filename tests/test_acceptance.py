@@ -15,12 +15,8 @@ from fractions import Fraction
 import pytest
 
 from logklab.cli import run
-from logklab.closedform import (
-    coefficients,
-    df_from_coefficients,
-    family,
-    instability_threshold,
-)
+from logklab.closedform import family, instability_threshold
+from logklab.expansion import coefficients, df_from_coefficients
 from logklab.exactnum import format_rational, parse_rational
 from logklab.normalcone import critical_c, find_destabilizer
 from logklab.pairmodel import (

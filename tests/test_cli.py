@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logklab import pairmodel
+from logklab import hilbert, pairmodel
 from logklab.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -30,6 +30,7 @@ from logklab.closedform import family, instability_threshold
 from logklab.curve import CURVE_STEPS_LIMIT, curve_rows
 from logklab.errors import InputError, InternalCheckError
 from logklab.exactnum import decimal_string, format_rational, parse_rational
+from logklab.hilbert import CATALOG_MODELS
 from logklab.inputs import load_pair_file
 from logklab.kernel import _Kernel
 from logklab.pairmodel import _POSITIVITY, CATALOG, PolarisedPair
@@ -112,18 +113,19 @@ def test_load_pair_file_explicit_hilbert(tmp_path):
 def test_resolve_catalog_pair():
     pf = resolve_pair("catalog:P2-line")
     assert pf.pair.name == "P2-line"
-    assert pf.model is not None
+    assert pf.model is None
+    assert resolve_pair("catalog:P2-line", model=True).model is CATALOG_MODELS["P2-line"]
+    assert resolve_pair("catalog:Fano-template", model=True).model is None
     with pytest.raises(InputError):
         resolve_pair("catalog:does-not-exist")
 
 
-@pytest.mark.parametrize("name", [name for name, entry in CATALOG.items()
-                                  if entry.model is not None])
+@pytest.mark.parametrize("name", list(CATALOG_MODELS))
 def test_catalog_models_pass_the_pair_file_check(tmp_path, name):
     # A pair file's hilbert block is checked against its pair by Riemann-Roch;
     # each catalog model, written as a block of its kind, must pass that check.
-    entry = resolve_pair(f"catalog:{name}")
-    assert entry is CATALOG[name]
+    entry = resolve_pair(f"catalog:{name}", model=True)
+    assert entry == CATALOG[name]._replace(model=CATALOG_MODELS[name])
     pair = entry.pair
     doc = {"name": pair.name, "dimension": pair.dimension, "L_top": format_rational(pair.L_top),
            "cX_L": format_rational(pair.cX_L),
@@ -194,7 +196,7 @@ def test_each_error_class_maps_to_the_exit_stream_and_prefix_its_docstring_gives
         monkeypatch, capsys):
     # One class per outcome: a class that no caller tells apart from its base
     # is one the exit code already names.
-    from logklab import cli, errors
+    from logklab import errors
 
     classes = {name: value for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, Exception)}
@@ -207,9 +209,7 @@ def test_each_error_class_maps_to_the_exit_stream_and_prefix_its_docstring_gives
         def raising(ns, error=error):
             raise error("the message")
 
-        monkeypatch.setattr(cli, "_COMMANDS", tuple(
-            (*row[:2], raising, *row[3:]) if row[0] == "catalog" else row
-            for row in cli._COMMANDS))
+        monkeypatch.setattr(pairmodel, "_cmd_catalog", raising)  # run looks the handler up
         code, stream, prefix = documented[name]
         text = f"{prefix}the message\n"
         expected = (code, text, "") if stream == "stdout" else (code, "", text)
@@ -225,7 +225,7 @@ def test_oracle_match(capsys):
 
 
 def test_oracle_sums_each_k_once(capsys, monkeypatch):
-    from logklab.weightoracle import HilbertModel
+    from logklab.hilbert import HilbertModel
 
     real = HilbertModel.h_divisor
     divisor_args = []
@@ -263,7 +263,7 @@ def test_oracle_exits_4_when_the_walk_disagrees(capsys, monkeypatch):
 
 
 def test_oracle_exits_4_when_a_run_end_disagrees(capsys, monkeypatch):
-    from logklab.weightoracle import HilbertModel
+    from logklab.hilbert import HilbertModel
 
     real = HilbertModel.h_divisor
 
@@ -794,12 +794,12 @@ RENDERING_ARGVS = [
 def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys, tmp_path, argv):
     # The value renderer fails on its second value, after the text of the
     # first is made: none of it is written.
-    import logklab.cli as cli
+    import logklab.exactnum as exactnum
 
     path = tmp_path / "criteria.json"
     path.write_text(json.dumps({"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True,
                                 "bullet2_nef": True}))
-    calls, real = [], cli._field_text
+    calls, real = [], exactnum._field_text
 
     def failing(value):
         calls.append(value)
@@ -807,7 +807,7 @@ def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys, tmp_
             raise InternalCheckError("the renderer's second value")
         return real(value)
 
-    monkeypatch.setattr(cli, "_field_text", failing)
+    monkeypatch.setattr(exactnum, "_field_text", failing)
     code, out, err = invoke(capsys, [str(path) if word == "CRITERIA" else word for word in argv])
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err == "internal cross-check failure: the renderer's second value\n"
@@ -941,7 +941,7 @@ def test_a_non_integer_value_is_refused_before_the_conversion(capsys, tmp_path, 
     def unreachable(coefficients):
         raise AssertionError("forward_differences ran")
 
-    monkeypatch.setattr(pairmodel, "forward_differences", unreachable)
+    monkeypatch.setattr(hilbert, "forward_differences", unreachable)
     for coefficients, value, k in ((["1/7"] * 513, "1/7", 0),
                                    (["1"] + ["1/7"] * 512, "519/7", 1)):
         doc = dict(P2_EXPLICIT, dimension=512,
@@ -1166,9 +1166,9 @@ def test_normal_cone_commands_exit_4_when_s_disagrees_with_riemann_roch(
 
 
 def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
-    import logklab.closedform as closedform
+    import logklab.expansion as expansion
 
-    monkeypatch.setattr(closedform, "df_from_coefficients",
+    monkeypatch.setattr(expansion, "df_from_coefficients",
                         lambda coeffs, beta: Fraction(1))
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"])
     assert code == 4

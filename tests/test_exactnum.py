@@ -9,11 +9,10 @@ from logklab.errors import InputError
 from logklab.exactnum import (
     decimal_string,
     format_rational,
-    forward_differences,
-    newton_sums,
     parse_rational,
     ratio_texts,
 )
+from logklab.hilbert import forward_differences, newton_sums
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 

@@ -1,19 +1,24 @@
-"""Which modules a `logklab` process loads for one subcommand.
+"""Which modules a `logklab` process loads for one subcommand, and how many
+AST nodes of logklab it compiles.
 
 Start-up is most of a short invocation's cost, and without a bytecode cache
 most of that is compiling, so each subcommand imports only the modules it
-runs: the thresholds route, the closed form, the sign kernel (kernel), its
-searches (normalcone), the df-curve grid (curve) and the oracle are imported
-by the handlers that use them, a pair file's dimension model is built
-without the oracle, and no logklab module imports dataclasses. df, info and
-oracle need the closed form alone, and df-curve loads no search. The file
-readers (inputs) are loaded only for a pair file, a criteria file and what
-argparse reads. A well-formed argv is read without argparse, and so without
-gettext and locale, which it pulls in; --help and usage errors load it.
-Each case runs a fresh `python -X importtime -m logklab.cli` process and
-reads the modules it imported from the -X importtime report, less those a
-bare interpreter imports on its own. None may import logklab.cli: the
-process already runs it as __main__, and an import would run it again.
+runs. Each handler lives beside the library it renders, and cli, which
+defines none, imports that one module: the thresholds route, the closed
+form, the sign kernel (kernel), its searches (normalcone), the df-curve
+grid (curve), the coefficient path (expansion), the singular criteria
+(criteria) and the oracle. The dimension models (hilbert) load only for
+oracle, catalog show and a pair file's hilbert block, which builds its
+model without the oracle; the coefficient path only for df and oracle; the
+criteria only for criteria. No logklab module imports dataclasses. df-curve
+loads no search. The file readers (inputs) are loaded only for a pair file,
+a criteria file and what argparse reads. A well-formed argv is read without
+argparse, and so without gettext and locale, which it pulls in; --help and
+usage errors load it. Each case runs a fresh `python -X importtime -m
+logklab.cli` process and reads the modules it imported from the -X
+importtime report, less those a bare interpreter imports on its own. None
+may import logklab.cli: the process already runs it as __main__, and an
+import would run it again.
 """
 
 import json
@@ -26,6 +31,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
 
 CLI = "logklab.cli"
@@ -36,6 +42,9 @@ NORMALCONE = "logklab.normalcone"
 CURVE = "logklab.curve"
 THRESHOLDS = "logklab.thresholds"
 INPUTS = "logklab.inputs"
+HILBERT = "logklab.hilbert"
+EXPANSION = "logklab.expansion"
+CRITERIA = "logklab.criteria"
 PARSER = {"argparse", "gettext", "locale"}
 
 
@@ -64,24 +73,40 @@ def test_catalog_list(bare):
     assert "P2-line" in out
     assert "logklab.pairmodel" in modules  # the report reads this process's imports
     assert not modules & {"dataclasses", CLOSEDFORM, KERNEL, NORMALCONE, CURVE, INPUTS,
-                          THRESHOLDS, ORACLE, *PARSER}
+                          THRESHOLDS, ORACLE, HILBERT, EXPANSION, CRITERIA, *PARSER}
+
+
+def test_catalog_show_reads_the_models(bare):
+    out, modules = cli_imports(bare, "catalog", "show", "P2-line")
+    assert "dimension model: projective_space" in out
+    assert HILBERT in modules
+    assert not modules & {CLOSEDFORM, EXPANSION, THRESHOLDS, CRITERIA, ORACLE, INPUTS}
+
+
+def test_cli_defines_no_handler():
+    # Each handler lives beside its library, so a route compiles only its own.
+    from logklab import cli
+
+    assert not [name for name in vars(cli) if name.startswith("_cmd_")]
 
 
 @pytest.mark.parametrize("argv, route", [
-    (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], set()),
+    (["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"], {EXPANSION}),
     (["info", "catalog:P2-line"], set()),
     (["critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"], {KERNEL, NORMALCONE}),
     (["destabilize", "catalog:P2-line", "--beta", "15/16"], {KERNEL, NORMALCONE}),
     (["df-curve", "catalog:P2-line", "--beta", "1/2", "--steps", "3"], {KERNEL, CURVE}),
 ], ids=["df", "info", "critical-c", "destabilize", "df-curve"])
 def test_normal_cone_route(bare, argv, route):
-    # df and info need the closed form alone. The searches load the sign
-    # kernel and normalcone, and the grid the kernel and curve, so df-curve
-    # compiles no root search and the searches no grid or row template.
+    # info needs the closed form alone, and df the coefficient path too. The
+    # searches load the sign kernel and normalcone, and the grid the kernel
+    # and curve, so df-curve compiles no root search and the searches no
+    # grid or row template.
     _, modules = cli_imports(bare, *argv)
     assert CLOSEDFORM in modules
-    assert modules & {KERNEL, NORMALCONE, CURVE} == route
-    assert not modules & {"dataclasses", INPUTS, THRESHOLDS, ORACLE, *PARSER}
+    assert modules & {KERNEL, NORMALCONE, CURVE, EXPANSION} == route
+    assert not modules & {"dataclasses", INPUTS, THRESHOLDS, ORACLE, HILBERT, CRITERIA,
+                          *PARSER}
 
 
 def test_df_curve_json_needs_no_json_module(bare):
@@ -89,7 +114,8 @@ def test_df_curve_json_needs_no_json_module(bare):
                                "--steps", "3", "--format", "json")
     assert out.startswith("[")
     assert {KERNEL, CURVE} <= modules
-    assert not modules & {"json", "dataclasses", NORMALCONE, INPUTS, THRESHOLDS, ORACLE}
+    assert not modules & {"json", "dataclasses", NORMALCONE, INPUTS, THRESHOLDS, ORACLE,
+                          HILBERT, EXPANSION}
 
 
 def test_criteria(bare, tmp_path):
@@ -97,15 +123,16 @@ def test_criteria(bare, tmp_path):
         {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
     out, modules = cli_imports(bare, "criteria", "--file", "criteria.json", cwd=tmp_path)
     assert "CriterionSatisfied" in out
-    assert {THRESHOLDS, INPUTS} <= modules
-    assert not modules & {CLOSEDFORM, NORMALCONE, ORACLE, *PARSER}
+    assert {THRESHOLDS, CRITERIA, INPUTS} <= modules
+    assert not modules & {CLOSEDFORM, NORMALCONE, ORACLE, HILBERT, EXPANSION, *PARSER}
 
 
 def test_oracle(bare):
     out, modules = cli_imports(bare, "oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4")
     assert json.loads(out)["match"] is True
-    assert {ORACLE, CLOSEDFORM} <= modules
-    assert not modules & {"dataclasses", KERNEL, NORMALCONE, CURVE, INPUTS, *PARSER}
+    assert {ORACLE, CLOSEDFORM, EXPANSION, HILBERT} <= modules
+    assert not modules & {"dataclasses", KERNEL, NORMALCONE, CURVE, INPUTS, THRESHOLDS,
+                          CRITERIA, *PARSER}
 
 
 @pytest.mark.parametrize("m, loaded", [("1", True), ("2", False)], ids=["m1", "m2"])
@@ -116,22 +143,29 @@ def test_entropy_reads_the_threshold_only_at_m_1(bare, m, loaded):
                                "--entropy-lower", "100", "--alpha-L", "0", "--alpha-LD", "0")
     assert "CriterionSatisfied" in out
     assert (CLOSEDFORM in modules) is loaded
-    assert not modules & {"dataclasses", NORMALCONE, INPUTS, ORACLE}
+    assert not modules & {"dataclasses", NORMALCONE, INPUTS, ORACLE, HILBERT, EXPANSION,
+                          CRITERIA}
 
 
+@pytest.mark.parametrize("block", [True, False], ids=["hilbert-block", "no-block"])
 @pytest.mark.parametrize("argv", [
     ["eta", "pair.json", "--m", "4", "--beta", "5/16"],
     ["window", "pair.json", "--m", "4", "--case", "uniform"],
 ], ids=["eta", "window"])
-def test_hilbert_block_needs_no_oracle(bare, tmp_path, argv):
-    (tmp_path / "pair.json").write_text(json.dumps({
-        "name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "proportional_x": "3",
-        "divisor": {"m": 1},
-        "positivity": {"alpha_L": "1/3", "alpha_LD_restricted": "1/2"},
-        "hilbert": {"kind": "projective_space"}}))
+def test_hilbert_block_needs_no_oracle(bare, tmp_path, argv, block):
+    # A hilbert block is built and checked, by hilbert, on every subcommand;
+    # a pair file without one loads no model.
+    doc = {"name": "P2", "dimension": 2, "L_top": "1", "cX_L": "3", "proportional_x": "3",
+           "divisor": {"m": 1},
+           "positivity": {"alpha_L": "1/3", "alpha_LD_restricted": "1/2"}}
+    if block:
+        doc["hilbert"] = {"kind": "projective_space"}
+    (tmp_path / "pair.json").write_text(json.dumps(doc))
     _, modules = cli_imports(bare, *argv, cwd=tmp_path)
     assert {THRESHOLDS, INPUTS} <= modules
-    assert not modules & {"dataclasses", CLOSEDFORM, NORMALCONE, ORACLE, *PARSER}
+    assert (HILBERT in modules) is block
+    assert not modules & {"dataclasses", CLOSEDFORM, NORMALCONE, ORACLE, EXPANSION, CRITERIA,
+                          *PARSER}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -142,3 +176,28 @@ def test_help_and_usage_errors_load_argparse(bare, argv, code):
     # So that the absence of argparse above is not vacuous.
     _, modules = cli_imports(bare, *argv, code=code)
     assert {"argparse", INPUTS} <= modules
+
+
+# The AST nodes of logklab each route of scripts/code_lines.py compiles, at
+# most: the totals it prints, which are the same on Python 3.10 to 3.13.
+ROUTE_NODES = {
+    "catalog list": 3953, "catalog show": 5291, "info": 4719, "scalar": 3953,
+    "thresholds": 6948, "window": 6948, "eta": 6948, "entropy": 7714, "df": 5558,
+    "df-curve": 6490, "destabilize": 6734, "critical-c": 6734, "oracle": 8754,
+    "criteria": 9118,
+}
+
+
+def test_every_route_is_pinned():
+    sys.path.insert(0, str(SCRIPTS))
+    from code_lines import ROUTES
+
+    assert set(ROUTES) == set(ROUTE_NODES)
+
+
+@pytest.mark.parametrize("route", list(ROUTE_NODES))
+def test_route_compiles_at_most_its_nodes(route):
+    sys.path.insert(0, str(SCRIPTS))
+    from code_lines import ROUTES, route_nodes
+
+    assert route_nodes(ROUTES[route]) <= ROUTE_NODES[route]

@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from logklab.errors import InputError, InternalCheckError, PreconditionFailedError
 from logklab.cli import run
-from logklab.closedform import (
+from logklab.closedform import _pair_of, family, instability_threshold
+from logklab.curve import _reports, curve_rows
+from logklab.expansion import (
     NormalConeCoefficients,
-    _pair_of,
     coefficients,
     df_checked,
     df_from_coefficients,
-    family,
-    instability_threshold,
 )
-from logklab.curve import _reports, curve_rows
-from logklab.exactnum import forward_differences
+from logklab.hilbert import forward_differences
 from logklab.kernel import _Kernel, _kernel
 from logklab.normalcone import (
     SIGN_BITS_LIMIT,
@@ -487,9 +485,9 @@ def test_df_checked_returns_both_agreeing_paths(p2):
 
 
 def test_df_checked_raises_when_the_coefficient_formula_disagrees(monkeypatch, p2):
-    import logklab.closedform as closedform
+    import logklab.expansion as expansion
 
-    monkeypatch.setattr(closedform, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
+    monkeypatch.setattr(expansion, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
     with pytest.raises(InternalCheckError, match="DF paths disagree: closed form -1/48, "
                                                  "coefficient formula 1"):
         df_checked(p2, Fraction(1, 2), Fraction(1, 2))

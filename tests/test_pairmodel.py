@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from logklab import pairmodel
 from logklab.curve import curve_rows
 from logklab.errors import InconsistentDataError, InputError
-from logklab.exactnum import format_rational, leading_differences
+from logklab.criteria import SingularCriteriaInput
+from logklab.exactnum import format_rational
+from logklab.hilbert import HilbertModel, leading_differences
 from logklab.pairmodel import (
     CATALOG,
     FINDING_BOUND_SATURATED,
     FINDING_BOUND_VIOLATED,
-    HilbertModel,
     PolarisedPair,
     avg_scalar_s1,
     avg_scalar_sD,
@@ -22,7 +23,6 @@ from logklab.pairmodel import (
     sD_provenance,
     validate_pair,
 )
-from logklab.thresholds import SingularCriteriaInput
 from logklab.weightoracle import admissible_ks, dims_and_weights, oracle_report
 
 betas = st.fractions(min_value=-4, max_value=4, max_denominator=64)

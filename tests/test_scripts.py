@@ -117,10 +117,21 @@ def test_code_lines_counts_ast_nodes():
 def test_code_lines_total_is_the_sum_of_the_modules():
     proc = _run("code_lines.py")
     assert proc.returncode == 0, proc.stderr
-    header, *rows, total = (line.split() for line in proc.stdout.splitlines())
+    modules, routes = proc.stdout.split("\n\n")
+    header, *rows, total = (line.split() for line in modules.splitlines())
     assert header == ["module", "lines", "nodes"]
     names = sorted(path.name for path in (ROOT / "src" / "logklab").glob("*.py"))
     assert [name for name, _, _ in rows] == names
     assert total[0] == "total"
     assert int(total[1]) == sum(int(lines) for _, lines, _ in rows)
     assert int(total[2]) == sum(int(nodes) for _, _, nodes in rows)
+    # Then one row per route: the nodes of cli.py and of the modules the
+    # route loads, so more than cli.py's and fewer than the package's.
+    sys.path.insert(0, str(SCRIPTS))
+    from code_lines import ROUTES
+
+    cli_nodes = next(int(nodes) for name, _, nodes in rows if name == "cli.py")
+    header, *routes = (line.rsplit(maxsplit=1) for line in routes.splitlines())
+    assert header == ["route", "nodes"]
+    assert [route.strip() for route, _ in routes] == list(ROUTES)
+    assert all(cli_nodes < int(nodes) < int(total[2]) for _, nodes in routes)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logklab.criteria import SingularCriteriaInput, singular_criteria
 from logklab.errors import InconsistentDataError, InputError, PreconditionFailedError
 from logklab.closedform import instability_threshold
 from logklab.pairmodel import CATALOG, PolarisedPair, avg_scalar_sD, avg_scalar_sbeta
@@ -12,7 +13,6 @@ from logklab.thresholds import (
     MODEL_SANDWICH,
     AngleWindow,
     PositivityData,
-    SingularCriteriaInput,
     VerdictStatus,
     WindowClaim,
     alpha_beta_lower_bound,
@@ -22,7 +22,6 @@ from logklab.thresholds import (
     entropy_threshold_check,
     eta_feasibility,
     min_multiplicity_eta0,
-    singular_criteria,
 )
 
 P2_ALPHAS = PositivityData(alpha_L=Fraction(1, 3), alpha_LD_restricted=Fraction(1, 2))

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from logklab.errors import InconsistentDataError, InputError, InternalCheckError
 from logklab.cli import run
-from logklab.closedform import coefficients, df_checked, df_from_coefficients, family
-from logklab.exactnum import format_rational, json_record, newton_sums
+from logklab.closedform import family
+from logklab.exactnum import format_rational, json_record
+from logklab.expansion import coefficients, df_checked, df_from_coefficients
+from logklab.hilbert import CATALOG_MODELS, HilbertModel, newton_sums
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
     ORACLE_KMAX_LIMIT,
     ORACLE_LITERAL_LIMIT,
-    HilbertModel,
     _first_level,
     admissible_ks,
     dims_and_weights,
@@ -538,7 +539,7 @@ def _runs(c, ks):
 @pytest.mark.parametrize("c", [Fraction(9511, 10000), Fraction(95111, 100000), Fraction(1, 7)])
 def test_walk_asks_a_few_counts_per_run(monkeypatch, c):
     # The seeds and the literal check of the last count, whatever q is.
-    model = CATALOG["P4-hyperplane"].model
+    model = CATALOG_MODELS["P4-hyperplane"]
     # The first 8 admissible levels; at these q they lie past the listing
     # bound that admissible_ks holds k_max to.
     ks = [_first_level(model, c) + i * c.denominator for i in range(8)]
@@ -565,7 +566,7 @@ def test_oracle_exits_4_when_a_runs_last_count_is_off_by_one(monkeypatch, capsys
 
 
 def _binomial_off_at_2(differences, x):
-    """exactnum.newton_sums with its running binomial C(x - 1, 2) one too large."""
+    """hilbert.newton_sums with its running binomial C(x - 1, 2) one too large."""
     y, below, rise, ahead, previous, binomial = x - 1, 0, 0, 0, 0, 1
     for i, step in enumerate(differences):
         binomial += i == 2
@@ -589,10 +590,10 @@ def _below_off_past_30(differences, x):
 
 @pytest.mark.parametrize("mutant", [_binomial_off_at_2, _sum_off_past_50, _below_off_past_30])
 def test_a_wrong_newton_series_exits_4_or_changes_nothing(monkeypatch, capsys, mutant):
-    # The walk and the sample check both read exactnum.newton_sums, so a
+    # The walk and the sample check both read hilbert.newton_sums, so a
     # fault there reaches both; the literal first sample (builtin counts by
     # comb) and the closed form must still refuse any output it would change.
-    import logklab.pairmodel as pairmodel
+    import logklab.hilbert as hilbert
     import logklab.weightoracle as weightoracle
 
     argvs = [["oracle", f"catalog:{name}", "--c", c]
@@ -603,7 +604,7 @@ def test_a_wrong_newton_series_exits_4_or_changes_nothing(monkeypatch, capsys, m
         assert run(argv) == 0
         expected.append(capsys.readouterr().out)
     monkeypatch.setattr(weightoracle, "newton_sums", mutant)
-    monkeypatch.setattr(pairmodel, "newton_sums", mutant)
+    monkeypatch.setattr(hilbert, "newton_sums", mutant)
     codes = []
     for argv, out in zip(argvs, expected):
         codes.append(run(argv))
