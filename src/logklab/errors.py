@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all logklab modules: one class per outcome.
+"""Exception hierarchy shared by all logklab modules, one class per outcome,
+and the two exit codes a subcommand handler returns.
 
 cli.run maps each class onto an exit code, the stream that takes its
 message, and the prefix the message follows:
