@@ -53,7 +53,8 @@ ROUTES = {
     "oracle": ("oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4"),
     "criteria": ("criteria", "--file", CRITERIA_FILE),
 }
-_IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(logklab\S*)$", re.M)
+# A module line of an -X importtime report: its name, indented by its depth.
+_IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
 
 # Tokens that hold no code: comments, line ends, indentation and the stream's ends.
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -80,21 +81,29 @@ def ast_nodes(source: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse(source)))
 
 
+def imported(*args, cwd=None) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """(the process, the names of every module it imported, logklab's and
+    others alike) of a fresh `python -X importtime ARGS` with src on
+    PYTHONPATH, read from its -X importtime report."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc, set(_IMPORT_LINE.findall(proc.stderr))
+
+
 def route_nodes(argv) -> int:
     """The AST nodes of logklab that a fresh `python -m logklab.cli ARGV`
-    process compiles: those of the modules its -X importtime report lists
-    and of cli.py. The process runs in a scratch directory holding
-    CRITERIA_FILE; an exit code other than 0 is a RuntimeError."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    process compiles: those of the logklab modules it imported and of
+    cli.py. The process runs in a scratch directory holding CRITERIA_FILE;
+    an exit code other than 0 is a RuntimeError."""
     with tempfile.TemporaryDirectory() as scratch:
         Path(scratch, CRITERIA_FILE).write_text(json.dumps(
             {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "logklab.cli", *argv],
-                              cwd=scratch, capture_output=True, text=True, env=env, timeout=120)
+        proc, modules = imported("-m", "logklab.cli", *argv, cwd=scratch)
     if proc.returncode != 0:
         raise RuntimeError(f"logklab {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
     files = {"cli.py"} | {f"{name.partition('.')[2] or '__init__'}.py"
-                          for name in _IMPORT_LINE.findall(proc.stderr)}
+                          for name in modules if name.partition(".")[0] == "logklab"}
     return sum(ast_nodes((PACKAGE / name).read_text(encoding="utf-8")) for name in files)
 
 

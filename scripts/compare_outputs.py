@@ -339,8 +339,8 @@ def refusals() -> list[workloads.Invocation]:
     hypotheses and an empty window; info's n/a rows and the S_1 bound;
     malformed pair and criteria files; positivity data that is negative,
     missing or contradicts x; a flag past the digit limit and --m 0; an
-    extra positional; the oracle's first-sample limit and an explicit count
-    below 0 at its first sample; and the sign depth of destabilize and
+    extra positional; the oracle's first-sample limit, a negative --kmax and
+    an explicit count below 0 at its first sample; and the sign depth of destabilize and
     critical-c."""
     p2 = "catalog:P2-line"
     quadric = workloads._file("pair", {
@@ -398,6 +398,7 @@ def refusals() -> list[workloads.Invocation]:
         ("scalar", p2, "--beta", "1/2", "--m", "0"),
         ("info", p2, "extra"),
         ("oracle", p2, "--c", "1000001/1000002"),
+        ("oracle", p2, "--c", "1/2", "--kmax", "-1"),
         ("oracle", negative_count[0], "--c", "1/2"),
         # The depth on P512 is 584: the witness at 2^-584, then none within
         # it; at beta 1/2 the finest tol whose level K is within it, the next,

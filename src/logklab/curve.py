@@ -3,7 +3,9 @@ from the sign kernel's integer values, and their CSV or JSON text.
 
 Both ends of the grid are checked against the Fraction closed form of
 closedform, and the texts of both end rows against format_rational and
-decimal_string of those Fractions, before any row is returned. This module
+decimal_string of those Fractions (_fraction_row), before any row is
+returned. A batch with an integer past the int->str digit limit is written
+by _fraction_row too, so exactnum alone writes such an integer. This module
 holds no root search: df-curve loads closedform, kernel and this module,
 destabilize and critical-c load kernel and normalcone. The df-curve handler
 lives here.
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .closedform import _pair_of
 from .errors import EXIT_OK, InternalCheckError
-from .exactnum import decimal_string, format_rational, ratio_texts
+from .exactnum import decimal_string, format_rational
 from .kernel import _Kernel, _kernel
 from .pairmodel import PolarisedPair, integer
 
@@ -135,8 +137,8 @@ def _row_texts(row: str, digits: int, tables: dict[str, _Suffixes], batch: _Batc
     A field of _SHARED_DENOMINATOR reads its suffixes from its _Suffixes in
     tables and divides its numerators by that table's Decimal divisor; the
     inner factor's denominators are reduced and formatted per point. A
-    batch with an integer past the int->str digit limit is formatted
-    through exactnum.ratio_texts instead.
+    batch with an integer past the int->str digit limit is written by
+    _fraction_row instead.
     """
     divide = Context(prec=digits).divide if digits else None
     fields, decimals = [], []
@@ -155,9 +157,14 @@ def _row_texts(row: str, digits: int, tables: dict[str, _Suffixes], batch: _Batc
                 decimals.append(map(divide, nums, divisors))
         return list(map(row.__mod__, zip(*fields, *decimals)))
     except ValueError:  # the digit limit
-        texts, decimals = zip(*(ratio_texts(nums, dens, digits) for nums, dens in batch))
-        fields = [field for text in texts for field in (text, repeat(""))]
-        return list(map(row.__mod__, zip(*fields, *(decimals if digits else ()))))
+        return [_fraction_row(row, digits, values) for values in _reports([batch])]
+
+
+def _fraction_row(row: str, digits: int, values: tuple[Fraction, ...]) -> str:
+    """The template row filled with format_rational and, if digits,
+    decimal_string of each value: the reference writer of a row."""
+    fields = [field for value in values for field in (format_rational(value), "")]
+    return row % (*fields, *(decimal_string(value, digits) for value in values if digits))
 
 
 def curve_text(pair: PolarisedPair, beta: Fraction, steps: int, fmt: str) -> Iterator[str]:
@@ -166,9 +173,9 @@ def curve_text(pair: PolarisedPair, beta: Fraction, steps: int, fmt: str) -> Ite
     then the tail.
 
     Before it returns, curve_rows checks both ends against the closed form,
-    and the texts of both end rows must equal the row template filled with
-    format_rational and, for CSV, decimal_string of their Fractions
-    (InternalCheckError otherwise).
+    and the texts of both end rows must equal _fraction_row of their
+    Fractions: the row template filled with format_rational and, for CSV,
+    decimal_string (InternalCheckError otherwise).
     """
     ends, batches = curve_rows(pair, beta, steps)
     head, row, between, tail, digits = _FORMATS[fmt]
@@ -176,9 +183,7 @@ def curve_text(pair: PolarisedPair, beta: Fraction, steps: int, fmt: str) -> Ite
               for name, (_, dens) in zip(GRID_FIELDS, ends) if name in _SHARED_DENOMINATOR}
     texts = partial(_row_texts, row, digits, tables)
     for text, values in zip(texts(ends), _reports([ends])):
-        fields = [field for value in values for field in (format_rational(value), "")]
-        if text != row % (*fields, *(decimal_string(value, digits) for value in values
-                                      if digits)):
+        if text != _fraction_row(row, digits, values):
             raise InternalCheckError(f"df-curve text and the Fraction writers disagree at "
                                      f"c = {format_rational(values[0])}")
 

@@ -1,6 +1,10 @@
 """Exact rational arithmetic and its text: parsing, format_rational,
 decimals, and the report fields and tables the handlers print.
 
+format_rational is the one writer of a rational's text: it writes the
+terms of the reduced Fraction it is given, and past the int->str digit
+limit it is the package's only writer of an integer (_int_to_str).
+
 Every quantity in the package is a fractions.Fraction; floating point is
 banned from the computation path (decimals are derived for display only).
 The Newton series of the count polynomials live in hilbert.
@@ -12,9 +16,7 @@ import re
 import sys
 from decimal import Context
 from fractions import Fraction
-from math import gcd
-from operator import floordiv
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -83,9 +85,14 @@ def format_rational(value: Fraction | int) -> str:
     """Render as "p/q", or a bare integer string when the denominator is 1.
 
     Equal to str() of the Fraction, also past the interpreter's int<->str
-    digit limit.
+    digit limit. A Fraction is already reduced, so its terms are written as
+    they are.
     """
-    return ratio_texts([value.numerator], [value.denominator])[0][0]
+    num, den = value.numerator, value.denominator
+    try:
+        return f"{num}/{den}" if den != 1 else str(num)
+    except ValueError:  # the digit limit
+        return _int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
 
 
 def json_record(record: NamedTuple) -> dict[str, str | int]:
@@ -93,24 +100,6 @@ def json_record(record: NamedTuple) -> dict[str, str | int]:
     every other value becomes its format_rational text."""
     return {name: value if type(value) is int else format_rational(value)
             for name, value in record._asdict().items()}
-
-
-def ratio_texts(nums: Sequence[int], dens: Sequence[int], digits: int = 0
-                ) -> tuple[list[str], list[str]]:
-    """(texts, decimals): the text format_rational(Fraction(nums[i], dens[i]))
-    of each i (dens[i] > 0) and, if digits > 0, each
-    decimal_string(Fraction(nums[i], dens[i]), digits), else no decimals,
-    with no Fraction: gcd, the divisions and Context.divide each run once
-    over the lists. Exact also past the int->str digit limit."""
-    gcds = list(map(gcd, nums, dens))
-    nums, dens = list(map(floordiv, nums, gcds)), list(map(floordiv, dens, gcds))
-    try:
-        texts = [f"{num}/{den}" if den != 1 else str(num) for num, den in zip(nums, dens)]
-    except ValueError:  # the digit limit
-        texts = [_int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
-                 for num, den in zip(nums, dens)]
-    decimals = map(Context(prec=digits).divide, nums, dens) if digits > 0 else ()
-    return texts, list(map(str, decimals))
 
 
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:

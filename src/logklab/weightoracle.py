@@ -219,13 +219,13 @@ def _first_level(model: HilbertModel, c: Fraction) -> int:
 
 
 def admissible_ks(model: HilbertModel, c: Fraction, k_max: int) -> list[int]:
-    """All k <= k_max, an int at most ORACLE_KMAX_LIMIT, satisfying the
+    """All k <= k_max, an int in 0..ORACLE_KMAX_LIMIT, satisfying the
     decomposition's preconditions.
 
     When k_max < denominator(c) there is none, and c is not checked.
     """
     c = Fraction(c)
-    if integer(k_max, "--kmax", high=ORACLE_KMAX_LIMIT) < c.denominator:
+    if integer(k_max, "--kmax", 0, ORACLE_KMAX_LIMIT) < c.denominator:
         return []
     return list(range(_first_level(model, c), k_max + 1, c.denominator))
 
@@ -272,7 +272,7 @@ def oracle_report(
     InternalCheckError, so match is always true.
 
     The refusals come before any sum runs, in this order: a missing model,
-    a k_max that is not an int at most ORACLE_KMAX_LIMIT and then a bad c
+    a k_max that is not an int in 0..ORACLE_KMAX_LIMIT and then a bad c
     (both admissible_ks's), the closed form's own checks (n >= 2, and c), a
     model whose invariants are not the pair's (InconsistentDataError), and
     a first sample of more than ORACLE_LITERAL_LIMIT divisor counts; each is

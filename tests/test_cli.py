@@ -332,6 +332,18 @@ def test_oracle_kmax_limit(capsys):
     assert "--kmax must be at most 10000" in err
 
 
+@pytest.mark.parametrize("flags, k_max", [(["--kmax", "-1"], -1), (["--kmax=-3"], -3)],
+                         ids=["kmax-1", "kmax=-3"])
+def test_oracle_refuses_a_negative_kmax(capsys, flags, k_max):
+    # --kmax 0 lists no sample; a negative --kmax is refused, not listed as
+    # nothing.
+    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "0"])
+    assert code == EXIT_OK
+    assert json.loads(out)["samples"] == []
+    code, out, err = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", *flags])
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: --kmax must be >= 0, got {k_max}\n")
+
+
 def test_oracle_literal_limit(capsys):
     # At the limit's boundary 10^6 counts run; 10^9 - 1 are refused at once.
     code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1000000/1000001"])
@@ -708,7 +720,7 @@ def test_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
 
 def test_df_curve_digit_limit_fallback_holds_on_every_batch(monkeypatch):
     # One row per batch, and each row has integers past the int->str digit
-    # limit, so every batch is formatted through ratio_texts.
+    # limit, so every batch is formatted through the Fraction writers.
     import logklab.curve as curve
 
     monkeypatch.setattr(curve, "CURVE_BATCH", 1)
@@ -864,12 +876,6 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, text):
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (EXIT_INPUT, "")
     assert err.endswith(f"invalid int value: {text!r}\n")
-
-
-def test_negative_kmax_lists_no_samples(capsys):
-    code, out, _ = invoke(capsys, ["oracle", "catalog:P2-line", "--c", "1/2", "--kmax=-3"])
-    assert code == EXIT_OK
-    assert json.loads(out)["samples"] == []
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -16,23 +16,21 @@ a criteria file and what argparse reads. A well-formed argv is read without
 argparse, and so without gettext and locale, which it pulls in; --help and
 usage errors load it. Each case runs a fresh `python -X importtime -m
 logklab.cli` process and reads the modules it imported from the -X
-importtime report, less those a bare interpreter imports on its own. None
+importtime report (through scripts/code_lines.py's imported, the reader
+its route counts use too), less those a bare interpreter imports on its
+own. None
 may import logklab.cli: the process already runs it as __main__, and an
 import would run it again.
 """
 
 import json
-import os
-import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from code_lines import ROUTES, imported, route_nodes  # noqa: E402  (scripts/ is not a package)
 
 CLI = "logklab.cli"
 ORACLE = "logklab.weightoracle"
@@ -48,24 +46,16 @@ CRITERIA = "logklab.criteria"
 PARSER = {"argparse", "gettext", "locale"}
 
 
-def imported(*args, cwd=None):
-    """(exit code, stdout, modules imported) of a fresh `python -X importtime ARGS`."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=120)
-    return proc.returncode, proc.stdout, set(IMPORT_LINE.findall(proc.stderr))
-
-
 @pytest.fixture(scope="module")
 def bare():
-    return imported("-c", "pass")[2]
+    return imported("-c", "pass")[1]
 
 
 def cli_imports(bare, *argv, cwd=None, code=0):
-    got, out, modules = imported("-m", "logklab.cli", *argv, cwd=cwd)
-    assert got == code, out
+    proc, modules = imported("-m", "logklab.cli", *argv, cwd=cwd)
+    assert proc.returncode == code, proc.stdout
     assert CLI not in modules
-    return out, modules - bare
+    return proc.stdout, modules - bare
 
 
 def test_catalog_list(bare):
@@ -181,23 +171,17 @@ def test_help_and_usage_errors_load_argparse(bare, argv, code):
 # The AST nodes of logklab each route of scripts/code_lines.py compiles, at
 # most: the totals it prints, which are the same on Python 3.10 to 3.13.
 ROUTE_NODES = {
-    "catalog list": 3953, "catalog show": 5291, "info": 4719, "scalar": 3953,
-    "thresholds": 6948, "window": 6948, "eta": 6948, "entropy": 7714, "df": 5558,
-    "df-curve": 6490, "destabilize": 6734, "critical-c": 6734, "oracle": 8754,
-    "criteria": 9118,
+    "catalog list": 3780, "catalog show": 5118, "info": 4546, "scalar": 3780,
+    "thresholds": 6775, "window": 6775, "eta": 6775, "entropy": 7541, "df": 5385,
+    "df-curve": 6289, "destabilize": 6561, "critical-c": 6561, "oracle": 8581,
+    "criteria": 8945,
 }
 
 
 def test_every_route_is_pinned():
-    sys.path.insert(0, str(SCRIPTS))
-    from code_lines import ROUTES
-
     assert set(ROUTES) == set(ROUTE_NODES)
 
 
 @pytest.mark.parametrize("route", list(ROUTE_NODES))
 def test_route_compiles_at_most_its_nodes(route):
-    sys.path.insert(0, str(SCRIPTS))
-    from code_lines import ROUTES, route_nodes
-
     assert route_nodes(ROUTES[route]) <= ROUTE_NODES[route]

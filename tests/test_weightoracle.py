@@ -693,18 +693,22 @@ def test_admissible_ks(p2_model):
 
 def test_admissible_ks_holds_k_max_to_the_listing_bound(p2_model):
     # Its own bound, not only oracle_report's: a library caller's k_max of
-    # 2 10^6 would build a list of 10^6 levels.
+    # 2 10^6 would build a list of 10^6 levels. A k_max of 0 lists no
+    # level; one below 0 is no listing bound at all.
     assert admissible_ks(p2_model, Fraction(1, 2), ORACLE_KMAX_LIMIT)[-1] == ORACLE_KMAX_LIMIT
-    with pytest.raises(InputError) as exc:
-        admissible_ks(p2_model, Fraction(1, 2), 2 * 10**6)
-    assert str(exc.value) == "--kmax must be at most 10000, got 2000000"
+    assert admissible_ks(p2_model, Fraction(1, 2), 0) == []
+    for k_max, message in ((2 * 10**6, "--kmax must be at most 10000, got 2000000"),
+                           (-1, "--kmax must be >= 0, got -1")):
+        with pytest.raises(InputError) as exc:
+            admissible_ks(p2_model, Fraction(1, 2), k_max)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     c=st.fractions(min_value=0, max_value=1, max_denominator=30).filter(lambda c: 0 < c < 1),
     floor=st.integers(min_value=0, max_value=6),
-    k_max=st.integers(min_value=-3, max_value=80),
+    k_max=st.integers(min_value=0, max_value=80),
 )
 def test_admissible_ks_keeps_every_k_the_checks_accept(c, floor, k_max):
     model = HilbertModel.explicit(P2_COUNTS, floor=floor)
@@ -724,7 +728,7 @@ def test_admissible_ks_keeps_every_k_the_checks_accept(c, floor, k_max):
 @given(
     c=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda c: 0 < c < 1),
     floor=st.integers(min_value=0, max_value=6),
-    k_max=st.integers(min_value=-3, max_value=120),
+    k_max=st.integers(min_value=0, max_value=120),
 )
 def test_oracle_levels_are_the_admissible_ks(c, floor, k_max):
     # The fit and the --kmax listing are both leading runs of the admissible
