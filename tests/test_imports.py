@@ -18,9 +18,8 @@ usage errors load it. Each case runs a fresh `python -X importtime -m
 logklab.cli` process and reads the modules it imported from the -X
 importtime report (through scripts/code_lines.py's imported, the reader
 its route counts use too), less those a bare interpreter imports on its
-own. None
-may import logklab.cli: the process already runs it as __main__, and an
-import would run it again.
+own. None may import logklab.cli: the process already runs it as
+__main__, and an import would run it again.
 """
 
 import json
