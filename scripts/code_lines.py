@@ -14,9 +14,9 @@ bytecode cache.
 
 After a blank line it prints one row per route of ROUTES: the nodes of the
 logklab modules that a fresh `python -X importtime -m logklab.cli ARGV`
-process imports for the route's fixed ARGV, plus cli.py, which runs as
-__main__ and so is missing from that report. That is what the process
-compiles of logklab.
+process imports for the route's fixed ARGV (route_imports), plus cli.py,
+which runs as __main__ and so is missing from that report (route_nodes).
+That is what the process compiles of logklab.
 """
 
 import ast
@@ -30,12 +30,17 @@ import tempfile
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logklab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "logklab"
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import _explicit_pair_file  # noqa: E402  (bench/ is not a package)
 
 _ALPHAS = ("--alpha-L", "1/3", "--alpha-LD", "1/2")
-# One argv per subcommand route, each exiting 0 on a catalog pair or on
-# CRITERIA_FILE, which route_nodes writes to the process's directory.
-CRITERIA_FILE = "criteria.json"
+# One argv per subcommand route, each exiting 0 on a catalog pair, on
+# CRITERIA_FILE or on PAIR_FILE, which route_imports writes to the process's
+# directory. PAIR_FILE is the explicit model of P^2 that the benchmark's
+# oracle-recount workload sums (floor 0), read by the pair-file reader.
+CRITERIA_FILE, PAIR_FILE = "criteria.json", "pair.json"
 ROUTES = {
     "catalog list": ("catalog", "list"),
     "catalog show": ("catalog", "show", "P2-line"),
@@ -51,6 +56,7 @@ ROUTES = {
     "destabilize": ("destabilize", "catalog:P2-line", "--beta", "15/16"),
     "critical-c": ("critical-c", "catalog:P2-line", "--beta", "1/2", "--tol", "1/1024"),
     "oracle": ("oracle", "catalog:P2-line", "--c", "1/2", "--kmax", "4"),
+    "oracle file": ("oracle", PAIR_FILE, "--c", "1/2"),
     "criteria": ("criteria", "--file", CRITERIA_FILE),
 }
 # A module line of an -X importtime report: its name, indented by its depth.
@@ -91,17 +97,25 @@ def imported(*args, cwd=None) -> tuple[subprocess.CompletedProcess, set[str]]:
     return proc, set(_IMPORT_LINE.findall(proc.stderr))
 
 
-def route_nodes(argv) -> int:
-    """The AST nodes of logklab that a fresh `python -m logklab.cli ARGV`
-    process compiles: those of the logklab modules it imported and of
-    cli.py. The process runs in a scratch directory holding CRITERIA_FILE;
-    an exit code other than 0 is a RuntimeError."""
+def route_imports(argv) -> set[str]:
+    """The names of every module a fresh `python -m logklab.cli ARGV` process
+    imports, as imported reads them. The process runs in a scratch directory
+    holding CRITERIA_FILE and PAIR_FILE; an exit code other than 0 is a
+    RuntimeError."""
     with tempfile.TemporaryDirectory() as scratch:
         Path(scratch, CRITERIA_FILE).write_text(json.dumps(
             {"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True, "bullet2_nef": True}))
+        Path(scratch, PAIR_FILE).write_bytes(_explicit_pair_file(0)[1])
         proc, modules = imported("-m", "logklab.cli", *argv, cwd=scratch)
     if proc.returncode != 0:
         raise RuntimeError(f"logklab {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+    return modules
+
+
+def route_nodes(modules) -> int:
+    """The AST nodes of logklab that a `python -m logklab.cli` process which
+    imported modules (route_imports) compiles: those of the logklab modules
+    among them and of cli.py."""
     files = {"cli.py"} | {f"{name.partition('.')[2] or '__init__'}.py"
                           for name in modules if name.partition(".")[0] == "logklab"}
     return sum(ast_nodes((PACKAGE / name).read_text(encoding="utf-8")) for name in files)
@@ -123,7 +137,7 @@ def main() -> None:
     width = max(map(len, ROUTES))
     print(f"\n{'route':<{width}} {'nodes':>6}")
     for route, argv in ROUTES.items():
-        print(f"{route:<{width}} {route_nodes(argv):>6}")
+        print(f"{route:<{width}} {route_nodes(route_imports(argv)):>6}")
 
 
 if __name__ == "__main__":

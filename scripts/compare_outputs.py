@@ -141,7 +141,11 @@ def oracle_edges() -> list[workloads.Invocation]:
     # binom(k+3, 3) and binom(k+4, 4) given explicitly.
     p3 = _explicit(3, "4", ["1", "11/6", "1", "1/6"])
     p4 = _explicit(4, "5", ["1", "25/12", "35/24", "5/12", "1/24"])
-    files = (point, floor50, floor10000, p3, p4, P3_NEGATIVE, P4_DIP, P3_VALLEY)
+    # A pair name the report escapes as json.dumps does: a quote, a backslash,
+    # a tab, DEL, non-ASCII, a character above U+FFFF and a lone surrogate.
+    escaped = workloads._file("pair", dict(P2_DOC, name='P2 "\\" \t\x7f \xe9 \U0001f600 \ud800',
+                                           hilbert={"kind": "projective_space"}))
+    files = (point, floor50, floor10000, p3, p4, P3_NEGATIVE, P4_DIP, P3_VALLEY, escaped)
     p2, p1, explicit = "catalog:P2-line", point[0], floor50[0]
     argvs = [
         (p2, "--c", "3/2"), (p2, "--c", "3/2", "--kmax", "0"), (p2, "--c=-1/2"), (p2, "--c", "0"),
@@ -159,6 +163,7 @@ def oracle_edges() -> list[workloads.Invocation]:
         (P3_VALLEY[0], "--c", "1/2", "--kmax", "400"),
         *((P3_VALLEY[0], "--c", c, "--kmax", "2000") for c in ("1/2", "9/10")),
         (P3_VALLEY[0], "--c", "99999/100000"),  # one counted run of about 7 10^5
+        (escaped[0], "--c", "1/2", "--kmax", "4"),
         COUNT_LIMIT[1:],
     ]
     return [workloads.Invocation(("oracle", *argv), files) for argv in argvs]

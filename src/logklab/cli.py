@@ -11,20 +11,24 @@ exits 3 and 4 leave it empty. df-curve's pieces are batches of rows,
 computed as they are written, after its end checks of both values and
 texts.
 
-Each handler lives beside the library it renders, and _COMMANDS names it
-by module and function, so that a process loads, and without a bytecode
-cache compiles, only what its subcommand runs: run imports that one module.
-info's handler is in closedform, df's in expansion, destabilize's and
-critical-c's in normalcone, df-curve's in curve, oracle's in weightoracle,
-thresholds', window's, eta's and entropy's in thresholds, criteria's in
-criteria, and scalar's and catalog's in pairmodel; the text of their
-tables and fields is exactnum's. So df and info load the closed form,
+Each handler lives in a module that only its own subcommands load, and
+_COMMANDS names it by module and function, so that a process loads, and
+without a bytecode cache compiles, only what its subcommand runs: run
+imports that one module. info's handler is in info, scalar's and catalog's
+in scalar, df's in df, destabilize's and critical-c's in normalcone,
+df-curve's in curve, oracle's in weightoracle, thresholds', window's, eta's
+and entropy's in thresholds, and criteria's in criteria. The text of their
+tables and fields is tables', which neither df-curve nor oracle loads, and
+the verdict form that thresholds and criteria share is verdict's, so
+criteria loads no thresholds. So df and info load the closed form,
 destabilize and critical-c the sign kernel (kernel) and its searches
 (normalcone) too, df-curve the kernel and its grid and row text (curve), no
-search, and only df and oracle the coefficient path (expansion). The
-dimension models (hilbert) load only for oracle, whose catalog pair
-resolve_pair gives its model, for catalog show, and for a pair file's
-hilbert block. inputs holds the pair-file and criteria-file readers and the
+search, and only df and oracle the coefficient path (expansion); df's
+second DF path is df's own. The dimension models (hilbert) load only for
+oracle, whose catalog pair resolve_pair gives its model, for catalog show,
+and for a pair file's hilbert block. oracle writes its JSON report without
+the json module.
+inputs holds the pair-file and criteria-file readers and the
 argparse parser (inputs.build_parser). A catalog pair needs no reader, and
 _fast_parse reads a well-formed argv straight off the command table, so
 inputs is loaded only for a pair file, a criteria file, --help, usage
@@ -126,8 +130,8 @@ _ANY_PAIR, _UNIT_PAIR, _MODEL_PAIR = "any", "m = 1", "m = 1, with its model"
 # function), pair input or None, arguments after the pair positional).
 _COMMANDS = (
     ("info", "pair findings, scalar averages, instability threshold",
-     ("closedform", "_cmd_info"), _ANY_PAIR, ()),
-    ("scalar", "scalar averages at a cone angle", ("pairmodel", "_cmd_scalar"), _ANY_PAIR, (
+     ("info", "_cmd_info"), _ANY_PAIR, ()),
+    ("scalar", "scalar averages at a cone angle", ("scalar", "_cmd_scalar"), _ANY_PAIR, (
         _BETA, ("--m", {"type": _int_arg, "help": "override divisor multiplicity"}))),
     ("thresholds", "beta_u, alpha_beta lower bounds, minimal multiplicity",
      ("thresholds", "_cmd_thresholds"),
@@ -142,7 +146,7 @@ _COMMANDS = (
      (_M, _BETA, *_POSITIVITY_FLAGS)),
     ("entropy", "entropy-threshold comparison verdict", ("thresholds", "_cmd_verdict"), _ANY_PAIR,
      (_M, _BETA, *_POSITIVITY_FLAGS)),
-    ("df", "log Donaldson-Futaki invariant via both paths", ("expansion", "_cmd_df"), _UNIT_PAIR, (_C, _BETA)),
+    ("df", "log Donaldson-Futaki invariant via both paths", ("df", "_cmd_df"), _UNIT_PAIR, (_C, _BETA)),
     ("df-curve", "DF grid over c for fixed beta", ("curve", "_cmd_df_curve"), _UNIT_PAIR, (
         _BETA, ("--steps", {"type": _int_arg, "required": True}),
         ("--format", {"choices": ["csv", "json"], "default": "csv"}))),
@@ -158,7 +162,7 @@ _COMMANDS = (
     ("criteria", "singular-pair criteria from asserted facts",
      ("criteria", "_cmd_criteria"), None, (
         ("--file", {"required": True, "help": "JSON document mirroring the criteria input"}),)),
-    ("catalog", "builtin pairs", ("pairmodel", "_cmd_catalog"), None, (
+    ("catalog", "builtin pairs", ("scalar", "_cmd_catalog"), None, (
         ("action", {"choices": ["list", "show"]}), ("name", {"nargs": "?", "default": None}))),
 )
 

@@ -1,26 +1,26 @@
 """Deformation to the normal cone of D in |L|: the closed-form log
 Donaldson-Futaki invariant, its inner factor and J^NA, and the instability
-threshold, with the info subcommand's handler.
+threshold.
 
 The family blows up X x C along D x {0} and polarises by L - cP for a
 rational blow-up parameter c in (0, 1). Everything here is for a divisor
 D in |L| (multiplicity m = 1); callers refuse m > 1 rather than extrapolate.
 The integer sign kernel lives in kernel, the searches built on it in
 normalcone and the df-curve grid in curve; both read the closed form from
-here. The expansion coefficients, df's second DF path and the oracle's
-closed form, live in expansion, which none of those routes loads.
+here. The expansion coefficients, the oracle's closed form, live in
+expansion, and df's second DF path, read off them, in df; none of those
+routes loads either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import EXIT_OK, InputError, InternalCheckError
-from .exactnum import _fields, _table, format_rational
-from .pairmodel import (
-    PolarisedPair, avg_scalar_s1, avg_scalar_sD, sD_provenance, validate_pair)
+from .errors import InputError, InternalCheckError
+from .exactnum import format_rational
+from .pairmodel import PolarisedPair, avg_scalar_sD
 
 
 class DFReport(NamedTuple):
@@ -128,23 +128,3 @@ def family(pair: PolarisedPair, c: Fraction) -> Family:
 def instability_threshold(pair: PolarisedPair) -> Fraction:
     """Angles strictly below S^D / (n(n-1)) are destabilised by this family."""
     return _pair_of(pair).threshold()
-
-
-def _cmd_info(ns) -> tuple[int, Iterable[str]]:
-    pair, m = ns.source.pair, ns.m
-    rows = [("S_1", avg_scalar_s1(pair), "n*cX_L/L_top")]
-    if pair.dimension >= 2:
-        rows.append(("S_D", avg_scalar_sD(pair, m), sD_provenance(m)))
-        if m == 1:
-            rows.append(("instability_threshold", instability_threshold(pair),
-                         "S_D/(n(n-1)); smaller angles destabilised by the normal-cone family"))
-        else:
-            rows.append(("instability_threshold", "n/a",
-                         "normal-cone family only asserted for m = 1"))
-    else:
-        rows.append(("S_D", "n/a", "undefined for n = 1"))
-    return EXIT_OK, [_fields([
-        ("pair", f"{pair.name} (n={pair.dimension}, L^n={format_rational(pair.L_top)}, "
-                 f"c1(X).L^(n-1)={format_rational(pair.cX_L)}, D in |{m}L|)"),
-        ("findings", ", ".join(validate_pair(pair)) or "none"),
-    ]), _table(rows)]

@@ -1,9 +1,10 @@
 """Singular-pair criteria: sufficient conditions for uniform log K-stability
 and for klt, evaluated on caller-asserted facts, with the criteria handler.
 
-Each criterion is a Verdict through the shared verdict form of thresholds
-(_verdict): Inconclusive at the first condition that fails, never an
-instability claim. Only the criteria subcommand loads this module.
+Each criterion is a Verdict through the verdict form it shares with
+thresholds (verdict._verdict): Inconclusive at the first condition that
+fails, never an instability claim. Only the criteria subcommand loads this
+module, and it loads no thresholds.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import EXIT_INCONCLUSIVE, EXIT_OK, InputError
-from .exactnum import _fields, format_rational
+from .exactnum import format_rational
 from .pairmodel import integer
-from .thresholds import Verdict, VerdictStatus, _verdict, _verdict_fields
+from .tables import _fields
+from .verdict import Verdict, VerdictStatus, _verdict, _verdict_fields
 
 
 class _CriteriaFields(NamedTuple):

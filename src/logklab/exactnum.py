@@ -1,5 +1,5 @@
-"""Exact rational arithmetic and its text: parsing, format_rational,
-decimals, and the report fields and tables the handlers print.
+"""Exact rational arithmetic and its text: parsing, format_rational and
+decimals. The handlers' tables and fields are written by tables.
 
 format_rational is the one writer of a rational's text: it writes the
 terms of the reduced Fraction it is given, and past the int->str digit
@@ -16,7 +16,6 @@ import re
 import sys
 from decimal import Context
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InputError
 
@@ -95,44 +94,9 @@ def format_rational(value: Fraction | int) -> str:
         return _int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
 
 
-def json_record(record: NamedTuple) -> dict[str, str | int]:
-    """A NamedTuple's fields by name, for a JSON report: an int stays an int,
-    every other value becomes its format_rational text."""
-    return {name: value if type(value) is int else format_rational(value)
-            for name, value in record._asdict().items()}
-
-
 def decimal_string(value: Fraction | int, digits: int = 12) -> str:
     """Correctly rounded decimal with the given number of significant digits.
 
     For plotting/report columns only; never re-ingested.
     """
     return str(Context(prec=digits).divide(value.numerator, value.denominator))
-
-
-def _field_text(value) -> str:
-    """A field value as text: every rational exact through format_rational,
-    a tuple as (a, b) and a list as [a, b]."""
-    if isinstance(value, Fraction) or type(value) is int:
-        return format_rational(value)
-    if isinstance(value, (tuple, list)):
-        inner = ", ".join(map(_field_text, value))
-        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
-    return str(value)
-
-
-def _table(rows) -> str:
-    """(label, value, provenance) rows as a table with a decimal column; a
-    str value, such as "n/a", has no decimal."""
-    header = f"{'quantity':<34} {'exact':>20}  {'decimal':<18} {'provenance'}"
-    lines = [header, "-" * len(header)]
-    for label, value, provenance in rows:
-        dec = "" if isinstance(value, str) else decimal_string(value)
-        lines.append(f"{label:<34} {_field_text(value):>20}  {dec:<18} {provenance}")
-    return "".join(f"{line}\n" for line in lines)
-
-
-def _fields(fields) -> str:
-    """One `label: value` line per (label, value) field, skipping None values."""
-    return "".join(f"{label}: {_field_text(value)}\n" for label, value in fields
-                   if value is not None)

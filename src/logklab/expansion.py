@@ -1,22 +1,30 @@
 """The coefficient path of the normal-cone family: the exact expansion
-coefficients of its dimension and weight sums, and the log Donaldson-Futaki
-invariant read off them, checked against the closed form of closedform.
+coefficients of its dimension and weight sums, in closed form and from the
+forward differences of a count polynomial, and json_record, the JSON form
+of such a record.
 
-This is df's second DF path and the closed form the oracle's recovered
-coefficients must equal. Only df and oracle load it; the closed form
-(closedform) and the searches and grid built on it do not need it.
+These are the coefficients df reads its second DF path off (in df) and the
+closed form the oracle's recovered coefficients must equal. Only df and
+oracle load it; the closed form (closedform) and the searches and grid
+built on it do not need it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .closedform import DFReport, Family, family
-from .errors import EXIT_OK, InternalCheckError
-from .exactnum import _table, format_rational, json_record
+from .closedform import Family, family
+from .exactnum import format_rational
 from .pairmodel import PolarisedPair
+
+
+def json_record(record: NamedTuple) -> dict[str, str | int]:
+    """A NamedTuple's fields by name, for a JSON report: an int stays an int,
+    every other value becomes its format_rational text."""
+    return {name: value if type(value) is int else format_rational(value)
+            for name, value in record._asdict().items()}
 
 
 class NormalConeCoefficients(NamedTuple):
@@ -71,51 +79,3 @@ def family_coefficients(at_c: Family) -> NormalConeCoefficients:
 def coefficients(pair: PolarisedPair, c: Fraction) -> NormalConeCoefficients:
     """Exact a0, a1, b0, b1, a0_tilde, b0_tilde for the family at parameter c."""
     return family_coefficients(family(pair, c))
-
-
-def df_from_coefficients(coeffs: NormalConeCoefficients, beta: Fraction) -> Fraction:
-    """DF = 2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0_tilde - a0_tilde b0)/a0."""
-    beta = Fraction(beta)
-    main = 2 * (coeffs.a1 * coeffs.b0 - coeffs.a0 * coeffs.b1) / coeffs.a0
-    log_term = (coeffs.a0 * coeffs.b0_tilde - coeffs.a0_tilde * coeffs.b0) / coeffs.a0
-    return main + (1 - beta) * log_term
-
-
-def df_checked(pair: PolarisedPair, c: Fraction, beta: Fraction
-               ) -> tuple[NormalConeCoefficients, DFReport]:
-    """The family's coefficients and closed-form DF report at (c, beta), once
-    they equal field by field those read off the forward differences
-    pair.riemann_roch() and df_from_coefficients gives the same DF
-    (InternalCheckError otherwise)."""
-    at_c = family(pair, c)
-    coeffs, report = family_coefficients(at_c), at_c.df(beta)
-    summed = NormalConeCoefficients.from_differences(*pair.riemann_roch(), at_c.c, at_c.n)
-    if summed != coeffs:
-        raise InternalCheckError(
-            f"coefficient paths disagree: closed form {json_record(coeffs)}, "
-            f"Riemann-Roch sums {json_record(summed)}")
-    df_coeff_path = df_from_coefficients(coeffs, beta)
-    if df_coeff_path != report.df:
-        raise InternalCheckError(
-            f"DF paths disagree: closed form {format_rational(report.df)}, "
-            f"coefficient formula {format_rational(df_coeff_path)}")
-    return coeffs, report
-
-
-def _cmd_df(ns) -> tuple[int, Iterable[str]]:
-    coeffs, report = df_checked(ns.source.pair, ns.c, ns.beta)
-    rows = [
-        ("a0", coeffs.a0, "leading dimension coefficient"),
-        ("a1", coeffs.a1, "subleading dimension coefficient"),
-        ("b0", coeffs.b0, "leading weight coefficient"),
-        ("b1", coeffs.b1, "subleading weight coefficient"),
-        ("a0_tilde", coeffs.a0_tilde, "divisor dimension leading coefficient"),
-        ("b0_tilde", coeffs.b0_tilde, "divisor weight leading coefficient"),
-        ("DF(closed form)", report.df, "prefactor * inner factor"),
-        ("DF(coefficient formula)", report.df,
-         "2(a1 b0 - a0 b1)/a0 + (1-beta)(a0 b0~ - a0~ b0)/a0"),
-        ("inner_factor", report.inner_factor, "beta + (S_D/(n-1)) g(c)"),
-        ("positive_prefactor", report.positive_prefactor, "n a0 (1-(1-c)^(n+1))/(n+1)"),
-        ("J^NA", report.jna, "c - (1-(1-c)^(n+1))/(n+1) = -b0/a0"),
-    ]
-    return EXIT_OK, [_table(rows), "cross-check: both DF paths agree exactly\n"]

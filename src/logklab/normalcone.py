@@ -17,9 +17,10 @@ from typing import Callable, Iterable, NamedTuple
 
 from .closedform import _pair_of, instability_threshold
 from .errors import EXIT_OK, InputError, InternalCheckError, PreconditionFailedError
-from .exactnum import _fields, format_rational
+from .exactnum import format_rational
 from .kernel import _Kernel, _kernel
 from .pairmodel import PolarisedPair
+from .tables import _fields
 
 
 class CriticalBracket(NamedTuple):

@@ -5,25 +5,22 @@ top self-intersection L^n, and c1(X).L^(n-1). Those three numbers determine
 S_1, S^D and S_beta, which every stability criterion consumes. A resolved
 pair (PairSource) may also carry a dimension model h_X(k), the section
 counts the oracle sums; the models and the catalog pairs' own models live in
-hilbert, which a catalog pair does not load. The scalar and catalog
-subcommands' handlers live here.
+hilbert, which a catalog pair does not load. Every subcommand loads this
+module, so it holds no handler: scalar's and catalog's live in scalar, with
+the ScalarReport scalar prints, and info's in info, with its findings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import EXIT_OK, InconsistentDataError, InputError
-from .exactnum import _fields, _table, format_rational
+from .errors import InconsistentDataError, InputError
+from .exactnum import format_rational
 
 if TYPE_CHECKING:
     from .hilbert import HilbertModel
     from .thresholds import PositivityData
-
-FINDING_BOUND_VIOLATED = "ScalarBoundViolated"
-FINDING_BOUND_SATURATED = "ScalarBoundSaturated"
-
 
 # Largest dimension of a pair: on P^512 the oracle takes 0.25 s at c = 1/2
 # and 1.73 s at c = 99/100, in process, growing about as n^3
@@ -95,20 +92,6 @@ def multiplicity(m: int) -> int:
     return integer(m, "divisor multiplicity", 1)
 
 
-class ScalarReport(NamedTuple):
-    """All scalar-curvature averages at one cone angle beta, for D in |mL|.
-
-    SD is None when n = 1 (the divisor is zero-dimensional). Always satisfies
-    Sbeta = S1 - m*n*(1 - beta) and mu = Sbeta / n.
-    """
-
-    S1: Fraction
-    SD: Fraction | None
-    Sbeta: Fraction
-    mu: Fraction
-    beta: Fraction
-
-
 def avg_scalar_s1(pair: PolarisedPair) -> Fraction:
     """Average scalar curvature of (X, L): n * cX_L / L_top."""
     return pair.dimension * pair.cX_L / pair.L_top
@@ -130,27 +113,6 @@ def avg_scalar_sD(pair: PolarisedPair, m: int) -> Fraction:
 def scalar_sbeta(pair: PolarisedPair, m: int, beta: Fraction) -> Fraction:
     """S_beta = S_1 - m*n*(1-beta), for D in |mL| and the cone angle 2*pi*beta."""
     return avg_scalar_s1(pair) - m * pair.dimension * (1 - beta)
-
-
-def avg_scalar_sbeta(pair: PolarisedPair, m: int, beta: Fraction) -> ScalarReport:
-    """Scalar averages for D in |mL| and the cone angle 2*pi*beta; Sbeta is scalar_sbeta."""
-    m, beta, n = multiplicity(m), Fraction(beta), pair.dimension
-    s1 = avg_scalar_s1(pair)
-    sD = avg_scalar_sD(pair, m) if n >= 2 else None
-    sbeta = scalar_sbeta(pair, m, beta)
-    return ScalarReport(S1=s1, SD=sD, Sbeta=sbeta, mu=sbeta / n, beta=beta)
-
-
-def validate_pair(pair: PolarisedPair) -> list[str]:
-    """Sanity findings; data violating S_1 <= n(n+1) cannot come from a manifold."""
-    findings: list[str] = []
-    n = pair.dimension
-    s1 = avg_scalar_s1(pair)
-    if s1 > n * (n + 1):
-        findings.append(FINDING_BOUND_VIOLATED)
-    elif s1 == n * (n + 1):
-        findings.append(FINDING_BOUND_SATURATED)
-    return findings
 
 
 def sD_provenance(m: int) -> str:
@@ -221,37 +183,3 @@ def catalog_entry(name: str) -> PairSource:
         raise InputError(
             f"unknown catalog pair {name!r}; available: {', '.join(CATALOG)}"
         ) from None
-
-
-def _cmd_scalar(ns) -> tuple[int, Iterable[str]]:
-    report = avg_scalar_sbeta(ns.source.pair, ns.m, ns.beta)
-    rows = [
-        ("beta", report.beta, "evaluation angle"),
-        ("S_1", report.S1, "n*cX_L/L_top"),
-        ("S_D", report.SD if report.SD is not None else "n/a",
-         sD_provenance(ns.m) if report.SD is not None else "undefined for n = 1"),
-        ("S_beta", report.Sbeta, "S_1 - m*n*(1-beta)"),
-        ("mu", report.mu, "S_beta/n"),
-    ]
-    return EXIT_OK, [_table(rows)]
-
-
-def _cmd_catalog(ns) -> tuple[int, Iterable[str]]:
-    if ns.action == "list":
-        if ns.name is not None:
-            raise InputError(f"catalog list takes no pair name, got {ns.name!r}")
-        return EXIT_OK, [f"{name}\n" for name in CATALOG]
-    if ns.name is None:
-        raise InputError("catalog show needs a pair name")
-    entry = catalog_entry(ns.name)
-    from .hilbert import CATALOG_MODELS
-
-    pair, model = entry.pair, CATALOG_MODELS.get(ns.name)
-    return EXIT_OK, [_fields([
-        ("name", pair.name), ("dimension", pair.dimension), ("L_top", pair.L_top),
-        ("cX_L", pair.cX_L),
-        ("proportional_x", "none" if pair.proportional_x is None else pair.proportional_x),
-        ("divisor multiplicity", entry.m),
-        ("dimension model",
-         "none (supply alphas and bounds by hand)" if model is None else model.kind),
-    ])]

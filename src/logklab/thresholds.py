@@ -1,6 +1,6 @@
 """Cone-angle thresholds, stability/existence windows and eta-feasibility
-and entropy certificates, with the shared verdict form and the handlers of
-thresholds, window, eta and entropy.
+and entropy certificates, with the handlers of thresholds, window, eta and
+entropy.
 
 Everything here is one-sided: a verdict certifies stability/existence or
 reports Inconclusive; instability claims belong exclusively to the
@@ -9,10 +9,11 @@ closedform and normalcone modules. Positivity facts the criteria need
 caller, never computed.
 
 Every theorem hypothesis and criterion condition is a (holds, text) check,
-read by one evaluator, _violated: a failed window hypothesis is raised by
-_require as PreconditionFailedError, and a failed criterion condition makes
-_verdict return Inconclusive. The singular-pair criteria live in criteria,
-which reads the verdict form from here and which these routes never load.
+read by one evaluator, verdict._violated: a failed window hypothesis is
+raised by _require as PreconditionFailedError, and a failed criterion
+condition makes verdict._verdict return Inconclusive. The singular-pair
+criteria live in criteria, which reads the verdict form from verdict, and
+so loads neither this module nor these handlers.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     EXIT_INCONCLUSIVE, EXIT_OK, InconsistentDataError, InputError, PreconditionFailedError)
-from .exactnum import _fields, _table, format_rational
+from .exactnum import format_rational
 from .pairmodel import (
     _POSITIVITY, PairSource, PolarisedPair, avg_scalar_s1, multiplicity, scalar_sbeta)
+from .tables import _fields, _table
+from .verdict import Verdict, VerdictStatus, _verdict, _verdict_fields, _violated
 
 MODEL_PROPORTIONAL = "proportional"  # c1(X) = x * c1(L) exactly
 MODEL_SANDWICH = "sandwich"          # lambda * c1(L) <= c1(X) <= Lambda * c1(L)
-
-NO_CERTIFICATE_NEEDED = "no certificate needed"
 
 
 class _PositivityFields(NamedTuple):
@@ -66,56 +67,12 @@ class PositivityData(_PositivityFields):
         return pos
 
 
-class VerdictStatus(enum.Enum):
-    """A failed theorem hypothesis is no status: it is raised as PreconditionFailedError."""
-
-    CRITERION_SATISFIED = "CriterionSatisfied"
-    INCONCLUSIVE = "Inconclusive"
-
-
-class Verdict(NamedTuple):
-    """Outcome of one sufficient criterion, with its certificate.
-
-    CriterionSatisfied always carries either a numeric certificate or the
-    explicit no-certificate-needed marker; Inconclusive never asserts
-    instability. facts echoes every caller-asserted positivity fact the
-    criterion consumed.
-    """
-
-    status: VerdictStatus
-    claim: str
-    certificate: Fraction | None = None
-    certificate_note: str | None = None
-    violated: str | None = None
-    facts: tuple[str, ...] = ()
-    model: str | None = None
-    eta_interval: tuple[Fraction, Fraction] | None = None
-
-
-def _violated(checks: tuple[tuple[bool, str], ...]) -> str | None:
-    """The text of the first (holds, text) check that fails, in order, or None."""
-    return next((text for holds, text in checks if not holds), None)
-
-
 def _require(*checks: tuple[bool, str]) -> None:
     """Theorem hypotheses as (holds, text) checks: the first that fails is
     raised as PreconditionFailedError, the only place this module raises it."""
     violated = _violated(checks)
     if violated is not None:
         raise PreconditionFailedError(violated)
-
-
-def _verdict(claim: str, facts: tuple[str, ...], checks: tuple[tuple[bool, str], ...],
-             model: str | None = None, certificate_note: str = NO_CERTIFICATE_NEEDED,
-             **certified) -> Verdict:
-    """Inconclusive at the first (holds, violated-text) check that fails;
-    CriterionSatisfied with the certified fields when every check holds."""
-    violated = _violated(checks)
-    if violated is not None:
-        return Verdict(VerdictStatus.INCONCLUSIVE, claim, violated=violated, facts=facts,
-                       model=model)
-    return Verdict(VerdictStatus.CRITERION_SATISFIED, claim, facts=facts, model=model,
-                   certificate_note=certificate_note, **certified)
 
 
 class WindowClaim(enum.Enum):
@@ -412,15 +369,6 @@ def _merged_positivity(pf: PairSource, ns) -> PositivityData:
     base = pf.positivity._asdict() if pf.positivity is not None else {}
     flags = {field: getattr(ns, field) for _, field, *_ in _POSITIVITY}
     return PositivityData(**base | {field: v for field, v in flags.items() if v is not None})
-
-
-def _verdict_fields(v: Verdict) -> list:
-    return [
-        ("status", v.status.value), ("claim", v.claim), ("positivity model", v.model),
-        ("eta interval", v.eta_interval), ("certificate", v.certificate),
-        ("certificate note", v.certificate_note), ("violated", v.violated),
-        *(("fact", fact) for fact in v.facts),
-    ]
 
 
 def _cmd_thresholds(ns) -> tuple[int, Iterable[str]]:

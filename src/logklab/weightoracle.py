@@ -26,7 +26,8 @@ meets. dims_and_weights is the literal per-sample sum, kept as the
 reference the walk is checked against: every report recomputes its first
 sample that way (InternalCheckError on any difference), and refuses one of
 more than ORACLE_LITERAL_LIMIT divisor counts (InputError) before any sum
-runs. The oracle handler lives here.
+runs. The oracle handler lives here, and writes its report by _json_text,
+the bytes of json.dumps(report, indent=2) without the json module.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from typing import Iterable, NamedTuple
 
 from .closedform import _require_c
 from .errors import EXIT_OK, InputError, InternalCheckError
-from .exactnum import format_rational, json_record
-from .expansion import NormalConeCoefficients, coefficients as closed_form_coefficients
+from .exactnum import format_rational
+from .expansion import (
+    NormalConeCoefficients, coefficients as closed_form_coefficients, json_record)
 from .hilbert import HilbertModel, leading_differences, newton_sums
 from .pairmodel import PolarisedPair, integer
 
@@ -314,8 +316,43 @@ def oracle_report(
     }
 
 
-def _cmd_oracle(ns) -> tuple[int, Iterable[str]]:
-    import json
+# The short escapes json.dumps writes by default (ensure_ascii); every other
+# character outside ' '..'~', DEL included, it writes as \uXXXX.
+_JSON_SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+               "\r": "\\r", "\t": "\\t"}
 
+
+def _json_char(char: str) -> str:
+    """char inside a JSON string as json.dumps writes it by default: a short
+    escape, itself in ' '..'~', or else \\uXXXX of its UTF-16 code units, so
+    a surrogate pair above U+FFFF and a lone surrogate as it is."""
+    code = ord(char)
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return _JSON_SHORT.get(char) or (char if " " <= char <= "~" else f"\\u{code:04x}")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) of a report, whose values are dicts with
+    str keys, lists, strs, ints and True, at the nesting indent (a newline
+    and its spaces). A str of printable ASCII with no quote or backslash,
+    such as every format_rational text, is written as it is."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return '"' + "".join(map(_json_char, value)) + '"'
+    if isinstance(value, int):
+        return "true" if value is True else str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_json_text(key)}: {_json_text(item, inner)}"
+                       for key, item in value.items()], "{}"
+    else:
+        items, ends = [_json_text(item, inner) for item in value], "[]"
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
+def _cmd_oracle(ns) -> tuple[int, Iterable[str]]:
     report = oracle_report(ns.source.pair, ns.source.model, ns.c, ns.kmax)
-    return EXIT_OK, [json.dumps(report, indent=2) + "\n"]
+    return EXIT_OK, [_json_text(report) + "\n"]

@@ -16,16 +16,12 @@ import pytest
 
 from logklab.cli import run
 from logklab.closedform import family, instability_threshold
-from logklab.expansion import coefficients, df_from_coefficients
+from logklab.df import df_from_coefficients
+from logklab.expansion import coefficients
 from logklab.exactnum import format_rational, parse_rational
+from logklab.info import FINDING_BOUND_SATURATED, validate_pair
 from logklab.normalcone import critical_c, find_destabilizer
-from logklab.pairmodel import (
-    CATALOG,
-    FINDING_BOUND_SATURATED,
-    avg_scalar_s1,
-    avg_scalar_sD,
-    validate_pair,
-)
+from logklab.pairmodel import CATALOG, avg_scalar_s1, avg_scalar_sD
 from logklab.thresholds import (
     PositivityData,
     VerdictStatus,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logklab import hilbert, pairmodel
+from logklab import hilbert, scalar
 from logklab.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
@@ -209,7 +209,7 @@ def test_each_error_class_maps_to_the_exit_stream_and_prefix_its_docstring_gives
         def raising(ns, error=error):
             raise error("the message")
 
-        monkeypatch.setattr(pairmodel, "_cmd_catalog", raising)  # run looks the handler up
+        monkeypatch.setattr(scalar, "_cmd_catalog", raising)  # run looks the handler up
         code, stream, prefix = documented[name]
         text = f"{prefix}the message\n"
         expected = (code, text, "") if stream == "stdout" else (code, "", text)
@@ -743,7 +743,10 @@ def test_df_curve_exits_4_when_its_suffix_table_is_corrupt(capsys, monkeypatch, 
 
 def assert_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps):
     """The df-curve rows of the pair against format_rational, decimal_string
-    and json.dumps over the Fractions of the closed form at each c."""
+    and json.dumps over the Fractions of the closed form at each c; and their
+    rationals against str() of each Fraction with the int->str digit limit
+    lifted, a writer that shares nothing with format_rational past the limit,
+    where the interpreter has one."""
     pair = PolarisedPair("random", n, L_top, cX_L)
     reports = ((c, family(pair, c).df(beta)) for c in (Fraction(i, steps + 1)
                                                        for i in range(1, steps + 1)))
@@ -766,6 +769,18 @@ def assert_df_curve_bytes_equal_the_fraction_writers(n, L_top, cX_L, beta, steps
     assert outputs["csv"].splitlines() == [header, *(
         ",".join([*map(format_rational, row), *map(decimal_string, row)]) for row in rows)]
     assert outputs["csv"].endswith("\n")
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit to lift
+        return
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        texts = [list(map(str, row)) for row in rows]
+    finally:
+        sys.set_int_max_str_digits(caller)
+    assert outputs["json"] == json.dumps(
+        [dict(zip(CURVE_COLUMNS, row)) for row in texts], indent=2) + "\n"
+    assert [line.split(",")[:len(CURVE_COLUMNS)]
+            for line in outputs["csv"].splitlines()[1:]] == texts
 
 
 def test_criteria_command(capsys, tmp_path):
@@ -806,12 +821,12 @@ RENDERING_ARGVS = [
 def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys, tmp_path, argv):
     # The value renderer fails on its second value, after the text of the
     # first is made: none of it is written.
-    import logklab.exactnum as exactnum
+    import logklab.tables as tables
 
     path = tmp_path / "criteria.json"
     path.write_text(json.dumps({"Sbeta": "-3", "alpha_beta": "0", "n": 2, "is_lc": True,
                                 "bullet2_nef": True}))
-    calls, real = [], exactnum._field_text
+    calls, real = [], tables._field_text
 
     def failing(value):
         calls.append(value)
@@ -819,7 +834,7 @@ def test_a_failure_while_rendering_leaves_stdout_empty(monkeypatch, capsys, tmp_
             raise InternalCheckError("the renderer's second value")
         return real(value)
 
-    monkeypatch.setattr(exactnum, "_field_text", failing)
+    monkeypatch.setattr(tables, "_field_text", failing)
     code, out, err = invoke(capsys, [str(path) if word == "CRITERIA" else word for word in argv])
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err == "internal cross-check failure: the renderer's second value\n"
@@ -1172,9 +1187,9 @@ def test_normal_cone_commands_exit_4_when_s_disagrees_with_riemann_roch(
 
 
 def test_df_canary_exits_4_when_paths_disagree(capsys, monkeypatch):
-    import logklab.expansion as expansion
+    import logklab.df as df
 
-    monkeypatch.setattr(expansion, "df_from_coefficients",
+    monkeypatch.setattr(df, "df_from_coefficients",
                         lambda coeffs, beta: Fraction(1))
     code, _, err = invoke(capsys, ["df", "catalog:P2-line", "--c", "1/2", "--beta", "1/2"])
     assert code == 4

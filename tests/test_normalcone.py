@@ -10,12 +10,8 @@ from logklab.errors import InputError, InternalCheckError, PreconditionFailedErr
 from logklab.cli import run
 from logklab.closedform import _pair_of, family, instability_threshold
 from logklab.curve import _reports, curve_rows
-from logklab.expansion import (
-    NormalConeCoefficients,
-    coefficients,
-    df_checked,
-    df_from_coefficients,
-)
+from logklab.df import df_checked, df_from_coefficients
+from logklab.expansion import NormalConeCoefficients, coefficients
 from logklab.hilbert import forward_differences
 from logklab.kernel import _Kernel, _kernel
 from logklab.normalcone import (
@@ -485,9 +481,9 @@ def test_df_checked_returns_both_agreeing_paths(p2):
 
 
 def test_df_checked_raises_when_the_coefficient_formula_disagrees(monkeypatch, p2):
-    import logklab.expansion as expansion
+    import logklab.df as df
 
-    monkeypatch.setattr(expansion, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
+    monkeypatch.setattr(df, "df_from_coefficients", lambda coeffs, beta: Fraction(1))
     with pytest.raises(InternalCheckError, match="DF paths disagree: closed form -1/48, "
                                                  "coefficient formula 1"):
         df_checked(p2, Fraction(1, 2), Fraction(1, 2))

@@ -16,14 +16,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # Every name the package exports, under the module that defines it.
 EXPORTS = {
     "exactnum": ["decimal_string", "format_rational", "parse_rational"],
-    "pairmodel": ["CATALOG", "PolarisedPair", "ScalarReport",
-                  "avg_scalar_s1", "avg_scalar_sD", "avg_scalar_sbeta", "validate_pair"],
+    "pairmodel": ["CATALOG", "PolarisedPair", "avg_scalar_s1", "avg_scalar_sD"],
+    "scalar": ["ScalarReport", "avg_scalar_sbeta"],
+    "info": ["validate_pair"],
     "hilbert": ["CATALOG_MODELS", "HilbertModel"],
     "closedform": ["DFReport", "instability_threshold"],
-    "expansion": ["NormalConeCoefficients", "coefficients", "df_checked",
-                  "df_from_coefficients"],
+    "expansion": ["NormalConeCoefficients", "coefficients"],
+    "df": ["df_checked", "df_from_coefficients"],
     "normalcone": ["CriticalBracket", "critical_c", "find_destabilizer"],
-    "thresholds": ["AngleWindow", "PositivityData", "Verdict", "VerdictStatus",
+    "verdict": ["Verdict", "VerdictStatus"],
+    "thresholds": ["AngleWindow", "PositivityData",
                    "alpha_beta_lower_bound", "angle_window", "beta_u",
                    "entropy_threshold_check", "eta_feasibility", "min_multiplicity_eta0"],
     "criteria": ["SingularCriteriaInput", "singular_criteria"],

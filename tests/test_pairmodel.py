@@ -11,18 +11,16 @@ from logklab.errors import InconsistentDataError, InputError
 from logklab.criteria import SingularCriteriaInput
 from logklab.exactnum import format_rational
 from logklab.hilbert import HilbertModel, leading_differences
+from logklab.info import FINDING_BOUND_SATURATED, FINDING_BOUND_VIOLATED, validate_pair
 from logklab.pairmodel import (
     CATALOG,
-    FINDING_BOUND_SATURATED,
-    FINDING_BOUND_VIOLATED,
     PolarisedPair,
     avg_scalar_s1,
     avg_scalar_sD,
-    avg_scalar_sbeta,
     catalog_entry,
     sD_provenance,
-    validate_pair,
 )
+from logklab.scalar import avg_scalar_sbeta
 from logklab.weightoracle import admissible_ks, dims_and_weights, oracle_report
 
 betas = st.fractions(min_value=-4, max_value=4, max_denominator=64)

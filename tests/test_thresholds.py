@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from logklab.criteria import SingularCriteriaInput, singular_criteria
 from logklab.errors import InconsistentDataError, InputError, PreconditionFailedError
 from logklab.closedform import instability_threshold
-from logklab.pairmodel import CATALOG, PolarisedPair, avg_scalar_sD, avg_scalar_sbeta
+from logklab.pairmodel import PolarisedPair, avg_scalar_sD
+from logklab.scalar import avg_scalar_sbeta
 from logklab.thresholds import (
     MODEL_PROPORTIONAL,
     MODEL_SANDWICH,

@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 from logklab.errors import InconsistentDataError, InputError, InternalCheckError
 from logklab.cli import run
 from logklab.closedform import family
-from logklab.exactnum import format_rational, json_record
-from logklab.expansion import coefficients, df_checked, df_from_coefficients
+from logklab.df import df_checked, df_from_coefficients
+from logklab.exactnum import format_rational
+from logklab.expansion import coefficients, json_record
 from logklab.hilbert import CATALOG_MODELS, HilbertModel, newton_sums
 from logklab.pairmodel import CATALOG, PolarisedPair
 from logklab.weightoracle import (
     ORACLE_KMAX_LIMIT,
     ORACLE_LITERAL_LIMIT,
     _first_level,
+    _json_text,
     admissible_ks,
     dims_and_weights,
     oracle_report,
@@ -288,6 +290,27 @@ def test_oracle_report_matches(p2, p2_model):
     assert report["recovered"] == report["closed_form"]
     assert report["samples"], "samples must be present"
     assert set(report) == {"pair", "c", "samples", "recovered", "closed_form", "match"}
+
+
+# Characters of a pair name that json.dumps escapes: the quote, the
+# backslash, control characters, DEL, non-ASCII, characters above U+FFFF and
+# lone surrogates, which a pair file's JSON string can hold; and any other.
+_NAME_CHARS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80 ~e\xe9\uffff'),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.integers(0x10000, 0x10FFFF).map(chr),
+    st.integers(0, 0x10FFFF).map(chr),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.lists(_NAME_CHARS, max_size=12).map("".join),
+       c=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1, 7)]),
+       k_max=st.integers(0, 24))
+def test_the_report_text_is_json_dumps(name, c, k_max):
+    # k_max below the first admissible level lists no sample.
+    report = oracle_report(PolarisedPair(name, 2, 1, 3, 3), CATALOG_MODELS["P2-line"], c, k_max)
+    assert _json_text(report) == json.dumps(report, indent=2)
 
 
 def test_oracle_report_raises_when_the_closed_form_differs(monkeypatch, p2, p2_model):
